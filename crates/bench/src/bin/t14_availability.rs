@@ -40,9 +40,6 @@ struct Point {
 /// replicate the volume, partition the primary for `outage_s` simulated
 /// seconds of staleness, probe every file, heal, reconcile, verify.
 fn run(files: u32, outage_s: u64, replica: bool) -> Point {
-    // A small budget keeps the baseline's honest give-ups fast; the
-    // replica path never needs more than a few attempts anyway.
-    std::env::set_var("DFS_RPC_RETRY_BUDGET", "6");
     let cell = Cell::builder().servers(2).build().expect("cell");
     cell.create_volume(0, VolumeId(1), "v").expect("volume");
     let writer = cell.new_client();

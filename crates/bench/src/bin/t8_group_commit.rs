@@ -4,11 +4,11 @@
 //! latency/traffic trade.
 //!
 //! The second section measures the client write-behind pipeline: a
-//! sequential-write workload stored back under the pre-pipeline shape
-//! (one `StoreData` per dirty page, one journal transaction each) versus
-//! the coalescing pipeline (extent-sized runs batched into one
-//! `StoreDataVec`, applied in a single transaction ending in one group
-//! commit).
+//! sequential-write workload stored back as extent-sized runs batched
+//! into `StoreDataVec` RPCs, each applied in a single transaction
+//! ending in one group commit. (The one-`StoreData`-per-page shape it
+//! replaced is archived in `BENCH_writeback.json`; see EXPERIMENTS.md
+//! T8b.)
 //!
 //! The third section (`--clients A,B,...`) is a concurrency sweep: N
 //! clients each write their own file and fsync in parallel, so token
@@ -20,7 +20,7 @@
 //! `jsoncheck` in the verify.sh smoke stage); `--ops N` and `--pages N`
 //! shrink the workloads for smoke runs.
 
-use dfs_bench::{f2, header, ratio, row};
+use dfs_bench::{f2, header, row};
 use dfs_client::{CacheManager, MemCache, WritebackConfig, PAGE_SIZE};
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
@@ -63,16 +63,10 @@ struct WbRun {
     jn_txns: u64,
 }
 
-impl WbRun {
-    fn rpcs(&self) -> u64 {
-        self.store_rpcs + self.store_vec_rpcs
-    }
-}
-
 /// Builds a one-server cell by hand (keeping the Episode handle so the
 /// server's journal counters stay reachable), writes `pages` sequential
 /// pages, and measures the fsync-driven store-back.
-fn writeback_run(wb: WritebackConfig, pages: u64) -> WbRun {
+fn writeback_run(pages: u64) -> WbRun {
     let clock = SimClock::new();
     let net = Network::new(clock.clone(), 10);
     let vldb = Addr::Vldb(0);
@@ -94,7 +88,7 @@ fn writeback_run(wb: WritebackConfig, pages: u64) -> WbRun {
         ClientId(1),
         vec![vldb],
         Arc::new(MemCache::new()),
-        wb,
+        WritebackConfig { flusher: false, ..WritebackConfig::default() },
     );
     let root = c.root(VolumeId(1)).unwrap();
     let f = c.create(root, "seq", 0o644).unwrap();
@@ -229,11 +223,7 @@ fn main() {
             (b, writes, syncs, ms)
         })
         .collect();
-    let legacy = writeback_run(WritebackConfig::legacy(), pages);
-    let pipeline = writeback_run(
-        WritebackConfig { flusher: false, ..WritebackConfig::default() },
-        pages,
-    );
+    let pipeline = writeback_run(pages);
     let conc: Vec<_> = clients.iter().map(|&n| concurrent_writers(n, pages)).collect();
 
     if json {
@@ -275,14 +265,10 @@ fn main() {
         println!(
             "{{\"bench\": \"t8_group_commit\", \"ops\": {ops}, \
              \"group_commit\": [{}], \
-             \"writeback\": {{\"pages\": {pages}, \"legacy\": {}, \"pipeline\": {}, \
-             \"rpc_reduction\": {:.2}, \"sync_reduction\": {:.2}}}, \
+             \"writeback\": {{\"pages\": {pages}, \"pipeline\": {}}}, \
              \"concurrency\": [{}]}}",
             rows.join(", "),
-            wb(&legacy),
             wb(&pipeline),
-            legacy.rpcs() as f64 / pipeline.rpcs().max(1) as f64,
-            legacy.jn_syncs as f64 / pipeline.jn_syncs.max(1) as f64,
             conc_rows.join(", "),
         );
         return;
@@ -300,14 +286,6 @@ fn main() {
     println!("Write-behind pipeline: {pages}-page sequential write, then fsync\n");
     header(&["path", "StoreData", "StoreDataVec", "store bytes", "jn syncs", "jn txns"]);
     row(&[
-        &"legacy",
-        &legacy.store_rpcs,
-        &legacy.store_vec_rpcs,
-        &legacy.store_bytes,
-        &legacy.jn_syncs,
-        &legacy.jn_txns,
-    ]);
-    row(&[
         &"pipeline",
         &pipeline.store_rpcs,
         &pipeline.store_vec_rpcs,
@@ -315,15 +293,10 @@ fn main() {
         &pipeline.jn_syncs,
         &pipeline.jn_txns,
     ]);
-    println!(
-        "\n{:>16} advantage: {} fewer store RPCs, {} fewer journal syncs",
-        "",
-        ratio(legacy.rpcs() as f64, pipeline.rpcs() as f64),
-        ratio(legacy.jn_syncs as f64, pipeline.jn_syncs as f64),
-    );
     println!("\nExpected shape: the pipeline coalesces extent-sized runs into one");
-    println!("StoreDataVec applied as a single server transaction — RPC count and");
-    println!("group commits drop by the coalescing factor while bytes stay put.");
+    println!("StoreDataVec applied as a single server transaction — one RPC and one");
+    println!("group commit per 128 pages (BENCH_writeback.json archives the");
+    println!("one-StoreData-per-page shape it replaced).");
 
     if !conc.is_empty() {
         println!("\nConcurrent writers: N clients, one private file each, write+fsync\n");

@@ -50,10 +50,23 @@ const FETCH_PAGES: u64 = 16;
 /// Pages coalesced into one store-back extent (64 KB of 4 KB pages).
 pub const STORE_EXTENT_PAGES: usize = 16;
 
+/// Extents shipped per store-back RPC; a single extent goes out as a
+/// flat `StoreData`, more as one `StoreDataVec`.
+const STORE_EXTENTS_PER_RPC: usize = 8;
+
+/// Attempts `file_rpc` spends (across redirects, busy waits, grace
+/// waits and transport retries) before giving up with an honest
+/// `Unavailable`; at the 2 ms backoff cap a give-up costs at most
+/// 100 ms.
+const RPC_RETRY_BUDGET: u32 = 50;
+
 /// Most volumes tracked by the location cache. A cell has few volumes a
 /// client actually touches; bounding the cache keeps a scanner of many
 /// volumes from growing client state without limit.
 const LOCATION_CACHE_CAP: usize = 256;
+
+/// Any reply whose shape does not fit the request that was sent.
+const BAD_REPLY: DfsError = DfsError::Internal("bad response");
 
 thread_local! {
     /// Set while this thread runs the crash-recovery pipeline so epoch
@@ -61,17 +74,10 @@ thread_local! {
     static IN_RECOVERY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Tuning for the write-behind pipeline (coalesced store-backs and the
-/// background flusher).
+/// Tuning for the write-behind pipeline (the background flusher and its
+/// dirty-page budget).
 #[derive(Clone, Debug)]
 pub struct WritebackConfig {
-    /// Most contiguous dirty pages coalesced into one extent.
-    pub extent_pages: usize,
-    /// Most extents shipped per store-back RPC (via `StoreDataVec`).
-    pub max_extents_per_rpc: usize,
-    /// Ship multi-extent `StoreDataVec` RPCs; when false every extent
-    /// goes out as its own `StoreData`.
-    pub use_vec_rpc: bool,
     /// Run the background flusher ("background store" daemon).
     pub flusher: bool,
     /// Flusher pass interval when idle.
@@ -85,28 +91,9 @@ pub struct WritebackConfig {
 impl Default for WritebackConfig {
     fn default() -> Self {
         WritebackConfig {
-            extent_pages: STORE_EXTENT_PAGES,
-            max_extents_per_rpc: 8,
-            use_vec_rpc: true,
             flusher: true,
             flush_interval: Duration::from_millis(2),
             dirty_budget_pages: 256,
-        }
-    }
-}
-
-impl WritebackConfig {
-    /// The pre-pipeline behaviour: one 4 KB `StoreData` per dirty page,
-    /// no background flusher, no backpressure. Benchmarks use this as
-    /// the before-side of before/after comparisons.
-    pub fn legacy() -> Self {
-        WritebackConfig {
-            extent_pages: 1,
-            max_extents_per_rpc: 1,
-            use_vec_rpc: false,
-            flusher: false,
-            flush_interval: Duration::from_millis(2),
-            dirty_budget_pages: usize::MAX,
         }
     }
 }
@@ -204,8 +191,8 @@ pub struct ClientStats {
     pub wrong_server_redirects: u64,
     /// Location-cache entries evicted to stay within the size bound.
     pub location_evictions: u64,
-    /// RPCs abandoned with `Unavailable` after the retry budget
-    /// (`DFS_RPC_RETRY_BUDGET`) was exhausted.
+    /// RPCs abandoned with `Unavailable` after the retry budget was
+    /// exhausted.
     pub unavailable_giveups: u64,
     /// Read-class RPCs answered by a §3.8 read-only replica while the
     /// volume's primary was unreachable.
@@ -219,83 +206,52 @@ pub struct ClientStats {
 }
 
 impl ClientStats {
+    /// Every monotone counter — all fields but the `max_stale_us`
+    /// high-water mark — listed once for `since` and `merge`. The
+    /// pattern names every field, so a new one cannot be forgotten.
+    fn counters(&mut self) -> [&mut u64; 31] {
+        let ClientStats {
+            local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
+            lookup_hits, lookup_misses, revocations, retained, queued_revocations,
+            revocation_stores, stale_status_dropped, busy_retries, backoff_rounds,
+            storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
+            backpressure_flushes, transport_retries, grace_waits, recoveries,
+            tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
+            wrong_server_redirects, location_evictions, unavailable_giveups,
+            replica_failovers, stale_reads, max_stale_us: _,
+        } = self;
+        [
+            local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
+            lookup_hits, lookup_misses, revocations, retained, queued_revocations,
+            revocation_stores, stale_status_dropped, busy_retries, backoff_rounds,
+            storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
+            backpressure_flushes, transport_retries, grace_waits, recoveries,
+            tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
+            wrong_server_redirects, location_evictions, unavailable_giveups,
+            replica_failovers, stale_reads,
+        ]
+    }
+
     /// Returns `self - earlier` counter-by-counter, for time-series
     /// sampling (the scenario driver snapshots per interval). The one
     /// non-counter, `max_stale_us`, is a high-water mark and carries
     /// the current watermark through unchanged.
     pub fn since(&self, earlier: &ClientStats) -> ClientStats {
-        ClientStats {
-            local_reads: self.local_reads - earlier.local_reads,
-            lockfree_reads: self.lockfree_reads - earlier.lockfree_reads,
-            remote_reads: self.remote_reads - earlier.remote_reads,
-            local_writes: self.local_writes - earlier.local_writes,
-            write_token_fetches: self.write_token_fetches - earlier.write_token_fetches,
-            lookup_hits: self.lookup_hits - earlier.lookup_hits,
-            lookup_misses: self.lookup_misses - earlier.lookup_misses,
-            revocations: self.revocations - earlier.revocations,
-            retained: self.retained - earlier.retained,
-            queued_revocations: self.queued_revocations - earlier.queued_revocations,
-            revocation_stores: self.revocation_stores - earlier.revocation_stores,
-            stale_status_dropped: self.stale_status_dropped - earlier.stale_status_dropped,
-            busy_retries: self.busy_retries - earlier.busy_retries,
-            backoff_rounds: self.backoff_rounds - earlier.backoff_rounds,
-            storeback_rpcs: self.storeback_rpcs - earlier.storeback_rpcs,
-            storeback_extents: self.storeback_extents - earlier.storeback_extents,
-            storeback_pages: self.storeback_pages - earlier.storeback_pages,
-            flusher_passes: self.flusher_passes - earlier.flusher_passes,
-            backpressure_flushes: self.backpressure_flushes - earlier.backpressure_flushes,
-            transport_retries: self.transport_retries - earlier.transport_retries,
-            grace_waits: self.grace_waits - earlier.grace_waits,
-            recoveries: self.recoveries - earlier.recoveries,
-            tokens_reestablished: self.tokens_reestablished - earlier.tokens_reestablished,
-            reval_kept: self.reval_kept - earlier.reval_kept,
-            reval_dropped: self.reval_dropped - earlier.reval_dropped,
-            recovery_replayed_pages: self.recovery_replayed_pages
-                - earlier.recovery_replayed_pages,
-            wrong_server_redirects: self.wrong_server_redirects - earlier.wrong_server_redirects,
-            location_evictions: self.location_evictions - earlier.location_evictions,
-            unavailable_giveups: self.unavailable_giveups - earlier.unavailable_giveups,
-            replica_failovers: self.replica_failovers - earlier.replica_failovers,
-            stale_reads: self.stale_reads - earlier.stale_reads,
-            max_stale_us: self.max_stale_us,
+        let (mut out, mut earlier) = (self.clone(), earlier.clone());
+        for (now, then) in out.counters().into_iter().zip(earlier.counters()) {
+            *now -= *then;
         }
+        out
     }
 
     /// Adds `other`'s counters into `self`, for fleet-wide aggregation.
     /// `max_stale_us` folds as a max.
     pub fn merge(&mut self, other: &ClientStats) {
-        self.local_reads += other.local_reads;
-        self.lockfree_reads += other.lockfree_reads;
-        self.remote_reads += other.remote_reads;
-        self.local_writes += other.local_writes;
-        self.write_token_fetches += other.write_token_fetches;
-        self.lookup_hits += other.lookup_hits;
-        self.lookup_misses += other.lookup_misses;
-        self.revocations += other.revocations;
-        self.retained += other.retained;
-        self.queued_revocations += other.queued_revocations;
-        self.revocation_stores += other.revocation_stores;
-        self.stale_status_dropped += other.stale_status_dropped;
-        self.busy_retries += other.busy_retries;
-        self.backoff_rounds += other.backoff_rounds;
-        self.storeback_rpcs += other.storeback_rpcs;
-        self.storeback_extents += other.storeback_extents;
-        self.storeback_pages += other.storeback_pages;
-        self.flusher_passes += other.flusher_passes;
-        self.backpressure_flushes += other.backpressure_flushes;
-        self.transport_retries += other.transport_retries;
-        self.grace_waits += other.grace_waits;
-        self.recoveries += other.recoveries;
-        self.tokens_reestablished += other.tokens_reestablished;
-        self.reval_kept += other.reval_kept;
-        self.reval_dropped += other.reval_dropped;
-        self.recovery_replayed_pages += other.recovery_replayed_pages;
-        self.wrong_server_redirects += other.wrong_server_redirects;
-        self.location_evictions += other.location_evictions;
-        self.unavailable_giveups += other.unavailable_giveups;
-        self.replica_failovers += other.replica_failovers;
-        self.stale_reads += other.stale_reads;
+        let mut other = other.clone();
         self.max_stale_us = self.max_stale_us.max(other.max_stale_us);
+        for (sum, add) in self.counters().into_iter().zip(other.counters()) {
+            *sum += *add;
+        }
     }
 }
 
@@ -386,6 +342,51 @@ fn tokens_trust_status(tokens: &[Token]) -> bool {
     })
 }
 
+/// The cached status, if a status token vouches for it.
+fn trusted_status<'a>(tokens: &[Token], status: &'a Option<FileStatus>) -> Option<&'a FileStatus> {
+    status.as_ref().filter(|_| tokens_trust_status(tokens))
+}
+
+/// The one cache-hit test (§5.2): serves `len` bytes at `offset` from
+/// the data cache when a status token vouches for the length, data
+/// tokens cover the range, and every page is marked valid and still
+/// present. `None` is a miss. `valid` is only ever set after a
+/// `write_page`, so a valid page the cache no longer holds was evicted:
+/// a miss, never a hole to zero-fill. Runs on the published
+/// [`TokenView`] (lock-free) and on [`VnState`] (under `lo`).
+fn cached_read(
+    tokens: &[Token],
+    status: &Option<FileStatus>,
+    valid: &BTreeSet<u64>,
+    data: &dyn DataCache,
+    fid: Fid,
+    offset: u64,
+    len: usize,
+) -> Option<Vec<u8>> {
+    let end = trusted_status(tokens, status)?.length.min(offset + len as u64);
+    if offset >= end {
+        return Some(Vec::new());
+    }
+    let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
+    if !tokens_cover(tokens, readable, &ByteRange::new(offset, end)) {
+        return None;
+    }
+    let first = offset / PAGE_SIZE as u64;
+    let last = (end - 1) / PAGE_SIZE as u64;
+    if !(first..=last).all(|p| valid.contains(&p)) {
+        return None;
+    }
+    let mut out = Vec::with_capacity((end - offset) as usize);
+    for p in first..=last {
+        let page = data.read_page(fid, p)?;
+        let ps = p * PAGE_SIZE as u64;
+        let s = offset.max(ps) - ps;
+        let e = (end - ps).min(PAGE_SIZE as u64);
+        out.extend_from_slice(&page[s as usize..e as usize]);
+    }
+    Some(out)
+}
+
 impl VnState {
     fn find_token(&self, types: TokenTypes, range: &ByteRange) -> Option<&Token> {
         self.tokens
@@ -403,7 +404,6 @@ impl VnState {
         self.tokens.iter().any(|t| t.types.contains(types))
     }
 
-
     fn merge_status(&mut self, status: FileStatus, stamp: SerializationStamp) -> bool {
         if stamp > self.stamp || self.status.is_none() {
             self.stamp = self.stamp.max(stamp);
@@ -412,10 +412,6 @@ impl VnState {
         } else {
             false
         }
-    }
-
-    fn status_trusted(&self) -> bool {
-        self.status.is_some() && tokens_trust_status(&self.tokens)
     }
 
     fn dir_trusted(&self) -> bool {
@@ -531,13 +527,56 @@ struct FlusherCtl {
     paused: bool,
 }
 
-/// A coalesced run of dirty pages snapshotted for one store-back
-/// extent: contiguous bytes starting at `offset`, plus the (page,
-/// write_seq) tags needed to clean only un-re-dirtied pages afterwards.
-struct PendingExtent {
-    offset: u64,
-    data: Vec<u8>,
-    pages: Vec<(u64, u64)>,
+/// What [`CacheManager::file_rpc`]'s retry ladder does with one
+/// attempt's outcome (table in DESIGN.md §10). `Done` hands the outcome
+/// to the caller; `Moved` retries at once; the rest back off first.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// A reply, or an error no retry cures.
+    Done,
+    /// The volume moved (§2.1): a live hint costs one extra hop.
+    Moved { hint: ServerId, generation: u64 },
+    /// The server does not know the volume: the cached location is
+    /// stale, ask the VLDB again.
+    Unplaced,
+    /// The volume is briefly busy (being moved or cloned).
+    Busy,
+    /// The server restarted and admits only token reestablishment:
+    /// learn its new epoch, recover, retry once the gate admits us.
+    Grace,
+    /// The primary (or the VLDB that places the volume) did not answer,
+    /// or its disk is down: re-resolve; counts towards replica failover.
+    PrimaryDown,
+}
+
+/// Maps one attempt's outcome — the call's result, or the VLDB's error
+/// when it could not place the volume — to the ladder's next move.
+fn classify(outcome: &DfsResult<Response>) -> Verdict {
+    match outcome {
+        Ok(Response::WrongServer { hint, generation }) => {
+            Verdict::Moved { hint: *hint, generation: *generation }
+        }
+        Ok(Response::Err(DfsError::NoSuchVolume)) => Verdict::Unplaced,
+        Ok(Response::Err(DfsError::VolumeBusy)) => Verdict::Busy,
+        Ok(Response::Err(DfsError::GraceWait)) => Verdict::Grace,
+        Ok(Response::Err(DfsError::Crashed))
+        | Err(DfsError::Unreachable | DfsError::Crashed | DfsError::Timeout) => {
+            Verdict::PrimaryDown
+        }
+        _ => Verdict::Done,
+    }
+}
+
+/// Takes a `Status` reply apart; any other shape is a protocol bug.
+fn status_reply(
+    resp: Response,
+) -> DfsResult<(FileStatus, Vec<Token>, SerializationStamp, u64)> {
+    match resp {
+        Response::Status { status, tokens, stamp, stale_us, .. } => {
+            Ok((status, tokens, stamp, stale_us))
+        }
+        _ => Err(BAD_REPLY),
+    }
 }
 
 /// The cache manager: the DEcorum client (§4).
@@ -570,15 +609,6 @@ pub struct CacheManager {
     locations: OrderedMutex<LocationCache, { rank::CLIENT_RESOURCE }>,
     roots: OrderedMutex<HashMap<VolumeId, Fid>, { rank::CLIENT_RESOURCE }>,
     stats: OrderedMutex<ClientStats, { rank::STATS }>,
-    /// Whether the §6.1 lock-free read/getattr fast path is enabled.
-    /// `DFS_NO_LOCKFREE=1` disables it (ablation knob for benchmarks);
-    /// the seqlock/publish machinery still runs so the knob isolates
-    /// only the hit path.
-    lockfree: bool,
-    /// Total attempts `file_rpc` spends (across redirects, busy waits,
-    /// grace waits and transport retries) before giving up with an
-    /// honest `Unavailable`. `DFS_RPC_RETRY_BUDGET` overrides.
-    retry_budget: u32,
 }
 
 impl CacheManager {
@@ -622,12 +652,6 @@ impl CacheManager {
             locations: OrderedMutex::new(LocationCache::default()),
             roots: OrderedMutex::new(HashMap::new()),
             stats: OrderedMutex::new(ClientStats::default()),
-            lockfree: std::env::var("DFS_NO_LOCKFREE").map_or(true, |v| v != "1"),
-            retry_budget: std::env::var("DFS_RPC_RETRY_BUDGET")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|b| *b > 0)
-                .unwrap_or(50),
         });
         net.register(
             addr,
@@ -703,17 +727,11 @@ impl CacheManager {
         let targets: Vec<Arc<CVnode>> = self.vnodes.lock().values().cloned().collect();
         let mut first_err = None;
         for vn in targets {
-            if vn.lock_lo().dirty.is_empty() {
-                continue;
-            }
-            if let Err(e) = self.store_back(&vn, None) {
+            if let Err(e) = self.store_back(&vn) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// This client's id.
@@ -728,17 +746,13 @@ impl CacheManager {
 
     /// Authenticates as `user` via the KDC (§3.7, §4.1).
     pub fn login(&self, user: u32, secret: u64) -> DfsResult<()> {
-        let resp = self
-            .net
-            .call(self.addr, Addr::Kdc, None, CallClass::Normal, Request::Login { user, secret })?;
-        match resp {
-            Response::TicketGranted(t) => {
-                *self.ticket.lock() = Some(t);
-                Ok(())
-            }
-            Response::Err(e) => Err(e),
-            _ => Err(DfsError::Internal("bad KDC response")),
-        }
+        let req = Request::Login { user, secret };
+        let resp = self.net.call(self.addr, Addr::Kdc, None, CallClass::Normal, req)?;
+        let Response::TicketGranted(t) = resp.into_result()? else {
+            return Err(BAD_REPLY);
+        };
+        *self.ticket.lock() = Some(t);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -805,113 +819,80 @@ impl CacheManager {
         }
     }
 
+    /// One send to a file server under the current ticket: no retry,
+    /// no redirect chasing.
+    fn server_call(&self, server: ServerId, class: CallClass, req: Request) -> DfsResult<Response> {
+        let ticket = *self.ticket.lock();
+        self.net.call(self.addr, Addr::Server(server), ticket, class, req)
+    }
+
     /// Sends a file RPC, retrying transparently across volume moves
     /// (re-consulting the VLDB), brief volume-busy windows (§2.1),
-    /// crashed or unreachable servers, and post-restart grace windows.
-    /// Every `Status`/`Data` response carries the server's epoch; a
-    /// change from the last one seen runs the recovery pipeline before
-    /// the response is handed back.
+    /// crashed or unreachable servers, and post-restart grace windows:
+    /// [`classify`] says what an attempt's outcome means, the match
+    /// below performs that verdict's side effects. Every
+    /// `Status`/`Data` response carries the server's epoch; a change
+    /// from the last one seen runs the recovery pipeline before the
+    /// response is handed back.
     fn file_rpc(&self, volume: VolumeId, req: Request) -> DfsResult<Response> {
-        let ticket = *self.ticket.lock();
         let key = volume.0.wrapping_mul(0x9E37_79B9);
         // Consecutive attempts on which the primary was unreachable;
         // read-class requests fail over to a §3.8 replica once this
         // crosses the threshold (one dropped packet is not an outage).
         const FAILOVER_AFTER: u32 = 2;
         let mut down = 0u32;
-        for attempt in 0..self.retry_budget {
-            let server = match self.server_for(volume) {
-                Ok(s) => Some(s),
-                // Even the VLDB cannot place the volume right now. A
-                // replica may still hold it read-only; otherwise keep
-                // burning budget so a recovering VLDB gets retried.
-                Err(DfsError::Unreachable | DfsError::Timeout | DfsError::Crashed) => None,
-                Err(e) => return Err(e),
-            };
-            let Some(server) = server else {
-                down += 1;
-                if down >= FAILOVER_AFTER {
-                    if let Some(resp) = self.replica_fallback(volume, &req, ticket) {
-                        return Ok(resp);
-                    }
-                }
-                self.backoff_keyed(key, attempt + 1);
-                continue;
-            };
-            let resp = self.net.call(
-                self.addr,
-                Addr::Server(server),
-                ticket,
-                CallClass::Normal,
-                req.clone(),
-            );
-            match resp {
-                Ok(Response::WrongServer { hint, generation }) => {
-                    // The volume moved (§2.1): chase the hint and retry
-                    // immediately — with a live hint this costs exactly
-                    // one extra hop, no backoff needed.
-                    down = 0;
-                    self.follow_redirect(volume, hint, generation);
-                }
-                Ok(Response::Err(DfsError::NoSuchVolume)) => {
-                    // Force a fresh VLDB lookup next iteration.
-                    down = 0;
-                    self.loc_invalidate(volume);
-                    self.backoff_keyed(key, attempt + 1);
-                }
-                Ok(Response::Err(DfsError::VolumeBusy)) => {
-                    down = 0;
-                    self.stats.lock().busy_retries += 1;
-                    self.backoff_keyed(key, attempt + 1);
-                }
-                Ok(Response::Err(DfsError::GraceWait)) => {
-                    // The server restarted and admits only token
-                    // reestablishment: learn its new epoch, recover,
-                    // and retry once the grace gate admits us.
-                    down = 0;
-                    self.stats.lock().grace_waits += 1;
-                    self.probe_epoch(server, ticket);
-                    self.backoff_keyed(key, attempt + 1);
-                }
-                Ok(Response::Err(DfsError::Crashed)) => {
-                    // Reached the node but its disk is down; it will be
-                    // restarted (or the volume moved), so re-resolve
-                    // this volume and retry.
-                    self.stats.lock().transport_retries += 1;
-                    self.loc_invalidate(volume);
-                    down += 1;
-                    if down >= FAILOVER_AFTER {
-                        if let Some(resp) = self.replica_fallback(volume, &req, ticket) {
-                            return Ok(resp);
-                        }
-                    }
-                    self.backoff_keyed(key, attempt + 1);
-                }
-                Ok(other) => {
-                    if let Response::Status { epoch, .. } | Response::Data { epoch, .. } =
-                        &other
-                    {
-                        self.note_epoch(server, *epoch, ticket);
-                    }
-                    return Ok(other);
-                }
-                Err(DfsError::Unreachable | DfsError::Crashed | DfsError::Timeout) => {
-                    // Invalidate only this volume's entry: other volumes
-                    // cached against other servers stay warm, and this
-                    // one re-resolves through the VLDB (which reflects a
-                    // move or a restarted replacement).
-                    self.stats.lock().transport_retries += 1;
-                    self.loc_invalidate(volume);
-                    down += 1;
-                    if down >= FAILOVER_AFTER {
-                        if let Some(resp) = self.replica_fallback(volume, &req, ticket) {
-                            return Ok(resp);
-                        }
-                    }
-                    self.backoff_keyed(key, attempt + 1);
-                }
-                Err(e) => return Err(e),
+        for attempt in 1..=RPC_RETRY_BUDGET {
+            // An `Err` here means even the VLDB cannot place the volume
+            // right now; it is classified like any other outcome.
+            let placed = self.server_for(volume);
+            let outcome = placed
+                .clone()
+                .and_then(|server| self.server_call(server, CallClass::Normal, req.clone()));
+            let verdict = classify(&outcome);
+            if verdict != Verdict::PrimaryDown {
+                down = 0;
             }
+            match verdict {
+                Verdict::Done => {
+                    if let (
+                        Ok(server),
+                        Ok(Response::Status { epoch, .. } | Response::Data { epoch, .. }),
+                    ) = (placed, &outcome)
+                    {
+                        self.note_epoch(server, *epoch);
+                    }
+                    return outcome;
+                }
+                Verdict::Moved { hint, generation } => {
+                    self.follow_redirect(volume, hint, generation);
+                    continue;
+                }
+                Verdict::Unplaced => self.loc_invalidate(volume),
+                Verdict::Busy => self.stats.lock().busy_retries += 1,
+                Verdict::Grace => {
+                    self.stats.lock().grace_waits += 1;
+                    if let Ok(server) = placed {
+                        self.probe_epoch(server);
+                    }
+                }
+                Verdict::PrimaryDown => {
+                    if placed.is_ok() {
+                        // Invalidate only this volume's entry: other
+                        // volumes stay warm, and this one re-resolves
+                        // through the VLDB (which reflects a move or a
+                        // restarted replacement).
+                        self.stats.lock().transport_retries += 1;
+                        self.loc_invalidate(volume);
+                    }
+                    down += 1;
+                    if down >= FAILOVER_AFTER {
+                        if let Some(resp) = self.replica_fallback(volume, &req) {
+                            return Ok(resp);
+                        }
+                    }
+                }
+            }
+            self.backoff_keyed(key, attempt);
         }
         // The budget is spent: report honest unavailability rather than
         // a timeout the caller would be tempted to retry forever.
@@ -925,12 +906,7 @@ impl CacheManager {
     /// are eligible, and token wants are stripped: a replica's grants
     /// mean nothing at the primary and must never install as
     /// token-backed cache state.
-    fn replica_fallback(
-        &self,
-        volume: VolumeId,
-        req: &Request,
-        ticket: Option<Ticket>,
-    ) -> Option<Response> {
+    fn replica_fallback(&self, volume: VolumeId, req: &Request) -> Option<Response> {
         let stripped = match req {
             Request::FetchStatus { fid, .. } => Request::FetchStatus { fid: *fid, want: None },
             Request::FetchData { fid, offset, len, .. } => {
@@ -938,24 +914,20 @@ impl CacheManager {
             }
             _ => return None,
         };
-        let replicas = self.vldb.replicas_of(volume).ok()?;
-        for r in replicas {
-            let resp =
-                self.net.call(self.addr, Addr::Server(r), ticket, CallClass::Normal, stripped.clone());
-            if let Ok(resp @ (Response::Status { .. } | Response::Data { .. })) = resp {
-                let (Response::Status { stale_us, .. } | Response::Data { stale_us, .. }) = &resp
-                else {
-                    unreachable!()
-                };
-                // A zero stamp means this server is not serving the
-                // volume as a replica after all; only stamped (bounded-
-                // stale) answers may flow back through this path.
-                if *stale_us == 0 {
-                    continue;
-                }
+        for r in self.vldb.replicas_of(volume).ok()? {
+            let Ok(resp) = self.server_call(r, CallClass::Normal, stripped.clone()) else {
+                continue;
+            };
+            // A zero stamp means this server is not serving the volume
+            // as a replica after all; only stamped (bounded-stale)
+            // answers may flow back through this path.
+            let (Response::Status { stale_us, .. } | Response::Data { stale_us, .. }) = resp else {
+                continue;
+            };
+            if stale_us > 0 {
                 let mut st = self.stats.lock();
                 st.replica_failovers += 1;
-                st.max_stale_us = st.max_stale_us.max(*stale_us);
+                st.max_stale_us = st.max_stale_us.max(stale_us);
                 return Some(resp);
             }
         }
@@ -982,6 +954,108 @@ impl CacheManager {
             .clone()
     }
 
+    // ------------------------------------------------------------------
+    // The client RPC spine (§6.1–§6.3)
+    // ------------------------------------------------------------------
+
+    /// The client half of §6.1, written once (contract in DESIGN.md
+    /// §10). The caller holds the vnode's `hi` lock (daemons hold none)
+    /// and hands in its `lo` guard; the call is counted in `in_flight`,
+    /// `lo` is released across the RPC — the server may revoke one of
+    /// our tokens before it answers, and revocation handlers take `lo`
+    /// — then re-taken and the call uncounted. `in_flight > 0` tells
+    /// such a handler that a token it does not know may be riding on a
+    /// reply still in the air (§6.3), so it queues the revocation
+    /// instead of dropping it. The guard comes back with the result:
+    /// no path out of here leaves `in_flight` raised, and the caller
+    /// merges the reply and drains the queue ([`absorb`]) before it
+    /// lets the guard go.
+    ///
+    /// [`absorb`]: CacheManager::absorb
+    fn rpc_unlocked<'a>(
+        &self,
+        mut lo: LoGuard<'a>,
+        req: Request,
+    ) -> (LoGuard<'a>, DfsResult<Response>) {
+        let vn = lo.vn;
+        lo.in_flight += 1;
+        drop(lo);
+        let resp = self.file_rpc(vn.fid.volume, req).and_then(Response::into_result);
+        let mut lo = vn.lock_lo();
+        lo.in_flight -= 1;
+        (lo, resp)
+    }
+
+    /// [`rpc_unlocked`] for the common reply, a `Status`: absorbs its
+    /// tokens (always this vnode's) and its status (when it describes
+    /// this vnode, not a directory op's child), and hands back status,
+    /// stamp and staleness bound with the guard. A replica-served reply
+    /// (`stale_us > 0`) comes back unabsorbed: a replica's tokens and
+    /// stamps mean nothing at the primary and must not poison the
+    /// vnode's stamp ordering for when the primary returns.
+    ///
+    /// [`rpc_unlocked`]: CacheManager::rpc_unlocked
+    fn status_rpc<'a>(
+        &self,
+        lo: LoGuard<'a>,
+        req: Request,
+    ) -> DfsResult<(LoGuard<'a>, FileStatus, SerializationStamp, u64)> {
+        let (mut lo, resp) = self.rpc_unlocked(lo, req);
+        let (status, tokens, stamp, stale_us) = status_reply(resp?)?;
+        if stale_us == 0 {
+            let vn = lo.vn;
+            let own = (status.fid == vn.fid).then(|| (status.clone(), stamp));
+            self.absorb(vn, &mut lo, own, tokens);
+        }
+        Ok((lo, status, stamp, stale_us))
+    }
+
+    /// Obtains `types` over `range` on the guard's vnode.
+    fn get_token<'a>(
+        &self,
+        lo: LoGuard<'a>,
+        types: TokenTypes,
+        range: ByteRange,
+    ) -> DfsResult<LoGuard<'a>> {
+        let req = Request::GetToken { fid: lo.vn.fid, want: TokenRequest { types, range } };
+        Ok(self.status_rpc(lo, req)?.0)
+    }
+
+    /// Sends a revocation-class request from inside a revocation
+    /// handler, chasing the volume across a bounded number of moves so
+    /// the store-back is never dropped on a `WrongServer`. There is no
+    /// retry ladder here: the server is waiting on this very handler.
+    // dfs-lint: allow(guard-across-rpc) — callers hold their vnode's
+    // `lo` guard across this send. Safe only because revocation-class
+    // calls are served grant-free (§6.3): the reply cannot block on a
+    // further revocation aimed back at us.
+    fn revocation_rpc(
+        &self,
+        volume: VolumeId,
+        req: Request,
+    ) -> DfsResult<(FileStatus, SerializationStamp)> {
+        for _ in 0..8u32 {
+            let server = self.server_for(volume)?;
+            match self.server_call(server, CallClass::Revocation, req.clone())? {
+                Response::WrongServer { hint, generation } => {
+                    self.follow_redirect(volume, hint, generation);
+                }
+                other => {
+                    let (status, _, stamp, _) = status_reply(other.into_result()?)?;
+                    return Ok((status, stamp));
+                }
+            }
+        }
+        Err(DfsError::Timeout)
+    }
+
+    /// Merges `status` by stamp (§6.3), counting a stale one.
+    fn merge_status(&self, lo: &mut VnState, status: FileStatus, stamp: SerializationStamp) {
+        if !lo.merge_status(status, stamp) {
+            self.stats.lock().stale_status_dropped += 1;
+        }
+    }
+
     /// Merges an RPC response's tokens/status into the vnode and then
     /// applies any queued revocations, all in stamp order (§6.3).
     fn absorb(
@@ -992,13 +1066,9 @@ impl CacheManager {
         tokens: Vec<Token>,
     ) {
         if let Some((status, stamp)) = status {
-            if !lo.merge_status(status, stamp) {
-                self.stats.lock().stale_status_dropped += 1;
-            }
+            self.merge_status(lo, status, stamp);
         }
-        for t in tokens {
-            lo.tokens.push(t);
-        }
+        lo.tokens.extend(tokens);
         let queued = std::mem::take(&mut lo.queued);
         for (token, types, stamp) in queued {
             // A queued revocation may target a token granted by a reply
@@ -1022,10 +1092,6 @@ impl CacheManager {
     /// held. Dirty pages (for data-write bits) or local status (for
     /// status-write bits) are stored back first (§5.3). Returns false if
     /// the bits are retained (held locks/opens, §5.3).
-    // dfs-lint: allow(guard-across-rpc) — store-backs triggered by a
-    // revocation use CallClass::Revocation, which the server serves
-    // grant-free (§6.3): the reply cannot block on a further revocation
-    // to us, so holding the caller's `lo` guard across the send is safe.
     fn apply_revocation(
         &self,
         vn: &CVnode,
@@ -1058,41 +1124,21 @@ impl CacheManager {
         // bits push the locally-updated status (length and mtime — the
         // data itself stays cached under the data token we still hold).
         if to_drop.contains(TokenTypes::DATA_WRITE) {
-            let _ = self.store_dirty(vn, lo, Some(held_range), CallClass::Revocation);
+            let _ = self.store_dirty(vn, lo, held_range);
         } else if to_drop.contains(TokenTypes::STATUS_WRITE) && lo.status_dirty {
-            if let Some(st) = lo.status.clone() {
-                let ticket = *self.ticket.lock();
+            if let Some(st) = &lo.status {
                 let attrs = SetAttrs {
                     length: Some(st.length),
                     mtime: Some(st.mtime),
                     ..SetAttrs::default()
                 };
-                // Chase the volume across at most a few moves: a
-                // `WrongServer` reply re-resolves and retries at the
-                // new owner so the status push is never dropped.
-                for _ in 0..4u32 {
-                    let Ok(server) = self.server_for(vn.fid.volume) else { break };
-                    let resp = self.net.call(
-                        self.addr,
-                        Addr::Server(server),
-                        ticket,
-                        CallClass::Revocation,
-                        Request::StoreStatus { fid: vn.fid, attrs: attrs.clone() },
-                    );
-                    match resp {
-                        Ok(Response::Status { status, stamp, .. }) => {
-                            lo.merge_status(status, stamp);
-                            // Only a successful push cleans the flag: a
-                            // failed store-back keeps the status dirty
-                            // so a later flush can retry it.
-                            lo.status_dirty = false;
-                            break;
-                        }
-                        Ok(Response::WrongServer { hint, generation }) => {
-                            self.follow_redirect(vn.fid.volume, hint, generation);
-                        }
-                        _ => break,
-                    }
+                // Only a successful push cleans the flag: a failed
+                // store-back keeps the status dirty so a later flush
+                // can retry it.
+                let req = Request::StoreStatus { fid: vn.fid, attrs };
+                if let Ok((status, stamp)) = self.revocation_rpc(vn.fid.volume, req) {
+                    self.merge_status(lo, status, stamp);
+                    lo.status_dirty = false;
                 }
             }
         }
@@ -1101,19 +1147,15 @@ impl CacheManager {
         if lo.tokens[pos].types.is_empty() {
             lo.tokens.remove(pos);
         }
-        // Drop cache coverage no longer under any token.
-        let still_covered: Vec<ByteRange> = lo
-            .tokens
-            .iter()
-            .filter(|t| {
-                t.types
-                    .intersects(TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0))
-            })
-            .map(|t| t.range)
-            .collect();
-        if to_drop
-            .intersects(TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0))
-        {
+        let data_bits = TokenTypes::DATA_READ | TokenTypes::DATA_WRITE;
+        if to_drop.intersects(data_bits) {
+            // Drop cached pages no longer under any data token.
+            let still_covered: Vec<ByteRange> = lo
+                .tokens
+                .iter()
+                .filter(|t| t.types.intersects(data_bits))
+                .map(|t| t.range)
+                .collect();
             let dropped: Vec<u64> = lo
                 .valid
                 .iter()
@@ -1127,13 +1169,9 @@ impl CacheManager {
                 lo.valid.remove(&p);
                 self.data.drop_page(vn.fid, p);
             }
-            // Directory-content caches ride on the data token.
-            lo.names.clear();
-            lo.listing = None;
         }
-        if to_drop
-            .intersects(TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::STATUS_WRITE.0))
-        {
+        // Directory-content caches ride on the data and status tokens.
+        if to_drop.intersects(data_bits | TokenTypes::STATUS_READ | TokenTypes::STATUS_WRITE) {
             lo.names.clear();
             lo.listing = None;
         }
@@ -1168,20 +1206,20 @@ impl CacheManager {
     }
 
     /// Coalesces dirty pages (optionally restricted to `range`) into up
-    /// to `max_extents` contiguous extents of at most
-    /// `wb.extent_pages` pages each, snapshotting page contents and
-    /// (page, seq) tags under the caller's `lo` guard. The last extent
-    /// is clamped at EOF (partial final page); pages wholly beyond EOF
-    /// or whose cached contents are gone are dropped from the dirty set
-    /// on the spot.
+    /// to [`STORE_EXTENTS_PER_RPC`] contiguous extents of at most
+    /// [`STORE_EXTENT_PAGES`] pages each, snapshotting page contents
+    /// under the caller's `lo` guard, and returns them with the (page,
+    /// write_seq) tags needed to clean only un-re-dirtied pages
+    /// afterwards. The last extent is clamped at EOF (partial final
+    /// page); pages wholly beyond EOF or whose cached contents are gone
+    /// are dropped from the dirty set on the spot.
     fn collect_extents(
         &self,
         fid: Fid,
         lo: &mut VnState,
         range: Option<ByteRange>,
-        max_extents: usize,
         eof: u64,
-    ) -> Vec<PendingExtent> {
+    ) -> (Vec<WriteExtent>, Vec<(u64, u64)>) {
         let snapshot: Vec<(u64, u64)> = lo
             .dirty
             .iter()
@@ -1192,7 +1230,8 @@ impl CacheManager {
                 })
             })
             .collect();
-        let mut out: Vec<PendingExtent> = Vec::new();
+        let mut extents: Vec<WriteExtent> = Vec::new();
+        let mut pages = Vec::new();
         for (p, seq) in snapshot {
             let offset = p * PAGE_SIZE as u64;
             let len = (PAGE_SIZE as u64).min(eof.saturating_sub(offset)) as usize;
@@ -1209,166 +1248,102 @@ impl CacheManager {
             // Append when contiguous with the previous page and under
             // the extent budget; a partial (EOF) page never matches the
             // byte-contiguity check, so it always ends its extent.
-            let can_append = out.last().is_some_and(|e| {
-                e.offset + e.data.len() as u64 == offset && e.pages.len() < self.wb.extent_pages
-            });
-            if can_append {
-                let e = out.last_mut().expect("checked non-empty");
-                e.data.extend_from_slice(&bytes[..len]);
-                e.pages.push((p, seq));
-            } else {
-                if out.len() == max_extents {
-                    break;
+            let full = extents.len() == STORE_EXTENTS_PER_RPC;
+            match extents.last_mut() {
+                Some(e)
+                    if e.offset + e.data.len() as u64 == offset
+                        && e.data.len() < STORE_EXTENT_PAGES * PAGE_SIZE =>
+                {
+                    e.data.extend_from_slice(&bytes[..len]);
                 }
-                out.push(PendingExtent {
-                    offset,
-                    data: bytes[..len].to_vec(),
-                    pages: vec![(p, seq)],
-                });
+                _ if full => break,
+                _ => extents.push(WriteExtent { offset, data: bytes[..len].to_vec() }),
             }
+            pages.push((p, seq));
         }
-        out
+        (extents, pages)
     }
 
-    /// Builds the wire request for a batch — a flat `StoreData` for a
-    /// single extent (16 bytes cheaper), `StoreDataVec` otherwise — and
-    /// returns the (page, seq) tags the batch carries.
-    fn storeback_request(fid: Fid, batch: Vec<PendingExtent>) -> (Request, Vec<(u64, u64)>) {
-        let mut pages = Vec::new();
-        let mut extents = Vec::with_capacity(batch.len());
-        for e in batch {
-            pages.extend(e.pages);
-            extents.push(WriteExtent { offset: e.offset, data: e.data });
-        }
-        let req = if extents.len() == 1 {
+    /// Builds the wire request for a batch: a flat `StoreData` for a
+    /// single extent (16 bytes cheaper), `StoreDataVec` otherwise.
+    fn storeback_request(fid: Fid, mut extents: Vec<WriteExtent>) -> Request {
+        if extents.len() == 1 {
             let e = extents.pop().expect("one extent");
             Request::StoreData { fid, offset: e.offset, data: e.data }
         } else {
             Request::StoreDataVec { fid, extents }
-        };
-        (req, pages)
-    }
-
-    /// Most extents per store-back RPC under the current config.
-    fn max_extents(&self) -> usize {
-        if self.wb.use_vec_rpc {
-            self.wb.max_extents_per_rpc
-        } else {
-            1
         }
     }
 
-    /// Stores dirty pages (optionally only those in `range`) back to the
-    /// file server from *revocation* context, merging the returned
-    /// status by stamp (§6.3). The caller's `lo` guard is held across
-    /// the sends — safe only because revocation-class stores are served
-    /// grant-free (§6.3): the reply cannot block on a further revocation
-    /// aimed back at us. Normal-path store-backs use [`store_back`],
-    /// which drops the guard instead.
+    /// Stores the dirty pages in `range` back to the file server from
+    /// *revocation* context, merging the returned status by stamp
+    /// (§6.3). The caller's `lo` guard stays held across the sends (see
+    /// [`revocation_rpc`]), so no page can be re-dirtied mid-flight;
+    /// normal-path store-backs use [`store_back`], which drops the
+    /// guard instead.
     ///
+    /// [`revocation_rpc`]: CacheManager::revocation_rpc
     /// [`store_back`]: CacheManager::store_back
-    // dfs-lint: allow(guard-across-rpc) — revocation-class stores are
-    // grant-free at the server (§6.3), so holding the caller's `lo`
-    // guard across the send cannot deadlock.
-    fn store_dirty(
-        &self,
-        vn: &CVnode,
-        lo: &mut VnState,
-        range: Option<ByteRange>,
-        class: CallClass,
-    ) -> DfsResult<()> {
-        let ticket = *self.ticket.lock();
+    fn store_dirty(&self, vn: &CVnode, lo: &mut VnState, range: ByteRange) -> DfsResult<()> {
         // Clamp against the EOF as of flush start: a reply merged after
         // a partial store reports the server's (shorter) length, which
         // must not EOF-discard pages still waiting in the dirty set.
-        let eof = lo.status.as_ref().map(|s| s.length).unwrap_or(u64::MAX);
-        let mut redirects = 0u32;
+        let eof = lo.status.as_ref().map_or(u64::MAX, |s| s.length);
         loop {
-            // Re-resolve per round: a volume move mid-revocation means
-            // the dirty data must chase the volume to its new server.
-            let server = self.server_for(vn.fid.volume)?;
-            let batch = self.collect_extents(vn.fid, lo, range, self.max_extents(), eof);
-            if batch.is_empty() {
+            let (extents, pages) = self.collect_extents(vn.fid, lo, Some(range), eof);
+            if extents.is_empty() {
                 return Ok(());
             }
-            let (req, pages) = Self::storeback_request(vn.fid, batch);
-            let resp = self.net.call(self.addr, Addr::Server(server), ticket, class, req)?;
-            match resp {
-                Response::Status { status, stamp, .. } => {
-                    if !lo.merge_status(status, stamp) {
-                        self.stats.lock().stale_status_dropped += 1;
-                    }
-                }
-                Response::WrongServer { hint, generation } => {
-                    // Nothing was stored: the pages stay dirty and the
-                    // next round re-collects them against the new owner.
-                    redirects += 1;
-                    if redirects > 8 {
-                        return Err(DfsError::Timeout);
-                    }
-                    self.follow_redirect(vn.fid.volume, hint, generation);
-                    continue;
-                }
-                Response::Err(e) => return Err(e),
-                _ => return Err(DfsError::Internal("bad StoreData response")),
-            }
-            // `lo` was held throughout: no page can have been re-dirtied.
-            let n = pages.len() as u64;
+            let req = Self::storeback_request(vn.fid, extents);
+            let (status, stamp) = self.revocation_rpc(vn.fid.volume, req)?;
+            self.merge_status(lo, status, stamp);
+            self.stats.lock().revocation_stores += pages.len() as u64;
             for (p, _) in pages {
                 self.note_clean(lo, p);
-            }
-            if class == CallClass::Revocation {
-                self.stats.lock().revocation_stores += n;
             }
         }
     }
 
     /// The normal-path store-back: coalesces dirty pages into extents
-    /// and ships them with the vnode's low-level lock **released across
-    /// every send** (§6.1) — no `guard-across-rpc` suppression needed.
-    /// Pages re-dirtied while an RPC was in flight keep their dirty bit
-    /// (their write_seq no longer matches the snapshot) and go out on a
-    /// later round; queued revocations are absorbed after each reply.
-    fn store_back(&self, vn: &Arc<CVnode>, range: Option<ByteRange>) -> DfsResult<()> {
+    /// and ships them through [`rpc_unlocked`], `lo` released across
+    /// every send. Pages re-dirtied while an RPC was in flight keep
+    /// their dirty bit (their write_seq no longer matches the snapshot)
+    /// and go out on a later round; queued revocations are absorbed
+    /// after each reply.
+    ///
+    /// [`rpc_unlocked`]: CacheManager::rpc_unlocked
+    fn store_back(&self, vn: &CVnode) -> DfsResult<()> {
         let mut lo = vn.lock_lo();
         loop {
             // The EOF as the local writer sees it at snapshot time:
             // extents are clamped against the same status the dirty-set
             // snapshot below comes from.
             let eof = lo.status.as_ref().map_or(u64::MAX, |s| s.length);
-            let batch = self.collect_extents(vn.fid, &mut lo, range, self.max_extents(), eof);
-            if batch.is_empty() {
+            let (extents, pages) = self.collect_extents(vn.fid, &mut lo, None, eof);
+            if extents.is_empty() {
                 return Ok(());
             }
-            let n_extents = batch.len() as u64;
-            let (req, pages) = Self::storeback_request(vn.fid, batch);
-            lo.in_flight += 1;
-            drop(lo);
             {
                 let mut st = self.stats.lock();
                 st.storeback_rpcs += 1;
-                st.storeback_extents += n_extents;
+                st.storeback_extents += extents.len() as u64;
                 st.storeback_pages += pages.len() as u64;
             }
-            let resp = self.file_rpc(vn.fid.volume, req);
-            lo = vn.lock_lo();
-            lo.in_flight -= 1;
+            let req = Self::storeback_request(vn.fid, extents);
+            let (relocked, resp) = self.rpc_unlocked(lo, req);
+            lo = relocked;
             // The local length as of *now* — writes during the RPC
             // flight may have extended the file past what this store
             // carried. The reply's status wins the stamp comparison
             // but reflects only the stored prefix; letting its shorter
             // length stand would EOF-discard those still-dirty pages on
             // the next round (and shrink what a concurrent local
-            // getattr observes), so re-extend while status is dirty.
+            // getattr observes), so re-extend while status is dirty —
+            // and before any queued revocation is applied below, whose
+            // store-back clamps against this length.
             let local_len = lo.status.as_ref().map(|s| s.length);
-            match resp?.into_result()? {
-                Response::Status { status, stamp, .. } => {
-                    if !lo.merge_status(status, stamp) {
-                        self.stats.lock().stale_status_dropped += 1;
-                    }
-                }
-                _ => return Err(DfsError::Internal("bad store-back response")),
-            }
+            let (status, _, stamp, _) = status_reply(resp?)?;
+            self.merge_status(&mut lo, status, stamp);
             if lo.status_dirty {
                 if let (Some(l), Some(st)) = (local_len, lo.status.as_mut()) {
                     st.length = st.length.max(l);
@@ -1413,39 +1388,25 @@ impl CacheManager {
 
     /// Asks a server for its current epoch (a `GraceWait` refusal
     /// carries none) and runs recovery if it changed.
-    fn probe_epoch(&self, server: ServerId, ticket: Option<Ticket>) {
-        let resp = self.net.call(
-            self.addr,
-            Addr::Server(server),
-            ticket,
-            CallClass::Normal,
-            Request::GetEpoch,
-        );
+    fn probe_epoch(&self, server: ServerId) {
+        let resp = self.server_call(server, CallClass::Normal, Request::GetEpoch);
         if let Ok(Response::EpochIs { epoch, .. }) = resp {
-            self.note_epoch(server, epoch, ticket);
+            self.note_epoch(server, epoch);
         }
     }
 
     /// Records an observed server epoch. A change from a previously
     /// known epoch means the server crashed and restarted, losing all
     /// token state: run the recovery pipeline before proceeding.
-    fn note_epoch(&self, server: ServerId, epoch: u64, ticket: Option<Ticket>) {
+    fn note_epoch(&self, server: ServerId, epoch: u64) {
         if IN_RECOVERY.with(|f| f.get()) {
             return; // Recovery's own RPCs must not recurse.
         }
-        {
-            let mut known = self.known_epochs.lock();
-            match known.get(&server).copied() {
-                Some(prev) if prev == epoch => return,
-                Some(_) => {}
-                None => {
-                    // First contact: nothing cached under an older epoch.
-                    known.insert(server, epoch);
-                    return;
-                }
-            }
+        // On first contact nothing is cached under an older epoch.
+        let prev = *self.known_epochs.lock().entry(server).or_insert(epoch);
+        if prev != epoch {
+            self.recover(server, epoch);
         }
-        self.recover(server, epoch, ticket);
     }
 
     /// The client half of the crash-restart pipeline, serialized by the
@@ -1465,24 +1426,20 @@ impl CacheManager {
     /// 5. replay still-dirty write-behind pages through the ordinary
     ///    store-back path — an acked store survived in the journal, an
     ///    unacked one is still dirty here, so no update is lost.
-    fn recover(&self, server: ServerId, epoch: u64, ticket: Option<Ticket>) {
+    fn recover(&self, server: ServerId, epoch: u64) {
         let _gate = self.recovery_gate.lock();
-        {
-            let mut known = self.known_epochs.lock();
-            if known.get(&server) == Some(&epoch) {
-                return; // Another thread already recovered this epoch.
-            }
-            known.insert(server, epoch);
+        if self.known_epochs.lock().insert(server, epoch) == Some(epoch) {
+            return; // Another thread already recovered this epoch.
         }
         self.stats.lock().recoveries += 1;
         IN_RECOVERY.with(|f| f.set(true));
         self.set_flusher_paused(true);
-        self.recover_inner(server, epoch, ticket);
+        self.recover_inner(server, epoch);
         self.set_flusher_paused(false);
         IN_RECOVERY.with(|f| f.set(false));
     }
 
-    fn recover_inner(&self, server: ServerId, epoch: u64, ticket: Option<Ticket>) {
+    fn recover_inner(&self, server: ServerId, epoch: u64) {
         // Cached vnodes living on the restarted server.
         let all: Vec<Arc<CVnode>> = self.vnodes.lock().values().cloned().collect();
         let mine: Vec<Arc<CVnode>> = all
@@ -1503,13 +1460,8 @@ impl CacheManager {
         let granted = if claims.is_empty() {
             Vec::new()
         } else {
-            match self.net.call(
-                self.addr,
-                Addr::Server(server),
-                ticket,
-                CallClass::Normal,
-                Request::ReestablishTokens { epoch, tokens: claims },
-            ) {
+            let req = Request::ReestablishTokens { epoch, tokens: claims };
+            match self.server_call(server, CallClass::Normal, req) {
                 Ok(Response::Reestablished { tokens, .. }) => tokens,
                 // Grace already over, or the server bounced again: fall
                 // back to the normal grant path on demand.
@@ -1527,62 +1479,44 @@ impl CacheManager {
         // it), but its cached status already reflects the server's
         // reply to the last store — so it revalidates like a clean one.
         for vn in &mine {
-            let (has_dirty, cached_dv) = {
+            let (dirty, cached_dv) = {
                 let lo = vn.lock_lo();
-                (!lo.dirty.is_empty(), lo.status.as_ref().map(|s| s.data_version))
+                (lo.dirty.len() as u64, lo.status.as_ref().map(|s| s.data_version))
             };
-            if has_dirty {
+            if dirty > 0 {
                 // Locally-modified data is newer than anything the
                 // server recovered; push it back out. Pages whose
                 // stores were acked pre-crash are clean here and
                 // durable there; everything else is still dirty.
-                let replayed = vn.lock_lo().dirty.len() as u64;
-                if self.store_back(vn, None).is_ok() {
-                    self.stats.lock().recovery_replayed_pages += replayed;
+                if self.store_back(vn).is_ok() {
+                    self.stats.lock().recovery_replayed_pages += dirty;
                 }
                 continue;
             }
             let Some(cached_dv) = cached_dv else { continue };
-            let resp = self
-                .file_rpc(vn.fid.volume, Request::FetchStatus { fid: vn.fid, want: None })
-                .and_then(|r| r.into_result());
-            let mut lo = vn.lock_lo();
-            match resp {
-                // A replica-served (stale-stamped) status cannot
-                // revalidate a cache: only the primary's answer is
-                // authoritative, so stale falls to the distrust arm.
-                Ok(Response::Status { status, tokens, stamp, stale_us: 0, .. }) => {
-                    let keep = status.data_version == cached_dv;
-                    if !keep {
-                        let dropped: Vec<u64> = lo.valid.iter().copied().collect();
-                        for p in dropped {
-                            lo.valid.remove(&p);
-                            self.data.drop_page(vn.fid, p);
-                        }
-                    }
+            let req = Request::FetchStatus { fid: vn.fid, want: None };
+            let (mut lo, resp) = self.rpc_unlocked(vn.lock_lo(), req);
+            // A replica-served (stale-stamped) status cannot revalidate
+            // a cache: only the primary's answer is authoritative.
+            let fresh = resp.and_then(status_reply).ok().filter(|r| r.3 == 0);
+            let keep = fresh.as_ref().is_some_and(|r| r.0.data_version == cached_dv);
+            if !keep {
+                for p in std::mem::take(&mut lo.valid) {
+                    self.data.drop_page(vn.fid, p);
+                }
+            }
+            match fresh {
+                Some((status, tokens, stamp, _)) => {
                     self.absorb(vn, &mut lo, Some((status, stamp)), tokens);
-                    let mut st = self.stats.lock();
-                    if keep {
-                        st.reval_kept += 1;
-                    } else {
-                        st.reval_dropped += 1;
-                    }
                 }
-                _ => {
-                    // Could not revalidate: distrust the cached copy.
-                    let dropped: Vec<u64> = lo.valid.iter().copied().collect();
-                    for p in dropped {
-                        lo.valid.remove(&p);
-                        self.data.drop_page(vn.fid, p);
-                    }
-                    // dfs-lint: allow(lock-gap) — not a stale write-back: the
-                    // revalidation happens against the *fresh* FetchStatus
-                    // reply (`status.data_version == cached_dv` above), and
-                    // this branch only invalidates cached state; it never
-                    // writes a pre-gap snapshot into the vnode.
-                    lo.status = None;
-                    self.stats.lock().reval_dropped += 1;
-                }
+                // Could not revalidate: distrust the cached copy.
+                None => lo.status = None,
+            }
+            let mut st = self.stats.lock();
+            if keep {
+                st.reval_kept += 1;
+            } else {
+                st.reval_dropped += 1;
             }
         }
     }
@@ -1596,67 +1530,31 @@ impl CacheManager {
         if let Some(f) = self.roots.lock().get(&volume) {
             return Ok(*f);
         }
-        match self.file_rpc(volume, Request::GetRoot { volume })?.into_result()? {
-            Response::FidIs(f) => {
-                self.roots.lock().insert(volume, f);
-                Ok(f)
-            }
-            _ => Err(DfsError::Internal("bad GetRoot response")),
-        }
+        let Response::FidIs(f) = self.file_rpc(volume, Request::GetRoot { volume })?.into_result()?
+        else {
+            return Err(BAD_REPLY);
+        };
+        self.roots.lock().insert(volume, f);
+        Ok(f)
     }
 
-    /// Attempts to satisfy a read entirely from the published
-    /// [`TokenView`] without taking either vnode lock (§6.1 fast path).
+    /// Runs `hit` on the published [`TokenView`] without taking either
+    /// vnode lock (§6.1 fast path).
     ///
     /// Seqlock protocol: sample `lo_seq` (must be even — odd means a
-    /// `lo` holder is mutating), load the snapshot, validate coverage
-    /// and copy the bytes, then re-check that `lo_seq` is unchanged.
-    /// Publishing happens under the `lo` mutex before the seq returns
-    /// to even, so an unchanged even seq proves the snapshot was
-    /// current for the whole copy. Any surprise — missing page, stale
-    /// seq — returns `None` and the caller falls back to the mutex
-    /// path.
-    fn try_lockfree_read(
-        &self,
-        vn: &CVnode,
-        fid: Fid,
-        offset: u64,
-        len: usize,
-    ) -> Option<Vec<u8>> {
+    /// `lo` holder is mutating), load the snapshot, let `hit` validate
+    /// it and copy out what it serves, then re-check that `lo_seq` is
+    /// unchanged. Publishing happens under the `lo` mutex before the
+    /// seq returns to even, so an unchanged even seq proves the
+    /// snapshot was current for the whole copy. Any surprise — a miss,
+    /// a stale seq — returns `None` and the caller falls back to the
+    /// mutex path.
+    fn lockfree<T>(&self, vn: &CVnode, hit: impl FnOnce(&TokenView) -> Option<T>) -> Option<T> {
         let s1 = vn.lo_seq.load(Ordering::SeqCst);
         if s1 & 1 == 1 {
             return None;
         }
-        let view = vn.published.load()?;
-        if !tokens_trust_status(&view.tokens) {
-            return None;
-        }
-        let st = view.status.as_ref()?;
-        let end = st.length.min(offset + len as u64);
-        let mut out = Vec::new();
-        if offset < end {
-            let want = ByteRange::new(offset, end);
-            let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
-            if !tokens_cover(&view.tokens, readable, &want) {
-                return None;
-            }
-            let first = offset / PAGE_SIZE as u64;
-            let last = (end - 1) / PAGE_SIZE as u64;
-            if !(first..=last).all(|p| view.valid.contains(&p)) {
-                return None;
-            }
-            out.reserve((end - offset) as usize);
-            for p in first..=last {
-                // Unlike the locked path, eviction here means bail, not
-                // zero-fill: without the lock we cannot tell a racing
-                // evict from a never-written hole.
-                let page = self.data.read_page(fid, p)?;
-                let ps = p * PAGE_SIZE as u64;
-                let s = offset.max(ps) - ps;
-                let e = (end - ps).min(PAGE_SIZE as u64);
-                out.extend_from_slice(&page[s as usize..e as usize]);
-            }
-        }
+        let out = hit(&*vn.published.load()?)?;
         if vn.lo_seq.load(Ordering::SeqCst) != s1 {
             return None;
         }
@@ -1669,43 +1567,24 @@ impl CacheManager {
     /// Reads up to `len` bytes at `offset`.
     pub fn read(&self, fid: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
         let vn = self.vnode(fid);
-        if self.lockfree {
-            if let Some(out) = self.try_lockfree_read(&vn, fid, offset, len) {
-                return Ok(out);
-            }
+        let data = &*self.data;
+        let hit = self.lockfree(&vn, |v| {
+            cached_read(&v.tokens, &v.status, &v.valid, data, fid, offset, len)
+        });
+        if let Some(out) = hit {
+            return Ok(out);
         }
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
         for round in 0..256u32 {
-            // Fast path first, while the low-level lock is still held
+            // Hit check first, while the low-level lock is still held
             // from the previous round's merge: a freshly-granted token
             // cannot be revoked between absorb and this check.
-            if lo.status_trusted() {
-                let st = lo.status.clone().expect("trusted implies present");
-                let end = st.length.min(offset + len as u64);
-                if offset >= end {
-                    self.stats.lock().local_reads += 1;
-                    return Ok(Vec::new());
-                }
-                let want = ByteRange::new(offset, end);
-                let first = offset / PAGE_SIZE as u64;
-                let last = (end - 1) / PAGE_SIZE as u64;
-                let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
-                if lo.covered(readable, &want)
-                    && (first..=last).all(|p| lo.valid.contains(&p))
-                {
-                    let mut out = Vec::with_capacity((end - offset) as usize);
-                    for p in first..=last {
-                        let page =
-                            self.data.read_page(fid, p).unwrap_or_else(|| vec![0; PAGE_SIZE]);
-                        let ps = p * PAGE_SIZE as u64;
-                        let s = offset.max(ps) - ps;
-                        let e = (end - ps).min(PAGE_SIZE as u64);
-                        out.extend_from_slice(&page[s as usize..e as usize]);
-                    }
-                    self.stats.lock().local_reads += 1;
-                    return Ok(out);
-                }
+            if let Some(out) =
+                cached_read(&lo.tokens, &lo.status, &lo.valid, data, fid, offset, len)
+            {
+                self.stats.lock().local_reads += 1;
+                return Ok(out);
             }
 
             if round > 4 {
@@ -1715,58 +1594,60 @@ impl CacheManager {
                 self.backoff(fid, round);
                 lo = vn.lock_lo();
             }
-            // Miss: fetch a chunk with read tokens, releasing the low
-            // lock across the RPC (§6.1), then merge and retry.
+            // Miss: fetch a chunk with read tokens through the spine,
+            // then merge and retry.
             let first = offset / PAGE_SIZE as u64;
             let pages = (len as u64).div_ceil(PAGE_SIZE as u64).max(1).max(FETCH_PAGES);
             let fetch_off = first * PAGE_SIZE as u64;
             let fetch_len = (pages * PAGE_SIZE as u64) as u32;
-            let fetch_range = ByteRange::at(fetch_off, fetch_len as u64);
-            lo.in_flight += 1;
-            drop(lo);
-            let resp = self.file_rpc(
-                fid.volume,
-                Request::FetchData {
-                    fid,
-                    offset: fetch_off,
-                    len: fetch_len,
-                    want: TokenRequest::ranged(
-                        TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0),
-                        fetch_range,
-                    ),
-                },
-            );
-            lo = vn.lock_lo();
-            lo.in_flight -= 1;
-            let (bytes, status, tokens, stamp) = match resp?.into_result()? {
-                Response::Data { bytes, status, tokens, stamp, stale_us, .. } => {
-                    if stale_us > 0 {
-                        // A §3.8 replica answered while the primary was
-                        // down: hand the bytes straight to the caller.
-                        // Nothing installs — the replica's tokens and
-                        // stamps mean nothing at the primary, and a
-                        // bounded-stale page must never masquerade as
-                        // token-backed cache state.
-                        self.stats.lock().stale_reads += 1;
-                        let end = status.length.min(offset + len as u64);
-                        if offset >= end {
-                            return Ok(Vec::new());
-                        }
-                        let s = (offset - fetch_off) as usize;
-                        let e = ((end - fetch_off) as usize).min(bytes.len());
-                        return Ok(bytes.get(s..e).unwrap_or(&[]).to_vec());
-                    }
-                    (bytes, status, tokens, stamp)
-                }
-                _ => return Err(DfsError::Internal("bad FetchData response")),
+            // Pages marked valid that the cache has since evicted are
+            // part of the miss: forget them so they are fetched again.
+            let last = (offset + (len as u64).max(1) - 1) / PAGE_SIZE as u64;
+            let evicted: Vec<u64> = lo
+                .valid
+                .range(first..=last)
+                .copied()
+                .filter(|&p| data.read_page(fid, p).is_none())
+                .collect();
+            for p in evicted {
+                lo.valid.remove(&p);
+            }
+            let req = Request::FetchData {
+                fid,
+                offset: fetch_off,
+                len: fetch_len,
+                want: TokenRequest::ranged(
+                    TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0),
+                    ByteRange::at(fetch_off, fetch_len as u64),
+                ),
             };
+            let (relocked, resp) = self.rpc_unlocked(lo, req);
+            lo = relocked;
+            let Response::Data { bytes, status, tokens, stamp, stale_us, .. } = resp? else {
+                return Err(BAD_REPLY);
+            };
+            if stale_us > 0 {
+                // A §3.8 replica answered while the primary was down:
+                // hand the bytes straight to the caller. Nothing
+                // installs — the replica's tokens and stamps mean
+                // nothing at the primary, and a bounded-stale page must
+                // never masquerade as token-backed cache state.
+                self.stats.lock().stale_reads += 1;
+                let end = status.length.min(offset + len as u64);
+                if offset >= end {
+                    return Ok(Vec::new());
+                }
+                let s = (offset - fetch_off) as usize;
+                let e = ((end - fetch_off) as usize).min(bytes.len());
+                return Ok(bytes.get(s..e).unwrap_or(&[]).to_vec());
+            }
             // Install fetched pages; locally-dirty pages are newer than
             // anything the server returned (we hold the write token).
             let whole_pages = bytes.len() / PAGE_SIZE;
             for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
                 let p = first + i as u64;
                 if !lo.dirty.contains_key(&p) {
-                    self.data.write_page(fid, p, chunk)?;
+                    data.write_page(fid, p, chunk)?;
                     if i < whole_pages || status.length <= fetch_off + bytes.len() as u64 {
                         lo.valid.insert(p);
                     }
@@ -1807,31 +1688,34 @@ impl CacheManager {
                 }
                 need_fetch.dedup();
                 if !need_fetch.is_empty() {
-                    let need_fetch2 = need_fetch.clone();
-                    lo.in_flight += 1;
-                    drop(lo);
                     for p in need_fetch {
-                        let resp = self.file_rpc(
-                            fid.volume,
-                            Request::FetchData {
-                                fid,
-                                offset: p * PAGE_SIZE as u64,
-                                len: PAGE_SIZE as u32,
-                                want: None,
-                            },
-                        );
-                        // `stale_us: 0`: a replica's bounded-stale page
-                        // must never be merged under a write token — the
-                        // unmodified part of the page would store back
-                        // stale bytes (a lost update).
-                        if let Ok(Response::Data { bytes, stale_us: 0, .. }) = resp {
+                        let req = Request::FetchData {
+                            fid,
+                            offset: p * PAGE_SIZE as u64,
+                            len: PAGE_SIZE as u32,
+                            want: None,
+                        };
+                        let (relocked, resp) = self.rpc_unlocked(lo, req);
+                        lo = relocked;
+                        // A page is valid only once its bytes are in
+                        // the cache. A failed fetch fails the write,
+                        // and so does a replica's bounded-stale page:
+                        // merged under a write token, its unmodified
+                        // part would store back stale bytes (a lost
+                        // update).
+                        let bytes = match resp? {
+                            Response::Data { bytes, stale_us: 0, .. } => bytes,
+                            Response::Data { .. } => return Err(DfsError::Unavailable),
+                            _ => return Err(BAD_REPLY),
+                        };
+                        // The fetch carried no token of its own: if the
+                        // write token went while `lo` was released, the
+                        // bytes may already be stale. Leave the page
+                        // invalid and let the next round start over.
+                        if lo.covered(TokenTypes::DATA_WRITE, &want) {
                             self.data.write_page(fid, p, &bytes)?;
+                            lo.valid.insert(p);
                         }
-                    }
-                    lo = vn.lock_lo();
-                    lo.in_flight -= 1;
-                    for p in need_fetch2 {
-                        lo.valid.insert(p);
                     }
                     // Tokens may have been revoked while fetching (§6.3):
                     // drain the queue and re-check coverage.
@@ -1873,7 +1757,7 @@ impl CacheManager {
                     if dirty > self.wb.dirty_budget_pages.saturating_mul(2) {
                         self.stats.lock().backpressure_flushes += 1;
                         drop(lo);
-                        self.store_back(&vn, None)?;
+                        self.store_back(&vn)?;
                     } else if dirty > self.wb.dirty_budget_pages {
                         self.kick_flusher();
                     }
@@ -1895,28 +1779,9 @@ impl CacheManager {
                 (offset + data.len() as u64).div_ceil(PAGE_SIZE as u64).max(FETCH_PAGES)
                     * PAGE_SIZE as u64,
             );
-            lo.in_flight += 1;
-            drop(lo);
-            let resp = self.file_rpc(
-                fid.volume,
-                Request::GetToken {
-                    fid,
-                    want: TokenRequest {
-                        types: TokenTypes(
-                            needed.0 | TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0,
-                        ),
-                        range: hull,
-                    },
-                },
-            );
-            lo = vn.lock_lo();
-            lo.in_flight -= 1;
-            match resp?.into_result()? {
-                Response::Status { status, tokens, stamp, .. } => {
-                    self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
-                }
-                _ => return Err(DfsError::Internal("bad GetToken response")),
-            }
+            let types =
+                TokenTypes(needed.0 | TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0);
+            lo = self.get_token(lo, types, hull)?;
             self.stats.lock().write_token_fetches += 1;
         }
         Err(DfsError::Timeout)
@@ -1938,28 +1803,28 @@ impl CacheManager {
         };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self
-            .file_rpc(fid.volume, Request::GetToken { fid, want: TokenRequest { types, range } });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result()? {
-            Response::Status { status, tokens, stamp, .. } => {
-                self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
-                Ok(())
-            }
-            _ => Err(DfsError::Internal("bad GetToken response")),
-        }
+        self.get_token(vn.lock_lo(), types, range)?;
+        Ok(())
     }
 
     /// Flushes dirty data and returns when it is durable at the server.
     pub fn fsync(&self, fid: Fid) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let had_dirty = !vn.lock_lo().dirty.is_empty();
-        self.store_back(&vn, None)?;
+        // The flusher may have an older snapshot of these pages in
+        // flight; let it land first, or it could reach the server after
+        // ours and overwrite it. `hi` keeps the pages from changing
+        // under us, so any store it starts from here on carries the
+        // same bytes we do.
+        let mut lo = vn.lock_lo();
+        while lo.in_flight > 0 {
+            drop(lo);
+            std::thread::yield_now();
+            lo = vn.lock_lo();
+        }
+        let had_dirty = !lo.dirty.is_empty();
+        drop(lo);
+        self.store_back(&vn)?;
         if !had_dirty {
             // Nothing shipped, so no store-back forced the server's
             // log. The caller still asked for durability — a freshly
@@ -1970,128 +1835,89 @@ impl CacheManager {
         Ok(())
     }
 
+    /// Seeds the status of the child a directory op's reply describes.
+    fn seed_status(&self, status: &FileStatus, stamp: SerializationStamp) {
+        let child = self.vnode(status.fid);
+        self.merge_status(&mut child.lock_lo(), status.clone(), stamp);
+    }
+
     /// Looks up `name` in `dir`, consulting the directory layer first
     /// (§4.3: "the client must in general cache the results of
     /// individual lookups").
     pub fn lookup(&self, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(st) = lo.names.get(name) {
                 self.stats.lock().lookup_hits += 1;
                 return Ok(st.clone());
             }
-            if lo.listing.is_some()
-                && !lo.listing.as_ref().unwrap().iter().any(|e| e.name == name)
-            {
+            if lo.listing.as_ref().is_some_and(|l| !l.iter().any(|e| e.name == name)) {
                 self.stats.lock().lookup_hits += 1;
                 return Err(DfsError::NotFound);
             }
         }
-        lo.in_flight += 1;
-        drop(lo);
         self.stats.lock().lookup_misses += 1;
-        let resp = self.file_rpc(
-            dir.volume,
-            Request::Lookup {
-                dir,
-                name: name.to_string(),
-                want: TokenRequest::whole(TokenTypes(
-                    TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0,
-                )),
-            },
-        );
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result() {
-            Ok(Response::Status { status, tokens, stamp, .. }) => {
-                self.absorb(&vn, &mut lo, None, tokens);
-                lo.names.insert(name.to_string(), status.clone());
-                drop(lo);
-                // Seed the child vnode's status too.
-                let child = self.vnode(status.fid);
-                let mut clo = child.lock_lo();
-                if !clo.merge_status(status.clone(), stamp) {
-                    self.stats.lock().stale_status_dropped += 1;
-                }
-                Ok(status)
-            }
-            Ok(_) => Err(DfsError::Internal("bad Lookup response")),
-            Err(e) => Err(e),
-        }
+        let req = Request::Lookup {
+            dir,
+            name: name.to_string(),
+            want: TokenRequest::whole(TokenTypes(
+                TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0,
+            )),
+        };
+        let (mut lo, status, stamp, _) = self.status_rpc(lo, req)?;
+        lo.names.insert(name.to_string(), status.clone());
+        drop(lo);
+        self.seed_status(&status, stamp);
+        Ok(status)
     }
 
     /// Lists a directory, cached under the directory's data token.
     pub fn readdir(&self, dir: Fid) -> DfsResult<Vec<DirEntry>> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(l) = &lo.listing {
                 self.stats.lock().lookup_hits += 1;
                 return Ok(l.clone());
             }
         }
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self.file_rpc(dir.volume, Request::Readdir { dir });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result()? {
-            Response::Entries(entries) => {
-                if lo.dir_trusted() {
-                    lo.listing = Some(entries.clone());
-                }
-                Ok(entries)
-            }
-            _ => Err(DfsError::Internal("bad Readdir response")),
+        let (mut lo, resp) = self.rpc_unlocked(lo, Request::Readdir { dir });
+        let Response::Entries(entries) = resp? else {
+            return Err(BAD_REPLY);
+        };
+        if lo.dir_trusted() {
+            lo.listing = Some(entries.clone());
         }
+        Ok(entries)
     }
 
     fn namespace_rpc(&self, dir: Fid, req: Request) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
-        lo.in_flight += 1;
+        let (mut lo, status, stamp, _) = self.status_rpc(vn.lock_lo(), req)?;
+        // We made this change ourselves: our directory caches can be
+        // updated in place (the server did not revoke our own tokens,
+        // §5.2 same-host compatibility).
+        lo.listing = None;
         drop(lo);
-        let resp = self.file_rpc(dir.volume, req);
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result() {
-            Ok(Response::Status { status, tokens, stamp, .. }) => {
-                self.absorb(&vn, &mut lo, None, tokens);
-                // We made this change ourselves: our directory caches can
-                // be updated in place (the server did not revoke our own
-                // tokens, §5.2 same-host compatibility).
-                lo.listing = None;
-                drop(lo);
-                let child = self.vnode(status.fid);
-                let mut clo = child.lock_lo();
-                clo.merge_status(status.clone(), stamp);
-                Ok(status)
-            }
-            Ok(Response::Ok) => Ok(FileStatus::default()),
-            Ok(_) => Err(DfsError::Internal("bad namespace response")),
-            Err(e) => Err(e),
-        }
+        self.seed_status(&status, stamp);
+        Ok(status)
     }
 
     /// Creates a regular file.
     pub fn create(&self, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
-        let st =
-            self.namespace_rpc(dir, Request::Create { dir, name: name.into(), mode })?;
-        let vn = self.vnode(dir);
-        let mut lo = vn.lock_lo();
-        lo.names.insert(name.to_string(), st.clone());
+        let st = self.namespace_rpc(dir, Request::Create { dir, name: name.into(), mode })?;
+        self.vnode(dir).lock_lo().names.insert(name.to_string(), st.clone());
         Ok(st)
     }
 
     /// Creates a directory.
     pub fn mkdir(&self, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
         let st = self.namespace_rpc(dir, Request::Mkdir { dir, name: name.into(), mode })?;
-        let vn = self.vnode(dir);
-        vn.lock_lo().names.insert(name.to_string(), st.clone());
+        self.vnode(dir).lock_lo().names.insert(name.to_string(), st.clone());
         Ok(st)
     }
 
@@ -2107,7 +1933,7 @@ impl CacheManager {
     pub fn readlink(&self, fid: Fid) -> DfsResult<String> {
         match self.file_rpc(fid.volume, Request::Readlink { fid })?.into_result()? {
             Response::Target(t) => Ok(t),
-            _ => Err(DfsError::Internal("bad Readlink response")),
+            _ => Err(BAD_REPLY),
         }
     }
 
@@ -2119,8 +1945,7 @@ impl CacheManager {
     /// Removes a file.
     pub fn remove(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let st = self.namespace_rpc(dir, Request::Remove { dir, name: name.into() })?;
-        let vn = self.vnode(dir);
-        vn.lock_lo().names.remove(name);
+        self.vnode(dir).lock_lo().names.remove(name);
         // Invalidate the victim's cached state.
         let victim = self.vnode(st.fid);
         let mut vlo = victim.lock_lo();
@@ -2135,13 +1960,9 @@ impl CacheManager {
     pub fn rmdir(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self.file_rpc(dir.volume, Request::Rmdir { dir, name: name.into() });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        resp?.into_result()?;
+        let (mut lo, resp) =
+            self.rpc_unlocked(vn.lock_lo(), Request::Rmdir { dir, name: name.into() });
+        resp?;
         lo.names.remove(name);
         lo.listing = None;
         Ok(())
@@ -2177,55 +1998,25 @@ impl CacheManager {
     /// Returns the file's status, from cache when the token allows.
     pub fn getattr(&self, fid: Fid) -> DfsResult<FileStatus> {
         let vn = self.vnode(fid);
-        if self.lockfree {
-            // Same seqlock dance as `try_lockfree_read`, but only the
-            // status needs validating — no pages to copy.
-            let s1 = vn.lo_seq.load(Ordering::SeqCst);
-            if s1 & 1 == 0 {
-                if let Some(view) = vn.published.load() {
-                    if let Some(st) = view.status.as_ref() {
-                        if tokens_trust_status(&view.tokens)
-                            && vn.lo_seq.load(Ordering::SeqCst) == s1
-                        {
-                            let st = st.clone();
-                            let mut stats = self.stats.lock();
-                            stats.local_reads += 1;
-                            stats.lockfree_reads += 1;
-                            return Ok(st);
-                        }
-                    }
-                }
-            }
+        if let Some(st) = self.lockfree(&vn, |v| trusted_status(&v.tokens, &v.status).cloned()) {
+            return Ok(st);
         }
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
-        if lo.status_trusted() {
+        let lo = vn.lock_lo();
+        if let Some(st) = trusted_status(&lo.tokens, &lo.status) {
             self.stats.lock().local_reads += 1;
-            return Ok(lo.status.clone().expect("trusted implies present"));
+            return Ok(st.clone());
         }
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self.file_rpc(
-            fid.volume,
-            Request::FetchStatus { fid, want: TokenRequest::whole(TokenTypes::STATUS_READ) },
-        );
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result()? {
-            Response::Status { status, tokens, stamp, stale_us, .. } => {
-                if stale_us > 0 {
-                    // Replica-served while the primary is down: report
-                    // the bounded-stale status without absorbing it —
-                    // the replica's stamp must not poison the vnode's
-                    // stamp ordering for when the primary returns.
-                    self.stats.lock().stale_reads += 1;
-                    return Ok(status);
-                }
-                self.absorb(&vn, &mut lo, Some((status.clone(), stamp)), tokens);
-                Ok(lo.status.clone().unwrap_or(status))
-            }
-            _ => Err(DfsError::Internal("bad FetchStatus response")),
+        let req =
+            Request::FetchStatus { fid, want: TokenRequest::whole(TokenTypes::STATUS_READ) };
+        let (lo, status, _, stale_us) = self.status_rpc(lo, req)?;
+        if stale_us > 0 {
+            // Replica-served while the primary is down: the bounded-
+            // stale status is reported, not cached.
+            self.stats.lock().stale_reads += 1;
+            return Ok(status);
         }
+        Ok(lo.status.clone().unwrap_or(status))
     }
 
     /// Changes attributes (truncation goes to the server).
@@ -2233,39 +2024,25 @@ impl CacheManager {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
         // Push dirty data first so truncation happens after our writes.
-        self.store_back(&vn, None)?;
-        let mut lo = vn.lock_lo();
-        lo.in_flight += 1;
-        drop(lo);
-        let resp =
-            self.file_rpc(fid.volume, Request::StoreStatus { fid, attrs: attrs.clone() });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result()? {
-            Response::Status { status, tokens, stamp, .. } => {
-                if let Some(len) = attrs.length {
-                    // Truncation invalidates cached pages past the end.
-                    let keep = len.div_ceil(PAGE_SIZE as u64);
-                    let dropped: Vec<u64> =
-                        lo.valid.iter().copied().filter(|p| *p >= keep).collect();
-                    for p in dropped {
-                        lo.valid.remove(&p);
-                        self.note_clean(&mut lo, p);
-                        self.data.drop_page(fid, p);
-                    }
-                }
-                self.absorb(&vn, &mut lo, Some((status.clone(), stamp)), tokens);
-                Ok(lo.status.clone().unwrap_or(status))
+        self.store_back(&vn)?;
+        let req = Request::StoreStatus { fid, attrs: attrs.clone() };
+        let (mut lo, status, ..) = self.status_rpc(vn.lock_lo(), req)?;
+        if let Some(len) = attrs.length {
+            // Truncation invalidates cached pages past the end.
+            let keep = len.div_ceil(PAGE_SIZE as u64);
+            for p in lo.valid.split_off(&keep) {
+                self.note_clean(&mut lo, p);
+                self.data.drop_page(fid, p);
             }
-            _ => Err(DfsError::Internal("bad StoreStatus response")),
         }
+        Ok(lo.status.clone().unwrap_or(status))
     }
 
     /// Reads a file's ACL.
     pub fn get_acl(&self, fid: Fid) -> DfsResult<Acl> {
         match self.file_rpc(fid.volume, Request::GetAcl { fid })?.into_result()? {
             Response::AclIs(a) => Ok(a),
-            _ => Err(DfsError::Internal("bad GetAcl response")),
+            _ => Err(BAD_REPLY),
         }
     }
 
@@ -2283,23 +2060,7 @@ impl CacheManager {
         let mut lo = vn.lock_lo();
         let tok = mode.token();
         if !lo.has_types(tok) {
-            lo.in_flight += 1;
-            drop(lo);
-            let resp = self.file_rpc(
-                fid.volume,
-                Request::GetToken {
-                    fid,
-                    want: TokenRequest { types: tok, range: ByteRange::WHOLE },
-                },
-            );
-            lo = vn.lock_lo();
-            lo.in_flight -= 1;
-            match resp?.into_result()? {
-                Response::Status { status, tokens, stamp, .. } => {
-                    self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
-                }
-                _ => return Err(DfsError::Internal("bad GetToken response")),
-            }
+            lo = self.get_token(lo, tok, ByteRange::WHOLE)?;
         }
         lo.opens.push(tok);
         Ok(())
@@ -2317,7 +2078,7 @@ impl CacheManager {
                 lo.opens.remove(i);
             }
         }
-        self.store_back(&vn, None)
+        self.store_back(&vn)
     }
 
     /// Sets a byte-range lock, locally when a lock token is held (§5.2).
@@ -2334,12 +2095,8 @@ impl CacheManager {
             lo.locks.push(HeldLock { range, write, local: true });
             return Ok(());
         }
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self.file_rpc(fid.volume, Request::SetLock { fid, range, write });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        resp?.into_result()?;
+        let (mut lo, resp) = self.rpc_unlocked(lo, Request::SetLock { fid, range, write });
+        resp?;
         lo.locks.push(HeldLock { range, write, local: false });
         Ok(())
     }
@@ -2349,20 +2106,8 @@ impl CacheManager {
         let types = if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self
-            .file_rpc(fid.volume, Request::GetToken { fid, want: TokenRequest { types, range } });
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        match resp?.into_result()? {
-            Response::Status { status, tokens, stamp, .. } => {
-                self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
-                Ok(())
-            }
-            _ => Err(DfsError::Internal("bad GetToken response")),
-        }
+        self.get_token(vn.lock_lo(), types, range)?;
+        Ok(())
     }
 
     /// Releases a byte-range lock.
@@ -2380,12 +2125,7 @@ impl CacheManager {
             }
         });
         if was_remote {
-            lo.in_flight += 1;
-            drop(lo);
-            let resp = self.file_rpc(fid.volume, Request::ReleaseLock { fid, range });
-            let mut lo2 = vn.lock_lo();
-            lo2.in_flight -= 1;
-            resp?.into_result()?;
+            self.rpc_unlocked(lo, Request::ReleaseLock { fid, range }).1?;
         }
         Ok(())
     }
@@ -2405,34 +2145,24 @@ impl CacheManager {
         self.dirty_total.load(Ordering::Relaxed)
     }
 
-}
-
-impl CacheManager {
     /// Handles one incoming revocation — shared by the single-token
     /// `RevokeToken` arm and the batched `RevokeVec` fan-out. Returns
     /// whether the token was returned.
     fn handle_revocation(&self, token: Token, types: TokenTypes, stamp: SerializationStamp) -> bool {
         self.stats.lock().revocations += 1;
-        let vn = {
-            let vnodes = self.vnodes.lock();
-            vnodes.get(&token.fid).cloned()
-        };
-        let Some(vn) = vn else {
+        let Some(vn) = self.vnodes.lock().get(&token.fid).cloned() else {
             return true;
         };
         // Revocations take ONLY the low-level lock (§6.1): the
         // high-level lock may be held by one of our own
         // operations blocked on this very server.
         let mut lo = vn.lock_lo();
-        let known = lo.tokens.iter().any(|t| t.id == token.id);
-        if !known {
-            if lo.in_flight > 0 {
-                // §6.3: the call that returns this token is still
-                // in flight; queue the revocation for processing
-                // when the reply arrives.
-                lo.queued.push((token, types, stamp));
-                self.stats.lock().queued_revocations += 1;
-            }
+        if lo.in_flight > 0 && !lo.tokens.iter().any(|t| t.id == token.id) {
+            // §6.3: the call that returns this token is still in
+            // flight; queue the revocation for processing when the
+            // reply arrives.
+            lo.queued.push((token, types, stamp));
+            self.stats.lock().queued_revocations += 1;
             return true;
         }
         self.apply_revocation(&vn, &mut lo, &token, types, stamp)
@@ -2517,9 +2247,12 @@ mod tests {
     fn status_trust_requires_token() {
         let mut st = VnState::default();
         st.merge_status(FileStatus::default(), SerializationStamp(1));
-        assert!(!st.status_trusted(), "status without a token is untrusted");
+        assert!(
+            trusted_status(&st.tokens, &st.status).is_none(),
+            "status without a token is untrusted"
+        );
         st.tokens.push(tok(1, TokenTypes::STATUS_READ, ByteRange::WHOLE));
-        assert!(st.status_trusted());
+        assert!(trusted_status(&st.tokens, &st.status).is_some());
         assert!(!st.dir_trusted(), "dir trust needs data+status read");
         st.tokens.push(tok(2, TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0), ByteRange::WHOLE));
         assert!(st.dir_trusted());
@@ -2630,5 +2363,235 @@ mod tests {
         assert!(st.find_token(TokenTypes::LOCK_READ, &ByteRange::new(12, 18)).is_none());
         assert!(st.has_types(TokenTypes::LOCK_WRITE));
         assert!(!st.has_types(TokenTypes::OPEN_READ));
+    }
+
+    // ------------------------------------------------------------------
+    // The RPC spine, against a live server and against scripted peers
+    // ------------------------------------------------------------------
+
+    use crate::cache::MemCache;
+    use dfs_disk::{DiskConfig, SimDisk};
+    use dfs_episode::{Episode, FormatParams};
+    use dfs_rpc::{FaultAction, FaultRule, FaultSchedule};
+    use dfs_server::{FileServer, VldbReplica};
+    use dfs_types::SimClock;
+
+    const VOL: VolumeId = VolumeId(1);
+    const S1: ServerId = ServerId(1);
+
+    /// A flusher-less client, so the test body sends every RPC itself.
+    fn client(net: &Network, id: u32, data: Arc<dyn DataCache>) -> Arc<CacheManager> {
+        let wb = WritebackConfig { flusher: false, ..WritebackConfig::default() };
+        CacheManager::start_with_config(net.clone(), ClientId(id), vec![Addr::Vldb(0)], data, wb)
+    }
+
+    /// A cell — one VLDB replica, one file server exporting `VOL` from
+    /// Episode — with a durable one-page file in the volume's root.
+    /// Returns the network, the root and the file.
+    fn cell_with_file() -> (Network, Fid, Fid) {
+        let clock = SimClock::new();
+        let net = Network::new(clock.clone(), 0);
+        net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
+        let disk = SimDisk::new(DiskConfig::with_blocks(16384));
+        let ep = Episode::format(disk, clock, FormatParams::default()).unwrap();
+        ep.create_volume(VOL, "v").unwrap();
+        FileServer::start(net.clone(), S1, ep, vec![Addr::Vldb(0)], PoolConfig::default())
+            .unwrap();
+        let owner = client(&net, 1, Arc::new(MemCache::new()));
+        let root = owner.root(VOL).unwrap();
+        let fid = owner.create(root, "f", 0o644).unwrap().fid;
+        owner.write(fid, 0, &[7u8; PAGE_SIZE]).unwrap();
+        owner.fsync(fid).unwrap();
+        (net, root, fid)
+    }
+
+    fn assert_nothing_in_flight(cm: &CacheManager, when: &str) {
+        let vnodes: Vec<Arc<CVnode>> = cm.vnodes.lock().values().cloned().collect();
+        for vn in vnodes {
+            assert_eq!(vn.lock_lo().in_flight, 0, "{when}: {:?} still counts an RPC", vn.fid);
+        }
+    }
+
+    #[test]
+    fn failed_page_install_leaves_no_rpc_counted_in_flight() {
+        let (net, _, fid) = cell_with_file();
+        // A disk cache with no blocks: every `write_page` is `NoSpace`.
+        let full = DiskCache::new(SimDisk::new(DiskConfig::with_blocks(0)));
+        let cm = client(&net, 2, Arc::new(full));
+        // The write token without the page: a 2-byte write must first
+        // fetch the page, and installing it is what fails.
+        cm.acquire_data_token(fid, ByteRange::WHOLE, true).unwrap();
+        assert_eq!(cm.write(fid, 10, b"xy"), Err(DfsError::NoSpace));
+        assert_nothing_in_flight(&cm, "after the failed install");
+        // With nothing in flight, a revocation for a token this client
+        // never saw is moot — not parked to be re-queued forever.
+        let stranger = Token { id: TokenId(u64::MAX), fid, ..tok(0, TokenTypes::DATA_READ, ByteRange::WHOLE) };
+        assert!(cm.handle_revocation(stranger, TokenTypes::DATA_READ, SerializationStamp(99)));
+        assert!(cm.vnode(fid).lock_lo().queued.is_empty());
+    }
+
+    /// A peer that answers from a script, then `Response::Ok` forever.
+    struct Scripted(parking_lot::Mutex<VecDeque<Response>>);
+
+    impl RpcService for Scripted {
+        fn dispatch(&self, _ctx: CallContext, _req: Request) -> Response {
+            self.0.lock().pop_front().unwrap_or(Response::Ok)
+        }
+    }
+
+    /// What the first attempt of a `file_rpc` meets on the wire.
+    enum First {
+        Reply(Response),
+        /// The fault plane drops the request once.
+        Dropped,
+        /// Nothing listens at the server's address.
+        NoServer,
+        /// Nothing listens at the VLDB's address either.
+        NoVldb,
+    }
+
+    #[test]
+    fn retry_ladder_classifies_every_outcome_and_moves_only_its_counters() {
+        use Verdict::*;
+        let status = Response::Status {
+            status: FileStatus::default(),
+            tokens: Vec::new(),
+            stamp: SerializationStamp(1),
+            epoch: 7,
+            stale_us: 0,
+        };
+        let err = |e| First::Reply(Response::Err(e));
+        let retried = || Ok(Response::Ok);
+        let none = ClientStats::default;
+        let backoff = || ClientStats { backoff_rounds: 1, ..none() };
+        let budget = u64::from(RPC_RETRY_BUDGET);
+        let spent = || ClientStats { backoff_rounds: budget, unavailable_giveups: 1, ..none() };
+        let moved = First::Reply(Response::WrongServer { hint: S1, generation: 9 });
+        // The one arm the simulated network cannot produce on the wire.
+        assert_eq!(classify(&Err(DfsError::Crashed)), PrimaryDown, "transport Crashed");
+        // (arm, first attempt, verdict, file_rpc's result, counters moved)
+        #[rustfmt::skip]
+        let table: Vec<(&str, First, Verdict, DfsResult<Response>, ClientStats)> = vec![
+            ("WrongServer", moved, Moved { hint: S1, generation: 9 }, retried(),
+                ClientStats { wrong_server_redirects: 1, ..none() }),
+            ("NoSuchVolume", err(DfsError::NoSuchVolume), Unplaced, retried(), backoff()),
+            ("VolumeBusy", err(DfsError::VolumeBusy), Busy, retried(),
+                ClientStats { busy_retries: 1, ..backoff() }),
+            ("GraceWait", err(DfsError::GraceWait), Grace, retried(),
+                ClientStats { grace_waits: 1, ..backoff() }),
+            ("Response::Err(Crashed)", err(DfsError::Crashed), PrimaryDown, retried(),
+                ClientStats { transport_retries: 1, ..backoff() }),
+            ("transport Timeout", First::Dropped, PrimaryDown, retried(),
+                ClientStats { transport_retries: 1, ..backoff() }),
+            ("transport Unreachable", First::NoServer, PrimaryDown, Err(DfsError::Unavailable),
+                ClientStats { transport_retries: budget, ..spent() }),
+            ("VLDB cannot place the volume", First::NoVldb, PrimaryDown,
+                Err(DfsError::Unavailable), spent()),
+            ("non-retryable error", err(DfsError::PermissionDenied), Done,
+                Ok(Response::Err(DfsError::PermissionDenied)), none()),
+            ("success carrying an epoch", First::Reply(status.clone()), Done, Ok(status), none()),
+        ];
+        for (arm, first, verdict, result, moved) in table {
+            let outcome = match &first {
+                First::Reply(r) => Ok(r.clone()),
+                First::Dropped => Err(DfsError::Timeout),
+                First::NoServer | First::NoVldb => Err(DfsError::Unreachable),
+            };
+            assert_eq!(classify(&outcome), verdict, "{arm}: verdict");
+            let net = Network::new(SimClock::new(), 0);
+            let cm = client(&net, 1, Arc::new(MemCache::new()));
+            if !matches!(first, First::NoVldb) {
+                net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
+                cm.vldb.register(VOL, S1).unwrap();
+            }
+            let script = Arc::new(Scripted(parking_lot::Mutex::new(VecDeque::new())));
+            if !matches!(first, First::NoServer) {
+                net.register(Addr::Server(S1), script.clone(), PoolConfig::default());
+            }
+            match first {
+                First::Reply(r) => script.0.lock().push_back(r),
+                First::Dropped => net.set_fault_schedule(
+                    FaultSchedule::seeded(1)
+                        .rule(FaultRule::on(FaultAction::Drop).label("Ping").limit(1)),
+                ),
+                _ => {}
+            }
+            assert_eq!(cm.file_rpc(VOL, Request::Ping), result, "{arm}: result");
+            assert_eq!(format!("{:?}", cm.stats()), format!("{moved:?}"), "{arm}: counters");
+            if arm == "success carrying an epoch" {
+                assert_eq!(cm.known_epochs.lock().get(&S1), Some(&7), "{arm}: epoch noted");
+            }
+        }
+    }
+
+    #[test]
+    fn every_vnode_op_leaves_in_flight_at_zero_on_success_and_on_a_dropped_rpc() {
+        type Step = fn(&CacheManager, Fid, Fid) -> DfsResult<()>;
+        let nothing: Step = |_, _, _| Ok(());
+        let dirty: Step = |c, _, f| c.write(f, 0, &[6u8; PAGE_SIZE]).map(drop);
+        const SPAN: ByteRange = ByteRange { start: 0, end: 8 };
+        // (op, set-up on the same client, the op); both get the root
+        // directory and a one-page file in it.
+        #[rustfmt::skip]
+        let ops: Vec<(&str, Step, Step)> = vec![
+            ("read", nothing, |c, _, f| c.read(f, 0, 8).map(drop)),
+            ("write (token)", nothing, |c, _, f| c.write(f, 0, &[6u8; PAGE_SIZE]).map(drop)),
+            ("write (partial page)", nothing, |c, _, f| c.write(f, 3, b"ab").map(drop)),
+            ("fsync", dirty, |c, _, f| c.fsync(f)),
+            ("close", dirty, |c, _, f| c.close(f, OpenMode::Write)),
+            ("acquire_data_token", nothing, |c, _, f| c.acquire_data_token(f, ByteRange::WHOLE, false)),
+            ("acquire_lock_token", nothing, |c, _, f| c.acquire_lock_token(f, SPAN, true)),
+            ("open", nothing, |c, _, f| c.open(f, OpenMode::Read)),
+            ("lookup", nothing, |c, d, _| c.lookup(d, "f").map(drop)),
+            ("readdir", nothing, |c, d, _| c.readdir(d).map(drop)),
+            ("create", nothing, |c, d, _| c.create(d, "made", 0o644).map(drop)),
+            ("mkdir", nothing, |c, d, _| c.mkdir(d, "dir", 0o755).map(drop)),
+            ("symlink", nothing, |c, d, _| c.symlink(d, "sym", "f").map(drop)),
+            ("link", nothing, |c, d, f| c.link(d, "hard", f).map(drop)),
+            ("remove", |c, d, _| c.create(d, "victim", 0o644).map(drop), |c, d, _| c.remove(d, "victim")),
+            ("rmdir", |c, d, _| c.mkdir(d, "victims", 0o755).map(drop), |c, d, _| c.rmdir(d, "victims")),
+            ("getattr", nothing, |c, _, f| c.getattr(f).map(drop)),
+            ("setattr", nothing, |c, _, f| {
+                c.setattr(f, &SetAttrs { mode: Some(0o600), ..SetAttrs::default() }).map(drop)
+            }),
+            ("lock", nothing, |c, _, f| c.lock(f, SPAN, true)),
+            ("unlock", |c, _, f| c.lock(f, SPAN, true), |c, _, f| c.unlock(f, SPAN)),
+        ];
+        // Every op runs on a fresh client (nothing cached, so it must
+        // send) in a fresh cell (so set-up never finds leftovers).
+        for (op, setup, run) in ops {
+            for dropped in [false, true] {
+                let (net, root, fid) = cell_with_file();
+                let cm = client(&net, 2, Arc::new(MemCache::new()));
+                setup(&cm, root, fid).unwrap();
+                if dropped {
+                    let (from, to) = (Addr::Client(cm.id()), Addr::Server(S1));
+                    net.set_fault_schedule(
+                        FaultSchedule::seeded(1)
+                            .rule(FaultRule::on(FaultAction::Drop).from(from).to(to)),
+                    );
+                }
+                let sent = net.stats().calls;
+                let result = run(&cm, root, fid);
+                assert_eq!(result.is_err(), dropped, "{op}, dropped: {dropped}: {result:?}");
+                // (A dropped request is seen by its error, not counted.)
+                assert!(dropped || net.stats().calls > sent, "{op} must send an RPC");
+                assert_nothing_in_flight(&cm, &format!("{op}, dropped: {dropped}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stats_since_and_merge_walk_every_counter() {
+        let mut a = ClientStats { max_stale_us: 40, ..ClientStats::default() };
+        let mut b = ClientStats { max_stale_us: 90, ..ClientStats::default() };
+        a.counters().into_iter().enumerate().for_each(|(i, c)| *c = 10 + i as u64);
+        b.counters().into_iter().for_each(|c| *c = 3);
+        let mut d = a.since(&b);
+        assert_eq!(d.max_stale_us, 40, "the watermark carries through");
+        assert!(d.counters().into_iter().enumerate().all(|(i, c)| *c == 7 + i as u64));
+        a.merge(&b);
+        assert_eq!(a.max_stale_us, 90, "the watermark folds as a max");
+        assert!(a.counters().into_iter().enumerate().all(|(i, c)| *c == 13 + i as u64));
     }
 }

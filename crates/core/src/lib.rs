@@ -285,9 +285,7 @@ impl Cell {
         self.new_client_configured(data, WritebackConfig::default())
     }
 
-    /// Creates a diskless client with explicit write-behind tuning
-    /// (benchmarks compare `WritebackConfig::legacy()` against the
-    /// default pipeline).
+    /// Creates a diskless client with explicit write-behind tuning.
     pub fn new_client_writeback(&self, wb: WritebackConfig) -> Arc<CacheManager> {
         self.new_client_configured(Arc::new(MemCache::new()), wb)
     }

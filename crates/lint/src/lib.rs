@@ -52,14 +52,15 @@
 //! crate, then workspace), and heavily overloaded std method names are
 //! never resolved at all (see `CALL_STOPLIST` in `scan.rs`). Guard
 //! liveness is lexical: `let g = x.f.lock();` holds `g` until its
-//! scope closes or `drop(g)`; any other acquisition form is a statement
-//! temporary.
+//! scope closes, `drop(g)`, or `g` is passed by value to a call (the
+//! callee then owns unlocking it, and `g` is not held across that
+//! call); any other acquisition form is a statement temporary.
 //!
 //! # Suppressions
 //!
 //! `// dfs-lint: allow(rule, ...)` on (or directly above) a line
 //! suppresses the named rules there. On a `fn` line it audits the whole
-//! function (e.g. the client's `store_dirty`, whose revocation-class
+//! function (e.g. the client's `revocation_rpc`, whose revocation-class
 //! store-backs are grant-free at the server per §6.3 and therefore safe
 //! to send with the vnode lock held). On a lock field declaration it
 //! exempts guards of that field everywhere (e.g. the client vnode `hi`

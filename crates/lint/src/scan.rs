@@ -1329,10 +1329,37 @@ fn analyze_body(
                 // dotted path immediately before the name.
                 let recv = dotted_receiver(body, i);
                 let direct_rpc = callee == "call" && recv.contains("net");
+                // A guard passed by value as a direct argument moves
+                // into the callee, which owns unlocking it: the caller
+                // does not hold it across this call.
+                let mut moved: Vec<&str> = Vec::new();
+                let mut depth = 0usize;
+                for j in i + 1..body.len() {
+                    let arg_edge = |k: usize| {
+                        body.get(k).is_some_and(|s| {
+                            matches!(s.tok, Tok::LParen | Tok::RParen | Tok::Punct(','))
+                        })
+                    };
+                    match &body[j].tok {
+                        Tok::LParen => depth += 1,
+                        Tok::RParen if depth == 1 => break,
+                        Tok::RParen => depth -= 1,
+                        Tok::Ident(id) if depth == 1 && arg_edge(j - 1) && arg_edge(j + 1) => {
+                            moved.push(id)
+                        }
+                        _ => {}
+                    }
+                }
+                let held = scopes
+                    .iter()
+                    .flatten()
+                    .filter(|g| !g.name.as_deref().is_some_and(|n| moved.contains(&n)))
+                    .map(|g| (g.field.clone(), g.line))
+                    .collect();
                 f.calls.push(Call {
                     callee: callee.clone(),
                     line: body[i].line,
-                    held: held_fields(&scopes),
+                    held,
                     receiver: recv,
                     direct_rpc,
                 });
@@ -1610,6 +1637,7 @@ pub struct F { state: parking_lot::Mutex<u32>, other: parking_lot::Mutex<u32> }
 impl F {
     fn f(&self) {
         let g = self.state.lock();
+        audit_frame(&g, helper(g2));
         unlock_for_io(g);
         let h = self.other.lock();
         let _ = h;
@@ -1620,5 +1648,11 @@ impl F {
         let facts = scan_file("x", "x/src/lib.rs", src, &fields, &shared_data_field_names(src));
         let a = facts.fns[0].acquisitions.iter().find(|a| a.field == "other").unwrap();
         assert!(a.held.is_empty(), "moved-out guard must not be held: {:?}", a.held);
+        // Nor is it held across the very call it moves into — while a
+        // guard that call merely borrows still is.
+        let held = |callee: &str| {
+            facts.fns[0].calls.iter().find(|c| c.callee == callee).unwrap().held.len()
+        };
+        assert_eq!((held("audit_frame"), held("unlock_for_io")), (1, 0));
     }
 }

@@ -6,7 +6,9 @@
 //! have all been delivered.
 
 use dfs_rpc::{Addr, CallClass, Network, Request, Response};
-use dfs_token::{shards_from_env, RevokeItem, RevokeResult, Token, TokenHost, TokenTypes};
+use dfs_token::{
+    RevokeItem, RevokeResult, Token, TokenHost, TokenTypes, DEFAULT_TOKEN_SHARDS,
+};
 use dfs_types::lock::{rank, OrderedShardedMutex};
 use dfs_types::{ClientId, HostId, SerializationStamp, Timestamp};
 use std::collections::HashMap;
@@ -61,11 +63,10 @@ impl HostModel {
     }
 
     /// Creates an empty host model with an explicit lease (µs of
-    /// simulated time) and the environment-selected shard count
-    /// (`DFS_TOKEN_SHARDS` — one knob sizes both sharded tables).
+    /// simulated time), sharded like the token table.
     pub fn with_lease(lease_us: u64) -> HostModel {
         HostModel {
-            records: OrderedShardedMutex::new(shards_from_env(), HashMap::new),
+            records: OrderedShardedMutex::new(DEFAULT_TOKEN_SHARDS, HashMap::new),
             lease_us,
         }
     }
@@ -192,14 +193,6 @@ pub struct RemoteHost {
     peer: Addr,
     host_id: HostId,
     model: Arc<HostModel>,
-    /// Ship multi-token revocations as one `RevokeVec` RPC. On by
-    /// default; `DFS_NO_REVOKE_BATCH=1` falls back to per-token
-    /// `RevokeToken` round trips (the ablation baseline).
-    batch: bool,
-}
-
-fn batching_enabled() -> bool {
-    std::env::var("DFS_NO_REVOKE_BATCH").map_or(true, |v| v != "1")
 }
 
 impl RemoteHost {
@@ -216,7 +209,6 @@ impl RemoteHost {
             peer: Addr::Client(client),
             host_id: HostId::Client(client),
             model,
-            batch: batching_enabled(),
         })
     }
 
@@ -233,7 +225,6 @@ impl RemoteHost {
             peer: Addr::Server(server),
             host_id: HostId::Replicator(server.0),
             model,
-            batch: batching_enabled(),
         })
     }
 
@@ -290,9 +281,8 @@ impl TokenHost for RemoteHost {
 
     fn revoke_batch(&self, items: &[RevokeItem]) -> Vec<RevokeResult> {
         // A single token needs no vec framing (wire compatibility with
-        // peers that predate `RevokeVec`), and the ablation knob drops
-        // to per-token round trips entirely.
-        if items.len() <= 1 || !self.batch {
+        // peers that predate `RevokeVec`).
+        if items.len() <= 1 {
             return items
                 .iter()
                 .map(|i| self.revoke(&i.token, i.types, i.stamp))

@@ -9,26 +9,14 @@
 //! `set`/`release`/`count` touches exactly one shard, and
 //! [`LockTable::release_owner`] walks the shards one at a time without
 //! ever nesting two guards, so lock-heavy mixed workloads stop
-//! serializing on a single table mutex. The shard count comes from
-//! `DFS_LOCK_SHARDS` (default 8, clamped to 1..=256), mirroring
-//! `DFS_TOKEN_SHARDS`.
+//! serializing on a single table mutex.
 
 use dfs_types::lock::{rank, OrderedShardedMutex};
 use dfs_types::{ByteRange, DfsError, DfsResult, Fid, HostId};
 use std::collections::HashMap;
 
-/// Default shard count when `DFS_LOCK_SHARDS` is unset.
+/// Shard count of a server's lock table.
 const DEFAULT_LOCK_SHARDS: usize = 8;
-
-/// Reads the lock-table shard count from `DFS_LOCK_SHARDS`, clamped to
-/// `1..=256`. Read once per table, at construction.
-fn shards_from_env() -> usize {
-    std::env::var("DFS_LOCK_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 256))
-        .unwrap_or(DEFAULT_LOCK_SHARDS)
-}
 
 /// One held lock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,9 +38,9 @@ impl Default for LockTable {
 }
 
 impl LockTable {
-    /// Creates an empty table with the environment-selected shard count.
+    /// Creates an empty table with `DEFAULT_LOCK_SHARDS` shards.
     pub fn new() -> LockTable {
-        LockTable::with_shards(shards_from_env())
+        LockTable::with_shards(DEFAULT_LOCK_SHARDS)
     }
 
     /// Creates an empty table with exactly `n` shards (tests).

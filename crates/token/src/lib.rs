@@ -22,9 +22,9 @@
 //! # Shard topology
 //!
 //! The grant and stamp tables are split into N fid-hash shards (default
-//! [`DEFAULT_TOKEN_SHARDS`], overridable via `DFS_TOKEN_SHARDS`), each
-//! behind its own mutex at rank [`rank::TOKEN_SHARD`], so grants and
-//! revocations on files that hash to different shards never contend.
+//! [`DEFAULT_TOKEN_SHARDS`]), each behind its own mutex at rank
+//! [`rank::TOKEN_SHARD`], so grants and revocations on files that hash
+//! to different shards never contend.
 //! A file's grants, its stamps, and its volume's whole-volume (vnode-0)
 //! grants each live in exactly one shard, determined by
 //! [`shard_index`] over `(volume, vnode)` — `uniq` is excluded so every
@@ -55,18 +55,6 @@ use std::sync::Arc;
 
 /// Default number of fid-hash shards for the token and host tables.
 pub const DEFAULT_TOKEN_SHARDS: usize = 8;
-
-/// Shard count from the `DFS_TOKEN_SHARDS` environment variable,
-/// clamped to `1..=256`; [`DEFAULT_TOKEN_SHARDS`] if unset or
-/// unparsable. Read once at construction so a live manager's topology
-/// never changes under it.
-pub fn shards_from_env() -> usize {
-    std::env::var("DFS_TOKEN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 256))
-        .unwrap_or(DEFAULT_TOKEN_SHARDS)
-}
 
 /// Maps `(volume, vnode)` to a shard index: a multiplicative hash on
 /// each component so consecutive vnodes of one volume spread across
@@ -205,10 +193,10 @@ impl Default for TokenManager {
 }
 
 impl TokenManager {
-    /// Creates an empty token manager with the environment-selected
-    /// shard count ([`shards_from_env`]).
+    /// Creates an empty token manager with [`DEFAULT_TOKEN_SHARDS`]
+    /// shards.
     pub fn new() -> TokenManager {
-        Self::with_shards(shards_from_env())
+        Self::with_shards(DEFAULT_TOKEN_SHARDS)
     }
 
     /// Creates an empty token manager with exactly `n` shards

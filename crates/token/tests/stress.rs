@@ -2,7 +2,8 @@
 //!
 //! Four client hosts and a replicator hammer concurrent grants (forcing
 //! constant cross-host revocation), voluntary releases, and host
-//! churn, all with the debug-build rank enforcer active. The test
+//! churn, at shard counts 1 and 4, all with the debug-build rank
+//! enforcer active. The test
 //! asserts the §5.1 invariant directly: every revocation callback must
 //! run with an empty held-rank stack — the token manager may not hold
 //! any of its own locks while calling out to a host.
@@ -59,11 +60,15 @@ fn fid(n: u32) -> Fid {
 
 #[test]
 fn concurrent_grant_revoke_respects_lock_hierarchy() {
+    [1, 4].into_iter().for_each(grant_revoke_storm);
+}
+
+fn grant_revoke_storm(shards: usize) {
     const HOSTS: u32 = 4;
     const ROUNDS: u32 = 200;
     const FILES: u32 = 3;
 
-    let tm = Arc::new(TokenManager::new());
+    let tm = Arc::new(TokenManager::with_shards(shards));
     let hosts: Vec<Arc<StressHost>> = (0..HOSTS).map(StressHost::new).collect();
     for h in &hosts {
         tm.register_host(h.clone());
@@ -118,7 +123,11 @@ fn concurrent_grant_revoke_respects_lock_hierarchy() {
 
 #[test]
 fn host_churn_under_load_does_not_deadlock() {
-    let tm = Arc::new(TokenManager::new());
+    [1, 4].into_iter().for_each(host_churn);
+}
+
+fn host_churn(shards: usize) {
+    let tm = Arc::new(TokenManager::with_shards(shards));
     let stable: Vec<Arc<StressHost>> = (0..4).map(StressHost::new).collect();
     for h in &stable {
         tm.register_host(h.clone());
@@ -159,12 +168,14 @@ fn host_churn_under_load_does_not_deadlock() {
 
 /// A whole-volume (vnode-0) write token conflicts with file tokens in
 /// every shard, so granting it drives the cross-shard lock_all path and
-/// batched per-host revocations while readers keep re-granting. The
-/// manager honors `DFS_TOKEN_SHARDS`, so verify.sh runs this at shard
-/// counts 1 and 4.
+/// batched per-host revocations while readers keep re-granting.
 #[test]
 fn whole_volume_revocation_spans_shards_under_load() {
-    let tm = Arc::new(TokenManager::new());
+    [1, 4].into_iter().for_each(whole_volume_revocation);
+}
+
+fn whole_volume_revocation(shards: usize) {
+    let tm = Arc::new(TokenManager::with_shards(shards));
     let hosts: Vec<Arc<StressHost>> = (0..4).map(StressHost::new).collect();
     for h in &hosts {
         tm.register_host(h.clone());

@@ -7,7 +7,7 @@
 //! and duplicate deliveries never double-apply).
 
 use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
-use decorum_dfs::types::VolumeId;
+use decorum_dfs::types::{ByteRange, VolumeId};
 
 mod common;
 
@@ -155,6 +155,41 @@ fn live_migration_survives_client_partition() {
     for (fid, want) in &files {
         assert_eq!(fresh.read(*fid, 0, 16).unwrap(), want.as_bytes());
     }
+}
+
+/// A write of part of a page needs the rest of the page from the
+/// server. When that fetch cannot be had, the write must fail: going
+/// ahead over a zero-filled page would later store the zeros back over
+/// bytes the caller never wrote (a lost update).
+#[test]
+fn partial_page_write_fails_when_its_page_cannot_be_fetched() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "sevens", &[7u8; PAGE]);
+    // `b` takes the write token, but not the data.
+    let b = common::no_flush_client(&cell);
+    b.acquire_data_token(fid, ByteRange::WHOLE, true).unwrap();
+
+    let primary = Addr::Server(cell.server(0).id());
+    cell.net().set_fault_schedule(
+        FaultSchedule::seeded(3)
+            .rule(FaultRule::on(FaultAction::Drop).from(Addr::Client(b.id())).to(primary)),
+    );
+    assert!(b.write(fid, 100, b"xy").is_err(), "no page to merge into, no write");
+    cell.net().clear_faults();
+
+    // Healed: neither before nor after `b` retries does any reader see
+    // a zero in the page.
+    let no_zeros = |when: &str| {
+        let page = cell.new_client().read(fid, 0, PAGE).unwrap();
+        assert!(page.iter().all(|&x| x != 0), "{when}: zero-filled bytes were stored back");
+        page
+    };
+    no_zeros("after the failed write");
+    b.write(fid, 100, b"xy").unwrap();
+    b.fsync(fid).unwrap();
+    assert_eq!(&no_zeros("after the retried write")[98..104], &[7, 7, b'x', b'y', 7, 7]);
 }
 
 /// The determinism contract: the same seed over the same

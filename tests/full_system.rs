@@ -181,6 +181,29 @@ fn diskless_and_disk_clients_interoperate() {
     assert_eq!(diskless.read(f.fid, 0, 11).unwrap(), b"disk-cached");
 }
 
+/// A client cache smaller than the file: pages that were cached, stored
+/// back and then evicted must be fetched again on read — an evicted
+/// page is a miss, not a hole.
+#[test]
+fn reads_through_a_bounded_disk_cache_return_what_was_written() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let tag = |p: u64| [(p % 251) as u8 + 1; PAGE];
+    let cell = common::one_server_cell();
+    let c = cell.new_disk_client(256);
+    let root = c.root(VolumeId(1)).unwrap();
+    let f = c.create(root, "big", 0o644).unwrap();
+    for p in 0..1024u64 {
+        c.write(f.fid, p * PAGE as u64, &tag(p)).unwrap();
+        if p % 64 == 63 {
+            c.fsync(f.fid).unwrap();
+        }
+    }
+    for p in 0..1024u64 {
+        let got = c.read(f.fid, p * PAGE as u64, PAGE).unwrap();
+        assert!(got == tag(p), "page {p} read back as {:?}...", &got[..4]);
+    }
+}
+
 #[test]
 fn snapshot_while_writing() {
     // On-line backup (§2.1): a clone taken mid-workload is a consistent

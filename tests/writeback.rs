@@ -210,25 +210,6 @@ fn shutdown_flushes_remaining_dirty_data() {
 }
 
 #[test]
-fn legacy_config_matches_pre_pipeline_rpc_shape() {
-    let cell = cell();
-    let c = cell.new_client_writeback(WritebackConfig::legacy());
-    let root = c.root(VolumeId(1)).unwrap();
-    let f = c.create(root, "legacy", 0o644).unwrap();
-    for p in 0..16u64 {
-        c.write(f.fid, p * PAGE as u64, &[9u8; PAGE]).unwrap();
-    }
-    let before = cell.net().stats();
-    c.fsync(f.fid).unwrap();
-    let d = cell.net().stats().since(&before);
-    // One flat StoreData per dirty page, never the vec RPC.
-    assert_eq!(d.by_label.get("StoreData").copied().unwrap_or(0), 16);
-    assert_eq!(d.by_label.get("StoreDataVec").copied().unwrap_or(0), 0);
-    let r = cell.new_client();
-    assert_eq!(r.read(f.fid, 15 * PAGE as u64, PAGE).unwrap(), vec![9u8; PAGE]);
-}
-
-#[test]
 fn writer_during_flush_loses_no_update() {
     let cell = cell();
     let c = cell.new_client_writeback(WritebackConfig {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification gate: what CI runs, and what a PR must keep green.
 #
-#   1. release build of the whole workspace
-#   2. the test suite (unit + integration + property tests)
+#   1. release build of the whole workspace (the root manifest's
+#      `default-members` makes the plain command cover every crate)
+#   2. the test suite (unit + integration + property tests, every crate)
 #   3. dfs-lint: workspace-wide concurrency static analysis (lock
 #      order, lockset coverage, lock-gap TOCTOU, stale allows) over
 #      crates/, shims/, and the root crate; the --json rendering is
@@ -17,9 +18,9 @@
 #      reestablishment, dirty-burst replay)
 #   7. fleet gate: the fleet-layer tests plus T15 at tiny parameters
 #      (volume sharding, WrongServer routing, live mid-run migration)
-#   8. hotpath gate: the token stress suite at shard counts 1 and 4
-#      (DFS_TOKEN_SHARDS) plus T9 with a small --clients sweep and T8
-#      with a --clients concurrency section, both JSON-validated
+#   8. hotpath gate: the token stress suite (which loops over shard
+#      counts 1 and 4 itself) plus T9 with a small --clients sweep and
+#      T8 with a --clients concurrency section, both JSON-validated
 #   9. availability gate: the fault-matrix tests (drop/delay/duplicate/
 #      partition over flush, revocation, migration) plus T14 at tiny
 #      parameters (§3.8 replica promotion: bounded-stale reads during a
@@ -32,6 +33,9 @@
 #      replay-identical, all events fired)
 #  11. bench JSON smoke: every remaining --json-capable binary runs
 #      once and its output is validated through jsoncheck
+#  12. repo benchmark gate: the standalone benchmark/ package's unit
+#      tests (RPCs per lock-step round, same-seed op digest) and its
+#      smoke run — all four workloads at 1/50 size, 0 failed ops
 #
 # Run from the repo root:  ./verify.sh
 set -eu
@@ -70,8 +74,7 @@ t15_out=$(cargo run -q --release -p dfs-bench --bin t15_fleet -- --json --server
 printf '%s' "$t15_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 
 echo "==> hotpath gate (token stress at 1 and 4 shards + t9/t8 client sweeps)"
-DFS_TOKEN_SHARDS=1 cargo test -q -p dfs-token --test stress
-DFS_TOKEN_SHARDS=4 cargo test -q -p dfs-token --test stress
+cargo test -q -p dfs-token --test stress
 t9_out=$(cargo run -q --release -p dfs-bench --bin t9_revocation_pingpong -- --json --clients 8 --ops 200)
 printf '%s' "$t9_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 t8c_out=$(cargo run -q --release -p dfs-bench --bin t8_group_commit -- --json --ops 64 --pages 16 --clients 4)
@@ -100,5 +103,9 @@ for b in fig1_server_structure fig2_client_structure fig3_open_token_matrix \
   b_out=$(cargo run -q --release -p dfs-bench --bin "$b" -- --json)
   printf '%s' "$b_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 done
+
+echo "==> repo benchmark gate (benchmark/ unit tests + smoke)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/smoke.sh
 
 echo "verify: OK"
