@@ -94,57 +94,84 @@ impl Glue {
         Glue { fs, tm, host }
     }
 
-    /// Runs `f` while holding `types` over `range` of `fid`.
-    fn with_tokens<R>(
+    /// Runs `f` while holding every token in `wants`.
+    fn with_tokens<R, const N: usize>(
         &self,
-        fid: Fid,
-        types: TokenTypes,
-        range: ByteRange,
+        wants: [Want; N],
         f: impl FnOnce() -> DfsResult<R>,
     ) -> DfsResult<R> {
-        let (token, _stamp) = self.tm.grant(self.host.id, fid, types, range)?;
-        self.host.enter(fid);
-        let result = f();
-        self.host.exit(fid);
+        let fids = wants.map(|(fid, ..)| fid);
         // Local callers return tokens as soon as the call completes
         // (§5.5: "it can return the token any time after the VOP_RDWR
-        // call has completed execution").
-        self.tm.release(self.host.id, token.id);
+        // call has completed execution"): the guard's drop.
+        let _held = Granted::new(&self.tm, self.host.id, wants)?;
+        fids.iter().for_each(|fid| self.host.enter(*fid));
+        let result = f();
+        fids.iter().for_each(|fid| self.host.exit(*fid));
         result
     }
+}
 
-    /// Runs `f` holding tokens on two files, granted in fid order so two
-    /// glue operations cannot deadlock against each other.
-    fn with_tokens2<R>(
-        &self,
-        a: (Fid, TokenTypes),
-        b: (Fid, TokenTypes),
-        f: impl FnOnce() -> DfsResult<R>,
-    ) -> DfsResult<R> {
-        let (first, second) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        let (t1, _) = self.tm.grant(self.host.id, first.0, first.1, ByteRange::WHOLE)?;
-        if first.0 == second.0 {
-            self.host.enter(first.0);
-            let result = f();
-            self.host.exit(first.0);
-            self.tm.release(self.host.id, t1.id);
-            return result;
-        }
-        let t2 = match self.tm.grant(self.host.id, second.0, second.1, ByteRange::WHOLE) {
-            Ok((t, _)) => t,
-            Err(e) => {
-                self.tm.release(self.host.id, t1.id);
-                return Err(e);
+/// One token request: file, types, byte range.
+pub(crate) type Want = (Fid, TokenTypes, ByteRange);
+
+/// A request for `types` over the whole of `fid`.
+pub(crate) fn whole(fid: Fid, types: TokenTypes) -> Want {
+    (fid, types, ByteRange::WHOLE)
+}
+
+/// Tokens granted to `host` for the duration of one operation — the
+/// "obtain tokens, then perform the original operation" step of §3.3,
+/// shared by the glue layer and the server procedures.
+///
+/// Grants are taken in fid order whatever order the caller lists them
+/// in, so two multi-file operations cannot deadlock against each other;
+/// a fid listed twice (rename within one directory) is granted once,
+/// as first listed. Dropping the guard releases every token it still
+/// holds, so an error or early return after a partial grant leaks
+/// nothing.
+pub(crate) struct Granted<'a, const N: usize> {
+    tm: &'a TokenManager,
+    host: HostId,
+    /// Indexed like the caller's list; `None` = duplicate fid or kept.
+    held: [Option<Token>; N],
+    /// The serialization stamp of the grant on the first-listed file.
+    pub(crate) stamp: SerializationStamp,
+}
+
+impl<'a, const N: usize> Granted<'a, N> {
+    pub(crate) fn new(tm: &'a TokenManager, host: HostId, wants: [Want; N]) -> DfsResult<Self> {
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_by_key(|&i| wants[i].0);
+        let mut granted =
+            Granted { tm, host, held: [const { None }; N], stamp: SerializationStamp::default() };
+        let mut last = None;
+        for i in order {
+            let (fid, types, range) = wants[i];
+            if last.replace(fid) == Some(fid) {
+                continue;
             }
-        };
-        self.host.enter(first.0);
-        self.host.enter(second.0);
-        let result = f();
-        self.host.exit(second.0);
-        self.host.exit(first.0);
-        self.tm.release(self.host.id, t2.id);
-        self.tm.release(self.host.id, t1.id);
-        result
+            let (token, stamp) = tm.grant(host, fid, types, range)?;
+            granted.held[i] = Some(token);
+            if i == 0 {
+                granted.stamp = stamp;
+            }
+        }
+        Ok(granted)
+    }
+
+    /// Hands the first-listed file's token to the caller instead of
+    /// releasing it; the rest are released.
+    pub(crate) fn keep_first(mut self) -> Token {
+        self.held[0].take().expect("the first-listed want is always granted")
+    }
+}
+
+impl<const N: usize> Drop for Granted<'_, N> {
+    fn drop(&mut self) {
+        for token in self.held.iter().flatten() {
+            self.tm.release(self.host, token.id);
+        }
     }
 }
 
@@ -162,15 +189,15 @@ impl Vfs for Glue {
     }
 
     fn lookup(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
-        self.with_tokens(dir, DIR_READ, ByteRange::WHOLE, || self.fs.lookup(cred, dir, name))
+        self.with_tokens([whole(dir, DIR_READ)], || self.fs.lookup(cred, dir, name))
     }
 
     fn create(&self, cred: &Credentials, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
-        self.with_tokens(dir, DIR_WRITE, ByteRange::WHOLE, || self.fs.create(cred, dir, name, mode))
+        self.with_tokens([whole(dir, DIR_WRITE)], || self.fs.create(cred, dir, name, mode))
     }
 
     fn mkdir(&self, cred: &Credentials, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
-        self.with_tokens(dir, DIR_WRITE, ByteRange::WHOLE, || self.fs.mkdir(cred, dir, name, mode))
+        self.with_tokens([whole(dir, DIR_WRITE)], || self.fs.mkdir(cred, dir, name, mode))
     }
 
     fn symlink(
@@ -180,13 +207,13 @@ impl Vfs for Glue {
         name: &str,
         target: &str,
     ) -> DfsResult<FileStatus> {
-        self.with_tokens(dir, DIR_WRITE, ByteRange::WHOLE, || {
+        self.with_tokens([whole(dir, DIR_WRITE)], || {
             self.fs.symlink(cred, dir, name, target)
         })
     }
 
     fn link(&self, cred: &Credentials, dir: Fid, name: &str, target: Fid) -> DfsResult<FileStatus> {
-        self.with_tokens2((dir, DIR_WRITE), (target, TokenTypes::STATUS_WRITE), || {
+        self.with_tokens([whole(dir, DIR_WRITE), whole(target, TokenTypes::STATUS_WRITE)], || {
             self.fs.link(cred, dir, name, target)
         })
     }
@@ -195,23 +222,17 @@ impl Vfs for Glue {
         // Deleting needs assurance the file has no remote users (§5.4):
         // an exclusive-write open token on the victim.
         let victim = self.fs.lookup(cred, dir, name)?;
-        self.with_tokens2(
-            (dir, DIR_WRITE),
-            (
-                victim.fid,
-                TokenTypes(
-                    TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | TokenTypes::STATUS_WRITE.0,
-                ),
-            ),
-            || self.fs.remove(cred, dir, name),
-        )
+        let exclusive =
+            TokenTypes(TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | TokenTypes::STATUS_WRITE.0);
+        self.with_tokens([whole(dir, DIR_WRITE), whole(victim.fid, exclusive)], || {
+            self.fs.remove(cred, dir, name)
+        })
     }
 
     fn rmdir(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<()> {
         let victim = self.fs.lookup(cred, dir, name)?;
-        self.with_tokens2((dir, DIR_WRITE), (victim.fid, TokenTypes::STATUS_WRITE), || {
-            self.fs.rmdir(cred, dir, name)
-        })
+        let wants = [whole(dir, DIR_WRITE), whole(victim.fid, TokenTypes::STATUS_WRITE)];
+        self.with_tokens(wants, || self.fs.rmdir(cred, dir, name))
     }
 
     fn rename(
@@ -222,22 +243,20 @@ impl Vfs for Glue {
         dst_dir: Fid,
         dst_name: &str,
     ) -> DfsResult<()> {
-        self.with_tokens2((src_dir, DIR_WRITE), (dst_dir, DIR_WRITE), || {
+        self.with_tokens([whole(src_dir, DIR_WRITE), whole(dst_dir, DIR_WRITE)], || {
             self.fs.rename(cred, src_dir, src_name, dst_dir, dst_name)
         })
     }
 
     fn readdir(&self, cred: &Credentials, dir: Fid) -> DfsResult<Vec<DirEntry>> {
-        self.with_tokens(dir, DIR_READ, ByteRange::WHOLE, || self.fs.readdir(cred, dir))
+        self.with_tokens([whole(dir, DIR_READ)], || self.fs.readdir(cred, dir))
     }
 
     fn read(&self, cred: &Credentials, file: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
-        self.with_tokens(
-            file,
-            TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0),
-            ByteRange::at(offset, len as u64),
-            || self.fs.read(cred, file, offset, len),
-        )
+        let types = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0);
+        self.with_tokens([(file, types, ByteRange::at(offset, len as u64))], || {
+            self.fs.read(cred, file, offset, len)
+        })
     }
 
     fn write(
@@ -247,16 +266,14 @@ impl Vfs for Glue {
         offset: u64,
         data: &[u8],
     ) -> DfsResult<FileStatus> {
-        self.with_tokens(
-            file,
-            TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0),
-            ByteRange::at(offset, data.len() as u64),
-            || self.fs.write(cred, file, offset, data),
-        )
+        let types = TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0);
+        self.with_tokens([(file, types, ByteRange::at(offset, data.len() as u64))], || {
+            self.fs.write(cred, file, offset, data)
+        })
     }
 
     fn getattr(&self, cred: &Credentials, file: Fid) -> DfsResult<FileStatus> {
-        self.with_tokens(file, TokenTypes::STATUS_READ, ByteRange::WHOLE, || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], || {
             self.fs.getattr(cred, file)
         })
     }
@@ -267,11 +284,11 @@ impl Vfs for Glue {
         } else {
             TokenTypes::STATUS_WRITE
         };
-        self.with_tokens(file, types, ByteRange::WHOLE, || self.fs.setattr(cred, file, attrs))
+        self.with_tokens([whole(file, types)], || self.fs.setattr(cred, file, attrs))
     }
 
     fn readlink(&self, cred: &Credentials, file: Fid) -> DfsResult<String> {
-        self.with_tokens(file, TokenTypes::DATA_READ, ByteRange::WHOLE, || {
+        self.with_tokens([whole(file, TokenTypes::DATA_READ)], || {
             self.fs.readlink(cred, file)
         })
     }
@@ -287,13 +304,13 @@ impl Vfs for Glue {
 
 impl VfsPlus for Glue {
     fn get_acl(&self, cred: &Credentials, file: Fid) -> DfsResult<Acl> {
-        self.with_tokens(file, TokenTypes::STATUS_READ, ByteRange::WHOLE, || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], || {
             self.fs.get_acl(cred, file)
         })
     }
 
     fn set_acl(&self, cred: &Credentials, file: Fid, acl: &Acl) -> DfsResult<()> {
-        self.with_tokens(file, TokenTypes::STATUS_WRITE, ByteRange::WHOLE, || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_WRITE)], || {
             self.fs.set_acl(cred, file, acl)
         })
     }

@@ -228,10 +228,19 @@ impl RemoteHost {
         })
     }
 
-    fn client_id(&self) -> Option<ClientId> {
-        match self.peer {
-            Addr::Client(c) => Some(c),
-            _ => None,
+    /// Books one revocation's outcome in the host model and turns it
+    /// into the token manager's verdict. `None` — an unreachable peer,
+    /// or an entry missing from a short batch ack — counts as sent but
+    /// unacknowledged and is treated as returned: the retry round
+    /// re-revokes any token that actually survives (a production server
+    /// would also mark the client dead).
+    fn settle(&self, answer: Option<bool>) -> RevokeResult {
+        if let Addr::Client(c) = self.peer {
+            self.model.saw_revocation(c, answer.is_some());
+        }
+        match answer {
+            Some(false) => RevokeResult::Retained,
+            _ => RevokeResult::Returned,
         }
     }
 }
@@ -256,27 +265,10 @@ impl TokenHost for RemoteHost {
             CallClass::Revocation,
             Request::RevokeToken { token: token.clone(), types, stamp },
         );
-        let client = self.client_id();
-        match resp {
-            Ok(Response::RevokeAck { returned }) => {
-                if let Some(c) = client {
-                    self.model.saw_revocation(c, true);
-                }
-                if returned {
-                    RevokeResult::Returned
-                } else {
-                    RevokeResult::Retained
-                }
-            }
-            _ => {
-                // Unreachable peer: treat its tokens as returned (a
-                // production server would also mark the client dead).
-                if let Some(c) = client {
-                    self.model.saw_revocation(c, false);
-                }
-                RevokeResult::Returned
-            }
-        }
+        self.settle(match resp {
+            Ok(Response::RevokeAck { returned }) => Some(returned),
+            _ => None,
+        })
     }
 
     fn revoke_batch(&self, items: &[RevokeItem]) -> Vec<RevokeResult> {
@@ -300,46 +292,12 @@ impl TokenHost for RemoteHost {
                     .collect(),
             },
         );
-        let client = self.client_id();
-        match resp {
-            Ok(Response::RevokeVecAck { returned }) => items
-                .iter()
-                .enumerate()
-                .map(|(i, _)| match returned.get(i) {
-                    // Every token in the batch is accounted exactly
-                    // once: answered entries count as acked, entries
-                    // missing from a short ack count as sent-unacked
-                    // and are treated as returned (the retry round
-                    // re-revokes any that actually survive).
-                    Some(&r) => {
-                        if let Some(c) = client {
-                            self.model.saw_revocation(c, true);
-                        }
-                        if r {
-                            RevokeResult::Returned
-                        } else {
-                            RevokeResult::Retained
-                        }
-                    }
-                    None => {
-                        if let Some(c) = client {
-                            self.model.saw_revocation(c, false);
-                        }
-                        RevokeResult::Returned
-                    }
-                })
-                .collect(),
-            _ => {
-                // Unreachable peer: all tokens treated as returned,
-                // each counted as an unacked revocation.
-                if let Some(c) = client {
-                    for _ in items {
-                        self.model.saw_revocation(c, false);
-                    }
-                }
-                vec![RevokeResult::Returned; items.len()]
-            }
-        }
+        // Every token in the batch is accounted exactly once, in order.
+        let returned = match resp {
+            Ok(Response::RevokeVecAck { returned }) => returned,
+            _ => Vec::new(),
+        };
+        (0..items.len()).map(|i| self.settle(returned.get(i).copied())).collect()
     }
 }
 

@@ -21,7 +21,9 @@ pub mod glue;
 pub mod hosts;
 pub mod locks;
 pub mod vldb;
+mod volumes;
 
+use glue::{whole, Granted, Want};
 pub use glue::{Glue, LocalHost};
 pub use hosts::{HostModel, HostRecord, RemoteHost, DEFAULT_LEASE_US};
 pub use locks::LockTable;
@@ -34,13 +36,14 @@ use dfs_rpc::{
 };
 use dfs_token::{Token, TokenManager, TokenTypes};
 use dfs_types::{
-    ByteRange, ClientId, DfsError, DfsResult, Fid, HostId, ServerId, Timestamp, VnodeId,
-    VolumeId,
+    ByteRange, ClientId, DfsError, DfsResult, Fid, FileStatus, HostId, SerializationStamp,
+    ServerId, Timestamp, VnodeId, VolumeId,
 };
-use dfs_vfs::{Credentials, PhysicalFs, VfsPlus, WriteExtent};
+use dfs_vfs::{Credentials, PhysicalFs, VfsPlus, VolumeDump, WriteExtent};
 use dfs_types::lock::{rank, OrderedMutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use volumes::{Admit, Volumes};
 
 /// Read tokens a client wants to cache directory contents.
 pub const DIR_READ: TokenTypes = TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0);
@@ -72,7 +75,8 @@ pub struct ServerStats {
     /// Calls for volumes not hosted here forwarded to the owner.
     pub forwards: u64,
     /// File RPCs served, by volume — the fleet load monitor's signal
-    /// for picking the hottest volume when rebalancing.
+    /// for picking the hottest volume when rebalancing. Filled from the
+    /// volume table by [`FileServer::stats`].
     pub volume_ops: HashMap<VolumeId, u64>,
 }
 
@@ -91,15 +95,6 @@ impl ServerStats {
             *self.volume_ops.entry(*vol).or_default() += n;
         }
     }
-}
-
-struct ReplJob {
-    volume: VolumeId,
-    source: ServerId,
-    max_staleness_us: u64,
-    last_refresh: Timestamp,
-    base_version: u64,
-    dirty: bool,
 }
 
 /// Post-restart recovery state: while the grace window is open, only
@@ -132,25 +127,10 @@ pub struct FileServer {
     /// Stamped into every `Status`/`Data` response so clients detect a
     /// crash-restart from ordinary traffic.
     epoch: u64,
-    mounts: OrderedMutex<HashMap<VolumeId, Arc<dyn VfsPlus>>, { rank::VOLUME_REGISTRY }>,
-    busy: OrderedMutex<HashSet<VolumeId>, { rank::VOLUME_REGISTRY }>,
-    /// Volumes this server hosts (authoritative membership; a request
-    /// for any other volume is redirected or forwarded, never mounted).
-    hosted: OrderedMutex<HashSet<VolumeId>, { rank::VOLUME_REGISTRY }>,
-    /// Volumes restored by an in-progress move but not yet handed over:
-    /// the VLDB still names the source, so requests here keep being
-    /// redirected until `VolInstallTokens` promotes the copy to
-    /// `hosted` (a stale client hint must never read — let alone write
-    /// — the phase-1 snapshot). `VolDiscard` empties this on a failed
-    /// move.
-    staged: OrderedMutex<HashSet<VolumeId>, { rank::VOLUME_REGISTRY }>,
-    /// File RPCs currently executing, per volume — drained by a move's
-    /// blackout phase so the delta dump sees no in-flight mutation.
-    inflight: OrderedMutex<HashMap<VolumeId, u64>, { rank::VOLUME_REGISTRY }>,
-    /// Where volumes this server moved away now live: the hint answered
-    /// in `WrongServer` without a VLDB round trip (§2.1).
-    routes: OrderedMutex<HashMap<VolumeId, (ServerId, u64)>, { rank::SERVER_ROUTES }>,
-    repl: OrderedMutex<Vec<ReplJob>, { rank::VOLUME_REGISTRY }>,
+    /// The volume registry (§3.4). Authoritative: a request for a
+    /// volume it does not show as hosted is redirected or forwarded,
+    /// never mounted.
+    volumes: Volumes,
     known_hosts: OrderedMutex<HashSet<HostId>, { rank::SERVER_HOSTS }>,
     recovery: OrderedMutex<RecoveryState, { rank::SERVER_HOSTS }>,
     /// Durable host/lease journal (the Episode aggregate's host-log
@@ -174,16 +154,7 @@ impl FileServer {
         vldb_replicas: Vec<Addr>,
         pool: PoolConfig,
     ) -> DfsResult<Arc<FileServer>> {
-        Self::start_instance(
-            net,
-            id,
-            physical,
-            None,
-            vldb_replicas,
-            pool,
-            1,
-            RecoveryState::default(),
-        )
+        Self::start_journaled(net, id, physical, None, vldb_replicas, pool)
     }
 
     /// Like [`FileServer::start`], but with a durable host journal: the
@@ -297,13 +268,7 @@ impl FileServer {
             locks: LockTable::new(),
             vldb,
             epoch,
-            mounts: OrderedMutex::new(HashMap::new()),
-            busy: OrderedMutex::new(HashSet::new()),
-            hosted: OrderedMutex::new(HashSet::new()),
-            staged: OrderedMutex::new(HashSet::new()),
-            inflight: OrderedMutex::new(HashMap::new()),
-            routes: OrderedMutex::new(HashMap::new()),
-            repl: OrderedMutex::new(Vec::new()),
+            volumes: Volumes::new(),
             known_hosts: OrderedMutex::new(HashSet::new()),
             recovery: OrderedMutex::new(recovery),
             host_log: host_log.clone(),
@@ -317,7 +282,7 @@ impl FileServer {
         }
         srv.tm.register_host(srv.local_host.clone());
         for vol in srv.physical.list_volumes()? {
-            srv.hosted.lock().insert(vol.id);
+            srv.volumes.serve(vol.id);
             srv.vldb.register(vol.id, id)?;
         }
         net.register(addr, srv.clone(), pool);
@@ -379,7 +344,8 @@ impl FileServer {
 
     /// Operation statistics.
     pub fn stats(&self) -> ServerStats {
-        self.stats.lock().clone()
+        let volume_ops = self.volumes.op_counts();
+        ServerStats { volume_ops, ..self.stats.lock().clone() }
     }
 
     /// Returns a glue-wrapped VFS for *local* access to a volume on this
@@ -388,24 +354,8 @@ impl FileServer {
     /// Local operations acquire tokens exactly like remote clients, so
     /// they synchronize correctly with exported guarantees (§5.1, §5.5).
     pub fn local_volume(&self, vol: VolumeId) -> DfsResult<Arc<Glue>> {
-        let fs = self.mount(vol)?;
+        let fs = self.volumes.mount(vol, || self.physical.mount(vol))?;
         Ok(Arc::new(Glue::new(fs, self.tm.clone(), self.local_host.clone())))
-    }
-
-    fn mount(&self, vol: VolumeId) -> DfsResult<Arc<dyn VfsPlus>> {
-        // Busy-volume gating happens in `dispatch` (so revocation-class
-        // store-backs can land while a move is quiescing the volume).
-        let mut mounts = self.mounts.lock();
-        if let Some(v) = mounts.get(&vol) {
-            return Ok(v.clone());
-        }
-        let mounted = self.physical.mount(vol)?;
-        mounts.insert(vol, mounted.clone());
-        Ok(mounted)
-    }
-
-    fn unmount(&self, vol: VolumeId) {
-        self.mounts.lock().remove(&vol);
     }
 
     /// Maps the RPC caller to a token-manager host, registering the
@@ -484,125 +434,63 @@ impl FileServer {
         }
     }
 
-    /// Grants `base ∪ want` to `host` on `fid`, runs `f`, and either
+    /// The grant–run–release step of a server procedure: grants `base`,
+    /// widened by the caller's `want`, to `host`, runs `f`, and either
     /// hands the token to the caller (if `want` was given) or releases
     /// it. Returns `f`'s result, the tokens to ship, and the stamp.
     fn with_grant<R>(
         &self,
         host: HostId,
-        fid: Fid,
-        base: TokenTypes,
-        range: ByteRange,
+        (fid, base, range): Want,
         want: Option<TokenRequest>,
         f: impl FnOnce() -> DfsResult<R>,
-    ) -> DfsResult<(R, Vec<Token>, dfs_types::SerializationStamp)> {
+    ) -> DfsResult<(R, Vec<Token>, SerializationStamp)> {
         let (types, range) = match &want {
             Some(w) => (base.union(w.types), range.union_hull(&w.range)),
             None => (base, range),
         };
-        let (token, stamp) = self.tm.grant(host, fid, types, range)?;
-        let result = f();
-        let keep = want.is_some() && result.is_ok();
-        if !keep {
-            self.tm.release(host, token.id);
-        } else {
+        let held = Granted::new(&self.tm, host, [(fid, types, range)])?;
+        let stamp = held.stamp;
+        let result = f()?;
+        let tokens = if want.is_some() {
             self.journal_holding(host);
-        }
-        match result {
-            Ok(r) => Ok((r, if keep { vec![token] } else { Vec::new() }, stamp)),
-            Err(e) => Err(e),
-        }
+            vec![held.keep_first()]
+        } else {
+            Vec::new()
+        };
+        Ok((result, tokens, stamp))
     }
 
-    fn volume_of(&self, fid: Fid) -> DfsResult<Arc<dyn VfsPlus>> {
-        self.mount(fid.volume)
-    }
-
-    /// Applies a store-back batch through `Vfs::write_vec`: one journal
-    /// transaction, one group commit, durable on return. Shared by
-    /// `StoreData` (single extent) and `StoreDataVec`.
-    fn store_extents(
+    /// A `Status` reply from this instance, served by the primary.
+    fn status_reply(
         &self,
-        ctx: &CallContext,
-        cred: &Credentials,
-        fid: Fid,
-        extents: Vec<WriteExtent>,
-    ) -> DfsResult<Response> {
-        let host = self.host_for(ctx.caller)?;
-        let fs = self.volume_of(fid)?;
-        // Stores issued from token-revocation code (§6.3) run without
-        // further token acquisition: the storing client holds the write
-        // token being revoked, and granting here could nest revocation
-        // chains past any pool bound.
-        if ctx.class == CallClass::Revocation {
-            let status = fs.write_vec(cred, fid, &extents)?;
-            let stamp = self.tm.stamp(fid);
-            return Ok(Response::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 });
-        }
-        // One grant covering the hull of all extents.
-        let mut range = ByteRange::at(extents[0].offset, extents[0].data.len() as u64);
-        for e in &extents[1..] {
-            range = range.union_hull(&ByteRange::at(e.offset, e.data.len() as u64));
-        }
-        let (status, _tokens, stamp) = self.with_grant(
-            host,
-            fid,
-            TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0),
-            range,
-            None,
-            || fs.write_vec(cred, fid, &extents),
-        )?;
-        Ok(Response::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
+        status: FileStatus,
+        tokens: Vec<Token>,
+        stamp: SerializationStamp,
+    ) -> Response {
+        Response::Status { status, tokens, stamp, epoch: self.epoch, stale_us: 0 }
+    }
+
+    /// Calls a peer file server (volume motion and replication traffic),
+    /// surfacing an error reply as `Err`.
+    fn peer_call(&self, server: ServerId, req: Request) -> DfsResult<Response> {
+        self.net.call(self.addr, Addr::Server(server), None, CallClass::Normal, req)?.into_result()
     }
 
     // ------------------------------------------------------------------
     // Volume motion (§3.6) and replication (§3.8)
     // ------------------------------------------------------------------
 
-    /// Pulls back every outstanding guarantee on a volume: dirty data
-    /// and status at clients are stored back before this returns.
-    fn quiesce_volume(&self, volume: VolumeId) -> DfsResult<()> {
+    /// Pulls back guarantees on a whole volume by granting `types` on
+    /// its vnode 0 to this server and letting the grant go. `DIR_WRITE`
+    /// pulls back everything: dirty data and status at clients are
+    /// stored back before this returns. `DIR_READ` pulls back only the
+    /// *write* guarantees: read, lock, and open tokens survive — with
+    /// their ids intact — so a live move can ship them to the target
+    /// instead of revoking the world.
+    fn quiesce(&self, volume: VolumeId, types: TokenTypes) -> DfsResult<()> {
         let vol_fid = Fid::new(volume, VnodeId(0), 0);
-        let (t, _) =
-            self.tm.grant(HostId::Local(self.id.0), vol_fid, DIR_WRITE, ByteRange::WHOLE)?;
-        self.tm.release(HostId::Local(self.id.0), t.id);
-        Ok(())
-    }
-
-    /// Pulls back only the *write* guarantees on a volume: dirty data
-    /// and status at clients are stored back, but read, lock, and open
-    /// tokens survive — with their ids intact — so a live move can ship
-    /// them to the target instead of revoking the world.
-    fn quiesce_writes(&self, volume: VolumeId) -> DfsResult<()> {
-        let vol_fid = Fid::new(volume, VnodeId(0), 0);
-        let (t, _) =
-            self.tm.grant(HostId::Local(self.id.0), vol_fid, DIR_READ, ByteRange::WHOLE)?;
-        self.tm.release(HostId::Local(self.id.0), t.id);
-        Ok(())
-    }
-
-    /// Drops one in-flight count for `volume` (entries vanish at zero so
-    /// the map only holds active volumes).
-    fn inflight_dec(&self, volume: VolumeId) {
-        let mut inflight = self.inflight.lock();
-        if let Some(n) = inflight.get_mut(&volume) {
-            *n -= 1;
-            if *n == 0 {
-                inflight.remove(&volume);
-            }
-        }
-    }
-
-    /// Waits for file RPCs already past the busy gate to finish, so a
-    /// move's delta dump sees no in-flight mutation.
-    fn drain_inflight(&self, volume: VolumeId) {
-        loop {
-            let n = self.inflight.lock().get(&volume).copied().unwrap_or(0);
-            if n == 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
+        Granted::new(&self.tm, HostId::Local(self.id.0), [whole(vol_fid, types)]).map(drop)
     }
 
     /// Moves a volume to `target` **live** (§2.1: applications "are
@@ -613,52 +501,41 @@ impl FileServer {
     /// its high-water data version. Writes keep landing here; anything
     /// newer than the snapshot travels in the phase-2 delta.
     ///
-    /// Phase 2, short blackout: mark the volume busy (new file calls
-    /// bounce with retryable `VolumeBusy`), pull back just the write
-    /// guarantees (read/lock/open tokens survive), wait out calls that
-    /// had already passed the busy gate, ship the delta dump, install
-    /// the surviving client tokens at the target with ids preserved,
-    /// flip the VLDB entry (generation bump), and note the new owner in
-    /// the route table so this server answers `WrongServer` cheaply.
+    /// Phase 2, short blackout: new file calls bounce with retryable
+    /// `VolumeBusy` while we pull back just the write guarantees
+    /// (read/lock/open tokens survive), wait out calls admitted before
+    /// the blackout, ship the delta dump, install the surviving client
+    /// tokens at the target with ids preserved, flip the VLDB entry
+    /// (generation bump), and leave the new owner in the volume table
+    /// so this server answers `WrongServer` cheaply.
     fn move_volume(&self, volume: VolumeId, target: ServerId) -> DfsResult<()> {
         if target == self.id {
             return Err(DfsError::InvalidArgument);
         }
-        if !self.hosted.lock().contains(&volume) {
+        if !self.volumes.hosts(volume) {
             return Err(DfsError::NoSuchVolume);
         }
         // Phase 1: live bulk ship.
-        self.quiesce_writes(volume)?;
+        self.quiesce(volume, DIR_READ)?;
         let full = self.physical.dump_volume(volume, 0)?;
         let base = full.max_data_version;
-        if let Err(e) = self
-            .net
-            .call(
-                self.addr,
-                Addr::Server(target),
-                None,
-                CallClass::Normal,
-                Request::VolRestore { dump: full, read_only: false },
-            )
-            .and_then(Response::into_result)
-        {
-            // A timed-out ship may still have landed; make sure no
-            // staged copy survives the aborted move (best effort).
-            let _ = self.net.call(
-                self.addr,
-                Addr::Server(target),
-                None,
-                CallClass::Normal,
-                Request::VolDiscard { volume },
-            );
-            return Err(e);
-        }
+        // Whatever fails from here on, the target may hold a staged
+        // copy (a timed-out ship may still have landed): tell it to
+        // throw the copy away so the fork cannot outlive the failed
+        // move (best effort — an unreachable target discards nothing,
+        // but its copy stays staged and is never served).
+        let discard = |e| {
+            let _ = self.peer_call(target, Request::VolDiscard { volume });
+            e
+        };
+        self.peer_call(target, Request::VolRestore { dump: full, read_only: false })
+            .map_err(discard)?;
 
         // Phase 2: blackout.
-        self.busy.lock().insert(volume);
+        self.volumes.begin_blackout(volume).map_err(discard)?;
         let result = (|| {
-            self.quiesce_writes(volume)?;
-            self.drain_inflight(volume);
+            self.quiesce(volume, DIR_READ)?;
+            self.volumes.drain(volume);
             let mut delta = self.physical.dump_volume(volume, base)?;
             // A `base` of 0 (volume never written) dumps everything with
             // `since_version == 0`, which the restorer reads as "create
@@ -666,15 +543,7 @@ impl FileServer {
             // copy. Mark the dump incremental; applying every file over
             // the identical copy is harmless.
             delta.since_version = delta.since_version.max(1);
-            self.net
-                .call(
-                    self.addr,
-                    Addr::Server(target),
-                    None,
-                    CallClass::Normal,
-                    Request::VolRestore { dump: delta, read_only: false },
-                )?
-                .into_result()?;
+            self.peer_call(target, Request::VolRestore { dump: delta, read_only: false })?;
             // Ship the surviving guarantees: clients keep their cached
             // tokens across the move, and the target keeps stamping
             // above our serialization floors (§6.2).
@@ -686,90 +555,36 @@ impl FileServer {
                     _ => None,
                 })
                 .collect();
-            self.net
-                .call(
-                    self.addr,
-                    Addr::Server(target),
-                    None,
-                    CallClass::Normal,
-                    Request::VolInstallTokens { volume, grants, stamps },
-                )?
-                .into_result()?;
-            // Flip ownership. Route note first, then drop from hosted:
-            // the instant the routing gate starts redirecting, the hint
-            // must already be there.
+            self.peer_call(target, Request::VolInstallTokens { volume, grants, stamps })?;
+            // Flip ownership: the table entry stops hosting and starts
+            // carrying the route note in one step, so the instant the
+            // routing gate redirects, the hint is there.
             self.vldb.register(volume, target)?;
             let generation = self.vldb.lookup_gen(volume).map(|(_, g)| g).unwrap_or(0);
-            self.routes.lock().insert(volume, (target, generation));
-            self.hosted.lock().remove(&volume);
-            self.unmount(volume);
+            self.volumes.moved_away(volume, target, generation);
             self.physical.delete_volume(volume)?;
             self.tm.drop_volume(volume);
             Ok(())
         })();
-        self.busy.lock().remove(&volume);
+        // A no-op once the volume has moved away.
+        self.volumes.end_blackout(volume);
         if result.is_ok() {
             self.stats.lock().moves += 1;
-        } else {
-            // Phase 1 left a staged copy at the target; tell it to throw
-            // the copy away so the fork cannot outlive the failed move
-            // (best effort — an unreachable target discards nothing, but
-            // its copy stays staged and is never served).
-            let _ = self.net.call(
-                self.addr,
-                Addr::Server(target),
-                None,
-                CallClass::Normal,
-                Request::VolDiscard { volume },
-            );
         }
-        result
+        result.map_err(discard)
     }
 
     /// Starts lazily replicating `volume` from `source` onto this
     /// server, with the given maximum staleness (§3.8).
     fn replica_add(&self, volume: VolumeId, source: ServerId, max_staleness_us: u64) -> DfsResult<()> {
-        // Initial full fetch.
-        let resp = self.net.call(
-            self.addr,
-            Addr::Server(source),
-            None,
-            CallClass::Normal,
-            Request::VolDump { volume, since_version: 0 },
-        )?;
-        let dump = match resp.into_result()? {
-            Response::Dump(d) => d,
-            _ => return Err(DfsError::Internal("bad dump response")),
-        };
-        let base = dump.max_data_version;
+        let dump = self.fetch_dump(source, volume, 0)?;
         self.physical.restore_volume(&dump, true)?;
-        self.unmount(volume);
+        self.volumes.restored(volume);
+        self.arm_replica_token(source, volume);
         // The replica serves (read-only) copies of the volume itself —
         // it must not redirect readers back to the master.
-        self.hosted.lock().insert(volume);
-        // Whole-volume token: the guarantee that the replica may be used
-        // until the master changes (§3.8).
-        let _ = self.net.call(
-            self.addr,
-            Addr::Server(source),
-            None,
-            CallClass::Normal,
-            Request::GetToken {
-                fid: Fid::new(volume, VnodeId(0), 0),
-                want: TokenRequest {
-                    types: DIR_READ,
-                    range: ByteRange::WHOLE,
-                },
-            },
-        );
-        self.repl.lock().push(ReplJob {
-            volume,
-            source,
-            max_staleness_us,
-            last_refresh: self.net.clock().now(),
-            base_version: base,
-            dirty: false,
-        });
+        let now = self.net.clock().now();
+        self.volumes.add_replica(volume, source, max_staleness_us, now, dump.max_data_version);
         // Advertise this replica in the VLDB so clients can find it
         // when the primary is down (§3.8 promotion). Best effort: a
         // replica that fails to advertise still serves direct readers.
@@ -777,21 +592,31 @@ impl FileServer {
         Ok(())
     }
 
+    /// Fetches `volume`'s changes since data version `since` from `source`.
+    fn fetch_dump(&self, source: ServerId, volume: VolumeId, since: u64) -> DfsResult<VolumeDump> {
+        match self.peer_call(source, Request::VolDump { volume, since_version: since })? {
+            Response::Dump(dump) => Ok(dump),
+            _ => Err(DfsError::Internal("bad dump response")),
+        }
+    }
+
+    /// (Re-)takes the whole-volume token: the guarantee that the replica
+    /// may be used until the master changes (§3.8). Best effort.
+    fn arm_replica_token(&self, source: ServerId, volume: VolumeId) {
+        let fid = Fid::new(volume, VnodeId(0), 0);
+        let want = TokenRequest { types: DIR_READ, range: ByteRange::WHOLE };
+        let _ = self.peer_call(source, Request::GetToken { fid, want });
+    }
+
     /// Stamps the replica staleness bound into a file response when the
-    /// answering volume is a §3.8 replica: the age of its last refresh,
-    /// clamped to ≥ 1 µs so even a just-refreshed replica is
-    /// distinguishable from the primary (clients must not treat replica
-    /// bytes as token-backed cacheable data). Primary-served volumes
-    /// (no replication job) pass through with `stale_us` = 0.
-    fn stamp_staleness(&self, volume: Option<VolumeId>, resp: Response) -> Response {
-        let Some(v) = volume else { return resp };
-        let age = {
-            let jobs = self.repl.lock();
-            jobs.iter()
-                .find(|j| j.volume == v)
-                .map(|j| self.net.clock().now().micros_since(j.last_refresh).max(1))
-        };
-        let Some(age) = age else { return resp };
+    /// answering volume is a §3.8 replica: the age of its last refresh
+    /// (as of the call's admission), clamped to ≥ 1 µs so even a
+    /// just-refreshed replica is distinguishable from the primary
+    /// (clients must not treat replica bytes as token-backed cacheable
+    /// data). Primary-served volumes pass through with `stale_us` = 0.
+    fn stamp_staleness(&self, refreshed: Option<Timestamp>, resp: Response) -> Response {
+        let Some(refreshed) = refreshed else { return resp };
+        let age = self.net.clock().now().micros_since(refreshed).max(1);
         match resp {
             Response::Status { status, tokens, stamp, epoch, .. } => {
                 Response::Status { status, tokens, stamp, epoch, stale_us: age }
@@ -804,61 +629,22 @@ impl FileServer {
     }
 
     /// One replication pass: refreshes any replica past its staleness
-    /// bound (or known-dirty via token revocation). Driven explicitly by
+    /// bound and known-dirty via token revocation. Driven explicitly by
     /// `ReplTick` so experiments control simulated time.
     fn replica_tick(&self) -> DfsResult<()> {
         let now = self.net.clock().now();
-        let due: Vec<(VolumeId, ServerId, u64)> = {
-            let jobs = self.repl.lock();
-            jobs.iter()
-                .filter(|j| {
-                    // Lazy: refresh only when the master is known to have
-                    // changed (our whole-volume token was revoked) AND
-                    // the staleness budget has been spent. An unchanged
-                    // master costs no refresh traffic at all (§3.8).
-                    j.dirty && now.micros_since(j.last_refresh) >= j.max_staleness_us
-                })
-                .map(|j| (j.volume, j.source, j.base_version))
-                .collect()
-        };
-        for (volume, source, base) in due {
-            let resp = self.net.call(
-                self.addr,
-                Addr::Server(source),
-                None,
-                CallClass::Normal,
-                Request::VolDump { volume, since_version: base },
-            )?;
-            let dump = match resp.into_result()? {
-                Response::Dump(d) => d,
-                _ => continue,
-            };
-            let new_base = dump.max_data_version;
+        for (volume, source, base) in self.volumes.replicas_due(now) {
+            let dump = self.fetch_dump(source, volume, base)?;
             let shipped = !dump.files.is_empty();
             if shipped {
                 // The client of the replica "is guaranteed to always see
-                // a consistent snapshot": swap-in happens under the
-                // volume mount lock via restore.
-                self.unmount(volume);
+                // a consistent snapshot": restore swaps the volume in
+                // whole, and later calls mount the new one.
                 self.physical.restore_volume(&dump, true)?;
+                self.volumes.restored(volume);
             }
-            // Re-arm the whole-volume token.
-            let _ = self.net.call(
-                self.addr,
-                Addr::Server(source),
-                None,
-                CallClass::Normal,
-                Request::GetToken {
-                    fid: Fid::new(volume, VnodeId(0), 0),
-                    want: TokenRequest { types: DIR_READ, range: ByteRange::WHOLE },
-                },
-            );
-            let mut jobs = self.repl.lock();
-            if let Some(j) = jobs.iter_mut().find(|j| j.volume == volume) {
-                j.last_refresh = now;
-                j.base_version = new_base;
-                j.dirty = false;
-            }
+            self.arm_replica_token(source, volume);
+            self.volumes.refreshed(volume, now, dump.max_data_version);
             if shipped {
                 self.stats.lock().replica_refreshes += 1;
             }
@@ -870,56 +656,39 @@ impl FileServer {
     // The server procedures (§3.5)
     // ------------------------------------------------------------------
 
-    fn handle(&self, ctx: &CallContext, req: Request) -> DfsResult<Response> {
+    /// The file procedures, run on the request's (admitted, mounted)
+    /// volume `fs`.
+    fn file_op(&self, ctx: &CallContext, fs: &dyn VfsPlus, req: Request) -> DfsResult<Response> {
         use Request as Q;
         use Response as P;
-        let cred = self.cred_for(ctx);
+        let cred = &self.cred_for(ctx);
+        let host = self.host_for(ctx.caller)?;
         match req {
-            Q::Ping => Ok(P::Ok),
-
-            Q::GetRoot { volume } => {
-                let fs = self.mount(volume)?;
-                Ok(P::FidIs(fs.root()?))
-            }
+            Q::GetRoot { .. } => Ok(P::FidIs(fs.root()?)),
 
             Q::FetchStatus { fid, want } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(fid)?;
-                let (status, tokens, stamp) = self.with_grant(
-                    host,
-                    fid,
-                    TokenTypes::STATUS_READ,
-                    ByteRange::WHOLE,
-                    want,
-                    || fs.getattr(&cred, fid),
-                )?;
-                Ok(P::Status { status, tokens, stamp, epoch: self.epoch, stale_us: 0 })
+                let base = whole(fid, TokenTypes::STATUS_READ);
+                let (status, tokens, stamp) =
+                    self.with_grant(host, base, want, || fs.getattr(cred, fid))?;
+                Ok(self.status_reply(status, tokens, stamp))
             }
 
             Q::FetchData { fid, offset, len, want } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(fid)?;
-                let range = ByteRange::at(offset, len as u64);
-                let ((bytes, status), tokens, stamp) = self.with_grant(
-                    host,
-                    fid,
-                    TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0),
-                    range,
-                    want,
-                    || {
-                        let bytes = fs.read(&cred, fid, offset, len as usize)?;
-                        let status = fs.getattr(&cred, fid)?;
-                        Ok((bytes, status))
-                    },
-                )?;
+                let types = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0);
+                let base = (fid, types, ByteRange::at(offset, len as u64));
+                let ((bytes, status), tokens, stamp) = self.with_grant(host, base, want, || {
+                    Ok((fs.read(cred, fid, offset, len as usize)?, fs.getattr(cred, fid)?))
+                })?;
                 Ok(P::Data { bytes, status, tokens, stamp, epoch: self.epoch, stale_us: 0 })
             }
 
+            // A store-back batch goes through `Vfs::write_vec`: one
+            // journal transaction, one group commit, durable on return.
             Q::StoreData { fid, offset, data } => {
-                let extents = vec![WriteExtent { offset, data }];
-                self.store_extents(ctx, &cred, fid, extents)
+                let extents = [WriteExtent { offset, data }];
+                let base = (fid, DIR_WRITE, hull(&extents));
+                self.store(ctx, host, base, || fs.write_vec(cred, fid, &extents))
             }
-
             Q::StoreDataVec { fid, extents } => {
                 if extents.is_empty()
                     || extents.len() > MAX_STORE_EXTENTS
@@ -927,259 +696,189 @@ impl FileServer {
                 {
                     return Err(DfsError::InvalidArgument);
                 }
-                self.store_extents(ctx, &cred, fid, extents)
+                let base = (fid, DIR_WRITE, hull(&extents));
+                self.store(ctx, host, base, || fs.write_vec(cred, fid, &extents))
             }
-
             Q::StoreStatus { fid, attrs } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(fid)?;
-                if ctx.class == CallClass::Revocation {
-                    // Status pushed back from revocation code: grant-free
-                    // (the storing client holds the status-write token).
-                    let status = fs.setattr(&cred, fid, &attrs)?;
-                    let stamp = self.tm.stamp(fid);
-                    return Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 });
-                }
                 let types = if attrs.length.is_some() { DIR_WRITE } else { TokenTypes::STATUS_WRITE };
-                let (status, _t, stamp) = self.with_grant(
-                    host,
-                    fid,
-                    types,
-                    ByteRange::WHOLE,
-                    None,
-                    || fs.setattr(&cred, fid, &attrs),
-                )?;
-                Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
+                self.store(ctx, host, whole(fid, types), || fs.setattr(cred, fid, &attrs))
             }
 
-            Q::Fsync { fid } => {
-                let fs = self.volume_of(fid)?;
-                fs.fsync(&cred, fid)?;
-                Ok(P::Ok)
-            }
+            Q::Fsync { fid } => fs.fsync(cred, fid).map(|()| P::Ok),
 
             Q::GetToken { fid, want } => {
-                let host = self.host_for(ctx.caller)?;
+                let base = (fid, TokenTypes::NONE, want.range);
                 // Whole-volume tokens (vnode 0) have no status to fetch.
-                if fid.vnode.0 == 0 {
-                    let (token, stamp) = self.tm.grant(host, fid, want.types, want.range)?;
-                    self.journal_holding(host);
-                    return Ok(P::Status {
-                        status: dfs_types::FileStatus { fid, stamp, ..Default::default() },
-                        tokens: vec![token],
-                        stamp,
-                        epoch: self.epoch,
-                        stale_us: 0,
-                    });
-                }
-                let fs = self.volume_of(fid)?;
-                let (status, tokens, stamp) = self.with_grant(
-                    host,
-                    fid,
-                    TokenTypes::NONE,
-                    want.range,
-                    Some(want),
-                    || fs.getattr(&cred, fid),
-                )?;
-                Ok(P::Status { status, tokens, stamp, epoch: self.epoch, stale_us: 0 })
+                let (status, tokens, stamp) = if fid.vnode.0 == 0 {
+                    let ((), tokens, stamp) = self.with_grant(host, base, Some(want), || Ok(()))?;
+                    (FileStatus { fid, stamp, ..Default::default() }, tokens, stamp)
+                } else {
+                    self.with_grant(host, base, Some(want), || fs.getattr(cred, fid))?
+                };
+                Ok(self.status_reply(status, tokens, stamp))
             }
 
-            Q::ReturnToken { fid, token } => {
-                let host = self.host_for(ctx.caller)?;
-                let _ = fid;
+            Q::ReturnToken { token, .. } => {
                 self.tm.release(host, token);
                 Ok(P::Ok)
             }
 
             Q::Lookup { dir, name, want } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(dir)?;
-                let (status, tokens, _stamp) = self.with_grant(
-                    host,
-                    dir,
-                    DIR_READ,
-                    ByteRange::WHOLE,
-                    want,
-                    || fs.lookup(&cred, dir, &name),
-                )?;
-                let stamp = self.tm.stamp(status.fid);
-                Ok(P::Status { status, tokens, stamp, epoch: self.epoch, stale_us: 0 })
+                self.dir_op(host, dir, DIR_READ, want, || fs.lookup(cred, dir, &name))
+            }
+            Q::Create { dir, name, mode } => {
+                self.dir_op(host, dir, DIR_WRITE, None, || fs.create(cred, dir, &name, mode))
+            }
+            Q::Mkdir { dir, name, mode } => {
+                self.dir_op(host, dir, DIR_WRITE, None, || fs.mkdir(cred, dir, &name, mode))
+            }
+            Q::Symlink { dir, name, target } => {
+                self.dir_op(host, dir, DIR_WRITE, None, || fs.symlink(cred, dir, &name, &target))
             }
 
-            Q::Create { dir, name, mode } => self.namespace_op(ctx, dir, |fs| {
-                fs.create(&cred, dir, &name, mode)
-            }),
-            Q::Mkdir { dir, name, mode } => self.namespace_op(ctx, dir, |fs| {
-                fs.mkdir(&cred, dir, &name, mode)
-            }),
-            Q::Symlink { dir, name, target } => self.namespace_op(ctx, dir, |fs| {
-                fs.symlink(&cred, dir, &name, &target)
-            }),
             Q::Link { dir, name, target } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(dir)?;
-                let (t2, _) =
-                    self.tm.grant(host, target, TokenTypes::STATUS_WRITE, ByteRange::WHOLE)?;
-                let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
-                    fs.link(&cred, dir, &name, target)
-                });
-                self.tm.release(host, t2.id);
-                let (status, _t, stamp) = result?;
-                Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
+                let wants = [whole(dir, DIR_WRITE), whole(target, TokenTypes::STATUS_WRITE)];
+                let held = Granted::new(&self.tm, host, wants)?;
+                let status = fs.link(cred, dir, &name, target)?;
+                Ok(self.status_reply(status, Vec::new(), held.stamp))
             }
 
             Q::Remove { dir, name } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(dir)?;
                 // Assure no remote users of the victim (§5.4): take an
                 // exclusive-write open token plus write tokens on it.
-                let victim = fs.lookup(&cred, dir, &name)?;
-                let (vt, _) = self.tm.grant(
-                    host,
-                    victim.fid,
-                    TokenTypes(
-                        TokenTypes::OPEN_EXCLUSIVE_WRITE.0
-                            | TokenTypes::STATUS_WRITE.0
-                            | TokenTypes::DATA_WRITE.0,
-                    ),
-                    ByteRange::WHOLE,
-                )?;
-                let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
-                    fs.remove(&cred, dir, &name)
-                });
-                self.tm.release(host, vt.id);
-                let (status, _t, stamp) = result?;
-                Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
+                let victim = fs.lookup(cred, dir, &name)?;
+                let exclusive = TokenTypes(TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | DIR_WRITE.0);
+                let wants = [whole(dir, DIR_WRITE), whole(victim.fid, exclusive)];
+                let held = Granted::new(&self.tm, host, wants)?;
+                let status = fs.remove(cred, dir, &name)?;
+                Ok(self.status_reply(status, Vec::new(), held.stamp))
             }
 
             Q::Rmdir { dir, name } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(dir)?;
-                let victim = fs.lookup(&cred, dir, &name)?;
-                let (vt, _) = self.tm.grant(
-                    host,
-                    victim.fid,
-                    TokenTypes(TokenTypes::STATUS_WRITE.0 | TokenTypes::DATA_WRITE.0),
-                    ByteRange::WHOLE,
-                )?;
-                let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
-                    fs.rmdir(&cred, dir, &name)
-                });
-                self.tm.release(host, vt.id);
-                result?;
-                Ok(P::Ok)
+                let victim = fs.lookup(cred, dir, &name)?;
+                let wants = [whole(dir, DIR_WRITE), whole(victim.fid, DIR_WRITE)];
+                let _held = Granted::new(&self.tm, host, wants)?;
+                fs.rmdir(cred, dir, &name).map(|()| P::Ok)
             }
 
             Q::Rename { src_dir, src_name, dst_dir, dst_name } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(src_dir)?;
-                // Grant on both directories in fid order (deadlock
-                // avoidance between concurrent server operations).
-                let (a, b) = if src_dir <= dst_dir { (src_dir, dst_dir) } else { (dst_dir, src_dir) };
-                let (t1, _) = self.tm.grant(host, a, DIR_WRITE, ByteRange::WHOLE)?;
-                let t2 = if b != a {
-                    Some(self.tm.grant(host, b, DIR_WRITE, ByteRange::WHOLE)?.0)
-                } else {
-                    None
-                };
-                let result = fs.rename(&cred, src_dir, &src_name, dst_dir, &dst_name);
-                if let Some(t) = t2 {
-                    self.tm.release(host, t.id);
-                }
-                self.tm.release(host, t1.id);
-                result?;
-                Ok(P::Ok)
+                let wants = [whole(src_dir, DIR_WRITE), whole(dst_dir, DIR_WRITE)];
+                let _held = Granted::new(&self.tm, host, wants)?;
+                fs.rename(cred, src_dir, &src_name, dst_dir, &dst_name).map(|()| P::Ok)
             }
 
             Q::Readdir { dir } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(dir)?;
-                let (entries, _t, _s) = self.with_grant(
-                    host,
-                    dir,
-                    DIR_READ,
-                    ByteRange::WHOLE,
-                    None,
-                    || fs.readdir(&cred, dir),
-                )?;
+                let base = whole(dir, DIR_READ);
+                let (entries, ..) = self.with_grant(host, base, None, || fs.readdir(cred, dir))?;
                 Ok(P::Entries(entries))
             }
 
-            Q::Readlink { fid } => {
-                let fs = self.volume_of(fid)?;
-                Ok(P::Target(fs.readlink(&cred, fid)?))
-            }
+            Q::Readlink { fid } => Ok(P::Target(fs.readlink(cred, fid)?)),
 
-            Q::GetAcl { fid } => {
-                let fs = self.volume_of(fid)?;
-                Ok(P::AclIs(fs.get_acl(&cred, fid)?))
-            }
+            Q::GetAcl { fid } => Ok(P::AclIs(fs.get_acl(cred, fid)?)),
 
             Q::SetAcl { fid, acl } => {
-                let host = self.host_for(ctx.caller)?;
-                let fs = self.volume_of(fid)?;
-                let (_r, _t, _s) = self.with_grant(
-                    host,
-                    fid,
-                    TokenTypes::STATUS_WRITE,
-                    ByteRange::WHOLE,
-                    None,
-                    || fs.set_acl(&cred, fid, &acl),
-                )?;
+                let base = whole(fid, TokenTypes::STATUS_WRITE);
+                self.with_grant(host, base, None, || fs.set_acl(cred, fid, &acl))?;
                 Ok(P::Ok)
             }
 
             Q::SetLock { fid, range, write } => {
-                let host = self.host_for(ctx.caller)?;
-                self.volume_of(fid)?;
                 // A server-mediated lock must first pull back conflicting
                 // lock *tokens*: holders with active locks retain them,
                 // which correctly refuses this lock (§5.3).
                 let types =
                     if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
-                let (t, _) = self.tm.grant(host, fid, types, range)?;
-                let result = self.locks.set(host, fid, range, write);
-                self.tm.release(host, t.id);
-                result?;
-                Ok(P::Ok)
+                let _held = Granted::new(&self.tm, host, [(fid, types, range)])?;
+                self.locks.set(host, fid, range, write).map(|()| P::Ok)
             }
 
             Q::ReleaseLock { fid, range } => {
-                let host = self.host_for(ctx.caller)?;
                 self.locks.release(host, fid, range);
                 Ok(P::Ok)
             }
 
+            _ => Err(DfsError::Internal("not a file call")),
+        }
+    }
+
+    /// A store on behalf of `host`: granted like any other procedure,
+    /// except that stores issued from token-revocation code (§6.3) run
+    /// without further token acquisition — the storing client holds the
+    /// write token being revoked, and granting here could nest
+    /// revocation chains past any pool bound.
+    fn store(
+        &self,
+        ctx: &CallContext,
+        host: HostId,
+        base: Want,
+        f: impl FnOnce() -> DfsResult<FileStatus>,
+    ) -> DfsResult<Response> {
+        if ctx.class == CallClass::Revocation {
+            return Ok(self.status_reply(f()?, Vec::new(), self.tm.stamp(base.0)));
+        }
+        let (status, _, stamp) = self.with_grant(host, base, None, f)?;
+        Ok(self.status_reply(status, Vec::new(), stamp))
+    }
+
+    /// A directory procedure answering with the status of the *child* it
+    /// looked up or made, stamped on the child's own counter.
+    fn dir_op(
+        &self,
+        host: HostId,
+        dir: Fid,
+        types: TokenTypes,
+        want: Option<TokenRequest>,
+        f: impl FnOnce() -> DfsResult<FileStatus>,
+    ) -> DfsResult<Response> {
+        let (status, tokens, _) = self.with_grant(host, whole(dir, types), want, f)?;
+        let stamp = self.tm.stamp(status.fid);
+        Ok(self.status_reply(status, tokens, stamp))
+    }
+
+    /// The procedures addressed to this server itself.
+    fn admin_op(&self, ctx: &CallContext, req: Request) -> DfsResult<Response> {
+        use Request as Q;
+        use Response as P;
+        match req {
+            Q::Ping => Ok(P::Ok),
+
             Q::VolCreate { volume, name } => {
                 self.physical.create_volume(volume, &name)?;
-                self.hosted.lock().insert(volume);
+                self.volumes.serve(volume);
                 self.vldb.register(volume, self.id)?;
                 Ok(P::Ok)
             }
             Q::VolDelete { volume } => {
-                self.unmount(volume);
+                // Stop serving before anything is destroyed: bounce new
+                // calls, wait out the admitted ones as a move does, and
+                // only then forget the volume, its bytes and — so a
+                // volume re-created under this id starts clean — its
+                // grants and stamps.
+                if self.volumes.begin_blackout(volume).is_ok() {
+                    self.volumes.drain(volume);
+                }
+                self.volumes.remove(volume);
                 self.physical.delete_volume(volume)?;
-                self.hosted.lock().remove(&volume);
+                self.tm.drop_volume(volume);
                 self.vldb.unregister(volume)?;
                 Ok(P::Ok)
             }
             Q::VolClone { src, clone, name } => {
                 // Snapshot what clients have written, not just what has
                 // been stored back: revoke outstanding write tokens.
-                self.quiesce_volume(src)?;
+                self.quiesce(src, DIR_WRITE)?;
                 self.physical.clone_volume(src, clone, &name)?;
-                self.hosted.lock().insert(clone);
+                self.volumes.serve(clone);
                 self.vldb.register(clone, self.id)?;
                 Ok(P::Ok)
             }
             Q::VolDump { volume, since_version } => {
-                self.quiesce_volume(volume)?;
+                self.quiesce(volume, DIR_WRITE)?;
                 Ok(P::Dump(self.physical.dump_volume(volume, since_version)?))
             }
             Q::VolRestore { dump, read_only } => {
-                let vol = dump.volume;
                 self.physical.restore_volume(&dump, read_only)?;
-                self.unmount(vol);
                 // A move target keeps the shipped copy *staged* until the
                 // handover completes (`VolInstallTokens`): the VLDB still
                 // names the source, and a client holding a stale hint
@@ -1187,9 +886,7 @@ impl FileServer {
                 // accepting writes into) the phase-1 snapshot would fork
                 // the volume, with the writes clobbered by the phase-2
                 // delta.
-                if !self.hosted.lock().contains(&vol) {
-                    self.staged.lock().insert(vol);
-                }
+                self.volumes.restored(dump.volume);
                 Ok(P::Ok)
             }
             Q::VolInstallTokens { volume, grants, stamps } => {
@@ -1220,9 +917,7 @@ impl FileServer {
                 // coherence state is in place, so the staged copy
                 // becomes a hosted volume this server serves (the
                 // source flips the VLDB right after this call returns).
-                self.staged.lock().remove(&volume);
-                self.hosted.lock().insert(volume);
-                self.routes.lock().remove(&volume);
+                self.volumes.serve(volume);
                 Ok(P::Ok)
             }
             Q::VolDiscard { volume } => {
@@ -1230,27 +925,19 @@ impl FileServer {
                 // away the staged copy so this server cannot end up
                 // claiming a stale fork of the volume. Already-promoted
                 // (or never-staged) volumes are untouched.
-                if self.staged.lock().remove(&volume) {
-                    self.unmount(volume);
+                if self.volumes.discard_staged(volume) {
                     self.physical.delete_volume(volume)?;
                 }
                 Ok(P::Ok)
             }
             Q::VolInfo { volume } => Ok(P::VolumeIs(self.physical.volume_info(volume)?)),
             Q::VolList => Ok(P::Volumes(self.physical.list_volumes()?)),
-            Q::VolMove { volume, target } => {
-                self.move_volume(volume, target)?;
-                Ok(P::Ok)
-            }
+            Q::VolMove { volume, target } => self.move_volume(volume, target).map(|()| P::Ok),
 
             Q::ReplAdd { volume, source, max_staleness_us } => {
-                self.replica_add(volume, source, max_staleness_us)?;
-                Ok(P::Ok)
+                self.replica_add(volume, source, max_staleness_us).map(|()| P::Ok)
             }
-            Q::ReplTick => {
-                self.replica_tick()?;
-                Ok(P::Ok)
-            }
+            Q::ReplTick => self.replica_tick().map(|()| P::Ok),
 
             Q::GetEpoch => Ok(P::EpochIs { epoch: self.epoch, in_grace: self.in_grace() }),
 
@@ -1299,53 +986,25 @@ impl FileServer {
                 Ok(P::Reestablished { epoch: self.epoch, tokens: granted })
             }
 
-            Q::RevokeToken { token, types: _, stamp: _ } => {
-                // We hold whole-volume replica tokens only: mark the
-                // replica dirty and return the token (§3.8).
-                let mut jobs = self.repl.lock();
-                if let Some(j) = jobs.iter_mut().find(|j| j.volume == token.fid.volume) {
-                    j.dirty = true;
-                }
-                Ok(P::RevokeAck { returned: true })
+            Q::RevokeToken { token, types, stamp } => {
+                Ok(P::RevokeAck { returned: self.replica_revoked(&[(token, types, stamp)])[0] })
             }
-
             Q::RevokeVec { items } => {
-                // Batched twin of RevokeToken: mark each token's volume
-                // replica dirty and return every token, one answer per
-                // item in request order.
-                let mut jobs = self.repl.lock();
-                let returned = items
-                    .iter()
-                    .map(|(token, _types, _stamp)| {
-                        if let Some(j) =
-                            jobs.iter_mut().find(|j| j.volume == token.fid.volume)
-                        {
-                            j.dirty = true;
-                        }
-                        true
-                    })
-                    .collect();
-                Ok(P::RevokeVecAck { returned })
+                Ok(P::RevokeVecAck { returned: self.replica_revoked(&items) })
             }
 
-            Q::Login { .. } | Q::VlLookup { .. } | Q::VlRegister { .. }
-            | Q::VlUnregister { .. } | Q::VlList | Q::VlAddReplica { .. }
-            | Q::VlReplicas { .. } => Err(DfsError::InvalidArgument),
+            // VLDB and login traffic (and any file call sent past
+            // `dispatch`) is not for a file server.
+            _ => Err(DfsError::InvalidArgument),
         }
     }
 
-    fn namespace_op(
-        &self,
-        ctx: &CallContext,
-        dir: Fid,
-        f: impl FnOnce(&Arc<dyn VfsPlus>) -> DfsResult<dfs_types::FileStatus>,
-    ) -> DfsResult<Response> {
-        let host = self.host_for(ctx.caller)?;
-        let fs = self.volume_of(dir)?;
-        let (status, _t, _s) =
-            self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || f(&fs))?;
-        let stamp = self.tm.stamp(status.fid);
-        Ok(Response::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
+    /// Answers revocations aimed at this server. We hold whole-volume
+    /// replica tokens only: mark each token's replica dirty and return
+    /// it (§3.8) — one answer per item, in request order.
+    fn replica_revoked(&self, items: &[(Token, TokenTypes, SerializationStamp)]) -> Vec<bool> {
+        items.iter().for_each(|(token, ..)| self.volumes.mark_dirty(token.fid.volume));
+        vec![true; items.len()]
     }
 
     /// The volume a file RPC is about, if any. Admin traffic (volume
@@ -1353,10 +1012,33 @@ impl FileServer {
     /// is addressed to a specific server deliberately and must never be
     /// redirected or forwarded.
     fn volume_of_req(req: &Request) -> Option<VolumeId> {
-        match req {
-            Request::GetRoot { volume } => Some(*volume),
-            _ => Self::fid_of(req).map(|f| f.volume),
-        }
+        let fid = match req {
+            Request::GetRoot { volume } => return Some(*volume),
+            Request::FetchStatus { fid, .. }
+            | Request::FetchData { fid, .. }
+            | Request::StoreData { fid, .. }
+            | Request::StoreDataVec { fid, .. }
+            | Request::StoreStatus { fid, .. }
+            | Request::Fsync { fid }
+            | Request::GetToken { fid, .. }
+            | Request::ReturnToken { fid, .. }
+            | Request::Readlink { fid }
+            | Request::GetAcl { fid }
+            | Request::SetAcl { fid, .. }
+            | Request::SetLock { fid, .. }
+            | Request::ReleaseLock { fid, .. } => fid,
+            Request::Lookup { dir, .. }
+            | Request::Create { dir, .. }
+            | Request::Mkdir { dir, .. }
+            | Request::Symlink { dir, .. }
+            | Request::Link { dir, .. }
+            | Request::Remove { dir, .. }
+            | Request::Rmdir { dir, .. }
+            | Request::Readdir { dir } => dir,
+            Request::Rename { src_dir, .. } => src_dir,
+            _ => return None,
+        };
+        Some(fid.volume)
     }
 
     /// File RPCs cheap enough to answer by proxy: token-free one-shot
@@ -1375,17 +1057,19 @@ impl FileServer {
 
     /// Answers a call for a volume this server does not host: forward
     /// one-shot reads to the owner, redirect everything else with a
-    /// `WrongServer` hint (route note if we moved it away ourselves,
-    /// else a fresh VLDB lookup).
-    fn not_hosted(&self, ctx: &CallContext, volume: VolumeId, req: Request) -> Response {
-        let hint = self.routes.lock().get(&volume).copied();
-        let hint = match hint {
-            Some(h) => Some(h),
-            None => match self.vldb.lookup_gen(volume) {
-                Ok((server, generation)) if server != self.id => Some((server, generation)),
-                _ => None,
-            },
-        };
+    /// `WrongServer` hint (`route`, the note left if we moved it away
+    /// ourselves, else a fresh VLDB lookup).
+    fn not_hosted(
+        &self,
+        ctx: &CallContext,
+        volume: VolumeId,
+        route: Option<(ServerId, u64)>,
+        req: Request,
+    ) -> Response {
+        let hint = route.or_else(|| match self.vldb.lookup_gen(volume) {
+            Ok((server, generation)) if server != self.id => Some((server, generation)),
+            _ => None,
+        });
         let Some((server, generation)) = hint else {
             return Response::Err(DfsError::NoSuchVolume);
         };
@@ -1416,34 +1100,12 @@ impl FileServer {
         self.stats.lock().wrong_server_redirects += 1;
         Response::WrongServer { hint: server, generation }
     }
+}
 
-    fn fid_of(req: &Request) -> Option<Fid> {
-        match req {
-            Request::FetchStatus { fid, .. }
-            | Request::FetchData { fid, .. }
-            | Request::StoreData { fid, .. }
-            | Request::StoreDataVec { fid, .. }
-            | Request::StoreStatus { fid, .. }
-            | Request::Fsync { fid }
-            | Request::GetToken { fid, .. }
-            | Request::ReturnToken { fid, .. }
-            | Request::Readlink { fid }
-            | Request::GetAcl { fid }
-            | Request::SetAcl { fid, .. }
-            | Request::SetLock { fid, .. }
-            | Request::ReleaseLock { fid, .. } => Some(*fid),
-            Request::Lookup { dir, .. }
-            | Request::Create { dir, .. }
-            | Request::Mkdir { dir, .. }
-            | Request::Symlink { dir, .. }
-            | Request::Link { dir, .. }
-            | Request::Remove { dir, .. }
-            | Request::Rmdir { dir, .. }
-            | Request::Readdir { dir } => Some(*dir),
-            Request::Rename { src_dir, .. } => Some(*src_dir),
-            _ => None,
-        }
-    }
+/// The hull of a store-back batch, granted in one piece.
+fn hull(extents: &[WriteExtent]) -> ByteRange {
+    let range = |e: &WriteExtent| ByteRange::at(e.offset, e.data.len() as u64);
+    extents[1..].iter().fold(range(&extents[0]), |hull, e| hull.union_hull(&range(e)))
 }
 
 impl RpcService for FileServer {
@@ -1453,76 +1115,48 @@ impl RpcService for FileServer {
             self.hosts.saw_call(c, ctx.principal, now);
             self.journal_lease_refresh(c, now);
         }
-        // Routing gate: a file call for a volume this server does not
-        // host is forwarded or redirected before any recovery or busy
-        // gating — the owner, not this server, holds the volume's
-        // recovery story. Applies to every call class: a store-back
-        // aimed at a moved-away volume must chase it too.
-        let volume = Self::volume_of_req(&req);
-        if let Some(v) = volume {
-            if !self.hosted.lock().contains(&v) {
-                return self.not_hosted(&ctx, v, req);
-            }
-        }
+        let Some(volume) = Self::volume_of_req(&req) else {
+            // Admin traffic is addressed to this server deliberately:
+            // no routing, no recovery gate, no blackout.
+            self.stats.lock().ops += 1;
+            return self.admin_op(&ctx, req).unwrap_or_else(Response::Err);
+        };
         // Post-restart recovery gate: while the grace window is open,
         // file work is admitted only from hosts that have reestablished
-        // their tokens. Probes (Ping/GetEpoch), the reestablish call
-        // itself, admin traffic, and revocation-class store-backs pass.
-        if ctx.class != CallClass::Revocation
-            && (Self::fid_of(&req).is_some() || matches!(req, Request::GetRoot { .. }))
-        {
-            let gated = {
+        // their tokens. Revocation-class store-backs pass, as do peers
+        // (replicators), which are not part of recovery.
+        let gated = match ctx.caller {
+            Addr::Client(c) if ctx.class != CallClass::Revocation => {
                 let now = self.net.clock().now();
                 let mut rec = self.recovery.lock();
-                self.grace_open(&mut rec, now)
-                    && match ctx.caller {
-                        Addr::Client(c) => !rec.checked_in.contains(&c),
-                        // Peers (replicators) are not part of recovery.
-                        _ => false,
-                    }
-            };
-            if gated {
+                self.grace_open(&mut rec, now) && !rec.checked_in.contains(&c)
+            }
+            _ => false,
+        };
+        // Routing, recovery and blackout verdicts in one look at the
+        // volume table. Not-hosted comes first whatever the call class
+        // — the owner, not this server, holds the volume's recovery
+        // story, and a store-back aimed at a moved-away volume must
+        // chase it too.
+        let admitted = match self.volumes.admit(volume, ctx.class, gated) {
+            Admit::NotHosted(route) => return self.not_hosted(&ctx, volume, route, req),
+            Admit::Grace => {
                 self.stats.lock().grace_rejections += 1;
                 return Response::Err(DfsError::GraceWait);
             }
-        }
-        // Track in-flight file work per volume *before* consulting the
-        // busy gate. A move's blackout phase sets `busy` first and only
-        // then drains `inflight`, so with this ordering a racing call
-        // either increments early enough for the drain to wait on it,
-        // or reads `busy` after the blackout began and backs out — it
-        // can never slip a mutation in after the drain observed zero.
-        if let Some(v) = volume {
-            *self.inflight.lock().entry(v).or_insert(0) += 1;
-        }
-        // Volume motion blocks file access briefly (§2.1) — except for
-        // revocation-triggered store-backs, which the move's own
-        // quiescing is waiting on.
-        if ctx.class != CallClass::Revocation {
-            if let Some(v) = volume {
-                if self.busy.lock().contains(&v) {
-                    self.stats.lock().busy_rejections += 1;
-                    self.inflight_dec(v);
-                    return Response::Err(DfsError::VolumeBusy);
-                }
+            Admit::Busy => {
+                self.stats.lock().busy_rejections += 1;
+                return Response::Err(DfsError::VolumeBusy);
             }
-        }
-        {
-            let mut stats = self.stats.lock();
-            stats.ops += 1;
-            if let Some(v) = volume {
-                *stats.volume_ops.entry(v).or_insert(0) += 1;
-            }
-        }
-        let resp = match self.handle(&ctx, req) {
-            Ok(resp) => resp,
-            Err(e) => Response::Err(e),
+            Admit::Serve(admitted) => admitted,
         };
-        let resp = self.stamp_staleness(volume, resp);
-        if let Some(v) = volume {
-            self.inflight_dec(v);
-        }
-        resp
+        self.stats.lock().ops += 1;
+        let mount = || self.volumes.mount(volume, || self.physical.mount(volume));
+        let resp = match &admitted.fs {
+            Some(fs) => self.file_op(&ctx, &**fs, req),
+            None => mount().and_then(|fs| self.file_op(&ctx, &*fs, req)),
+        };
+        self.stamp_staleness(admitted.replica_refreshed, resp.unwrap_or_else(Response::Err))
     }
 }
 
@@ -1549,6 +1183,24 @@ mod tests {
         )
         .unwrap();
         (net, srv)
+    }
+
+    /// Two servers over one VLDB; server 1 starts with volume 1.
+    fn pair() -> (SimClock, Network, Arc<FileServer>, Arc<FileServer>) {
+        let clock = SimClock::new();
+        let net = Network::new(clock.clone(), 500);
+        net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
+        let mk = |n: u32| {
+            let disk = SimDisk::new(DiskConfig::with_blocks(16384));
+            let ep = Episode::format(disk, clock.clone(), FormatParams::default()).unwrap();
+            if n == 1 {
+                ep.create_volume(VolumeId(1), "root.cell").unwrap();
+            }
+            let vldb = vec![Addr::Vldb(0)];
+            FileServer::start(net.clone(), ServerId(n), ep, vldb, PoolConfig::default()).unwrap()
+        };
+        let (s1, s2) = (mk(1), mk(2));
+        (clock, net, s1, s2)
     }
 
     fn call(net: &Network, req: Request) -> Response {
@@ -1793,23 +1445,7 @@ mod tests {
 
     #[test]
     fn volume_move_between_servers() {
-        let clock = SimClock::new();
-        let net = Network::new(clock.clone(), 500);
-        net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
-        let mk = |n: u32| {
-            let disk = SimDisk::new(DiskConfig::with_blocks(16384));
-            let ep = Episode::format(disk, clock.clone(), FormatParams::default()).unwrap();
-            FileServer::start(
-                net.clone(),
-                ServerId(n),
-                ep,
-                vec![Addr::Vldb(0)],
-                PoolConfig::default(),
-            )
-            .unwrap()
-        };
-        let s1 = mk(1);
-        let s2 = mk(2);
+        let (_clock, net, s1, s2) = pair();
         // Create a volume with content on s1.
         let c = Addr::Client(ClientId(1));
         let send = |to: ServerId, req: Request| {
@@ -1860,23 +1496,7 @@ mod tests {
 
     #[test]
     fn unknown_volume_redirects_via_vldb() {
-        let clock = SimClock::new();
-        let net = Network::new(clock.clone(), 500);
-        net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
-        let mk = |n: u32| {
-            let disk = SimDisk::new(DiskConfig::with_blocks(16384));
-            let ep = Episode::format(disk, clock.clone(), FormatParams::default()).unwrap();
-            FileServer::start(
-                net.clone(),
-                ServerId(n),
-                ep,
-                vec![Addr::Vldb(0)],
-                PoolConfig::default(),
-            )
-            .unwrap()
-        };
-        let _s1 = mk(1);
-        let _s2 = mk(2);
+        let (_clock, net, _s1, _s2) = pair();
         let c = Addr::Client(ClientId(1));
         let send = |to: ServerId, req: Request| {
             net.call(c, Addr::Server(to), None, CallClass::Normal, req).unwrap()
@@ -1899,23 +1519,7 @@ mod tests {
 
     #[test]
     fn lazy_replication_ships_increments() {
-        let clock = SimClock::new();
-        let net = Network::new(clock.clone(), 500);
-        net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
-        let mk = |n: u32| {
-            let disk = SimDisk::new(DiskConfig::with_blocks(16384));
-            let ep = Episode::format(disk, clock.clone(), FormatParams::default()).unwrap();
-            FileServer::start(
-                net.clone(),
-                ServerId(n),
-                ep,
-                vec![Addr::Vldb(0)],
-                PoolConfig::default(),
-            )
-            .unwrap()
-        };
-        let _s1 = mk(1);
-        let s2 = mk(2);
+        let (clock, net, _s1, s2) = pair();
         let c = Addr::Client(ClientId(1));
         let send = |to: ServerId, req: Request| {
             net.call(c, Addr::Server(to), None, CallClass::Normal, req).unwrap()
@@ -2022,5 +1626,246 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r, Response::Err(DfsError::PermissionDenied));
+    }
+
+    fn send(net: &Network, to: u32, class: CallClass, req: Request) -> Response {
+        net.call(Addr::Client(ClientId(7)), Addr::Server(ServerId(to)), None, class, req).unwrap()
+    }
+
+    fn root_of(net: &Network, to: u32, volume: u64) -> Fid {
+        match send(net, to, CallClass::Normal, Request::GetRoot { volume: VolumeId(volume) }) {
+            Response::FidIs(f) => f,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A token host that keeps whatever it is asked to give up.
+    struct Keeper(HostId);
+    impl dfs_token::TokenHost for Keeper {
+        fn host_id(&self) -> HostId {
+            self.0
+        }
+        fn revoke(
+            &self,
+            _: &Token,
+            _: TokenTypes,
+            _: SerializationStamp,
+        ) -> dfs_token::RevokeResult {
+            dfs_token::RevokeResult::Retained
+        }
+    }
+
+    #[test]
+    fn rename_releases_its_first_grant_when_the_second_is_refused() {
+        let (_clock, net, s1, _s2) = pair();
+        let root = root_of(&net, 1, 1);
+        let mut dirs = ["a", "b"].map(|name| {
+            let mkdir = Request::Mkdir { dir: root, name: name.into(), mode: 0o755 };
+            match send(&net, 1, CallClass::Normal, mkdir) {
+                Response::Status { status, .. } => status.fid,
+                other => panic!("{other:?}"),
+            }
+        });
+        dirs.sort();
+        let [first, second] = dirs;
+        let create = Request::Create { dir: first, name: "f".into(), mode: 0o644 };
+        send(&net, 1, CallClass::Normal, create);
+        let keeper = HostId::Client(ClientId(99));
+        let tm = s1.token_manager();
+        tm.register_host(Arc::new(Keeper(keeper)));
+        tm.grant(keeper, second, DIR_READ, ByteRange::WHOLE).unwrap();
+
+        let rename = Request::Rename {
+            src_dir: first,
+            src_name: "f".into(),
+            dst_dir: second,
+            dst_name: "g".into(),
+        };
+        assert_eq!(send(&net, 1, CallClass::Normal, rename), Response::Err(DfsError::OpenConflict));
+        let caller = HostId::Client(ClientId(7));
+        for dir in [first, second] {
+            assert!(
+                tm.tokens_on(dir).iter().all(|(host, _)| *host != caller),
+                "the refused rename left a grant on {dir:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn vol_delete_stops_serving_and_forgets_the_volumes_tokens() {
+        let (_clock, net, s1, _s2) = pair();
+        let v = VolumeId(5);
+        send(&net, 1, CallClass::Normal, Request::VolCreate { volume: v, name: "doomed".into() });
+        let root = root_of(&net, 1, 5);
+        let want = TokenRequest::whole(TokenTypes::STATUS_READ);
+        assert!(matches!(
+            send(&net, 1, CallClass::Normal, Request::FetchStatus { fid: root, want }),
+            Response::Status { ref tokens, .. } if tokens.len() == 1
+        ));
+        assert_eq!(s1.token_manager().tokens_on(root).len(), 1);
+
+        let deleted = send(&net, 1, CallClass::Normal, Request::VolDelete { volume: v });
+        assert_eq!(deleted, Response::Ok);
+        assert!(s1.token_manager().tokens_on(root).is_empty(), "grants outlived the volume");
+        assert_eq!(
+            send(&net, 1, CallClass::Normal, Request::FetchStatus { fid: root, want: None }),
+            Response::Err(DfsError::NoSuchVolume)
+        );
+        assert_eq!(s1.volumes.inflight(v), 0);
+    }
+
+    #[test]
+    fn in_flight_count_returns_to_zero_after_errors_and_bounces() {
+        let (_clock, net, s1, _s2) = pair();
+        let v = VolumeId(1);
+        let ghost = Fid::new(v, VnodeId(4000), 1);
+        assert!(matches!(
+            send(&net, 1, CallClass::Normal, Request::FetchStatus { fid: ghost, want: None }),
+            Response::Err(_)
+        ));
+        assert_eq!(s1.volumes.inflight(v), 0, "a handler error leaked an in-flight count");
+        s1.volumes.begin_blackout(v).unwrap();
+        assert_eq!(
+            send(&net, 1, CallClass::Normal, Request::GetRoot { volume: v }),
+            Response::Err(DfsError::VolumeBusy)
+        );
+        assert_eq!(s1.volumes.inflight(v), 0, "a bounced call leaked an in-flight count");
+        assert_eq!(s1.stats().busy_rejections, 1);
+    }
+
+    /// What `dispatch` does with a call, as seen from outside.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Verdict {
+        Served,
+        /// Served by a §3.8 replica (`stale_us` stamped).
+        ServedStale,
+        Forwarded,
+        Wrong(u32),
+        NoVolume,
+        Busy,
+        Grace,
+    }
+
+    /// Sends `req` to server `to` and returns the verdict plus the
+    /// server's stats delta as `[ops, busy_rejections, grace_rejections,
+    /// wrong_server_redirects, forwards, volume_ops[volume]]`.
+    fn probe(
+        net: &Network,
+        srv: &FileServer,
+        class: CallClass,
+        volume: VolumeId,
+        req: Request,
+    ) -> (Verdict, [u64; 6]) {
+        let snap = |s: ServerStats| {
+            let vol_ops = s.volume_ops.get(&volume).copied().unwrap_or(0);
+            let rejections = [s.busy_rejections, s.grace_rejections];
+            [s.ops, rejections[0], rejections[1], s.wrong_server_redirects, s.forwards, vol_ops]
+        };
+        let before = snap(srv.stats());
+        let resp = send(net, srv.id().0, class, req);
+        let after = snap(srv.stats());
+        let delta: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+        let verdict = match resp {
+            Response::WrongServer { hint, .. } => Verdict::Wrong(hint.0),
+            Response::Err(DfsError::NoSuchVolume) => Verdict::NoVolume,
+            Response::Err(DfsError::VolumeBusy) => Verdict::Busy,
+            Response::Err(DfsError::GraceWait) => Verdict::Grace,
+            Response::Status { stale_us, .. } if stale_us > 0 => Verdict::ServedStale,
+            Response::Status { .. } | Response::FidIs(_) | Response::Volumes(_) => {
+                if delta[4] == 1 { Verdict::Forwarded } else { Verdict::Served }
+            }
+            other => panic!("unexpected answer {other:?}"),
+        };
+        (verdict, delta)
+    }
+
+    #[test]
+    fn admit_table() {
+        use CallClass::{Normal, Revocation};
+        use Verdict::*;
+        let (_clock, net, s1, s2) = pair();
+        let admin = |to: u32, req: Request| assert_eq!(send(&net, to, Normal, req), Response::Ok);
+        // Volume states, all probed at server 1 unless noted:
+        //   1 serving · 3 blackout · 7 moved away to server 2 (route note)
+        //   8 staged (server 2 owns it) · 9 unknown here, VLDB says server 2
+        //   99 unknown to everyone · 4 a replica *at server 2* of server 1's
+        for (to, volume) in [(1, 3), (1, 4), (1, 7), (2, 8), (2, 9)] {
+            admin(to, Request::VolCreate { volume: VolumeId(volume), name: format!("v{volume}") });
+        }
+        admin(1, Request::VolMove { volume: VolumeId(7), target: ServerId(2) });
+        let dump_8 = Request::VolDump { volume: VolumeId(8), since_version: 0 };
+        let dump = match send(&net, 2, Normal, dump_8) {
+            Response::Dump(dump) => dump,
+            other => panic!("{other:?}"),
+        };
+        admin(1, Request::VolRestore { dump, read_only: false });
+        let (volume, source) = (VolumeId(4), ServerId(1));
+        admin(2, Request::ReplAdd { volume, source, max_staleness_us: 1 << 40 });
+        // Learn each volume's root fid from whoever serves it, then
+        // black volume 3 out.
+        let root = |volume: u64| root_of(&net, if volume >= 7 { 2 } else { 1 }, volume);
+        let roots: HashMap<u64, Fid> = [1, 3, 4, 7, 8, 9].map(|v| (v, root(v))).into();
+        s1.volumes.begin_blackout(VolumeId(3)).unwrap();
+
+        let file = |volume: u64| Request::FetchStatus {
+            fid: roots.get(&volume).copied().unwrap_or(Fid::new(VolumeId(volume), VnodeId(1), 1)),
+            want: None,
+        };
+        let one_shot = |volume: u64| Request::GetRoot { volume: VolumeId(volume) };
+        const SERVED: [u64; 6] = [1, 0, 0, 0, 0, 1];
+        const BOUNCED: [u64; 6] = [0, 1, 0, 0, 0, 0];
+        const REDIRECTED: [u64; 6] = [0, 0, 0, 1, 0, 0];
+        const FORWARDED: [u64; 6] = [0, 0, 0, 0, 1, 0];
+        // (server, volume, class, file call → verdict and stats delta,
+        //  forwardable one-shot → verdict and stats delta)
+        type Row = (u32, u64, CallClass, Verdict, [u64; 6], Verdict, [u64; 6]);
+        let rows: &[Row] = &[
+            (1, 1, Normal, Served, SERVED, Served, SERVED),
+            (1, 1, Revocation, Served, SERVED, Served, SERVED),
+            (1, 3, Normal, Busy, BOUNCED, Busy, BOUNCED),
+            (1, 3, Revocation, Served, SERVED, Served, SERVED),
+            (1, 7, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 7, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 8, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 8, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 9, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 9, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
+            (1, 99, Normal, NoVolume, [0; 6], NoVolume, [0; 6]),
+            (1, 99, Revocation, NoVolume, [0; 6], NoVolume, [0; 6]),
+            (2, 4, Normal, ServedStale, SERVED, Served, SERVED),
+            (2, 4, Revocation, ServedStale, SERVED, Served, SERVED),
+        ];
+        let check = |grace: bool| {
+            for (server, volume, class, on_file, file_delta, on_one_shot, one_shot_delta) in rows {
+                let srv = if *server == 1 { &s1 } else { &s2 };
+                // The grace window (server 1's) shuts out normal-class
+                // calls to hosted volumes — before the blackout is even
+                // looked at — and nothing else.
+                let gated = grace && *class == Normal && matches!(*volume, 1 | 3);
+                for (req, verdict, delta) in [
+                    (file(*volume), on_file, file_delta),
+                    (one_shot(*volume), on_one_shot, one_shot_delta),
+                ] {
+                    let expect =
+                        if gated { (Grace, [0, 0, 1, 0, 0, 0]) } else { (verdict.clone(), *delta) };
+                    let got = probe(&net, srv, *class, VolumeId(*volume), req);
+                    assert_eq!(got, expect, "volume {volume} {class:?} (grace: {grace})");
+                }
+                // Admin traffic is never routed or gated.
+                let got = probe(&net, srv, *class, VolumeId(*volume), Request::VolList);
+                assert_eq!(got, (Served, [1, 0, 0, 0, 0, 0]), "volume {volume} {class:?} admin");
+            }
+        };
+        check(false);
+
+        // Open a grace window on server 1 that client 7 is not part of.
+        let now = net.clock().now();
+        s1.hosts.seed(ClientId(50), now);
+        {
+            let mut rec = s1.recovery.lock();
+            rec.grace_until = Some(Timestamp(now.0 + (1 << 40)));
+            rec.expected.insert(ClientId(50));
+        }
+        check(true);
     }
 }

@@ -25,8 +25,8 @@
 //! | `CLIENT_DATA_CACHE`    |  50   | client page stores (§4.2) |
 //! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags) |
 //! | `FLEET_REGISTRY`       |  90   | fleet-wide server registry and volume placement plan |
-//! | `VOLUME_REGISTRY`      | 100   | server volume tables, VLDB replica map (§3.4) |
-//! | `SERVER_ROUTES`        | 105   | per-server route hints for moved-away volumes (§2.1) |
+//! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
+//! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
 //! | `SERVER_HOSTS`         | 110   | server's known-client set |
 //! | `TOKEN_MANAGER`        | 120   | the token manager's host registry (§5; the grant table itself is sharded at `TOKEN_SHARD`) |
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
@@ -90,11 +90,13 @@ pub mod rank {
     /// below every server-side lock: the fleet layer inspects servers
     /// (which take VOLUME_REGISTRY and above) while planning a move.
     pub const FLEET_REGISTRY: u16 = 90;
-    /// Server volume tables and VLDB replica maps (§3.4).
+    /// *The* file-server volume table — one lock over every volume's
+    /// state, mount, in-flight count, op count, route note and
+    /// replication job — and the VLDB replica's map (§3.4).
     pub const VOLUME_REGISTRY: u16 = 100;
-    /// Per-server route hints recording where moved-away volumes went
-    /// (§2.1). Consulted after the volume registry shows the volume is
-    /// not hosted, hence ranked just above it.
+    /// The VLDB replica's replica-site lists (§3.8), ranked just above
+    /// its `VOLUME_REGISTRY` location map. (The route notes for
+    /// moved-away volumes the name recalls live in the volume table.)
     pub const SERVER_ROUTES: u16 = 105;
     /// Server's known-client set.
     pub const SERVER_HOSTS: u16 = 110;

@@ -55,41 +55,41 @@ printf '%s' "$lint_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 echo "==> cargo clippy --workspace (pinned deny-list)"
 cargo clippy --workspace --quiet
 
+# Runs one dfs-bench binary in --json mode with the given flags and
+# validates what it printed (left in $out). Capture then pipe, so a
+# bench panic fails the stage even without `pipefail` (plain sh).
+smoke() {
+  bin=$1
+  shift
+  out=$(cargo run -q --release -p dfs-bench --bin "$bin" -- --json "$@")
+  printf '%s' "$out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+}
+
 echo "==> bench smoke (t8 + t1, tiny params, JSON validated)"
-# Capture then pipe so a bench panic fails the stage even without
-# `pipefail` (plain sh).
-t8_out=$(cargo run -q --release -p dfs-bench --bin t8_group_commit -- --json --ops 64 --pages 32)
-printf '%s' "$t8_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
-t1_out=$(cargo run -q --release -p dfs-bench --bin t1_metadata_traffic -- --json --files 50)
-printf '%s' "$t1_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+smoke t8_group_commit --ops 64 --pages 32
+smoke t1_metadata_traffic --files 50
 
 echo "==> recovery gate (crash-restart tests + t13 smoke)"
 cargo test -q --test recovery
-t13_out=$(cargo run -q --release -p dfs-bench --bin t13_crash_restart -- --json --files 8 --burst 4)
-printf '%s' "$t13_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+smoke t13_crash_restart --files 8 --burst 4
 
 echo "==> fleet gate (fleet tests + t15 smoke)"
 cargo test -q --test fleet
-t15_out=$(cargo run -q --release -p dfs-bench --bin t15_fleet -- --json --servers 2 --ops 12)
-printf '%s' "$t15_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+smoke t15_fleet --servers 2 --ops 12
 
 echo "==> hotpath gate (token stress at 1 and 4 shards + t9/t8 client sweeps)"
 cargo test -q -p dfs-token --test stress
-t9_out=$(cargo run -q --release -p dfs-bench --bin t9_revocation_pingpong -- --json --clients 8 --ops 200)
-printf '%s' "$t9_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
-t8c_out=$(cargo run -q --release -p dfs-bench --bin t8_group_commit -- --json --ops 64 --pages 16 --clients 4)
-printf '%s' "$t8c_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+smoke t9_revocation_pingpong --clients 8 --ops 200
+smoke t8_group_commit --ops 64 --pages 16 --clients 4
 
 echo "==> availability gate (fault-matrix tests + t14 smoke)"
 cargo test -q --test faults
-t14_out=$(cargo run -q --release -p dfs-bench --bin t14_availability -- --json --files 6)
-printf '%s' "$t14_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+smoke t14_availability --files 6
 
 echo "==> scenario gate (engine tests + tiny t17 crash/restart/move smoke)"
 cargo test -q --test scenario
-t17_out=$(cargo run -q --release -p dfs-bench --bin t17_scenario -- --json --clients 8 --servers 2 --ops 12)
-printf '%s' "$t17_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
-case "$t17_out" in
+smoke t17_scenario --clients 8 --servers 2 --ops 12
+case "$out" in
   *'"ok": true'*) ;;
   *) echo "t17 smoke: invariants, events, or seed replay failed"; exit 1 ;;
 esac
@@ -100,8 +100,7 @@ for b in fig1_server_structure fig2_client_structure fig3_open_token_matrix \
          t5_volume_ops t6_lazy_replication t7_deadlock_storm \
          t10_thread_pool_ablation t11_andrew_style_workload \
          t12_diskless_clients; do
-  b_out=$(cargo run -q --release -p dfs-bench --bin "$b" -- --json)
-  printf '%s' "$b_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
+  smoke "$b"
 done
 
 echo "==> repo benchmark gate (benchmark/ unit tests + smoke)"
