@@ -12,7 +12,7 @@
 //! needs per-handoff RPC accounting no aggregate driver provides).
 
 use dfs_bench::emit::{arr, Obj};
-use dfs_bench::scenario::{ClassSpec, OpClass, Phase, RunReport, Scenario, Topology};
+use dfs_bench::scenario::{ClassSpec, OpClass, Phase, RunReport, Scenario, Topology, Witness};
 use dfs_bench::{f2, header, row};
 use dfs_types::VolumeId;
 use decorum_dfs::Cell;
@@ -49,6 +49,8 @@ struct Pingpong {
     bytes: u64,
     sim_net_ms: f64,
     stale: u64,
+    /// The first stale reads: reader, fid, the tag written, the tag seen.
+    witnesses: Vec<Witness>,
     by_label: Vec<(String, u64)>,
 }
 
@@ -64,12 +66,14 @@ fn pingpong() -> Pingpong {
     const HANDOFFS: u64 = 100;
     let before = cell.net().stats();
     let mut violations = 0u64;
+    let mut witnesses = Vec::new();
     for i in 1..=HANDOFFS {
         let (writer, reader) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
         writer.write(f.fid, 0, &i.to_le_bytes()).unwrap();
-        let seen = u64::from_le_bytes(reader.read(f.fid, 0, 8).unwrap().try_into().unwrap());
-        if seen != i {
+        let seen = reader.read(f.fid, 0, 8).unwrap();
+        if seen != i.to_le_bytes() {
             violations += 1;
+            Witness::note(&mut witnesses, reader.id().0, "read", f.fid, i, Some(&seen));
         }
     }
     let d = cell.net().stats().since(&before);
@@ -81,6 +85,7 @@ fn pingpong() -> Pingpong {
         bytes: d.bytes,
         sim_net_ms: d.latency_us as f64 / 1000.0,
         stale: violations,
+        witnesses,
         by_label: labels,
     }
 }
@@ -127,6 +132,7 @@ fn main() {
                 .field("local_reads", r.client_stats.local_reads)
                 .field("revocations", r.client_stats.revocations)
                 .field("ok", r.clean())
+                .field_raw("witnesses", &Witness::json(&r.witnesses))
         }));
         let out = Obj::new()
             .field("bench", "t9_revocation_pingpong")
@@ -136,6 +142,7 @@ fn main() {
             .field("sim_net_ms", p.sim_net_ms)
             .field("net_us_per_handoff", p.sim_net_ms * 1000.0 / p.handoffs as f64)
             .field("stale_reads", p.stale)
+            .field_raw("witnesses", &Witness::json(&p.witnesses))
             .field_raw("sweep", &points)
             .render();
         println!("{out}");
@@ -168,6 +175,9 @@ fn main() {
         "revocations",
         "ok",
     ]);
+    for w in sweep.iter().flat_map(|r| &r.witnesses).chain(&p.witnesses) {
+        println!("INCOHERENT {w:?}");
+    }
     for r in &sweep {
         row(&[
             &r.clients,

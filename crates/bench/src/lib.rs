@@ -39,8 +39,10 @@ pub fn ratio(a: f64, b: f64) -> String {
 /// dependencies. It validates structure only — no value model is built.
 pub mod json {
     /// Validates that `input` is exactly one well-formed JSON value
-    /// (trailing whitespace allowed). Returns the byte offset and a
-    /// message on failure.
+    /// (trailing whitespace allowed), and that whatever sits under a
+    /// `"witnesses"` key anywhere in it is a witness list: at most 16
+    /// objects of exactly the shape `scenario::Witness` renders. Returns
+    /// the byte offset and a message on failure.
     pub fn validate(input: &str) -> Result<(), String> {
         let b = input.as_bytes();
         let mut p = Parser { b, i: 0 };
@@ -58,7 +60,10 @@ pub mod json {
         i: usize,
     }
 
-    impl Parser<'_> {
+    /// The keys of one witness, in order.
+    const WITNESS: [&[u8]; 5] = [b"client", b"op", b"fid", b"expected_tag", b"observed_tag"];
+
+    impl<'a> Parser<'a> {
         fn err(&self, msg: &str) -> String {
             format!("byte {}: {}", self.i, msg)
         }
@@ -93,8 +98,8 @@ pub mod json {
 
         fn value(&mut self) -> Result<(), String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.object().map(drop),
+                Some(b'[') => self.array_of(Self::value).map(drop),
                 Some(b'"') => self.string(),
                 Some(b't') => self.lit("true"),
                 Some(b'f') => self.lit("false"),
@@ -104,48 +109,72 @@ pub mod json {
             }
         }
 
-        fn object(&mut self) -> Result<(), String> {
+        /// Parses an object; returns its keys (raw, between the quotes).
+        fn object(&mut self) -> Result<Vec<&'a [u8]>, String> {
+            let mut keys = Vec::new();
             self.eat(b'{')?;
             self.skip_ws();
             if self.peek() == Some(b'}') {
                 self.i += 1;
-                return Ok(());
+                return Ok(keys);
             }
             loop {
                 self.skip_ws();
+                let start = self.i;
                 self.string()?;
+                let key = &self.b[start + 1..self.i - 1];
+                keys.push(key);
                 self.skip_ws();
                 self.eat(b':')?;
                 self.skip_ws();
-                self.value()?;
+                if key == b"witnesses" {
+                    if self.array_of(Self::witness)? > 16 {
+                        return Err(self.err("more than 16 witnesses"));
+                    }
+                } else {
+                    self.value()?;
+                }
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.i += 1,
                     Some(b'}') => {
                         self.i += 1;
-                        return Ok(());
+                        return Ok(keys);
                     }
                     _ => return Err(self.err("expected ',' or '}' in object")),
                 }
             }
         }
 
-        fn array(&mut self) -> Result<(), String> {
+        fn witness(&mut self) -> Result<(), String> {
+            if self.peek() != Some(b'{') || self.object()? != WITNESS {
+                return Err(self.err(
+                    "a witness is {client, op, fid, expected_tag, observed_tag}, in that order",
+                ));
+            }
+            Ok(())
+        }
+
+        /// Parses an array whose elements `elem` parses; returns how
+        /// many there were.
+        fn array_of(&mut self, elem: fn(&mut Self) -> Result<(), String>) -> Result<usize, String> {
             self.eat(b'[')?;
             self.skip_ws();
             if self.peek() == Some(b']') {
                 self.i += 1;
-                return Ok(());
+                return Ok(0);
             }
+            let mut n = 0;
             loop {
                 self.skip_ws();
-                self.value()?;
+                elem(self)?;
+                n += 1;
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.i += 1,
                     Some(b']') => {
                         self.i += 1;
-                        return Ok(());
+                        return Ok(n);
                     }
                     _ => return Err(self.err("expected ',' or ']' in array")),
                 }
@@ -241,6 +270,37 @@ mod tests {
         ] {
             assert!(json::validate(ok).is_ok(), "rejected {ok:?}");
         }
+    }
+
+    #[test]
+    fn json_holds_witness_lists_to_their_shape() {
+        use dfs_types::{Fid, VnodeId, VolumeId};
+        use scenario::Witness;
+        let mut list = Vec::new();
+        let fid = Fid::new(VolumeId(1), VnodeId(7), 3);
+        Witness::note(&mut list, 2, "lost_update", fid, 0xabc, Some(&0xdefu64.to_le_bytes()));
+        Witness::note(&mut list, 3, "agreement", fid, 0xabc, None);
+        let report = |witnesses: &str| format!(r#"{{"ok": false, "sweep": [{{"witnesses": {witnesses}}}]}}"#);
+        assert_eq!(json::validate(&report(&Witness::json(&list))), Ok(()));
+        assert!(Witness::json(&list).contains(r#""observed_tag": "0x0000000000000def""#));
+        assert!(Witness::json(&list).contains(r#""observed_tag": null"#));
+        assert_eq!(json::validate(&report("[]")), Ok(()));
+        for bad in [
+            "3",
+            "[3]",
+            r#"[{"client": 1}]"#,
+            r#"[{"op": "r", "client": 1, "fid": "f", "expected_tag": "1", "observed_tag": null}]"#,
+        ] {
+            assert!(json::validate(&report(bad)).is_err(), "accepted witnesses {bad}");
+        }
+        let w = Witness::json(&list[..1]);
+        let seventeen = format!("[{}]", vec![&w[1..w.len() - 1]; 17].join(", "));
+        assert!(json::validate(&report(&seventeen)).is_err(), "accepted 17 witnesses");
+        // The cap: a report never carries more than 16.
+        for _ in 0..40 {
+            Witness::note(&mut list, 1, "lost_update", fid, 1, None);
+        }
+        assert_eq!(list.len(), scenario::MAX_WITNESSES);
     }
 
     #[test]

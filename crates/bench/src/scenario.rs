@@ -316,6 +316,62 @@ pub struct FiredEvent {
     pub ok: bool,
 }
 
+/// Most witnesses a report carries (the repo benchmark's bound).
+pub const MAX_WITNESSES: usize = 16;
+
+/// One coherence failure with enough to find it again — the repo
+/// benchmark's witness shape (`benchmark/README.md`), so a failure reads
+/// the same whichever harness caught it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Witness {
+    /// The client whose view failed: the writer whose acknowledged
+    /// write was lost, the group member that disagreed, the reader.
+    pub client: u32,
+    /// The check that failed (`lost_update`, `agreement`) or the op.
+    pub op: &'static str,
+    /// The file.
+    pub fid: Fid,
+    /// The tag that should have been in word 0 of the page.
+    pub expected_tag: u64,
+    /// The tag that was (`None`: the read failed or came back short).
+    pub observed_tag: Option<u64>,
+}
+
+impl Witness {
+    /// Records a failed page check, up to [`MAX_WITNESSES`] per report.
+    /// `observed` is what was read instead of `expected`'s payload.
+    pub fn note(
+        into: &mut Vec<Witness>,
+        client: u32,
+        op: &'static str,
+        fid: Fid,
+        expected_tag: u64,
+        observed: Option<&[u8]>,
+    ) {
+        if into.len() < MAX_WITNESSES {
+            let observed_tag = observed.and_then(word0);
+            into.push(Witness { client, op, fid, expected_tag, observed_tag });
+        }
+    }
+
+    /// Renders a witness list as the JSON array every report carries.
+    pub fn json(witnesses: &[Witness]) -> String {
+        crate::emit::arr(witnesses.iter().map(|w| {
+            Obj::new()
+                .field("client", w.client)
+                .field("op", w.op)
+                .field("fid", format!("{:?}", w.fid))
+                .field("expected_tag", format!("{:#018x}", w.expected_tag))
+                .field("observed_tag", w.observed_tag.map(|t| format!("{t:#018x}")))
+        }))
+    }
+}
+
+/// The tag a tagged page carries in its first word.
+fn word0(page: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(page.get(..8)?.try_into().ok()?))
+}
+
 /// Everything a run produces. Fields under "deterministic" are a pure
 /// function of the scenario (see module docs); the rest are measured.
 #[derive(Clone, Debug)]
@@ -355,6 +411,9 @@ pub struct RunReport {
     /// Regions whose last write failed — excluded from the lost-update
     /// check (the write may or may not have landed; at-least-once).
     pub ambiguous_regions: u64,
+    /// The first [`MAX_WITNESSES`] lost updates and disagreements, each
+    /// with client, fid and both tags; empty on a coherent run.
+    pub witnesses: Vec<Witness>,
     /// Timeline events, in firing order.
     pub events: Vec<FiredEvent>,
     /// Time-series samples (empty when `sample_every == 0`).
@@ -464,6 +523,7 @@ impl RunReport {
             .field("stale_reads", s.stale_reads)
             .field("max_stale_us", s.max_stale_us)
             .field("revocations", s.revocations)
+            .field("revocation_store_failures", s.revocation_store_failures)
             .field("transport_retries", s.transport_retries)
             .field("grace_waits", s.grace_waits)
             .field("recoveries", s.recoveries)
@@ -501,6 +561,7 @@ impl RunReport {
             .field("volumes", self.volumes)
             .field_raw("deterministic", &self.deterministic_json())
             .field_raw("invariants", &self.invariants_json())
+            .field_raw("witnesses", &Witness::json(&self.witnesses))
             .field_raw("measured", &measured.render())
             .field_raw("events", &events)
             .field_raw("samples", &samples)
@@ -980,8 +1041,9 @@ impl<'a> Driver<'a> {
         });
         let mut lost_updates = 0u64;
         let mut ambiguous_regions = 0u64;
+        let mut witnesses = Vec::new();
         let mut state = Fnv::new();
-        for out in &outcomes {
+        for (client, out) in (0u32..).zip(&outcomes) {
             let mut keys: Vec<_> = out.regions.keys().copied().collect();
             keys.sort_unstable();
             for key in keys {
@@ -996,12 +1058,10 @@ impl<'a> Driver<'a> {
                 state.u64(u64::from(region));
                 state.u64(tag);
                 let fid = ctx.sets[set].files[file as usize];
-                let good = fresh
-                    .read(fid, u64::from(region) * PAGE_SIZE as u64, PAGE_SIZE)
-                    .map(|d| d == payload(tag))
-                    .unwrap_or(false);
-                if !good {
+                let got = fresh.read(fid, u64::from(region) * PAGE_SIZE as u64, PAGE_SIZE).ok();
+                if got.as_ref() != Some(&payload(tag)) {
                     lost_updates += 1;
+                    Witness::note(&mut witnesses, client, "lost_update", fid, tag, got.as_deref());
                 }
             }
         }
@@ -1024,6 +1084,21 @@ impl<'a> Driver<'a> {
                     let got = ctx.clients[member as usize].read(fid, 0, len).ok();
                     if got != reference {
                         agreement_failures += 1;
+                        // The first page the member sees differently
+                        // (page 0 when one of the reads failed outright).
+                        let want = reference.as_deref().unwrap_or_default();
+                        let seen = got.as_deref().unwrap_or_default();
+                        let pages = want.chunks(PAGE_SIZE).zip(seen.chunks(PAGE_SIZE));
+                        let at = pages.take_while(|(w, s)| w == s).count() * PAGE_SIZE;
+                        let expected = want.get(at..).and_then(word0).unwrap_or(0);
+                        Witness::note(
+                            &mut witnesses,
+                            member,
+                            "agreement",
+                            fid,
+                            expected,
+                            seen.get(at..),
+                        );
                     }
                 }
             }
@@ -1071,6 +1146,7 @@ impl<'a> Driver<'a> {
             torn_reads,
             scan_mismatches,
             ambiguous_regions,
+            witnesses,
             events,
             samples,
             client_stats,

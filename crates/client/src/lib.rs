@@ -21,40 +21,39 @@
 //! old status is never written over new. Revocations for tokens not yet
 //! known (the race of §6.3) are queued and processed when the in-flight
 //! RPC completes.
+//!
+//! The write-behind pipeline — the dirty set, the flusher, and the one
+//! gate every store-back passes — is the `writeback` module.
 
 pub mod cache;
+mod writeback;
 
 pub use cache::{DataCache, DiskCache, MemCache, PAGE_SIZE};
+pub use writeback::{WritebackConfig, STORE_EXTENT_PAGES};
 
 use dfs_rpc::{
     Addr, CallClass, CallContext, Network, PoolConfig, Request, Response, RpcService, Ticket,
     TokenRequest,
 };
 use dfs_server::VldbHandle;
-use dfs_token::{Token, TokenTypes};
+use dfs_token::{tokens_cover, Token, TokenTypes};
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use dfs_types::{
     Acl, ByteRange, ClientId, DfsError, DfsResult, FileStatus, Fid, SerializationStamp, ServerId,
     SnapshotCell, VolumeId,
 };
-use dfs_vfs::{DirEntry, SetAttrs, WriteExtent};
+use dfs_vfs::{DirEntry, SetAttrs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use writeback::Store;
 use std::time::Duration;
 
 /// Pages fetched per miss (read-ahead granularity).
 const FETCH_PAGES: u64 = 16;
 
-/// Pages coalesced into one store-back extent (64 KB of 4 KB pages).
-pub const STORE_EXTENT_PAGES: usize = 16;
-
-/// Extents shipped per store-back RPC; a single extent goes out as a
-/// flat `StoreData`, more as one `StoreDataVec`.
-const STORE_EXTENTS_PER_RPC: usize = 8;
-
-/// Attempts `file_rpc` spends (across redirects, busy waits, grace
+/// Rounds the retry ladder spends (across redirects, busy waits, grace
 /// waits and transport retries) before giving up with an honest
 /// `Unavailable`; at the 2 ms backoff cap a give-up costs at most
 /// 100 ms.
@@ -65,6 +64,16 @@ const RPC_RETRY_BUDGET: u32 = 50;
 /// volumes from growing client state without limit.
 const LOCATION_CACHE_CAP: usize = 256;
 
+/// What a writer asks for in one combined grant, so nearby reads and
+/// writes stay local; typed partial revocation means a later status
+/// conflict will not take the byte-range data bits with it (§5.2, §5.4).
+const WRITE_GRANT: TokenTypes = TokenTypes(
+    TokenTypes::DATA_WRITE.0
+        | TokenTypes::STATUS_WRITE.0
+        | TokenTypes::DATA_READ.0
+        | TokenTypes::STATUS_READ.0,
+);
+
 /// Any reply whose shape does not fit the request that was sent.
 const BAD_REPLY: DfsError = DfsError::Internal("bad response");
 
@@ -72,30 +81,6 @@ thread_local! {
     /// Set while this thread runs the crash-recovery pipeline so epoch
     /// observations made by recovery's own RPCs do not recurse into it.
     static IN_RECOVERY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Tuning for the write-behind pipeline (the background flusher and its
-/// dirty-page budget).
-#[derive(Clone, Debug)]
-pub struct WritebackConfig {
-    /// Run the background flusher ("background store" daemon).
-    pub flusher: bool,
-    /// Flusher pass interval when idle.
-    pub flush_interval: Duration,
-    /// Dirty pages (client-wide) above which the flusher is kicked;
-    /// above twice this budget the writing thread flushes synchronously
-    /// (backpressure).
-    pub dirty_budget_pages: usize,
-}
-
-impl Default for WritebackConfig {
-    fn default() -> Self {
-        WritebackConfig {
-            flusher: true,
-            flush_interval: Duration::from_millis(2),
-            dirty_budget_pages: 256,
-        }
-    }
 }
 
 /// An open mode, mapped onto the open-token subtypes of Figure 3.
@@ -152,6 +137,10 @@ pub struct ClientStats {
     pub queued_revocations: u64,
     /// Dirty pages stored back from revocation handlers.
     pub revocation_stores: u64,
+    /// Revocations whose store-back failed: the token went back anyway
+    /// (the server is waiting on the handler), and what the revoked
+    /// bits had let us dirty was lost with it.
+    pub revocation_store_failures: u64,
     /// Status merges ignored because the stamp was stale (§6.3).
     pub stale_status_dropped: u64,
     /// Retries while a volume was busy moving.
@@ -209,11 +198,12 @@ impl ClientStats {
     /// Every monotone counter — all fields but the `max_stale_us`
     /// high-water mark — listed once for `since` and `merge`. The
     /// pattern names every field, so a new one cannot be forgotten.
-    fn counters(&mut self) -> [&mut u64; 31] {
+    fn counters(&mut self) -> [&mut u64; 32] {
         let ClientStats {
             local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
             lookup_hits, lookup_misses, revocations, retained, queued_revocations,
-            revocation_stores, stale_status_dropped, busy_retries, backoff_rounds,
+            revocation_stores, revocation_store_failures, stale_status_dropped, busy_retries,
+            backoff_rounds,
             storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
             backpressure_flushes, transport_retries, grace_waits, recoveries,
             tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
@@ -223,7 +213,8 @@ impl ClientStats {
         [
             local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
             lookup_hits, lookup_misses, revocations, retained, queued_revocations,
-            revocation_stores, stale_status_dropped, busy_retries, backoff_rounds,
+            revocation_stores, revocation_store_failures, stale_status_dropped, busy_retries,
+            backoff_rounds,
             storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
             backpressure_flushes, transport_retries, grace_waits, recoveries,
             tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
@@ -282,11 +273,20 @@ struct VnState {
     /// Pages present in the data cache and covered by a token.
     valid: BTreeSet<u64>,
     /// Pages modified locally and not yet stored back, each tagged with
-    /// the `write_seq` of its last local write. A store-back snapshots
-    /// (page, seq) pairs, releases the low lock for the RPC, and on
-    /// return cleans a page only if its seq is unchanged — a page
-    /// re-dirtied mid-flight stays dirty (no lost update).
+    /// the `write_seq` of its last local write. A store snapshots
+    /// (page, seq) pairs and on its reply cleans a page only if its seq
+    /// is unchanged — a page re-dirtied mid-flight stays dirty (no lost
+    /// update).
     dirty: BTreeMap<u64, u64>,
+    /// The store slot (DESIGN.md §9): set while a store of this vnode
+    /// is on the wire. Taken before the snapshot, released after the
+    /// reply is merged; waiters sleep on [`CVnode::store_cv`].
+    storing: bool,
+    /// Revocation handlers waiting for the slot. While there is one, no
+    /// store but a handler's takes it: a handler waits for at most the
+    /// one store already out, not for every batch a flusher pass has
+    /// left to send.
+    revoking: u32,
     /// Monotone counter stamped onto dirty pages, bumped per write.
     write_seq: u64,
     /// Directory layer: name → status of individual lookups (§4.3).
@@ -306,45 +306,11 @@ struct VnState {
     opens: Vec<TokenTypes>,
 }
 
-/// Returns true if the union of tokens carrying any of `types` covers
-/// every byte of `range`. Shared by the locked [`VnState`] checks and
-/// the lock-free [`TokenView`] fast path so both judge coverage
-/// identically.
-fn tokens_cover(tokens: &[Token], types: TokenTypes, range: &ByteRange) -> bool {
-    if range.is_empty() {
-        return true;
-    }
-    let mut spans: Vec<ByteRange> = tokens
-        .iter()
-        .filter(|t| t.types.intersects(types))
-        .map(|t| t.range)
-        .collect();
-    spans.sort_by_key(|r| r.start);
-    let mut pos = range.start;
-    for s in spans {
-        if s.start > pos {
-            break;
-        }
-        pos = pos.max(s.end.min(range.end));
-        if pos >= range.end {
-            return true;
-        }
-    }
-    pos >= range.end
-}
-
-/// True if any token carries a status guarantee (read or write) — the
-/// condition under which the cached `FileStatus` may be believed.
-fn tokens_trust_status(tokens: &[Token]) -> bool {
-    tokens.iter().any(|t| {
-        t.types
-            .intersects(TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::STATUS_WRITE.0))
-    })
-}
-
-/// The cached status, if a status token vouches for it.
+/// The cached status, if a token carrying a status guarantee (read or
+/// write) vouches for it — the condition under which it may be believed.
 fn trusted_status<'a>(tokens: &[Token], status: &'a Option<FileStatus>) -> Option<&'a FileStatus> {
-    status.as_ref().filter(|_| tokens_trust_status(tokens))
+    let vouches = TokenTypes::STATUS_READ | TokenTypes::STATUS_WRITE;
+    status.as_ref().filter(|_| tokens.iter().any(|t| t.types.intersects(vouches)))
 }
 
 /// The one cache-hit test (§5.2): serves `len` bytes at `offset` from
@@ -415,9 +381,7 @@ impl VnState {
     }
 
     fn dir_trusted(&self) -> bool {
-        self.tokens.iter().any(|t| {
-            t.types.contains(TokenTypes::STATUS_READ) && t.types.contains(TokenTypes::DATA_READ)
-        })
+        self.has_types(TokenTypes::STATUS_READ | TokenTypes::DATA_READ)
     }
 }
 
@@ -443,6 +407,7 @@ impl TokenView {
     }
 }
 
+#[derive(Default)]
 struct CVnode {
     fid: Fid,
     /// High-level lock: serializes client operations on the file (§6.1).
@@ -461,6 +426,8 @@ struct CVnode {
     lo_seq: AtomicU64,
     /// Latest published [`TokenView`]; empty until the first mutation.
     published: SnapshotCell<TokenView>,
+    /// Wakes those waiting for the store slot ([`VnState::storing`]).
+    store_cv: OrderedCondvar,
 }
 
 impl CVnode {
@@ -469,27 +436,67 @@ impl CVnode {
     /// could mutate state without invalidating the published snapshot,
     /// and the fast path would serve stale hits forever.
     fn lock_lo(&self) -> LoGuard<'_> {
-        LoGuard { inner: self.lo.lock(), vn: self, mutated: false }
+        LoGuard { inner: Some(self.lo.lock()), vn: self, mutated: false }
     }
 }
 
 /// Guard for [`CVnode::lo`] that drives the §6.1 fast-path seqlock:
 /// the first mutable dereference flips `lo_seq` odd (fast-path readers
-/// fall back to the mutex), and dropping a guard that mutated state
-/// republishes the [`TokenView`] and flips the seq even again — both
+/// fall back to the mutex), and letting go of a guard that mutated
+/// state — on drop, or for the span of [`wait`] or [`unlocked`] —
+/// republishes the [`TokenView`] and flips the seq even again, both
 /// while the mutex is still held, so a snapshot can never go backwards.
+///
+/// [`wait`]: LoGuard::wait
+/// [`unlocked`]: LoGuard::unlocked
 struct LoGuard<'a> {
-    /// Declared before `vn` for documentation only; the publish happens
-    /// in `Drop::drop`'s body, while `inner` is still alive.
-    inner: OrderedMutexGuard<'a, VnState, { rank::CLIENT_VNODE_LO }>,
+    /// `None` only inside [`LoGuard::unlocked`].
+    inner: Option<OrderedMutexGuard<'a, VnState, { rank::CLIENT_VNODE_LO }>>,
     vn: &'a CVnode,
     mutated: bool,
+}
+
+impl LoGuard<'_> {
+    /// Publishes what this guard changed; the mutex is still held.
+    fn publish(&mut self) {
+        if let (true, Some(state)) = (self.mutated, self.inner.as_deref()) {
+            self.vn.published.store(Arc::new(TokenView::of(state)));
+            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
+            self.mutated = false;
+        }
+    }
+
+    /// Sleeps on `cv` with `lo` released; holds it again on return.
+    fn wait(&mut self, cv: &OrderedCondvar) {
+        self.publish();
+        cv.wait(self.inner.as_mut().expect("lo held"));
+    }
+
+    /// The client half of §6.1, written once (contract in DESIGN.md
+    /// §10): runs `f` — an RPC about this vnode — with `lo` released,
+    /// because the server may revoke one of our tokens before it
+    /// answers and revocation handlers take `lo`. The call is counted
+    /// in `in_flight` for its whole span: `in_flight > 0` tells such a
+    /// handler that a token it does not know may be riding on a reply
+    /// still in the air (§6.3), so it queues the revocation instead of
+    /// dropping it. No path out of here leaves the count raised; the
+    /// caller merges the reply and drains the queue
+    /// ([`CacheManager::absorb`]) before it lets the guard go.
+    fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.in_flight += 1;
+        self.publish();
+        self.inner = None;
+        let out = f();
+        self.inner = Some(self.vn.lo.lock());
+        self.in_flight -= 1;
+        out
+    }
 }
 
 impl std::ops::Deref for LoGuard<'_> {
     type Target = VnState;
     fn deref(&self) -> &VnState {
-        &self.inner
+        self.inner.as_ref().expect("lo held")
     }
 }
 
@@ -500,34 +507,20 @@ impl std::ops::DerefMut for LoGuard<'_> {
             // Odd: mutation in progress, fast path must fall back.
             self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
         }
-        &mut self.inner
+        self.inner.as_mut().expect("lo held")
     }
 }
 
 impl Drop for LoGuard<'_> {
     fn drop(&mut self) {
-        if self.mutated {
-            // Still under the mutex here: `inner` drops after this
-            // body, so the published view matches the state the next
-            // `lo` holder will see and the even seq ratifies it.
-            self.vn.published.store(Arc::new(TokenView::of(&self.inner)));
-            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
-        }
+        // Still under the mutex here: `inner` drops after this body, so
+        // the published view matches the state the next `lo` holder
+        // will see and the even seq ratifies it.
+        self.publish();
     }
 }
 
-/// Wake/stop flags for the background flusher, guarded at rank
-/// `CLIENT_FLUSHER` so writers may kick it while holding a vnode `lo`.
-#[derive(Default)]
-struct FlusherCtl {
-    stop: bool,
-    kicked: bool,
-    /// Set by the recovery pipeline to quiesce background store-backs
-    /// while tokens are being reestablished.
-    paused: bool,
-}
-
-/// What [`CacheManager::file_rpc`]'s retry ladder does with one
+/// What the retry ladder ([`CacheManager::ladder`]) does with one
 /// attempt's outcome (table in DESIGN.md §10). `Done` hands the outcome
 /// to the caller; `Moved` retries at once; the rest back off first.
 #[derive(Debug, PartialEq)]
@@ -567,6 +560,10 @@ fn classify(outcome: &DfsResult<Response>) -> Verdict {
     }
 }
 
+/// One attempt's placement and raw outcome, as the retry ladder reads
+/// them.
+type Sent = (DfsResult<ServerId>, DfsResult<Response>);
+
 /// Takes a `Status` reply apart; any other shape is a protocol bug.
 fn status_reply(
     resp: Response,
@@ -586,13 +583,8 @@ pub struct CacheManager {
     net: Network,
     vldb: VldbHandle,
     data: Arc<dyn DataCache>,
-    wb: WritebackConfig,
-    /// Client-wide dirty-page count, maintained by the `note_dirty` /
-    /// `note_clean` helpers so budget checks never walk the vnode table.
-    dirty_total: AtomicU64,
-    flusher_ctl: OrderedMutex<FlusherCtl, { rank::CLIENT_FLUSHER }>,
-    flusher_cv: OrderedCondvar,
-    flusher_join: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The write-behind pipeline's client-wide state (`writeback.rs`).
+    wb: writeback::Writeback,
     ticket: OrderedMutex<Option<Ticket>, { rank::CLIENT_RESOURCE }>,
     /// Serializes the crash-recovery pipeline. Ranked between the vnode
     /// high locks and the vnode table: the operation that *detects* an
@@ -640,11 +632,7 @@ impl CacheManager {
             net: net.clone(),
             vldb: VldbHandle::new(net.clone(), addr, vldb_replicas),
             data,
-            wb,
-            dirty_total: AtomicU64::new(0),
-            flusher_ctl: OrderedMutex::new(FlusherCtl::default()),
-            flusher_cv: OrderedCondvar::new(),
-            flusher_join: parking_lot::Mutex::new(None),
+            wb: writeback::Writeback { cfg: wb, ..Default::default() },
             ticket: OrderedMutex::new(None),
             recovery_gate: OrderedMutex::new(()),
             known_epochs: OrderedMutex::new(HashMap::new()),
@@ -658,80 +646,8 @@ impl CacheManager {
             cm.clone(),
             PoolConfig { workers: 2, revocation_workers: 2, require_auth: false },
         );
-        if cm.wb.flusher {
-            let weak = Arc::downgrade(&cm);
-            let handle = std::thread::Builder::new()
-                .name(format!("dfs-flusher-{}", id.0))
-                .spawn(move || Self::flusher_main(weak))
-                .expect("spawn flusher");
-            *cm.flusher_join.lock() = Some(handle);
-        }
+        Self::spawn_flusher(&cm);
         cm
-    }
-
-    /// The background store daemon: wakes on a timer or a kick, and
-    /// trickles dirty pages out via `store_back`. It takes no vnode
-    /// `hi` lock ever, and drops its control lock before flushing, so
-    /// it can never hold a guard across an RPC send.
-    fn flusher_main(weak: Weak<CacheManager>) {
-        loop {
-            // Upgrade per iteration: holding only a weak reference lets
-            // the cache manager be dropped while the daemon sleeps.
-            let Some(cm) = weak.upgrade() else { return };
-            let mut ctl = cm.flusher_ctl.lock();
-            if !ctl.stop && !ctl.kicked {
-                cm.flusher_cv.wait_for(&mut ctl, cm.wb.flush_interval);
-            }
-            let stop = ctl.stop;
-            let paused = ctl.paused;
-            ctl.kicked = false;
-            drop(ctl);
-            if !paused && cm.dirty_total.load(Ordering::Relaxed) > 0 {
-                cm.stats.lock().flusher_passes += 1;
-                let _ = cm.store_back_all();
-            }
-            if stop {
-                return;
-            }
-        }
-    }
-
-    /// Wakes the flusher ahead of its timer.
-    fn kick_flusher(&self) {
-        self.flusher_ctl.lock().kicked = true;
-        self.flusher_cv.notify_all();
-    }
-
-    /// Quiesces (or resumes) the background flusher around recovery.
-    fn set_flusher_paused(&self, paused: bool) {
-        self.flusher_ctl.lock().paused = paused;
-        if !paused {
-            self.flusher_cv.notify_all();
-        }
-    }
-
-    /// Stops the background flusher (flushing remaining dirty data) and
-    /// stores back anything still dirty. Idempotent.
-    pub fn shutdown(&self) -> DfsResult<()> {
-        let handle = self.flusher_join.lock().take();
-        if let Some(h) = handle {
-            self.flusher_ctl.lock().stop = true;
-            self.flusher_cv.notify_all();
-            let _ = h.join();
-        }
-        self.store_back_all()
-    }
-
-    /// Stores every dirty page of every vnode back to its server.
-    pub fn store_back_all(&self) -> DfsResult<()> {
-        let targets: Vec<Arc<CVnode>> = self.vnodes.lock().values().cloned().collect();
-        let mut first_err = None;
-        for vn in targets {
-            if let Err(e) = self.store_back(&vn) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
     }
 
     /// This client's id.
@@ -819,39 +735,49 @@ impl CacheManager {
         }
     }
 
-    /// One send to a file server under the current ticket: no retry,
-    /// no redirect chasing.
+    /// One attempt: places `volume` and sends `req` to the server found,
+    /// under the current ticket — no retry, no redirect chasing. An
+    /// `Err` placement means even the VLDB cannot place the volume right
+    /// now; the ladder classifies it like any other outcome.
+    fn send(&self, volume: VolumeId, class: CallClass, req: Request) -> Sent {
+        let placed = self.server_for(volume);
+        let outcome = placed.clone().and_then(|server| self.server_call(server, class, req));
+        (placed, outcome)
+    }
+
+    /// One send to a known file server under the current ticket.
     fn server_call(&self, server: ServerId, class: CallClass, req: Request) -> DfsResult<Response> {
         let ticket = *self.ticket.lock();
         self.net.call(self.addr, Addr::Server(server), ticket, class, req)
     }
 
-    /// Sends a file RPC, retrying transparently across volume moves
-    /// (re-consulting the VLDB), brief volume-busy windows (§2.1),
-    /// crashed or unreachable servers, and post-restart grace windows:
-    /// [`classify`] says what an attempt's outcome means, the match
-    /// below performs that verdict's side effects. Every
-    /// `Status`/`Data` response carries the server's epoch; a change
-    /// from the last one seen runs the recovery pipeline before the
-    /// response is handed back.
-    fn file_rpc(&self, volume: VolumeId, req: Request) -> DfsResult<Response> {
-        let key = volume.0.wrapping_mul(0x9E37_79B9);
-        // Consecutive attempts on which the primary was unreachable;
-        // read-class requests fail over to a §3.8 replica once this
-        // crosses the threshold (one dropped packet is not an outage).
+    /// **The retry ladder**, written once for every file RPC and every
+    /// store: runs `attempt` until its outcome is one no retry cures,
+    /// transparently across volume moves (re-consulting the VLDB), brief
+    /// volume-busy windows (§2.1), crashed or unreachable servers, and
+    /// post-restart grace windows. [`classify`] says what an outcome
+    /// means; the match below performs that verdict's side effects
+    /// (table in DESIGN.md §10) and then returns, retries at once, or
+    /// backs off. Every `Status`/`Data` response carries the server's
+    /// epoch; a change from the last one seen runs the recovery pipeline
+    /// here, before the caller looks at the response.
+    ///
+    /// `attempt` answering `None` — it found nothing to send — ends the
+    /// ladder with `Ok(None)`. `fallback` is the request a §3.8 replica
+    /// may answer once the primary has been down for several attempts
+    /// (one dropped packet is not an outage).
+    fn ladder(
+        &self,
+        volume: VolumeId,
+        fallback: Option<&Request>,
+        mut attempt: impl FnMut() -> Option<Sent>,
+    ) -> DfsResult<Option<Response>> {
         const FAILOVER_AFTER: u32 = 2;
         let mut down = 0u32;
-        for attempt in 1..=RPC_RETRY_BUDGET {
-            // An `Err` here means even the VLDB cannot place the volume
-            // right now; it is classified like any other outcome.
-            let placed = self.server_for(volume);
-            let outcome = placed
-                .clone()
-                .and_then(|server| self.server_call(server, CallClass::Normal, req.clone()));
+        for round in 1..=RPC_RETRY_BUDGET {
+            let Some((placed, outcome)) = attempt() else { return Ok(None) };
             let verdict = classify(&outcome);
-            if verdict != Verdict::PrimaryDown {
-                down = 0;
-            }
+            down = if verdict == Verdict::PrimaryDown { down + 1 } else { 0 };
             match verdict {
                 Verdict::Done => {
                     if let (
@@ -861,7 +787,7 @@ impl CacheManager {
                     {
                         self.note_epoch(server, *epoch);
                     }
-                    return outcome;
+                    return outcome.map(Some);
                 }
                 Verdict::Moved { hint, generation } => {
                     self.follow_redirect(volume, hint, generation);
@@ -884,20 +810,24 @@ impl CacheManager {
                         self.stats.lock().transport_retries += 1;
                         self.loc_invalidate(volume);
                     }
-                    down += 1;
-                    if down >= FAILOVER_AFTER {
-                        if let Some(resp) = self.replica_fallback(volume, &req) {
-                            return Ok(resp);
-                        }
+                    let replica = fallback.filter(|_| down >= FAILOVER_AFTER);
+                    if let Some(resp) = replica.and_then(|req| self.replica_fallback(volume, req)) {
+                        return Ok(Some(resp));
                     }
                 }
             }
-            self.backoff_keyed(key, attempt);
+            self.backoff(volume.0, round);
         }
         // The budget is spent: report honest unavailability rather than
         // a timeout the caller would be tempted to retry forever.
         self.stats.lock().unavailable_giveups += 1;
         Err(DfsError::Unavailable)
+    }
+
+    /// Sends a file RPC through the [`ladder`](CacheManager::ladder).
+    fn file_rpc(&self, volume: VolumeId, req: Request) -> DfsResult<Response> {
+        let attempt = || Some(self.send(volume, CallClass::Normal, req.clone()));
+        Ok(self.ladder(volume, Some(&req), attempt)?.expect("an attempt was made"))
     }
 
     /// Attempts a bounded-stale read from a §3.8 read-only replica after
@@ -940,119 +870,67 @@ impl CacheManager {
 
     fn vnode(&self, fid: Fid) -> Arc<CVnode> {
         let mut vnodes = self.vnodes.lock();
-        vnodes
-            .entry(fid)
-            .or_insert_with(|| {
-                Arc::new(CVnode {
-                    fid,
-                    hi: OrderedMutex::new(()),
-                    lo: OrderedMutex::new(VnState::default()),
-                    lo_seq: AtomicU64::new(0),
-                    published: SnapshotCell::new(),
-                })
-            })
-            .clone()
+        vnodes.entry(fid).or_insert_with(|| Arc::new(CVnode { fid, ..CVnode::default() })).clone()
     }
 
     // ------------------------------------------------------------------
     // The client RPC spine (§6.1–§6.3)
     // ------------------------------------------------------------------
 
-    /// The client half of §6.1, written once (contract in DESIGN.md
-    /// §10). The caller holds the vnode's `hi` lock (daemons hold none)
-    /// and hands in its `lo` guard; the call is counted in `in_flight`,
-    /// `lo` is released across the RPC — the server may revoke one of
-    /// our tokens before it answers, and revocation handlers take `lo`
-    /// — then re-taken and the call uncounted. `in_flight > 0` tells
-    /// such a handler that a token it does not know may be riding on a
-    /// reply still in the air (§6.3), so it queues the revocation
-    /// instead of dropping it. The guard comes back with the result:
-    /// no path out of here leaves `in_flight` raised, and the caller
-    /// merges the reply and drains the queue ([`absorb`]) before it
-    /// lets the guard go.
-    ///
-    /// [`absorb`]: CacheManager::absorb
-    fn rpc_unlocked<'a>(
-        &self,
-        mut lo: LoGuard<'a>,
-        req: Request,
-    ) -> (LoGuard<'a>, DfsResult<Response>) {
-        let vn = lo.vn;
-        lo.in_flight += 1;
-        drop(lo);
-        let resp = self.file_rpc(vn.fid.volume, req).and_then(Response::into_result);
-        let mut lo = vn.lock_lo();
-        lo.in_flight -= 1;
-        (lo, resp)
+    /// A file RPC about `lo`'s vnode, `lo` released across it
+    /// ([`LoGuard::unlocked`]). The caller holds the vnode's `hi` lock
+    /// (daemons hold none).
+    fn rpc_unlocked(&self, lo: &mut LoGuard<'_>, req: Request) -> DfsResult<Response> {
+        let volume = lo.vn.fid.volume;
+        lo.unlocked(|| self.file_rpc(volume, req).and_then(Response::into_result))
     }
 
     /// [`rpc_unlocked`] for the common reply, a `Status`: absorbs its
     /// tokens (always this vnode's) and its status (when it describes
     /// this vnode, not a directory op's child), and hands back status,
-    /// stamp and staleness bound with the guard. A replica-served reply
+    /// stamp and staleness bound. A replica-served reply
     /// (`stale_us > 0`) comes back unabsorbed: a replica's tokens and
     /// stamps mean nothing at the primary and must not poison the
     /// vnode's stamp ordering for when the primary returns.
     ///
     /// [`rpc_unlocked`]: CacheManager::rpc_unlocked
-    fn status_rpc<'a>(
+    fn status_rpc(
         &self,
-        lo: LoGuard<'a>,
+        lo: &mut LoGuard<'_>,
         req: Request,
-    ) -> DfsResult<(LoGuard<'a>, FileStatus, SerializationStamp, u64)> {
-        let (mut lo, resp) = self.rpc_unlocked(lo, req);
-        let (status, tokens, stamp, stale_us) = status_reply(resp?)?;
+    ) -> DfsResult<(FileStatus, SerializationStamp, u64)> {
+        let (status, tokens, stamp, stale_us) = status_reply(self.rpc_unlocked(lo, req)?)?;
         if stale_us == 0 {
-            let vn = lo.vn;
-            let own = (status.fid == vn.fid).then(|| (status.clone(), stamp));
-            self.absorb(vn, &mut lo, own, tokens);
+            let own = (status.fid == lo.vn.fid).then(|| (status.clone(), stamp));
+            self.absorb(lo, own, tokens);
         }
-        Ok((lo, status, stamp, stale_us))
+        Ok((status, stamp, stale_us))
     }
 
     /// Obtains `types` over `range` on the guard's vnode.
-    fn get_token<'a>(
-        &self,
-        lo: LoGuard<'a>,
-        types: TokenTypes,
-        range: ByteRange,
-    ) -> DfsResult<LoGuard<'a>> {
+    fn get_token(&self, lo: &mut LoGuard<'_>, types: TokenTypes, range: ByteRange) -> DfsResult<()> {
         let req = Request::GetToken { fid: lo.vn.fid, want: TokenRequest { types, range } };
-        Ok(self.status_rpc(lo, req)?.0)
+        self.status_rpc(lo, req).map(drop)
     }
 
-    /// Sends a revocation-class request from inside a revocation
-    /// handler, chasing the volume across a bounded number of moves so
-    /// the store-back is never dropped on a `WrongServer`. There is no
-    /// retry ladder here: the server is waiting on this very handler.
-    // dfs-lint: allow(guard-across-rpc) — callers hold their vnode's
-    // `lo` guard across this send. Safe only because revocation-class
-    // calls are served grant-free (§6.3): the reply cannot block on a
-    // further revocation aimed back at us.
-    fn revocation_rpc(
-        &self,
-        volume: VolumeId,
-        req: Request,
-    ) -> DfsResult<(FileStatus, SerializationStamp)> {
-        for _ in 0..8u32 {
-            let server = self.server_for(volume)?;
-            match self.server_call(server, CallClass::Revocation, req.clone())? {
-                Response::WrongServer { hint, generation } => {
-                    self.follow_redirect(volume, hint, generation);
-                }
-                other => {
-                    let (status, _, stamp, _) = status_reply(other.into_result()?)?;
-                    return Ok((status, stamp));
-                }
-            }
-        }
-        Err(DfsError::Timeout)
-    }
-
-    /// Merges `status` by stamp (§6.3), counting a stale one.
+    /// Merges `status` by stamp (§6.3), counting a stale one. The length
+    /// stays as long as the pages still dirty need it: they are updates
+    /// the server has yet to see, and its status — even a newer one —
+    /// reflects only what has been stored so far. Letting a shorter
+    /// length stand would EOF-discard them on the next store (and shrink
+    /// what a concurrent local getattr observes).
     fn merge_status(&self, lo: &mut VnState, status: FileStatus, stamp: SerializationStamp) {
+        let unstored = lo
+            .dirty
+            .keys()
+            .next_back()
+            .zip(lo.status.as_ref())
+            .map(|(&p, st)| st.length.min((p + 1) * PAGE_SIZE as u64));
         if !lo.merge_status(status, stamp) {
             self.stats.lock().stale_status_dropped += 1;
+        }
+        if let (Some(len), Some(st)) = (unstored, lo.status.as_mut()) {
+            st.length = st.length.max(len);
         }
     }
 
@@ -1060,8 +938,7 @@ impl CacheManager {
     /// applies any queued revocations, all in stamp order (§6.3).
     fn absorb(
         &self,
-        vn: &CVnode,
-        lo: &mut VnState,
+        lo: &mut LoGuard<'_>,
         status: Option<(FileStatus, SerializationStamp)>,
         tokens: Vec<Token>,
     ) {
@@ -1082,24 +959,37 @@ impl CacheManager {
                 lo.queued.push((token, types, stamp));
                 continue;
             }
-            self.apply_revocation(vn, lo, &token, types, stamp);
+            self.apply_revocation(lo, &token, types, stamp);
         }
     }
 
-    /// Processes one typed revocation against the low-level state.
-    ///
-    /// Only the `types` bits are taken; remaining bits of the token stay
-    /// held. Dirty pages (for data-write bits) or local status (for
+    /// Processes one typed revocation against the low-level state:
+    /// gives up the `types` bits of `token`; remaining bits stay held.
+    /// Dirty pages (for data-write bits) or local status (for
     /// status-write bits) are stored back first (§5.3). Returns false if
     /// the bits are retained (held locks/opens, §5.3).
+    ///
+    /// It takes its turn at the vnode's store slot (DESIGN.md §9): a
+    /// store of this vnode already on the wire was sent under the
+    /// guarantees we hold now, so it must land and be merged before any
+    /// of them is given up. `lo` is free while we wait, which is why the
+    /// token is looked up only afterwards; from there on `lo` is held to
+    /// the end, so no other store can start — and none but that one
+    /// starts while we wait (`revoking`), so the wait is one send long.
     fn apply_revocation(
         &self,
-        vn: &CVnode,
-        lo: &mut VnState,
+        lo: &mut LoGuard<'_>,
         token: &Token,
         types: TokenTypes,
         stamp: SerializationStamp,
     ) -> bool {
+        let vn = lo.vn;
+        lo.revoking += 1;
+        while lo.storing {
+            lo.wait(&vn.store_cv);
+        }
+        lo.revoking -= 1;
+        vn.store_cv.notify_all();
         let Some(pos) = lo.tokens.iter().position(|t| t.id == token.id) else {
             return true; // Already gone (returned voluntarily).
         };
@@ -1109,13 +999,9 @@ impl CacheManager {
         }
         let held_range = lo.tokens[pos].range;
         // Lock and open tokens may be kept if still in use (§5.3).
-        if to_drop.intersects(TokenTypes(TokenTypes::LOCK_READ.0 | TokenTypes::LOCK_WRITE.0))
-            && lo.locks.iter().any(|l| l.local && l.range.overlaps(&held_range))
-        {
-            self.stats.lock().retained += 1;
-            return false;
-        }
-        if to_drop.intersects(TokenTypes::OPEN_MASK) && !lo.opens.is_empty() {
+        let locked = to_drop.intersects(TokenTypes::LOCK_READ | TokenTypes::LOCK_WRITE)
+            && lo.locks.iter().any(|l| l.local && l.range.overlaps(&held_range));
+        if locked || (to_drop.intersects(TokenTypes::OPEN_MASK) && !lo.opens.is_empty()) {
             self.stats.lock().retained += 1;
             return false;
         }
@@ -1123,25 +1009,28 @@ impl CacheManager {
         // data-write bits flush dirty pages in the range; status-write
         // bits push the locally-updated status (length and mtime — the
         // data itself stays cached under the data token we still hold).
-        if to_drop.contains(TokenTypes::DATA_WRITE) {
-            let _ = self.store_dirty(vn, lo, held_range);
-        } else if to_drop.contains(TokenTypes::STATUS_WRITE) && lo.status_dirty {
-            if let Some(st) = &lo.status {
-                let attrs = SetAttrs {
-                    length: Some(st.length),
-                    mtime: Some(st.mtime),
-                    ..SetAttrs::default()
-                };
-                // Only a successful push cleans the flag: a failed
-                // store-back keeps the status dirty so a later flush
-                // can retry it.
-                let req = Request::StoreStatus { fid: vn.fid, attrs };
-                if let Ok((status, stamp)) = self.revocation_rpc(vn.fid.volume, req) {
-                    self.merge_status(lo, status, stamp);
-                    lo.status_dirty = false;
-                }
+        // The server is waiting on this handler, so a failed store-back
+        // cannot hold the token: it goes back regardless.
+        let stored = if to_drop.contains(TokenTypes::DATA_WRITE) {
+            self.store_held(lo, Store::Pages(Some(held_range)))
+        } else if to_drop.contains(TokenTypes::STATUS_WRITE) {
+            self.store_held(lo, Store::DirtyStatus)
+        } else {
+            Ok(())
+        };
+        let lost = match stored {
+            // Refused: the server already has this token down as
+            // returned — the revocation was acknowledged when it was
+            // queued (§6.3), for a token taken to store pages that were
+            // dirty before it. Nothing is lost: the pages stay dirty,
+            // and the next store is refused in its turn and takes the
+            // token again.
+            Ok(()) | Err(DfsError::TokenRevoked) => false,
+            Err(_) => {
+                self.stats.lock().revocation_store_failures += 1;
+                to_drop.contains(TokenTypes::DATA_WRITE)
             }
-        }
+        };
         // Strip the bits; drop the token entirely when nothing is left.
         lo.tokens[pos].types = lo.tokens[pos].types.minus(to_drop);
         if lo.tokens[pos].types.is_empty() {
@@ -1149,23 +1038,22 @@ impl CacheManager {
         }
         let data_bits = TokenTypes::DATA_READ | TokenTypes::DATA_WRITE;
         if to_drop.intersects(data_bits) {
-            // Drop cached pages no longer under any data token.
-            let still_covered: Vec<ByteRange> = lo
-                .tokens
-                .iter()
-                .filter(|t| t.types.intersects(data_bits))
-                .map(|t| t.range)
-                .collect();
+            // Drop cached pages no longer under any data token. A page
+            // still dirty keeps its bytes — they are all there is of an
+            // update yet to be stored — unless its store-back just
+            // failed: then it holds bytes no one else will ever see,
+            // lost with the token, and we must not go on reading them.
             let dropped: Vec<u64> = lo
                 .valid
-                .iter()
+                .range(writeback::pages_of(Some(held_range)))
                 .copied()
                 .filter(|p| {
                     let r = ByteRange::at(p * PAGE_SIZE as u64, PAGE_SIZE as u64);
-                    held_range.overlaps(&r) && !still_covered.iter().any(|c| c.contains_range(&r))
+                    if lo.dirty.contains_key(p) { lost } else { !lo.covered(data_bits, &r) }
                 })
                 .collect();
             for p in dropped {
+                self.note_clean(lo, p);
                 lo.valid.remove(&p);
                 self.data.drop_page(vn.fid, p);
             }
@@ -1179,215 +1067,27 @@ impl CacheManager {
         true
     }
 
-    // ------------------------------------------------------------------
-    // Write-behind pipeline: coalesced store-backs (§4.2, §5.3)
-    // ------------------------------------------------------------------
-
-    /// Marks `page` dirty with the given write sequence, maintaining the
-    /// client-wide dirty-page counter.
-    fn note_dirty(&self, lo: &mut VnState, page: u64, seq: u64) {
-        if lo.dirty.insert(page, seq).is_none() {
-            self.dirty_total.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks `page` clean, maintaining the client-wide counter.
-    fn note_clean(&self, lo: &mut VnState, page: u64) {
-        if lo.dirty.remove(&page).is_some() {
-            self.dirty_total.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drops every dirty page of a vnode (file removal).
-    fn clear_dirty(&self, lo: &mut VnState) {
-        let n = lo.dirty.len() as u64;
-        lo.dirty.clear();
-        self.dirty_total.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Coalesces dirty pages (optionally restricted to `range`) into up
-    /// to [`STORE_EXTENTS_PER_RPC`] contiguous extents of at most
-    /// [`STORE_EXTENT_PAGES`] pages each, snapshotting page contents
-    /// under the caller's `lo` guard, and returns them with the (page,
-    /// write_seq) tags needed to clean only un-re-dirtied pages
-    /// afterwards. The last extent is clamped at EOF (partial final
-    /// page); pages wholly beyond EOF or whose cached contents are gone
-    /// are dropped from the dirty set on the spot.
-    fn collect_extents(
-        &self,
-        fid: Fid,
-        lo: &mut VnState,
-        range: Option<ByteRange>,
-        eof: u64,
-    ) -> (Vec<WriteExtent>, Vec<(u64, u64)>) {
-        let snapshot: Vec<(u64, u64)> = lo
-            .dirty
-            .iter()
-            .map(|(&p, &s)| (p, s))
-            .filter(|(p, _)| {
-                range.is_none_or(|r| {
-                    r.overlaps(&ByteRange::at(p * PAGE_SIZE as u64, PAGE_SIZE as u64))
-                })
-            })
-            .collect();
-        let mut extents: Vec<WriteExtent> = Vec::new();
-        let mut pages = Vec::new();
-        for (p, seq) in snapshot {
-            let offset = p * PAGE_SIZE as u64;
-            let len = (PAGE_SIZE as u64).min(eof.saturating_sub(offset)) as usize;
-            if len == 0 {
-                // Truncated past this page since it was dirtied.
-                self.note_clean(lo, p);
-                continue;
-            }
-            let Some(bytes) = self.data.read_page(fid, p) else {
-                // Contents evicted from the cache: nothing left to store.
-                self.note_clean(lo, p);
-                continue;
-            };
-            // Append when contiguous with the previous page and under
-            // the extent budget; a partial (EOF) page never matches the
-            // byte-contiguity check, so it always ends its extent.
-            let full = extents.len() == STORE_EXTENTS_PER_RPC;
-            match extents.last_mut() {
-                Some(e)
-                    if e.offset + e.data.len() as u64 == offset
-                        && e.data.len() < STORE_EXTENT_PAGES * PAGE_SIZE =>
-                {
-                    e.data.extend_from_slice(&bytes[..len]);
-                }
-                _ if full => break,
-                _ => extents.push(WriteExtent { offset, data: bytes[..len].to_vec() }),
-            }
-            pages.push((p, seq));
-        }
-        (extents, pages)
-    }
-
-    /// Builds the wire request for a batch: a flat `StoreData` for a
-    /// single extent (16 bytes cheaper), `StoreDataVec` otherwise.
-    fn storeback_request(fid: Fid, mut extents: Vec<WriteExtent>) -> Request {
-        if extents.len() == 1 {
-            let e = extents.pop().expect("one extent");
-            Request::StoreData { fid, offset: e.offset, data: e.data }
-        } else {
-            Request::StoreDataVec { fid, extents }
-        }
-    }
-
-    /// Stores the dirty pages in `range` back to the file server from
-    /// *revocation* context, merging the returned status by stamp
-    /// (§6.3). The caller's `lo` guard stays held across the sends (see
-    /// [`revocation_rpc`]), so no page can be re-dirtied mid-flight;
-    /// normal-path store-backs use [`store_back`], which drops the
-    /// guard instead.
-    ///
-    /// [`revocation_rpc`]: CacheManager::revocation_rpc
-    /// [`store_back`]: CacheManager::store_back
-    fn store_dirty(&self, vn: &CVnode, lo: &mut VnState, range: ByteRange) -> DfsResult<()> {
-        // Clamp against the EOF as of flush start: a reply merged after
-        // a partial store reports the server's (shorter) length, which
-        // must not EOF-discard pages still waiting in the dirty set.
-        let eof = lo.status.as_ref().map_or(u64::MAX, |s| s.length);
-        loop {
-            let (extents, pages) = self.collect_extents(vn.fid, lo, Some(range), eof);
-            if extents.is_empty() {
-                return Ok(());
-            }
-            let req = Self::storeback_request(vn.fid, extents);
-            let (status, stamp) = self.revocation_rpc(vn.fid.volume, req)?;
-            self.merge_status(lo, status, stamp);
-            self.stats.lock().revocation_stores += pages.len() as u64;
-            for (p, _) in pages {
-                self.note_clean(lo, p);
-            }
-        }
-    }
-
-    /// The normal-path store-back: coalesces dirty pages into extents
-    /// and ships them through [`rpc_unlocked`], `lo` released across
-    /// every send. Pages re-dirtied while an RPC was in flight keep
-    /// their dirty bit (their write_seq no longer matches the snapshot)
-    /// and go out on a later round; queued revocations are absorbed
-    /// after each reply.
-    ///
-    /// [`rpc_unlocked`]: CacheManager::rpc_unlocked
-    fn store_back(&self, vn: &CVnode) -> DfsResult<()> {
-        let mut lo = vn.lock_lo();
-        loop {
-            // The EOF as the local writer sees it at snapshot time:
-            // extents are clamped against the same status the dirty-set
-            // snapshot below comes from.
-            let eof = lo.status.as_ref().map_or(u64::MAX, |s| s.length);
-            let (extents, pages) = self.collect_extents(vn.fid, &mut lo, None, eof);
-            if extents.is_empty() {
-                return Ok(());
-            }
-            {
-                let mut st = self.stats.lock();
-                st.storeback_rpcs += 1;
-                st.storeback_extents += extents.len() as u64;
-                st.storeback_pages += pages.len() as u64;
-            }
-            let req = Self::storeback_request(vn.fid, extents);
-            let (relocked, resp) = self.rpc_unlocked(lo, req);
-            lo = relocked;
-            // The local length as of *now* — writes during the RPC
-            // flight may have extended the file past what this store
-            // carried. The reply's status wins the stamp comparison
-            // but reflects only the stored prefix; letting its shorter
-            // length stand would EOF-discard those still-dirty pages on
-            // the next round (and shrink what a concurrent local
-            // getattr observes), so re-extend while status is dirty —
-            // and before any queued revocation is applied below, whose
-            // store-back clamps against this length.
-            let local_len = lo.status.as_ref().map(|s| s.length);
-            let (status, _, stamp, _) = status_reply(resp?)?;
-            self.merge_status(&mut lo, status, stamp);
-            if lo.status_dirty {
-                if let (Some(l), Some(st)) = (local_len, lo.status.as_mut()) {
-                    st.length = st.length.max(l);
-                }
-            }
-            // Clean only pages unchanged since the snapshot (no lost
-            // updates); re-dirtied pages stay for the next round.
-            for (p, seq) in pages {
-                if lo.dirty.get(&p) == Some(&seq) {
-                    self.note_clean(&mut lo, p);
-                }
-            }
-            // Revocations may have queued while we were in flight (§6.3).
-            self.absorb(vn, &mut lo, None, Vec::new());
-        }
-    }
-
     /// Jittered, capped backoff for retry loops: linear ramp capped at
     /// 2 ms, with a deterministic per-(client, key, round) jitter in the
-    /// upper half so colliding clients desynchronize.
-    fn backoff_keyed(&self, key: u64, round: u32) {
+    /// upper half so colliding clients desynchronize. `key` names what
+    /// is contended: a volume for the ladder, a vnode for the token
+    /// contention `read` and `write` wait out.
+    fn backoff(&self, key: u64, round: u32) {
         const BASE_US: u64 = 100;
         const CAP_US: u64 = 2_000;
         let step = (BASE_US * u64::from(round)).min(CAP_US);
-        let seed = (u64::from(self.id.0) << 40) ^ key ^ u64::from(round);
+        let seed = (u64::from(self.id.0) << 40) ^ key.wrapping_mul(0x9E37_79B9) ^ u64::from(round);
         let jitter = StdRng::seed_from_u64(seed).gen_range_u64(step / 2 + 1);
         self.stats.lock().backoff_rounds += 1;
         std::thread::sleep(Duration::from_micros(step / 2 + jitter));
-    }
-
-    /// Token-contention backoff keyed by fid (used by `read`/`write`).
-    fn backoff(&self, fid: Fid, round: u32) {
-        self.backoff_keyed(
-            (u64::from(fid.vnode.0) << 8) ^ fid.volume.0.wrapping_mul(0x9E37_79B9),
-            round,
-        );
     }
 
     // ------------------------------------------------------------------
     // Crash recovery: epoch tracking, reestablishment, replay (§3.2)
     // ------------------------------------------------------------------
 
-    /// Asks a server for its current epoch (a `GraceWait` refusal
-    /// carries none) and runs recovery if it changed.
+    /// Asks a server for its current epoch (a refusal carries none) and
+    /// runs recovery if it changed.
     fn probe_epoch(&self, server: ServerId) {
         let resp = self.server_call(server, CallClass::Normal, Request::GetEpoch);
         if let Ok(Response::EpochIs { epoch, .. }) = resp {
@@ -1412,7 +1112,8 @@ impl CacheManager {
     /// The client half of the crash-restart pipeline, serialized by the
     /// recovery gate and idempotent (the epoch is re-checked under it):
     ///
-    /// 1. quiesce the background flusher;
+    /// 1. hold the recovery gate: no flusher pass starts meanwhile
+    ///    (`flush_pass` waits there);
     /// 2. drop every token held from the dead epoch (gone server-side)
     ///    and reset per-vnode stamp floors — the restarted server's
     ///    serialization stamps start over;
@@ -1423,9 +1124,10 @@ impl CacheManager {
     /// 4. revalidate clean cached files against post-restart
     ///    attributes, keeping data pages whose `DataVersion` is
     ///    unchanged (AFS-style);
-    /// 5. replay still-dirty write-behind pages through the ordinary
-    ///    store-back path — an acked store survived in the journal, an
-    ///    unacked one is still dirty here, so no update is lost.
+    /// 5. replay still-dirty write-behind pages through the store gate
+    ///    — an acked store survived in the journal, an unacked (or
+    ///    refused: the restarted server knew none of our tokens) one is
+    ///    still dirty here, so no update is lost.
     fn recover(&self, server: ServerId, epoch: u64) {
         let _gate = self.recovery_gate.lock();
         if self.known_epochs.lock().insert(server, epoch) == Some(epoch) {
@@ -1433,9 +1135,7 @@ impl CacheManager {
         }
         self.stats.lock().recoveries += 1;
         IN_RECOVERY.with(|f| f.set(true));
-        self.set_flusher_paused(true);
         self.recover_inner(server, epoch);
-        self.set_flusher_paused(false);
         IN_RECOVERY.with(|f| f.set(false));
     }
 
@@ -1479,35 +1179,39 @@ impl CacheManager {
         // it), but its cached status already reflects the server's
         // reply to the last store — so it revalidates like a clean one.
         for vn in &mine {
-            let (dirty, cached_dv) = {
-                let lo = vn.lock_lo();
-                (lo.dirty.len() as u64, lo.status.as_ref().map(|s| s.data_version))
-            };
+            let mut lo = vn.lock_lo();
+            let dirty = lo.dirty.len() as u64;
             if dirty > 0 {
                 // Locally-modified data is newer than anything the
                 // server recovered; push it back out. Pages whose
                 // stores were acked pre-crash are clean here and
                 // durable there; everything else is still dirty.
-                if self.store_back(vn).is_ok() {
+                drop(lo);
+                if self.store_vnode(vn, Store::Pages(None)).is_ok() {
                     self.stats.lock().recovery_replayed_pages += dirty;
                 }
                 continue;
             }
-            let Some(cached_dv) = cached_dv else { continue };
-            let req = Request::FetchStatus { fid: vn.fid, want: None };
-            let (mut lo, resp) = self.rpc_unlocked(vn.lock_lo(), req);
+            let Some(cached_dv) = lo.status.as_ref().map(|s| s.data_version) else { continue };
+            let resp = self.rpc_unlocked(&mut lo, Request::FetchStatus { fid: vn.fid, want: None });
             // A replica-served (stale-stamped) status cannot revalidate
             // a cache: only the primary's answer is authoritative.
             let fresh = resp.and_then(status_reply).ok().filter(|r| r.3 == 0);
             let keep = fresh.as_ref().is_some_and(|r| r.0.data_version == cached_dv);
             if !keep {
-                for p in std::mem::take(&mut lo.valid) {
+                // Not the pages dirtied since the sample above (an
+                // operation may run beside this recovery): those are
+                // newer than anything the server has.
+                let stale: Vec<u64> =
+                    lo.valid.iter().copied().filter(|p| !lo.dirty.contains_key(p)).collect();
+                for p in stale {
+                    lo.valid.remove(&p);
                     self.data.drop_page(vn.fid, p);
                 }
             }
             match fresh {
                 Some((status, tokens, stamp, _)) => {
-                    self.absorb(vn, &mut lo, Some((status, stamp)), tokens);
+                    self.absorb(&mut lo, Some((status, stamp)), tokens);
                 }
                 // Could not revalidate: distrust the cached copy.
                 None => lo.status = None,
@@ -1591,7 +1295,7 @@ impl CacheManager {
                 // Contended token: back off outside the locks so another
                 // client can finish its handoff, then re-acquire.
                 drop(lo);
-                self.backoff(fid, round);
+                self.backoff(u64::from(fid.vnode.0), round);
                 lo = vn.lock_lo();
             }
             // Miss: fetch a chunk with read tokens through the spine,
@@ -1603,15 +1307,8 @@ impl CacheManager {
             // Pages marked valid that the cache has since evicted are
             // part of the miss: forget them so they are fetched again.
             let last = (offset + (len as u64).max(1) - 1) / PAGE_SIZE as u64;
-            let evicted: Vec<u64> = lo
-                .valid
-                .range(first..=last)
-                .copied()
-                .filter(|&p| data.read_page(fid, p).is_none())
-                .collect();
-            for p in evicted {
-                lo.valid.remove(&p);
-            }
+            let span = first..=last;
+            lo.valid.retain(|p| !span.contains(p) || data.read_page(fid, *p).is_some());
             let req = Request::FetchData {
                 fid,
                 offset: fetch_off,
@@ -1621,9 +1318,9 @@ impl CacheManager {
                     ByteRange::at(fetch_off, fetch_len as u64),
                 ),
             };
-            let (relocked, resp) = self.rpc_unlocked(lo, req);
-            lo = relocked;
-            let Response::Data { bytes, status, tokens, stamp, stale_us, .. } = resp? else {
+            let Response::Data { bytes, status, tokens, stamp, stale_us, .. } =
+                self.rpc_unlocked(&mut lo, req)?
+            else {
                 return Err(BAD_REPLY);
             };
             if stale_us > 0 {
@@ -1634,11 +1331,10 @@ impl CacheManager {
                 // never masquerade as token-backed cache state.
                 self.stats.lock().stale_reads += 1;
                 let end = status.length.min(offset + len as u64);
-                if offset >= end {
-                    return Ok(Vec::new());
-                }
                 let s = (offset - fetch_off) as usize;
-                let e = ((end - fetch_off) as usize).min(bytes.len());
+                let e = (end.saturating_sub(fetch_off) as usize).min(bytes.len());
+                // (An empty or inverted range — a read at or past EOF —
+                // reads as nothing.)
                 return Ok(bytes.get(s..e).unwrap_or(&[]).to_vec());
             }
             // Install fetched pages; locally-dirty pages are newer than
@@ -1653,7 +1349,7 @@ impl CacheManager {
                     }
                 }
             }
-            self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
+            self.absorb(&mut lo, Some((status, stamp)), tokens);
             self.stats.lock().remote_reads += 1;
         }
         Err(DfsError::Timeout)
@@ -1667,8 +1363,6 @@ impl CacheManager {
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
         let want = ByteRange::at(offset, data.len() as u64);
-        let needed = TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0);
-
         for round in 0..256u32 {
             if lo.covered(TokenTypes::DATA_WRITE, &want)
                 && lo.has_types(TokenTypes::STATUS_WRITE)
@@ -1676,50 +1370,43 @@ impl CacheManager {
             {
                 // Partial first/last pages need their old contents.
                 let first = offset / PAGE_SIZE as u64;
-                let last = (offset + data.len() as u64 - 1) / PAGE_SIZE as u64;
+                let end = offset + data.len() as u64;
+                let last = (end - 1) / PAGE_SIZE as u64;
                 let eof = lo.status.as_ref().map(|s| s.length).unwrap_or(0);
-                let mut need_fetch = Vec::new();
-                for p in [first, last] {
+                let partial = [first, last].into_iter().find(|&p| {
                     let ps = p * PAGE_SIZE as u64;
-                    let full = offset <= ps && offset + data.len() as u64 >= ps + PAGE_SIZE as u64;
-                    if !full && !lo.valid.contains(&p) && ps < eof {
-                        need_fetch.push(p);
-                    }
-                }
-                need_fetch.dedup();
-                if !need_fetch.is_empty() {
-                    for p in need_fetch {
-                        let req = Request::FetchData {
-                            fid,
-                            offset: p * PAGE_SIZE as u64,
-                            len: PAGE_SIZE as u32,
-                            want: None,
-                        };
-                        let (relocked, resp) = self.rpc_unlocked(lo, req);
-                        lo = relocked;
-                        // A page is valid only once its bytes are in
-                        // the cache. A failed fetch fails the write,
-                        // and so does a replica's bounded-stale page:
-                        // merged under a write token, its unmodified
-                        // part would store back stale bytes (a lost
-                        // update).
-                        let bytes = match resp? {
-                            Response::Data { bytes, stale_us: 0, .. } => bytes,
-                            Response::Data { .. } => return Err(DfsError::Unavailable),
-                            _ => return Err(BAD_REPLY),
-                        };
-                        // The fetch carried no token of its own: if the
-                        // write token went while `lo` was released, the
-                        // bytes may already be stale. Leave the page
-                        // invalid and let the next round start over.
-                        if lo.covered(TokenTypes::DATA_WRITE, &want) {
-                            self.data.write_page(fid, p, &bytes)?;
-                            lo.valid.insert(p);
-                        }
+                    let full = offset <= ps && end >= ps + PAGE_SIZE as u64;
+                    !full && !lo.valid.contains(&p) && ps < eof
+                });
+                if let Some(p) = partial {
+                    let req = Request::FetchData {
+                        fid,
+                        offset: p * PAGE_SIZE as u64,
+                        len: PAGE_SIZE as u32,
+                        want: None,
+                    };
+                    // A page is valid only once its bytes are in the
+                    // cache. A failed fetch fails the write, and so does
+                    // a replica's bounded-stale page: merged under a
+                    // write token, its unmodified part would store back
+                    // stale bytes (a lost update).
+                    let bytes = match self.rpc_unlocked(&mut lo, req)? {
+                        Response::Data { bytes, stale_us: 0, .. } => bytes,
+                        Response::Data { .. } => return Err(DfsError::Unavailable),
+                        _ => return Err(BAD_REPLY),
+                    };
+                    // The fetch carried no token of its own: if the write
+                    // token went while `lo` was released, the bytes may
+                    // already be stale. Leave the page invalid and let
+                    // the next round start over.
+                    if lo.covered(TokenTypes::DATA_WRITE, &want) {
+                        self.data.write_page(fid, p, &bytes)?;
+                        lo.valid.insert(p);
                     }
                     // Tokens may have been revoked while fetching (§6.3):
-                    // drain the queue and re-check coverage.
-                    self.absorb(&vn, &mut lo, None, Vec::new());
+                    // drain the queue, then re-check coverage (and the
+                    // other end of the write).
+                    self.absorb(&mut lo, None, Vec::new());
                     continue;
                 }
                 // Apply the write to cached pages, stamping each dirty
@@ -1749,39 +1436,27 @@ impl CacheManager {
                 let out = st.clone();
                 lo.status_dirty = true;
                 self.stats.lock().local_writes += 1;
-                // Dirty-page budget (write-behind backpressure): over
-                // budget, nudge the flusher; over twice the budget, this
-                // writer pays for the flush itself.
-                if self.wb.flusher {
-                    let dirty = self.dirty_total.load(Ordering::Relaxed) as usize;
-                    if dirty > self.wb.dirty_budget_pages.saturating_mul(2) {
-                        self.stats.lock().backpressure_flushes += 1;
-                        drop(lo);
-                        self.store_back(&vn)?;
-                    } else if dirty > self.wb.dirty_budget_pages {
-                        self.kick_flusher();
-                    }
+                if self.over_budget() {
+                    // This writer pays for the flush itself.
+                    drop(lo);
+                    self.store_vnode(&vn, Store::Pages(None))?;
                 }
                 return Ok(out);
             }
 
             if round > 4 {
                 drop(lo);
-                self.backoff(fid, round);
+                self.backoff(u64::from(fid.vnode.0), round);
                 lo = vn.lock_lo();
             }
             // Acquire data and status tokens in one combined grant over
-            // a page-aligned hull so nearby writes stay local; typed
-            // partial revocation means a later status conflict will not
-            // take the byte-range data bits with it (§5.2, §5.4).
+            // a page-aligned hull.
             let hull = ByteRange::new(
                 (offset / PAGE_SIZE as u64) * PAGE_SIZE as u64,
                 (offset + data.len() as u64).div_ceil(PAGE_SIZE as u64).max(FETCH_PAGES)
                     * PAGE_SIZE as u64,
             );
-            let types =
-                TokenTypes(needed.0 | TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0);
-            lo = self.get_token(lo, types, hull)?;
+            self.get_token(&mut lo, WRITE_GRANT, hull)?;
             self.stats.lock().write_token_fetches += 1;
         }
         Err(DfsError::Timeout)
@@ -1791,19 +1466,11 @@ impl CacheManager {
     /// writes, with `write = true`) in that range are served locally —
     /// how a partitioned workload claims its byte range (§5.4).
     pub fn acquire_data_token(&self, fid: Fid, range: ByteRange, write: bool) -> DfsResult<()> {
-        let types = if write {
-            TokenTypes(
-                TokenTypes::DATA_WRITE.0
-                    | TokenTypes::DATA_READ.0
-                    | TokenTypes::STATUS_WRITE.0
-                    | TokenTypes::STATUS_READ.0,
-            )
-        } else {
-            TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0)
-        };
+        let reads = TokenTypes::DATA_READ | TokenTypes::STATUS_READ;
+        let types = if write { WRITE_GRANT } else { reads };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        self.get_token(vn.lock_lo(), types, range)?;
+        self.get_token(&mut vn.lock_lo(), types, range)?;
         Ok(())
     }
 
@@ -1811,21 +1478,9 @@ impl CacheManager {
     pub fn fsync(&self, fid: Fid) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        // The flusher may have an older snapshot of these pages in
-        // flight; let it land first, or it could reach the server after
-        // ours and overwrite it. `hi` keeps the pages from changing
-        // under us, so any store it starts from here on carries the
-        // same bytes we do.
-        let mut lo = vn.lock_lo();
-        while lo.in_flight > 0 {
-            drop(lo);
-            std::thread::yield_now();
-            lo = vn.lock_lo();
-        }
-        let had_dirty = !lo.dirty.is_empty();
-        drop(lo);
-        self.store_back(&vn)?;
-        if !had_dirty {
+        // `hi` keeps the pages from changing under us, and the store
+        // slot orders our snapshot after any the flusher already sent.
+        if self.store_vnode(&vn, Store::Pages(None))?.is_none() {
             // Nothing shipped, so no store-back forced the server's
             // log. The caller still asked for durability — a freshly
             // created (or renamed, chmod'ed, ...) file must survive a
@@ -1847,7 +1502,7 @@ impl CacheManager {
     pub fn lookup(&self, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let lo = vn.lock_lo();
+        let mut lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(st) = lo.names.get(name) {
                 self.stats.lock().lookup_hits += 1;
@@ -1862,11 +1517,9 @@ impl CacheManager {
         let req = Request::Lookup {
             dir,
             name: name.to_string(),
-            want: TokenRequest::whole(TokenTypes(
-                TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0,
-            )),
+            want: TokenRequest::whole(TokenTypes::STATUS_READ | TokenTypes::DATA_READ),
         };
-        let (mut lo, status, stamp, _) = self.status_rpc(lo, req)?;
+        let (status, stamp, _) = self.status_rpc(&mut lo, req)?;
         lo.names.insert(name.to_string(), status.clone());
         drop(lo);
         self.seed_status(&status, stamp);
@@ -1877,15 +1530,15 @@ impl CacheManager {
     pub fn readdir(&self, dir: Fid) -> DfsResult<Vec<DirEntry>> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let lo = vn.lock_lo();
+        let mut lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(l) = &lo.listing {
                 self.stats.lock().lookup_hits += 1;
                 return Ok(l.clone());
             }
         }
-        let (mut lo, resp) = self.rpc_unlocked(lo, Request::Readdir { dir });
-        let Response::Entries(entries) = resp? else {
+        let Response::Entries(entries) = self.rpc_unlocked(&mut lo, Request::Readdir { dir })?
+        else {
             return Err(BAD_REPLY);
         };
         if lo.dir_trusted() {
@@ -1897,7 +1550,8 @@ impl CacheManager {
     fn namespace_rpc(&self, dir: Fid, req: Request) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let (mut lo, status, stamp, _) = self.status_rpc(vn.lock_lo(), req)?;
+        let mut lo = vn.lock_lo();
+        let (status, stamp, _) = self.status_rpc(&mut lo, req)?;
         // We made this change ourselves: our directory caches can be
         // updated in place (the server did not revoke our own tokens,
         // §5.2 same-host compatibility).
@@ -1948,11 +1602,7 @@ impl CacheManager {
         self.vnode(dir).lock_lo().names.remove(name);
         // Invalidate the victim's cached state.
         let victim = self.vnode(st.fid);
-        let mut vlo = victim.lock_lo();
-        vlo.status = None;
-        vlo.valid.clear();
-        self.clear_dirty(&mut vlo);
-        self.data.evict_file(st.fid);
+        self.invalidate(st.fid, &mut victim.lock_lo());
         Ok(())
     }
 
@@ -1960,9 +1610,8 @@ impl CacheManager {
     pub fn rmdir(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let (mut lo, resp) =
-            self.rpc_unlocked(vn.lock_lo(), Request::Rmdir { dir, name: name.into() });
-        resp?;
+        let mut lo = vn.lock_lo();
+        self.rpc_unlocked(&mut lo, Request::Rmdir { dir, name: name.into() })?;
         lo.names.remove(name);
         lo.listing = None;
         Ok(())
@@ -2002,14 +1651,14 @@ impl CacheManager {
             return Ok(st);
         }
         let _hi = vn.hi.lock();
-        let lo = vn.lock_lo();
+        let mut lo = vn.lock_lo();
         if let Some(st) = trusted_status(&lo.tokens, &lo.status) {
             self.stats.lock().local_reads += 1;
             return Ok(st.clone());
         }
         let req =
             Request::FetchStatus { fid, want: TokenRequest::whole(TokenTypes::STATUS_READ) };
-        let (lo, status, _, stale_us) = self.status_rpc(lo, req)?;
+        let (status, _, stale_us) = self.status_rpc(&mut lo, req)?;
         if stale_us > 0 {
             // Replica-served while the primary is down: the bounded-
             // stale status is reported, not cached.
@@ -2023,10 +1672,22 @@ impl CacheManager {
     pub fn setattr(&self, fid: Fid, attrs: &SetAttrs) -> DfsResult<FileStatus> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        // Push dirty data first so truncation happens after our writes.
-        self.store_back(&vn)?;
-        let req = Request::StoreStatus { fid, attrs: attrs.clone() };
-        let (mut lo, status, ..) = self.status_rpc(vn.lock_lo(), req)?;
+        // Dirty data first, so truncation happens after our writes; the
+        // store slot keeps that order on the wire.
+        self.store_vnode(&vn, Store::Pages(None))?;
+        // A store is admitted on a token already held, never granted
+        // one. Any change is made under the whole-file status write
+        // token; a change of length invalidates every page another
+        // client has cached past the new end, so it takes the data write
+        // token over the whole file too.
+        let types = if attrs.length.is_some() { WRITE_GRANT } else { TokenTypes::STATUS_WRITE };
+        let mut lo = vn.lock_lo();
+        if lo.find_token(types, &ByteRange::WHOLE).is_none() {
+            self.get_token(&mut lo, types, ByteRange::WHOLE)?;
+        }
+        drop(lo);
+        let status = self.store_vnode(&vn, Store::Attrs(attrs))?;
+        let mut lo = vn.lock_lo();
         if let Some(len) = attrs.length {
             // Truncation invalidates cached pages past the end.
             let keep = len.div_ceil(PAGE_SIZE as u64);
@@ -2035,7 +1696,7 @@ impl CacheManager {
                 self.data.drop_page(fid, p);
             }
         }
-        Ok(lo.status.clone().unwrap_or(status))
+        lo.status.clone().or(status).ok_or(BAD_REPLY)
     }
 
     /// Reads a file's ACL.
@@ -2060,7 +1721,7 @@ impl CacheManager {
         let mut lo = vn.lock_lo();
         let tok = mode.token();
         if !lo.has_types(tok) {
-            lo = self.get_token(lo, tok, ByteRange::WHOLE)?;
+            self.get_token(&mut lo, tok, ByteRange::WHOLE)?;
         }
         lo.opens.push(tok);
         Ok(())
@@ -2071,14 +1732,12 @@ impl CacheManager {
     pub fn close(&self, fid: Fid, mode: OpenMode) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let tok = mode.token();
-        {
-            let mut lo = vn.lock_lo();
-            if let Some(i) = lo.opens.iter().position(|t| *t == tok) {
-                lo.opens.remove(i);
-            }
+        let mut lo = vn.lock_lo();
+        if let Some(i) = lo.opens.iter().position(|t| *t == mode.token()) {
+            lo.opens.remove(i);
         }
-        self.store_back(&vn)
+        drop(lo);
+        self.store_vnode(&vn, Store::Pages(None)).map(drop)
     }
 
     /// Sets a byte-range lock, locally when a lock token is held (§5.2).
@@ -2095,8 +1754,7 @@ impl CacheManager {
             lo.locks.push(HeldLock { range, write, local: true });
             return Ok(());
         }
-        let (mut lo, resp) = self.rpc_unlocked(lo, Request::SetLock { fid, range, write });
-        resp?;
+        self.rpc_unlocked(&mut lo, Request::SetLock { fid, range, write })?;
         lo.locks.push(HeldLock { range, write, local: false });
         Ok(())
     }
@@ -2106,7 +1764,7 @@ impl CacheManager {
         let types = if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        self.get_token(vn.lock_lo(), types, range)?;
+        self.get_token(&mut vn.lock_lo(), types, range)?;
         Ok(())
     }
 
@@ -2115,17 +1773,10 @@ impl CacheManager {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
-        let mut was_remote = false;
-        lo.locks.retain(|l| {
-            if l.range.overlaps(&range) {
-                was_remote |= !l.local;
-                false
-            } else {
-                true
-            }
-        });
+        let was_remote = lo.locks.iter().any(|l| !l.local && l.range.overlaps(&range));
+        lo.locks.retain(|l| !l.range.overlaps(&range));
         if was_remote {
-            self.rpc_unlocked(lo, Request::ReleaseLock { fid, range }).1?;
+            self.rpc_unlocked(&mut lo, Request::ReleaseLock { fid, range })?;
         }
         Ok(())
     }
@@ -2133,16 +1784,6 @@ impl CacheManager {
     /// Returns tokens currently held on a fid (diagnostics/tests).
     pub fn held_tokens(&self, fid: Fid) -> Vec<Token> {
         self.vnode(fid).lock_lo().tokens.clone()
-    }
-
-    /// Returns the number of dirty (unstored) pages for a fid.
-    pub fn dirty_pages(&self, fid: Fid) -> usize {
-        self.vnode(fid).lock_lo().dirty.len()
-    }
-
-    /// Client-wide count of dirty (unstored) pages, O(1).
-    pub fn total_dirty_pages(&self) -> u64 {
-        self.dirty_total.load(Ordering::Relaxed)
     }
 
     /// Handles one incoming revocation — shared by the single-token
@@ -2165,7 +1806,17 @@ impl CacheManager {
             self.stats.lock().queued_revocations += 1;
             return true;
         }
-        self.apply_revocation(&vn, &mut lo, &token, types, stamp)
+        self.apply_revocation(&mut lo, &token, types, stamp)
+    }
+}
+
+impl Drop for CacheManager {
+    /// Stops the flusher thread. Nothing is stored back — `shutdown`
+    /// does that — and nothing is unbound: the network's node table
+    /// holds a handle to every bound manager, so by the time the last
+    /// one drops the binding is already gone.
+    fn drop(&mut self) {
+        self.stop_flusher();
     }
 }
 
@@ -2194,7 +1845,7 @@ impl RpcService for CacheManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dfs_token::TokenId;
     use dfs_types::{VnodeId, VolumeId};
@@ -2318,7 +1969,7 @@ mod tests {
         {
             let mut lo = vn.lock_lo();
             lo.in_flight -= 1;
-            cm.absorb(&vn, &mut lo, None, Vec::new());
+            cm.absorb(&mut lo, None, Vec::new());
             assert_eq!(lo.queued.len(), 1, "revocation of an in-flight token must stay queued");
         }
         // The granting reply lands: the token installs and the parked
@@ -2326,7 +1977,7 @@ mod tests {
         {
             let mut lo = vn.lock_lo();
             lo.in_flight -= 1;
-            cm.absorb(&vn, &mut lo, None, vec![t.clone()]);
+            cm.absorb(&mut lo, None, vec![t.clone()]);
             assert!(lo.queued.is_empty());
             assert!(lo.tokens.is_empty(), "token must not survive its queued revocation");
         }
@@ -2339,7 +1990,7 @@ mod tests {
                 TokenTypes::DATA_READ,
                 SerializationStamp(9),
             ));
-            cm.absorb(&vn, &mut lo, None, Vec::new());
+            cm.absorb(&mut lo, None, Vec::new());
             assert!(lo.queued.is_empty(), "moot revocation dropped when nothing is in flight");
         }
         let _ = cm.shutdown();
@@ -2376,11 +2027,15 @@ mod tests {
     use dfs_server::{FileServer, VldbReplica};
     use dfs_types::SimClock;
 
-    const VOL: VolumeId = VolumeId(1);
-    const S1: ServerId = ServerId(1);
+    pub(crate) const VOL: VolumeId = VolumeId(1);
+    pub(crate) const S1: ServerId = ServerId(1);
 
     /// A flusher-less client, so the test body sends every RPC itself.
-    fn client(net: &Network, id: u32, data: Arc<dyn DataCache>) -> Arc<CacheManager> {
+    pub(crate) fn client(
+        net: &Network,
+        id: u32,
+        data: Arc<dyn DataCache>,
+    ) -> Arc<CacheManager> {
         let wb = WritebackConfig { flusher: false, ..WritebackConfig::default() };
         CacheManager::start_with_config(net.clone(), ClientId(id), vec![Addr::Vldb(0)], data, wb)
     }
@@ -2388,27 +2043,39 @@ mod tests {
     /// A cell — one VLDB replica, one file server exporting `VOL` from
     /// Episode — with a durable one-page file in the volume's root.
     /// Returns the network, the root and the file.
-    fn cell_with_file() -> (Network, Fid, Fid) {
+    pub(crate) fn cell_with_file() -> (Network, Fid, Fid) {
+        let (net, _, root, fid) = served_cell_with_file();
+        (net, root, fid)
+    }
+
+    /// [`cell_with_file`], handing out the file server too — for tests
+    /// that rebind its address to a tap in front of it.
+    pub(crate) fn served_cell_with_file() -> (Network, Arc<FileServer>, Fid, Fid) {
         let clock = SimClock::new();
         let net = Network::new(clock.clone(), 0);
         net.register(Addr::Vldb(0), VldbReplica::new(), PoolConfig::default());
         let disk = SimDisk::new(DiskConfig::with_blocks(16384));
         let ep = Episode::format(disk, clock, FormatParams::default()).unwrap();
         ep.create_volume(VOL, "v").unwrap();
-        FileServer::start(net.clone(), S1, ep, vec![Addr::Vldb(0)], PoolConfig::default())
-            .unwrap();
+        let vldb = vec![Addr::Vldb(0)];
+        let server =
+            FileServer::start(net.clone(), S1, ep, vldb, PoolConfig::default()).unwrap();
         let owner = client(&net, 1, Arc::new(MemCache::new()));
         let root = owner.root(VOL).unwrap();
         let fid = owner.create(root, "f", 0o644).unwrap().fid;
         owner.write(fid, 0, &[7u8; PAGE_SIZE]).unwrap();
         owner.fsync(fid).unwrap();
-        (net, root, fid)
+        (net, server, root, fid)
     }
 
+    /// No vnode counts an RPC in flight, holds its store slot, or has a
+    /// revocation handler at it.
     fn assert_nothing_in_flight(cm: &CacheManager, when: &str) {
         let vnodes: Vec<Arc<CVnode>> = cm.vnodes.lock().values().cloned().collect();
         for vn in vnodes {
-            assert_eq!(vn.lock_lo().in_flight, 0, "{when}: {:?} still counts an RPC", vn.fid);
+            let lo = vn.lock_lo();
+            assert_eq!(lo.in_flight, 0, "{when}: {:?} still counts an RPC", vn.fid);
+            assert!(!lo.storing && lo.revoking == 0, "{when}: {:?} slot not free", vn.fid);
         }
     }
 

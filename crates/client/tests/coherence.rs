@@ -186,7 +186,9 @@ fn disjoint_byte_ranges_do_not_ping_pong() {
 #[test]
 fn revocation_stores_dirty_data_back() {
     let cell = cell(1);
-    let a = client(&cell, 1);
+    // No flusher: the page must still be dirty when the revocation
+    // arrives, so the handler — not a timer — is what stores it.
+    let a = client_no_flusher(&cell, 1);
     let b = client(&cell, 2);
     let root = a.root(VolumeId(1)).unwrap();
     let f = a.create(root, "f", 0o666).unwrap();

@@ -172,6 +172,15 @@ pub struct Cell {
     admin_ticket: Mutex<Option<Ticket>>,
 }
 
+impl Drop for Cell {
+    /// The cell owns its network: unbinding every node stops the pool
+    /// threads and breaks the `Network` → node → service → `Network`
+    /// cycles, so servers and (once their handles go) clients are freed.
+    fn drop(&mut self) {
+        self.net.shutdown();
+    }
+}
+
 impl Cell {
     /// Starts building a cell.
     pub fn builder() -> CellBuilder {

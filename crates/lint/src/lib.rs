@@ -54,15 +54,20 @@
 //! liveness is lexical: `let g = x.f.lock();` holds `g` until its
 //! scope closes, `drop(g)`, or `g` is passed by value to a call (the
 //! callee then owns unlocking it, and `g` is not held across that
-//! call); any other acquisition form is a statement temporary.
+//! call); any other acquisition form is a statement temporary. The
+//! client's vnode `lo` guard has one more form: lent as `&mut lo` it is
+//! the callee's to answer for — the lender is not charged for that
+//! call, and the callee's `lo: &mut LoGuard` parameter is a live `lo`
+//! guard from its first line, except inside the argument of
+//! `lo.unlocked(..)`, which runs with it released.
 //!
 //! # Suppressions
 //!
 //! `// dfs-lint: allow(rule, ...)` on (or directly above) a line
 //! suppresses the named rules there. On a `fn` line it audits the whole
-//! function (e.g. the client's `revocation_rpc`, whose revocation-class
-//! store-backs are grant-free at the server per §6.3 and therefore safe
-//! to send with the vnode lock held). On a lock field declaration it
+//! function (e.g. the client's `store_once`, whose reserved-class sends
+//! are grant-free at the server per §6.3 and therefore safe to make
+//! with the vnode lock held). On a lock field declaration it
 //! exempts guards of that field everywhere (e.g. the client vnode `hi`
 //! lock, which §6.1 holds across RPCs by design because revocation
 //! handlers only ever take `lo`).

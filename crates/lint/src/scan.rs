@@ -888,6 +888,9 @@ struct Guard {
     line: u32,
     /// Index of this guard's entry in `FnFacts::acquisitions`.
     acq: usize,
+    /// A `lo: &mut LoGuard` parameter: the caller's guard, lent. Passing
+    /// it on reborrows it; it stays live here afterwards.
+    param: bool,
 }
 
 /// Dotted identifier path before the token at `idx`: for `a.b.c` with
@@ -958,6 +961,40 @@ fn analyze_body(
     // same guard counts as revalidated.
     let mut compared: HashSet<usize> = HashSet::new();
     let mut scopes: Vec<Vec<Guard>> = vec![Vec::new()];
+    // `NAME: &mut LoGuard` parameters — the client's wrapper around a
+    // vnode's `lo` guard, lent by the caller — are live `lo` guards from
+    // the first line on: what this fn does under them is audited here,
+    // since the lender is not charged for it (see the call arm below).
+    // Their acquisition records only carry the guard bookkeeping and are
+    // dropped again at the end: the fn acquires nothing.
+    let mut k = 0;
+    while lock_fields.contains("lo") && k + 4 < sig.len() {
+        if let (Some(n), true, true, Some("mut"), Some("LoGuard")) = (
+            ident(sig, k),
+            is_punct(sig, k + 1, ':'),
+            is_punct(sig, k + 2, '&'),
+            ident(sig, k + 3),
+            ident(sig, k + 4),
+        ) {
+            let (name, field, acq) = (Some(n.to_string()), "lo".to_string(), f.acquisitions.len());
+            f.acquisitions.push(Acquisition {
+                field: field.clone(),
+                line: fn_line,
+                held: Vec::new(),
+                receiver: String::new(),
+                reads: false,
+                writes: false,
+                write_line: 0,
+                revalidated: false,
+            });
+            scopes[0].push(Guard { name, field, line: fn_line, acq, param: true });
+        }
+        k += 1;
+    }
+    let lent_params = f.acquisitions.len();
+    // `g.unlocked(..)` in progress: the guard it releases, the scope it
+    // came from, and the token index at which it is held again.
+    let mut released: Option<(Guard, usize, usize)> = None;
     // Per-statement binding state.
     let mut pending_binding: Option<String> = None;
     let mut binding_used = false;
@@ -973,6 +1010,10 @@ fn analyze_body(
 
     let mut i = 0;
     while i < body.len() {
+        if released.as_ref().is_some_and(|r| i >= r.2) {
+            let (guard, level, _) = released.take().unwrap();
+            scopes[level].push(guard);
+        }
         match &body[i].tok {
             Tok::LBrace => {
                 scopes.push(Vec::new());
@@ -1096,7 +1137,7 @@ fn analyze_body(
                     scopes
                         .last_mut()
                         .unwrap()
-                        .push(Guard { name: gname, field, line, acq: acq_idx });
+                        .push(Guard { name: gname, field, line, acq: acq_idx, param: false });
                 } else {
                     // Statement temporary (`self.f.lock().x += 1`): the guard
                     // lives only for this expression — classify what it does.
@@ -1173,7 +1214,7 @@ fn analyze_body(
                     scopes
                         .last_mut()
                         .unwrap()
-                        .push(Guard { name: gname, field, line, acq: acq_idx });
+                        .push(Guard { name: gname, field, line, acq: acq_idx, param: false });
                 } else {
                     let a = &mut f.acquisitions[acq_idx];
                     match classify_after(body, close + 1) {
@@ -1226,7 +1267,7 @@ fn analyze_body(
                     scopes
                         .last_mut()
                         .unwrap()
-                        .push(Guard { name: gname, field, line, acq: acq_idx });
+                        .push(Guard { name: gname, field, line, acq: acq_idx, param: false });
                 } else {
                     let a = &mut f.acquisitions[acq_idx];
                     match classify_after(body, i + 3) {
@@ -1290,7 +1331,11 @@ fn analyze_body(
                     )
                     && guard_acq(&scopes, id).is_some() =>
             {
-                guard_remove(&mut scopes, id);
+                // (A lent guard passed on is reborrowed, not moved.)
+                let lent = scopes.iter().flatten().any(|g| g.param && g.name.as_deref() == Some(id));
+                if !lent {
+                    guard_remove(&mut scopes, id);
+                }
                 i += 1;
                 stmt_start = false;
             }
@@ -1331,9 +1376,16 @@ fn analyze_body(
                 let direct_rpc = callee == "call" && recv.contains("net");
                 // A guard passed by value as a direct argument moves
                 // into the callee, which owns unlocking it: the caller
-                // does not hold it across this call.
+                // does not hold it across this call. Nor does it hold a
+                // `lo` guard it lends `&mut`: the callee may release and
+                // re-take it (`LoGuard::unlocked`), and is audited with
+                // the parameter as a live guard of its own.
+                let lo_guard = |n: &str| {
+                    scopes.iter().flatten().any(|g| g.field == "lo" && g.name.as_deref() == Some(n))
+                };
                 let mut moved: Vec<&str> = Vec::new();
                 let mut depth = 0usize;
+                let mut close = body.len();
                 for j in i + 1..body.len() {
                     let arg_edge = |k: usize| {
                         body.get(k).is_some_and(|s| {
@@ -1342,9 +1394,22 @@ fn analyze_body(
                     };
                     match &body[j].tok {
                         Tok::LParen => depth += 1,
-                        Tok::RParen if depth == 1 => break,
+                        Tok::RParen if depth == 1 => {
+                            close = j;
+                            break;
+                        }
                         Tok::RParen => depth -= 1,
                         Tok::Ident(id) if depth == 1 && arg_edge(j - 1) && arg_edge(j + 1) => {
+                            moved.push(id)
+                        }
+                        Tok::Ident(id)
+                            if depth == 1
+                                && arg_edge(j + 1)
+                                && ident(body, j - 1) == Some("mut")
+                                && is_punct(body, j - 2, '&')
+                                && arg_edge(j - 3)
+                                && lo_guard(id) =>
+                        {
                             moved.push(id)
                         }
                         _ => {}
@@ -1356,6 +1421,19 @@ fn analyze_body(
                     .filter(|g| !g.name.as_deref().is_some_and(|n| moved.contains(&n)))
                     .map(|g| (g.field.clone(), g.line))
                     .collect();
+                // `g.unlocked(..)` runs its argument with `g` released:
+                // what the argument calls is not made under `g`.
+                if callee == "unlocked" && released.is_none() && lo_guard(&recv) {
+                    let level = scopes
+                        .iter()
+                        .rposition(|s| s.iter().any(|g| g.name.as_deref() == Some(recv.as_str())))
+                        .unwrap();
+                    let pos = scopes[level]
+                        .iter()
+                        .rposition(|g| g.name.as_deref() == Some(recv.as_str()))
+                        .unwrap();
+                    released = Some((scopes[level].remove(pos), level, close));
+                }
                 f.calls.push(Call {
                     callee: callee.clone(),
                     line: body[i].line,
@@ -1375,6 +1453,7 @@ fn analyze_body(
             }
         }
     }
+    f.acquisitions.drain(..lent_params);
     f
 }
 
@@ -1654,5 +1733,51 @@ impl F {
             facts.fns[0].calls.iter().find(|c| c.callee == callee).unwrap().held.len()
         };
         assert_eq!((held("audit_frame"), held("unlock_for_io")), (1, 0));
+    }
+
+    #[test]
+    fn a_lent_lo_guard_is_the_callees_to_answer_for() {
+        let src = "
+pub struct V { lo: OrderedMutex<u32, 30>, other: parking_lot::Mutex<u32> }
+impl V {
+    fn owner(&self, vn: &V) {
+        let mut lo = vn.lock_lo();
+        spine(&mut lo, 1);
+        look_at(&lo);
+        let mut o = self.other.lock();
+        helper(&mut o);
+    }
+    fn spine(&self, lo: &mut LoGuard<'_>, n: u32) {
+        before(n);
+        onward(lo, n);
+        lo.unlocked(|| { inside(n) });
+        after(n);
+    }
+    fn plain(&self, lo: &mut VnState) {
+        unaudited(lo);
+    }
+}
+";
+        let fields = lock_field_names(src);
+        let facts = scan_file("x", "x/src/lib.rs", src, &fields, &shared_data_field_names(src));
+        let held = |func: usize, callee: &str| {
+            let call = facts.fns[func].calls.iter().find(|c| c.callee == callee).unwrap();
+            call.held.iter().map(|(f, _)| f.as_str()).collect::<Vec<_>>()
+        };
+        // The owner is not charged for what `spine` does with the `lo`
+        // guard it lends `&mut`; a shared borrow, or a `&mut` of any
+        // other guard, still counts as held.
+        assert!(held(0, "spine").is_empty());
+        assert_eq!(held(0, "look_at"), ["lo"]);
+        assert_eq!(held(0, "helper"), ["lo", "other"]);
+        // `spine` is: its `LoGuard` parameter is a live `lo` guard, still
+        // live after being passed on, and released for exactly the span
+        // of `unlocked`'s argument.
+        assert_eq!(held(1, "before"), ["lo"]);
+        assert!(held(1, "onward").is_empty());
+        assert!(held(1, "inside").is_empty());
+        assert_eq!(held(1, "after"), ["lo"]);
+        assert!(facts.fns[1].acquisitions.is_empty(), "a parameter is not an acquisition");
+        assert!(held(2, "unaudited").is_empty(), "only the guard type is a guard");
     }
 }

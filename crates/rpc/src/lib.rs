@@ -273,12 +273,26 @@ impl Network {
             require_auth: cfg.require_auth,
             crashed: false,
         };
-        self.inner.lock().nodes.insert(addr, Arc::new(node));
+        // A replaced node is dropped only after the table lock is let
+        // go: its service's `Drop` may call back into the network.
+        let replaced = self.inner.lock().nodes.insert(addr, Arc::new(node));
+        drop(replaced);
     }
 
     /// Removes a node from the network.
     pub fn unregister(&self, addr: Addr) {
-        self.inner.lock().nodes.remove(&addr);
+        let removed = self.inner.lock().nodes.remove(&addr);
+        drop(removed);
+    }
+
+    /// Unbinds every node. The node table is what keeps a bound service
+    /// — and through it this network — alive, and a node's pool workers
+    /// run until the table's handle to their channel is dropped; so this
+    /// is what ends a simulated world: workers drain what they were
+    /// given and exit, and services no one else holds are dropped.
+    pub fn shutdown(&self) {
+        let nodes = std::mem::take(&mut self.inner.lock().nodes);
+        drop(nodes);
     }
 
     /// Marks a node crashed (calls fail) or restores it.

@@ -19,6 +19,7 @@ use dfs_types::{
 };
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
 use dfs_vfs::{Credentials, DirEntry, SetAttrs, Vfs, VfsPlus};
+use crate::{DIR_READ, DIR_WRITE};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -174,10 +175,6 @@ impl<const N: usize> Drop for Granted<'_, N> {
         }
     }
 }
-
-const DIR_WRITE: TokenTypes =
-    TokenTypes(TokenTypes::STATUS_WRITE.0 | TokenTypes::DATA_WRITE.0);
-const DIR_READ: TokenTypes = TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0);
 
 impl Vfs for Glue {
     fn volume_id(&self) -> dfs_types::VolumeId {

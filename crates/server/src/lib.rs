@@ -34,7 +34,7 @@ use dfs_rpc::{
     Addr, CallClass, CallContext, Network, PoolConfig, Request, Response, RpcService,
     TokenRequest,
 };
-use dfs_token::{Token, TokenManager, TokenTypes};
+use dfs_token::{tokens_cover, Token, TokenManager, TokenTypes};
 use dfs_types::{
     ByteRange, ClientId, DfsError, DfsResult, Fid, FileStatus, HostId, SerializationStamp,
     ServerId, Timestamp, VnodeId, VolumeId,
@@ -686,8 +686,7 @@ impl FileServer {
             // journal transaction, one group commit, durable on return.
             Q::StoreData { fid, offset, data } => {
                 let extents = [WriteExtent { offset, data }];
-                let base = (fid, DIR_WRITE, hull(&extents));
-                self.store(ctx, host, base, || fs.write_vec(cred, fid, &extents))
+                self.store(host, fid, Some(&extents), || fs.write_vec(cred, fid, &extents))
             }
             Q::StoreDataVec { fid, extents } => {
                 if extents.is_empty()
@@ -696,12 +695,10 @@ impl FileServer {
                 {
                     return Err(DfsError::InvalidArgument);
                 }
-                let base = (fid, DIR_WRITE, hull(&extents));
-                self.store(ctx, host, base, || fs.write_vec(cred, fid, &extents))
+                self.store(host, fid, Some(&extents), || fs.write_vec(cred, fid, &extents))
             }
             Q::StoreStatus { fid, attrs } => {
-                let types = if attrs.length.is_some() { DIR_WRITE } else { TokenTypes::STATUS_WRITE };
-                self.store(ctx, host, whole(fid, types), || fs.setattr(cred, fid, &attrs))
+                self.store(host, fid, None, || fs.setattr(cred, fid, &attrs))
             }
 
             Q::Fsync { fid } => fs.fsync(cred, fid).map(|()| P::Ok),
@@ -802,23 +799,34 @@ impl FileServer {
         }
     }
 
-    /// A store on behalf of `host`: granted like any other procedure,
-    /// except that stores issued from token-revocation code (§6.3) run
-    /// without further token acquisition — the storing client holds the
-    /// write token being revoked, and granting here could nest
-    /// revocation chains past any pool bound.
+    /// A store on behalf of `host` (DESIGN §9). A store never *acquires*
+    /// a token: it is admitted only while the token table shows `host`
+    /// already holding the write guarantee — `DATA_WRITE` over every
+    /// extent of a data store, `STATUS_WRITE` for a status store — and
+    /// is otherwise refused with `TokenRevoked`, nothing written, no
+    /// other holder disturbed. A grant stays in the table until its
+    /// holder acknowledges the revocation, so the store-back a
+    /// revocation handler sends is admitted, and one that arrives after
+    /// the token has been handed on is not. Check and write happen under
+    /// the file's token shard, so no grant can change between them.
     fn store(
         &self,
-        ctx: &CallContext,
         host: HostId,
-        base: Want,
+        fid: Fid,
+        extents: Option<&[WriteExtent]>,
         f: impl FnOnce() -> DfsResult<FileStatus>,
     ) -> DfsResult<Response> {
-        if ctx.class == CallClass::Revocation {
-            return Ok(self.status_reply(f()?, Vec::new(), self.tm.stamp(base.0)));
-        }
-        let (status, _, stamp) = self.with_grant(host, base, None, f)?;
-        Ok(self.status_reply(status, Vec::new(), stamp))
+        let status = self.tm.with_held(host, fid, |held| {
+            let admitted = match extents {
+                Some(extents) => extents.iter().all(|e| {
+                    let range = ByteRange::at(e.offset, e.data.len() as u64);
+                    tokens_cover(held, TokenTypes::DATA_WRITE, &range)
+                }),
+                None => held.iter().any(|t| t.types.contains(TokenTypes::STATUS_WRITE)),
+            };
+            if admitted { f() } else { Err(DfsError::TokenRevoked) }
+        })?;
+        Ok(self.status_reply(status, Vec::new(), self.tm.stamp(fid)))
     }
 
     /// A directory procedure answering with the status of the *child* it
@@ -1102,12 +1110,6 @@ impl FileServer {
     }
 }
 
-/// The hull of a store-back batch, granted in one piece.
-fn hull(extents: &[WriteExtent]) -> ByteRange {
-    let range = |e: &WriteExtent| ByteRange::at(e.offset, e.data.len() as u64);
-    extents[1..].iter().fold(range(&extents[0]), |hull, e| hull.union_hull(&range(e)))
-}
-
 impl RpcService for FileServer {
     fn dispatch(&self, ctx: CallContext, req: Request) -> Response {
         if let Addr::Client(c) = ctx.caller {
@@ -1208,6 +1210,17 @@ mod tests {
             .unwrap()
     }
 
+    /// Takes the write tokens over all of `fid` for `client` at server
+    /// `to`: a store is admitted on a token already held, never granted
+    /// one (DESIGN §9).
+    fn take_write_token(net: &Network, client: u32, to: u32, fid: Fid) {
+        let want = TokenRequest { types: DIR_WRITE, range: ByteRange::WHOLE };
+        let from = Addr::Client(ClientId(client));
+        let to = Addr::Server(ServerId(to));
+        let granted = net.call(from, to, None, CallClass::Normal, Request::GetToken { fid, want });
+        assert!(matches!(granted, Ok(Response::Status { .. })), "{granted:?}");
+    }
+
     #[test]
     fn get_root_and_create_and_fetch() {
         let (net, _srv) = cell();
@@ -1222,6 +1235,7 @@ mod tests {
             Response::Status { status, .. } => status,
             other => panic!("{other:?}"),
         };
+        take_write_token(&net, 7, 1, created.fid);
         match call(
             &net,
             Request::StoreData { fid: created.fid, offset: 0, data: b"remote!".to_vec() },
@@ -1271,6 +1285,7 @@ mod tests {
             WriteExtent { offset: 4096, data: vec![2u8; 4096] },
             WriteExtent { offset: 16384, data: vec![3u8; 100] },
         ];
+        take_write_token(&net, 7, 1, f.fid);
         match call(&net, Request::StoreDataVec { fid: f.fid, extents }) {
             Response::Status { status, .. } => assert_eq!(status.length, 16484),
             other => panic!("{other:?}"),
@@ -1316,6 +1331,71 @@ mod tests {
     }
 
     #[test]
+    fn a_store_is_admitted_only_on_a_token_already_held() {
+        let (net, srv) = cell();
+        let root = root_of(&net, 1, 1);
+        let create = Request::Create { dir: root, name: "gated".into(), mode: 0o644 };
+        let fid = match call(&net, create) {
+            Response::Status { status, .. } => status.fid,
+            other => panic!("{other:?}"),
+        };
+        let page = |offset| WriteExtent { offset, data: vec![9u8; 4096] };
+        let data = Request::StoreData { fid, offset: 0, data: vec![9u8; 4096] };
+        let vec = Request::StoreDataVec { fid, extents: vec![page(0), page(8192)] };
+        let status = |length| Request::StoreStatus {
+            fid,
+            attrs: dfs_vfs::SetAttrs { length, mode: Some(0o600), ..Default::default() },
+        };
+        let refused = Response::Err(DfsError::TokenRevoked);
+        let grants = || srv.token_manager().stats().grants;
+        // Another client holds the read tokens a granting store would
+        // have had to revoke.
+        let reader = Addr::Client(ClientId(8));
+        let want = TokenRequest::whole(DIR_READ);
+        net.call(reader, Addr::Server(ServerId(1)), None, CallClass::Normal, Request::FetchStatus {
+            fid,
+            want,
+        })
+        .unwrap();
+        let before = (grants(), srv.token_manager().stats().revocations);
+
+        // No token: every kind of store is refused, in either class,
+        // nothing is written, nothing is granted, no one is revoked.
+        for class in [CallClass::Normal, CallClass::Revocation] {
+            for req in [data.clone(), vec.clone(), status(None), status(Some(0))] {
+                assert_eq!(send(&net, 1, class, req), refused, "{class:?}");
+            }
+        }
+        assert_eq!((grants(), srv.token_manager().stats().revocations), before);
+        let fetch = Request::FetchStatus { fid, want: None };
+        assert!(matches!(
+            call(&net, fetch),
+            Response::Status { status, .. } if status.length == 0 && status.mode & 0o777 == 0o644
+        ));
+
+        // DATA_WRITE over the first page only: that page is admitted, a
+        // batch reaching past it is not — every extent must be covered —
+        // and a status store still is not.
+        let first_page = TokenRequest {
+            types: TokenTypes::DATA_WRITE,
+            range: ByteRange::new(0, 4096),
+        };
+        call(&net, Request::GetToken { fid, want: first_page });
+        let held = grants();
+        assert!(matches!(call(&net, data), Response::Status { status, .. } if status.length == 4096));
+        assert_eq!(call(&net, vec), refused);
+        assert_eq!(call(&net, status(None)), refused);
+        // STATUS_WRITE admits the status store, whatever it changes.
+        let status_write = TokenRequest::whole(TokenTypes::STATUS_WRITE);
+        call(&net, Request::GetToken { fid, want: status_write.unwrap() });
+        assert!(matches!(
+            call(&net, status(Some(100))),
+            Response::Status { status, .. } if status.length == 100 && status.mode & 0o777 == 0o600
+        ));
+        assert_eq!(grants(), held + 1, "only the GetToken granted anything");
+    }
+
+    #[test]
     fn stamps_increase_per_file() {
         let (net, _srv) = cell();
         let root = match call(&net, Request::GetRoot { volume: VolumeId(1) }) {
@@ -1354,6 +1434,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         // Remote client writes via RPC.
+        take_write_token(&net, 7, 1, f.fid);
         call(&net, Request::StoreData { fid: f.fid, offset: 0, data: b"remote".to_vec() });
         // Local user reads through the glue layer.
         let local = srv.local_volume(VolumeId(1)).unwrap();
@@ -1463,6 +1544,7 @@ mod tests {
             Response::Status { status, .. } => status,
             other => panic!("{other:?}"),
         };
+        take_write_token(&net, 1, 1, f.fid);
         send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"movable".to_vec() });
 
         // Move it.
@@ -1536,6 +1618,7 @@ mod tests {
             Response::Status { status, .. } => status,
             other => panic!("{other:?}"),
         };
+        take_write_token(&net, 1, 1, f.fid);
         send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"v1".to_vec() });
 
         // Replicate onto s2 with a 10-minute staleness bound.
@@ -1553,6 +1636,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Master changes; replica stays at v1 until the bound expires.
+        take_write_token(&net, 1, 1, f.fid);
         send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"v2".to_vec() });
         send(ServerId(2), Request::ReplTick);
         match send(ServerId(2), Request::FetchData { fid: f.fid, offset: 0, len: 8, want: None }) {

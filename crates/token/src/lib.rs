@@ -43,7 +43,10 @@
 
 pub mod types;
 
-pub use types::{compatible, conflict_bits, open_compatible, render_open_matrix, Token, TokenId, TokenTypes};
+pub use types::{
+    compatible, conflict_bits, open_compatible, render_open_matrix, tokens_cover, Token, TokenId,
+    TokenTypes,
+};
 
 use dfs_types::lock::{rank, OrderedMutex, OrderedShardGuard, OrderedShardedMutex};
 use dfs_types::{
@@ -605,13 +608,28 @@ impl TokenManager {
 
     /// Lists the tokens currently granted on `fid` (diagnostics).
     pub fn tokens_on(&self, fid: Fid) -> Vec<(HostId, Token)> {
+        self.with_grants(fid, |grants| grants.iter().map(|g| (g.host, g.token.clone())).collect())
+    }
+
+    /// Runs `f` on the tokens `host` holds on `fid` right now, with the
+    /// file's shard locked until `f` returns: no token on the file can
+    /// be granted, downgraded or dropped meanwhile. The file server's
+    /// store admission rule — a store is let in on a token its sender
+    /// already holds, and is never granted one — checks and writes
+    /// inside one such call, so a store can never land after its token
+    /// has been taken away and handed on. `f` must not call back into
+    /// the manager.
+    pub fn with_held<R>(&self, host: HostId, fid: Fid, f: impl FnOnce(&[Token]) -> R) -> R {
+        self.with_grants(fid, |grants| {
+            let held: Vec<Token> =
+                grants.iter().filter(|g| g.host == host).map(|g| g.token.clone()).collect();
+            f(&held)
+        })
+    }
+
+    fn with_grants<R>(&self, fid: Fid, f: impl FnOnce(&[Grant]) -> R) -> R {
         let shard = self.shards.lock(self.shard_of(fid));
-        shard
-            .grants
-            .get(&fid.volume)
-            .and_then(|m| m.get(&fid.vnode.0))
-            .map(|v| v.iter().map(|g| (g.host, g.token.clone())).collect())
-            .unwrap_or_default()
+        f(shard.grants.get(&fid.volume).and_then(|m| m.get(&fid.vnode.0)).map_or(&[], |v| &v[..]))
     }
 
     /// Lists the remote client hosts currently holding at least one
@@ -851,6 +869,41 @@ mod tests {
         tm.unregister_host(h1.id);
         tm.grant(h2.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
         assert_eq!(h1.calls.load(Ordering::SeqCst), 0, "dead host is not called");
+    }
+
+    #[test]
+    fn with_held_keeps_the_files_grants_still() {
+        let tm = Arc::new(TokenManager::new());
+        let h1 = RecordingHost::new(1, false);
+        let h2 = RecordingHost::new(2, false);
+        tm.register_host(h1.clone());
+        tm.register_host(h2.clone());
+        tm.grant(h1.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::new(0, 10)).unwrap();
+        tm.grant(h2.id, fid(1), TokenTypes::DATA_READ, ByteRange::new(10, 20)).unwrap();
+        tm.grant(h1.id, fid(2), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
+        // The caller's tokens on this file, nobody else's, no other file's.
+        let seen = tm.with_held(h1.id, fid(1), |held| held.to_vec());
+        assert_eq!(seen.len(), 1);
+        assert_eq!((seen[0].fid, seen[0].range), (fid(1), ByteRange::new(0, 10)));
+        // While the call runs nothing on the file moves: a conflicting
+        // grant — which would take h1's token away — waits it out.
+        let done = Arc::new(AtomicUsize::new(0));
+        let (tm2, h2id, done2) = (tm.clone(), h2.id, done.clone());
+        let rival = tm.with_held(h1.id, fid(1), |held| {
+            let rival = std::thread::spawn(move || {
+                tm2.grant(h2id, fid(1), TokenTypes::DATA_WRITE, ByteRange::new(0, 10)).unwrap();
+                done2.store(1, Ordering::SeqCst);
+            });
+            for _ in 0..1000 {
+                std::thread::yield_now();
+            }
+            assert_eq!(done.load(Ordering::SeqCst), 0, "granted under a held shard");
+            assert_eq!(held.len(), 1);
+            rival
+        });
+        rival.join().unwrap();
+        assert_eq!(h1.calls.load(Ordering::SeqCst), 1, "revoked once the call was over");
+        assert!(tm.with_held(h1.id, fid(1), |held| held.is_empty()));
     }
 
     #[test]

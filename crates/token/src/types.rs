@@ -143,6 +143,37 @@ impl Token {
     }
 }
 
+/// Returns true if the union of `tokens` carrying any of `types` covers
+/// every byte of `range`. The one coverage test: the client's cache-hit
+/// checks (locked and lock-free) and the server's store admission rule
+/// all judge "does this host hold the guarantee over these bytes" here.
+pub fn tokens_cover<'a>(
+    tokens: impl IntoIterator<Item = &'a Token>,
+    types: TokenTypes,
+    range: &ByteRange,
+) -> bool {
+    if range.is_empty() {
+        return true;
+    }
+    let mut spans: Vec<ByteRange> = tokens
+        .into_iter()
+        .filter(|t| t.types.intersects(types))
+        .map(|t| t.range)
+        .collect();
+    spans.sort_by_key(|r| r.start);
+    let mut pos = range.start;
+    for s in spans {
+        if s.start > pos {
+            break;
+        }
+        pos = pos.max(s.end.min(range.end));
+        if pos >= range.end {
+            return true;
+        }
+    }
+    pos >= range.end
+}
+
 /// Returns true if the two open-token subtype bits may coexist on
 /// different hosts — Figure 3 of the paper.
 ///

@@ -186,6 +186,11 @@ fn whole_volume_revocation(shards: usize) {
         assert!(shards_hit.len() >= 3, "file fids must spread across shards");
     }
 
+    // One reader already holds a file token when the storms start, so
+    // "the volume writes revoked someone" below does not depend on which
+    // thread the scheduler runs first.
+    tm.grant(hosts[1].id, fid(1), TokenTypes::DATA_READ | TokenTypes::STATUS_READ, ByteRange::WHOLE)
+        .unwrap();
     let readers: Vec<_> = hosts[1..]
         .iter()
         .map(|h| {

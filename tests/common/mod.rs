@@ -5,8 +5,10 @@
 #![allow(dead_code)] // each suite uses a different subset
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use decorum_dfs::client::{CacheManager, WritebackConfig};
+use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
 use decorum_dfs::types::{Fid, VolumeId};
 use decorum_dfs::{Cell, Fleet};
 
@@ -47,4 +49,37 @@ pub fn durable_file(client: &CacheManager, name: &str, data: &[u8]) -> Fid {
     client.write(f.fid, 0, data).unwrap();
     client.fsync(f.fid).unwrap();
     f.fid
+}
+
+/// How long the fault plane holds a delayed store. Everything a test
+/// does "while the store is in flight" takes well under this; a test
+/// that ran slower than this would still pass, having raced nothing.
+const IN_FLIGHT_US: u64 = 150_000;
+
+/// Delays `a`'s next `StoreData` in flight and, once the fault plane has
+/// it, returns: the caller now runs beside a store that has taken its
+/// snapshot, holds its vnode's store slot, and has not reached the
+/// server. `send` is what sends it, on a helper thread.
+pub fn in_flight<T: Send + 'static>(
+    cell: &Cell,
+    a: &Arc<CacheManager>,
+    send: impl FnOnce(Arc<CacheManager>) -> T + Send + 'static,
+) -> JoinHandle<T> {
+    let delay = FaultRule::on(FaultAction::Delay(IN_FLIGHT_US))
+        .from(Addr::Client(a.id()))
+        .label("StoreData")
+        .limit(1);
+    cell.net().set_fault_schedule(FaultSchedule::seeded(1).rule(delay));
+    let a = a.clone();
+    let sender = std::thread::spawn(move || send(a));
+    while cell.net().faults_injected() == 0 {
+        std::thread::yield_now();
+    }
+    sender
+}
+
+/// A flusher pass by `a` — the daemon as an actor the test drives —
+/// delayed in flight.
+pub fn delayed_flush_pass(cell: &Cell, a: &Arc<CacheManager>) -> JoinHandle<()> {
+    in_flight(cell, a, |a| a.flush_pass().unwrap())
 }

@@ -7,7 +7,8 @@
 //! and duplicate deliveries never double-apply).
 
 use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
-use decorum_dfs::types::{ByteRange, VolumeId};
+use decorum_dfs::token::TokenTypes;
+use decorum_dfs::types::{ByteRange, DfsError, VolumeId};
 
 mod common;
 
@@ -108,6 +109,81 @@ fn revocation_is_exactly_once_under_duplicate_delivery() {
     a.write(f.fid, 0, b"A writes once more").unwrap();
     a.fsync(f.fid).unwrap();
     assert_eq!(b.read(f.fid, 0, 32).unwrap(), b"A writes once more");
+}
+
+/// Token revocation vs. a lost store-back: the one store a revocation
+/// handler sends is dropped. The server is waiting on that handler, so
+/// the token goes back anyway and what it covered is lost — but counted,
+/// not silent — and everyone converges on the last bytes the server
+/// *did* acknowledge.
+#[test]
+fn failed_revocation_store_back_is_counted() {
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "contested", b"stored and acked");
+    a.write(fid, 0, b"only in A's cache").unwrap();
+    assert_eq!(a.dirty_pages(fid), 1);
+
+    let from_a = Addr::Client(a.id());
+    cell.net().set_fault_schedule(
+        FaultSchedule::seeded(7)
+            .rule(FaultRule::on(FaultAction::Drop).from(from_a).label("StoreData").limit(1)),
+    );
+    // B's read revokes A's write token; A's store-back never arrives.
+    assert_eq!(b.read(fid, 0, 32).unwrap(), b"stored and acked", "the last *stored* bytes");
+    assert_eq!(cell.net().faults_injected(), 1);
+    cell.net().clear_faults();
+
+    let st = a.stats();
+    assert_eq!(st.revocation_store_failures, 1);
+    assert_eq!(st.revocation_stores, 0);
+    assert_eq!(a.total_dirty_pages(), 0, "the lost page must not linger as dirty");
+    // Nothing is wedged: A re-reads what the server has, and writes on.
+    assert_eq!(a.read(fid, 0, 32).unwrap(), b"stored and acked");
+    a.write(fid, 0, b"A writes once more").unwrap();
+    a.fsync(fid).unwrap();
+    assert_eq!(b.read(fid, 0, 32).unwrap(), b"A writes once more");
+    assert_eq!(a.stats().revocation_store_failures, 1);
+}
+
+/// A token taken while its holder could not be reached: the revocation
+/// B's write sets off never arrives at A, so the server hands A's write
+/// token on and A never hears of it. A's next store is refused —
+/// `TokenRevoked`, nothing written, B undisturbed so far. The refusal
+/// disproves A's write guarantees and only those: A forgets them, keeps
+/// its lock token (and the lock set under it), takes the write token
+/// again the normal way — which stores B's page back — and only then
+/// stores its own.
+#[test]
+fn a_store_refused_without_a_restart_forgets_only_the_write_bits() {
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "partitioned", b"stored and acked");
+    let range = ByteRange::new(0, 100);
+    a.acquire_lock_token(fid, range, false).unwrap();
+    a.lock(fid, range, false).unwrap();
+    a.write(fid, 0, b"A, while cut off").unwrap();
+
+    let to_a = Addr::Client(a.id());
+    cell.net().set_fault_schedule(
+        FaultSchedule::seeded(3).rule(FaultRule::on(FaultAction::Drop).to(to_a).limit(1)),
+    );
+    b.write(fid, 4096, b"B's page").unwrap();
+    assert_eq!(cell.net().faults_injected(), 1, "the revocation was lost");
+    cell.net().clear_faults();
+
+    a.fsync(fid).unwrap();
+    let st = a.stats();
+    assert_eq!((st.recoveries, st.revocation_store_failures), (0, 0));
+    assert_eq!(a.total_dirty_pages(), 0);
+    let held = a.held_tokens(fid);
+    assert!(held.iter().any(|t| t.types.contains(TokenTypes::LOCK_READ)), "{held:?}");
+    assert_eq!(b.lock(fid, range, true), Err(DfsError::LockConflict), "A still holds its lock");
+    let c = cell.new_client();
+    assert_eq!(c.read(fid, 0, 16).unwrap(), b"A, while cut off");
+    assert_eq!(c.read(fid, 4096, 8).unwrap(), b"B's page");
 }
 
 /// Live migration vs. a flaky client-side partition: while a volume

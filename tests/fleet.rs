@@ -103,6 +103,37 @@ fn tokens_survive_live_move_with_zero_lost_updates() {
     assert_eq!(st.tokens_reestablished, 0, "tokens survived, not re-granted");
 }
 
+/// The same move with one of the client's stores already in the network
+/// when it starts: a flusher pass has snapshotted page 0 and is delayed
+/// in flight, and both pages are rewritten behind it. The move's write
+/// quiesce revokes A's token; A's handler waits out the store in flight
+/// (admitted, blackout or not: it travels in the reserved class and A
+/// still holds the token), then stores the newer pages; only then does
+/// the volume go. No page is lost and none goes back in time.
+#[test]
+fn live_move_waits_out_a_flusher_store_in_flight() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let fleet = common::fleet(2);
+    let a = common::no_flush_client(fleet.cell());
+    let root = a.root(VolumeId(1)).unwrap();
+    let f = a.create(root, "f", 0o644).unwrap();
+    a.write(f.fid, 0, &[1u8; PAGE]).unwrap();
+    let pass = common::delayed_flush_pass(fleet.cell(), &a);
+    a.write(f.fid, 0, &[2u8; PAGE]).unwrap();
+    a.write(f.fid, PAGE as u64, &[3u8; PAGE]).unwrap();
+
+    fleet.move_volume(VolumeId(1), 1).unwrap();
+    pass.join().unwrap();
+
+    assert_eq!(a.total_dirty_pages(), 0);
+    let b = fleet.cell().new_client();
+    assert_eq!(b.read(f.fid, 0, PAGE).unwrap(), vec![2u8; PAGE]);
+    assert_eq!(b.read(f.fid, PAGE as u64, PAGE).unwrap(), vec![3u8; PAGE]);
+    let st = a.stats();
+    assert_eq!(st.revocation_store_failures, 0);
+    assert_eq!(st.recoveries, 0, "a live move is not a crash");
+}
+
 /// (d) Forwarding to a crashed owner surfaces `Crashed` (not a hang, not
 /// a bogus redirect), and once the owner restarts the client runs the
 /// ISSUE-5 recovery pipeline and completes its operation.

@@ -3,7 +3,8 @@
 //! failover (ISSUE 5; §2.2 of the paper for the restart-cost claim,
 //! Lustre-style epoch reconnection for the token recovery protocol).
 
-use decorum_dfs::types::{DfsError, VolumeId};
+use decorum_dfs::token::TokenTypes;
+use decorum_dfs::types::{ByteRange, DfsError, VolumeId};
 use decorum_dfs::Cell;
 
 mod common;
@@ -46,6 +47,66 @@ fn crash_mid_writeback_replays_dirty_pages() {
     let b = cell.new_client();
     assert_eq!(b.read(fid, 0, 32).unwrap(), b"still dirty in A!");
     assert_eq!(a.read(fid, 0, 32).unwrap(), b"still dirty in A!");
+}
+
+/// The same crash, found by the flusher instead of by an operation. Stores
+/// travel in the reserved class, which the grace gate lets through, so
+/// what the restarted server says to the pass's store is that it knows
+/// no token of A's: `TokenRevoked`, nothing written. The page stays
+/// dirty, the pass asks for the server's epoch, and recovery —
+/// reestablish, then replay through the same store gate — stores it.
+#[test]
+fn flusher_store_refused_after_restart_is_replayed_by_recovery() {
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "inflight", b"acked and durable");
+    a.write(fid, 0, b"still dirty in A!").unwrap();
+
+    cell.crash_server(0);
+    cell.restart_server(0, 10_000_000).unwrap();
+    assert!(cell.server(0).in_grace());
+
+    a.flush_pass().unwrap();
+    let st = a.stats();
+    assert_eq!(st.recoveries, 1, "the refused store led to exactly one recovery pass");
+    assert_eq!(st.grace_waits, 0, "no call of A's was gated: the store was refused, not held");
+    assert!(st.tokens_reestablished > 0);
+    assert_eq!(st.recovery_replayed_pages, 1, "the refused page was handed to replay");
+    assert_eq!(a.total_dirty_pages(), 0);
+    assert_eq!(cell.new_client().read(fid, 0, 32).unwrap(), b"still dirty in A!");
+    assert_eq!(a.read(fid, 0, 32).unwrap(), b"still dirty in A!");
+}
+
+/// What a refusal takes with it. A holds a lock token with a lock set
+/// under it, and a dirty page; the server restarts, and the flusher's
+/// store is what finds out. The refusal disproves nothing recovery has
+/// just re-established, and never the lock token: A still holds its
+/// lock, so B must still be refused it (§5.3 retention).
+#[test]
+fn a_refused_store_after_restart_keeps_the_lock_token() {
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "locked", b"acked and durable");
+    let range = ByteRange::new(0, 100);
+    a.acquire_lock_token(fid, range, true).unwrap();
+    a.lock(fid, range, true).unwrap();
+    a.write(fid, 0, b"written under lock").unwrap();
+
+    cell.crash_server(0);
+    cell.restart_server(0, 10_000_000).unwrap();
+    a.flush_pass().unwrap();
+
+    assert_eq!(a.stats().recoveries, 1);
+    assert_eq!(a.total_dirty_pages(), 0);
+    let held = a.held_tokens(fid);
+    assert!(held.iter().any(|t| t.types.contains(TokenTypes::LOCK_WRITE)), "{held:?}");
+    assert!(held.iter().any(|t| t.types.contains(TokenTypes::DATA_WRITE)), "{held:?}");
+    assert!(!cell.server(0).in_grace(), "A was the only holder: checked in, grace is over");
+    assert_eq!(b.lock(fid, range, true), Err(DfsError::LockConflict), "A still holds the lock");
+    a.unlock(fid, range).unwrap();
+    b.lock(fid, range, true).unwrap();
+    assert_eq!(b.read(fid, 0, 32).unwrap(), b"written under lock");
 }
 
 /// A client that never reconnects must not pin the cell: the grace

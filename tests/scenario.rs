@@ -72,10 +72,14 @@ fn mixed_workload_passes_all_invariants() {
     assert_eq!(r.scan_mismatches, 0, "prefilled content must survive");
     assert_eq!(r.ambiguous_regions, 0);
     assert!(r.clean());
+    // A coherent run has no one to name.
+    assert_eq!(r.witnesses, [], "witnesses on a coherent run");
     // The workload actually exercised every class.
     assert!(r.class_ops.iter().all(|&n| n > 0), "all classes drawn: {:?}", r.class_ops);
-    // And the report renders valid JSON.
-    dfs_bench::json::validate(&r.to_json()).expect("report JSON");
+    // And the report renders valid JSON, carrying the (empty) list.
+    let json = r.to_json();
+    dfs_bench::json::validate(&json).expect("report JSON");
+    assert!(json.contains(r#""witnesses": [],"#), "{json}");
 }
 
 #[test]

@@ -36,6 +36,11 @@
 #  12. repo benchmark gate: the standalone benchmark/ package's unit
 #      tests (RPCs per lock-step round, same-seed op digest) and its
 #      smoke run — all four workloads at 1/50 size, 0 failed ops
+#  13. coherence gate: the benchmark's `shared_handoff` workload with
+#      the clients' background flusher ON, 5 s at seeds 1, 2 and 3 under
+#      --strict — every read of the handed-off page is checked against
+#      the last acknowledged write, and one stale read fails the stage
+#      (the store gate, DESIGN.md §9; 14–35 per run before it)
 #
 # Run from the repo root:  ./verify.sh
 set -eu
@@ -106,5 +111,17 @@ done
 echo "==> repo benchmark gate (benchmark/ unit tests + smoke)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/smoke.sh
+
+echo "==> coherence gate (shared_handoff, flusher on, seeds 1-3, strict)"
+for seed in 1 2 3; do
+  out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+      run --workload shared_handoff --seed "$seed" --seconds 5 --flusher --strict \
+      --out "target/coherence-seed$seed.json") || {
+    # The witnesses: client, fid, the tag written and the tag read.
+    printf '%s\n' "$out" | grep FAILED || true
+    echo "coherence gate: shared_handoff failed at seed $seed"
+    exit 1
+  }
+done
 
 echo "verify: OK"
