@@ -52,7 +52,7 @@ use dfs_client::{CacheManager, ClientStats, WritebackConfig, PAGE_SIZE};
 use dfs_core::Cell;
 use dfs_fleet::Fleet;
 use dfs_rpc::FaultSchedule;
-use dfs_types::{Fid, VolumeId};
+use dfs_types::{DfsError, Fid, VolumeId};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -411,6 +411,11 @@ pub struct RunReport {
     /// Regions whose last write failed — excluded from the lost-update
     /// check (the write may or may not have landed; at-least-once).
     pub ambiguous_regions: u64,
+    /// Audit: grants left in any server's token table on a fid that no
+    /// longer resolves (`StaleFid`) — a token that outlived its file.
+    /// Reported, not part of [`coherent`](Self::coherent): a restarted
+    /// server still re-grants reestablish claims on dead fids.
+    pub leaked_grants: u64,
     /// The first [`MAX_WITNESSES`] lost updates and disagreements, each
     /// with client, fid and both tags; empty on a coherent run.
     pub witnesses: Vec<Witness>,
@@ -502,6 +507,7 @@ impl RunReport {
             .field("torn_reads", self.torn_reads)
             .field("scan_mismatches", self.scan_mismatches)
             .field("ambiguous_regions", self.ambiguous_regions)
+            .field("leaked_grants", self.leaked_grants)
             .field("coherent", self.coherent())
             .field("clean", self.clean())
             .render()
@@ -1104,6 +1110,18 @@ impl<'a> Driver<'a> {
             }
         }
 
+        // Token lifetime follows the file: whatever path strands a
+        // grant on a destroyed file shows up here as a number.
+        let mut leaked_grants = 0u64;
+        for s in 0..ctx.fleet.server_count() {
+            for (_, token) in ctx.fleet.cell().server(s).token_manager().live_grants() {
+                let gone = || fresh.getattr(token.fid) == Err(DfsError::StaleFid);
+                if !token.is_volume_token() && gone() {
+                    leaked_grants += 1;
+                }
+            }
+        }
+
         // -- Metrics ----------------------------------------------------
         let mut client_stats = ClientStats::default();
         for c in &ctx.clients {
@@ -1146,6 +1164,7 @@ impl<'a> Driver<'a> {
             torn_reads,
             scan_mismatches,
             ambiguous_regions,
+            leaked_grants,
             witnesses,
             events,
             samples,
@@ -1343,6 +1362,7 @@ mod tests {
         let r = sc.run();
         assert_eq!(r.total_ops, 16);
         assert!(r.clean(), "invariants: {}", r.invariants_json());
+        assert_eq!(r.leaked_grants, 0, "the churn class removes what it creates");
         crate::json::validate(&r.to_json()).expect("report JSON must parse");
     }
 }

@@ -39,8 +39,8 @@ use dfs_server::VldbHandle;
 use dfs_token::{tokens_cover, Token, TokenTypes};
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use dfs_types::{
-    Acl, ByteRange, ClientId, DfsError, DfsResult, FileStatus, Fid, SerializationStamp, ServerId,
-    SnapshotCell, VolumeId,
+    Acl, ByteRange, ClientId, DfsError, DfsResult, FileStatus, FileType, Fid, SerializationStamp,
+    ServerId, SnapshotCell, VolumeId,
 };
 use dfs_vfs::{DirEntry, SetAttrs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -873,6 +873,29 @@ impl CacheManager {
         vnodes.entry(fid).or_insert_with(|| Arc::new(CVnode { fid, ..CVnode::default() })).clone()
     }
 
+    /// Number of vnodes in the table: files cached, not files ever seen.
+    pub fn cached_vnodes(&self) -> usize {
+        self.vnodes.lock().len()
+    }
+
+    /// Forgets a file the server has just destroyed — and retired every
+    /// grant on, ours included — if `dead` confirms it from the vnode's
+    /// state: tokens, status and pages go, then the vnode, the table
+    /// locked only once `lo` is free (it ranks below the vnode locks). A
+    /// thread still holding the vnode works on an orphan: `StaleFid`.
+    fn forget(&self, fid: Fid, dead: impl FnOnce(&VnState) -> bool) {
+        let Some(vn) = self.vnodes.lock().get(&fid).cloned() else { return };
+        let mut lo = vn.lock_lo();
+        if !dead(&lo) {
+            return;
+        }
+        lo.tokens.clear();
+        lo.queued.clear();
+        self.invalidate(fid, &mut lo);
+        drop(lo);
+        self.vnodes.lock().remove(&fid);
+    }
+
     // ------------------------------------------------------------------
     // The client RPC spine (§6.1–§6.3)
     // ------------------------------------------------------------------
@@ -1596,13 +1619,14 @@ impl CacheManager {
         self.namespace_rpc(dir, Request::Link { dir, name: name.into(), target })
     }
 
-    /// Removes a file.
+    /// Removes a file. One that had another link lives on, cached as
+    /// before under the status the reply carried.
     pub fn remove(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let st = self.namespace_rpc(dir, Request::Remove { dir, name: name.into() })?;
         self.vnode(dir).lock_lo().names.remove(name);
-        // Invalidate the victim's cached state.
-        let victim = self.vnode(st.fid);
-        self.invalidate(st.fid, &mut victim.lock_lo());
+        if st.nlink == 0 {
+            self.forget(st.fid, |_| true);
+        }
         Ok(())
     }
 
@@ -1612,8 +1636,12 @@ impl CacheManager {
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
         self.rpc_unlocked(&mut lo, Request::Rmdir { dir, name: name.into() })?;
-        lo.names.remove(name);
+        let victim = lo.names.remove(name);
         lo.listing = None;
+        drop(lo);
+        if let Some(st) = victim {
+            self.forget(st.fid, |_| true);
+        }
         Ok(())
     }
 
@@ -1635,11 +1663,22 @@ impl CacheManager {
             },
         )?
         .into_result()?;
+        let mut replaced = None;
         for (d, n) in [(src_dir, src_name), (dst_dir, dst_name)] {
             let vn = self.vnode(d);
             let mut lo = vn.lock_lo();
-            lo.names.remove(n);
+            // Last, what the destination held: an entry still trusted
+            // after the call was true when the server ran it.
+            replaced = lo.names.remove(n).filter(|_| lo.dir_trusted());
             lo.listing = None;
+        }
+        if let Some(st) = replaced {
+            // It died if that was its last link, which only a status
+            // token of ours on it can vouch for.
+            self.forget(st.fid, |lo| {
+                trusted_status(&lo.tokens, &lo.status)
+                    .is_some_and(|st| st.nlink == 1 || st.ftype == FileType::Directory)
+            });
         }
         Ok(())
     }

@@ -9,6 +9,7 @@
 use crate::dir::RawDirEntry;
 use crate::layout::{check_name, Anode, AnodeKind};
 use crate::Episode;
+use dfs_journal::Admitted;
 use dfs_types::{Acl, DfsError, DfsResult, FileStatus, Fid, Rights, VnodeId, VolumeId};
 use dfs_vfs::{
     Credentials, DirEntry, PhysicalFs, SalvageReport, SetAttrs, Vfs, VfsPlus, VolumeDump,
@@ -83,11 +84,14 @@ impl EpisodeVolume {
         }
     }
 
-    fn check_writable(&self) -> DfsResult<()> {
+    /// The first step of every mutating operation, taken before any
+    /// lock: refuses a read-only volume, and admits the operation to the
+    /// log (`Journal::admit`) for as long as the guard lives.
+    fn begin_write(&self) -> DfsResult<Admitted<'_>> {
         if self.read_only {
             Err(DfsError::ReadOnlyVolume)
         } else {
-            Ok(())
+            Ok(self.ep.jn.admit())
         }
     }
 
@@ -107,7 +111,7 @@ impl EpisodeVolume {
         mode: u16,
         symlink_target: Option<&str>,
     ) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         check_name(name)?;
         let (dslot, _) = self.resolve(dir)?;
         let lock = self.ep.anode_lock(dslot);
@@ -192,7 +196,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn link(&self, cred: &Credentials, dir: Fid, name: &str, target: Fid) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         check_name(name)?;
         let (dslot, _) = self.resolve(dir)?;
         let (tslot, _) = self.resolve(target)?;
@@ -239,7 +243,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn remove(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (dslot, _) = self.resolve(dir)?;
         let lock = self.ep.anode_lock(dslot);
         let _g = lock.write();
@@ -277,7 +281,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn rmdir(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<()> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (dslot, _) = self.resolve(dir)?;
         let lock = self.ep.anode_lock(dslot);
         let _g = lock.write();
@@ -316,7 +320,7 @@ impl Vfs for EpisodeVolume {
         dst_dir: Fid,
         dst_name: &str,
     ) -> DfsResult<()> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         check_name(src_name)?;
         check_name(dst_name)?;
         let (sslot, _) = self.resolve(src_dir)?;
@@ -458,7 +462,7 @@ impl Vfs for EpisodeVolume {
         offset: u64,
         data: &[u8],
     ) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
         let lock = self.ep.anode_lock(slot);
         let _g = lock.write();
@@ -486,7 +490,7 @@ impl Vfs for EpisodeVolume {
         file: Fid,
         extents: &[dfs_vfs::WriteExtent],
     ) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
         let lock = self.ep.anode_lock(slot);
         let _g = lock.write();
@@ -523,7 +527,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn setattr(&self, cred: &Credentials, file: Fid, attrs: &SetAttrs) -> DfsResult<FileStatus> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
         let lock = self.ep.anode_lock(slot);
         let _g = lock.write();
@@ -595,7 +599,7 @@ impl VfsPlus for EpisodeVolume {
     }
 
     fn set_acl(&self, cred: &Credentials, file: Fid, acl: &Acl) -> DfsResult<()> {
-        self.check_writable()?;
+        let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
         let lock = self.ep.anode_lock(slot);
         let _g = lock.write();

@@ -28,6 +28,27 @@ pub(crate) struct Frame {
     pub version: u64,
 }
 
+impl Frame {
+    /// Settles a write-back: the contents as of `version` — logged
+    /// changes `first_lsn` up to `last_lsn` — are home.
+    pub fn written_home(&mut self, version: u64, first_lsn: Option<Lsn>, last_lsn: Lsn) {
+        if self.version == version {
+            self.dirty = false;
+            self.first_lsn = None;
+        } else if first_lsn.is_some() {
+            // An update landed while the latch was released for the
+            // I/O. The frame stays dirty — what was written is stale,
+            // and cleaning it would lose the newer change on eviction —
+            // but its logged changes up to the snapshot's last record
+            // are home all the same, and every later one was logged
+            // after that: it is the oldest record the frame still
+            // needs. Left at the old one, a frame busy enough to be
+            // re-dirtied under every sweep pins the log tail for ever.
+            self.first_lsn = Some(last_lsn);
+        }
+    }
+}
+
 /// A cached block plus its latch.
 pub(crate) struct FrameCell {
     /// The disk block number this frame caches.

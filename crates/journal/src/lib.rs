@@ -11,6 +11,12 @@
 //! * **equivalence classes**: transactions that modify the same buffer
 //!   are merged and commit atomically, which is how serializability of
 //!   "A used data modified by B" (§2.2) is guaranteed;
+//! * **log admission** ([`Journal::admit`]): a class stays open — and
+//!   pins the log tail at its oldest record — while any member is
+//!   unresolved, and two writers that keep overlapping keep one class
+//!   open for ever. Once more than half the log is pinned, new
+//!   file-system operations wait for the running ones to finish, which
+//!   closes every class;
 //! * **recovery** that replays the active portion of the log — redoing
 //!   committed transactions and undoing uncommitted ones — in time
 //!   proportional to the active log, not the file-system size.
@@ -32,7 +38,7 @@ use dfs_disk::{Block, SimDisk, BLOCK_SIZE};
 use dfs_types::{DfsError, DfsResult};
 use frame::{Frame, FrameCell};
 use logfmt::{decode_block, encode_block, LOG_PAYLOAD};
-use dfs_types::lock::{rank, OrderedMutex, OrderedMutexGuard};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -114,6 +120,9 @@ struct CacheState {
 struct TxnTable {
     next_id: TxnId,
     active: HashMap<TxnId, TxnState>,
+    /// File-system operations admitted and not yet finished
+    /// ([`Journal::admit`]).
+    ops: usize,
 }
 
 impl TxnTable {
@@ -172,7 +181,23 @@ pub struct Journal {
     log: OrderedMutex<LogState, { rank::JOURNAL_LOG }>,
     cache: OrderedMutex<CacheState, { rank::JOURNAL_CACHE }>,
     txns: OrderedMutex<TxnTable, { rank::JOURNAL_TXNS }>,
+    /// Signalled when the last admitted operation finishes.
+    drained: OrderedCondvar,
     stats: OrderedMutex<JournalStats, { rank::STATS }>,
+}
+
+/// One file-system operation — a run of transactions — admitted to the
+/// log by [`Journal::admit`]; dropping it ends the operation.
+pub struct Admitted<'a>(&'a Journal);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut txns = self.0.txns.lock();
+        txns.ops -= 1;
+        if txns.ops == 0 {
+            self.0.drained.notify_all();
+        }
+    }
 }
 
 impl Journal {
@@ -318,7 +343,8 @@ impl Journal {
             region,
             log: OrderedMutex::new(LogState { head, durable: head, tail: head, pending: Vec::new() }),
             cache: OrderedMutex::new(CacheState { frames: HashMap::new(), lru_clock: 0, capacity: 1024 }),
-            txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new() }),
+            txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new(), ops: 0 }),
+            drained: OrderedCondvar::new(),
             stats: OrderedMutex::new(JournalStats::default()),
         })
     }
@@ -417,9 +443,9 @@ impl Journal {
 
     /// Writes one dirty frame home, honouring the WAL rule.
     fn writeback(&self, cell: &Arc<FrameCell>) -> DfsResult<()> {
-        let (dirty, last_lsn, data, version) = {
+        let (dirty, first_lsn, last_lsn, data, version) = {
             let st = cell.state.lock();
-            (st.dirty, st.last_lsn, st.data.clone(), st.version)
+            (st.dirty, st.first_lsn, st.last_lsn, st.data.clone(), st.version)
         };
         if !dirty {
             return Ok(());
@@ -427,15 +453,7 @@ impl Journal {
         self.ensure_durable(last_lsn)?;
         self.disk.write(cell.block, &data)?;
         self.disk.flush_range(cell.block, cell.block + 1)?;
-        let mut st = cell.state.lock();
-        // A concurrent update may have landed while the frame lock was
-        // released for I/O; the snapshot we wrote is then stale and the
-        // frame must stay dirty or the newer change is silently lost on
-        // eviction (the disk copy would be read back instead).
-        if st.version == version {
-            st.dirty = false;
-            st.first_lsn = None;
-        }
+        cell.state.lock().written_home(version, first_lsn, last_lsn);
         self.stats.lock().writebacks += 1;
         Ok(())
     }
@@ -473,6 +491,45 @@ impl Journal {
     // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
+
+    /// Admits one file-system operation to the log. Call it first, with
+    /// no lock held and no transaction open, and keep the guard until
+    /// the operation's last transaction has resolved.
+    ///
+    /// The log tail cannot pass the oldest record of an open equivalence
+    /// class, and a class stays open while any member is unresolved: two
+    /// writers whose transactions keep overlapping on a shared buffer
+    /// extend one class without end, until the log is full and
+    /// [`DfsError::LogFull`] fails them both. So once more than half the
+    /// log is pinned, a new operation waits here for the admitted ones
+    /// to finish. They need nothing a waiter holds, nothing new joins
+    /// their classes, so every class closes and the next checkpoint
+    /// frees the log. It waits for operations, not transactions: one that
+    /// failed and left its transaction unresolved still ends.
+    pub fn admit(&self) -> Admitted<'_> {
+        let mut txns = self.txns.lock();
+        while txns.ops > 0 && self.pinned_bytes(&txns) > self.region.capacity_bytes() / 2 {
+            self.drained.wait(&mut txns);
+        }
+        txns.ops += 1;
+        Admitted(self)
+    }
+
+    /// Log bytes from the oldest record of an unfinished transaction to
+    /// the head: what no checkpoint can free right now.
+    fn pinned_bytes(&self, txns: &TxnTable) -> u64 {
+        let (head, tail) = {
+            let log = self.log.lock();
+            (log.head, log.tail)
+        };
+        // The scan is for the rare case only: usually the whole log in
+        // use is under half of it.
+        if head.0 - tail.0 <= self.region.capacity_bytes() / 2 {
+            return 0;
+        }
+        let oldest = txns.active.values().filter_map(|t| t.first_lsn).min();
+        oldest.map_or(0, |first| head.0.saturating_sub(first.0))
+    }
 
     /// Begins a new transaction and returns its id.
     pub fn begin(&self) -> TxnId {
@@ -905,6 +962,87 @@ mod tests {
         assert_eq!(report.committed_txns, 0);
         let buf = jn2.get(900).unwrap();
         assert_eq!(buf.read_at(0, 2), vec![0, 0], "A must not commit without B");
+    }
+
+    #[test]
+    fn admission_waits_out_the_running_ops_once_half_the_log_is_pinned() {
+        let (_disk, jn) = setup();
+        let half = jn.region().capacity_bytes() / 2;
+        let buf = jn.get(902).unwrap();
+        // One operation whose transactions always overlap on one buffer,
+        // as two busy writers' do: each joins the class before the last
+        // resolves, nothing commits, and the tail stays at the first.
+        let running = jn.admit();
+        let mut open = jn.begin();
+        jn.update(open, &buf, 0, &[0; 512]).unwrap();
+        for fill in 1.. {
+            if jn.log_used_bytes() > half + half / 4 {
+                break;
+            }
+            let next = jn.begin();
+            jn.update(next, &buf, 0, &[fill as u8; 512]).unwrap();
+            jn.commit(open).unwrap();
+            open = next;
+        }
+        assert!(jn.active_txns() > 10, "one open class");
+        assert_eq!(jn.stats().commit_records, 0);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let jn = &jn;
+            s.spawn(move || {
+                tx.send("arrived").unwrap();
+                let _op = jn.admit();
+                tx.send("admitted").unwrap();
+            });
+            assert_eq!(rx.recv(), Ok("arrived"));
+            for _ in 0..1000 {
+                std::thread::yield_now();
+            }
+            assert!(rx.try_recv().is_err(), "admitted on top of a pinned log");
+            // The running operation's last transaction resolves — the
+            // class closes — and the operation ends.
+            jn.commit(open).unwrap();
+            assert_eq!(jn.active_txns(), 0);
+            drop(running);
+            assert_eq!(rx.recv(), Ok("admitted"));
+        });
+        // Nothing pinned: admission never waits, whatever is running.
+        let _both = (jn.admit(), jn.admit());
+        // And the log the class held is free again.
+        jn.checkpoint().unwrap();
+        assert_eq!(jn.log_used_bytes(), 0);
+    }
+
+    #[test]
+    fn a_frame_redirtied_under_its_writeback_needs_only_what_came_after() {
+        let (_disk, jn) = setup();
+        let buf = jn.get(903).unwrap();
+        let write = |byte: u8| {
+            let t = jn.begin();
+            jn.update(t, &buf, 0, &[byte; 256]).unwrap();
+            jn.commit(t).unwrap();
+        };
+        write(1);
+        // A sweep snapshots the frame and releases its latch for the
+        // I/O; an update lands before it looks again.
+        let (version, first, last) = {
+            let st = buf.cell.state.lock();
+            (st.version, st.first_lsn, st.last_lsn)
+        };
+        write(2);
+        buf.cell.state.lock().written_home(version, first, last);
+        let mut st = buf.cell.state.lock();
+        assert!(st.dirty, "the newer change is not home");
+        // Everything before it is: the tail may pass the first update.
+        // Left at `first`, a frame re-dirtied under every sweep held the
+        // whole log.
+        assert_eq!(st.first_lsn, Some(last));
+        assert!(first.expect("logged") < last);
+        // Undisturbed, a write-back cleans the frame.
+        let (version, first, last) = (st.version, st.first_lsn, st.last_lsn);
+        st.written_home(version, first, last);
+        assert!(!st.dirty && st.first_lsn.is_none());
     }
 
     #[test]

@@ -15,11 +15,11 @@
 
 use dfs_token::{RevokeResult, Token, TokenHost, TokenManager, TokenTypes};
 use dfs_types::{
-    Acl, ByteRange, DfsResult, FileStatus, Fid, HostId, SerializationStamp,
+    Acl, ByteRange, DfsError, DfsResult, FileStatus, Fid, HostId, SerializationStamp,
 };
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
 use dfs_vfs::{Credentials, DirEntry, SetAttrs, Vfs, VfsPlus};
-use crate::{DIR_READ, DIR_WRITE};
+use crate::{LockTable, DELETE, DIR_READ, DIR_WRITE};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,28 +86,35 @@ pub struct Glue {
     fs: Arc<dyn VfsPlus>,
     tm: Arc<TokenManager>,
     host: Arc<LocalHost>,
+    locks: Arc<LockTable>,
 }
 
 impl Glue {
-    /// Wraps `fs` with token acquisition against `tm`.
-    pub fn new(fs: Arc<dyn VfsPlus>, tm: Arc<TokenManager>, host: Arc<LocalHost>) -> Glue {
+    /// Wraps `fs` with token acquisition against `tm`; a local delete
+    /// clears the server's `locks` of its victim.
+    pub fn new(
+        fs: Arc<dyn VfsPlus>,
+        tm: Arc<TokenManager>,
+        host: Arc<LocalHost>,
+        locks: Arc<LockTable>,
+    ) -> Glue {
         tm.register_host(host.clone());
-        Glue { fs, tm, host }
+        Glue { fs, tm, host, locks }
     }
 
-    /// Runs `f` while holding every token in `wants`.
+    /// Runs `f`, lent the guard, while holding every token in `wants`.
     fn with_tokens<R, const N: usize>(
         &self,
         wants: [Want; N],
-        f: impl FnOnce() -> DfsResult<R>,
+        f: impl FnOnce(&Granted<'_, N>) -> DfsResult<R>,
     ) -> DfsResult<R> {
         let fids = wants.map(|(fid, ..)| fid);
         // Local callers return tokens as soon as the call completes
         // (§5.5: "it can return the token any time after the VOP_RDWR
         // call has completed execution"): the guard's drop.
-        let _held = Granted::new(&self.tm, self.host.id, wants)?;
+        let held = Granted::new(&self.tm, self.host.id, wants)?;
         fids.iter().for_each(|fid| self.host.enter(*fid));
-        let result = f();
+        let result = f(&held);
         fids.iter().for_each(|fid| self.host.exit(*fid));
         result
     }
@@ -119,6 +126,30 @@ pub(crate) type Want = (Fid, TokenTypes, ByteRange);
 /// A request for `types` over the whole of `fid`.
 pub(crate) fn whole(fid: Fid, types: TokenTypes) -> Want {
     (fid, types, ByteRange::WHOLE)
+}
+
+/// The tokens a rename takes: write tokens on both directories and — if
+/// `dst_name` exists, the rename replaces it, perhaps its last link —
+/// [`DELETE`] on that target, which the caller [`retire`](Granted::retire)s
+/// if it is [`gone`] afterwards. With no target the destination directory
+/// is listed twice (granted once).
+pub(crate) fn rename_wants(
+    fs: &dyn Vfs,
+    cred: &Credentials,
+    (src_dir, dst_dir, dst_name): (Fid, Fid, &str),
+) -> DfsResult<([Want; 3], Option<Fid>)> {
+    let target = match fs.lookup(cred, dst_dir, dst_name) {
+        Err(DfsError::NotFound) => None,
+        found => Some(found?.fid),
+    };
+    let third = target.map_or(whole(dst_dir, DIR_WRITE), |fid| whole(fid, DELETE));
+    Ok(([whole(src_dir, DIR_WRITE), whole(dst_dir, DIR_WRITE), third], target))
+}
+
+/// A rename's replaced target, if that was its last link: if it no
+/// longer resolves.
+pub(crate) fn gone(fs: &dyn Vfs, cred: &Credentials, target: Option<Fid>) -> Option<Fid> {
+    target.filter(|fid| fs.getattr(cred, *fid) == Err(DfsError::StaleFid))
 }
 
 /// Tokens granted to `host` for the duration of one operation — the
@@ -166,12 +197,22 @@ impl<'a, const N: usize> Granted<'a, N> {
     pub(crate) fn keep_first(mut self) -> Token {
         self.held[0].take().expect("the first-listed want is always granted")
     }
+
+    /// Token lifetime follows the file: `victim`, on which this guard
+    /// holds [`DELETE`] (a directory: `DIR_WRITE`), was just destroyed,
+    /// so every grant on it — the caller's cached ones, this guard's own
+    /// — leaves the table now, with its byte-range locks: while the
+    /// write tokens that revoked every other host's copy are still held.
+    pub(crate) fn retire(&self, locks: &LockTable, victim: Fid) {
+        self.tm.retire_fid(victim);
+        locks.release_fid(victim);
+    }
 }
 
 impl<const N: usize> Drop for Granted<'_, N> {
     fn drop(&mut self) {
         for token in self.held.iter().flatten() {
-            self.tm.release(self.host, token.id);
+            self.tm.release_on(self.host, token.fid, token.id);
         }
     }
 }
@@ -186,15 +227,15 @@ impl Vfs for Glue {
     }
 
     fn lookup(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(dir, DIR_READ)], || self.fs.lookup(cred, dir, name))
+        self.with_tokens([whole(dir, DIR_READ)], |_| self.fs.lookup(cred, dir, name))
     }
 
     fn create(&self, cred: &Credentials, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(dir, DIR_WRITE)], || self.fs.create(cred, dir, name, mode))
+        self.with_tokens([whole(dir, DIR_WRITE)], |_| self.fs.create(cred, dir, name, mode))
     }
 
     fn mkdir(&self, cred: &Credentials, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(dir, DIR_WRITE)], || self.fs.mkdir(cred, dir, name, mode))
+        self.with_tokens([whole(dir, DIR_WRITE)], |_| self.fs.mkdir(cred, dir, name, mode))
     }
 
     fn symlink(
@@ -204,32 +245,35 @@ impl Vfs for Glue {
         name: &str,
         target: &str,
     ) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(dir, DIR_WRITE)], || {
+        self.with_tokens([whole(dir, DIR_WRITE)], |_| {
             self.fs.symlink(cred, dir, name, target)
         })
     }
 
     fn link(&self, cred: &Credentials, dir: Fid, name: &str, target: Fid) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(dir, DIR_WRITE), whole(target, TokenTypes::STATUS_WRITE)], || {
+        self.with_tokens([whole(dir, DIR_WRITE), whole(target, TokenTypes::STATUS_WRITE)], |_| {
             self.fs.link(cred, dir, name, target)
         })
     }
 
     fn remove(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
-        // Deleting needs assurance the file has no remote users (§5.4):
-        // an exclusive-write open token on the victim.
         let victim = self.fs.lookup(cred, dir, name)?;
-        let exclusive =
-            TokenTypes(TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | TokenTypes::STATUS_WRITE.0);
-        self.with_tokens([whole(dir, DIR_WRITE), whole(victim.fid, exclusive)], || {
-            self.fs.remove(cred, dir, name)
+        self.with_tokens([whole(dir, DIR_WRITE), whole(victim.fid, DELETE)], |held| {
+            let status = self.fs.remove(cred, dir, name)?;
+            if status.nlink == 0 {
+                held.retire(&self.locks, status.fid);
+            }
+            Ok(status)
         })
     }
 
     fn rmdir(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<()> {
         let victim = self.fs.lookup(cred, dir, name)?;
-        let wants = [whole(dir, DIR_WRITE), whole(victim.fid, TokenTypes::STATUS_WRITE)];
-        self.with_tokens(wants, || self.fs.rmdir(cred, dir, name))
+        self.with_tokens([whole(dir, DIR_WRITE), whole(victim.fid, DIR_WRITE)], |held| {
+            self.fs.rmdir(cred, dir, name)?;
+            held.retire(&self.locks, victim.fid);
+            Ok(())
+        })
     }
 
     fn rename(
@@ -240,18 +284,23 @@ impl Vfs for Glue {
         dst_dir: Fid,
         dst_name: &str,
     ) -> DfsResult<()> {
-        self.with_tokens([whole(src_dir, DIR_WRITE), whole(dst_dir, DIR_WRITE)], || {
-            self.fs.rename(cred, src_dir, src_name, dst_dir, dst_name)
+        let (wants, target) = rename_wants(&*self.fs, cred, (src_dir, dst_dir, dst_name))?;
+        self.with_tokens(wants, |held| {
+            self.fs.rename(cred, src_dir, src_name, dst_dir, dst_name)?;
+            if let Some(fid) = gone(&*self.fs, cred, target) {
+                held.retire(&self.locks, fid);
+            }
+            Ok(())
         })
     }
 
     fn readdir(&self, cred: &Credentials, dir: Fid) -> DfsResult<Vec<DirEntry>> {
-        self.with_tokens([whole(dir, DIR_READ)], || self.fs.readdir(cred, dir))
+        self.with_tokens([whole(dir, DIR_READ)], |_| self.fs.readdir(cred, dir))
     }
 
     fn read(&self, cred: &Credentials, file: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
         let types = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0);
-        self.with_tokens([(file, types, ByteRange::at(offset, len as u64))], || {
+        self.with_tokens([(file, types, ByteRange::at(offset, len as u64))], |_| {
             self.fs.read(cred, file, offset, len)
         })
     }
@@ -264,13 +313,13 @@ impl Vfs for Glue {
         data: &[u8],
     ) -> DfsResult<FileStatus> {
         let types = TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0);
-        self.with_tokens([(file, types, ByteRange::at(offset, data.len() as u64))], || {
+        self.with_tokens([(file, types, ByteRange::at(offset, data.len() as u64))], |_| {
             self.fs.write(cred, file, offset, data)
         })
     }
 
     fn getattr(&self, cred: &Credentials, file: Fid) -> DfsResult<FileStatus> {
-        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], |_| {
             self.fs.getattr(cred, file)
         })
     }
@@ -281,11 +330,11 @@ impl Vfs for Glue {
         } else {
             TokenTypes::STATUS_WRITE
         };
-        self.with_tokens([whole(file, types)], || self.fs.setattr(cred, file, attrs))
+        self.with_tokens([whole(file, types)], |_| self.fs.setattr(cred, file, attrs))
     }
 
     fn readlink(&self, cred: &Credentials, file: Fid) -> DfsResult<String> {
-        self.with_tokens([whole(file, TokenTypes::DATA_READ)], || {
+        self.with_tokens([whole(file, TokenTypes::DATA_READ)], |_| {
             self.fs.readlink(cred, file)
         })
     }
@@ -301,13 +350,13 @@ impl Vfs for Glue {
 
 impl VfsPlus for Glue {
     fn get_acl(&self, cred: &Credentials, file: Fid) -> DfsResult<Acl> {
-        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_READ)], |_| {
             self.fs.get_acl(cred, file)
         })
     }
 
     fn set_acl(&self, cred: &Credentials, file: Fid, acl: &Acl) -> DfsResult<()> {
-        self.with_tokens([whole(file, TokenTypes::STATUS_WRITE)], || {
+        self.with_tokens([whole(file, TokenTypes::STATUS_WRITE)], |_| {
             self.fs.set_acl(cred, file, acl)
         })
     }

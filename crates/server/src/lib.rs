@@ -23,7 +23,7 @@ pub mod locks;
 pub mod vldb;
 mod volumes;
 
-use glue::{whole, Granted, Want};
+use glue::{gone, rename_wants, whole, Granted, Want};
 pub use glue::{Glue, LocalHost};
 pub use hosts::{HostModel, HostRecord, RemoteHost, DEFAULT_LEASE_US};
 pub use locks::LockTable;
@@ -50,6 +50,10 @@ pub const DIR_READ: TokenTypes = TokenTypes(TokenTypes::STATUS_READ.0 | TokenTyp
 /// Write tokens the server takes while mutating a directory.
 pub const DIR_WRITE: TokenTypes =
     TokenTypes(TokenTypes::STATUS_WRITE.0 | TokenTypes::DATA_WRITE.0);
+/// What destroying a file takes on the victim: assurance that it has no
+/// remote users (§5.4), an exclusive-write open token, plus the write
+/// tokens, which revoke every other host's cached copy first.
+const DELETE: TokenTypes = TokenTypes(TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | DIR_WRITE.0);
 
 /// Most extents a single `StoreDataVec` may carry.
 pub const MAX_STORE_EXTENTS: usize = 64;
@@ -121,7 +125,7 @@ pub struct FileServer {
     tm: Arc<TokenManager>,
     local_host: Arc<LocalHost>,
     hosts: Arc<HostModel>,
-    locks: LockTable,
+    locks: Arc<LockTable>,
     vldb: VldbHandle,
     /// Restart epoch: 1 for a freshly started server, +1 per restart.
     /// Stamped into every `Status`/`Data` response so clients detect a
@@ -265,7 +269,7 @@ impl FileServer {
             tm: Arc::new(TokenManager::new()),
             local_host: LocalHost::new(HostId::Local(id.0)),
             hosts: Arc::new(HostModel::new()),
-            locks: LockTable::new(),
+            locks: Arc::new(LockTable::new()),
             vldb,
             epoch,
             volumes: Volumes::new(),
@@ -355,7 +359,7 @@ impl FileServer {
     /// they synchronize correctly with exported guarantees (§5.1, §5.5).
     pub fn local_volume(&self, vol: VolumeId) -> DfsResult<Arc<Glue>> {
         let fs = self.volumes.mount(vol, || self.physical.mount(vol))?;
-        Ok(Arc::new(Glue::new(fs, self.tm.clone(), self.local_host.clone())))
+        Ok(Arc::new(Glue::new(fs, self.tm.clone(), self.local_host.clone(), self.locks.clone())))
     }
 
     /// Maps the RPC caller to a token-manager host, registering the
@@ -715,8 +719,8 @@ impl FileServer {
                 Ok(self.status_reply(status, tokens, stamp))
             }
 
-            Q::ReturnToken { token, .. } => {
-                self.tm.release(host, token);
+            Q::ReturnToken { fid, token } => {
+                self.tm.release_on(host, fid, token);
                 Ok(P::Ok)
             }
 
@@ -741,27 +745,36 @@ impl FileServer {
             }
 
             Q::Remove { dir, name } => {
-                // Assure no remote users of the victim (§5.4): take an
-                // exclusive-write open token plus write tokens on it.
                 let victim = fs.lookup(cred, dir, &name)?;
-                let exclusive = TokenTypes(TokenTypes::OPEN_EXCLUSIVE_WRITE.0 | DIR_WRITE.0);
-                let wants = [whole(dir, DIR_WRITE), whole(victim.fid, exclusive)];
+                let wants = [whole(dir, DIR_WRITE), whole(victim.fid, DELETE)];
                 let held = Granted::new(&self.tm, host, wants)?;
                 let status = fs.remove(cred, dir, &name)?;
-                Ok(self.status_reply(status, Vec::new(), held.stamp))
+                // The reply describes the victim (alive, if it has another
+                // link): stamped on its counter, as `dir_op`'s, before that goes.
+                let stamp = self.tm.stamp(status.fid);
+                if status.nlink == 0 {
+                    held.retire(&self.locks, status.fid);
+                }
+                Ok(self.status_reply(status, Vec::new(), stamp))
             }
 
             Q::Rmdir { dir, name } => {
                 let victim = fs.lookup(cred, dir, &name)?;
                 let wants = [whole(dir, DIR_WRITE), whole(victim.fid, DIR_WRITE)];
-                let _held = Granted::new(&self.tm, host, wants)?;
-                fs.rmdir(cred, dir, &name).map(|()| P::Ok)
+                let held = Granted::new(&self.tm, host, wants)?;
+                fs.rmdir(cred, dir, &name)?;
+                held.retire(&self.locks, victim.fid);
+                Ok(P::Ok)
             }
 
             Q::Rename { src_dir, src_name, dst_dir, dst_name } => {
-                let wants = [whole(src_dir, DIR_WRITE), whole(dst_dir, DIR_WRITE)];
-                let _held = Granted::new(&self.tm, host, wants)?;
-                fs.rename(cred, src_dir, &src_name, dst_dir, &dst_name).map(|()| P::Ok)
+                let (wants, target) = rename_wants(fs, cred, (src_dir, dst_dir, &dst_name))?;
+                let held = Granted::new(&self.tm, host, wants)?;
+                fs.rename(cred, src_dir, &src_name, dst_dir, &dst_name)?;
+                if let Some(fid) = gone(fs, cred, target) {
+                    held.retire(&self.locks, fid);
+                }
+                Ok(P::Ok)
             }
 
             Q::Readdir { dir } => {

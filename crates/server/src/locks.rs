@@ -119,6 +119,11 @@ impl LockTable {
         }
     }
 
+    /// Releases every lock on `fid`, whoever holds it: the file is gone.
+    pub fn release_fid(&self, fid: Fid) {
+        self.shards.lock(self.shard_of(fid)).remove(&fid);
+    }
+
     /// Returns the number of locks held on `fid`.
     pub fn count(&self, fid: Fid) -> usize {
         self.shards.lock(self.shard_of(fid)).get(&fid).map_or(0, |v| v.len())
@@ -208,6 +213,18 @@ mod tests {
         t.release_owner(host(1));
         assert_eq!(t.count(fid()), 0);
         t.set(host(2), fid(), ByteRange::new(0, 10), true).unwrap();
+    }
+
+    #[test]
+    fn release_fid_drops_every_owners_locks_on_that_file_only() {
+        let t = LockTable::new();
+        let other = Fid::new(VolumeId(1), VnodeId(1), 2);
+        t.set(host(1), fid(), ByteRange::new(0, 10), true).unwrap();
+        t.set(host(2), fid(), ByteRange::new(10, 20), false).unwrap();
+        t.set(host(1), other, ByteRange::WHOLE, true).unwrap();
+        t.release_fid(fid());
+        assert_eq!(t.count(fid()), 0);
+        assert_eq!(t.count(other), 1, "the slot's next incarnation keeps its locks");
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub struct TokenStats {
     pub retained: u64,
     /// Grants refused because a retained token conflicted.
     pub refused: u64,
-    /// Tokens returned voluntarily.
+    /// Grants returned voluntarily or retired with their file, counted
+    /// as removed: a return that finds nothing counts nothing.
     pub releases: u64,
     /// Tokens re-granted through the post-restart reestablish path.
     pub reestablished: u64,
@@ -165,6 +166,35 @@ struct TokenShard {
     grants: HashMap<VolumeId, HashMap<u32, Vec<Grant>>>,
     /// Per-file serialization counters (§6.2).
     stamps: HashMap<Fid, SerializationStamp>,
+}
+
+impl TokenShard {
+    /// The one remove-from-list routine: keeps the grants on `fid`'s
+    /// `(volume, vnode)` list that `keep` accepts (it may edit them) and
+    /// returns how many went. A list left empty leaves its map.
+    fn retain_on(&mut self, fid: Fid, keep: impl FnMut(&mut Grant) -> bool) -> u64 {
+        let Some(by_vnode) = self.grants.get_mut(&fid.volume) else { return 0 };
+        let Some(grants) = by_vnode.get_mut(&fid.vnode.0) else { return 0 };
+        let before = grants.len();
+        grants.retain_mut(keep);
+        let removed = (before - grants.len()) as u64;
+        if grants.is_empty() {
+            by_vnode.remove(&fid.vnode.0);
+        }
+        removed
+    }
+
+    /// Strips `bits` from `host`'s grant `id` on `fid`; the grant goes
+    /// entirely when no bits remain. Returns how many grants went.
+    fn downgrade(&mut self, host: HostId, fid: Fid, id: TokenId, bits: TokenTypes) -> u64 {
+        self.retain_on(fid, |g| {
+            if g.host != host || g.token.id != id {
+                return true;
+            }
+            g.token.types = g.token.types.minus(bits);
+            !g.token.types.is_empty()
+        })
+    }
 }
 
 type ShardGuard<'a> = OrderedShardGuard<'a, TokenShard, { rank::TOKEN_SHARD }>;
@@ -261,9 +291,10 @@ impl TokenManager {
         for i in 0..self.shards.shard_count() {
             let mut shard = self.shards.lock(i);
             for by_vnode in shard.grants.values_mut() {
-                for grants in by_vnode.values_mut() {
+                by_vnode.retain(|_, grants| {
                     grants.retain(|g| g.host != host);
-                }
+                    !grants.is_empty()
+                });
             }
         }
     }
@@ -387,8 +418,9 @@ impl TokenManager {
                 let result = results.get(i).copied().unwrap_or(RevokeResult::Returned);
                 match result {
                     RevokeResult::Returned => {
-                        let mut shard = self.shards.lock(self.shard_of(item.token.fid));
-                        Self::downgrade_in(&mut shard, h.host_id(), item.token.id, item.types);
+                        let Token { fid, id, .. } = item.token;
+                        let mut shard = self.shards.lock(self.shard_of(fid));
+                        shard.downgrade(h.host_id(), fid, id, item.types);
                     }
                     RevokeResult::Retained => {
                         {
@@ -490,43 +522,43 @@ impl TokenManager {
         out
     }
 
-    /// Strips `bits` from a grant within one shard; removes it entirely
-    /// when no bits remain.
-    fn downgrade_in(shard: &mut TokenShard, host: HostId, id: TokenId, bits: TokenTypes) {
-        for by_vnode in shard.grants.values_mut() {
-            for grants in by_vnode.values_mut() {
-                for g in grants.iter_mut() {
-                    if g.host == host && g.token.id == id {
-                        g.token.types = g.token.types.minus(bits);
-                    }
-                }
-                grants.retain(|g| !(g.host == host && g.token.id == id && g.token.types.is_empty()));
-            }
-        }
+    /// Returns a token voluntarily (client cache eviction, op done),
+    /// reached through its fid: one shard, one `(volume, vnode)` list.
+    pub fn release_on(&self, host: HostId, fid: Fid, id: TokenId) {
+        let all = TokenTypes(u32::MAX);
+        let removed = self.shards.lock(self.shard_of(fid)).downgrade(host, fid, id, all);
+        self.stats.lock().releases += removed;
     }
 
-    /// Returns a token voluntarily (client cache eviction, op done).
-    /// The caller identifies the token by id alone, so the shards are
-    /// scanned one at a time until every trace is gone.
+    /// [`release_on`](Self::release_on) for a caller that knows the
+    /// token by id alone: walks the shards for the grant's fid first.
     pub fn release(&self, host: HostId, id: TokenId) {
-        for i in 0..self.shards.shard_count() {
-            let mut shard = self.shards.lock(i);
-            Self::downgrade_in(&mut shard, host, id, TokenTypes(u32::MAX));
+        let fid = (0..self.shards.shard_count()).find_map(|i| {
+            let shard = self.shards.lock(i);
+            let lists = shard.grants.values().flat_map(|m| m.values());
+            lists.flatten().find(|g| g.host == host && g.token.id == id).map(|g| g.token.fid)
+        });
+        if let Some(fid) = fid {
+            self.release_on(host, fid, id);
         }
-        self.stats.lock().releases += 1;
     }
 
     /// Returns all of `host`'s tokens on `fid`.
     pub fn release_fid(&self, host: HostId, fid: Fid) {
+        let removed = self.shards.lock(self.shard_of(fid)).retain_on(fid, |g| g.host != host);
+        self.stats.lock().releases += removed;
+    }
+
+    /// Ends the token lifetime of a destroyed file: drops its stamp
+    /// counter and every grant on exactly this incarnation — the full
+    /// fid, `uniq` included: a racing create may already hold grants on
+    /// the reused vnode slot, on the same list. The caller holds the
+    /// write tokens a delete takes (§5.4), which revoked every other
+    /// host's conflicting token already.
+    pub fn retire_fid(&self, fid: Fid) {
         let mut shard = self.shards.lock(self.shard_of(fid));
-        let mut removed = 0u64;
-        if let Some(by_vnode) = shard.grants.get_mut(&fid.volume) {
-            if let Some(grants) = by_vnode.get_mut(&fid.vnode.0) {
-                let before = grants.len();
-                grants.retain(|g| g.host != host);
-                removed = (before - grants.len()) as u64;
-            }
-        }
+        let removed = shard.retain_on(fid, |g| g.token.fid != fid);
+        shard.stamps.remove(&fid);
         drop(shard);
         self.stats.lock().releases += removed;
     }
@@ -609,6 +641,13 @@ impl TokenManager {
     /// Lists the tokens currently granted on `fid` (diagnostics).
     pub fn tokens_on(&self, fid: Fid) -> Vec<(HostId, Token)> {
         self.with_grants(fid, |grants| grants.iter().map(|g| (g.host, g.token.clone())).collect())
+    }
+
+    /// Lists every grant in the table (diagnostics, leak audits).
+    pub fn live_grants(&self) -> Vec<(HostId, Token)> {
+        let shards = self.shards.lock_all();
+        let lists = shards.iter().flat_map(|s| s.grants.values()).flat_map(|m| m.values());
+        lists.flatten().map(|g| (g.host, g.token.clone())).collect()
     }
 
     /// Runs `f` on the tokens `host` holds on `fid` right now, with the
@@ -856,6 +895,93 @@ mod tests {
         tm.release(h1.id, t.id);
         tm.grant(h2.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
         assert_eq!(h1.calls.load(Ordering::SeqCst), 0, "released token needs no revoke");
+    }
+
+    /// `(volume, vnode)` lists the table holds, empty ones included.
+    fn lists(tm: &TokenManager) -> usize {
+        let all = tm.shards.lock_all();
+        all.iter().map(|s| s.grants.values().map(|by_vnode| by_vnode.len()).sum::<usize>()).sum()
+    }
+
+    #[test]
+    fn releases_count_grants_removed_not_calls() {
+        let tm = TokenManager::new();
+        let h1 = RecordingHost::new(1, false);
+        tm.register_host(h1.clone());
+        let (t, _) = tm.grant(h1.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
+        tm.release(h1.id, t.id);
+        // A double return, by either entry, and a return of nothing at
+        // all remove nothing: counting them would hide a leak of as many
+        // grants in `grants - releases - revocations`.
+        tm.release(h1.id, t.id);
+        tm.release_on(h1.id, fid(1), t.id);
+        tm.release_fid(h1.id, fid(1));
+        tm.retire_fid(fid(1));
+        assert_eq!(tm.stats().releases, 1);
+        assert_eq!((tm.live_grants().len(), lists(&tm)), (0, 0), "no empty list left behind");
+    }
+
+    #[test]
+    fn every_way_back_leaves_the_same_table() {
+        // The same grant returned by fid, returned by id alone, and
+        // revoked: three tables, one content.
+        let tables: Vec<_> = (0..3)
+            .map(|way| {
+                let tm = TokenManager::new();
+                let h1 = RecordingHost::new(1, false);
+                let h2 = RecordingHost::new(2, false);
+                tm.register_host(h1.clone());
+                tm.register_host(h2.clone());
+                let write = TokenTypes::DATA_WRITE;
+                let (t, _) = tm.grant(h1.id, fid(1), write, ByteRange::new(0, 10)).unwrap();
+                tm.grant(h1.id, fid(1), write, ByteRange::new(10, 20)).unwrap();
+                tm.grant(h1.id, fid(2), write, ByteRange::WHOLE).unwrap();
+                match way {
+                    0 => tm.release_on(h1.id, fid(1), t.id),
+                    1 => tm.release(h1.id, t.id),
+                    _ => {
+                        let (rival, _) = tm.grant(h2.id, fid(1), write, t.range).unwrap();
+                        assert_eq!(h1.calls.load(Ordering::SeqCst), 1, "revoked, and returned");
+                        tm.release_on(h2.id, fid(1), rival.id);
+                    }
+                }
+                let mut left = tm.live_grants();
+                left.sort_by_key(|(_, t)| t.id);
+                (left, lists(&tm))
+            })
+            .collect();
+        assert_eq!(tables[0].0.len(), 2);
+        assert!(tables.iter().all(|t| *t == tables[0]), "{tables:?}");
+    }
+
+    #[test]
+    fn retire_drops_the_dead_incarnation_and_nothing_else() {
+        let tm = TokenManager::new();
+        let h1 = RecordingHost::new(1, false);
+        let h2 = RecordingHost::new(2, false);
+        tm.register_host(h1.clone());
+        tm.register_host(h2.clone());
+        let dead = Fid::new(VolumeId(1), VnodeId(5), 1);
+        // The physical file system reuses a vnode slot at once: a racing
+        // create may hold grants on the next incarnation, on the same
+        // list, before the remove has retired the last one.
+        let reborn = Fid::new(VolumeId(1), VnodeId(5), 2);
+        let reads = TokenTypes::STATUS_READ | TokenTypes::DATA_READ;
+        tm.grant(h1.id, dead, reads, ByteRange::WHOLE).unwrap();
+        tm.grant(h2.id, dead, TokenTypes::LOCK_READ, ByteRange::new(0, 10)).unwrap();
+        let (kept, _) = tm.grant(h2.id, reborn, reads, ByteRange::WHOLE).unwrap();
+        tm.grant(h1.id, fid(6), reads, ByteRange::WHOLE).unwrap();
+        assert!(tm.current_stamp(dead) > SerializationStamp::default());
+        let reborn_stamp = tm.current_stamp(reborn);
+
+        tm.retire_fid(dead);
+        let on_slot: Vec<TokenId> = tm.tokens_on(dead).iter().map(|(_, t)| t.id).collect();
+        assert_eq!(on_slot, [kept.id], "only the next incarnation's grant is on the list");
+        assert_eq!(tm.live_grants().len(), 2);
+        assert_eq!(tm.current_stamp(dead), SerializationStamp::default(), "stamp counter gone");
+        assert_eq!(tm.current_stamp(reborn), reborn_stamp);
+        assert_eq!(tm.stats().releases, 2, "both hosts' grants counted, once");
+        assert_eq!((h1.calls.load(Ordering::SeqCst), h2.calls.load(Ordering::SeqCst)), (0, 0));
     }
 
     #[test]

@@ -174,7 +174,8 @@ impl TokenHost for ScriptHost {
 }
 
 /// One scripted op: `(host, vnode, kind, range)`. kind 0..4 grants one
-/// of four type mixes; kind 4 releases the host's grants on the fid.
+/// of four type mixes; kind 4 releases the host's grants on the fid;
+/// kind 5 retires the fid (the file was destroyed).
 type Op = (u32, u32, usize, usize);
 
 const OP_TYPES: [TokenTypes; 4] = [
@@ -202,14 +203,17 @@ fn run_script(shards: usize, ops: &[Op]) -> (Vec<bool>, Vec<usize>, Vec<Vec<(Hos
     for &(host, vnode, kind, range) in ops {
         let id = hosts[host as usize % hosts.len()].id;
         let fid = script_fid(vnode % 6);
-        if kind % 5 == 4 {
-            tm.release_fid(id, fid);
-            outcomes.push(true);
-        } else {
-            let granted =
-                tm.grant(id, fid, OP_TYPES[kind % 4], ranges[range % ranges.len()]).is_ok();
-            outcomes.push(granted);
-        }
+        outcomes.push(match kind {
+            4 => {
+                tm.release_fid(id, fid);
+                true
+            }
+            5 => {
+                tm.retire_fid(fid);
+                true
+            }
+            _ => tm.grant(id, fid, OP_TYPES[kind], ranges[range % ranges.len()]).is_ok(),
+        });
     }
     let revoked = hosts.iter().map(|h| h.revoked.load(Ordering::SeqCst)).collect();
     let state = (0..6)
@@ -229,12 +233,12 @@ fn run_script(shards: usize, ops: &[Op]) -> (Vec<bool>, Vec<usize>, Vec<Vec<(Hos
 proptest! {
     #[test]
     fn sharding_is_observationally_transparent(
-        ops in proptest::collection::vec((0u32..3, 0u32..6, 0usize..5, 0usize..3), 1..40),
+        ops in proptest::collection::vec((0u32..3, 0u32..6, 0usize..6, 0usize..3), 1..40),
         shards in 2usize..9,
     ) {
         // Volume tokens (vnode 0), colliding fids, retained locks,
-        // releases — whatever the script does, shard count must not
-        // change a grant outcome or the final token state.
+        // releases, retired files — whatever the script does, shard
+        // count must not change a grant outcome or the final token state.
         let (flat_out, flat_rev, flat_state) = run_script(1, &ops);
         let (shard_out, shard_rev, shard_state) = run_script(shards, &ops);
         prop_assert_eq!(flat_out, shard_out);
@@ -244,7 +248,7 @@ proptest! {
         // revocations (§5.3), and *which* victims were already revoked
         // before the abort follows conflict-scan order, which sharding
         // legitimately permutes.
-        if ops.iter().all(|&(_, _, kind, _)| kind % 5 != 2) {
+        if ops.iter().all(|&(_, _, kind, _)| kind != 2) {
             prop_assert_eq!(
                 flat_rev,
                 shard_rev,

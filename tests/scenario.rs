@@ -71,6 +71,7 @@ fn mixed_workload_passes_all_invariants() {
     assert_eq!(r.torn_reads, 0, "page writes must be atomic under tokens");
     assert_eq!(r.scan_mismatches, 0, "prefilled content must survive");
     assert_eq!(r.ambiguous_regions, 0);
+    assert_eq!(r.leaked_grants, 0, "no grant may outlive its file");
     assert!(r.clean());
     // A coherent run has no one to name.
     assert_eq!(r.witnesses, [], "witnesses on a coherent run");

@@ -3,44 +3,52 @@
 #
 #   1. release build of the whole workspace (the root manifest's
 #      `default-members` makes the plain command cover every crate)
-#   2. the test suite (unit + integration + property tests, every crate)
-#   3. dfs-lint: workspace-wide concurrency static analysis (lock
+#   2. release build of the standalone benchmark/ package, which links
+#      the crates' public API and is not a workspace member: an API
+#      break fails here, in seconds, not after ten stages
+#   3. the test suite (unit + integration + property tests, every crate)
+#   4. dfs-lint: workspace-wide concurrency static analysis (lock
 #      order, lockset coverage, lock-gap TOCTOU, stale allows) over
 #      crates/, shims/, and the root crate; the --json rendering is
 #      validated through jsoncheck (see crates/lint and DESIGN.md
 #      "Concurrency discipline")
-#   4. cargo clippy --workspace with the pinned deny-list
+#   5. cargo clippy --workspace with the pinned deny-list
 #      (await_holding_lock, mut_mutex_lock, redundant_clone)
-#   5. bench smoke: T8 and T1 at tiny parameters in --json mode; fails
+#   6. bench smoke: T8 and T1 at tiny parameters in --json mode; fails
 #      on a panic (non-zero exit) or malformed JSON (jsoncheck)
-#   6. recovery gate: the crash-restart pipeline tests plus T13 at tiny
+#   7. recovery gate: the crash-restart pipeline tests plus T13 at tiny
 #      parameters (server epoch bump, grace window, token
 #      reestablishment, dirty-burst replay)
-#   7. fleet gate: the fleet-layer tests plus T15 at tiny parameters
+#   8. fleet gate: the fleet-layer tests plus T15 at tiny parameters
 #      (volume sharding, WrongServer routing, live mid-run migration)
-#   8. hotpath gate: the token stress suite (which loops over shard
+#   9. hotpath gate: the token stress suite (which loops over shard
 #      counts 1 and 4 itself) plus T9 with a small --clients sweep and
 #      T8 with a --clients concurrency section, both JSON-validated
-#   9. availability gate: the fault-matrix tests (drop/delay/duplicate/
+#  10. availability gate: the fault-matrix tests (drop/delay/duplicate/
 #      partition over flush, revocation, migration) plus T14 at tiny
 #      parameters (§3.8 replica promotion: bounded-stale reads during a
 #      primary partition, honest Unavailable without a replica, zero
 #      lost updates after reconciliation)
-#  10. scenario gate: the scenario-engine tests (seed determinism,
+#  11. scenario gate: the scenario-engine tests (seed determinism,
 #      invariant counters, fault-timeline arming) plus T17 at tiny
 #      parameters — a crash + restart + live volume move mid-run, run
 #      twice; the smoke fails unless the JSON reports ok (coherent,
 #      replay-identical, all events fired)
-#  11. bench JSON smoke: every remaining --json-capable binary runs
+#  12. bench JSON smoke: every remaining --json-capable binary runs
 #      once and its output is validated through jsoncheck
-#  12. repo benchmark gate: the standalone benchmark/ package's unit
+#  13. repo benchmark gate: the standalone benchmark/ package's unit
 #      tests (RPCs per lock-step round, same-seed op digest) and its
 #      smoke run — all four workloads at 1/50 size, 0 failed ops
-#  13. coherence gate: the benchmark's `shared_handoff` workload with
+#  14. coherence gate: the benchmark's `shared_handoff` workload with
 #      the clients' background flusher ON, 5 s at seeds 1, 2 and 3 under
 #      --strict — every read of the handed-off page is checked against
 #      the last acknowledged write, and one stale read fails the stage
 #      (the store gate, DESIGN.md §9; 14–35 per run before it)
+#  15. stationarity gate: the benchmark's `meta_churn` workload, 4 s at
+#      seed 1 under --strict, must report `token.unreturned_per_kop` as
+#      exactly 0.0000 — a count, not a timing: every grant made was
+#      returned, revoked or retired with its file (DESIGN.md "Token
+#      lifetime"; 250 per 1 000 ops before it)
 #
 # Run from the repo root:  ./verify.sh
 set -eu
@@ -48,6 +56,9 @@ cd "$(dirname "$0")"
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> benchmark/ build (the crates' public API, as the benchmark links it)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
@@ -123,5 +134,20 @@ for seed in 1 2 3; do
     exit 1
   }
 done
+
+echo "==> stationarity gate (meta_churn, strict, every grant accounted for)"
+out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload meta_churn --seed 1 --seconds 4 --strict \
+    --out target/stationarity.json) || {
+  printf '%s\n' "$out" | grep FAILED || true
+  echo "stationarity gate: meta_churn failed"
+  exit 1
+}
+printf '%s\n' "$out" | awk '
+  $2 == "token.unreturned_per_kop" { seen = 1; if ($3 != "0.0000") bad = 1; print }
+  END { exit !(seen && !bad) }' || {
+  echo "stationarity gate: token.unreturned_per_kop is not 0.0000"
+  exit 1
+}
 
 echo "verify: OK"
