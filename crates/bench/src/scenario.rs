@@ -440,6 +440,9 @@ pub struct RunReport {
     /// Simulated network time charged (latency × calls, µs) — the
     /// deterministic cost currency for network-bound workloads.
     pub net_latency_us: u64,
+    /// Calls that found no free slot at the callee within the call
+    /// timeout, or were lost to an injected fault.
+    pub net_timeouts: u64,
     /// Faults injected by the fault plane.
     pub faults_injected: u64,
     /// Busiest disk's simulated time (µs) — the fleet critical path.
@@ -521,6 +524,7 @@ impl RunReport {
             .field("net_calls", self.net_calls)
             .field("net_bytes", self.net_bytes)
             .field("sim_net_ms", self.net_latency_us as f64 / 1000.0)
+            .field("net_timeouts", self.net_timeouts)
             .field("rpcs_per_op", self.net_calls as f64 / self.total_ops.max(1) as f64)
             .field("lockfree_reads", s.lockfree_reads)
             .field("local_reads", s.local_reads)
@@ -1176,6 +1180,7 @@ impl<'a> Driver<'a> {
             net_calls: net.calls,
             net_bytes: net.bytes,
             net_latency_us: net.latency_us,
+            net_timeouts: net.timeouts,
             faults_injected: ctx.fleet.cell().net().faults_injected(),
             disk_busy_us: ctx.fleet.disk_critical_path_us(),
             sim_us: ctx.fleet.cell().clock().now().0,

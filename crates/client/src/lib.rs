@@ -78,9 +78,28 @@ const WRITE_GRANT: TokenTypes = TokenTypes(
 const BAD_REPLY: DfsError = DfsError::Internal("bad response");
 
 thread_local! {
-    /// Set while this thread runs the crash-recovery pipeline so epoch
-    /// observations made by recovery's own RPCs do not recurse into it.
-    static IN_RECOVERY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// The client whose crash-recovery pipeline this thread is running,
+    /// so epoch observations made by recovery's own RPCs do not recurse
+    /// into it. Keyed by client, not just set: an RPC runs the callee on
+    /// the caller's thread, so another client's revocation handler may
+    /// run here, further down the stack, while ours recovers.
+    static IN_RECOVERY: std::cell::Cell<Option<ClientId>> = const { std::cell::Cell::new(None) };
+}
+
+/// Marks this thread as running one client's recovery; dropping it puts
+/// back whoever was recovering here before.
+struct Recovering(Option<ClientId>);
+
+impl Recovering {
+    fn enter(id: ClientId) -> Recovering {
+        Recovering(IN_RECOVERY.replace(Some(id)))
+    }
+}
+
+impl Drop for Recovering {
+    fn drop(&mut self) {
+        IN_RECOVERY.set(self.0);
+    }
 }
 
 /// An open mode, mapped onto the open-token subtypes of Figure 3.
@@ -1122,7 +1141,7 @@ impl CacheManager {
     /// known epoch means the server crashed and restarted, losing all
     /// token state: run the recovery pipeline before proceeding.
     fn note_epoch(&self, server: ServerId, epoch: u64) {
-        if IN_RECOVERY.with(|f| f.get()) {
+        if IN_RECOVERY.get() == Some(self.id) {
             return; // Recovery's own RPCs must not recurse.
         }
         // On first contact nothing is cached under an older epoch.
@@ -1157,9 +1176,8 @@ impl CacheManager {
             return; // Another thread already recovered this epoch.
         }
         self.stats.lock().recoveries += 1;
-        IN_RECOVERY.with(|f| f.set(true));
+        let _recovering = Recovering::enter(self.id);
         self.recover_inner(server, epoch);
-        IN_RECOVERY.with(|f| f.set(false));
     }
 
     fn recover_inner(&self, server: ServerId, epoch: u64) {
@@ -1978,6 +1996,37 @@ pub(crate) mod tests {
         assert!(loc.map.contains_key(&VolumeId(7)), "no stale dup got it evicted early");
         drop(loc);
         let _ = cm.shutdown();
+    }
+
+    #[test]
+    fn the_recovery_mark_is_per_client_and_nests_on_one_thread() {
+        use crate::cache::MemCache;
+        use dfs_types::{ClientId, ServerId, SimClock};
+
+        // An RPC runs the callee on the caller's thread, so client B's
+        // code can run under client A's recovery, on A's stack.
+        let net = Network::new(SimClock::new(), 0);
+        let start = |id| CacheManager::start(net.clone(), ClientId(id), Vec::new(), Arc::new(MemCache::new()));
+        let (a, b) = (start(1), start(2));
+        let s = ServerId(1);
+        a.note_epoch(s, 1);
+        b.note_epoch(s, 1);
+        {
+            let _a_recovering = Recovering::enter(a.id);
+            // A's own observations are recovery's: no recursion.
+            a.note_epoch(s, 2);
+            assert_eq!(a.stats().recoveries, 0);
+            // B's are not: B still sees the restart and recovers …
+            b.note_epoch(s, 2);
+            assert_eq!(b.stats().recoveries, 1);
+            // … and B leaving its recovery did not end A's.
+            assert_eq!(IN_RECOVERY.get(), Some(a.id));
+            a.note_epoch(s, 3);
+            assert_eq!(a.stats().recoveries, 0);
+        }
+        assert_eq!(IN_RECOVERY.get(), None);
+        a.note_epoch(s, 3);
+        assert_eq!(a.stats().recoveries, 1);
     }
 
     #[test]

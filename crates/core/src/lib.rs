@@ -89,7 +89,11 @@ impl CellBuilder {
         self
     }
 
-    /// Server worker threads (normal, revocation).
+    /// How many calls each file server serves at once, per call class:
+    /// `workers` admission slots for normal traffic and
+    /// `revocation_workers` reserved for calls made from revocation code
+    /// (§6.4; 0 = those compete for the normal slots, T10's ablation).
+    /// Slots, not threads: a call runs on its caller.
     pub fn pools(mut self, workers: usize, revocation_workers: usize) -> Self {
         self.workers = workers;
         self.revocation_workers = revocation_workers;

@@ -83,3 +83,10 @@ pub fn in_flight<T: Send + 'static>(
 pub fn delayed_flush_pass(cell: &Cell, a: &Arc<CacheManager>) -> JoinHandle<()> {
     in_flight(cell, a, |a| a.flush_pass().unwrap())
 }
+
+/// Threads of this process, from the kernel's own count (Linux).
+pub fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line["Threads:".len()..].trim().parse().unwrap()
+}

@@ -147,7 +147,7 @@ fn crash_restart_and_move_fire_in_timeline_order() {
     assert!(r.events.iter().all(|e| e.ok), "all events applied: {:?}", r.events);
     // Ops may fail while the server is down (retry budgets expire),
     // but no *acknowledged* write may be lost and caches must agree.
-    assert!(r.coherent(), "coherence invariants: {}", r.invariants_json());
+    assert!(r.coherent(), "coherence invariants: {}", r.to_json());
     assert_eq!(r.lost_updates, 0);
     assert_eq!(r.agreement_failures, 0);
     assert!(r.server_moves >= 1, "the volume actually moved");

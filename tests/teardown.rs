@@ -1,26 +1,22 @@
 //! RAII teardown (ROADMAP coherence item, part c): dropping a cell ends
-//! its world. `Cell::drop` unbinds every node, which closes the pool
-//! workers' channels and breaks the `Network` → node → service →
-//! `Network` cycles; `CacheManager::drop` stops and joins its flusher.
+//! its world. `Cell::drop` unbinds every node, which breaks the
+//! `Network` → node → service → `Network` cycles (a node is a table
+//! entry: the RPC plane runs a call on its caller and owns no thread);
+//! `CacheManager::drop` stops and joins its flusher.
 //! This file holds one test so that it has a process — and a thread
 //! count — to itself.
 #![cfg(target_os = "linux")]
+
+mod common;
 
 use std::time::{Duration, Instant};
 
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
 
-/// Threads of this process, from the kernel's own count.
-fn threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
-    line["Threads:".len()..].trim().parse().unwrap()
-}
-
 #[test]
 fn two_hundred_cells_leave_the_thread_count_where_it_started() {
-    let before = threads();
+    let before = common::threads();
     for round in 0..200u32 {
         let cell = Cell::builder().servers(1).disk_blocks(4096).build().unwrap();
         cell.create_volume(0, VolumeId(1), "v").unwrap();
@@ -40,11 +36,12 @@ fn two_hundred_cells_leave_the_thread_count_where_it_started() {
             drop((a, b));
         }
     }
-    // Flushers are joined by the drop; pool workers are not — each exits
-    // on its own when it finds its channel closed.
+    // Flushers are the only threads a world starts, and the drop joins
+    // them — except one that held the last handle to its own client,
+    // which exits on its own.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while threads() > before && Instant::now() < deadline {
+    while common::threads() > before && Instant::now() < deadline {
         std::thread::yield_now();
     }
-    assert_eq!(threads(), before, "threads outlived the cells that started them");
+    assert_eq!(common::threads(), before, "threads outlived the cells that started them");
 }

@@ -35,7 +35,9 @@
 #      twice; the smoke fails unless the JSON reports ok (coherent,
 #      replay-identical, all events fired)
 #  12. bench JSON smoke: every remaining --json-capable binary runs
-#      once and its output is validated through jsoncheck
+#      once and its output is validated through jsoncheck; T10's rows
+#      must also show the §6.4 shape (reserved revocation slots: no
+#      failure, no timeout; none: timeouts)
 #  13. repo benchmark gate: the standalone benchmark/ package's unit
 #      tests (RPCs per lock-step round, same-seed op digest) and its
 #      smoke run — all four workloads at 1/50 size, 0 failed ops
@@ -114,10 +116,21 @@ echo "==> bench JSON smoke (every remaining --json binary validated)"
 for b in fig1_server_structure fig2_client_structure fig3_open_token_matrix \
          t2_recovery_scaling t3_consistency_spectrum t4_byte_range_sharing \
          t5_volume_ops t6_lazy_replication t7_deadlock_storm \
-         t10_thread_pool_ablation t11_andrew_style_workload \
-         t12_diskless_clients; do
+         t11_andrew_style_workload t12_diskless_clients; do
   smoke "$b"
 done
+# T10 must also show §6.4's shape: reserved revocation slots -> every
+# handoff completes and nothing times out; none -> the store-back waits
+# behind its own grant until the call timeout.
+smoke t10_thread_pool_ablation
+t10_row() {
+  printf '%s' "$out" | grep -Eq \
+    "\"revocation_workers\": $1, \"handoffs_ok\": [0-9]+, \"failed\": $2, \"no_timeouts\": $3"
+}
+t10_row 2 0 true && t10_row 1 0 true && t10_row 0 '[0-9]+' false || {
+  echo "t10 smoke: the ablation lost its shape: $out"
+  exit 1
+}
 
 echo "==> repo benchmark gate (benchmark/ unit tests + smoke)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
