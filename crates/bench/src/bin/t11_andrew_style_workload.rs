@@ -18,9 +18,8 @@
 //! (no lost updates, prefilled content verified on every scan). The
 //! cross-system NFS/AFS comparison this binary used to carry lives in
 //! `t3_consistency_spectrum`; T11 now measures the thing the Andrew
-//! workload is actually for — RPCs per operation and the lock-free hit
-//! rate of a cached developer session (EXPERIMENTS.md notes the
-//! re-baselining).
+//! workload is actually for — RPCs per operation of a cached developer
+//! session (EXPERIMENTS.md notes the re-baselining).
 //!
 //! Flags: `--json` (uniform scenario report), `--seed N`.
 
@@ -48,7 +47,7 @@ fn andrew(seed: u64) -> Scenario {
                 ],
             ),
             // ScanDir: stat-heavy revisiting (1-in-4 Read draws are
-            // getattrs — the §6.1 lock-free status path).
+            // getattrs — the cached status path).
             Phase::new("scan", 72, vec![ClassSpec::new(OpClass::Read, 1, FILES).sharing(4)]),
             // ReadAll: sequential whole-file reads with verification.
             Phase::new(
@@ -94,21 +93,19 @@ fn main() {
 
     println!("T11 (extension): Andrew-style developer workload as a scenario");
     println!("    phases: copy / scan / readall / make; {FILES} source files\n");
-    header(&["total ops", "RPCs", "KiB on wire", "RPCs/op", "lock-free rate", "clean"]);
+    header(&["total ops", "RPCs", "KiB on wire", "RPCs/op", "clean"]);
     row(&[
         &r.total_ops,
         &r.net_calls,
         &(r.net_bytes / 1024),
         &f2(r.net_calls as f64 / r.total_ops.max(1) as f64),
-        &f2(r.lockfree_hit_rate()),
         &r.clean(),
     ]);
     println!("\nPer-class ops (read / write / metadata_churn / streaming_scan):");
     println!("  {:?}", r.class_ops);
     println!("\nExpected shape: for a mostly-private working set the token cache");
     println!("drives RPCs per operation toward zero after the copy phase — reads");
-    println!("and getattrs are served locally (most without even a vnode lock),");
-    println!("and write-backs happen on demand, not store-on-close of whole");
-    println!("files. Compare `t3_consistency_spectrum` for the NFS/AFS baseline");
-    println!("costs on an equivalent mix.");
+    println!("and getattrs are served locally, and write-backs happen on demand,");
+    println!("not store-on-close of whole files. Compare `t3_consistency_spectrum`");
+    println!("for the NFS/AFS baseline costs on an equivalent mix.");
 }

@@ -22,7 +22,7 @@
 
 use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
-use dfs_bench::{f2, header, row};
+use dfs_bench::{header, row};
 
 const VOLUMES: u64 = 8;
 
@@ -139,7 +139,6 @@ fn main() {
     println!("\nDeterministic block: {}", first.deterministic_json());
     println!("Replay identical:    {replay_identical}");
     println!("Invariants:          {}", first.invariants_json());
-    println!("Lock-free hit rate:  {}", f2(first.lockfree_hit_rate()));
     println!("\nExpected shape: the op stream replays byte-identically under the");
     println!("fixed seed (both runs above), no acknowledged write is lost and no");
     println!("two caches disagree — while ops during the crash window may fail");

@@ -6,7 +6,7 @@
 //! definition over [`dfs_bench::scenario`]: N clients share one file
 //! under a read-dominated mix with periodic writes, so every write
 //! storms the token manager with revocations while the reads between
-//! storms ride the client's lock-free snapshot path. The shared driver
+//! storms are token hits in the client's cache. The shared driver
 //! owns the threads, seeding, and the cross-client agreement check;
 //! this binary keeps only the two-client handoff microbench (which
 //! needs per-handoff RPC accounting no aggregate driver provides).
@@ -128,7 +128,6 @@ fn main() {
                     "ops_per_sim_net_s",
                     r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64,
                 )
-                .field("lockfree_reads", r.client_stats.lockfree_reads)
                 .field("local_reads", r.client_stats.local_reads)
                 .field("revocations", r.client_stats.revocations)
                 .field("ok", r.clean())
@@ -171,7 +170,7 @@ fn main() {
         "RPCs",
         "net ms",
         "ops/net-s",
-        "lock-free",
+        "local reads",
         "revocations",
         "ok",
     ]);
@@ -185,7 +184,7 @@ fn main() {
             &r.net_calls,
             &f2(r.net_latency_us as f64 / 1000.0),
             &f2(r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64),
-            &r.client_stats.lockfree_reads,
+            &r.client_stats.local_reads,
             &r.client_stats.revocations,
             &r.clean(),
         ]);
@@ -193,5 +192,5 @@ fn main() {
     println!("\nExpected shape (paper §5.5, §6.1): a constant small number of RPCs");
     println!("per handoff and zero stale reads; in the sweep, throughput should");
     println!("scale with clients while reads between revocation storms are served");
-    println!("from the published token snapshot without taking a vnode lock.");
+    println!("from the client's cache under its tokens, with no RPC.");
 }

@@ -62,8 +62,8 @@ use std::sync::{Arc, Barrier};
 /// One weighted operation class.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpClass {
-    /// Page read (1-in-4 draws do a `getattr` instead — the §6.1
-    /// lock-free status path). Reads draw from the class's own
+    /// Page read (1-in-4 draws do a `getattr` instead — the cached
+    /// status path). Reads draw from the class's own
     /// prefilled set and, when the phase also has a `Write` spec, from
     /// the write set half the time (coherent-read traffic).
     Read,
@@ -290,8 +290,6 @@ pub struct Sample {
     pub sim_us: u64,
     /// Network calls so far.
     pub net_calls: u64,
-    /// §6.1 lock-free read/getattr hits so far (all clients).
-    pub lockfree_reads: u64,
     /// Cache-local reads so far.
     pub local_reads: u64,
     /// Remote (RPC) reads so far.
@@ -477,12 +475,6 @@ impl RunReport {
         self.total_ops as f64 * 1e6 / self.disk_busy_us.max(1) as f64
     }
 
-    /// Lock-free share of token-hit reads/getattrs.
-    pub fn lockfree_hit_rate(&self) -> f64 {
-        let local = self.client_stats.local_reads.max(1);
-        self.client_stats.lockfree_reads as f64 / local as f64
-    }
-
     /// The deterministic block: byte-identical across same-seed runs,
     /// including runs whose timeline crashes servers. Only fields that
     /// are a pure function of the scenario spec belong here — in
@@ -526,10 +518,8 @@ impl RunReport {
             .field("sim_net_ms", self.net_latency_us as f64 / 1000.0)
             .field("net_timeouts", self.net_timeouts)
             .field("rpcs_per_op", self.net_calls as f64 / self.total_ops.max(1) as f64)
-            .field("lockfree_reads", s.lockfree_reads)
             .field("local_reads", s.local_reads)
             .field("remote_reads", s.remote_reads)
-            .field("lockfree_hit_rate", self.lockfree_hit_rate())
             .field("stale_reads", s.stale_reads)
             .field("max_stale_us", s.max_stale_us)
             .field("revocations", s.revocations)
@@ -558,7 +548,6 @@ impl RunReport {
                 .field("at_op", p.at_op)
                 .field("sim_us", p.sim_us)
                 .field("net_calls", p.net_calls)
-                .field("lockfree_reads", p.lockfree_reads)
                 .field("local_reads", p.local_reads)
                 .field("remote_reads", p.remote_reads)
                 .field("stale_reads", p.stale_reads)
@@ -779,7 +768,6 @@ impl RunCtx {
             at_op,
             sim_us: self.fleet.cell().clock().now().0,
             net_calls: net.calls,
-            lockfree_reads: merged.lockfree_reads,
             local_reads: merged.local_reads,
             remote_reads: merged.remote_reads,
             stale_reads: merged.stale_reads,

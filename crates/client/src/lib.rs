@@ -40,12 +40,11 @@ use dfs_token::{tokens_cover, Token, TokenTypes};
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use dfs_types::{
     Acl, ByteRange, ClientId, DfsError, DfsResult, FileStatus, FileType, Fid, SerializationStamp,
-    ServerId, SnapshotCell, VolumeId,
+    ServerId, VolumeId,
 };
 use dfs_vfs::{DirEntry, SetAttrs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use writeback::Store;
 use std::time::Duration;
@@ -134,9 +133,10 @@ impl OpenMode {
 pub struct ClientStats {
     /// Reads served entirely from the cache under a data token.
     pub local_reads: u64,
-    /// Subset of `local_reads` (and trusted `getattr`s) satisfied from
-    /// the published token snapshot without taking any vnode lock
-    /// (§6.1 seqlock fast path).
+    /// Always 0 since PR 23 (the lock-free read path it counted was
+    /// measured not to pay and deleted); the field stays because
+    /// `benchmark/` reads it — it and `client.lockfree_read_share` leave
+    /// with ROADMAP item 7.
     pub lockfree_reads: u64,
     /// Reads that needed a FetchData RPC.
     pub remote_reads: u64,
@@ -325,53 +325,6 @@ struct VnState {
     opens: Vec<TokenTypes>,
 }
 
-/// The cached status, if a token carrying a status guarantee (read or
-/// write) vouches for it — the condition under which it may be believed.
-fn trusted_status<'a>(tokens: &[Token], status: &'a Option<FileStatus>) -> Option<&'a FileStatus> {
-    let vouches = TokenTypes::STATUS_READ | TokenTypes::STATUS_WRITE;
-    status.as_ref().filter(|_| tokens.iter().any(|t| t.types.intersects(vouches)))
-}
-
-/// The one cache-hit test (§5.2): serves `len` bytes at `offset` from
-/// the data cache when a status token vouches for the length, data
-/// tokens cover the range, and every page is marked valid and still
-/// present. `None` is a miss. `valid` is only ever set after a
-/// `write_page`, so a valid page the cache no longer holds was evicted:
-/// a miss, never a hole to zero-fill. Runs on the published
-/// [`TokenView`] (lock-free) and on [`VnState`] (under `lo`).
-fn cached_read(
-    tokens: &[Token],
-    status: &Option<FileStatus>,
-    valid: &BTreeSet<u64>,
-    data: &dyn DataCache,
-    fid: Fid,
-    offset: u64,
-    len: usize,
-) -> Option<Vec<u8>> {
-    let end = trusted_status(tokens, status)?.length.min(offset + len as u64);
-    if offset >= end {
-        return Some(Vec::new());
-    }
-    let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
-    if !tokens_cover(tokens, readable, &ByteRange::new(offset, end)) {
-        return None;
-    }
-    let first = offset / PAGE_SIZE as u64;
-    let last = (end - 1) / PAGE_SIZE as u64;
-    if !(first..=last).all(|p| valid.contains(&p)) {
-        return None;
-    }
-    let mut out = Vec::with_capacity((end - offset) as usize);
-    for p in first..=last {
-        let page = data.read_page(fid, p)?;
-        let ps = p * PAGE_SIZE as u64;
-        let s = offset.max(ps) - ps;
-        let e = (end - ps).min(PAGE_SIZE as u64);
-        out.extend_from_slice(&page[s as usize..e as usize]);
-    }
-    Some(out)
-}
-
 impl VnState {
     fn find_token(&self, types: TokenTypes, range: &ByteRange) -> Option<&Token> {
         self.tokens
@@ -399,30 +352,53 @@ impl VnState {
         }
     }
 
+    /// The cached status, if a token carrying a status guarantee (read
+    /// or write) vouches for it — the condition under which it may be
+    /// believed.
+    fn trusted_status(&self) -> Option<&FileStatus> {
+        let vouches = TokenTypes::STATUS_READ | TokenTypes::STATUS_WRITE;
+        self.status.as_ref().filter(|_| self.tokens.iter().any(|t| t.types.intersects(vouches)))
+    }
+
+    /// The one cache-hit test (§5.2): serves `len` bytes at `offset` from
+    /// the data cache when a status token vouches for the length, data
+    /// tokens cover the range, and every page is marked valid and still
+    /// present. `None` is a miss. `valid` is only ever set after a
+    /// `write_page`, so a valid page the cache no longer holds was
+    /// evicted: a miss, never a hole to zero-fill.
+    fn cached_read(
+        &self,
+        data: &dyn DataCache,
+        fid: Fid,
+        offset: u64,
+        len: usize,
+    ) -> Option<Vec<u8>> {
+        let end = self.trusted_status()?.length.min(offset + len as u64);
+        if offset >= end {
+            return Some(Vec::new());
+        }
+        let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
+        if !self.covered(readable, &ByteRange::new(offset, end)) {
+            return None;
+        }
+        let first = offset / PAGE_SIZE as u64;
+        let last = (end - 1) / PAGE_SIZE as u64;
+        if !(first..=last).all(|p| self.valid.contains(&p)) {
+            return None;
+        }
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        for p in first..=last {
+            let page = data.read_page(fid, p)?;
+            let ps = p * PAGE_SIZE as u64;
+            let s = offset.max(ps) - ps;
+            let e = (end - ps).min(PAGE_SIZE as u64);
+            out.extend_from_slice(&page[s as usize..e as usize]);
+        }
+        Some(out)
+    }
+
     fn dir_trusted(&self) -> bool {
         self.has_types(TokenTypes::STATUS_READ | TokenTypes::DATA_READ)
-    }
-}
-
-/// Immutable snapshot of a vnode's token-relevant state, republished
-/// through [`CVnode::published`] every time a `lo` guard that mutated
-/// the state is released. The lock-free fast path (§6.1) reads it to
-/// satisfy cache hits without touching `CLIENT_VNODE_LO`.
-struct TokenView {
-    status: Option<FileStatus>,
-    tokens: Vec<Token>,
-    /// Pages present in the data cache and covered by a token, as of
-    /// the publishing guard's release.
-    valid: BTreeSet<u64>,
-}
-
-impl TokenView {
-    fn of(state: &VnState) -> TokenView {
-        TokenView {
-            status: state.status.clone(),
-            tokens: state.tokens.clone(),
-            valid: state.valid.clone(),
-        }
     }
 }
 
@@ -435,36 +411,25 @@ struct CVnode {
     // dfs-lint: allow(guard-across-rpc)
     hi: OrderedMutex<(), { rank::CLIENT_VNODE_HI }>,
     /// Low-level lock: guards the cached state; released across RPCs.
-    /// Always acquired through [`CVnode::lock_lo`], whose guard
-    /// maintains `lo_seq`/`published` for the lock-free fast path.
+    /// Acquired through [`CVnode::lock_lo`], whose guard carries the
+    /// §6.1 step ([`LoGuard::unlocked`]).
     lo: OrderedMutex<VnState, { rank::CLIENT_VNODE_LO }>,
-    /// Seqlock word for the fast path: odd while a `lo` holder may be
-    /// mutating the state, even when `published` is current. Bumped to
-    /// odd on a guard's first mutable access, back to even after the
-    /// guard republishes on release.
-    lo_seq: AtomicU64,
-    /// Latest published [`TokenView`]; empty until the first mutation.
-    published: SnapshotCell<TokenView>,
     /// Wakes those waiting for the store slot ([`VnState::storing`]).
     store_cv: OrderedCondvar,
 }
 
 impl CVnode {
-    /// Acquires the low-level lock through the publishing guard. Every
-    /// `lo` acquisition must go through here: a bare `self.lo.lock()`
-    /// could mutate state without invalidating the published snapshot,
-    /// and the fast path would serve stale hits forever.
+    /// Acquires the low-level lock behind the guard that can let it go
+    /// for the span of an RPC or a condvar wait and take it back.
     fn lock_lo(&self) -> LoGuard<'_> {
-        LoGuard { inner: Some(self.lo.lock()), vn: self, mutated: false }
+        LoGuard { inner: Some(self.lo.lock()), vn: self }
     }
 }
 
-/// Guard for [`CVnode::lo`] that drives the §6.1 fast-path seqlock:
-/// the first mutable dereference flips `lo_seq` odd (fast-path readers
-/// fall back to the mutex), and letting go of a guard that mutated
-/// state — on drop, or for the span of [`wait`] or [`unlocked`] —
-/// republishes the [`TokenView`] and flips the seq even again, both
-/// while the mutex is still held, so a snapshot can never go backwards.
+/// Guard for [`CVnode::lo`]. It exists for the two ways `lo` is let go
+/// and re-taken inside one operation — [`unlocked`] (across an RPC,
+/// §6.1) and [`wait`] (on the store slot) — so that each is written
+/// once and dfs-lint can follow the guard through `&mut` loans.
 ///
 /// [`wait`]: LoGuard::wait
 /// [`unlocked`]: LoGuard::unlocked
@@ -472,22 +437,11 @@ struct LoGuard<'a> {
     /// `None` only inside [`LoGuard::unlocked`].
     inner: Option<OrderedMutexGuard<'a, VnState, { rank::CLIENT_VNODE_LO }>>,
     vn: &'a CVnode,
-    mutated: bool,
 }
 
 impl LoGuard<'_> {
-    /// Publishes what this guard changed; the mutex is still held.
-    fn publish(&mut self) {
-        if let (true, Some(state)) = (self.mutated, self.inner.as_deref()) {
-            self.vn.published.store(Arc::new(TokenView::of(state)));
-            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
-            self.mutated = false;
-        }
-    }
-
     /// Sleeps on `cv` with `lo` released; holds it again on return.
     fn wait(&mut self, cv: &OrderedCondvar) {
-        self.publish();
         cv.wait(self.inner.as_mut().expect("lo held"));
     }
 
@@ -503,7 +457,6 @@ impl LoGuard<'_> {
     /// ([`CacheManager::absorb`]) before it lets the guard go.
     fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
         self.in_flight += 1;
-        self.publish();
         self.inner = None;
         let out = f();
         self.inner = Some(self.vn.lo.lock());
@@ -521,21 +474,7 @@ impl std::ops::Deref for LoGuard<'_> {
 
 impl std::ops::DerefMut for LoGuard<'_> {
     fn deref_mut(&mut self) -> &mut VnState {
-        if !self.mutated {
-            self.mutated = true;
-            // Odd: mutation in progress, fast path must fall back.
-            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
-        }
         self.inner.as_mut().expect("lo held")
-    }
-}
-
-impl Drop for LoGuard<'_> {
-    fn drop(&mut self) {
-        // Still under the mutex here: `inner` drops after this body, so
-        // the published view matches the state the next `lo` holder
-        // will see and the even seq ratifies it.
-        self.publish();
     }
 }
 
@@ -1283,51 +1222,17 @@ impl CacheManager {
         Ok(f)
     }
 
-    /// Runs `hit` on the published [`TokenView`] without taking either
-    /// vnode lock (§6.1 fast path).
-    ///
-    /// Seqlock protocol: sample `lo_seq` (must be even — odd means a
-    /// `lo` holder is mutating), load the snapshot, let `hit` validate
-    /// it and copy out what it serves, then re-check that `lo_seq` is
-    /// unchanged. Publishing happens under the `lo` mutex before the
-    /// seq returns to even, so an unchanged even seq proves the
-    /// snapshot was current for the whole copy. Any surprise — a miss,
-    /// a stale seq — returns `None` and the caller falls back to the
-    /// mutex path.
-    fn lockfree<T>(&self, vn: &CVnode, hit: impl FnOnce(&TokenView) -> Option<T>) -> Option<T> {
-        let s1 = vn.lo_seq.load(Ordering::SeqCst);
-        if s1 & 1 == 1 {
-            return None;
-        }
-        let out = hit(&*vn.published.load()?)?;
-        if vn.lo_seq.load(Ordering::SeqCst) != s1 {
-            return None;
-        }
-        let mut stats = self.stats.lock();
-        stats.local_reads += 1;
-        stats.lockfree_reads += 1;
-        Some(out)
-    }
-
     /// Reads up to `len` bytes at `offset`.
     pub fn read(&self, fid: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
         let vn = self.vnode(fid);
         let data = &*self.data;
-        let hit = self.lockfree(&vn, |v| {
-            cached_read(&v.tokens, &v.status, &v.valid, data, fid, offset, len)
-        });
-        if let Some(out) = hit {
-            return Ok(out);
-        }
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
         for round in 0..256u32 {
             // Hit check first, while the low-level lock is still held
             // from the previous round's merge: a freshly-granted token
             // cannot be revoked between absorb and this check.
-            if let Some(out) =
-                cached_read(&lo.tokens, &lo.status, &lo.valid, data, fid, offset, len)
-            {
+            if let Some(out) = lo.cached_read(data, fid, offset, len) {
                 self.stats.lock().local_reads += 1;
                 return Ok(out);
             }
@@ -1694,7 +1599,7 @@ impl CacheManager {
             // It died if that was its last link, which only a status
             // token of ours on it can vouch for.
             self.forget(st.fid, |lo| {
-                trusted_status(&lo.tokens, &lo.status)
+                lo.trusted_status()
                     .is_some_and(|st| st.nlink == 1 || st.ftype == FileType::Directory)
             });
         }
@@ -1704,12 +1609,9 @@ impl CacheManager {
     /// Returns the file's status, from cache when the token allows.
     pub fn getattr(&self, fid: Fid) -> DfsResult<FileStatus> {
         let vn = self.vnode(fid);
-        if let Some(st) = self.lockfree(&vn, |v| trusted_status(&v.tokens, &v.status).cloned()) {
-            return Ok(st);
-        }
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
-        if let Some(st) = trusted_status(&lo.tokens, &lo.status) {
+        if let Some(st) = lo.trusted_status() {
             self.stats.lock().local_reads += 1;
             return Ok(st.clone());
         }
@@ -1955,12 +1857,9 @@ pub(crate) mod tests {
     fn status_trust_requires_token() {
         let mut st = VnState::default();
         st.merge_status(FileStatus::default(), SerializationStamp(1));
-        assert!(
-            trusted_status(&st.tokens, &st.status).is_none(),
-            "status without a token is untrusted"
-        );
+        assert!(st.trusted_status().is_none(), "status without a token is untrusted");
         st.tokens.push(tok(1, TokenTypes::STATUS_READ, ByteRange::WHOLE));
-        assert!(trusted_status(&st.tokens, &st.status).is_some());
+        assert!(st.trusted_status().is_some());
         assert!(!st.dir_trusted(), "dir trust needs data+status read");
         st.tokens.push(tok(2, TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::DATA_READ.0), ByteRange::WHOLE));
         assert!(st.dir_trusted());
@@ -2332,7 +2231,95 @@ pub(crate) mod tests {
                 // (A dropped request is seen by its error, not counted.)
                 assert!(dropped || net.stats().calls > sent, "{op} must send an RPC");
                 assert_nothing_in_flight(&cm, &format!("{op}, dropped: {dropped}"));
+                if !dropped && matches!(op, "read" | "getattr") {
+                    // The same call again is a hot hit: served under
+                    // `hi` + `lo` from the cache, counted once, no RPC.
+                    let (before, sent) = (cm.stats(), net.stats().calls);
+                    run(&cm, root, fid).unwrap();
+                    let hot = cm.stats().since(&before);
+                    assert_eq!((hot.local_reads, hot.lockfree_reads), (1, 0), "hot {op}");
+                    assert_eq!(net.stats().calls, sent, "hot {op} sent an RPC");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn link_reply_is_merged_under_the_targets_own_status_token() {
+        let (net, root, fid) = cell_with_file();
+        let cm = client(&net, 2, Arc::new(MemCache::new()));
+        // Run the file's stamp counter ahead of the directory's, as any
+        // file with more traffic than its directory has: each change of
+        // mode is one stamped store on the file alone.
+        for mode in [0o600, 0o640, 0o644, 0o600, 0o640, 0o644] {
+            cm.setattr(fid, &SetAttrs { mode: Some(mode), ..SetAttrs::default() }).unwrap();
+        }
+        assert_eq!(cm.getattr(fid).unwrap().nlink, 1);
+        assert_eq!(cm.link(root, "again", fid).unwrap().nlink, 2);
+        let (sent, dropped) = (net.stats().calls, cm.stats().stale_status_dropped);
+        assert_eq!(cm.getattr(fid).unwrap().nlink, 2, "the reply's status was dropped as stale");
+        assert_eq!(net.stats().calls, sent, "served from the cache");
+        assert_eq!(cm.stats().stale_status_dropped, dropped);
+    }
+
+    #[test]
+    fn two_threads_on_one_cache_manager_read_whole_acknowledged_writes() {
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+        const WRITES: u32 = 300;
+        let (net, _, fid) = cell_with_file();
+        let a = client(&net, 2, Arc::new(MemCache::new()));
+        let b = client(&net, 3, Arc::new(MemCache::new()));
+        let page = |tag: u32| tag.to_le_bytes().repeat(PAGE_SIZE / 4);
+        a.write(fid, 0, &page(0)).unwrap();
+        a.fsync(fid).unwrap();
+        // `started` moves before a write is called, `acked` after it
+        // returns: a read that began after `acked == n` and ended before
+        // `started == m` must see one whole tag in n..=m (§5).
+        let (started, acked, done) = (AtomicU32::new(0), AtomicU32::new(0), AtomicBool::new(false));
+        let read_checked = |cm: &CacheManager, who: &str| {
+            let floor = acked.load(Ordering::SeqCst);
+            let bytes = cm.read(fid, 0, PAGE_SIZE).unwrap();
+            let ceiling = started.load(Ordering::SeqCst);
+            assert_eq!(bytes.len(), PAGE_SIZE, "{who}: short read");
+            let tag = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+            assert_eq!(bytes, page(tag), "{who}: torn page");
+            assert!((floor..=ceiling).contains(&tag), "{who}: read {tag}, want {floor}..={ceiling}");
+        };
+        let go = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                for tag in 1..=WRITES {
+                    started.store(tag, Ordering::SeqCst);
+                    a.write(fid, 0, &page(tag)).unwrap();
+                    acked.store(tag, Ordering::SeqCst);
+                    a.fsync(fid).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            // The second application thread on the same cache manager.
+            s.spawn(|| {
+                go.wait();
+                while !done.load(Ordering::SeqCst) {
+                    read_checked(&a, "same client");
+                    assert_eq!(a.getattr(fid).unwrap().length, PAGE_SIZE as u64);
+                }
+            });
+            // Another client reading the file back pulls the write token
+            // away: the handler's store-back runs beside both threads.
+            s.spawn(|| {
+                go.wait();
+                while !done.load(Ordering::SeqCst) {
+                    read_checked(&b, "other client");
+                }
+            });
+        });
+        read_checked(&a, "same client, at rest");
+        read_checked(&b, "other client, at rest");
+        for cm in [&a, &b] {
+            assert_nothing_in_flight(cm, "at rest");
+            assert_eq!((cm.dirty_pages(fid), cm.total_dirty_pages()), (0, 0));
         }
     }
 

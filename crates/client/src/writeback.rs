@@ -15,6 +15,7 @@
 
 use super::*;
 use dfs_vfs::WriteExtent;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 
 /// Pages coalesced into one store-back extent (64 KB of 4 KB pages).

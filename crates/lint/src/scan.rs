@@ -387,10 +387,7 @@ struct StructFields {
 /// from shared-data-field tracking: atomics order their own accesses,
 /// condvars carry no data, `PhantomData` is zero-sized.
 fn exempt_data_type(head: &str) -> bool {
-    head.starts_with("Atomic")
-        || head == "Condvar"
-        || head == "PhantomData"
-        || head == "SnapshotCell"
+    head.starts_with("Atomic") || head == "Condvar" || head == "PhantomData"
 }
 
 /// Parses every `struct Name { ... }` body in the token stream into its
@@ -1229,11 +1226,10 @@ fn analyze_body(
                 i = close + 1;
                 stmt_start = false;
             }
-            // `x.lock_lo()` — the client's publishing wrapper around the
-            // vnode `lo` mutex: counts as an acquisition of `lo` itself
-            // (same receiver semantics as a bare `lo.lock()`), keeping
-            // the lock-order / lock-gap pairing intact across the
-            // seqlock refactor.
+            // `x.lock_lo()` — the client's wrapper around the vnode `lo`
+            // mutex: counts as an acquisition of `lo` itself (same
+            // receiver semantics as a bare `lo.lock()`), keeping the
+            // lock-order / lock-gap pairing intact.
             Tok::Ident(m)
                 if m == "lock_lo"
                     && is_punct(body, i.wrapping_sub(1), '.')

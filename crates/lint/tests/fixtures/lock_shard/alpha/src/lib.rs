@@ -1,8 +1,8 @@
-//! Lock-shard fixture: the server lock table's fid-hash shards (rank
-//! 142, `LOCK_SHARD`) obey the same discipline as the token shards —
-//! same-field guards nest only in strictly ascending index order, and
-//! the sequential one-shard-at-a-time walk `release_owner` uses stays
-//! clean because no two guards ever overlap.
+//! Lock-shard fixture: a sharded table at a rank other than the token
+//! shards' (142) obeys the same discipline — same-field guards nest
+//! only in strictly ascending index order, and a sequential
+//! one-shard-at-a-time walk stays clean because no two guards ever
+//! overlap.
 
 use dfs_types::lock::OrderedShardedMutex;
 

@@ -6,10 +6,8 @@
 //! have all been delivered.
 
 use dfs_rpc::{Addr, CallClass, Network, Request, Response};
-use dfs_token::{
-    RevokeItem, RevokeResult, Token, TokenHost, TokenTypes, DEFAULT_TOKEN_SHARDS,
-};
-use dfs_types::lock::{rank, OrderedShardedMutex};
+use dfs_token::{RevokeItem, RevokeResult, Token, TokenHost, TokenTypes};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{ClientId, HostId, SerializationStamp, Timestamp};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,16 +32,10 @@ pub struct HostRecord {
 /// lifetime the server hands out).
 pub const DEFAULT_LEASE_US: u64 = 60_000_000;
 
-/// The server's registry of known clients.
-///
-/// Client-id-hash sharded at rank [`rank::HOST_SHARD`], mirroring the
-/// token manager's fid-hash shards: bookkeeping for calls and
-/// revocations on disjoint clients never contends. Per-client
-/// operations touch exactly one shard; registry-wide queries (lease
-/// scans, snapshots) visit the shards one at a time — they are
-/// monitoring reads and need no cross-shard atomicity.
+/// The server's registry of known clients: one map under one lock, so
+/// a registry-wide query (lease scan, snapshot) is one consistent read.
 pub struct HostModel {
-    records: OrderedShardedMutex<HashMap<ClientId, HostRecord>, { rank::HOST_SHARD }>,
+    records: OrderedMutex<HashMap<ClientId, HostRecord>, { rank::HOST_RECORDS }>,
     /// A client whose `last_seen` is older than this is lease-expired:
     /// it no longer blocks revocation quiescence or pins a post-restart
     /// grace window.
@@ -63,21 +55,14 @@ impl HostModel {
     }
 
     /// Creates an empty host model with an explicit lease (µs of
-    /// simulated time), sharded like the token table.
+    /// simulated time).
     pub fn with_lease(lease_us: u64) -> HostModel {
-        HostModel {
-            records: OrderedShardedMutex::new(DEFAULT_TOKEN_SHARDS, HashMap::new),
-            lease_us,
-        }
+        HostModel { records: OrderedMutex::new(HashMap::new()), lease_us }
     }
 
-    /// The shard holding `client`'s record.
-    fn shard_of(&self, client: ClientId) -> usize {
-        let n = self.records.shard_count();
-        if n <= 1 {
-            return 0;
-        }
-        ((u64::from(client.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n
+    /// True if `r` was heard from within the lease before `now`.
+    fn in_lease(&self, r: &HostRecord, now: Timestamp) -> bool {
+        now.0.saturating_sub(r.last_seen.0) <= self.lease_us
     }
 
     /// The configured lease in microseconds.
@@ -87,55 +72,35 @@ impl HostModel {
 
     /// True if `client` is known and inside its lease at `now`.
     pub fn lease_live(&self, client: ClientId, now: Timestamp) -> bool {
-        self.records
-            .lock(self.shard_of(client))
-            .get(&client)
-            .is_some_and(|r| now.0.saturating_sub(r.last_seen.0) <= self.lease_us)
+        self.records.lock().get(&client).is_some_and(|r| self.in_lease(r, now))
     }
 
     /// Known clients still inside their lease at `now`.
     pub fn live_clients(&self, now: Timestamp) -> Vec<ClientId> {
-        let mut out = Vec::new();
-        for i in 0..self.records.shard_count() {
-            out.extend(
-                self.records
-                    .lock(i)
-                    .iter()
-                    .filter(|(_, r)| now.0.saturating_sub(r.last_seen.0) <= self.lease_us)
-                    .map(|(c, _)| *c),
-            );
-        }
-        out
+        let recs = self.records.lock();
+        recs.iter().filter(|(_, r)| self.in_lease(r, now)).map(|(c, _)| *c).collect()
     }
 
     /// True if every revocation sent to every *lease-live* client was
     /// acknowledged. A crashed client with outstanding revocations
     /// blocks this only until its lease runs out.
     pub fn revocations_all_acked(&self, now: Timestamp) -> bool {
-        (0..self.records.shard_count()).all(|i| {
-            self.records.lock(i).iter().all(|(_, r)| {
-                r.revocations_sent == r.revocations_acked
-                    || now.0.saturating_sub(r.last_seen.0) > self.lease_us
-            })
-        })
+        let recs = self.records.lock();
+        recs.values().all(|r| r.revocations_sent == r.revocations_acked || !self.in_lease(r, now))
     }
 
     /// Snapshot of every known client and when it was last heard from —
     /// the handoff a restarting server uses as its expected-host set
     /// (standing in for a durably-stored host table).
     pub fn snapshot(&self) -> Vec<(ClientId, Timestamp)> {
-        let mut out = Vec::new();
-        for i in 0..self.records.shard_count() {
-            out.extend(self.records.lock(i).iter().map(|(c, r)| (*c, r.last_seen)));
-        }
-        out
+        self.records.lock().iter().map(|(c, r)| (*c, r.last_seen)).collect()
     }
 
     /// Seeds a record without counting a call — used by a restarting
     /// server to carry the previous instance's last-seen times forward
     /// so lease expiry applies to hosts that never reconnect.
     pub fn seed(&self, client: ClientId, last_seen: Timestamp) {
-        let mut recs = self.records.lock(self.shard_of(client));
+        let mut recs = self.records.lock();
         let r = recs.entry(client).or_default();
         if last_seen > r.last_seen {
             r.last_seen = last_seen;
@@ -144,7 +109,7 @@ impl HostModel {
 
     /// Notes an incoming call from `client`.
     pub fn saw_call(&self, client: ClientId, principal: Option<u32>, now: Timestamp) {
-        let mut recs = self.records.lock(self.shard_of(client));
+        let mut recs = self.records.lock();
         let r = recs.entry(client).or_default();
         r.calls += 1;
         if principal.is_some() {
@@ -155,7 +120,7 @@ impl HostModel {
 
     /// Notes a revocation sent to / acknowledged by `client`.
     pub fn saw_revocation(&self, client: ClientId, acked: bool) {
-        let mut recs = self.records.lock(self.shard_of(client));
+        let mut recs = self.records.lock();
         let r = recs.entry(client).or_default();
         r.revocations_sent += 1;
         if acked {
@@ -165,22 +130,18 @@ impl HostModel {
 
     /// Returns true if every revocation sent to `client` was delivered.
     pub fn revocations_quiesced(&self, client: ClientId) -> bool {
-        let recs = self.records.lock(self.shard_of(client));
+        let recs = self.records.lock();
         recs.get(&client).is_none_or(|r| r.revocations_sent == r.revocations_acked)
     }
 
     /// Returns a snapshot of one client's record.
     pub fn record(&self, client: ClientId) -> Option<HostRecord> {
-        self.records.lock(self.shard_of(client)).get(&client).cloned()
+        self.records.lock().get(&client).cloned()
     }
 
     /// Lists all known clients.
     pub fn clients(&self) -> Vec<ClientId> {
-        let mut out = Vec::new();
-        for i in 0..self.records.shard_count() {
-            out.extend(self.records.lock(i).keys().copied());
-        }
-        out
+        self.records.lock().keys().copied().collect()
     }
 }
 
@@ -340,7 +301,7 @@ mod tests {
         // The dead client misses a revocation (sent but never acked).
         m.saw_revocation(dead, false);
         m.saw_revocation(live, true);
-        assert!(!m.revocations_all_acked(Timestamp(500)), "sent > acked must block");
+        assert!(!m.revocations_all_acked(Timestamp(500)), "any client's unacked revocation blocks");
         // The live client keeps calling; the dead one goes silent. Once
         // its lease runs out it stops pinning quiescence.
         m.saw_call(live, None, Timestamp(1_500));
@@ -359,24 +320,6 @@ mod tests {
         m.saw_call(ClientId(3), Some(7), Timestamp(42));
         let snap = m.snapshot();
         assert_eq!(snap, vec![(ClientId(3), Timestamp(42))]);
-    }
-
-    #[test]
-    fn sharded_model_sees_every_client_across_shards() {
-        let m = HostModel::new();
-        for n in 0..32 {
-            m.saw_call(ClientId(n), None, Timestamp(10 + u64::from(n)));
-        }
-        let mut clients = m.clients();
-        clients.sort_by_key(|c| c.0);
-        assert_eq!(clients.len(), 32, "iteration spans every shard");
-        assert_eq!(m.live_clients(Timestamp(50)).len(), 32);
-        assert_eq!(m.snapshot().len(), 32);
-        for n in 0..32 {
-            assert_eq!(m.record(ClientId(n)).unwrap().last_seen, Timestamp(10 + u64::from(n)));
-        }
-        m.saw_revocation(ClientId(7), false);
-        assert!(!m.revocations_all_acked(Timestamp(50)), "any shard's debt blocks");
     }
 
     use dfs_rpc::{CallContext, PoolConfig, RpcService};

@@ -739,9 +739,12 @@ impl FileServer {
 
             Q::Link { dir, name, target } => {
                 let wants = [whole(dir, DIR_WRITE), whole(target, TokenTypes::STATUS_WRITE)];
-                let held = Granted::new(&self.tm, host, wants)?;
+                let _held = Granted::new(&self.tm, host, wants)?;
                 let status = fs.link(cred, dir, &name, target)?;
-                Ok(self.status_reply(status, Vec::new(), held.stamp))
+                // The reply describes the target: stamped on its counter,
+                // as `Remove`'s, not on the directory's.
+                let stamp = self.tm.stamp(status.fid);
+                Ok(self.status_reply(status, Vec::new(), stamp))
             }
 
             Q::Remove { dir, name } => {
@@ -1424,6 +1427,34 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(s2 > s1, "per-file serialization stamps must increase (§6.2)");
+    }
+
+    #[test]
+    fn link_answers_on_the_targets_stamp_counter() {
+        let (net, srv) = cell();
+        let root = match call(&net, Request::GetRoot { volume: VolumeId(1) }) {
+            Response::FidIs(f) => f,
+            other => panic!("{other:?}"),
+        };
+        let f = match call(&net, Request::Create { dir: root, name: "t".into(), mode: 0o644 }) {
+            Response::Status { status, .. } => status.fid,
+            other => panic!("{other:?}"),
+        };
+        // Run the file's counter ahead of the directory's.
+        for _ in 0..8 {
+            call(&net, Request::FetchStatus { fid: f, want: None });
+        }
+        let tm = srv.token_manager();
+        let (file_before, dir_before) = (tm.current_stamp(f), tm.current_stamp(root));
+        assert!(file_before > dir_before);
+        match call(&net, Request::Link { dir: root, name: "u".into(), target: f }) {
+            Response::Status { status, stamp, .. } => {
+                assert_eq!((status.fid, status.nlink), (f, 2));
+                assert_eq!(stamp, tm.current_stamp(f), "the target's next stamp");
+                assert!(stamp > file_before, "{stamp:?} would be dropped as stale (§6.3)");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -4,19 +4,11 @@
 //! file lock" (§5.2). This table is where those server-mediated locks
 //! live; clients holding lock tokens manage equivalent state locally.
 //!
-//! Like the token manager (PR 8), the held-lock map is sharded by fid
-//! hash behind an [`OrderedShardedMutex`] at rank `LOCK_SHARD`: every
-//! `set`/`release`/`count` touches exactly one shard, and
-//! [`LockTable::release_owner`] walks the shards one at a time without
-//! ever nesting two guards, so lock-heavy mixed workloads stop
-//! serializing on a single table mutex.
+//! One map under one lock at rank `LOCK_TABLE`.
 
-use dfs_types::lock::{rank, OrderedShardedMutex};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{ByteRange, DfsError, DfsResult, Fid, HostId};
 use std::collections::HashMap;
-
-/// Shard count of a server's lock table.
-const DEFAULT_LOCK_SHARDS: usize = 8;
 
 /// One held lock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,32 +18,16 @@ struct HeldLock {
     write: bool,
 }
 
-/// A per-server table of byte-range file locks, sharded by fid hash.
+/// A per-server table of byte-range file locks.
+#[derive(Default)]
 pub struct LockTable {
-    shards: OrderedShardedMutex<HashMap<Fid, Vec<HeldLock>>, { rank::LOCK_SHARD }>,
-}
-
-impl Default for LockTable {
-    fn default() -> LockTable {
-        LockTable::new()
-    }
+    held: OrderedMutex<HashMap<Fid, Vec<HeldLock>>, { rank::LOCK_TABLE }>,
 }
 
 impl LockTable {
-    /// Creates an empty table with `DEFAULT_LOCK_SHARDS` shards.
+    /// Creates an empty table.
     pub fn new() -> LockTable {
-        LockTable::with_shards(DEFAULT_LOCK_SHARDS)
-    }
-
-    /// Creates an empty table with exactly `n` shards (tests).
-    pub fn with_shards(n: usize) -> LockTable {
-        LockTable { shards: OrderedShardedMutex::new(n.clamp(1, 256), HashMap::new) }
-    }
-
-    /// The shard holding `fid`'s locks — same `(volume, vnode)` hash as
-    /// the token shards, so a file's locks live wholly in one shard.
-    fn shard_of(&self, fid: Fid) -> usize {
-        dfs_token::shard_index(fid.volume, fid.vnode.0, self.shards.shard_count())
+        LockTable::default()
     }
 
     /// Sets a read or write lock, failing on conflict.
@@ -59,7 +35,7 @@ impl LockTable {
     /// Two read locks may overlap; a write lock conflicts with any
     /// overlapping lock held by another owner.
     pub fn set(&self, owner: HostId, fid: Fid, range: ByteRange, write: bool) -> DfsResult<()> {
-        let mut locks = self.shards.lock(self.shard_of(fid));
+        let mut locks = self.held.lock();
         let held = locks.entry(fid).or_default();
         for l in held.iter() {
             if l.owner != owner && l.range.overlaps(&range) && (l.write || write) {
@@ -75,7 +51,7 @@ impl LockTable {
     /// end of `range` is trimmed (or split in two, when `range` falls in
     /// its middle) rather than dropped wholesale.
     pub fn release(&self, owner: HostId, fid: Fid, range: ByteRange) {
-        let mut locks = self.shards.lock(self.shard_of(fid));
+        let mut locks = self.held.lock();
         if let Some(held) = locks.get_mut(&fid) {
             let mut kept = Vec::with_capacity(held.len());
             for l in held.drain(..) {
@@ -105,28 +81,23 @@ impl LockTable {
         }
     }
 
-    /// Releases everything held by `owner` (client death). Walks the
-    /// shards sequentially — one guard live at a time, never nested —
-    /// so owners dying concurrently cannot deadlock and per-file
-    /// traffic on other shards keeps flowing.
+    /// Releases everything held by `owner` (client death).
     pub fn release_owner(&self, owner: HostId) {
-        for i in 0..self.shards.shard_count() {
-            let mut locks = self.shards.lock(i);
-            for held in locks.values_mut() {
-                held.retain(|l| l.owner != owner);
-            }
-            locks.retain(|_, v| !v.is_empty());
+        let mut locks = self.held.lock();
+        for held in locks.values_mut() {
+            held.retain(|l| l.owner != owner);
         }
+        locks.retain(|_, v| !v.is_empty());
     }
 
     /// Releases every lock on `fid`, whoever holds it: the file is gone.
     pub fn release_fid(&self, fid: Fid) {
-        self.shards.lock(self.shard_of(fid)).remove(&fid);
+        self.held.lock().remove(&fid);
     }
 
     /// Returns the number of locks held on `fid`.
     pub fn count(&self, fid: Fid) -> usize {
-        self.shards.lock(self.shard_of(fid)).get(&fid).map_or(0, |v| v.len())
+        self.held.lock().get(&fid).map_or(0, |v| v.len())
     }
 }
 
@@ -210,8 +181,9 @@ mod tests {
         let t = LockTable::new();
         t.set(host(1), fid(), ByteRange::new(0, 10), true).unwrap();
         t.set(host(1), Fid::new(VolumeId(1), VnodeId(2), 1), ByteRange::WHOLE, true).unwrap();
+        t.set(host(2), fid(), ByteRange::new(20, 30), true).unwrap();
         t.release_owner(host(1));
-        assert_eq!(t.count(fid()), 0);
+        assert_eq!(t.count(fid()), 1, "another owner's lock stays");
         t.set(host(2), fid(), ByteRange::new(0, 10), true).unwrap();
     }
 
@@ -225,24 +197,5 @@ mod tests {
         t.release_fid(fid());
         assert_eq!(t.count(fid()), 0);
         assert_eq!(t.count(other), 1, "the slot's next incarnation keeps its locks");
-    }
-
-    #[test]
-    fn sharding_is_observationally_transparent() {
-        // Same sequence of operations against 1-shard and 5-shard
-        // tables ends in the same observable state.
-        for shards in [1usize, 5] {
-            let t = LockTable::with_shards(shards);
-            let fids: Vec<Fid> =
-                (1u32..=16).map(|v| Fid::new(VolumeId(u64::from(v % 3 + 1)), VnodeId(v), 1)).collect();
-            for (i, &f) in fids.iter().enumerate() {
-                t.set(host((i % 4) as u32), f, ByteRange::new(0, 10), i % 2 == 0).unwrap();
-            }
-            t.release_owner(host(0));
-            for (i, &f) in fids.iter().enumerate() {
-                let expect = if i % 4 == 0 { 0 } else { 1 };
-                assert_eq!(t.count(f), expect, "shards={shards} fid #{i}");
-            }
-        }
     }
 }

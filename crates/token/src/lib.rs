@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of fid-hash shards for the token and host tables.
+/// Default number of fid-hash shards for the token table.
 pub const DEFAULT_TOKEN_SHARDS: usize = 8;
 
 /// Maps `(volume, vnode)` to a shard index: a multiplicative hash on

@@ -12,7 +12,6 @@ pub mod error;
 pub mod id;
 pub mod lock;
 pub mod range;
-pub mod snapshot;
 pub mod status;
 
 pub use acl::{Acl, AclEntry, Principal, Rights};
@@ -24,5 +23,4 @@ pub use lock::{
     OrderedRwLockReadGuard, OrderedRwLockWriteGuard, OrderedShardGuard, OrderedShardedMutex,
 };
 pub use range::ByteRange;
-pub use snapshot::SnapshotCell;
 pub use status::{FileStatus, FileType, SerializationStamp};

@@ -30,10 +30,9 @@
 //! | `SERVER_HOSTS`         | 110   | server's known-client set |
 //! | `TOKEN_MANAGER`        | 120   | the token manager's host registry (§5; the grant table itself is sharded at `TOKEN_SHARD`) |
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
-//! | `HOST_TABLE`           | 130   | host model records, local-host activity (§3.2) |
-//! | `HOST_SHARD`           | 132   | one client-hash shard of the host model's records; same index rule as `TOKEN_SHARD` |
-//! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6; the held-lock map itself is sharded at `LOCK_SHARD`) |
-//! | `LOCK_SHARD`           | 142   | one fid-hash shard of the server lock table; same index rule as `TOKEN_SHARD` |
+//! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
+//! | `HOST_RECORDS`         | 132   | the host model's per-client records (§3.2) |
+//! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
 //! | `JOURNAL_TXNS`         | 150   | journal transaction table (§2.2) |
 //! | `JOURNAL_CACHE`        | 160   | journal buffer-cache map |
 //! | `JOURNAL_FRAME`        | 170   | individual buffer-frame latches |
@@ -112,20 +111,12 @@ pub mod rank {
     /// shard-index order** — cross-shard operations (whole-volume
     /// revocation, volume export) walk the shards 0..N.
     pub const TOKEN_SHARD: u16 = 122;
-    /// Host model records and local-host activity tracking (§3.2).
+    /// Local-host activity tracking in the glue layer (§3.2).
     pub const HOST_TABLE: u16 = 130;
-    /// One client-hash shard of the host model's records. Same
-    /// ascending-index rule as `TOKEN_SHARD`.
-    pub const HOST_SHARD: u16 = 132;
-    /// Server byte-range lock table (§3.6). Since the held-lock map
-    /// was sharded (`LOCK_SHARD`), this rank survives only for tests
-    /// and fixtures pinning the hierarchy's shape.
+    /// The host model's per-client records (§3.2).
+    pub const HOST_RECORDS: u16 = 132;
+    /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
-    /// One fid-hash shard of the server lock table (§3.6). Same-rank
-    /// nesting is allowed **only in strictly ascending shard-index
-    /// order**, as for `TOKEN_SHARD`; `release_owner` walks the shards
-    /// one at a time and never nests them.
-    pub const LOCK_SHARD: u16 = 142;
     /// Journal transaction table (§2.2).
     pub const JOURNAL_TXNS: u16 = 150;
     /// Journal buffer-cache map.
@@ -157,9 +148,8 @@ pub mod rank {
             TOKEN_MANAGER => "TOKEN_MANAGER",
             TOKEN_SHARD => "TOKEN_SHARD",
             HOST_TABLE => "HOST_TABLE",
-            HOST_SHARD => "HOST_SHARD",
+            HOST_RECORDS => "HOST_RECORDS",
             LOCK_TABLE => "LOCK_TABLE",
-            LOCK_SHARD => "LOCK_SHARD",
             JOURNAL_TXNS => "JOURNAL_TXNS",
             JOURNAL_CACHE => "JOURNAL_CACHE",
             JOURNAL_FRAME => "JOURNAL_FRAME",
@@ -692,12 +682,12 @@ mod tests {
 
     #[test]
     fn lock_all_holds_every_shard() {
-        let s: OrderedShardedMutex<u32, { rank::HOST_SHARD }> =
+        let s: OrderedShardedMutex<u32, { rank::TOKEN_SHARD }> =
             OrderedShardedMutex::new(3, || 7);
         let all = s.lock_all();
         assert_eq!(all.iter().map(|g| **g).sum::<u32>(), 21);
         if cfg!(debug_assertions) {
-            assert_eq!(held_ranks(), vec![rank::HOST_SHARD; 3]);
+            assert_eq!(held_ranks(), vec![rank::TOKEN_SHARD; 3]);
         }
         drop(all);
         assert!(held_ranks().is_empty());
