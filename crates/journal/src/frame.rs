@@ -3,6 +3,7 @@
 use crate::logfmt::Lsn;
 use dfs_disk::{Block, BLOCK_SIZE};
 use dfs_types::lock::{rank, OrderedMutex};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// In-memory state of one cached disk block.
@@ -21,8 +22,6 @@ pub(crate) struct Frame {
     /// Root transaction id of the equivalence class that last modified
     /// this frame, if any; used to merge transactions that share buffers.
     pub writer_class: Option<u64>,
-    /// LRU clock value of the most recent access.
-    pub last_use: u64,
     /// Bumped on every modification; writeback clears `dirty` only if
     /// the frame was not touched while its lock was released for I/O.
     pub version: u64,
@@ -53,6 +52,10 @@ impl Frame {
 pub(crate) struct FrameCell {
     /// The disk block number this frame caches.
     pub block: u32,
+    /// CLOCK reference bit: set by a cache hit, cleared as the hand
+    /// passes. Only touched under the cache lock — an atomic so a hit
+    /// need not take the frame latch.
+    pub referenced: AtomicBool,
     /// The latched frame state.
     pub state: OrderedMutex<Frame, { rank::JOURNAL_FRAME }>,
 }

@@ -4,7 +4,11 @@
 //! cache" — so this crate implements both as one [`Journal`] object:
 //!
 //! * a **buffer cache** whose frames can only be modified through logging
-//!   primitives ([`Journal::update`]), never directly;
+//!   primitives ([`Journal::update`]), never directly. Replacement is
+//!   CLOCK: a hit sets the frame's reference bit (no frame latch), a miss
+//!   advances the hand to the first frame neither referenced nor pinned
+//!   by a [`BufHandle`], writes it back under the WAL rule if dirty, and
+//!   reuses its slot;
 //! * a **write-ahead log**: byte-level old/new value records grouped into
 //!   transactions, with commit records, group commit ([`Journal::sync`]),
 //!   and a fixed-size circular on-disk log;
@@ -40,6 +44,7 @@ use frame::{Frame, FrameCell};
 use logfmt::{decode_block, encode_block, LOG_PAYLOAD};
 use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Largest number of bytes a single update record may change.
@@ -111,10 +116,50 @@ struct LogState {
     pending: Vec<u8>,
 }
 
+/// The buffer cache, replaced by CLOCK (second chance).
 struct CacheState {
-    frames: HashMap<u32, Arc<FrameCell>>,
-    lru_clock: u64,
+    /// Block → its slot in `slots`.
+    frames: HashMap<u32, usize>,
+    /// Every cached frame; the slot `slots[i]` holds the only reference
+    /// the cache keeps, so a count above one means a handle pins it.
+    slots: Vec<Arc<FrameCell>>,
+    /// The CLOCK hand: the next slot a miss looks at.
+    hand: usize,
     capacity: usize,
+}
+
+impl CacheState {
+    /// Advances the hand to the next victim: the first slot that is
+    /// neither referenced since the hand last passed nor pinned. Every
+    /// step clears the reference bit, so two turns find one if any frame
+    /// is unpinned; `None` means every frame is pinned.
+    fn victim(&mut self) -> Option<usize> {
+        for _ in 0..2 * self.slots.len() {
+            let slot = self.hand;
+            self.hand = (slot + 1) % self.slots.len();
+            let cell = &self.slots[slot];
+            let referenced = cell.referenced.load(Ordering::Relaxed);
+            if referenced {
+                cell.referenced.store(false, Ordering::Relaxed);
+            } else if Arc::strong_count(cell) == 1 {
+                return Some(slot);
+            }
+        }
+        None
+    }
+
+    /// Drops the frame in `slot`, moving the last slot into its place.
+    fn remove(&mut self, slot: usize) {
+        let gone = self.slots.swap_remove(slot);
+        self.frames.remove(&gone.block);
+        match self.slots.get(slot) {
+            Some(moved) => {
+                self.frames.insert(moved.block, slot);
+                self.hand = slot;
+            }
+            None => self.hand = 0,
+        }
+    }
 }
 
 struct TxnTable {
@@ -342,14 +387,20 @@ impl Journal {
             disk,
             region,
             log: OrderedMutex::new(LogState { head, durable: head, tail: head, pending: Vec::new() }),
-            cache: OrderedMutex::new(CacheState { frames: HashMap::new(), lru_clock: 0, capacity: 1024 }),
+            cache: OrderedMutex::new(CacheState {
+                frames: HashMap::new(),
+                slots: Vec::new(),
+                hand: 0,
+                capacity: 1024,
+            }),
             txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new(), ops: 0 }),
             drained: OrderedCondvar::new(),
             stats: OrderedMutex::new(JournalStats::default()),
         })
     }
 
-    /// Sets the buffer-cache capacity in frames (default 1024).
+    /// Sets the buffer-cache capacity in frames (default 1024). A shrink
+    /// takes effect on the next miss.
     pub fn set_cache_capacity(&self, frames: usize) {
         self.cache.lock().capacity = frames.max(8);
     }
@@ -397,48 +448,62 @@ impl Journal {
     // ------------------------------------------------------------------
 
     /// Returns a pinned handle to `block`, reading it if not cached.
+    ///
+    /// A hit sets the frame's reference bit and takes no frame latch. A
+    /// miss reads the block into the CLOCK victim's slot, or into a new
+    /// slot while the cache is below capacity or every frame is pinned.
     pub fn get(&self, block: u32) -> DfsResult<BufHandle> {
         let mut cache = self.cache.lock();
-        cache.lru_clock += 1;
-        let clock = cache.lru_clock;
-        if let Some(cell) = cache.frames.get(&block) {
-            let cell = cell.clone();
-            cell.state.lock().last_use = clock;
+        if let Some(&slot) = cache.frames.get(&block) {
+            let cell = cache.slots[slot].clone();
+            cell.referenced.store(true, Ordering::Relaxed);
             self.stats.lock().cache_hits += 1;
             return Ok(BufHandle { cell });
         }
         self.stats.lock().cache_misses += 1;
-        // Evict if at capacity; only unpinned frames are candidates.
-        while cache.frames.len() >= cache.capacity {
-            let victim = cache
-                .frames
-                .values()
-                .filter(|c| Arc::strong_count(c) == 1)
-                .min_by_key(|c| c.state.lock().last_use)
-                .cloned();
-            match victim {
-                Some(cell) => {
-                    self.writeback(&cell)?;
-                    cache.frames.remove(&cell.block);
-                }
-                None => break, // Everything pinned; allow overshoot.
-            }
-        }
+        let victim = self.make_room(&mut cache)?;
         let data = self.disk.read(block)?;
         let cell = Arc::new(FrameCell {
             block,
+            referenced: AtomicBool::new(false),
             state: OrderedMutex::new(Frame {
                 data,
                 dirty: false,
                 first_lsn: None,
                 last_lsn: Lsn(0),
                 writer_class: None,
-                last_use: clock,
                 version: 0,
             }),
         });
-        cache.frames.insert(block, cell.clone());
+        match victim {
+            Some(slot) => {
+                let old = std::mem::replace(&mut cache.slots[slot], cell.clone());
+                cache.frames.remove(&old.block);
+                cache.frames.insert(block, slot);
+            }
+            None => {
+                let slot = cache.slots.len();
+                cache.frames.insert(block, slot);
+                cache.slots.push(cell.clone());
+            }
+        }
         Ok(BufHandle { cell })
+    }
+
+    /// Makes room for one more frame: returns the victim's slot, written
+    /// back under the WAL rule, or `None` to append a slot — below
+    /// capacity, or with every frame pinned. Over capacity (after such an
+    /// overshoot, or a shrink) it drops victims until the cache is back.
+    fn make_room(&self, cache: &mut CacheState) -> DfsResult<Option<usize>> {
+        while cache.slots.len() >= cache.capacity {
+            let Some(slot) = cache.victim() else { break };
+            self.writeback(&cache.slots[slot])?;
+            if cache.slots.len() == cache.capacity {
+                return Ok(Some(slot));
+            }
+            cache.remove(slot);
+        }
+        Ok(None)
     }
 
     /// Writes one dirty frame home, honouring the WAL rule.
@@ -789,7 +854,7 @@ impl Journal {
     /// log tail advances past everything now reflected on disk.
     pub fn checkpoint(&self) -> DfsResult<()> {
         self.sync()?;
-        let cells: Vec<Arc<FrameCell>> = self.cache.lock().frames.values().cloned().collect();
+        let cells = self.cache.lock().slots.clone();
         for cell in &cells {
             self.writeback(cell)?;
         }
@@ -1200,6 +1265,161 @@ mod tests {
         assert!(jn.stats().writebacks > 0);
         let b = disk.read(3105).unwrap();
         assert_eq!(&b[0..8], &[5u8; 8]);
+    }
+
+    #[test]
+    fn eviction_forces_the_log_before_writing_a_frame_home() {
+        let (disk, jn) = setup();
+        jn.set_cache_capacity(8);
+        for i in 0..64u32 {
+            let t = jn.begin();
+            let b = jn.get(3500 + i).unwrap();
+            jn.update(t, &b, 0, &[i as u8 + 1; 8]).unwrap();
+            jn.commit(t).unwrap();
+        }
+        // Nothing called `sync`: every log force was an eviction's.
+        assert!(jn.stats().syncs > 0, "evictions must force the log (WAL rule)");
+        let cached: HashSet<u32> = jn.cache.lock().frames.keys().copied().collect();
+        let evicted: Vec<u32> = (0..64u32).filter(|i| !cached.contains(&(3500 + i))).collect();
+        assert_eq!(evicted.len(), 56);
+        disk.crash(None);
+        disk.power_on();
+        let (jn2, _) = Journal::open(disk, jn.region()).unwrap();
+        for i in evicted {
+            let b = jn2.get(3500 + i).unwrap();
+            assert_eq!(b.read_at(0, 8), vec![i as u8 + 1; 8], "evicted block {}", 3500 + i);
+        }
+    }
+
+    /// Cached blocks, checking the map and the slots agree.
+    fn population(jn: &Journal) -> usize {
+        let cache = jn.cache.lock();
+        assert_eq!(cache.frames.len(), cache.slots.len());
+        for (&block, &slot) in &cache.frames {
+            assert_eq!(cache.slots[slot].block, block);
+        }
+        cache.slots.len()
+    }
+
+    #[test]
+    fn clock_never_evicts_a_pinned_frame() {
+        let (_, jn) = setup();
+        jn.set_cache_capacity(8);
+        let pinned = jn.get(3600).unwrap();
+        let t = jn.begin();
+        jn.update(t, &pinned, 0, &[0xAA; 4]).unwrap();
+        jn.commit(t).unwrap();
+        for i in 1..200u32 {
+            jn.get(3600 + i).unwrap();
+        }
+        assert_eq!(population(&jn), 8);
+        let again = jn.get(3600).unwrap();
+        assert!(Arc::ptr_eq(&again.cell, &pinned.cell), "same frame, never evicted");
+        assert_eq!(pinned.read_at(0, 4), vec![0xAA; 4]);
+    }
+
+    #[test]
+    fn clock_gives_a_frame_touched_since_the_hand_passed_a_second_chance() {
+        let (_, jn) = setup();
+        jn.set_cache_capacity(8);
+        for i in 0..8u32 {
+            jn.get(3700 + i).unwrap();
+        }
+        // Hand at slot 0, every bit clear. Touch (and unpin) the first
+        // frame; the next miss passes it, clearing its bit, and takes
+        // the second.
+        jn.get(3700).unwrap();
+        jn.get(3708).unwrap();
+        {
+            let cache = jn.cache.lock();
+            let slot = cache.frames[&3700];
+            assert!(!cache.slots[slot].referenced.load(Ordering::Relaxed), "bit cleared");
+            assert!(!cache.frames.contains_key(&3701), "the untouched one is the victim");
+        }
+        // Untouched since, it is the victim once the hand comes round.
+        for i in 9..16u32 {
+            jn.get(3700 + i).unwrap();
+        }
+        assert!(!jn.cache.lock().frames.contains_key(&3700));
+    }
+
+    #[test]
+    fn cache_over_capacity_while_all_pinned_returns_to_capacity() {
+        let (_, jn) = setup();
+        jn.set_cache_capacity(8);
+        let held: Vec<BufHandle> = (0..12u32).map(|i| jn.get(3800 + i).unwrap()).collect();
+        assert_eq!(population(&jn), 12, "every frame pinned: the cache overshoots");
+        drop(held);
+        jn.get(3820).unwrap();
+        assert_eq!(population(&jn), 8, "the first miss after the handles drop");
+        for i in 0..50u32 {
+            jn.get(3830 + i).unwrap();
+            assert_eq!(population(&jn), 8);
+        }
+    }
+
+    #[test]
+    fn shrinking_the_cache_takes_effect_on_the_next_miss() {
+        let (_, jn) = setup();
+        for i in 0..40u32 {
+            jn.get(3900 + i).unwrap();
+        }
+        assert_eq!(population(&jn), 40);
+        jn.set_cache_capacity(10);
+        jn.get(3950).unwrap();
+        assert_eq!(population(&jn), 10);
+        assert!(jn.cache.lock().frames.contains_key(&3950));
+    }
+
+    #[test]
+    fn two_threads_cycling_through_a_small_cache_share_one_frame_per_block() {
+        const BLOCKS: u32 = 256;
+        const BASE: u32 = 2000;
+        type Held = std::sync::Mutex<HashMap<(u32, usize), BufHandle>>;
+        // Thread `t` owns the u64 at `t * 8` of every block; the two
+        // sweep in opposite directions, so they cross, each holding its
+        // last four blocks. `held` maps (block, thread) to that handle.
+        fn cycle(jn: &Journal, held: &Held, t: usize) -> HashMap<u32, u64> {
+            let mut last: HashMap<u32, u64> = HashMap::new();
+            let mut window = std::collections::VecDeque::new();
+            for i in 0..4 * BLOCKS as u64 {
+                let step = (i % BLOCKS as u64) as u32;
+                let block = BASE + if t == 0 { step } else { BLOCKS - 1 - step };
+                let _op = jn.admit();
+                let buf = jn.get(block).unwrap();
+                let want = last.get(&block).copied().unwrap_or(0);
+                assert_eq!(buf.u64_at(t * 8), want, "block {block}");
+                let txn = jn.begin();
+                jn.update(txn, &buf, t * 8, &(i + 1).to_le_bytes()).unwrap();
+                jn.commit(txn).unwrap();
+                last.insert(block, i + 1);
+                let mut map = held.lock().unwrap();
+                if let Some(other) = map.get(&(block, 1 - t)) {
+                    assert!(Arc::ptr_eq(&other.cell, &buf.cell), "two frames for {block}");
+                }
+                map.insert((block, t), buf);
+                window.push_back(block);
+                if window.len() > 4 {
+                    map.remove(&(window.pop_front().unwrap(), t));
+                }
+            }
+            last
+        }
+        let (_, jn) = setup();
+        jn.set_cache_capacity(16);
+        let held = Held::default();
+        let lasts: Vec<HashMap<u32, u64>> = std::thread::scope(|s| {
+            let (jn, held) = (&jn, &held);
+            let workers: Vec<_> = (0..2).map(|t| s.spawn(move || cycle(jn, held, t))).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(population(&jn) <= 16);
+        for (t, last) in lasts.iter().enumerate() {
+            assert_eq!(last.len(), BLOCKS as usize);
+            for (&block, &value) in last {
+                assert_eq!(jn.get(block).unwrap().u64_at(t * 8), value, "block {block}");
+            }
+        }
     }
 
     #[test]

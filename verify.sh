@@ -51,6 +51,11 @@
 #      exactly 0.0000 — a count, not a timing: every grant made was
 #      returned, revoked or retired with its file (DESIGN.md "Token
 #      lifetime"; 250 per 1 000 ops before it)
+#  16. buffer-cache gate: the benchmark's `write_fsync` workload, 4 s at
+#      seed 1 under --strict, must report 0 failed ops and a
+#      `journal.cache_hit_share` of at least 0.87 — CLOCK replacement
+#      must keep what LRU hit (DESIGN.md §7 "Buffer-cache replacement";
+#      0.883 under the LRU scan it replaced)
 #
 # Run from the repo root:  ./verify.sh
 set -eu
@@ -160,6 +165,22 @@ printf '%s\n' "$out" | awk '
   $2 == "token.unreturned_per_kop" { seen = 1; if ($3 != "0.0000") bad = 1; print }
   END { exit !(seen && !bad) }' || {
   echo "stationarity gate: token.unreturned_per_kop is not 0.0000"
+  exit 1
+}
+
+echo "==> buffer-cache gate (write_fsync, strict, the journal's hit share kept)"
+out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload write_fsync --seed 1 --seconds 4 --strict \
+    --out target/buffer-cache.json) || {
+  printf '%s\n' "$out" | grep FAILED || true
+  echo "buffer-cache gate: write_fsync failed"
+  exit 1
+}
+printf '%s\n' "$out" | awk '
+  $2 == "failed_op_share" { f = 1; if ($3 != "0.0000") bad = 1; print }
+  $2 == "journal.cache_hit_share" { h = 1; if ($3 < 0.87) bad = 1; print }
+  END { exit !(f && h && !bad) }' || {
+  echo "buffer-cache gate: failed ops, or journal.cache_hit_share below 0.87"
   exit 1
 }
 
