@@ -17,15 +17,16 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// AFS-style server statistics.
-#[derive(Clone, Debug, Default)]
-pub struct AfsServerStats {
-    /// Whole-file fetches served.
-    pub fetches: u64,
-    /// Whole-file stores received.
-    pub stores: u64,
-    /// Callbacks broken.
-    pub callbacks_broken: u64,
+dfs_types::counters! {
+    /// AFS-style server statistics.
+    pub struct AfsServerStats live AfsServerCounters {
+        /// Whole-file fetches served.
+        pub fetches: u64,
+        /// Whole-file stores received.
+        pub stores: u64,
+        /// Callbacks broken.
+        pub callbacks_broken: u64,
+    }
 }
 
 /// The AFS-style exporter: whole-file transfer plus a callback registry.
@@ -35,7 +36,7 @@ pub struct AfsServer {
     fs: Arc<dyn VfsPlus>,
     /// fid → clients holding a callback promise.
     callbacks: Mutex<HashMap<Fid, HashSet<ClientId>>>,
-    stats: Mutex<AfsServerStats>,
+    stats: AfsServerCounters,
 }
 
 impl AfsServer {
@@ -46,7 +47,7 @@ impl AfsServer {
             addr: Addr::Server(id),
             fs,
             callbacks: Mutex::new(HashMap::new()),
-            stats: Mutex::new(AfsServerStats::default()),
+            stats: AfsServerCounters::default(),
         });
         net.register(Addr::Server(id), srv.clone(), PoolConfig::default());
         srv
@@ -54,7 +55,7 @@ impl AfsServer {
 
     /// Server statistics.
     pub fn stats(&self) -> AfsServerStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 
     /// Breaks every callback on `fid` except `keep`'s.
@@ -71,7 +72,7 @@ impl AfsServer {
             }
         };
         for c in holders {
-            self.stats.lock().callbacks_broken += 1;
+            self.stats.callbacks_broken.add(1);
             // An untyped callback break, carried as a revocation of a
             // status-read token (the paper's own analogy).
             let _ = self.net.call(
@@ -118,7 +119,7 @@ impl RpcService for AfsServer {
                     if let Some(c) = caller {
                         self.callbacks.lock().entry(fid).or_default().insert(c);
                     }
-                    self.stats.lock().fetches += 1;
+                    self.stats.fetches.add(1);
                     Ok(Response::Data {
                         bytes,
                         status,
@@ -132,7 +133,7 @@ impl RpcService for AfsServer {
                 // other holders' callbacks.
                 Request::StoreData { fid, offset, data } => {
                     let status = self.fs.write(&cred, fid, offset, &data)?;
-                    self.stats.lock().stores += 1;
+                    self.stats.stores.add(1);
                     self.break_callbacks(fid, caller);
                     Ok(Response::Status {
                         status,
@@ -176,21 +177,22 @@ struct AfsFile {
     dirty: bool,
 }
 
-/// AFS-style client statistics.
-#[derive(Clone, Debug, Default)]
-pub struct AfsClientStats {
-    /// Whole files fetched.
-    pub fetches: u64,
-    /// Bytes fetched.
-    pub bytes_fetched: u64,
-    /// Whole files stored at close.
-    pub stores: u64,
-    /// Bytes stored.
-    pub bytes_stored: u64,
-    /// Callback breaks received.
-    pub callback_breaks: u64,
-    /// Reads served from the whole-file cache.
-    pub cached_reads: u64,
+dfs_types::counters! {
+    /// AFS-style client statistics.
+    pub struct AfsClientStats live AfsClientCounters {
+        /// Whole files fetched.
+        pub fetches: u64,
+        /// Bytes fetched.
+        pub bytes_fetched: u64,
+        /// Whole files stored at close.
+        pub stores: u64,
+        /// Bytes stored.
+        pub bytes_stored: u64,
+        /// Callback breaks received.
+        pub callback_breaks: u64,
+        /// Reads served from the whole-file cache.
+        pub cached_reads: u64,
+    }
 }
 
 /// The AFS-style client: whole-file cache, store-on-close.
@@ -199,7 +201,7 @@ pub struct AfsClient {
     addr: Addr,
     server: Addr,
     files: Mutex<HashMap<Fid, AfsFile>>,
-    stats: Mutex<AfsClientStats>,
+    stats: AfsClientCounters,
 }
 
 impl AfsClient {
@@ -210,7 +212,7 @@ impl AfsClient {
             addr: Addr::Client(id),
             server: Addr::Server(server),
             files: Mutex::new(HashMap::new()),
-            stats: Mutex::new(AfsClientStats::default()),
+            stats: AfsClientCounters::default(),
         });
         net.register(Addr::Client(id), cm.clone(), PoolConfig::default());
         cm
@@ -218,7 +220,7 @@ impl AfsClient {
 
     /// Client statistics.
     pub fn stats(&self) -> AfsClientStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 
     fn call(&self, req: Request) -> DfsResult<Response> {
@@ -243,10 +245,8 @@ impl AfsClient {
         }
         match self.call(Request::FetchData { fid, offset: 0, len: u32::MAX, want: None })? {
             Response::Data { bytes, status, .. } => {
-                let mut stats = self.stats.lock();
-                stats.fetches += 1;
-                stats.bytes_fetched += bytes.len() as u64;
-                drop(stats);
+                self.stats.fetches.add(1);
+                self.stats.bytes_fetched.add(bytes.len() as u64);
                 self.files
                     .lock()
                     .insert(fid, AfsFile { data: bytes, status, valid: true, dirty: false });
@@ -265,7 +265,7 @@ impl AfsClient {
         if offset >= end {
             return Ok(Vec::new());
         }
-        self.stats.lock().cached_reads += 1;
+        self.stats.cached_reads.add(1);
         Ok(f.data[offset as usize..end as usize].to_vec())
     }
 
@@ -298,10 +298,8 @@ impl AfsClient {
             }
         };
         if let Some(data) = payload {
-            let mut stats = self.stats.lock();
-            stats.stores += 1;
-            stats.bytes_stored += data.len() as u64;
-            drop(stats);
+            self.stats.stores.add(1);
+            self.stats.bytes_stored.add(data.len() as u64);
             self.call(Request::StoreData { fid, offset: 0, data })?;
         }
         Ok(())
@@ -329,7 +327,7 @@ impl RpcService for AfsClient {
         match req {
             Request::RevokeToken { token, .. } => {
                 // A callback break: invalidate the whole cached file.
-                self.stats.lock().callback_breaks += 1;
+                self.stats.callback_breaks.add(1);
                 if let Some(f) = self.files.lock().get_mut(&token.fid) {
                     f.valid = false;
                 }

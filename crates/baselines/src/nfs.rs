@@ -120,17 +120,18 @@ struct CachedPage {
     version: u64,
 }
 
-/// Client-side NFS statistics.
-#[derive(Clone, Debug, Default)]
-pub struct NfsStats {
-    /// Reads served from cache within the TTL.
-    pub cached_reads: u64,
-    /// GETATTR-style revalidations.
-    pub revalidations: u64,
-    /// Data fetches.
-    pub fetches: u64,
-    /// Synchronous write RPCs.
-    pub writes: u64,
+dfs_types::counters! {
+    /// Client-side NFS statistics.
+    pub struct NfsStats live NfsCounters {
+        /// Reads served from cache within the TTL.
+        pub cached_reads: u64,
+        /// GETATTR-style revalidations.
+        pub revalidations: u64,
+        /// Data fetches.
+        pub fetches: u64,
+        /// Synchronous write RPCs.
+        pub writes: u64,
+    }
 }
 
 /// The NFS-style client: per-file attribute cache with fixed TTLs.
@@ -141,7 +142,7 @@ pub struct NfsClient {
     file_ttl_us: u64,
     attrs: Mutex<HashMap<Fid, CachedAttrs>>,
     pages: Mutex<HashMap<(Fid, u64), CachedPage>>,
-    stats: Mutex<NfsStats>,
+    stats: NfsCounters,
 }
 
 const PAGE: u64 = 4096;
@@ -166,13 +167,13 @@ impl NfsClient {
             file_ttl_us,
             attrs: Mutex::new(HashMap::new()),
             pages: Mutex::new(HashMap::new()),
-            stats: Mutex::new(NfsStats::default()),
+            stats: NfsCounters::default(),
         })
     }
 
     /// Client statistics.
     pub fn stats(&self) -> NfsStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 
     fn call(&self, req: Request) -> DfsResult<Response> {
@@ -198,7 +199,7 @@ impl NfsClient {
                 }
             }
         }
-        self.stats.lock().revalidations += 1;
+        self.stats.revalidations.add(1);
         match self.call(Request::FetchStatus { fid, want: None })? {
             Response::Status { status, .. } => {
                 self.attrs
@@ -235,11 +236,11 @@ impl NfsClient {
             };
             let data = match cached {
                 Some(d) => {
-                    self.stats.lock().cached_reads += 1;
+                    self.stats.cached_reads.add(1);
                     d
                 }
                 None => {
-                    self.stats.lock().fetches += 1;
+                    self.stats.fetches.add(1);
                     match self.call(Request::FetchData {
                         fid,
                         offset: p * PAGE,
@@ -268,7 +269,7 @@ impl NfsClient {
 
     /// Writes through to the server (synchronous NFSv2 write).
     pub fn write(&self, fid: Fid, offset: u64, data: &[u8]) -> DfsResult<FileStatus> {
-        self.stats.lock().writes += 1;
+        self.stats.writes.add(1);
         match self.call(Request::StoreData { fid, offset, data: data.to_vec() })? {
             Response::Status { status, .. } => {
                 // Update caches with what we know.

@@ -8,7 +8,7 @@ use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let cell = Cell::builder().servers(1).build().expect("cell");
     cell.create_volume(0, VolumeId(1), "root.cell").expect("volume");
     // Touch the server from both sides so every component has state.

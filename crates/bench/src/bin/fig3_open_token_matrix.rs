@@ -7,7 +7,7 @@ use dfs_bench::emit::{arr, Obj};
 use dfs_token::{open_compatible, TokenTypes};
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     if json {
         let subs = TokenTypes::open_subtypes();
         let rows = arr(subs.iter().map(|&(x, xname)| {

@@ -50,7 +50,7 @@ fn run(revocation_workers: usize) -> (u64, u64, bool) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let sweep: Vec<(usize, (u64, u64, bool))> =
         [2usize, 1, 0].iter().map(|&rw| (rw, run(rw))).collect();
 

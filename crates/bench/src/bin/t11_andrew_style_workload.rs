@@ -25,7 +25,7 @@
 
 use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, OpClass, Phase, Scenario, Topology};
-use dfs_bench::{f2, header, row};
+use dfs_bench::{f2, header, row, Args};
 
 /// Files in the source tree (per sharing group — there is one group).
 const FILES: u32 = 12;
@@ -69,16 +69,8 @@ fn andrew(seed: u64) -> Scenario {
 }
 
 fn main() {
-    let mut json = false;
-    let mut seed = 11u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            other => panic!("unknown flag {other} (supported: --json --seed N)"),
-        }
-    }
+    let args = Args::parse(&["--seed"]);
+    let (json, seed) = (args.json, args.get("--seed", 11u64));
 
     let r = andrew(seed).run();
 

@@ -42,7 +42,7 @@ fn workload(cell: &Cell, cm: &Arc<dfs_client::CacheManager>) -> (u64, u64) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
 
     // Diskless (in-memory cache).
     let diskless = {

@@ -16,7 +16,8 @@
 //! `jsoncheck` in the verify.sh smoke stage); `--files N` sets the base
 //! file count of the sweep; `--burst N` the dirty pages at crash time.
 
-use dfs_bench::{f2, header, row};
+use dfs_bench::emit::Obj;
+use dfs_bench::{f2, header, row, Args};
 use decorum_dfs::client::WritebackConfig;
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
@@ -98,52 +99,30 @@ fn run(files: u32, burst: u64) -> Point {
     }
 }
 
-fn parse_args() -> (bool, u32, u64) {
-    let mut json = false;
-    let mut files = 64u32;
-    let mut burst = 8u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--files" => files = args.next().and_then(|v| v.parse().ok()).expect("--files N"),
-            "--burst" => burst = args.next().and_then(|v| v.parse().ok()).expect("--burst N"),
-            other => panic!("unknown flag {other:?} (supported: --json --files N --burst N)"),
-        }
-    }
-    (json, files, burst)
-}
-
 fn main() {
-    let (json, files, burst) = parse_args();
+    let args = Args::parse(&["--files", "--burst"]);
+    let (json, files, burst) = (args.json, args.get("--files", 64u32), args.get("--burst", 8u64));
     let sweep: Vec<Point> = [1u32, 2, 4, 8].iter().map(|&m| run(files * m, burst)).collect();
 
     if json {
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"files\": {}, \"fs_kib\": {}, \"scanned_blocks\": {}, \
-                     \"log_records\": {}, \"replay_ms\": {:.2}, \
-                     \"tokens_reestablished\": {}, \"replayed_pages\": {}, \
-                     \"grace_waits\": {}, \"verified\": {}}}",
-                    p.files,
-                    p.fs_kib,
-                    p.scanned_blocks,
-                    p.records,
-                    p.replay_ms,
-                    p.tokens_reestablished,
-                    p.replayed_pages,
-                    p.grace_waits,
-                    p.verified
-                )
-            })
-            .collect();
-        println!(
-            "{{\"bench\": \"t13_crash_restart\", \"burst_pages\": {burst}, \
-             \"sweep\": [{}]}}",
-            rows.join(", ")
-        );
+        let rows = sweep.iter().map(|p| {
+            Obj::new()
+                .field("files", p.files)
+                .field("fs_kib", p.fs_kib)
+                .field("scanned_blocks", p.scanned_blocks)
+                .field("log_records", p.records)
+                .field("replay_ms", p.replay_ms)
+                .field("tokens_reestablished", p.tokens_reestablished)
+                .field("replayed_pages", p.replayed_pages)
+                .field("grace_waits", p.grace_waits)
+                .field("verified", p.verified)
+        });
+        let out = Obj::new()
+            .field("bench", "t13_crash_restart")
+            .field("burst_pages", burst)
+            .field_arr("sweep", rows)
+            .render();
+        println!("{out}");
         return;
     }
 

@@ -22,7 +22,7 @@
 use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
-use dfs_bench::{f2, header, row};
+use dfs_bench::{f2, header, row, Args};
 
 struct Point {
     outage_s: u64,
@@ -113,22 +113,9 @@ fn run(files: u32, outage_s: u64, replica: bool) -> Point {
     }
 }
 
-fn parse_args() -> (bool, u32) {
-    let mut json = false;
-    let mut files = 16u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--files" => files = args.next().and_then(|v| v.parse().ok()).expect("--files N"),
-            other => panic!("unknown flag {other:?} (supported: --json --files N)"),
-        }
-    }
-    (json, files)
-}
-
 fn main() {
-    let (json, files) = parse_args();
+    let args = Args::parse(&["--files"]);
+    let (json, files) = (args.json, args.get("--files", 16u32));
     let mut sweep = Vec::new();
     for &outage_s in &[1u64, 2, 4, 8] {
         sweep.push(run(files, outage_s, false));

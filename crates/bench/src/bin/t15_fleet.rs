@@ -21,7 +21,7 @@
 
 use dfs_bench::emit::{arr, Obj};
 use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, Scenario, Topology};
-use dfs_bench::{f2, header, row};
+use dfs_bench::{f2, header, row, Args};
 
 const VOLUMES: u64 = 8;
 const CLIENTS: u32 = 8;
@@ -80,26 +80,9 @@ fn run(servers: u32, ops_per_client: u64) -> Point {
     }
 }
 
-fn parse_args() -> (bool, u64, Option<u32>) {
-    let mut json = false;
-    let mut ops = 36u64;
-    let mut servers = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--ops" => ops = args.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--servers" => {
-                servers = Some(args.next().and_then(|v| v.parse().ok()).expect("--servers N"))
-            }
-            other => panic!("unknown flag {other:?} (supported: --json --ops N --servers N)"),
-        }
-    }
-    (json, ops, servers)
-}
-
 fn main() {
-    let (json, ops, only) = parse_args();
+    let args = Args::parse(&["--ops", "--servers"]);
+    let (json, ops, only) = (args.json, args.get("--ops", 36u64), args.opt::<u32>("--servers"));
     let sizes: Vec<u32> = match only {
         Some(n) => vec![n],
         None => vec![1, 2, 4, 8],

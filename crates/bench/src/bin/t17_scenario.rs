@@ -22,11 +22,11 @@
 
 use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
-use dfs_bench::{header, row};
+use dfs_bench::{header, row, Args};
 
 const VOLUMES: u64 = 8;
 
-struct Args {
+struct Config {
     json: bool,
     clients: u32,
     servers: u32,
@@ -34,29 +34,20 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Args {
-    let mut a = Args { json: false, clients: 256, servers: 4, ops: 24, seed: 17 };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut num = |flag: &str| it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            panic!("{flag} takes a number")
-        });
-        match arg.as_str() {
-            "--json" => a.json = true,
-            "--clients" => a.clients = num("--clients") as u32,
-            "--servers" => a.servers = num("--servers") as u32,
-            "--ops" => a.ops = num("--ops"),
-            "--seed" => a.seed = num("--seed"),
-            other => panic!(
-                "unknown flag {other} (supported: --json --clients N --servers N --ops N --seed N)"
-            ),
-        }
-    }
+fn parse_args() -> Config {
+    let args = Args::parse(&["--clients", "--servers", "--ops", "--seed"]);
+    let a = Config {
+        json: args.json,
+        clients: args.get("--clients", 256),
+        servers: args.get("--servers", 4),
+        ops: args.get("--ops", 24),
+        seed: args.get("--seed", 17),
+    };
     assert!(a.servers >= 2, "t17 needs >= 2 servers (the timeline crashes one and moves a volume)");
     a
 }
 
-fn scenario(a: &Args) -> Scenario {
+fn scenario(a: &Config) -> Scenario {
     let total = u64::from(a.clients) * a.ops;
     Scenario::new(
         "t17_scenario",
@@ -95,7 +86,7 @@ fn scenario(a: &Args) -> Scenario {
     .sample_every((total / 16).max(1))
 }
 
-fn report(a: &Args, r: &RunReport, replay_identical: bool) -> String {
+fn report(a: &Config, r: &RunReport, replay_identical: bool) -> String {
     let ok = r.coherent() && replay_identical && r.events.iter().all(|e| e.ok);
     Obj::new()
         .field("bench", "t17_scenario")

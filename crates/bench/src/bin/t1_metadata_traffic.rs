@@ -4,7 +4,7 @@
 //! are sequential and batched while FFS metadata writes are synchronous
 //! and scattered.
 
-use dfs_bench::{header, ratio, row};
+use dfs_bench::{header, ratio, row, Args};
 use dfs_disk::{DiskConfig, DiskStats, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_ffs::Ffs;
@@ -20,7 +20,7 @@ fn episode_run(files: u32) -> DiskStats {
     let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
     let cred = Credentials::system();
     let root = v.root().unwrap();
-    disk.reset_stats();
+    let before = disk.stats();
     // Create, grow, truncate, delete — pure metadata churn.
     for i in 0..files {
         let f = v.create(&cred, root, &format!("f{i}"), 0o644).unwrap();
@@ -33,7 +33,7 @@ fn episode_run(files: u32) -> DiskStats {
         }
     }
     ep.sync_log().unwrap();
-    disk.stats()
+    disk.stats().since(&before)
 }
 
 fn ffs_run(files: u32) -> DiskStats {
@@ -41,34 +41,20 @@ fn ffs_run(files: u32) -> DiskStats {
     let fs = Ffs::format(disk.clone(), SimClock::new(), VolumeId(1)).unwrap();
     let cred = Credentials::system();
     let root = fs.root().unwrap();
-    disk.reset_stats();
+    let before = disk.stats();
     for i in 0..files {
         let f = fs.create(&cred, root, &format!("f{i}"), 0o644).unwrap();
         fs.write(&cred, f.fid, 0, &[1u8; 2048]).unwrap();
         fs.setattr(&cred, f.fid, &SetAttrs::truncate(0)).unwrap();
         fs.remove(&cred, root, &format!("f{i}")).unwrap();
     }
-    disk.stats()
-}
-
-fn parse_args() -> (bool, Vec<u32>) {
-    let mut json = false;
-    let mut sweep = vec![100u32, 1000, 4000];
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--files" => {
-                sweep = vec![args.next().and_then(|v| v.parse().ok()).expect("--files N")]
-            }
-            other => panic!("unknown flag {other:?} (supported: --json --files N)"),
-        }
-    }
-    (json, sweep)
+    disk.stats().since(&before)
 }
 
 fn main() {
-    let (json, sweep) = parse_args();
+    let args = Args::parse(&["--files"]);
+    let json = args.json;
+    let sweep = args.opt("--files").map_or(vec![100u32, 1000, 4000], |n| vec![n]);
     if json {
         let rows: Vec<String> = sweep
             .iter()

@@ -14,9 +14,12 @@ use dfs_ffs::Ffs;
 use dfs_types::{SimClock, VolumeId};
 use dfs_vfs::{Credentials, PhysicalFs, Vfs};
 
+/// One restart's cost: blocks scanned and simulated disk microseconds.
+type Restart = (u64, u64);
+
 /// Fill ~10% of the disk, then crash with a fixed amount of unsynced
 /// work in flight.
-fn episode_case(blocks: u32) -> (u64, u64) {
+fn episode_case(blocks: u32) -> Restart {
     let disk = SimDisk::new(DiskConfig::with_blocks(blocks));
     let clock = SimClock::new();
     let ep = Episode::format(disk.clone(), clock.clone(), FormatParams::default()).unwrap();
@@ -46,7 +49,7 @@ fn episode_case(blocks: u32) -> (u64, u64) {
     (report.scanned_blocks, disk.stats().busy_us - before)
 }
 
-fn ffs_case(blocks: u32) -> (u64, u64) {
+fn ffs_case(blocks: u32) -> Restart {
     let disk = SimDisk::new(DiskConfig::with_blocks(blocks));
     let fs = Ffs::format(disk.clone(), SimClock::new(), VolumeId(1)).unwrap();
     let cred = Credentials::system();
@@ -68,8 +71,8 @@ fn ffs_case(blocks: u32) -> (u64, u64) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let sweep: Vec<(u32, (u64, u64), (u64, u64))> =
+    let json = dfs_bench::Args::parse(&[]).json;
+    let sweep: Vec<(u32, Restart, Restart)> =
         [16 * 1024u32, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024]
             .iter()
             .map(|&blocks| (blocks, episode_case(blocks), ffs_case(blocks)))

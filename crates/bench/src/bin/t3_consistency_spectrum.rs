@@ -144,7 +144,7 @@ fn run_dfs() -> Outcome {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let systems: Vec<(&str, Outcome)> = vec![
         ("nfs (3s ttl)", run_nfs()),
         ("afs (callbacks)", run_afs()),

@@ -60,7 +60,7 @@ fn run_dfs(file_bytes: u64) -> u64 {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let sweep: Vec<(u64, u64, u64)> = [64u64, 256, 1024, 4096]
         .iter()
         .map(|&kib| (kib, run_afs(kib * 1024), run_dfs(kib * 1024)))

@@ -79,7 +79,7 @@ fn move_blocked_time() -> (u64, u64) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let clones: Vec<(u32, usize, (u64, u64, u64))> = [(10u32, 64usize), (100, 64), (500, 16)]
         .iter()
         .map(|&(files, kib)| (files, kib, clone_case(files, kib)))

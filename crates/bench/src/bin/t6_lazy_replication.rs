@@ -60,7 +60,7 @@ fn run(bound_secs: u64) -> (f64, u64, bool) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let sweep: Vec<(u64, (f64, u64, bool))> =
         [2u64, 10, 60, 600].iter().map(|&b| (b, run(b))).collect();
 

@@ -100,7 +100,7 @@ fn storm(clients: usize, files: usize, ops_per_client: u64) -> (u64, f64, bool) 
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = dfs_bench::Args::parse(&[]).json;
     let sweep: Vec<(usize, usize, (u64, f64, bool))> =
         [(2usize, 1usize), (4, 2), (8, 4), (8, 1)]
             .iter()

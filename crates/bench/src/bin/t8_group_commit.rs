@@ -20,7 +20,7 @@
 //! `jsoncheck` in the verify.sh smoke stage); `--ops N` and `--pages N`
 //! shrink the workloads for smoke runs.
 
-use dfs_bench::{f2, header, row};
+use dfs_bench::{f2, header, row, Args};
 use dfs_client::{CacheManager, MemCache, WritebackConfig, PAGE_SIZE};
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
@@ -41,7 +41,7 @@ fn run(ops: u32, batch: u32) -> (u64, u64, f64) {
     let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
     let cred = Credentials::system();
     let root = v.root().unwrap();
-    disk.reset_stats();
+    let before = disk.stats();
     for i in 0..ops {
         v.create(&cred, root, &format!("f{i}"), 0o644).unwrap();
         if i % batch == batch - 1 {
@@ -49,7 +49,7 @@ fn run(ops: u32, batch: u32) -> (u64, u64, f64) {
         }
     }
     ep.sync_log().unwrap();
-    let s = disk.stats();
+    let s = disk.stats().since(&before);
     (s.stable_writes, s.syncs, s.busy_ms())
 }
 
@@ -182,38 +182,10 @@ fn concurrent_writers(clients: usize, pages: u64) -> ConcPoint {
     }
 }
 
-struct Args {
-    json: bool,
-    ops: u32,
-    pages: u64,
-    clients: Vec<usize>,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args { json: false, ops: 2000, pages: 64, clients: Vec::new() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => a.json = true,
-            "--ops" => a.ops = args.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--pages" => a.pages = args.next().and_then(|v| v.parse().ok()).expect("--pages N"),
-            "--clients" => {
-                let list = args.next().expect("--clients A,B,...");
-                a.clients = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--clients takes integers"))
-                    .collect();
-            }
-            other => panic!(
-                "unknown flag {other:?} (supported: --json --ops N --pages N --clients A,B,...)"
-            ),
-        }
-    }
-    a
-}
-
 fn main() {
-    let Args { json, ops, pages, clients } = parse_args();
+    let args = Args::parse(&["--ops", "--pages", "--clients"]);
+    let (json, ops, pages) = (args.json, args.get("--ops", 2000u32), args.get("--pages", 64u64));
+    let clients: Vec<usize> = args.list("--clients", Vec::new());
     let batches = [1u32, 4, 16, 64, 256, 1024];
     let sweep: Vec<(u32, u64, u64, f64)> = batches
         .iter()

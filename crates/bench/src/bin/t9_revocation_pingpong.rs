@@ -13,35 +13,9 @@
 
 use dfs_bench::emit::{arr, Obj};
 use dfs_bench::scenario::{ClassSpec, OpClass, Phase, RunReport, Scenario, Topology, Witness};
-use dfs_bench::{f2, header, row};
+use dfs_bench::{f2, header, row, Args};
 use dfs_types::VolumeId;
 use decorum_dfs::Cell;
-
-struct Args {
-    json: bool,
-    ops: u64,
-    clients: Vec<u32>,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args { json: false, ops: 400, clients: vec![2, 8] };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => a.json = true,
-            "--ops" => a.ops = it.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--clients" => {
-                let list = it.next().expect("--clients A,B,...");
-                a.clients = list
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--clients takes integers"))
-                    .collect();
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    a
-}
 
 struct Pingpong {
     handoffs: u64,
@@ -113,9 +87,10 @@ fn hotpath(clients: u32, ops_per_client: u64) -> RunReport {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(&["--ops", "--clients"]);
+    let (ops, clients) = (args.get("--ops", 400u64), args.list("--clients", vec![2u32, 8]));
     let p = pingpong();
-    let sweep: Vec<RunReport> = args.clients.iter().map(|&n| hotpath(n, args.ops)).collect();
+    let sweep: Vec<RunReport> = clients.iter().map(|&n| hotpath(n, ops)).collect();
 
     if args.json {
         let points = arr(sweep.iter().map(|r| {

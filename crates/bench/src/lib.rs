@@ -7,7 +7,65 @@
 pub mod emit;
 pub mod scenario;
 
+use std::collections::HashMap;
 use std::fmt::Display;
+use std::str::FromStr;
+
+/// A harness binary's command line: `--json` plus the valued flags the
+/// binary names. An unknown flag, a flag without its value and a value
+/// that does not parse each panic with a message naming the flag.
+pub struct Args {
+    /// `--json` was given: print one JSON object instead of the table.
+    pub json: bool,
+    values: HashMap<String, String>,
+}
+
+impl Args {
+    /// Parses the process's arguments; `valued` lists the flags that
+    /// take a value (`--files`, ...). A repeated flag keeps its last value.
+    pub fn parse(valued: &[&str]) -> Args {
+        Args::parse_from(std::env::args().skip(1), valued)
+    }
+
+    /// [`Args::parse`] over `args` (the program name already skipped).
+    fn parse_from(args: impl IntoIterator<Item = String>, valued: &[&str]) -> Args {
+        let mut out = Args { json: false, values: HashMap::new() };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if arg == "--json" {
+                out.json = true;
+            } else if valued.contains(&arg.as_str()) {
+                let value = args.next().unwrap_or_else(|| panic!("{arg} takes a value"));
+                out.values.insert(arg, value);
+            } else {
+                panic!("unknown flag {arg:?} (supported: --json {})", valued.join(" "));
+            }
+        }
+        out
+    }
+
+    /// `flag`'s value, if it was given.
+    pub fn opt<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.values.get(flag).map(|v| parse_value(flag, v))
+    }
+
+    /// `flag`'s value, or `default` when it was not given.
+    pub fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.opt(flag).unwrap_or(default)
+    }
+
+    /// `flag`'s comma-separated values (`--clients 2,8`), or `default`.
+    pub fn list<T: FromStr>(&self, flag: &str, default: Vec<T>) -> Vec<T> {
+        match self.values.get(flag) {
+            Some(v) => v.split(',').map(|s| parse_value(flag, s.trim())).collect(),
+            None => default,
+        }
+    }
+}
+
+fn parse_value<T: FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| panic!("{flag}: cannot parse {v:?}"))
+}
 
 /// Prints a table header row.
 pub fn header(cols: &[&str]) {
@@ -318,5 +376,40 @@ mod tests {
         ] {
             assert!(json::validate(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    fn args(line: &str, valued: &[&str]) -> Args {
+        Args::parse_from(line.split_whitespace().map(String::from), valued)
+    }
+
+    #[test]
+    fn args_read_json_values_and_lists_with_defaults() {
+        let a = args("--files 8 --json --clients 2,4,16", &["--files", "--clients", "--ops"]);
+        assert!(a.json);
+        assert_eq!(a.get("--files", 64u32), 8);
+        assert_eq!(a.get("--ops", 400u64), 400, "an absent flag keeps its default");
+        assert_eq!(a.opt::<u32>("--ops"), None);
+        assert_eq!(a.list("--clients", vec![2u32, 8]), vec![2, 4, 16]);
+        let none = args("", &["--clients"]);
+        assert!(!none.json);
+        assert_eq!(none.list("--clients", vec![2u32, 8]), vec![2, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag \"--fast\"")]
+    fn args_panic_on_an_unknown_flag() {
+        args("--json --fast", &["--files"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--files takes a value")]
+    fn args_panic_on_a_missing_value() {
+        args("--files", &["--files"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--files: cannot parse")]
+    fn args_panic_on_an_unparsable_value() {
+        args("--files many", &["--files"]).get("--files", 1u32);
     }
 }

@@ -128,139 +128,89 @@ impl OpenMode {
     }
 }
 
-/// Client-side statistics.
-#[derive(Clone, Debug, Default)]
-pub struct ClientStats {
-    /// Reads served entirely from the cache under a data token.
-    pub local_reads: u64,
-    /// Always 0 since PR 23 (the lock-free read path it counted was
-    /// measured not to pay and deleted); the field stays because
-    /// `benchmark/` reads it — it and `client.lockfree_read_share` leave
-    /// with ROADMAP item 7.
-    pub lockfree_reads: u64,
-    /// Reads that needed a FetchData RPC.
-    pub remote_reads: u64,
-    /// Writes absorbed locally under a write token (no RPC at all).
-    pub local_writes: u64,
-    /// Writes that needed a token-acquisition RPC first.
-    pub write_token_fetches: u64,
-    /// Lookups served from the directory-layer cache.
-    pub lookup_hits: u64,
-    /// Lookups that went to the server.
-    pub lookup_misses: u64,
-    /// Revocations received.
-    pub revocations: u64,
-    /// Revocations answered "retained" (held locks/opens).
-    pub retained: u64,
-    /// Revocations queued for a not-yet-known token (§6.3 race).
-    pub queued_revocations: u64,
-    /// Dirty pages stored back from revocation handlers.
-    pub revocation_stores: u64,
-    /// Revocations whose store-back failed: the token went back anyway
-    /// (the server is waiting on the handler), and what the revoked
-    /// bits had let us dirty was lost with it.
-    pub revocation_store_failures: u64,
-    /// Status merges ignored because the stamp was stale (§6.3).
-    pub stale_status_dropped: u64,
-    /// Retries while a volume was busy moving.
-    pub busy_retries: u64,
-    /// Token-contention backoff rounds slept in `read`/`write`.
-    pub backoff_rounds: u64,
-    /// Store-back RPCs sent (StoreData + StoreDataVec, normal class).
-    pub storeback_rpcs: u64,
-    /// Extents carried by those RPCs.
-    pub storeback_extents: u64,
-    /// Pages carried by those RPCs.
-    pub storeback_pages: u64,
-    /// Background-flusher passes that found dirty data.
-    pub flusher_passes: u64,
-    /// Writes that flushed synchronously because the dirty-page budget
-    /// was exceeded twice over (backpressure).
-    pub backpressure_flushes: u64,
-    /// Transport-level retries: the server was crashed, unreachable or
-    /// timed out and the RPC was re-sent after a backoff.
-    pub transport_retries: u64,
-    /// RPCs refused with `GraceWait` (server in its post-restart grace
-    /// window) and retried.
-    pub grace_waits: u64,
-    /// Recovery passes run after observing a server epoch change.
-    pub recoveries: u64,
-    /// Tokens re-granted through `ReestablishTokens` during recovery.
-    pub tokens_reestablished: u64,
-    /// Files revalidated after a restart whose cached pages were kept
-    /// (`DataVersion` unchanged, AFS-style).
-    pub reval_kept: u64,
-    /// Files revalidated after a restart whose cached pages were
-    /// discarded (`DataVersion` changed or revalidation failed).
-    pub reval_dropped: u64,
-    /// Dirty write-behind pages replayed by the recovery pipeline.
-    pub recovery_replayed_pages: u64,
-    /// `WrongServer` redirects followed after a volume moved (§2.1).
-    pub wrong_server_redirects: u64,
-    /// Location-cache entries evicted to stay within the size bound.
-    pub location_evictions: u64,
-    /// RPCs abandoned with `Unavailable` after the retry budget was
-    /// exhausted.
-    pub unavailable_giveups: u64,
-    /// Read-class RPCs answered by a §3.8 read-only replica while the
-    /// volume's primary was unreachable.
-    pub replica_failovers: u64,
-    /// Reads served with bounded-stale replica data (never cached as
-    /// token-backed state).
-    pub stale_reads: u64,
-    /// Largest staleness bound (µs) stamped on any replica-served
-    /// response observed by this client.
-    pub max_stale_us: u64,
-}
-
-impl ClientStats {
-    /// Every monotone counter — all fields but the `max_stale_us`
-    /// high-water mark — listed once for `since` and `merge`. The
-    /// pattern names every field, so a new one cannot be forgotten.
-    fn counters(&mut self) -> [&mut u64; 32] {
-        let ClientStats {
-            local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
-            lookup_hits, lookup_misses, revocations, retained, queued_revocations,
-            revocation_stores, revocation_store_failures, stale_status_dropped, busy_retries,
-            backoff_rounds,
-            storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
-            backpressure_flushes, transport_retries, grace_waits, recoveries,
-            tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
-            wrong_server_redirects, location_evictions, unavailable_giveups,
-            replica_failovers, stale_reads, max_stale_us: _,
-        } = self;
-        [
-            local_reads, lockfree_reads, remote_reads, local_writes, write_token_fetches,
-            lookup_hits, lookup_misses, revocations, retained, queued_revocations,
-            revocation_stores, revocation_store_failures, stale_status_dropped, busy_retries,
-            backoff_rounds,
-            storeback_rpcs, storeback_extents, storeback_pages, flusher_passes,
-            backpressure_flushes, transport_retries, grace_waits, recoveries,
-            tokens_reestablished, reval_kept, reval_dropped, recovery_replayed_pages,
-            wrong_server_redirects, location_evictions, unavailable_giveups,
-            replica_failovers, stale_reads,
-        ]
-    }
-
-    /// Returns `self - earlier` counter-by-counter, for time-series
-    /// sampling (the scenario driver snapshots per interval). The one
-    /// non-counter, `max_stale_us`, is a high-water mark and carries
-    /// the current watermark through unchanged.
-    pub fn since(&self, earlier: &ClientStats) -> ClientStats {
-        let (mut out, mut earlier) = (self.clone(), earlier.clone());
-        for (now, then) in out.counters().into_iter().zip(earlier.counters()) {
-            *now -= *then;
-        }
-        out
-    }
-
-    /// Adds `other`'s counters into `self`, for fleet-wide aggregation.
-    /// `max_stale_us` folds as a max.
-    pub fn merge(&mut self, other: &ClientStats) {
-        let mut other = other.clone();
-        self.max_stale_us = self.max_stale_us.max(other.max_stale_us);
-        for (sum, add) in self.counters().into_iter().zip(other.counters()) {
-            *sum += *add;
+dfs_types::counters! {
+    /// Client-side statistics.
+    pub struct ClientStats live ClientCounters {
+        /// Reads served entirely from the cache under a data token.
+        pub local_reads: u64,
+        /// Always 0: the lock-free read path it counted was measured not
+        /// to pay and deleted. The field stays because `benchmark/` reads
+        /// it for `client.lockfree_read_share`.
+        pub lockfree_reads: u64,
+        /// Reads that needed a FetchData RPC.
+        pub remote_reads: u64,
+        /// Writes absorbed locally under a write token (no RPC at all).
+        pub local_writes: u64,
+        /// Writes that needed a token-acquisition RPC first.
+        pub write_token_fetches: u64,
+        /// Lookups served from the directory-layer cache.
+        pub lookup_hits: u64,
+        /// Lookups that went to the server.
+        pub lookup_misses: u64,
+        /// Revocations received.
+        pub revocations: u64,
+        /// Revocations answered "retained" (held locks/opens).
+        pub retained: u64,
+        /// Revocations queued for a not-yet-known token (§6.3 race).
+        pub queued_revocations: u64,
+        /// Dirty pages stored back from revocation handlers.
+        pub revocation_stores: u64,
+        /// Revocations whose store-back failed: the token went back anyway
+        /// (the server is waiting on the handler), and what the revoked
+        /// bits had let us dirty was lost with it.
+        pub revocation_store_failures: u64,
+        /// Status merges ignored because the stamp was stale (§6.3).
+        pub stale_status_dropped: u64,
+        /// Retries while a volume was busy moving.
+        pub busy_retries: u64,
+        /// Token-contention backoff rounds slept in `read`/`write`.
+        pub backoff_rounds: u64,
+        /// Store-back RPCs sent (StoreData + StoreDataVec, normal class).
+        pub storeback_rpcs: u64,
+        /// Extents carried by those RPCs.
+        pub storeback_extents: u64,
+        /// Pages carried by those RPCs.
+        pub storeback_pages: u64,
+        /// Background-flusher passes that found dirty data.
+        pub flusher_passes: u64,
+        /// Writes that flushed synchronously because the dirty-page budget
+        /// was exceeded twice over (backpressure).
+        pub backpressure_flushes: u64,
+        /// Transport-level retries: the server was crashed, unreachable or
+        /// timed out and the RPC was re-sent after a backoff.
+        pub transport_retries: u64,
+        /// RPCs refused with `GraceWait` (server in its post-restart grace
+        /// window) and retried.
+        pub grace_waits: u64,
+        /// Recovery passes run after observing a server epoch change.
+        pub recoveries: u64,
+        /// Tokens re-granted through `ReestablishTokens` during recovery.
+        pub tokens_reestablished: u64,
+        /// Files revalidated after a restart whose cached pages were kept
+        /// (`DataVersion` unchanged, AFS-style).
+        pub reval_kept: u64,
+        /// Files revalidated after a restart whose cached pages were
+        /// discarded (`DataVersion` changed or revalidation failed).
+        pub reval_dropped: u64,
+        /// Dirty write-behind pages replayed by the recovery pipeline.
+        pub recovery_replayed_pages: u64,
+        /// `WrongServer` redirects followed after a volume moved (§2.1).
+        pub wrong_server_redirects: u64,
+        /// Location-cache entries evicted to stay within the size bound.
+        pub location_evictions: u64,
+        /// RPCs abandoned with `Unavailable` after the retry budget was
+        /// exhausted.
+        pub unavailable_giveups: u64,
+        /// Read-class RPCs answered by a §3.8 read-only replica while the
+        /// volume's primary was unreachable.
+        pub replica_failovers: u64,
+        /// Reads served with bounded-stale replica data (never cached as
+        /// token-backed state).
+        pub stale_reads: u64,
+        max {
+            /// Largest staleness bound (µs) stamped on any replica-served
+            /// response observed by this client.
+            pub max_stale_us: u64,
         }
     }
 }
@@ -558,7 +508,7 @@ pub struct CacheManager {
     vnodes: OrderedMutex<HashMap<Fid, Arc<CVnode>>, { rank::CLIENT_VNODE_TABLE }>,
     locations: OrderedMutex<LocationCache, { rank::CLIENT_RESOURCE }>,
     roots: OrderedMutex<HashMap<VolumeId, Fid>, { rank::CLIENT_RESOURCE }>,
-    stats: OrderedMutex<ClientStats, { rank::STATS }>,
+    stats: ClientCounters,
 }
 
 impl CacheManager {
@@ -597,7 +547,7 @@ impl CacheManager {
             vnodes: OrderedMutex::new(HashMap::new()),
             locations: OrderedMutex::new(LocationCache::default()),
             roots: OrderedMutex::new(HashMap::new()),
-            stats: OrderedMutex::new(ClientStats::default()),
+            stats: ClientCounters::default(),
         });
         net.register(
             addr,
@@ -615,7 +565,7 @@ impl CacheManager {
 
     /// Client statistics.
     pub fn stats(&self) -> ClientStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 
     /// Authenticates as `user` via the KDC (§3.7, §4.1).
@@ -668,7 +618,7 @@ impl CacheManager {
             }
         };
         if evicted > 0 {
-            self.stats.lock().location_evictions += evicted;
+            self.stats.location_evictions.add(evicted);
         }
         installed
     }
@@ -687,7 +637,7 @@ impl CacheManager {
     /// when it is not (a stale hint), distrust the cache entirely so the
     /// next attempt re-resolves through the VLDB.
     fn follow_redirect(&self, volume: VolumeId, hint: ServerId, generation: u64) {
-        self.stats.lock().wrong_server_redirects += 1;
+        self.stats.wrong_server_redirects.add(1);
         if !self.loc_install(volume, hint, generation) {
             self.loc_invalidate(volume);
         }
@@ -752,9 +702,9 @@ impl CacheManager {
                     continue;
                 }
                 Verdict::Unplaced => self.loc_invalidate(volume),
-                Verdict::Busy => self.stats.lock().busy_retries += 1,
+                Verdict::Busy => self.stats.busy_retries.add(1),
                 Verdict::Grace => {
-                    self.stats.lock().grace_waits += 1;
+                    self.stats.grace_waits.add(1);
                     if let Ok(server) = placed {
                         self.probe_epoch(server);
                     }
@@ -765,7 +715,7 @@ impl CacheManager {
                         // volumes stay warm, and this one re-resolves
                         // through the VLDB (which reflects a move or a
                         // restarted replacement).
-                        self.stats.lock().transport_retries += 1;
+                        self.stats.transport_retries.add(1);
                         self.loc_invalidate(volume);
                     }
                     let replica = fallback.filter(|_| down >= FAILOVER_AFTER);
@@ -778,7 +728,7 @@ impl CacheManager {
         }
         // The budget is spent: report honest unavailability rather than
         // a timeout the caller would be tempted to retry forever.
-        self.stats.lock().unavailable_giveups += 1;
+        self.stats.unavailable_giveups.add(1);
         Err(DfsError::Unavailable)
     }
 
@@ -813,9 +763,8 @@ impl CacheManager {
                 continue;
             };
             if stale_us > 0 {
-                let mut st = self.stats.lock();
-                st.replica_failovers += 1;
-                st.max_stale_us = st.max_stale_us.max(stale_us);
+                self.stats.replica_failovers.add(1);
+                self.stats.max_stale_us.max(stale_us);
                 return Some(resp);
             }
         }
@@ -908,7 +857,7 @@ impl CacheManager {
             .zip(lo.status.as_ref())
             .map(|(&p, st)| st.length.min((p + 1) * PAGE_SIZE as u64));
         if !lo.merge_status(status, stamp) {
-            self.stats.lock().stale_status_dropped += 1;
+            self.stats.stale_status_dropped.add(1);
         }
         if let (Some(len), Some(st)) = (unstored, lo.status.as_mut()) {
             st.length = st.length.max(len);
@@ -983,7 +932,7 @@ impl CacheManager {
         let locked = to_drop.intersects(TokenTypes::LOCK_READ | TokenTypes::LOCK_WRITE)
             && lo.locks.iter().any(|l| l.local && l.range.overlaps(&held_range));
         if locked || (to_drop.intersects(TokenTypes::OPEN_MASK) && !lo.opens.is_empty()) {
-            self.stats.lock().retained += 1;
+            self.stats.retained.add(1);
             return false;
         }
         // Store back what the revoked bits let us dirty (§5.3, §6.4):
@@ -1008,7 +957,7 @@ impl CacheManager {
             // token again.
             Ok(()) | Err(DfsError::TokenRevoked) => false,
             Err(_) => {
-                self.stats.lock().revocation_store_failures += 1;
+                self.stats.revocation_store_failures.add(1);
                 to_drop.contains(TokenTypes::DATA_WRITE)
             }
         };
@@ -1059,7 +1008,7 @@ impl CacheManager {
         let step = (BASE_US * u64::from(round)).min(CAP_US);
         let seed = (u64::from(self.id.0) << 40) ^ key.wrapping_mul(0x9E37_79B9) ^ u64::from(round);
         let jitter = StdRng::seed_from_u64(seed).gen_range_u64(step / 2 + 1);
-        self.stats.lock().backoff_rounds += 1;
+        self.stats.backoff_rounds.add(1);
         std::thread::sleep(Duration::from_micros(step / 2 + jitter));
     }
 
@@ -1114,7 +1063,7 @@ impl CacheManager {
         if self.known_epochs.lock().insert(server, epoch) == Some(epoch) {
             return; // Another thread already recovered this epoch.
         }
-        self.stats.lock().recoveries += 1;
+        self.stats.recoveries.add(1);
         let _recovering = Recovering::enter(self.id);
         self.recover_inner(server, epoch);
     }
@@ -1148,7 +1097,7 @@ impl CacheManager {
                 _ => Vec::new(),
             }
         };
-        self.stats.lock().tokens_reestablished += granted.len() as u64;
+        self.stats.tokens_reestablished.add(granted.len() as u64);
         for t in granted {
             let vn = self.vnode(t.fid);
             vn.lock_lo().tokens.push(t);
@@ -1168,7 +1117,7 @@ impl CacheManager {
                 // durable there; everything else is still dirty.
                 drop(lo);
                 if self.store_vnode(vn, Store::Pages(None)).is_ok() {
-                    self.stats.lock().recovery_replayed_pages += dirty;
+                    self.stats.recovery_replayed_pages.add(dirty);
                 }
                 continue;
             }
@@ -1196,11 +1145,10 @@ impl CacheManager {
                 // Could not revalidate: distrust the cached copy.
                 None => lo.status = None,
             }
-            let mut st = self.stats.lock();
             if keep {
-                st.reval_kept += 1;
+                self.stats.reval_kept.add(1);
             } else {
-                st.reval_dropped += 1;
+                self.stats.reval_dropped.add(1);
             }
         }
     }
@@ -1233,7 +1181,7 @@ impl CacheManager {
             // from the previous round's merge: a freshly-granted token
             // cannot be revoked between absorb and this check.
             if let Some(out) = lo.cached_read(data, fid, offset, len) {
-                self.stats.lock().local_reads += 1;
+                self.stats.local_reads.add(1);
                 return Ok(out);
             }
 
@@ -1275,7 +1223,7 @@ impl CacheManager {
                 // installs — the replica's tokens and stamps mean
                 // nothing at the primary, and a bounded-stale page must
                 // never masquerade as token-backed cache state.
-                self.stats.lock().stale_reads += 1;
+                self.stats.stale_reads.add(1);
                 let end = status.length.min(offset + len as u64);
                 let s = (offset - fetch_off) as usize;
                 let e = (end.saturating_sub(fetch_off) as usize).min(bytes.len());
@@ -1296,7 +1244,7 @@ impl CacheManager {
                 }
             }
             self.absorb(&mut lo, Some((status, stamp)), tokens);
-            self.stats.lock().remote_reads += 1;
+            self.stats.remote_reads.add(1);
         }
         Err(DfsError::Timeout)
     }
@@ -1381,7 +1329,7 @@ impl CacheManager {
                 st.data_version += 1;
                 let out = st.clone();
                 lo.status_dirty = true;
-                self.stats.lock().local_writes += 1;
+                self.stats.local_writes.add(1);
                 if self.over_budget() {
                     // This writer pays for the flush itself.
                     drop(lo);
@@ -1403,7 +1351,7 @@ impl CacheManager {
                     * PAGE_SIZE as u64,
             );
             self.get_token(&mut lo, WRITE_GRANT, hull)?;
-            self.stats.lock().write_token_fetches += 1;
+            self.stats.write_token_fetches.add(1);
         }
         Err(DfsError::Timeout)
     }
@@ -1451,15 +1399,15 @@ impl CacheManager {
         let mut lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(st) = lo.names.get(name) {
-                self.stats.lock().lookup_hits += 1;
+                self.stats.lookup_hits.add(1);
                 return Ok(st.clone());
             }
             if lo.listing.as_ref().is_some_and(|l| !l.iter().any(|e| e.name == name)) {
-                self.stats.lock().lookup_hits += 1;
+                self.stats.lookup_hits.add(1);
                 return Err(DfsError::NotFound);
             }
         }
-        self.stats.lock().lookup_misses += 1;
+        self.stats.lookup_misses.add(1);
         let req = Request::Lookup {
             dir,
             name: name.to_string(),
@@ -1479,7 +1427,7 @@ impl CacheManager {
         let mut lo = vn.lock_lo();
         if lo.dir_trusted() {
             if let Some(l) = &lo.listing {
-                self.stats.lock().lookup_hits += 1;
+                self.stats.lookup_hits.add(1);
                 return Ok(l.clone());
             }
         }
@@ -1612,7 +1560,7 @@ impl CacheManager {
         let _hi = vn.hi.lock();
         let mut lo = vn.lock_lo();
         if let Some(st) = lo.trusted_status() {
-            self.stats.lock().local_reads += 1;
+            self.stats.local_reads.add(1);
             return Ok(st.clone());
         }
         let req =
@@ -1621,7 +1569,7 @@ impl CacheManager {
         if stale_us > 0 {
             // Replica-served while the primary is down: the bounded-
             // stale status is reported, not cached.
-            self.stats.lock().stale_reads += 1;
+            self.stats.stale_reads.add(1);
             return Ok(status);
         }
         Ok(lo.status.clone().unwrap_or(status))
@@ -1749,7 +1697,7 @@ impl CacheManager {
     /// `RevokeToken` arm and the batched `RevokeVec` fan-out. Returns
     /// whether the token was returned.
     fn handle_revocation(&self, token: Token, types: TokenTypes, stamp: SerializationStamp) -> bool {
-        self.stats.lock().revocations += 1;
+        self.stats.revocations.add(1);
         let Some(vn) = self.vnodes.lock().get(&token.fid).cloned() else {
             return true;
         };
@@ -1762,7 +1710,7 @@ impl CacheManager {
             // flight; queue the revocation for processing when the
             // reply arrives.
             lo.queued.push((token, types, stamp));
-            self.stats.lock().queued_revocations += 1;
+            self.stats.queued_revocations.add(1);
             return true;
         }
         self.apply_revocation(&mut lo, &token, types, stamp)
@@ -2321,19 +2269,5 @@ pub(crate) mod tests {
             assert_nothing_in_flight(cm, "at rest");
             assert_eq!((cm.dirty_pages(fid), cm.total_dirty_pages()), (0, 0));
         }
-    }
-
-    #[test]
-    fn stats_since_and_merge_walk_every_counter() {
-        let mut a = ClientStats { max_stale_us: 40, ..ClientStats::default() };
-        let mut b = ClientStats { max_stale_us: 90, ..ClientStats::default() };
-        a.counters().into_iter().enumerate().for_each(|(i, c)| *c = 10 + i as u64);
-        b.counters().into_iter().for_each(|c| *c = 3);
-        let mut d = a.since(&b);
-        assert_eq!(d.max_stale_us, 40, "the watermark carries through");
-        assert!(d.counters().into_iter().enumerate().all(|(i, c)| *c == 7 + i as u64));
-        a.merge(&b);
-        assert_eq!(a.max_stale_us, 90, "the watermark folds as a max");
-        assert!(a.counters().into_iter().enumerate().all(|(i, c)| *c == 13 + i as u64));
     }
 }

@@ -152,7 +152,7 @@ impl CacheManager {
             return false;
         }
         if dirty > budget.saturating_mul(2) {
-            self.stats.lock().backpressure_flushes += 1;
+            self.stats.backpressure_flushes.add(1);
             return true;
         }
         self.wb.ctl.lock().kicked = true;
@@ -273,10 +273,9 @@ impl CacheManager {
         let (req, pages, n_extents) = self.snapshot(vn.fid, lo, what)?;
         let n_pages = pages.len() as u64;
         if !held && n_pages > 0 {
-            let mut st = self.stats.lock();
-            st.storeback_rpcs += 1;
-            st.storeback_extents += n_extents;
-            st.storeback_pages += n_pages;
+            self.stats.storeback_rpcs.add(1);
+            self.stats.storeback_extents.add(n_extents);
+            self.stats.storeback_pages.add(n_pages);
         }
         lo.storing = true;
         let send = || self.send(vn.fid.volume, CallClass::Revocation, req);
@@ -297,7 +296,7 @@ impl CacheManager {
                 }
             }
             if held {
-                self.stats.lock().revocation_stores += n_pages;
+                self.stats.revocation_stores.add(n_pages);
             }
         }
         Some(sent)
@@ -371,9 +370,9 @@ impl CacheManager {
     /// token again by the normal path, revoking whoever holds it now
     /// (over the whole file: the simplest claim, on a path this rare).
     fn retake(&self, vn: &CVnode) -> DfsResult<()> {
-        let seen = self.stats.lock().recoveries;
+        let seen = self.stats.recoveries.get();
         self.probe_epoch(self.server_for(vn.fid.volume)?);
-        if self.stats.lock().recoveries != seen {
+        if self.stats.recoveries.get() != seen {
             return Ok(());
         }
         let mut lo = vn.lock_lo();
@@ -445,7 +444,7 @@ impl CacheManager {
         if self.total_dirty_pages() == 0 {
             return Ok(());
         }
-        self.stats.lock().flusher_passes += 1;
+        self.stats.flusher_passes.add(1);
         self.store_back_all()
     }
 

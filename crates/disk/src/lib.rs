@@ -337,13 +337,6 @@ impl SimDisk {
         self.inner.lock().stats.clone()
     }
 
-    /// Resets the statistics counters to zero (contents untouched).
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats = DiskStats::default();
-        inner.head = None;
-    }
-
     /// Returns the number of distinct blocks ever written to stable storage.
     pub fn stable_block_count(&self) -> usize {
         self.inner.lock().stable.len()
@@ -481,8 +474,11 @@ mod tests {
         assert_eq!(s.stable_writes, 2);
         assert_eq!(s.reads, 1);
         assert_eq!(s.syncs, 1);
-        d.reset_stats();
-        assert_eq!(d.stats().writes, 0);
+        // One phase's counters: snapshot before, diff after.
+        d.read(2).unwrap();
+        let busy_us = CostModel::default().sequential_us();
+        let phase = DiskStats { reads: 1, sequential_ops: 1, busy_us, ..DiskStats::default() };
+        assert_eq!(d.stats().since(&s), phase);
     }
 
     #[test]

@@ -1,51 +1,34 @@
 //! Disk operation statistics.
 
-/// Counters accumulated by a [`SimDisk`](crate::SimDisk).
-///
-/// `busy_us` is the simulated time the disk spent servicing requests
-/// under the configured [`CostModel`](crate::CostModel); experiments
-/// report it as "disk time".
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Blocks read.
-    pub reads: u64,
-    /// Blocks written (into the volatile cache or synchronously).
-    pub writes: u64,
-    /// Blocks made durable on stable storage.
-    pub stable_writes: u64,
-    /// Flush/sync operations (each `flush`, `flush_range`, `write_sync`).
-    pub syncs: u64,
-    /// Accesses that followed the previous access sequentially.
-    pub sequential_ops: u64,
-    /// Accesses that required a seek.
-    pub random_ops: u64,
-    /// Simulated microseconds the disk was busy.
-    pub busy_us: u64,
-    /// Writes discarded by crash injection.
-    pub lost_writes: u64,
-    /// Torn (half-applied) writes produced by crash injection.
-    pub torn_writes: u64,
+dfs_types::counters! {
+    /// Counters accumulated by a [`SimDisk`](crate::SimDisk).
+    ///
+    /// `busy_us` is the simulated time the disk spent servicing requests
+    /// under the configured [`CostModel`](crate::CostModel); experiments
+    /// report it as "disk time".
+    pub struct DiskStats {
+        /// Blocks read.
+        pub reads: u64,
+        /// Blocks written (into the volatile cache or synchronously).
+        pub writes: u64,
+        /// Blocks made durable on stable storage.
+        pub stable_writes: u64,
+        /// Flush/sync operations (each `flush`, `flush_range`, `write_sync`).
+        pub syncs: u64,
+        /// Accesses that followed the previous access sequentially.
+        pub sequential_ops: u64,
+        /// Accesses that required a seek.
+        pub random_ops: u64,
+        /// Simulated microseconds the disk was busy.
+        pub busy_us: u64,
+        /// Writes discarded by crash injection.
+        pub lost_writes: u64,
+        /// Torn (half-applied) writes produced by crash injection.
+        pub torn_writes: u64,
+    }
 }
 
 impl DiskStats {
-    /// Returns `self - earlier`, counter by counter (saturating).
-    ///
-    /// Useful for measuring one phase of an experiment: snapshot before,
-    /// snapshot after, and diff.
-    pub fn since(&self, earlier: &DiskStats) -> DiskStats {
-        DiskStats {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            stable_writes: self.stable_writes.saturating_sub(earlier.stable_writes),
-            syncs: self.syncs.saturating_sub(earlier.syncs),
-            sequential_ops: self.sequential_ops.saturating_sub(earlier.sequential_ops),
-            random_ops: self.random_ops.saturating_sub(earlier.random_ops),
-            busy_us: self.busy_us.saturating_sub(earlier.busy_us),
-            lost_writes: self.lost_writes.saturating_sub(earlier.lost_writes),
-            torn_writes: self.torn_writes.saturating_sub(earlier.torn_writes),
-        }
-    }
-
     /// Total I/O operations (reads plus stable writes).
     pub fn total_ios(&self) -> u64 {
         self.reads + self.stable_writes

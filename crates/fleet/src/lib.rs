@@ -19,7 +19,7 @@
 //!
 //! Lock discipline: the fleet's planning lock is ranked
 //! `FLEET_REGISTRY`, *below* every server-side lock, because planning
-//! inspects servers (their stats take rank `STATS`). It is never held
+//! inspects servers (their volume tables). It is never held
 //! across an RPC — moves run with no fleet lock held at all.
 
 use dfs_core::Cell;

@@ -37,6 +37,7 @@ pub use frame::BufHandle;
 pub use hostlog::{HostLog, HostLogRegion, HostLogReplay};
 pub use logfmt::{Lsn, Record};
 pub use stats::{JournalStats, RecoveryReport};
+use stats::JournalCounters;
 
 use dfs_disk::{Block, SimDisk, BLOCK_SIZE};
 use dfs_types::{DfsError, DfsResult};
@@ -228,7 +229,7 @@ pub struct Journal {
     txns: OrderedMutex<TxnTable, { rank::JOURNAL_TXNS }>,
     /// Signalled when the last admitted operation finishes.
     drained: OrderedCondvar,
-    stats: OrderedMutex<JournalStats, { rank::STATS }>,
+    stats: JournalCounters,
 }
 
 /// One file-system operation — a run of transactions — admitted to the
@@ -395,7 +396,7 @@ impl Journal {
             }),
             txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new(), ops: 0 }),
             drained: OrderedCondvar::new(),
-            stats: OrderedMutex::new(JournalStats::default()),
+            stats: JournalCounters::default(),
         })
     }
 
@@ -417,7 +418,7 @@ impl Journal {
 
     /// Returns a snapshot of the journal statistics.
     pub fn stats(&self) -> JournalStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 
     fn read_superblock(disk: &SimDisk, region: LogRegion) -> DfsResult<Option<Lsn>> {
@@ -457,10 +458,10 @@ impl Journal {
         if let Some(&slot) = cache.frames.get(&block) {
             let cell = cache.slots[slot].clone();
             cell.referenced.store(true, Ordering::Relaxed);
-            self.stats.lock().cache_hits += 1;
+            self.stats.cache_hits.add(1);
             return Ok(BufHandle { cell });
         }
-        self.stats.lock().cache_misses += 1;
+        self.stats.cache_misses.add(1);
         let victim = self.make_room(&mut cache)?;
         let data = self.disk.read(block)?;
         let cell = Arc::new(FrameCell {
@@ -519,7 +520,7 @@ impl Journal {
         self.disk.write(cell.block, &data)?;
         self.disk.flush_range(cell.block, cell.block + 1)?;
         cell.state.lock().written_home(version, first_lsn, last_lsn);
-        self.stats.lock().writebacks += 1;
+        self.stats.writebacks.add(1);
         Ok(())
     }
 
@@ -605,7 +606,7 @@ impl Journal {
             id,
             TxnState { parent: id, first_lsn: None, undo: Vec::new(), resolved: false },
         );
-        self.stats.lock().txns_begun += 1;
+        self.stats.txns_begun.add(1);
         id
     }
 
@@ -652,7 +653,7 @@ impl Journal {
                 if prev_root != root {
                     let pr = txns.active.get_mut(&prev_root).expect("active root");
                     pr.parent = root;
-                    self.stats.lock().class_merges += 1;
+                    self.stats.class_merges.add(1);
                 }
             }
         }
@@ -679,7 +680,7 @@ impl Journal {
         let t = txns.active.get_mut(&txn).expect("checked active");
         t.first_lsn.get_or_insert(lsn);
         t.undo.push((buf.cell.block, offset as u16, old, new.to_vec()));
-        self.stats.lock().update_records += 1;
+        self.stats.update_records.add(1);
         Ok(())
     }
 
@@ -724,7 +725,7 @@ impl Journal {
             let buf = self.get(block)?;
             self.update_chunk(txn, &buf, offset as usize, &old)?;
         }
-        self.stats.lock().txns_aborted += 1;
+        self.stats.txns_aborted.add(1);
         self.resolve(txn, true)
     }
 
@@ -753,9 +754,8 @@ impl Journal {
             for m in &members {
                 txns.active.remove(m);
             }
-            let mut stats = self.stats.lock();
-            stats.commit_records += 1;
-            stats.txns_committed += members.len() as u64 - u64::from(aborted);
+            self.stats.commit_records.add(1);
+            self.stats.txns_committed.add(members.len() as u64 - u64::from(aborted));
         }
         Ok(())
     }
@@ -806,7 +806,7 @@ impl Journal {
         record.encode(&mut log.pending);
         log.head = Lsn(lsn.0 + record.encoded_len() as u64);
         drop(log);
-        self.stats.lock().log_bytes += record.encoded_len() as u64;
+        self.stats.log_bytes.add(record.encoded_len() as u64);
         lsn
     }
 
@@ -827,7 +827,7 @@ impl Journal {
             let rec = Record::Pad { len: pad as u32 };
             rec.encode(&mut log.pending);
             log.head = Lsn(log.head.0 + pad as u64);
-            self.stats.lock().pad_bytes += pad as u64;
+            self.stats.pad_bytes.add(pad as u64);
         }
         debug_assert_eq!(log.head.0 % LOG_PAYLOAD as u64, 0);
         debug_assert_eq!(log.durable.0 % LOG_PAYLOAD as u64, 0);
@@ -844,9 +844,8 @@ impl Journal {
             .flush_range(self.region.first_block, self.region.first_block + self.region.blocks)?;
         log.durable = log.head;
         drop(log);
-        let mut stats = self.stats.lock();
-        stats.syncs += 1;
-        stats.log_block_writes += blocks_written;
+        self.stats.syncs.add(1);
+        self.stats.log_block_writes.add(blocks_written);
         Ok(())
     }
 
@@ -887,7 +886,7 @@ impl Journal {
             log.tail
         };
         self.persist_superblock(new_tail)?;
-        self.stats.lock().checkpoints += 1;
+        self.stats.checkpoints.add(1);
         Ok(())
     }
 
@@ -1469,7 +1468,7 @@ mod tests {
         // the log cost (sequential log writes) far less than the same
         // updates written synchronously in place.
         let (disk, jn) = setup();
-        disk.reset_stats();
+        let before = disk.stats();
         for i in 0..200u32 {
             let t = jn.begin();
             let b = jn.get(3400 + (i % 40)).unwrap();
@@ -1477,7 +1476,7 @@ mod tests {
             jn.commit(t).unwrap();
         }
         jn.sync().unwrap();
-        let logged = disk.stats().busy_us;
+        let logged = disk.stats().since(&before).busy_us;
 
         let disk2 = SimDisk::new(DiskConfig::with_blocks(4096));
         for i in 0..200u32 {

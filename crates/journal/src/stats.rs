@@ -1,62 +1,36 @@
 //! Journal statistics.
 
-/// Counters accumulated by a [`Journal`](crate::Journal).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Transactions begun.
-    pub txns_begun: u64,
-    /// Transactions committed (individually; classes count each member).
-    pub txns_committed: u64,
-    /// Transactions aborted.
-    pub txns_aborted: u64,
-    /// Equivalence-class merges caused by buffer sharing.
-    pub class_merges: u64,
-    /// Update records appended to the log.
-    pub update_records: u64,
-    /// Commit records appended to the log.
-    pub commit_records: u64,
-    /// Bytes of record stream appended (excluding padding).
-    pub log_bytes: u64,
-    /// Bytes of padding appended at group-commit boundaries.
-    pub pad_bytes: u64,
-    /// Group commits (log syncs) performed.
-    pub syncs: u64,
-    /// Log blocks written to disk.
-    pub log_block_writes: u64,
-    /// Dirty frames written back to their home location.
-    pub writebacks: u64,
-    /// Buffer-cache hits.
-    pub cache_hits: u64,
-    /// Buffer-cache misses (disk reads).
-    pub cache_misses: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-}
-
-impl JournalStats {
-    /// Returns `self - earlier`, counter by counter (saturating).
-    pub fn since(&self, earlier: &JournalStats) -> JournalStats {
-        macro_rules! diff {
-            ($($f:ident),*) => {
-                JournalStats { $($f: self.$f.saturating_sub(earlier.$f)),* }
-            }
-        }
-        diff!(
-            txns_begun,
-            txns_committed,
-            txns_aborted,
-            class_merges,
-            update_records,
-            commit_records,
-            log_bytes,
-            pad_bytes,
-            syncs,
-            log_block_writes,
-            writebacks,
-            cache_hits,
-            cache_misses,
-            checkpoints
-        )
+dfs_types::counters! {
+    /// Counters accumulated by a [`Journal`](crate::Journal).
+    pub struct JournalStats live JournalCounters {
+        /// Transactions begun.
+        pub txns_begun: u64,
+        /// Transactions committed (individually; classes count each member).
+        pub txns_committed: u64,
+        /// Transactions aborted.
+        pub txns_aborted: u64,
+        /// Equivalence-class merges caused by buffer sharing.
+        pub class_merges: u64,
+        /// Update records appended to the log.
+        pub update_records: u64,
+        /// Commit records appended to the log.
+        pub commit_records: u64,
+        /// Bytes of record stream appended (excluding padding).
+        pub log_bytes: u64,
+        /// Bytes of padding appended at group-commit boundaries.
+        pub pad_bytes: u64,
+        /// Group commits (log syncs) performed.
+        pub syncs: u64,
+        /// Log blocks written to disk.
+        pub log_block_writes: u64,
+        /// Dirty frames written back to their home location.
+        pub writebacks: u64,
+        /// Buffer-cache hits.
+        pub cache_hits: u64,
+        /// Buffer-cache misses (disk reads).
+        pub cache_misses: u64,
+        /// Checkpoints taken.
+        pub checkpoints: u64,
     }
 }
 

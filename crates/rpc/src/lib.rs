@@ -94,48 +94,22 @@ impl Default for PoolConfig {
     }
 }
 
-/// Network-wide statistics.
-#[derive(Clone, Debug, Default)]
-pub struct NetStats {
-    /// Total calls completed.
-    pub calls: u64,
-    /// Total bytes (requests + responses).
-    pub bytes: u64,
-    /// Simulated network time charged (latency × calls).
-    pub latency_us: u64,
-    /// Calls by request label.
-    pub by_label: HashMap<&'static str, u64>,
-    /// Bytes by request label.
-    pub bytes_by_label: HashMap<&'static str, u64>,
-    /// Calls that timed out waiting for a slot, or were lost in flight.
-    pub timeouts: u64,
-}
-
-impl NetStats {
-    /// Returns `self - earlier` for the scalar counters; label maps are
-    /// diffed per key.
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        let mut by_label = HashMap::new();
-        for (k, v) in &self.by_label {
-            let d = v - earlier.by_label.get(k).copied().unwrap_or(0);
-            if d > 0 {
-                by_label.insert(*k, d);
-            }
-        }
-        let mut bytes_by_label = HashMap::new();
-        for (k, v) in &self.bytes_by_label {
-            let d = v - earlier.bytes_by_label.get(k).copied().unwrap_or(0);
-            if d > 0 {
-                bytes_by_label.insert(*k, d);
-            }
-        }
-        NetStats {
-            calls: self.calls - earlier.calls,
-            bytes: self.bytes - earlier.bytes,
-            latency_us: self.latency_us - earlier.latency_us,
-            by_label,
-            bytes_by_label,
-            timeouts: self.timeouts - earlier.timeouts,
+dfs_types::counters! {
+    /// Network-wide statistics.
+    pub struct NetStats {
+        /// Total calls completed.
+        pub calls: u64,
+        /// Total bytes (requests + responses).
+        pub bytes: u64,
+        /// Simulated network time charged (latency × calls).
+        pub latency_us: u64,
+        /// Calls that timed out waiting for a slot, or were lost in flight.
+        pub timeouts: u64,
+        maps {
+            /// Calls by request label.
+            pub by_label: HashMap<&'static str, u64>,
+            /// Bytes by request label.
+            pub bytes_by_label: HashMap<&'static str, u64>,
         }
     }
 }
@@ -487,11 +461,6 @@ impl Network {
     /// Returns a snapshot of the network statistics.
     pub fn stats(&self) -> NetStats {
         self.inner.lock().stats.clone()
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&self) {
-        self.inner.lock().stats = NetStats::default();
     }
 }
 

@@ -60,43 +60,29 @@ pub const MAX_STORE_EXTENTS: usize = 64;
 /// Most payload bytes a single `StoreDataVec` may carry (8 MiB).
 pub const MAX_STORE_BYTES: usize = 8 << 20;
 
-/// Server operation statistics.
-#[derive(Clone, Debug, Default)]
-pub struct ServerStats {
-    /// File RPCs served.
-    pub ops: u64,
-    /// Calls refused because the volume was being moved.
-    pub busy_rejections: u64,
-    /// Calls refused because the post-restart grace window was open and
-    /// the caller had not reestablished yet.
-    pub grace_rejections: u64,
-    /// Volume moves completed.
-    pub moves: u64,
-    /// Replica refresh passes that shipped data.
-    pub replica_refreshes: u64,
-    /// Calls for volumes not hosted here answered with `WrongServer`.
-    pub wrong_server_redirects: u64,
-    /// Calls for volumes not hosted here forwarded to the owner.
-    pub forwards: u64,
-    /// File RPCs served, by volume — the fleet load monitor's signal
-    /// for picking the hottest volume when rebalancing. Filled from the
-    /// volume table by [`FileServer::stats`].
-    pub volume_ops: HashMap<VolumeId, u64>,
-}
-
-impl ServerStats {
-    /// Adds `other`'s counters into `self` (`volume_ops` merged per
-    /// key) — fleet-wide aggregation for the scenario driver.
-    pub fn merge(&mut self, other: &ServerStats) {
-        self.ops += other.ops;
-        self.busy_rejections += other.busy_rejections;
-        self.grace_rejections += other.grace_rejections;
-        self.moves += other.moves;
-        self.replica_refreshes += other.replica_refreshes;
-        self.wrong_server_redirects += other.wrong_server_redirects;
-        self.forwards += other.forwards;
-        for (vol, n) in &other.volume_ops {
-            *self.volume_ops.entry(*vol).or_default() += n;
+dfs_types::counters! {
+    /// Server operation statistics.
+    pub struct ServerStats live ServerCounters {
+        /// File RPCs served.
+        pub ops: u64,
+        /// Calls refused because the volume was being moved.
+        pub busy_rejections: u64,
+        /// Calls refused because the post-restart grace window was open and
+        /// the caller had not reestablished yet.
+        pub grace_rejections: u64,
+        /// Volume moves completed.
+        pub moves: u64,
+        /// Replica refresh passes that shipped data.
+        pub replica_refreshes: u64,
+        /// Calls for volumes not hosted here answered with `WrongServer`.
+        pub wrong_server_redirects: u64,
+        /// Calls for volumes not hosted here forwarded to the owner.
+        pub forwards: u64,
+        maps {
+            /// File RPCs served, by volume — the fleet load monitor's signal
+            /// for picking the hottest volume when rebalancing. Filled from the
+            /// volume table by [`FileServer::stats`].
+            pub volume_ops: HashMap<VolumeId, u64>,
         }
     }
 }
@@ -144,7 +130,7 @@ pub struct FileServer {
     /// instance's memory is gone with the machine. `None` for physical
     /// file systems without a host-log region (the FFS baseline).
     host_log: Option<Arc<HostLog>>,
-    stats: OrderedMutex<ServerStats, { rank::STATS }>,
+    stats: ServerCounters,
 }
 
 impl FileServer {
@@ -276,7 +262,7 @@ impl FileServer {
             known_hosts: OrderedMutex::new(HashSet::new()),
             recovery: OrderedMutex::new(recovery),
             host_log: host_log.clone(),
-            stats: OrderedMutex::new(ServerStats::default()),
+            stats: ServerCounters::default(),
         });
         // Journal this instance's epoch before serving anything: a
         // crash from here on must restart at `epoch + 1` even if no
@@ -349,7 +335,7 @@ impl FileServer {
     /// Operation statistics.
     pub fn stats(&self) -> ServerStats {
         let volume_ops = self.volumes.op_counts();
-        ServerStats { volume_ops, ..self.stats.lock().clone() }
+        ServerStats { volume_ops, ..self.stats.snapshot() }
     }
 
     /// Returns a glue-wrapped VFS for *local* access to a volume on this
@@ -573,7 +559,7 @@ impl FileServer {
         // A no-op once the volume has moved away.
         self.volumes.end_blackout(volume);
         if result.is_ok() {
-            self.stats.lock().moves += 1;
+            self.stats.moves.add(1);
         }
         result.map_err(discard)
     }
@@ -650,7 +636,7 @@ impl FileServer {
             self.arm_replica_token(source, volume);
             self.volumes.refreshed(volume, now, dump.max_data_version);
             if shipped {
-                self.stats.lock().replica_refreshes += 1;
+                self.stats.replica_refreshes.add(1);
             }
         }
         Ok(())
@@ -1098,7 +1084,7 @@ impl FileServer {
             return Response::Err(DfsError::NoSuchVolume);
         };
         if Self::forwards_ok(&req) {
-            self.stats.lock().forwards += 1;
+            self.stats.forwards.add(1);
             // Forward over the trusted inter-server channel with the
             // caller's authenticated principal attached, so the owner's
             // ACL checks run against the real caller — a plain re-send
@@ -1121,7 +1107,7 @@ impl FileServer {
                 Err(e) => Response::Err(e),
             };
         }
-        self.stats.lock().wrong_server_redirects += 1;
+        self.stats.wrong_server_redirects.add(1);
         Response::WrongServer { hint: server, generation }
     }
 }
@@ -1136,7 +1122,7 @@ impl RpcService for FileServer {
         let Some(volume) = Self::volume_of_req(&req) else {
             // Admin traffic is addressed to this server deliberately:
             // no routing, no recovery gate, no blackout.
-            self.stats.lock().ops += 1;
+            self.stats.ops.add(1);
             return self.admin_op(&ctx, req).unwrap_or_else(Response::Err);
         };
         // Post-restart recovery gate: while the grace window is open,
@@ -1159,16 +1145,16 @@ impl RpcService for FileServer {
         let admitted = match self.volumes.admit(volume, ctx.class, gated) {
             Admit::NotHosted(route) => return self.not_hosted(&ctx, volume, route, req),
             Admit::Grace => {
-                self.stats.lock().grace_rejections += 1;
+                self.stats.grace_rejections.add(1);
                 return Response::Err(DfsError::GraceWait);
             }
             Admit::Busy => {
-                self.stats.lock().busy_rejections += 1;
+                self.stats.busy_rejections.add(1);
                 return Response::Err(DfsError::VolumeBusy);
             }
             Admit::Serve(admitted) => admitted,
         };
-        self.stats.lock().ops += 1;
+        self.stats.ops.add(1);
         let mount = || self.volumes.mount(volume, || self.physical.mount(volume));
         let resp = match &admitted.fs {
             Some(fs) => self.file_op(&ctx, &**fs, req),

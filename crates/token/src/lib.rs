@@ -129,26 +129,27 @@ pub trait TokenHost: Send + Sync {
 /// the (token, conflicting-bits) pairs it must give up in one batch.
 type RevokeGroup = (Arc<dyn TokenHost>, Vec<(Token, TokenTypes)>);
 
-/// Statistics kept by a [`TokenManager`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TokenStats {
-    /// Tokens granted.
-    pub grants: u64,
-    /// Grants satisfied without revoking anything.
-    pub quiet_grants: u64,
-    /// Revocation callbacks issued (counted per token, not per batch).
-    pub revocations: u64,
-    /// Revocations where the host retained the token.
-    pub retained: u64,
-    /// Grants refused because a retained token conflicted.
-    pub refused: u64,
-    /// Grants returned voluntarily or retired with their file, counted
-    /// as removed: a return that finds nothing counts nothing.
-    pub releases: u64,
-    /// Tokens re-granted through the post-restart reestablish path.
-    pub reestablished: u64,
-    /// Grants installed verbatim by a live volume move (§2.1).
-    pub imported: u64,
+dfs_types::counters! {
+    /// Statistics kept by a [`TokenManager`].
+    pub struct TokenStats live TokenCounters {
+        /// Tokens granted.
+        pub grants: u64,
+        /// Grants satisfied without revoking anything.
+        pub quiet_grants: u64,
+        /// Revocation callbacks issued (counted per token, not per batch).
+        pub revocations: u64,
+        /// Revocations where the host retained the token.
+        pub retained: u64,
+        /// Grants refused because a retained token conflicted.
+        pub refused: u64,
+        /// Grants returned voluntarily or retired with their file, counted
+        /// as removed: a return that finds nothing counts nothing.
+        pub releases: u64,
+        /// Tokens re-granted through the post-restart reestablish path.
+        pub reestablished: u64,
+        /// Grants installed verbatim by a live volume move (§2.1).
+        pub imported: u64,
+    }
 }
 
 struct Grant {
@@ -216,7 +217,7 @@ pub struct TokenManager {
     /// Token id allocator; atomic so grants on different shards never
     /// serialize on id allocation.
     next_id: AtomicU64,
-    stats: OrderedMutex<TokenStats, { rank::STATS }>,
+    stats: TokenCounters,
 }
 
 impl Default for TokenManager {
@@ -239,7 +240,7 @@ impl TokenManager {
             shards: OrderedShardedMutex::new(n, TokenShard::default),
             hosts: OrderedMutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            stats: OrderedMutex::new(TokenStats::default()),
+            stats: TokenCounters::default(),
         }
     }
 
@@ -361,10 +362,9 @@ impl TokenManager {
                     *s = s.next();
                     let stamp = *s;
                     drop(guards);
-                    let mut stats = self.stats.lock();
-                    stats.grants += 1;
+                    self.stats.grants.add(1);
                     if quiet {
-                        stats.quiet_grants += 1;
+                        self.stats.quiet_grants.add(1);
                     }
                     return Ok((token, stamp));
                 }
@@ -410,7 +410,7 @@ impl TokenManager {
                 .collect();
             // The batched callback runs with no manager lock held.
             let results = h.revoke_batch(&items);
-            self.stats.lock().revocations += items.len() as u64;
+            self.stats.revocations.add(items.len() as u64);
             for (i, item) in items.iter().enumerate() {
                 // A short answer vector counts the tail as returned:
                 // the caller re-runs its conflict check anyway, so a
@@ -423,11 +423,8 @@ impl TokenManager {
                         shard.downgrade(h.host_id(), fid, id, item.types);
                     }
                     RevokeResult::Retained => {
-                        {
-                            let mut stats = self.stats.lock();
-                            stats.retained += 1;
-                            stats.refused += 1;
-                        }
+                        self.stats.retained.add(1);
+                        self.stats.refused.add(1);
                         // Lock/open retention refuses the new request.
                         return Err(if item
                             .types
@@ -468,7 +465,7 @@ impl TokenManager {
         let (mut guards, fid_pos) = self.lock_covering(fid, wanted.is_volume_token());
         if !Self::conflicting(guards.iter().map(|g| &**g), host, &wanted).is_empty() {
             drop(guards);
-            self.stats.lock().refused += 1;
+            self.stats.refused.add(1);
             return None;
         }
         let token = Token { id: self.fresh_id(), fid, types, range };
@@ -484,9 +481,8 @@ impl TokenManager {
         *s = s.next();
         let stamp = *s;
         drop(guards);
-        let mut stats = self.stats.lock();
-        stats.grants += 1;
-        stats.reestablished += 1;
+        self.stats.grants.add(1);
+        self.stats.reestablished.add(1);
         Some((token, stamp))
     }
 
@@ -527,7 +523,7 @@ impl TokenManager {
     pub fn release_on(&self, host: HostId, fid: Fid, id: TokenId) {
         let all = TokenTypes(u32::MAX);
         let removed = self.shards.lock(self.shard_of(fid)).downgrade(host, fid, id, all);
-        self.stats.lock().releases += removed;
+        self.stats.releases.add(removed);
     }
 
     /// [`release_on`](Self::release_on) for a caller that knows the
@@ -546,7 +542,7 @@ impl TokenManager {
     /// Returns all of `host`'s tokens on `fid`.
     pub fn release_fid(&self, host: HostId, fid: Fid) {
         let removed = self.shards.lock(self.shard_of(fid)).retain_on(fid, |g| g.host != host);
-        self.stats.lock().releases += removed;
+        self.stats.releases.add(removed);
     }
 
     /// Ends the token lifetime of a destroyed file: drops its stamp
@@ -560,7 +556,7 @@ impl TokenManager {
         let removed = shard.retain_on(fid, |g| g.token.fid != fid);
         shard.stamps.remove(&fid);
         drop(shard);
-        self.stats.lock().releases += removed;
+        self.stats.releases.add(removed);
     }
 
     /// Snapshots every live grant on `volume` plus the per-file
@@ -610,9 +606,8 @@ impl TokenManager {
             .or_default()
             .push(Grant { host, token });
         drop(shard);
-        let mut stats = self.stats.lock();
-        stats.grants += 1;
-        stats.imported += 1;
+        self.stats.grants.add(1);
+        self.stats.imported.add(1);
     }
 
     /// Raises `fid`'s serialization counter to at least `floor`, so
@@ -697,7 +692,7 @@ impl TokenManager {
 
     /// Returns a snapshot of the statistics.
     pub fn stats(&self) -> TokenStats {
-        self.stats.lock().clone()
+        self.stats.snapshot()
     }
 }
 

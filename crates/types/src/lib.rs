@@ -2,12 +2,14 @@
 //!
 //! This crate deliberately has no dependencies beyond the standard library
 //! and the lock primitives: it defines the vocabulary — identifiers,
-//! errors, access rights, byte ranges, file status, the lock hierarchy —
-//! that the disk, journal, physical file systems, token manager, protocol
-//! exporter, and cache manager all speak.
+//! errors, access rights, byte ranges, file status, the lock hierarchy,
+//! the statistics counters — that the disk, journal, physical file
+//! systems, token manager, protocol exporter, and cache manager all
+//! speak.
 
 pub mod acl;
 pub mod clock;
+pub mod counters;
 pub mod error;
 pub mod id;
 pub mod lock;

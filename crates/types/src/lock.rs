@@ -24,6 +24,7 @@
 //! | `CLIENT_RESOURCE`      |  40   | ticket, volume-location and root caches (§4.1) |
 //! | `CLIENT_DATA_CACHE`    |  50   | client page stores (§4.2) |
 //! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags) |
+//! | `FLEET_DAEMON`         |  85   | fleet rebalance-daemon control block (stop/kick/pause flags) |
 //! | `FLEET_REGISTRY`       |  90   | fleet-wide server registry and volume placement plan |
 //! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
@@ -38,7 +39,6 @@
 //! | `JOURNAL_FRAME`        | 170   | individual buffer-frame latches |
 //! | `JOURNAL_LOG`          | 180   | the log tail |
 //! | `DISK`                 | 200   | simulated device state (doc only; the disk crate's locks are leaf-level and unranked) |
-//! | `STATS`                | 250   | statistics counters — always a leaf |
 //!
 //! Two rules follow from the paper and are checked by both this module
 //! (dynamically) and `dfs-lint` (statically):
@@ -52,6 +52,8 @@
 //!
 //! Locks in crates outside the coherence path (rpc, episode, disk,
 //! ffs, baselines) stay unranked and do not participate in the check.
+//! Statistics take no lock at all: they are relaxed atomic counters
+//! ([`crate::counters`]).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -128,8 +130,6 @@ pub mod rank {
     /// Simulated device state (documentation only — the disk crate's
     /// locks are leaves and stay unranked).
     pub const DISK: u16 = 200;
-    /// Statistics counters — always a leaf.
-    pub const STATS: u16 = 250;
 
     /// Human-readable name of a rank, for panic messages.
     pub fn name(r: u16) -> &'static str {
@@ -141,6 +141,7 @@ pub mod rank {
             CLIENT_RESOURCE => "CLIENT_RESOURCE",
             CLIENT_DATA_CACHE => "CLIENT_DATA_CACHE",
             CLIENT_FLUSHER => "CLIENT_FLUSHER",
+            FLEET_DAEMON => "FLEET_DAEMON",
             FLEET_REGISTRY => "FLEET_REGISTRY",
             VOLUME_REGISTRY => "VOLUME_REGISTRY",
             SERVER_ROUTES => "SERVER_ROUTES",
@@ -155,7 +156,6 @@ pub mod rank {
             JOURNAL_FRAME => "JOURNAL_FRAME",
             JOURNAL_LOG => "JOURNAL_LOG",
             DISK => "DISK",
-            STATS => "STATS",
             _ => "UNKNOWN",
         }
     }
@@ -743,22 +743,12 @@ mod tests {
     fn shards_compose_with_higher_ranks() {
         let s: OrderedShardedMutex<u32, { rank::TOKEN_SHARD }> =
             OrderedShardedMutex::new(2, || 0);
-        let stats: OrderedMutex<u64, { rank::STATS }> = OrderedMutex::new(0);
+        let table: OrderedMutex<u64, { rank::LOCK_TABLE }> = OrderedMutex::new(0);
         let _g0 = s.lock(0);
         let _g1 = s.lock(1);
-        *stats.lock() += 1; // leaf over shard guards
+        *table.lock() += 1; // a higher rank over shard guards
         drop(_g1);
         drop(_g0);
-        assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    fn stats_is_a_leaf_over_everything() {
-        let table: OrderedMutex<(), { rank::LOCK_TABLE }> = OrderedMutex::new(());
-        let stats: OrderedMutex<u64, { rank::STATS }> = OrderedMutex::new(0);
-        let _g = table.lock();
-        *stats.lock() += 1;
-        drop(_g);
         assert!(held_ranks().is_empty());
     }
 }

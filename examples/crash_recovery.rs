@@ -38,7 +38,6 @@ fn main() {
     disk.crash(None);
     disk.power_on();
 
-    disk.reset_stats();
     let (ep2, report) = Episode::open(disk, clock).expect("recover");
     println!(
         "episode restart: scanned {} log blocks, redid {} updates, undid {}, \
@@ -65,7 +64,6 @@ fn main() {
     println!("crash! (ffs)");
     disk.crash(None);
     disk.power_on();
-    disk.reset_stats();
     let (_fs2, fsck) = Ffs::open(disk, SimClock::new(), VolumeId(1)).expect("fsck");
     println!(
         "ffs restart: fsck scanned {} inodes / {} blocks, fixed {} bitmap bits, \
