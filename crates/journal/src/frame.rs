@@ -25,6 +25,11 @@ pub(crate) struct Frame {
     /// Bumped on every modification; writeback clears `dirty` only if
     /// the frame was not touched while its lock was released for I/O.
     pub version: u64,
+    /// Set by [`Journal::write_data`](crate::Journal::write_data) and
+    /// cleared once the frame comes home clean: the frame holds unlogged
+    /// bytes the disk lacks, so an update must not be trimmed against it
+    /// (a byte it already holds may still have to be redone).
+    pub unlogged: bool,
 }
 
 impl Frame {
@@ -34,6 +39,7 @@ impl Frame {
         if self.version == version {
             self.dirty = false;
             self.first_lsn = None;
+            self.unlogged = false;
         } else if first_lsn.is_some() {
             // An update landed while the latch was released for the
             // I/O. The frame stays dirty — what was written is stale,

@@ -10,7 +10,7 @@
 //!   one without asking the dying instance.
 //!
 //! The log is a small ring of [`crate::logfmt`] blocks, reusing the
-//! episode log's framing (magic + monotone sequence + FNV checksum) so
+//! episode log's framing (magic + monotone sequence + checksum) so
 //! torn writes self-invalidate. Appends rewrite the current tail block
 //! in place under a fresh sequence number until it fills; replay folds
 //! records in sequence order, newest per client wins. On every lap of

@@ -11,7 +11,9 @@
 //!   reuses its slot;
 //! * a **write-ahead log**: byte-level old/new value records grouped into
 //!   transactions, with commit records, group commit ([`Journal::sync`]),
-//!   and a fixed-size circular on-disk log;
+//!   and a fixed-size circular on-disk log. A record carries only the
+//!   span of bytes its update changes, and the group commit writes the
+//!   log with the log lock released;
 //! * **equivalence classes**: transactions that modify the same buffer
 //!   are merged and commit atomically, which is how serializability of
 //!   "A used data modified by B" (§2.2) is guaranteed;
@@ -42,8 +44,8 @@ use stats::JournalCounters;
 use dfs_disk::{Block, SimDisk, BLOCK_SIZE};
 use dfs_types::{DfsError, DfsResult};
 use frame::{Frame, FrameCell};
-use logfmt::{decode_block, encode_block, LOG_PAYLOAD};
-use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
+use logfmt::{commit_len, decode_block, encode_block, update_len, LOG_PAYLOAD};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,10 +102,17 @@ struct TxnState {
     /// Union-find parent for equivalence classes.
     parent: TxnId,
     first_lsn: Option<Lsn>,
-    /// Updates made by this transaction, for CLR-style abort.
-    undo: Vec<(u32, u16, Vec<u8>, Vec<u8>)>,
+    /// Updates made by this transaction as (block, offset, old bytes),
+    /// for CLR-style abort.
+    undo: Vec<(u32, u16, Vec<u8>)>,
     /// Set once the owner has requested commit or abort.
     resolved: bool,
+    /// At a class root, every member of the class (the root included);
+    /// empty elsewhere.
+    members: Vec<TxnId>,
+    /// At a class root, the members not yet resolved; the class commits
+    /// when it reaches zero.
+    unresolved: usize,
 }
 
 struct LogState {
@@ -113,8 +122,11 @@ struct LogState {
     durable: Lsn,
     /// Oldest stream position recovery would need.
     tail: Lsn,
-    /// Encoded records not yet written to disk (head - durable bytes).
+    /// Encoded records not yet handed to a group commit: head minus
+    /// durable bytes, less a batch in flight.
     pending: Vec<u8>,
+    /// A group commit is writing a batch with the lock released.
+    syncing: bool,
 }
 
 /// The buffer cache, replaced by CLOCK (second chance).
@@ -192,9 +204,23 @@ impl TxnTable {
         Some(root)
     }
 
-    fn members_of(&mut self, root: TxnId) -> Vec<TxnId> {
-        let ids: Vec<TxnId> = self.active.keys().copied().collect();
-        ids.into_iter().filter(|&t| self.find(t) == Some(root)).collect()
+    /// Merges the classes rooted at `a` and `b` and returns the merged
+    /// root: the smaller member list moves into the larger, so a
+    /// transaction's id moves O(log n) times however its class grows.
+    fn union(&mut self, a: TxnId, b: TxnId) -> TxnId {
+        let (big, small) = if self.active[&a].members.len() >= self.active[&b].members.len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let s = self.active.get_mut(&small).expect("active root");
+        s.parent = big;
+        let members = std::mem::take(&mut s.members);
+        let unresolved = std::mem::take(&mut s.unresolved);
+        let r = self.active.get_mut(&big).expect("active root");
+        r.members.extend(members);
+        r.unresolved += unresolved;
+        big
     }
 }
 
@@ -229,6 +255,8 @@ pub struct Journal {
     txns: OrderedMutex<TxnTable, { rank::JOURNAL_TXNS }>,
     /// Signalled when the last admitted operation finishes.
     drained: OrderedCondvar,
+    /// Signalled when a group commit in flight finishes.
+    synced: OrderedCondvar,
     stats: JournalCounters,
 }
 
@@ -387,7 +415,13 @@ impl Journal {
         Arc::new(Journal {
             disk,
             region,
-            log: OrderedMutex::new(LogState { head, durable: head, tail: head, pending: Vec::new() }),
+            log: OrderedMutex::new(LogState {
+                head,
+                durable: head,
+                tail: head,
+                pending: Vec::new(),
+                syncing: false,
+            }),
             cache: OrderedMutex::new(CacheState {
                 frames: HashMap::new(),
                 slots: Vec::new(),
@@ -396,6 +430,7 @@ impl Journal {
             }),
             txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new(), ops: 0 }),
             drained: OrderedCondvar::new(),
+            synced: OrderedCondvar::new(),
             stats: JournalCounters::default(),
         })
     }
@@ -474,6 +509,7 @@ impl Journal {
                 last_lsn: Lsn(0),
                 writer_class: None,
                 version: 0,
+                unlogged: false,
             }),
         });
         match victim {
@@ -537,6 +573,7 @@ impl Journal {
         let mut st = buf.cell.state.lock();
         st.data[offset..offset + data.len()].copy_from_slice(data);
         st.dirty = true;
+        st.unlogged = true;
         st.version += 1;
         Ok(())
     }
@@ -548,10 +585,7 @@ impl Journal {
 
     /// Makes the log durable at least up to `lsn`.
     fn ensure_durable(&self, lsn: Lsn) -> DfsResult<()> {
-        if self.log.lock().durable >= lsn {
-            return Ok(());
-        }
-        self.sync()
+        self.force(Some(lsn))
     }
 
     // ------------------------------------------------------------------
@@ -604,7 +638,14 @@ impl Journal {
         txns.next_id += 1;
         txns.active.insert(
             id,
-            TxnState { parent: id, first_lsn: None, undo: Vec::new(), resolved: false },
+            TxnState {
+                parent: id,
+                first_lsn: None,
+                undo: Vec::new(),
+                resolved: false,
+                members: vec![id],
+                unresolved: 1,
+            },
         );
         self.stats.txns_begun.add(1);
         id
@@ -614,8 +655,11 @@ impl Journal {
     ///
     /// The old value is captured from the buffer, an update record with
     /// both values is appended to the log, and the buffer is modified —
-    /// the only way buffers are ever modified. Changes larger than
-    /// [`MAX_UPDATE`] are chunked into several records.
+    /// the only way buffers are ever modified. The record carries only
+    /// the span from the first to the last byte that differs from the
+    /// buffer, and an update that changes nothing appends no record; it
+    /// still joins `txn` to the buffer's equivalence class. Changes
+    /// larger than [`MAX_UPDATE`] are chunked into several records.
     pub fn update(&self, txn: TxnId, buf: &BufHandle, offset: usize, new: &[u8]) -> DfsResult<()> {
         if offset + new.len() > BLOCK_SIZE {
             return Err(DfsError::InvalidArgument);
@@ -638,37 +682,45 @@ impl Journal {
     ) -> DfsResult<()> {
         // Reserve log space before taking any locks: reservation may
         // checkpoint, which needs the cache, frame, and txn locks itself.
-        self.reserve((1 + 8 + 4 + 2 + 2 + 2 * new.len()) as u64)?;
+        self.reserve(update_len(new.len()) as u64)?;
         let mut txns = self.txns.lock();
-        if !txns.active.contains_key(&txn) {
-            return Err(DfsError::Internal("update on inactive transaction"));
-        }
-        let root = txns.find(txn).expect("checked active");
+        let mut root =
+            txns.find(txn).ok_or(DfsError::Internal("update on inactive transaction"))?;
 
         let mut st = buf.cell.state.lock();
         // Merge equivalence classes when two active transactions touch
-        // the same buffer (§2.2 serializability).
-        if let Some(prev) = st.writer_class {
-            if let Some(prev_root) = txns.find(prev) {
-                if prev_root != root {
-                    let pr = txns.active.get_mut(&prev_root).expect("active root");
-                    pr.parent = root;
-                    self.stats.class_merges.add(1);
-                }
+        // the same buffer (§2.2 serializability). The dependency is on
+        // what `txn` read, so an update that changes nothing merges too.
+        if let Some(prev_root) = st.writer_class.and_then(|prev| txns.find(prev)) {
+            if prev_root != root {
+                root = txns.union(prev_root, root);
+                self.stats.class_merges.add(1);
             }
         }
         st.writer_class = Some(root);
 
-        let old = st.data[offset..offset + new.len()].to_vec();
-        let record = Record::Update {
-            txid: txn,
-            block: buf.cell.block,
-            offset: offset as u16,
-            old: old.clone(),
-            new: new.to_vec(),
+        // Log only the bytes that change. Not against a frame holding
+        // unlogged user data, though: the disk lacks those bytes, so if
+        // the block is reused as metadata before it goes home, redo must
+        // restore every byte of the update, equal to the frame or not.
+        let (lo, hi) = if st.unlogged {
+            (0, new.len())
+        } else {
+            let cur = &st.data[offset..offset + new.len()];
+            let differs = |(a, b): (&u8, &u8)| a != b;
+            let Some(lo) = cur.iter().zip(new).position(differs) else {
+                return Ok(());
+            };
+            let tail = cur.iter().zip(new).rev().position(differs).expect("byte `lo` differs");
+            (lo, new.len() - tail)
         };
-        let lsn = self.append(&record)?;
-        let end = Lsn(lsn.0 + record.encoded_len() as u64);
+        let (offset, new) = (offset + lo, &new[lo..hi]);
+        let old = st.data[offset..offset + new.len()].to_vec();
+        let len = update_len(new.len());
+        let lsn = self.append(len, |out| {
+            logfmt::encode_update(out, txn, buf.cell.block, offset as u16, &old, new)
+        });
+        let end = Lsn(lsn.0 + len as u64);
 
         st.data[offset..offset + new.len()].copy_from_slice(new);
         st.dirty = true;
@@ -679,7 +731,7 @@ impl Journal {
 
         let t = txns.active.get_mut(&txn).expect("checked active");
         t.first_lsn.get_or_insert(lsn);
-        t.undo.push((buf.cell.block, offset as u16, old, new.to_vec()));
+        t.undo.push((buf.cell.block, offset as u16, old));
         self.stats.update_records.add(1);
         Ok(())
     }
@@ -721,7 +773,7 @@ impl Journal {
                 .ok_or(DfsError::Internal("abort on inactive transaction"))?;
             std::mem::take(&mut t.undo)
         };
-        for (block, offset, old, _new) in undo.into_iter().rev() {
+        for (block, offset, old) in undo.into_iter().rev() {
             let buf = self.get(block)?;
             self.update_chunk(txn, &buf, offset as usize, &old)?;
         }
@@ -730,13 +782,21 @@ impl Journal {
     }
 
     fn resolve(&self, txn: TxnId, aborted: bool) -> DfsResult<()> {
-        // Reserve room for a worst-case commit record up front, while no
-        // locks are held (reservation may checkpoint).
-        self.reserve(1 + 2 + 8 * 64)?;
-        let mut txns = self.txns.lock();
-        let root = match txns.find(txn) {
-            Some(r) => r,
-            None => return Err(DfsError::Internal("resolve on inactive transaction")),
+        // Reserve room for the class's commit record while no lock is
+        // held (reservation may checkpoint). The class is known only
+        // under the lock: if this resolve closes a class larger than
+        // reserved for, release it and reserve again.
+        let mut reserved = 1;
+        let (mut txns, root) = loop {
+            self.reserve(commit_len(reserved) as u64)?;
+            let mut txns = self.txns.lock();
+            let root =
+                txns.find(txn).ok_or(DfsError::Internal("resolve on inactive transaction"))?;
+            let class = &txns.active[&root];
+            if class.unresolved > 1 || class.members.len() <= reserved {
+                break (txns, root);
+            }
+            reserved = class.members.len();
         };
         {
             let t = txns.active.get_mut(&txn).expect("found root implies active");
@@ -745,18 +805,22 @@ impl Journal {
             }
             t.resolved = true;
         }
-        let members = txns.members_of(root);
-        if members.iter().all(|m| txns.active[m].resolved) {
-            let record = Record::Commit { txids: members.clone() };
-            drop(txns);
-            self.append(&record)?;
-            let mut txns = self.txns.lock();
-            for m in &members {
-                txns.active.remove(m);
-            }
-            self.stats.commit_records.add(1);
-            self.stats.txns_committed.add(members.len() as u64 - u64::from(aborted));
+        let class = txns.active.get_mut(&root).expect("active root");
+        class.unresolved -= 1;
+        if class.unresolved > 0 {
+            return Ok(());
         }
+        // The commit record goes in before the members leave the table,
+        // so no checkpoint sees the class gone while its records still
+        // need undoing.
+        let members = std::mem::take(&mut class.members);
+        self.append(commit_len(members.len()), |out| logfmt::encode_commit(out, &members));
+        for m in &members {
+            txns.active.remove(m);
+        }
+        drop(txns);
+        self.stats.commit_records.add(1);
+        self.stats.txns_committed.add(members.len() as u64 - u64::from(aborted));
         Ok(())
     }
 
@@ -789,24 +853,17 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends a record to the in-memory log, returning its LSN.
+    /// Appends the `len` bytes `encode` writes to the in-memory log,
+    /// returning their LSN.
     ///
     /// Space must have been reserved by [`Journal::reserve`].
-    fn append(&self, record: &Record) -> DfsResult<Lsn> {
-        let log = self.log.lock();
-        Ok(self.append_unchecked(record, log))
-    }
-
-    fn append_unchecked(
-        &self,
-        record: &Record,
-        mut log: OrderedMutexGuard<'_, LogState, { rank::JOURNAL_LOG }>,
-    ) -> Lsn {
+    fn append(&self, len: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
+        let mut log = self.log.lock();
         let lsn = log.head;
-        record.encode(&mut log.pending);
-        log.head = Lsn(lsn.0 + record.encoded_len() as u64);
+        encode(&mut log.pending);
+        log.head = Lsn(lsn.0 + len as u64);
         drop(log);
-        self.stats.log_bytes.add(record.encoded_len() as u64);
+        self.stats.log_bytes.add(len as u64);
         lsn
     }
 
@@ -816,36 +873,71 @@ impl Journal {
     /// written sequentially to the circular log region, then flushed.
     /// All buffered commit records become durable.
     pub fn sync(&self) -> DfsResult<()> {
+        self.force(None)
+    }
+
+    /// Makes the log durable up to `upto`, or up to the head at the
+    /// call. A caller that finds a group commit in flight waits for it;
+    /// if that covered its records it is done, else it leads the next.
+    ///
+    /// The leader swaps the pending batch out under `log` and writes it
+    /// with the lock released, so appenders keep appending behind it
+    /// (the group-commit leader of Aether, Johnson et al., VLDB 2010),
+    /// then publishes `durable` and wakes the waiters.
+    fn force(&self, upto: Option<Lsn>) -> DfsResult<()> {
         let mut log = self.log.lock();
-        if log.pending.is_empty() {
+        let target = upto.unwrap_or(log.head);
+        while log.syncing && log.durable < target {
+            self.synced.wait(&mut log);
+        }
+        if log.durable >= target {
             return Ok(());
         }
         // Pad to a block boundary so every flushed block is complete.
         let ragged = (log.head.0 % LOG_PAYLOAD as u64) as usize;
         if ragged != 0 {
             let pad = LOG_PAYLOAD - ragged;
-            let rec = Record::Pad { len: pad as u32 };
-            rec.encode(&mut log.pending);
+            Record::Pad { len: pad as u32 }.encode(&mut log.pending);
             log.head = Lsn(log.head.0 + pad as u64);
             self.stats.pad_bytes.add(pad as u64);
         }
         debug_assert_eq!(log.head.0 % LOG_PAYLOAD as u64, 0);
         debug_assert_eq!(log.durable.0 % LOG_PAYLOAD as u64, 0);
-        let first_index = log.durable.block_index();
-        let pending = std::mem::take(&mut log.pending);
-        let mut blocks_written = 0u64;
-        for (i, chunk) in pending.chunks(LOG_PAYLOAD).enumerate() {
-            let index = first_index + i as u64;
-            let block = encode_block(index, chunk);
-            self.disk.write(self.region.physical(index), &block)?;
-            blocks_written += 1;
+        let first = log.durable.block_index();
+        let batch = std::mem::take(&mut log.pending);
+        let done = log.head;
+        log.syncing = true;
+        drop(log);
+
+        let written = self.write_log(first, &batch);
+
+        let mut log = self.log.lock();
+        match written {
+            Ok(()) => log.durable = log.durable.max(done),
+            // `durable` stays where it was: the batch goes back in front
+            // of whatever was appended since, for the next leader.
+            Err(_) => {
+                let newer = std::mem::replace(&mut log.pending, batch);
+                log.pending.extend_from_slice(&newer);
+            }
+        }
+        log.syncing = false;
+        drop(log);
+        self.synced.notify_all();
+        written
+    }
+
+    /// Writes `batch` as whole log blocks from stream block `first` on
+    /// and flushes the log region. Called with no lock held.
+    fn write_log(&self, first: u64, batch: &[u8]) -> DfsResult<()> {
+        for (i, chunk) in batch.chunks(LOG_PAYLOAD).enumerate() {
+            let index = first + i as u64;
+            self.disk.write(self.region.physical(index), &encode_block(index, chunk))?;
         }
         self.disk
             .flush_range(self.region.first_block, self.region.first_block + self.region.blocks)?;
-        log.durable = log.head;
-        drop(log);
         self.stats.syncs.add(1);
-        self.stats.log_block_writes.add(blocks_written);
+        self.stats.log_block_writes.add((batch.len() / LOG_PAYLOAD) as u64);
         Ok(())
     }
 
@@ -1107,6 +1199,210 @@ mod tests {
         let (version, first, last) = (st.version, st.first_lsn, st.last_lsn);
         st.written_home(version, first, last);
         assert!(!st.dirty && st.first_lsn.is_none());
+    }
+
+    #[test]
+    fn an_identical_write_appends_no_record_and_still_merges_the_class() {
+        let (_, jn) = setup();
+        let buf = jn.get(904).unwrap();
+        let a = jn.begin();
+        jn.update(a, &buf, 0, &[1, 2, 3]).unwrap();
+        jn.commit(a).unwrap();
+        jn.checkpoint().unwrap();
+        assert!(!buf.cell.state.lock().dirty);
+
+        // While another transaction has the buffer, B writes back what
+        // A wrote, unchanged, as Episode rewrites a whole anode: nothing
+        // to log.
+        let writer = jn.begin();
+        jn.update(writer, &buf, 8, &[9]).unwrap();
+        let before = jn.stats();
+        let b = jn.begin();
+        jn.update(b, &buf, 0, &[1, 2, 3]).unwrap();
+        let d = jn.stats().since(&before);
+        assert_eq!((d.update_records, d.log_bytes), (0, 0), "no record");
+        // But B joined the class of the buffer's live writer: B read its
+        // byte 8, so B commits only with it.
+        assert_eq!(d.class_merges, 1);
+        jn.commit(b).unwrap();
+        assert_eq!(jn.active_txns(), 2, "B waits for the class");
+        jn.commit(writer).unwrap();
+        assert_eq!(jn.active_txns(), 0);
+
+        // An identical write to a clean frame leaves it clean.
+        jn.checkpoint().unwrap();
+        let c = jn.begin();
+        jn.update(c, &buf, 0, &[1, 2, 3]).unwrap();
+        jn.commit(c).unwrap();
+        assert!(!buf.cell.state.lock().dirty, "an unchanged frame is not dirtied");
+    }
+
+    #[test]
+    fn a_partly_identical_write_logs_only_the_changed_span_and_recovers() {
+        let (disk, jn) = setup();
+        let buf = jn.get(905).unwrap();
+        let t = jn.begin();
+        jn.update(t, &buf, 0, &[7; 64]).unwrap();
+        jn.commit(t).unwrap();
+        jn.checkpoint().unwrap();
+
+        let mut image = [7u8; 64];
+        image[10] = 1;
+        image[19] = 2;
+        let before = jn.stats();
+        let t = jn.begin();
+        jn.update(t, &buf, 0, &image).unwrap();
+        jn.commit(t).unwrap();
+        jn.sync().unwrap();
+        let d = jn.stats().since(&before);
+        assert_eq!(d.update_records, 1);
+        // Bytes 10 through 19: the span between the first and last change.
+        assert_eq!(d.log_bytes, (update_len(10) + commit_len(1)) as u64);
+
+        disk.crash(None);
+        disk.power_on();
+        let (jn2, report) = Journal::open(disk, jn.region()).unwrap();
+        assert_eq!((report.committed_txns, report.updates_redone), (1, 1));
+        assert_eq!(jn2.get(905).unwrap().read_at(0, 64), image.to_vec());
+    }
+
+    #[test]
+    fn unlogged_bytes_reused_as_metadata_recover_byte_exact() {
+        let (disk, jn) = setup();
+        let buf = jn.get(906).unwrap();
+        // The block's home copy: an old user-data page.
+        jn.write_data(&buf, 0, &[0x55; BLOCK_SIZE]).unwrap();
+        jn.writeback_handle(&buf).unwrap();
+        // A newer page, freed before its write-back: zeros but for a
+        // stretch in the middle, in the frame only.
+        let mut page = [0u8; BLOCK_SIZE];
+        page[100..200].fill(0xEE);
+        jn.write_data(&buf, 0, &page).unwrap();
+        // The block is reused as metadata, zero-filled and committed.
+        let t = jn.begin();
+        jn.update_fill(t, &buf, 0, BLOCK_SIZE, 0).unwrap();
+        jn.commit(t).unwrap();
+        jn.sync().unwrap();
+        disk.crash(None);
+        disk.power_on();
+        // Trimmed against the frame, the record would name bytes 100..200
+        // only, and redo would leave the home copy's 0x55 everywhere else.
+        let (jn2, _) = Journal::open(disk, jn.region()).unwrap();
+        assert_eq!(jn2.get(906).unwrap().read_at(0, BLOCK_SIZE), vec![0; BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn a_200_member_class_commits_within_the_log() {
+        let disk = SimDisk::new(DiskConfig::with_blocks(4096));
+        let jn = Journal::format(disk, LogRegion { first_block: 1, blocks: 8 }).unwrap();
+        let capacity = jn.region().capacity_bytes();
+        // Two hundred transactions that read one buffer: one class, whose
+        // commit record is 1 603 bytes.
+        let shared = jn.get(1000).unwrap();
+        let members: Vec<TxnId> = (0..200)
+            .map(|_| {
+                let t = jn.begin();
+                jn.update(t, &shared, 0, &[0; 8]).unwrap();
+                t
+            })
+            .collect();
+        // Other work fills the log to within 1 000 bytes of capacity.
+        let mut round = 0u32;
+        while capacity - jn.log_used_bytes() >= 1000 {
+            let t = jn.begin();
+            let b = jn.get(2000 + round % 16).unwrap();
+            jn.update(t, &b, 0, &[round as u8 + 1; 100]).unwrap();
+            jn.commit(t).unwrap();
+            assert!(jn.log_used_bytes() <= capacity);
+            round += 1;
+        }
+        for t in members {
+            jn.commit(t).unwrap();
+            assert!(jn.log_used_bytes() <= capacity, "the commit record overran the log");
+        }
+        assert_eq!(jn.active_txns(), 0);
+        assert_eq!(jn.stats().commit_records, u64::from(round) + 1);
+    }
+
+    #[test]
+    fn four_syncing_threads_recover_every_transaction_whose_sync_returned() {
+        let (disk, jn) = setup();
+        let returned: Vec<Vec<(u32, usize, u64)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let jn = &jn;
+                    s.spawn(move || {
+                        let mut synced = Vec::new();
+                        for i in 0..300u64 {
+                            // Admitted like an Episode operation: a writer
+                            // descheduled with its transaction open must
+                            // not let the other three fill the log.
+                            let _op = jn.admit();
+                            let (block, offset) = (3950 + t, (i as usize % 500) * 8);
+                            let buf = jn.get(block).unwrap();
+                            let txn = jn.begin();
+                            jn.update(txn, &buf, offset, &(i + 1).to_le_bytes()).unwrap();
+                            jn.commit(txn).unwrap();
+                            jn.sync().unwrap();
+                            synced.push((block, offset, i + 1));
+                        }
+                        synced
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        disk.crash(None);
+        disk.power_on();
+        // Checkpoints took the older ones home; the log holds the rest.
+        let (jn2, report) = Journal::open(disk, jn.region()).unwrap();
+        assert!(report.committed_txns > 0);
+        for (block, offset, value) in returned.into_iter().flatten() {
+            assert_eq!(jn2.get(block).unwrap().u64_at(offset), value, "{block}+{offset}");
+        }
+    }
+
+    #[test]
+    fn a_writeback_waits_for_the_sync_in_flight_that_covers_it() {
+        let (_, jn) = setup();
+        let buf = jn.get(907).unwrap();
+        let t = jn.begin();
+        jn.update(t, &buf, 0, &[4; 16]).unwrap();
+        jn.commit(t).unwrap();
+        // Play the leader of a group commit up to its disk write: the
+        // batch is out, `syncing` set, the lock released.
+        let (first, batch, done) = {
+            let mut log = jn.log.lock();
+            let pad = LOG_PAYLOAD - log.head.block_offset();
+            Record::Pad { len: pad as u32 }.encode(&mut log.pending);
+            log.head = Lsn(log.head.0 + pad as u64);
+            log.syncing = true;
+            (log.durable.block_index(), std::mem::take(&mut log.pending), log.head)
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let (jn, buf) = (&jn, &buf);
+            s.spawn(move || {
+                jn.writeback_handle(buf).unwrap();
+                tx.send(()).unwrap();
+            });
+            for _ in 0..1000 {
+                std::thread::yield_now();
+            }
+            assert!(rx.try_recv().is_err(), "wrote the frame home ahead of its log");
+            assert_eq!((jn.stats().writebacks, jn.stats().syncs), (0, 0));
+            // The leader's write lands and `durable` is published.
+            jn.write_log(first, &batch).unwrap();
+            {
+                let mut log = jn.log.lock();
+                log.durable = done;
+                log.syncing = false;
+            }
+            jn.synced.notify_all();
+            rx.recv().unwrap();
+        });
+        // The write-back rode on the leader's sync instead of its own.
+        assert_eq!((jn.stats().writebacks, jn.stats().syncs), (1, 1));
     }
 
     #[test]

@@ -79,24 +79,9 @@ impl Record {
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Record::Update { txid, block, offset, old, new } => {
-                assert_eq!(old.len(), new.len(), "update old/new length mismatch");
-                let len = u16::try_from(old.len()).expect("update too large");
-                out.push(TAG_UPDATE);
-                out.extend_from_slice(&txid.to_le_bytes());
-                out.extend_from_slice(&block.to_le_bytes());
-                out.extend_from_slice(&offset.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(old);
-                out.extend_from_slice(new);
+                encode_update(out, *txid, *block, *offset, old, new)
             }
-            Record::Commit { txids } => {
-                let n = u16::try_from(txids.len()).expect("commit class too large");
-                out.push(TAG_COMMIT);
-                out.extend_from_slice(&n.to_le_bytes());
-                for t in txids {
-                    out.extend_from_slice(&t.to_le_bytes());
-                }
-            }
+            Record::Commit { txids } => encode_commit(out, txids),
             Record::Pad { len } => {
                 if *len < 5 {
                     // Too small for a pad header; emit skip bytes.
@@ -132,8 +117,8 @@ impl Record {
     /// Returns the encoded size of the record in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Record::Update { old, .. } => 1 + 8 + 4 + 2 + 2 + 2 * old.len(),
-            Record::Commit { txids } => 1 + 2 + 8 * txids.len(),
+            Record::Update { old, .. } => update_len(old.len()),
+            Record::Commit { txids } => commit_len(txids.len()),
             Record::Pad { len } => *len as usize,
             Record::Checkpoint { .. } => 1 + 8,
             Record::HostLease { .. } => 1 + 4 + 8 + 1,
@@ -199,16 +184,100 @@ impl Record {
     }
 }
 
-/// Computes the checksum over a log block's payload.
-///
-/// FNV-1a: cheap, and any torn write (the disk tears at the half-block
-/// boundary) changes it with overwhelming probability.
-pub fn checksum(seq: u64, payload: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in seq.to_le_bytes().iter().chain(payload.iter()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Encoded size of an update record changing `n` bytes.
+pub(crate) fn update_len(n: usize) -> usize {
+    1 + 8 + 4 + 2 + 2 + 2 * n
+}
+
+/// Encoded size of a commit record for a class of `members`.
+pub(crate) fn commit_len(members: usize) -> usize {
+    1 + 2 + 8 * members
+}
+
+/// Appends an update record built from borrowed bytes, so the journal
+/// logs a change without first copying it into a [`Record`].
+pub(crate) fn encode_update(
+    out: &mut Vec<u8>,
+    txid: u64,
+    block: u32,
+    offset: u16,
+    old: &[u8],
+    new: &[u8],
+) {
+    assert_eq!(old.len(), new.len(), "update old/new length mismatch");
+    let len = u16::try_from(old.len()).expect("update too large");
+    out.push(TAG_UPDATE);
+    out.extend_from_slice(&txid.to_le_bytes());
+    out.extend_from_slice(&block.to_le_bytes());
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(old);
+    out.extend_from_slice(new);
+}
+
+/// Appends the commit record of the class `txids`.
+pub(crate) fn encode_commit(out: &mut Vec<u8>, txids: &[u64]) {
+    let n = u16::try_from(txids.len()).expect("commit class too large");
+    out.push(TAG_COMMIT);
+    out.extend_from_slice(&n.to_le_bytes());
+    for t in txids {
+        out.extend_from_slice(&t.to_le_bytes());
     }
+}
+
+/// Odd multipliers, one per checksum lane.
+const LANE_MUL: [u64; 4] =
+    [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F, 0x1656_67B1_9E37_79F9, 0xFF51_AFD7_ED55_8CCD];
+
+/// One lane step: xor the word in, multiply, rotate. Each part is a
+/// bijection of the lane for a fixed word, so two inputs that differ
+/// in one word leave the lane different to the end.
+fn lane_step(h: u64, word: u64, mul: u64) -> u64 {
+    (h ^ word).wrapping_mul(mul).rotate_left(29)
+}
+
+/// The murmur3 finalizer: a bijection that spreads every bit of `h`
+/// over all 64.
+fn fmix(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Computes the checksum of a log block's payload under its sequence
+/// number `seq` (the superblock passes its tail and fields the same way).
+///
+/// Word at a time: four independent multiply-xor lanes take 8-byte
+/// words in turn, so the multiplies overlap instead of forming one
+/// chain per byte, and the tail bytes and the length are folded into a
+/// last word. Changing any one word changes its lane for certain, and
+/// each lane is finalized and chained into the sum bijectively, so only
+/// the fold to 32 bits can hide it: a torn write (the disk tears at the
+/// half-block boundary) survives with probability about 2^-32.
+pub fn checksum(seq: u64, payload: &[u8]) -> u32 {
+    // Each lane starts from the sequence number mixed with its own constant.
+    let mut lanes = LANE_MUL.map(|m| lane_step(seq, m, m));
+    let mut groups = payload.chunks_exact(32);
+    for group in &mut groups {
+        for (i, word) in group.chunks_exact(8).enumerate() {
+            let w = u64::from_le_bytes(word.try_into().unwrap());
+            lanes[i] = lane_step(lanes[i], w, LANE_MUL[i]);
+        }
+    }
+    let rest = groups.remainder();
+    let mut words = rest.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().unwrap());
+        lanes[i] = lane_step(lanes[i], w, LANE_MUL[i]);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let last = u64::from_le_bytes(tail) ^ (payload.len() as u64).rotate_left(32);
+    lanes[3] = lane_step(lanes[3], last, LANE_MUL[3]);
+    let h = lanes.iter().fold(seq, |h, &l| lane_step(h, fmix(l), LANE_MUL[0]));
+    let h = fmix(h);
     (h ^ (h >> 32)) as u32
 }
 
@@ -319,6 +388,66 @@ mod tests {
         assert!(decode_block(&block).is_none());
         // A zeroed (never-written) block is not a log block.
         assert!(decode_block(&[0u8; BLOCK_SIZE]).is_none());
+    }
+
+    /// Xors `flip` into the little-endian word at `at`.
+    fn flip_word(block: &mut [u8; BLOCK_SIZE], at: usize, flip: u64) {
+        let w = u64::from_le_bytes(block[at..at + 8].try_into().unwrap()) ^ flip;
+        block[at..at + 8].copy_from_slice(&w.to_le_bytes());
+    }
+
+    #[test]
+    fn flipping_any_payload_word_or_the_sequence_fails_the_checksum() {
+        let payload: Vec<u8> = (0..LOG_PAYLOAD).map(|i| (i * 7 + 3) as u8).collect();
+        let block = encode_block(41, &payload);
+        assert!(decode_block(&block).is_some());
+        let flips = [1u64, 1 << 31, 1 << 63, u64::MAX, 0x0101_0101_0101_0101];
+        for word in 0..LOG_PAYLOAD / 8 {
+            for flip in flips {
+                let mut bad = block;
+                flip_word(&mut bad, LOG_HEADER + word * 8, flip);
+                assert!(decode_block(&bad).is_none(), "payload word {word} ^ {flip:#x}");
+            }
+        }
+        for flip in flips {
+            let mut bad = block;
+            flip_word(&mut bad, 4, flip);
+            assert!(decode_block(&bad).is_none(), "sequence ^ {flip:#x}");
+        }
+    }
+
+    #[test]
+    fn every_torn_half_block_fails_the_checksum() {
+        // The disk tears at the half-block boundary: the new block's
+        // first half over the old block's second half. Old blocks are
+        // earlier log blocks (another sequence number, other records)
+        // or never-written zeros.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for seq in 0..200u64 {
+            let new: Vec<u8> = (0..LOG_PAYLOAD).map(|_| next() as u8).collect();
+            let other: Vec<u8> = (0..LOG_PAYLOAD).map(|_| next() as u8).collect();
+            // The same block rewritten with one byte of its second half
+            // changed, as a group commit re-writes a block it extended.
+            let mut rewritten = new.clone();
+            let at = BLOCK_SIZE / 2 + next() as usize % (BLOCK_SIZE / 2);
+            rewritten[at - LOG_HEADER] ^= 1 + (next() % 255) as u8;
+            let olds =
+                [encode_block(seq + 1000, &other), encode_block(seq, &rewritten), [0; BLOCK_SIZE]];
+            let fresh = encode_block(seq, &new);
+            for old in olds {
+                let mut torn = fresh;
+                torn[BLOCK_SIZE / 2..].copy_from_slice(&old[BLOCK_SIZE / 2..]);
+                if torn[..] != fresh[..] {
+                    assert!(decode_block(&torn).is_none(), "torn block {seq} accepted");
+                }
+            }
+        }
     }
 
     #[test]

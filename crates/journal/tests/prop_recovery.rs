@@ -8,6 +8,11 @@
 //! the model byte-for-byte — and recovery itself must be idempotent
 //! under a second crash.
 //!
+//! Some updates rewrite bytes with the value they already hold — all of
+//! them, or all but a scattered few. The journal logs only the changed
+//! span (or nothing) for those, yet the model treats them as any other
+//! update, class merge included: recovery must not tell the difference.
+//!
 //! The model exploits the journal's own invariant: transactions that
 //! touch the same buffer are merged into one equivalence class, so
 //! distinct classes touch disjoint blocks and can be tracked separately.
@@ -24,6 +29,9 @@ const DATA_BLOCKS: u32 = 8;
 enum Op {
     Begin,
     Update { slot: usize, block: u32, offset: usize, len: usize, byte: u8 },
+    /// Rewrites `len` bytes with their current value, except every
+    /// `stride`-th byte, which becomes `byte` (`stride` 0: none does).
+    Rewrite { slot: usize, block: u32, offset: usize, len: usize, stride: usize, byte: u8 },
     Commit { slot: usize },
     Abort { slot: usize },
     Sync,
@@ -39,6 +47,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 block: DATA_BASE + block,
                 offset,
                 len,
+                byte,
+            }),
+        3 => (
+            0usize..4,
+            0u32..DATA_BLOCKS,
+            0usize..(BLOCK_SIZE - 64),
+            1usize..64,
+            prop_oneof![Just(0usize), 1usize..24],
+            any::<u8>()
+        )
+            .prop_map(|(slot, block, offset, len, stride, byte)| Op::Rewrite {
+                slot,
+                block: DATA_BASE + block,
+                offset,
+                len,
+                stride,
                 byte,
             }),
         3 => (0usize..4).prop_map(|slot| Op::Commit { slot }),
@@ -155,6 +179,24 @@ impl Model {
     }
 }
 
+/// Applies one update to the journal and the model alike.
+fn update(
+    jn: &Journal,
+    model: &mut Model,
+    t: &mut LiveTxn,
+    block: u32,
+    offset: usize,
+    bytes: &[u8],
+) {
+    let buf = jn.get(block).unwrap();
+    jn.update(t.id, &buf, offset, bytes).unwrap();
+    let bi = (block - DATA_BASE) as usize;
+    let end = offset + bytes.len();
+    t.undo.push((bi, offset, model.working[bi][offset..end].to_vec()));
+    model.working[bi][offset..end].copy_from_slice(bytes);
+    model.touch(t.class, bi);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -186,14 +228,17 @@ proptest! {
                 }
                 Op::Update { slot, block, offset, len, byte } => {
                     if let Some(t) = live.get_mut(slot) {
-                        let buf = jn.get(block).unwrap();
-                        let bytes = vec![byte; len];
-                        jn.update(t.id, &buf, offset, &bytes).unwrap();
+                        update(&jn, &mut model, t, block, offset, &vec![byte; len]);
+                    }
+                }
+                Op::Rewrite { slot, block, offset, len, stride, byte } => {
+                    if let Some(t) = live.get_mut(slot) {
                         let bi = (block - DATA_BASE) as usize;
-                        t.undo.push((bi, offset, model.working[bi][offset..offset + len].to_vec()));
-                        model.working[bi][offset..offset + len].copy_from_slice(&bytes);
-                        let class = t.class;
-                        model.touch(class, bi);
+                        let mut bytes = model.working[bi][offset..offset + len].to_vec();
+                        if stride > 0 {
+                            bytes.iter_mut().step_by(stride).for_each(|b| *b = byte);
+                        }
+                        update(&jn, &mut model, t, block, offset, &bytes);
                     }
                 }
                 Op::Commit { slot } => {

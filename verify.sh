@@ -51,7 +51,11 @@
 #      seed 1 under --strict, must report `token.unreturned_per_kop` as
 #      exactly 0.0000 — a count, not a timing: every grant made was
 #      returned, revoked or retired with its file (DESIGN.md "Token
-#      lifetime"; 250 per 1 000 ops before it)
+#      lifetime"; 250 per 1 000 ops before it) — and
+#      `journal.checkpoints_per_kop` at most 0.9: a log record carries
+#      only the bytes that change (DESIGN.md §7 "A thin log path").
+#      Calibrated with this stage's own command on a 2-vCPU host: 1.69
+#      and 1.82 before it (whole-anode records), 0.31 and 0.31 after
 #  16. buffer-cache gate: the benchmark's `write_fsync` workload, 4 s at
 #      seed 1 under --strict, must report 0 failed ops and a
 #      `journal.cache_hit_share` of at least 0.87 — CLOCK replacement
@@ -164,8 +168,10 @@ out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml
 }
 printf '%s\n' "$out" | awk '
   $2 == "token.unreturned_per_kop" { seen = 1; if ($3 != "0.0000") bad = 1; print }
-  END { exit !(seen && !bad) }' || {
-  echo "stationarity gate: token.unreturned_per_kop is not 0.0000"
+  $2 == "journal.checkpoints_per_kop" { cp = 1; if ($3 > 0.9) bad = 1; print }
+  END { exit !(seen && cp && !bad) }' || {
+  echo "stationarity gate: token.unreturned_per_kop is not 0.0000," \
+    "or journal.checkpoints_per_kop is above 0.9"
   exit 1
 }
 
