@@ -208,16 +208,23 @@ impl Episode {
         Ok(b)
     }
 
-    /// Copy-on-writes a shared *metadata* block, returning the writable
-    /// block (the input if it was exclusively owned).
-    fn cow_meta_block(&self, txn: TxnId, b: u32) -> DfsResult<u32> {
+    /// Breaks a clone's sharing of block `b` before a write (§2.1):
+    /// copies it to a fresh block and drops this reference to the
+    /// original. Returns the writable block (`b` itself if it was not
+    /// shared). `logged` says whether the copy goes through the log
+    /// (metadata) or not (user data).
+    fn cow_block(&self, txn: TxnId, b: u32, logged: bool) -> DfsResult<u32> {
         if self.block_refcount(b)? <= 1 {
             return Ok(b);
         }
         let nb = self.alloc_block(txn)?;
         let old = self.jn.get(b)?.read_at(0, BLOCK_SIZE);
         let nbuf = self.jn.get(nb)?;
-        self.jn.update(txn, &nbuf, 0, &old)?;
+        if logged {
+            self.jn.update(txn, &nbuf, 0, &old)?;
+        } else {
+            self.jn.write_data(&nbuf, 0, &old)?;
+        }
         self.decref_block(txn, b)?;
         Ok(nb)
     }
@@ -237,7 +244,7 @@ impl Episode {
             if a.indirect == 0 {
                 a.indirect = self.alloc_meta_block(txn)?;
             } else {
-                a.indirect = self.cow_meta_block(txn, a.indirect)?;
+                a.indirect = self.cow_block(txn, a.indirect, true)?;
             }
             return Ok(Slot::Indirect { block: a.indirect, offset: 4 * rel as usize });
         }
@@ -248,7 +255,7 @@ impl Episode {
         if a.dindirect == 0 {
             a.dindirect = self.alloc_meta_block(txn)?;
         } else {
-            a.dindirect = self.cow_meta_block(txn, a.dindirect)?;
+            a.dindirect = self.cow_block(txn, a.dindirect, true)?;
         }
         let dbuf = self.jn.get(a.dindirect)?;
         let l1_off = 4 * (rel / per) as usize;
@@ -257,7 +264,7 @@ impl Episode {
             l1 = self.alloc_meta_block(txn)?;
             self.jn.update(txn, &dbuf, l1_off, &l1.to_le_bytes())?;
         } else {
-            let cowed = self.cow_meta_block(txn, l1)?;
+            let cowed = self.cow_block(txn, l1, true)?;
             if cowed != l1 {
                 self.jn.update(txn, &dbuf, l1_off, &cowed.to_le_bytes())?;
                 l1 = cowed;
@@ -300,26 +307,14 @@ impl Episode {
     ) -> DfsResult<u32> {
         let slot = self.prepare_slot(txn, a, fblk)?;
         let cur = self.read_slot(a, &slot)?;
-        if cur == 0 {
-            let b = self.alloc_block(txn)?;
+        let b = match cur {
+            0 => self.alloc_block(txn)?,
+            _ => self.cow_block(txn, cur, logged_copy)?,
+        };
+        if b != cur {
             self.write_slot(txn, a, &slot, b)?;
-            return Ok(b);
         }
-        if self.block_refcount(cur)? <= 1 {
-            return Ok(cur);
-        }
-        // Shared with a clone: copy before write (§2.1).
-        let nb = self.alloc_block(txn)?;
-        let old = self.jn.get(cur)?.read_at(0, BLOCK_SIZE);
-        let nbuf = self.jn.get(nb)?;
-        if logged_copy {
-            self.jn.update(txn, &nbuf, 0, &old)?;
-        } else {
-            self.jn.write_data(&nbuf, 0, &old)?;
-        }
-        self.decref_block(txn, cur)?;
-        self.write_slot(txn, a, &slot, nb)?;
-        Ok(nb)
+        Ok(b)
     }
 
     // ------------------------------------------------------------------
@@ -414,75 +409,75 @@ impl Episode {
     /// truncated; a partially-truncated file may keep empty indirect
     /// blocks, which the salvager accounts as live.
     pub(crate) fn anode_truncate(&self, idx: u32, new_len: u64) -> DfsResult<()> {
-        let per = PTRS_PER_BLOCK as u64;
-        loop {
-            let txn = self.jn.begin();
-            let mut a = self.read_anode(idx)?;
-            if new_len >= a.length {
-                a.length = new_len;
-                a.mtime = self.clock.now().as_micros();
-                a.data_version += 1;
-                self.write_anode(txn, idx, &a)?;
-                self.jn.commit(txn)?;
-                return Ok(());
-            }
-            let keep = new_len.div_ceil(BLOCK_SIZE as u64);
-            let old_blocks = a.length.div_ceil(BLOCK_SIZE as u64);
-            let first = old_blocks.saturating_sub(TRUNCATE_CHUNK as u64).max(keep);
-            for fblk in (first..old_blocks).rev() {
-                let phys = self.map_block(&a, fblk)?;
-                if phys != 0 {
-                    self.decref_block(txn, phys)?;
-                    let slot = self.prepare_slot(txn, &mut a, fblk)?;
-                    self.write_slot(txn, &mut a, &slot, 0)?;
-                }
-            }
-            let done = first == keep;
-            if done {
-                // POSIX: bytes between the new end and the old end must
-                // read as zero if the file is later extended. Zero the
-                // kept final block's tail (user data: unlogged).
-                let tail = new_len % BLOCK_SIZE as u64;
-                if tail != 0 && new_len < a.length {
-                    let fblk = new_len / BLOCK_SIZE as u64;
-                    if self.map_block(&a, fblk)? != 0 {
-                        let phys = self.block_for_write(txn, &mut a, fblk, false)?;
-                        let buf = self.jn.get(phys)?;
-                        self.jn.write_data(
-                            &buf,
-                            tail as usize,
-                            &vec![0u8; BLOCK_SIZE - tail as usize],
-                        )?;
-                    }
-                }
-                // Free indirect skeletons whose whole range is gone.
-                if keep <= NDIRECT as u64 + per && a.dindirect != 0 {
-                    let dbuf = self.jn.get(a.dindirect)?;
-                    for i in 0..PTRS_PER_BLOCK {
-                        let l1 = dbuf.u32_at(4 * i);
-                        if l1 != 0 {
-                            self.decref_block(txn, l1)?;
-                        }
-                    }
-                    self.decref_block(txn, a.dindirect)?;
-                    a.dindirect = 0;
-                }
-                if keep <= NDIRECT as u64 && a.indirect != 0 {
-                    self.decref_block(txn, a.indirect)?;
-                    a.indirect = 0;
-                }
-                a.length = new_len;
-                a.mtime = self.clock.now().as_micros();
-                a.data_version += 1;
-            } else {
-                a.length = first * BLOCK_SIZE as u64;
-            }
+        while !self.txn(|txn| self.truncate_step(txn, idx, new_len))? {}
+        Ok(())
+    }
+
+    /// One transaction of [`Episode::anode_truncate`]: frees up to
+    /// [`TRUNCATE_CHUNK`] blocks from the end; returns true once the
+    /// container is `new_len` long.
+    fn truncate_step(&self, txn: TxnId, idx: u32, new_len: u64) -> DfsResult<bool> {
+        let mut a = self.read_anode(idx)?;
+        if new_len >= a.length {
+            a.length = new_len;
+            a.mtime = self.clock.now().as_micros();
+            a.data_version += 1;
             self.write_anode(txn, idx, &a)?;
-            self.jn.commit(txn)?;
-            if done {
-                return Ok(());
+            return Ok(true);
+        }
+        let keep = new_len.div_ceil(BLOCK_SIZE as u64);
+        let old_blocks = a.length.div_ceil(BLOCK_SIZE as u64);
+        let first = old_blocks.saturating_sub(TRUNCATE_CHUNK as u64).max(keep);
+        for fblk in (first..old_blocks).rev() {
+            let phys = self.map_block(&a, fblk)?;
+            if phys != 0 {
+                self.decref_block(txn, phys)?;
+                let slot = self.prepare_slot(txn, &mut a, fblk)?;
+                self.write_slot(txn, &mut a, &slot, 0)?;
             }
         }
+        let done = first == keep;
+        if done {
+            // POSIX: bytes between the new end and the old end must
+            // read as zero if the file is later extended. Zero the
+            // kept final block's tail (user data: unlogged).
+            let tail = new_len % BLOCK_SIZE as u64;
+            if tail != 0 && new_len < a.length {
+                let fblk = new_len / BLOCK_SIZE as u64;
+                if self.map_block(&a, fblk)? != 0 {
+                    let phys = self.block_for_write(txn, &mut a, fblk, false)?;
+                    let buf = self.jn.get(phys)?;
+                    self.jn.write_data(
+                        &buf,
+                        tail as usize,
+                        &vec![0u8; BLOCK_SIZE - tail as usize],
+                    )?;
+                }
+            }
+            // Free indirect skeletons whose whole range is gone.
+            if keep <= (NDIRECT + PTRS_PER_BLOCK) as u64 && a.dindirect != 0 {
+                let dbuf = self.jn.get(a.dindirect)?;
+                for i in 0..PTRS_PER_BLOCK {
+                    let l1 = dbuf.u32_at(4 * i);
+                    if l1 != 0 {
+                        self.decref_block(txn, l1)?;
+                    }
+                }
+                self.decref_block(txn, a.dindirect)?;
+                a.dindirect = 0;
+            }
+            if keep <= NDIRECT as u64 && a.indirect != 0 {
+                self.decref_block(txn, a.indirect)?;
+                a.indirect = 0;
+            }
+            a.length = new_len;
+            a.mtime = self.clock.now().as_micros();
+            a.data_version += 1;
+        } else {
+            a.length = first * BLOCK_SIZE as u64;
+        }
+        self.write_anode(txn, idx, &a)?;
+        Ok(done)
     }
 
     /// Frees all storage of anode `idx` (data, indirect blocks, its ACL
@@ -491,14 +486,45 @@ impl Episode {
         let a = self.read_anode(idx)?;
         if a.acl_anode != 0 {
             self.anode_truncate(a.acl_anode, 0)?;
-            let txn = self.jn.begin();
-            self.free_anode_slot(txn, a.acl_anode)?;
-            self.jn.commit(txn)?;
+            self.txn(|txn| self.free_anode_slot(txn, a.acl_anode))?;
         }
         self.anode_truncate(idx, 0)?;
-        let txn = self.jn.begin();
-        self.free_anode_slot(txn, idx)?;
-        self.jn.commit(txn)?;
+        self.txn(|txn| self.free_anode_slot(txn, idx))
+    }
+
+    /// Visits every block `a` references, each before the blocks it
+    /// points to: data blocks, the indirect block and the
+    /// double-indirect tree. Clone and the salvager both walk it here.
+    pub(crate) fn for_each_block(
+        &self,
+        a: &Anode,
+        mut visit: impl FnMut(u32) -> DfsResult<()>,
+    ) -> DfsResult<()> {
+        for &d in &a.direct {
+            self.walk_tree(d, 0, &mut visit)?;
+        }
+        self.walk_tree(a.indirect, 1, &mut visit)?;
+        self.walk_tree(a.dindirect, 2, &mut visit)
+    }
+
+    /// Visits block `b` (none if 0) and, `depth` levels down, the blocks
+    /// its pointers name.
+    fn walk_tree(
+        &self,
+        b: u32,
+        depth: u32,
+        visit: &mut impl FnMut(u32) -> DfsResult<()>,
+    ) -> DfsResult<()> {
+        if b == 0 {
+            return Ok(());
+        }
+        visit(b)?;
+        if depth > 0 {
+            let buf = self.jn.get(b)?;
+            for i in 0..PTRS_PER_BLOCK {
+                self.walk_tree(buf.u32_at(4 * i), depth - 1, visit)?;
+            }
+        }
         Ok(())
     }
 }

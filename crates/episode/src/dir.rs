@@ -85,27 +85,32 @@ fn encode_free_header(reclen: usize) -> Vec<u8> {
 }
 
 impl Episode {
-    /// Looks up `name` in the directory whose anode is `a`.
-    pub(crate) fn dir_lookup(&self, a: &Anode, name: &str) -> DfsResult<Option<RawDirEntry>> {
-        check_name(name)?;
-        let blocks = a.length.div_ceil(BLOCK_SIZE as u64);
-        for fblk in 0..blocks {
-            let data = self.anode_read(a, fblk * BLOCK_SIZE as u64, BLOCK_SIZE)?;
+    /// Visits the directory's entries in order as (byte offset, reclen,
+    /// entry; `None` for free space) and stops at the first visit that
+    /// returns a value. This is the one loop over directory entries.
+    fn dir_walk<T>(
+        &self,
+        a: &Anode,
+        mut visit: impl FnMut(u64, usize, Option<RawDirEntry>) -> Option<T>,
+    ) -> DfsResult<Option<T>> {
+        for fblk in 0..a.length.div_ceil(BLOCK_SIZE as u64) {
+            let base = fblk * BLOCK_SIZE as u64;
+            let data = self.anode_read(a, base, BLOCK_SIZE)?;
             let mut off = 0;
-            while off < data.len() {
-                match parse_entry(&data, off) {
-                    Some((reclen, Some(e))) => {
-                        if e.name == name {
-                            return Ok(Some(e));
-                        }
-                        off += reclen;
-                    }
-                    Some((reclen, None)) => off += reclen,
-                    None => break,
+            while let Some((reclen, e)) = parse_entry(&data, off) {
+                if let Some(found) = visit(base + off as u64, reclen, e) {
+                    return Ok(Some(found));
                 }
+                off += reclen;
             }
         }
         Ok(None)
+    }
+
+    /// Looks up `name` in the directory whose anode is `a`.
+    pub(crate) fn dir_lookup(&self, a: &Anode, name: &str) -> DfsResult<Option<RawDirEntry>> {
+        check_name(name)?;
+        self.dir_walk(a, |_, _, e| e.filter(|e| e.name == name))
     }
 
     /// Inserts an entry, extending the directory by a block if needed.
@@ -124,39 +129,28 @@ impl Episode {
             return Err(DfsError::Internal("dir entry with vnode 0"));
         }
         let need = entry_size(entry.name.len());
-        let blocks = a.length.div_ceil(BLOCK_SIZE as u64);
-        for fblk in 0..blocks {
-            let base = fblk * BLOCK_SIZE as u64;
-            let data = self.anode_read(a, base, BLOCK_SIZE)?;
-            let mut off = 0;
-            while off < data.len() {
-                match parse_entry(&data, off) {
-                    Some((reclen, None)) if reclen >= need => {
-                        // Split the free entry: our record plus remainder.
-                        let rest = reclen - need;
-                        let mut bytes;
-                        if rest >= HDR {
-                            bytes = encode_entry(need, entry);
-                            bytes.extend_from_slice(&encode_free_header(rest));
-                        } else {
-                            // Too small to split: the entry absorbs it.
-                            bytes = encode_entry(reclen, entry);
-                        }
-                        self.anode_write(txn, a, base + off as u64, &bytes, true)?;
-                        return Ok(());
-                    }
-                    Some((reclen, _)) => off += reclen,
-                    None => break,
-                }
+        let free = self.dir_walk(a, |off, reclen, e| {
+            (e.is_none() && reclen >= need).then_some((off, reclen))
+        })?;
+        let (off, reclen) = match free {
+            Some(free) => free,
+            // No room: append a fresh block, all of it free space.
+            None => {
+                let end = a.length.div_ceil(BLOCK_SIZE as u64) * BLOCK_SIZE as u64;
+                a.length = end + BLOCK_SIZE as u64;
+                (end, BLOCK_SIZE)
             }
-        }
-        // No room: append a fresh block holding the entry + free space.
-        let base = blocks * BLOCK_SIZE as u64;
-        let mut bytes = encode_entry(need, entry);
-        bytes.extend_from_slice(&encode_free_header(BLOCK_SIZE - need));
-        self.anode_write(txn, a, base, &bytes, true)?;
-        a.length = a.length.max(base + BLOCK_SIZE as u64);
-        Ok(())
+        };
+        // Split the free entry: our record plus the remainder, unless the
+        // remainder is too small to split and the entry absorbs it.
+        let bytes = if reclen - need >= HDR {
+            let mut bytes = encode_entry(need, entry);
+            bytes.extend_from_slice(&encode_free_header(reclen - need));
+            bytes
+        } else {
+            encode_entry(reclen, entry)
+        };
+        self.anode_write(txn, a, off, &bytes, true)
     }
 
     /// Removes the entry `name`, returning it.
@@ -167,58 +161,27 @@ impl Episode {
         name: &str,
     ) -> DfsResult<RawDirEntry> {
         check_name(name)?;
-        let blocks = a.length.div_ceil(BLOCK_SIZE as u64);
-        for fblk in 0..blocks {
-            let base = fblk * BLOCK_SIZE as u64;
-            let data = self.anode_read(a, base, BLOCK_SIZE)?;
-            let mut off = 0;
-            while off < data.len() {
-                match parse_entry(&data, off) {
-                    Some((reclen, Some(e))) => {
-                        if e.name == name {
-                            self.anode_write(
-                                txn,
-                                a,
-                                base + off as u64,
-                                &encode_free_header(reclen),
-                                true,
-                            )?;
-                            return Ok(e);
-                        }
-                        off += reclen;
-                    }
-                    Some((reclen, None)) => off += reclen,
-                    None => break,
-                }
-            }
-        }
-        Err(DfsError::NotFound)
+        let found = self.dir_walk(a, |off, reclen, e| {
+            e.filter(|e| e.name == name).map(|e| (off, reclen, e))
+        })?;
+        let (off, reclen, e) = found.ok_or(DfsError::NotFound)?;
+        self.anode_write(txn, a, off, &encode_free_header(reclen), true)?;
+        Ok(e)
     }
 
     /// Lists every live entry of the directory.
     pub(crate) fn dir_list(&self, a: &Anode) -> DfsResult<Vec<RawDirEntry>> {
         let mut out = Vec::new();
-        let blocks = a.length.div_ceil(BLOCK_SIZE as u64);
-        for fblk in 0..blocks {
-            let data = self.anode_read(a, fblk * BLOCK_SIZE as u64, BLOCK_SIZE)?;
-            let mut off = 0;
-            while off < data.len() {
-                match parse_entry(&data, off) {
-                    Some((reclen, Some(e))) => {
-                        out.push(e);
-                        off += reclen;
-                    }
-                    Some((reclen, None)) => off += reclen,
-                    None => break,
-                }
-            }
-        }
+        self.dir_walk(a, |_, _, e| {
+            out.extend(e);
+            None::<()>
+        })?;
         Ok(out)
     }
 
     /// Returns true if the directory has no live entries.
     pub(crate) fn dir_is_empty(&self, a: &Anode) -> DfsResult<bool> {
-        Ok(self.dir_list(a)?.is_empty())
+        Ok(self.dir_walk(a, |_, _, e| e.map(drop))?.is_none())
     }
 }
 

@@ -15,7 +15,7 @@
 //! as the allocation bitmap: a block with refcount zero is free).
 
 use dfs_disk::BLOCK_SIZE;
-use dfs_types::{DfsError, DfsResult};
+use dfs_types::{DfsError, DfsResult, FileType};
 
 /// Magic number of an Episode aggregate superblock.
 pub const AGG_MAGIC: u32 = 0xE215_0DE0;
@@ -83,7 +83,25 @@ impl AnodeKind {
             _ => return Err(DfsError::Internal("bad anode kind byte")),
         })
     }
+
+    /// The VFS type of a file-system object of this kind.
+    pub(crate) fn file_type(self) -> FileType {
+        FILE_KINDS.iter().find(|(k, _)| *k == self).map_or(FileType::Regular, |&(_, t)| t)
+    }
+
+    /// The kind of anode that stores a file-system object of type `t`.
+    pub(crate) fn of_file_type(t: FileType) -> AnodeKind {
+        FILE_KINDS.iter().find(|(_, f)| *f == t).map_or(AnodeKind::File, |&(k, _)| k)
+    }
 }
+
+/// The anode kinds that are file-system objects, with their VFS types:
+/// the one `AnodeKind` ↔ `FileType` mapping.
+const FILE_KINDS: [(AnodeKind, FileType); 3] = [
+    (AnodeKind::File, FileType::Regular),
+    (AnodeKind::Directory, FileType::Directory),
+    (AnodeKind::Symlink, FileType::Symlink),
+];
 
 /// In-memory image of one on-disk anode descriptor.
 ///

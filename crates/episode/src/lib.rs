@@ -32,12 +32,12 @@ pub use layout::{Anode, AnodeKind, SuperBlock};
 pub use vfs_impl::EpisodeVolume;
 
 use dfs_disk::{SimDisk, BLOCK_SIZE};
-use dfs_journal::{HostLog, HostLogRegion, HostLogReplay, Journal, LogRegion};
+use dfs_journal::{HostLog, HostLogRegion, HostLogReplay, Journal, LogRegion, TxnId};
 use dfs_types::{AggregateId, DfsError, DfsResult, SimClock};
 use layout::{ANODES_PER_BLOCK, REFCOUNT_ANODE, VOLTABLE_ANODE};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Parameters for formatting a fresh aggregate.
 #[derive(Clone, Copy, Debug)]
@@ -93,7 +93,7 @@ pub struct Episode {
     /// What host-log replay recovered at open time.
     host_replay: HostLogReplay,
     /// Weak self-reference so `&self` methods can hand out `Arc<Episode>`.
-    me: Mutex<std::sync::Weak<Episode>>,
+    me: Weak<Episode>,
 }
 
 impl Episode {
@@ -236,7 +236,7 @@ impl Episode {
         host_log: Option<Arc<HostLog>>,
         host_replay: HostLogReplay,
     ) -> Arc<Episode> {
-        let ep = Arc::new(Episode {
+        Arc::new_cyclic(|me| Episode {
             disk,
             jn,
             clock,
@@ -248,11 +248,9 @@ impl Episode {
             vol_lock: Mutex::new(()),
             host_log,
             host_replay,
-            me: Mutex::new(std::sync::Weak::new()),
+            me: me.clone(),
             sb,
-        });
-        *ep.me.lock() = Arc::downgrade(&ep);
-        ep
+        })
     }
 
     /// Returns a strong reference to this aggregate.
@@ -262,7 +260,7 @@ impl Episode {
     /// Panics if called during destruction (never happens in practice:
     /// mounts hold strong references).
     pub(crate) fn self_arc(&self) -> Arc<Episode> {
-        self.me.lock().upgrade().expect("Episode used after drop")
+        self.me.upgrade().expect("Episode used after drop")
     }
 
     /// Returns the aggregate id.
@@ -312,6 +310,19 @@ impl Episode {
         self.jn.sync()
     }
 
+    /// Runs `body` as one short transaction (§2.2): begin, run, commit.
+    ///
+    /// This is the one place an Episode transaction begins and ends. On
+    /// `Err` the transaction is left unresolved: its updates stay
+    /// applied and its equivalence class stays open. ROADMAP item 1
+    /// (abort on every error path) changes this one function.
+    pub(crate) fn txn<T>(&self, body: impl FnOnce(TxnId) -> DfsResult<T>) -> DfsResult<T> {
+        let txn = self.jn.begin();
+        let out = body(txn)?;
+        self.jn.commit(txn)?;
+        Ok(out)
+    }
+
     /// Returns the per-anode lock for `idx`, creating it on demand.
     pub(crate) fn anode_lock(&self, idx: u32) -> Arc<RwLock<()>> {
         let mut locks = self.anode_locks.lock();
@@ -359,6 +370,29 @@ mod tests {
             Err(e) => assert_eq!(e, DfsError::NoSpace),
             Ok(_) => panic!("format of a too-small disk must fail"),
         }
+    }
+
+    /// Every Episode transaction begins and ends in `Episode::txn`: outside
+    /// the tests, the crate's source calls `jn.begin()` and `jn.commit(`
+    /// once each, inside that function.
+    #[test]
+    fn transactions_begin_and_commit_only_in_the_txn_scope() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        let mut sites = Vec::new();
+        for file in std::fs::read_dir(dir).unwrap() {
+            let path = file.unwrap().path();
+            let src = std::fs::read_to_string(&path).unwrap();
+            let code = src.split("#[cfg(test)]").next().unwrap();
+            for what in ["jn.begin()", "jn.commit("] {
+                for (at, _) in code.match_indices(what) {
+                    let in_txn =
+                        code[..at].rfind(" fn ").is_some_and(|f| code[f..].starts_with(" fn txn<"));
+                    sites.push((path.file_name().unwrap().to_owned(), what, in_txn));
+                }
+            }
+        }
+        assert_eq!(sites.len(), 2, "{sites:?}");
+        assert!(sites.iter().all(|(file, _, in_txn)| file == "lib.rs" && *in_txn), "{sites:?}");
     }
 
     #[test]

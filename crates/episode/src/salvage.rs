@@ -15,7 +15,7 @@
 //! * every volume-table entry names a live header anode;
 //! * every vnode-map slot names a live anode of the right volume;
 //! * every directory entry resolves to a live vnode with matching
-//!   uniquifier;
+//!   uniquifier, and no directory holds one name twice;
 //! * link counts match directory contents;
 //! * no file/directory anode is orphaned (unreachable from any volume).
 
@@ -23,7 +23,7 @@ use crate::layout::{Anode, AnodeKind, FIRST_FREE_ANODE};
 use crate::Episode;
 use dfs_types::DfsResult;
 use dfs_vfs::SalvageReport;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Runs a full consistency check. The aggregate should be quiescent.
 pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
@@ -35,52 +35,20 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
     // Pass 1: walk every live anode, accumulating expected refcounts.
     let mut expected: HashMap<u32, u16> = HashMap::new();
     let mut live_anodes: HashMap<u32, Anode> = HashMap::new();
-    let bump = |expected: &mut HashMap<u32, u16>, report: &mut SalvageReport, b: u32| {
-        if b < data_start || b >= total {
-            report.problems.push(format!("pointer to out-of-range block {b}"));
-            return;
-        }
-        *expected.entry(b).or_insert(0) += 1;
-    };
     for idx in 1..sb.anode_count() {
         let a = ep.read_anode(idx)?;
         if a.kind == AnodeKind::Free {
             continue;
         }
         report.files_checked += 1;
-        for &d in &a.direct {
-            if d != 0 {
-                bump(&mut expected, &mut report, d);
+        ep.for_each_block(&a, |b| {
+            if b < data_start || b >= total {
+                report.problems.push(format!("pointer to out-of-range block {b}"));
+            } else {
+                *expected.entry(b).or_insert(0) += 1;
             }
-        }
-        if a.indirect != 0 {
-            bump(&mut expected, &mut report, a.indirect);
-            let buf = ep.journal().get(a.indirect)?;
-            for i in 0..crate::layout::PTRS_PER_BLOCK {
-                let p = buf.u32_at(4 * i);
-                if p != 0 {
-                    bump(&mut expected, &mut report, p);
-                }
-            }
-        }
-        if a.dindirect != 0 {
-            bump(&mut expected, &mut report, a.dindirect);
-            let dbuf = ep.journal().get(a.dindirect)?;
-            for i in 0..crate::layout::PTRS_PER_BLOCK {
-                let l1 = dbuf.u32_at(4 * i);
-                if l1 == 0 {
-                    continue;
-                }
-                bump(&mut expected, &mut report, l1);
-                let l1buf = ep.journal().get(l1)?;
-                for j in 0..crate::layout::PTRS_PER_BLOCK {
-                    let p = l1buf.u32_at(4 * j);
-                    if p != 0 {
-                        bump(&mut expected, &mut report, p);
-                    }
-                }
-            }
-        }
+            Ok(())
+        })?;
         live_anodes.insert(idx, a);
     }
 
@@ -146,7 +114,11 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
                 continue;
             }
             let mut subdirs = 0u32;
+            let mut names = HashSet::new();
             for e in ep.dir_list(a)? {
+                if !names.insert(e.name.clone()) {
+                    report.problems.push(format!("{vol:?}: dir vnode {v} has '{}' twice", e.name));
+                }
                 match by_vnode.get(&e.vnode).and_then(|s| live_anodes.get(s)) {
                     Some(t) => {
                         if t.uniq != e.uniq {
@@ -203,7 +175,6 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
     Ok(report)
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +224,33 @@ mod tests {
         let r = salvage(&ep).unwrap();
         assert!(!r.is_clean());
         assert!(r.problems.iter().any(|p| p.contains("refcount")), "{:?}", r.problems);
+    }
+
+    #[test]
+    fn detects_two_entries_with_one_name() {
+        let ep = fresh(8192);
+        ep.create_volume(VolumeId(1), "v").unwrap();
+        let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
+        let cred = Credentials::system();
+        let root = v.root().unwrap();
+        let f = v.create(&cred, root, "x", 0o644).unwrap();
+        // A second entry "x" for the same file, its link counted: only
+        // the name is wrong.
+        let (_, header) = ep.voltable_find(VolumeId(1)).unwrap().unwrap();
+        let dslot = ep.vnode_get(header, root.vnode.0).unwrap();
+        let fslot = ep.vnode_get(header, f.fid.vnode.0).unwrap();
+        let txn = ep.journal().begin();
+        let mut d = ep.read_anode(dslot).unwrap();
+        let e = ep.dir_lookup(&d, "x").unwrap().unwrap();
+        ep.dir_insert(txn, &mut d, &e).unwrap();
+        ep.write_anode(txn, dslot, &d).unwrap();
+        let mut a = ep.read_anode(fslot).unwrap();
+        a.nlink = 2;
+        ep.write_anode(txn, fslot, &a).unwrap();
+        ep.journal().commit(txn).unwrap();
+        let r = salvage(&ep).unwrap();
+        assert_eq!(r.problems.len(), 1, "{:?}", r.problems);
+        assert!(r.problems[0].contains("has 'x' twice"), "{:?}", r.problems);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::layout::{Anode, AnodeKind};
 use crate::Episode;
 use dfs_journal::TxnId;
-use dfs_types::{DfsError, DfsResult, FileStatus, FileType, Fid, VnodeId, VolumeId};
+use dfs_types::{DfsError, DfsResult, FileStatus, Fid, VnodeId, VolumeId};
 use dfs_vfs::{DirEntry, DumpFile, VolumeDump, VolumeInfo};
 
 /// Byte size of a volume-table entry: volume id + header anode + flags.
@@ -59,6 +59,20 @@ pub struct VolumeHeader {
 }
 
 impl VolumeHeader {
+    /// A fresh read-write header: root vnode 1, no parent, version 0.
+    fn new(id: VolumeId, name: &str) -> VolumeHeader {
+        VolumeHeader {
+            id: id.0,
+            flags: 0,
+            root_vnode: 1,
+            parent: 0,
+            base_dv: 0,
+            next_uniq: 1,
+            version: 0,
+            name: name.to_string(),
+        }
+    }
+
     /// Returns true if the volume is a read-only clone or replica.
     pub fn read_only(&self) -> bool {
         self.flags & VF_READONLY != 0
@@ -104,6 +118,15 @@ impl Episode {
         let mut vt = self.read_anode(crate::layout::VOLTABLE_ANODE)?;
         self.anode_write(txn, &mut vt, offset, &[0u8; VT_ENTRY], true)?;
         self.write_anode(txn, crate::layout::VOLTABLE_ANODE, &vt)
+    }
+
+    /// Allocates a header anode holding `vh` and enters the volume in the
+    /// volume table, returning the header anode.
+    fn new_volume(&self, txn: TxnId, vh: &VolumeHeader) -> DfsResult<u32> {
+        let (header, _) = self.alloc_anode(txn, AnodeKind::Meta, vh.id, 0, 0, 0)?;
+        self.write_volume_header_fixed(txn, header, vh)?;
+        self.voltable_insert(txn, VolumeId(vh.id), header)?;
+        Ok(header)
     }
 
     /// Lists (volume id, header anode) of every volume on the aggregate.
@@ -221,6 +244,14 @@ impl Episode {
         Ok(v)
     }
 
+    /// Frees vnode `v` and its anode `slot`: the anode's storage in its
+    /// own short transactions, then one more that clears the vnode slot.
+    /// A crash in between leaves an orphan the salvager repairs.
+    pub(crate) fn reclaim_vnode(&self, header_anode: u32, v: u32, slot: u32) -> DfsResult<()> {
+        self.destroy_anode(slot)?;
+        self.txn(|txn| self.vnode_set(txn, header_anode, v, 0))
+    }
+
     /// Lists every live (vnode index, anode slot) pair of a volume.
     pub(crate) fn vnode_list(&self, header_anode: u32) -> DfsResult<Vec<(u32, u32)>> {
         let a = self.read_anode(header_anode)?;
@@ -239,15 +270,27 @@ impl Episode {
             .collect())
     }
 
-    /// Allocates the next fid uniquifier for the volume.
-    pub(crate) fn next_uniq(&self, txn: TxnId, header_anode: u32) -> DfsResult<u32> {
+    /// Read-modify-writes a volume header under its anode's write lock.
+    fn update_volume_header<T>(
+        &self,
+        txn: TxnId,
+        header_anode: u32,
+        change: impl FnOnce(&mut VolumeHeader) -> T,
+    ) -> DfsResult<T> {
         let lock = self.anode_lock(header_anode);
         let _g = lock.write();
         let mut vh = self.read_volume_header(header_anode)?;
-        vh.next_uniq += 1;
-        let u = vh.next_uniq;
+        let out = change(&mut vh);
         self.write_volume_header_fixed(txn, header_anode, &vh)?;
-        Ok(u)
+        Ok(out)
+    }
+
+    /// Allocates the next fid uniquifier for the volume.
+    pub(crate) fn next_uniq(&self, txn: TxnId, header_anode: u32) -> DfsResult<u32> {
+        self.update_volume_header(txn, header_anode, |vh| {
+            vh.next_uniq += 1;
+            vh.next_uniq
+        })
     }
 
     /// Bumps and returns the per-volume mutation version.
@@ -255,13 +298,10 @@ impl Episode {
     /// Mutating operations stamp the result into the changed file's
     /// `data_version`, making versions comparable volume-wide.
     pub(crate) fn bump_volume_version(&self, txn: TxnId, header_anode: u32) -> DfsResult<u64> {
-        let lock = self.anode_lock(header_anode);
-        let _g = lock.write();
-        let mut vh = self.read_volume_header(header_anode)?;
-        vh.version += 1;
-        let v = vh.version;
-        self.write_volume_header_fixed(txn, header_anode, &vh)?;
-        Ok(v)
+        self.update_volume_header(txn, header_anode, |vh| {
+            vh.version += 1;
+            vh.version
+        })
     }
 
     // ------------------------------------------------------------------
@@ -277,28 +317,16 @@ impl Episode {
         if self.voltable_find(id)?.is_some() {
             return Err(DfsError::Exists);
         }
-        let txn = self.jn.begin();
-        let (header, _) = self.alloc_anode(txn, AnodeKind::Meta, id.0, 0, 0, 0)?;
-        let vh = VolumeHeader {
-            id: id.0,
-            flags: 0,
-            root_vnode: 1,
-            parent: 0,
-            base_dv: 0,
-            next_uniq: 1,
-            version: 0,
-            name: name.to_string(),
-        };
-        self.write_volume_header_fixed(txn, header, &vh)?;
-        // Root directory: vnode 1, uniq 1.
-        let (root_slot, mut root) =
-            self.alloc_anode(txn, AnodeKind::Directory, id.0, 0o755, 0, 0)?;
-        root.uniq = 1;
-        root.nlink = 2;
-        self.write_anode(txn, root_slot, &root)?;
-        self.vnode_set(txn, header, 1, root_slot)?;
-        self.voltable_insert(txn, id, header)?;
-        self.jn.commit(txn)?;
+        self.txn(|txn| {
+            let header = self.new_volume(txn, &VolumeHeader::new(id, name))?;
+            // Root directory: vnode 1, uniq 1.
+            let (root_slot, mut root) =
+                self.alloc_anode(txn, AnodeKind::Directory, id.0, 0o755, 0, 0)?;
+            root.uniq = 1;
+            root.nlink = 2;
+            self.write_anode(txn, root_slot, &root)?;
+            self.vnode_set(txn, header, 1, root_slot)
+        })?;
         // Volume creation is an administrative operation: make it durable.
         self.jn.sync()
     }
@@ -311,9 +339,7 @@ impl Episode {
             self.destroy_anode(slot)?;
         }
         self.destroy_anode(header)?;
-        let txn = self.jn.begin();
-        self.voltable_clear(txn, offset)?;
-        self.jn.commit(txn)?;
+        self.txn(|txn| self.voltable_clear(txn, offset))?;
         self.jn.sync()
     }
 
@@ -334,87 +360,39 @@ impl Episode {
         if self.voltable_find(clone_id)?.is_some() {
             return Err(DfsError::Exists);
         }
-        let src_vh = self.read_volume_header(src_header)?;
-
-        let txn = self.jn.begin();
-        let (header, _) = self.alloc_anode(txn, AnodeKind::Meta, clone_id.0, 0, 0, 0)?;
         let vh = VolumeHeader {
             id: clone_id.0,
             flags: VF_READONLY,
-            root_vnode: src_vh.root_vnode,
             parent: src.0,
             base_dv: 0,
-            next_uniq: src_vh.next_uniq,
-            version: src_vh.version,
             name: name.to_string(),
+            ..self.read_volume_header(src_header)?
         };
-        self.write_volume_header_fixed(txn, header, &vh)?;
-        self.voltable_insert(txn, clone_id, header)?;
-        self.jn.commit(txn)?;
+        let header = self.txn(|txn| self.new_volume(txn, &vh))?;
 
         // One short transaction per vnode keeps transactions small.
         for (v, src_slot) in self.vnode_list(src_header)? {
-            let txn = self.jn.begin();
-            let src_anode = self.read_anode(src_slot)?;
-            let mut copy = src_anode.clone();
-            copy.volume = clone_id.0;
-            // Clone the ACL container descriptor too, sharing its blocks.
-            if src_anode.acl_anode != 0 {
-                let acl_src = self.read_anode(src_anode.acl_anode)?;
-                let mut acl_copy = acl_src.clone();
-                acl_copy.volume = clone_id.0;
-                let (acl_slot, _) =
-                    self.alloc_anode(txn, AnodeKind::Meta, clone_id.0, 0, 0, 0)?;
-                self.write_anode(txn, acl_slot, &acl_copy)?;
-                self.incref_anode_blocks(txn, &acl_src)?;
-                copy.acl_anode = acl_slot;
-            }
-            let (slot, _) = self.alloc_anode(txn, AnodeKind::Meta, clone_id.0, 0, 0, 0)?;
-            self.write_anode(txn, slot, &copy)?;
-            self.incref_anode_blocks(txn, &src_anode)?;
-            self.vnode_set(txn, header, v, slot)?;
-            self.jn.commit(txn)?;
+            self.txn(|txn| {
+                let mut src_anode = self.read_anode(src_slot)?;
+                // Clone the ACL container descriptor too, sharing its blocks.
+                if src_anode.acl_anode != 0 {
+                    let acl_src = self.read_anode(src_anode.acl_anode)?;
+                    src_anode.acl_anode = self.share_anode(txn, &acl_src, clone_id)?;
+                }
+                let slot = self.share_anode(txn, &src_anode, clone_id)?;
+                self.vnode_set(txn, header, v, slot)
+            })?;
         }
         self.jn.sync()
     }
 
-    /// Raises the refcount of every block an anode references: data
-    /// blocks, indirect blocks, and the double-indirect tree.
-    fn incref_anode_blocks(&self, txn: TxnId, a: &Anode) -> DfsResult<()> {
-        for &d in &a.direct {
-            if d != 0 {
-                self.incref_block(txn, d)?;
-            }
-        }
-        if a.indirect != 0 {
-            self.incref_block(txn, a.indirect)?;
-            let buf = self.jn.get(a.indirect)?;
-            for i in 0..crate::layout::PTRS_PER_BLOCK {
-                let p = buf.u32_at(4 * i);
-                if p != 0 {
-                    self.incref_block(txn, p)?;
-                }
-            }
-        }
-        if a.dindirect != 0 {
-            self.incref_block(txn, a.dindirect)?;
-            let dbuf = self.jn.get(a.dindirect)?;
-            for i in 0..crate::layout::PTRS_PER_BLOCK {
-                let l1 = dbuf.u32_at(4 * i);
-                if l1 == 0 {
-                    continue;
-                }
-                self.incref_block(txn, l1)?;
-                let l1buf = self.jn.get(l1)?;
-                for j in 0..crate::layout::PTRS_PER_BLOCK {
-                    let p = l1buf.u32_at(4 * j);
-                    if p != 0 {
-                        self.incref_block(txn, p)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// Copies descriptor `a` into a fresh anode of volume `vol` that
+    /// shares every block `a` references (their refcounts go up by one).
+    fn share_anode(&self, txn: TxnId, a: &Anode, vol: VolumeId) -> DfsResult<u32> {
+        let (slot, _) = self.alloc_anode(txn, AnodeKind::Meta, vol.0, 0, 0, 0)?;
+        self.write_anode(txn, slot, &Anode { volume: vol.0, ..a.clone() })?;
+        self.for_each_block(a, |b| self.incref_block(txn, b).map(drop))?;
+        Ok(slot)
     }
 
     /// Builds a [`VolumeInfo`] for one volume.
@@ -489,34 +467,21 @@ impl Episode {
     /// Materializes a dump on this aggregate (full or incremental).
     pub fn restore_volume_inner(&self, dump: &VolumeDump, read_only: bool) -> DfsResult<()> {
         let id = dump.volume;
+        let flags = if read_only { VF_READONLY } else { 0 };
         let header = match self.voltable_find(id)? {
-            Some((_, h)) => {
-                if dump.since_version == 0 {
-                    return Err(DfsError::Exists);
-                }
-                h
-            }
+            Some(_) if dump.since_version == 0 => return Err(DfsError::Exists),
+            Some((_, h)) => h,
+            None if dump.since_version != 0 => return Err(DfsError::NoSuchVolume),
             None => {
-                if dump.since_version != 0 {
-                    return Err(DfsError::NoSuchVolume);
-                }
                 let _guard = self.vol_lock.lock();
-                let txn = self.jn.begin();
-                let (h, _) = self.alloc_anode(txn, AnodeKind::Meta, id.0, 0, 0, 0)?;
                 let vh = VolumeHeader {
-                    id: id.0,
-                    flags: if read_only { VF_READONLY } else { 0 },
+                    flags,
                     root_vnode: dump.root.vnode.0,
-                    parent: 0,
                     base_dv: dump.max_data_version,
-                    next_uniq: 1,
                     version: dump.max_data_version,
-                    name: dump.name.clone(),
+                    ..VolumeHeader::new(id, &dump.name)
                 };
-                self.write_volume_header_fixed(txn, h, &vh)?;
-                self.voltable_insert(txn, id, h)?;
-                self.jn.commit(txn)?;
-                h
+                self.txn(|txn| self.new_volume(txn, &vh))?
             }
         };
 
@@ -525,10 +490,7 @@ impl Episode {
             dump.live.iter().map(|f| f.vnode.0).collect();
         for (v, slot) in self.vnode_list(header)? {
             if !live.contains(&v) {
-                self.destroy_anode(slot)?;
-                let txn = self.jn.begin();
-                self.vnode_set(txn, header, v, 0)?;
-                self.jn.commit(txn)?;
+                self.reclaim_vnode(header, v, slot)?;
             }
         }
 
@@ -539,78 +501,69 @@ impl Episode {
             if existing != 0 {
                 self.destroy_anode(existing)?;
             }
-            let txn = self.jn.begin();
-            let kind = match f.status.ftype {
-                FileType::Regular => AnodeKind::File,
-                FileType::Directory => AnodeKind::Directory,
-                FileType::Symlink => AnodeKind::Symlink,
-            };
-            let (slot, mut a) =
-                self.alloc_anode(txn, kind, id.0, f.status.mode, f.status.owner, f.status.group)?;
-            a.uniq = f.status.fid.uniq;
-            a.nlink = f.status.nlink as u16;
-            a.mtime = f.status.mtime.as_micros();
-            a.ctime = f.status.ctime.as_micros();
-            a.data_version = f.status.data_version;
-            if kind == AnodeKind::Directory {
-                for e in &f.entries {
-                    let ekind = match self.dump_kind_of(dump, e.fid) {
-                        Some(k) => k,
-                        None => AnodeKind::File,
-                    };
-                    self.dir_insert(
-                        txn,
-                        &mut a,
-                        &crate::dir::RawDirEntry {
-                            name: e.name.clone(),
-                            vnode: e.fid.vnode.0,
-                            uniq: e.fid.uniq,
-                            kind: ekind.to_byte(),
-                        },
-                    )?;
+            self.txn(|txn| {
+                let kind = AnodeKind::of_file_type(f.status.ftype);
+                let (slot, mut a) = self.alloc_anode(
+                    txn,
+                    kind,
+                    id.0,
+                    f.status.mode,
+                    f.status.owner,
+                    f.status.group,
+                )?;
+                a.uniq = f.status.fid.uniq;
+                a.nlink = f.status.nlink as u16;
+                a.mtime = f.status.mtime.as_micros();
+                a.ctime = f.status.ctime.as_micros();
+                a.data_version = f.status.data_version;
+                if kind == AnodeKind::Directory {
+                    for e in &f.entries {
+                        let ekind = dump
+                            .files
+                            .iter()
+                            .find(|g| g.status.fid == e.fid)
+                            .map_or(AnodeKind::File, |g| AnodeKind::of_file_type(g.status.ftype));
+                        self.dir_insert(
+                            txn,
+                            &mut a,
+                            &crate::dir::RawDirEntry {
+                                name: e.name.clone(),
+                                vnode: e.fid.vnode.0,
+                                uniq: e.fid.uniq,
+                                kind: ekind.to_byte(),
+                            },
+                        )?;
+                    }
+                } else {
+                    self.anode_write(txn, &mut a, 0, &f.data, false)?;
+                    a.length = f.status.length;
                 }
-            } else {
-                self.anode_write(txn, &mut a, 0, &f.data, false)?;
-                a.length = f.status.length;
-            }
-            if let Some(acl) = &f.acl {
-                self.write_acl(txn, &mut a, acl)?;
-            }
-            self.write_anode(txn, slot, &a)?;
-            self.vnode_set(txn, header, v, slot)?;
-            self.jn.commit(txn)?;
+                if let Some(acl) = &f.acl {
+                    self.write_acl(txn, &mut a, acl)?;
+                }
+                self.write_anode(txn, slot, &a)?;
+                self.vnode_set(txn, header, v, slot)
+            })?;
         }
 
         // Record the restore point and keep next_uniq ahead of everything.
-        let txn = self.jn.begin();
-        let mut vh = self.read_volume_header(header)?;
-        vh.base_dv = dump.max_data_version;
-        vh.version = vh.version.max(dump.max_data_version);
-        vh.flags = if read_only { VF_READONLY } else { 0 };
-        vh.next_uniq =
-            vh.next_uniq.max(dump.live.iter().map(|f| f.uniq).max().unwrap_or(0) + 1);
-        self.write_volume_header_fixed(txn, header, &vh)?;
-        self.jn.commit(txn)?;
+        let max_uniq = dump.live.iter().map(|f| f.uniq).max().unwrap_or(0);
+        self.txn(|txn| {
+            self.update_volume_header(txn, header, |vh| {
+                vh.base_dv = dump.max_data_version;
+                vh.version = vh.version.max(dump.max_data_version);
+                vh.flags = flags;
+                vh.next_uniq = vh.next_uniq.max(max_uniq + 1);
+            })
+        })?;
         self.jn.sync()
-    }
-
-    fn dump_kind_of(&self, dump: &VolumeDump, fid: Fid) -> Option<AnodeKind> {
-        dump.files.iter().find(|f| f.status.fid == fid).map(|f| match f.status.ftype {
-            FileType::Regular => AnodeKind::File,
-            FileType::Directory => AnodeKind::Directory,
-            FileType::Symlink => AnodeKind::Symlink,
-        })
     }
 
     /// Builds a [`FileStatus`] from an anode.
     pub(crate) fn status_from_anode(&self, fid: Fid, a: &Anode) -> FileStatus {
         FileStatus {
             fid,
-            ftype: match a.kind {
-                AnodeKind::Directory => FileType::Directory,
-                AnodeKind::Symlink => FileType::Symlink,
-                _ => FileType::Regular,
-            },
+            ftype: a.kind.file_type(),
             length: a.length,
             owner: a.owner,
             group: a.group,

@@ -26,11 +26,16 @@ fn a_create_and_remove_cycle_logs_only_what_changes() {
     for i in 0..128 {
         cycle(i);
     }
+    let (mut bytes, mut records) = (0, 0);
     for i in 128..192 {
         let before = ep.journal().stats();
         cycle(i);
         let d = ep.journal().stats().since(&before);
         assert!(d.log_bytes <= 1000, "cycle {i} logged {} bytes", d.log_bytes);
         assert!(d.update_records <= 14, "cycle {i} logged {} updates", d.update_records);
+        bytes += d.log_bytes;
+        records += d.update_records;
     }
+    // `--nocapture` shows the totals, for comparing two trees.
+    println!("64 measured cycles: {bytes} log bytes, {records} update records");
 }

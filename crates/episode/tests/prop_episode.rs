@@ -2,7 +2,7 @@
 
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
-use dfs_types::{SimClock, VolumeId};
+use dfs_types::{DfsError, Fid, SimClock, VolumeId};
 use dfs_vfs::{Credentials, PhysicalFs, SetAttrs, VfsPlus};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -74,71 +74,112 @@ proptest! {
         prop_assert!(report.is_clean(), "{:?}", report.problems);
     }
 
-    /// Directory operations behave exactly like a name → fid map.
+    /// Directory operations in two directories behave exactly like a
+    /// (directory, name) → (fid, is a directory) map: create, mkdir,
+    /// remove, rmdir, link, and rename with POSIX's rules — onto another
+    /// link of the same file does nothing, a file never replaces a
+    /// directory nor a directory a file. Directory link counts are left
+    /// to the salvager.
     #[test]
     fn directory_matches_map_model(
-        script in proptest::collection::vec((0u8..4, 0u8..12), 1..60)
+        script in proptest::collection::vec((0u8..8, 0u8..12, 0u8..4), 1..60)
     ) {
         let (ep, v) = fresh();
         let cred = Credentials::system();
         let root = v.root().unwrap();
-        let mut model: HashMap<String, dfs_types::Fid> = HashMap::new();
+        let dirs = [root, v.mkdir(&cred, root, "sub", 0o755).unwrap().fid];
+        let mut model: HashMap<(usize, String), (Fid, bool)> = HashMap::new();
 
-        for (action, name_idx) in script {
-            let name = format!("name-{name_idx}");
+        for (action, name_idx, pick) in script {
+            // The source names `name_idx` in one directory; rename and
+            // link target the next name in the same or the other one.
+            let (sd, dd) = (usize::from(pick & 1), usize::from(pick >> 1));
+            let src = (sd, format!("name-{name_idx}"));
+            let dst = (dd, format!("name-{}", (name_idx + 1) % 12));
+            let found = model.get(&src).copied();
             match action {
-                0 => {
-                    // Create.
-                    let r = v.create(&cred, root, &name, 0o644);
-                    if model.contains_key(&name) {
-                        prop_assert!(r.is_err(), "duplicate create must fail");
+                0 | 1 => {
+                    let r = if action == 0 {
+                        v.create(&cred, dirs[sd], &src.1, 0o644)
                     } else {
-                        model.insert(name.clone(), r.unwrap().fid);
+                        v.mkdir(&cred, dirs[sd], &src.1, 0o755)
+                    };
+                    match found {
+                        Some(_) => prop_assert_eq!(r.unwrap_err(), DfsError::Exists),
+                        None => {
+                            model.insert(src, (r.unwrap().fid, action == 1));
+                        }
                     }
                 }
-                1 => {
-                    // Remove.
-                    let r = v.remove(&cred, root, &name);
-                    if model.contains_key(&name) {
-                        r.unwrap();
-                        model.remove(&name);
+                2 | 3 => {
+                    let r = if action == 2 {
+                        v.remove(&cred, dirs[sd], &src.1).map(drop)
                     } else {
-                        prop_assert!(r.is_err());
+                        v.rmdir(&cred, dirs[sd], &src.1)
+                    };
+                    match found {
+                        None => prop_assert_eq!(r.unwrap_err(), DfsError::NotFound),
+                        Some((_, true)) if action == 2 => {
+                            prop_assert_eq!(r.unwrap_err(), DfsError::IsDirectory)
+                        }
+                        Some((_, false)) if action == 3 => {
+                            prop_assert_eq!(r.unwrap_err(), DfsError::NotDirectory)
+                        }
+                        Some(_) => {
+                            r.unwrap();
+                            model.remove(&src);
+                        }
                     }
                 }
-                2 => {
-                    // Lookup.
-                    let r = v.lookup(&cred, root, &name);
-                    match model.get(&name) {
-                        Some(fid) => prop_assert_eq!(r.unwrap().fid, *fid),
-                        None => prop_assert!(r.is_err()),
+                4 => {
+                    let r = v.lookup(&cred, dirs[sd], &src.1);
+                    match found {
+                        Some((fid, _)) => prop_assert_eq!(r.unwrap().fid, fid),
+                        None => prop_assert_eq!(r.unwrap_err(), DfsError::NotFound),
+                    }
+                }
+                5 => {
+                    let Some((fid, is_dir)) = found else { continue };
+                    let r = v.link(&cred, dirs[dd], &dst.1, fid);
+                    if is_dir {
+                        prop_assert_eq!(r.unwrap_err(), DfsError::IsDirectory);
+                    } else if model.contains_key(&dst) {
+                        prop_assert_eq!(r.unwrap_err(), DfsError::Exists);
+                    } else {
+                        prop_assert_eq!(r.unwrap().fid, fid);
+                        model.insert(dst, (fid, false));
                     }
                 }
                 _ => {
-                    // Rename to a shifted name.
-                    let to = format!("name-{}", (name_idx + 1) % 12);
-                    let r = v.rename(&cred, root, &name, root, &to);
-                    if let Some(fid) = model.get(&name).copied() {
-                        if name == to {
-                            // Same-name rename: a no-op that must succeed.
-                            r.unwrap();
-                        } else {
-                            r.unwrap();
-                            model.remove(&name);
-                            model.insert(to, fid);
+                    let r = v.rename(&cred, dirs[sd], &src.1, dirs[dd], &dst.1);
+                    match (found, model.get(&dst).copied()) {
+                        (None, _) => prop_assert_eq!(r.unwrap_err(), DfsError::NotFound),
+                        (Some((f, _)), Some((g, _))) if f == g => r.unwrap(),
+                        (Some((_, false)), Some((_, true))) => {
+                            prop_assert_eq!(r.unwrap_err(), DfsError::IsDirectory)
                         }
-                    } else {
-                        prop_assert!(r.is_err());
+                        (Some((_, true)), Some((_, false))) => {
+                            prop_assert_eq!(r.unwrap_err(), DfsError::NotDirectory)
+                        }
+                        (Some(moved), _) => {
+                            r.unwrap();
+                            model.remove(&src);
+                            model.insert(dst, moved);
+                        }
                     }
                 }
             }
-            // Listing matches the model exactly.
-            let mut listed: Vec<String> =
-                v.readdir(&cred, root).unwrap().into_iter().map(|e| e.name).collect();
-            listed.sort();
-            let mut want: Vec<String> = model.keys().cloned().collect();
-            want.sort();
-            prop_assert_eq!(listed, want);
+            // Each directory lists exactly the model's names for it.
+            for (d, fid) in dirs.iter().enumerate() {
+                let mut listed: Vec<String> =
+                    v.readdir(&cred, *fid).unwrap().into_iter().map(|e| e.name).collect();
+                listed.retain(|n| n != "sub");
+                listed.sort();
+                let mut want: Vec<String> =
+                    model.keys().filter(|(k, _)| *k == d).map(|(_, n)| n.clone()).collect();
+                want.sort();
+                prop_assert_eq!(listed, want);
+            }
         }
         let report = ep.salvage().unwrap();
         prop_assert!(report.is_clean(), "{:?}", report.problems);
