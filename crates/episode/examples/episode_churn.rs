@@ -1,7 +1,10 @@
 //! Episode alone under `meta_churn`'s loop: each writer cycles create,
 //! lookup, getattr and remove over 64 names in its own directory, with
 //! no client, RPC or server above it. Prints ops/s for one writer and
-//! for two, alternating, `rounds` times (default 3 s runs, 3 rounds).
+//! for two, alternating, `rounds` times (default 3 s runs, 3 rounds),
+//! and with each the journal's counts per op: class merges, transactions
+//! begun and log bytes. The counts do not depend on the host's speed, so
+//! they tell two trees apart where the rates are noise.
 //!
 //! ```sh
 //! cargo run --release -p dfs-episode --example episode_churn -- [seconds] [rounds]
@@ -9,14 +12,16 @@
 
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
+use dfs_journal::JournalStats;
 use dfs_types::{SimClock, VolumeId};
 use dfs_vfs::{Credentials, PhysicalFs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Runs `writers` threads for `secs` seconds on a fresh aggregate;
-/// returns their ops/s (one op = one VFS call, as in `meta_churn`).
-fn run(writers: usize, secs: f64) -> f64 {
+/// returns their ops (one op = one VFS call, as in `meta_churn`), the
+/// seconds they took and the journal's counts over the run.
+fn run(writers: usize, secs: f64) -> (u64, f64, JournalStats) {
     let disk = SimDisk::new(DiskConfig::with_blocks(65536));
     let ep = Episode::format(disk, SimClock::new(), FormatParams::default()).unwrap();
     ep.create_volume(VolumeId(1), "v").unwrap();
@@ -24,6 +29,7 @@ fn run(writers: usize, secs: f64) -> f64 {
     let cred = Credentials::system();
     let root = vol.root().unwrap();
     let stop = AtomicBool::new(false);
+    let before = ep.journal().stats();
     let start = Instant::now();
     let ops: u64 = std::thread::scope(|s| {
         let workers: Vec<_> = (0..writers)
@@ -48,7 +54,21 @@ fn run(writers: usize, secs: f64) -> f64 {
         stop.store(true, Ordering::Relaxed);
         workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
-    ops as f64 / start.elapsed().as_secs_f64()
+    (ops, start.elapsed().as_secs_f64(), ep.journal().stats().since(&before))
+}
+
+/// One run's line: ops/s, then class merges, transactions and log bytes
+/// per op.
+fn report(writers: usize, secs: f64) -> String {
+    let (ops, took, d) = run(writers, secs);
+    let per_op = |n: u64| n as f64 / ops as f64;
+    format!(
+        "{:>9.0} ops/s ({:.3} merges, {:.4} txns, {:.1} log bytes per op)",
+        ops as f64 / took,
+        per_op(d.class_merges),
+        per_op(d.txns_begun),
+        per_op(d.log_bytes),
+    )
 }
 
 fn main() {
@@ -58,8 +78,7 @@ fn main() {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!("episode_churn: {secs} s per run, {rounds} rounds, nproc {nproc}");
     for round in 1..=rounds {
-        let one = run(1, secs);
-        let two = run(2, secs);
-        println!("round {round}: one writer {one:>9.0} ops/s   two writers {two:>9.0} ops/s");
+        println!("round {round}: one writer  {}", report(1, secs));
+        println!("round {round}: two writers {}", report(2, secs));
     }
 }

@@ -12,9 +12,7 @@
 //!   chunked truncation ("truncation of a file may be broken up to
 //!   truncate only one block or a few blocks at a time", §2.2).
 
-use crate::layout::{
-    Anode, AnodeKind, ANODE_SIZE, FIRST_FREE_ANODE, NDIRECT, PTRS_PER_BLOCK, REFCOUNT_ANODE,
-};
+use crate::layout::{Anode, AnodeKind, ANODE_SIZE, FIRST_FREE_ANODE, NDIRECT, PTRS_PER_BLOCK};
 use crate::Episode;
 use dfs_disk::BLOCK_SIZE;
 use dfs_journal::TxnId;
@@ -109,16 +107,13 @@ impl Episode {
     // ------------------------------------------------------------------
 
     /// Returns the physical block holding refcount entry for block `b`,
-    /// plus the byte offset within it.
+    /// plus the byte offset within it ([`SuperBlock::refcount_location`]).
+    ///
+    /// [`SuperBlock::refcount_location`]: crate::layout::SuperBlock::refcount_location
     fn rc_location(&self, b: u32) -> DfsResult<(u32, usize)> {
-        let rc_anode = self.read_anode(REFCOUNT_ANODE)?;
-        let byte = 2 * b as u64;
-        let fblk = byte / BLOCK_SIZE as u64;
-        let phys = self.map_block(&rc_anode, fblk)?;
-        if phys == 0 {
-            return Err(DfsError::Internal("refcount table hole"));
-        }
-        Ok((phys, (byte % BLOCK_SIZE as u64) as usize))
+        self.sb
+            .refcount_location(b)
+            .ok_or(DfsError::Internal("refcount of a block past the aggregate"))
     }
 
     /// Returns the reference count of block `b` (0 = free).
@@ -737,6 +732,25 @@ mod tests {
         assert_eq!(ep.anode_read(&a, 0, 8).unwrap(), b"MUTATED!");
         // The original block still holds the old content.
         assert_eq!(&ep.jn.get(shared).unwrap().read_at(0, 8), b"original");
+    }
+
+    /// `SuperBlock::refcount_location` agrees with the refcount anode's own
+    /// map for every block, direct-only (8 192 blocks: 4 table blocks)
+    /// and through the indirect block (32 768 blocks: 16).
+    #[test]
+    fn refcount_location_matches_the_refcount_anodes_map() {
+        for blocks in [8192, 32768] {
+            let ep = fresh(blocks);
+            let rc = ep.read_anode(crate::layout::REFCOUNT_ANODE).unwrap();
+            assert_eq!(rc.indirect != 0, blocks > 8192, "{blocks} blocks");
+            for b in 0..blocks {
+                let byte = 2 * b as u64;
+                let phys = ep.map_block(&rc, byte / BLOCK_SIZE as u64).unwrap();
+                let want = (phys, (byte % BLOCK_SIZE as u64) as usize);
+                assert_eq!(ep.rc_location(b).unwrap(), want, "block {b} of {blocks}");
+            }
+            assert!(ep.rc_location(blocks).is_err());
+        }
     }
 
     #[test]

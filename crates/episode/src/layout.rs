@@ -261,6 +261,29 @@ impl SuperBlock {
         (block, offset)
     }
 
+    /// Blocks of the refcount table: 2 bytes per aggregate block.
+    pub fn refcount_blocks(&self) -> u32 {
+        (2 * self.total_blocks as usize).div_ceil(BLOCK_SIZE) as u32
+    }
+
+    /// The refcount anode's indirect block, just past the table, if the
+    /// table has more blocks than the anode has direct pointers.
+    pub fn refcount_indirect(&self) -> Option<u32> {
+        let blocks = self.refcount_blocks();
+        (blocks > NDIRECT as u32).then(|| self.data_start() + blocks)
+    }
+
+    /// Returns (block, byte offset) of block `b`'s refcount entry, or
+    /// `None` past the aggregate: the table lies contiguously from the
+    /// data region's start.
+    pub fn refcount_location(&self, b: u32) -> Option<(u32, usize)> {
+        if b >= self.total_blocks {
+            return None;
+        }
+        let byte = 2 * b as usize;
+        Some((self.data_start() + (byte / BLOCK_SIZE) as u32, byte % BLOCK_SIZE))
+    }
+
     /// Serializes the superblock into a disk block.
     pub fn encode(&self) -> [u8; BLOCK_SIZE] {
         let mut b = [0u8; BLOCK_SIZE];

@@ -88,6 +88,10 @@ pub struct Episode {
     pub(crate) anode_locks: Mutex<HashMap<u32, Arc<RwLock<()>>>>,
     /// Serializes volume-table operations (create/delete/clone/mount).
     pub(crate) vol_lock: Mutex<()>,
+    /// Each volume's version and uniquifier counters, by header anode:
+    /// loaded on first use (a mount, dump, clone or restore), dropped on
+    /// delete.
+    pub(crate) volumes: Mutex<HashMap<u32, Arc<volume::VolumeCounters>>>,
     /// The host journal ring, when the aggregate reserves one.
     host_log: Option<Arc<HostLog>>,
     /// What host-log replay recovered at open time.
@@ -125,17 +129,19 @@ impl Episode {
         }
 
         // Provision the refcount table: 2 bytes per block, preallocated
-        // contiguously at the start of the data region.
-        let rc_bytes = 2 * total as usize;
-        let rc_blocks = rc_bytes.div_ceil(BLOCK_SIZE) as u32;
-        let ptrs_per = layout::PTRS_PER_BLOCK as u32;
-        if rc_blocks > layout::NDIRECT as u32 + ptrs_per {
+        // where the superblock places it (`SuperBlock::refcount_location`).
+        let rc_blocks = sb.refcount_blocks();
+        if rc_blocks > layout::NDIRECT as u32 + layout::PTRS_PER_BLOCK as u32 {
             return Err(DfsError::InvalidArgument); // Aggregate too large.
         }
-        let needs_indirect = rc_blocks > layout::NDIRECT as u32;
-        let rc_data_first = data_start;
-        let indirect_block = if needs_indirect { Some(rc_data_first + rc_blocks) } else { None };
-        let reserved_end = rc_data_first + rc_blocks + u32::from(needs_indirect);
+        let indirect_block = sb.refcount_indirect();
+        // The table block holding the entries from the `i`th one on.
+        let rc_block = |i: u32| {
+            sb.refcount_location(i * (BLOCK_SIZE / 2) as u32)
+                .expect("in the table")
+                .0
+        };
+        let reserved_end = data_start + rc_blocks + u32::from(indirect_block.is_some());
         if reserved_end >= total {
             return Err(DfsError::NoSpace);
         }
@@ -151,14 +157,14 @@ impl Episode {
         for (i, chunk) in rc.chunks(BLOCK_SIZE).enumerate() {
             let mut block = [0u8; BLOCK_SIZE];
             block.copy_from_slice(chunk);
-            disk.write(rc_data_first + i as u32, &block)?;
+            disk.write(rc_block(i as u32), &block)?;
         }
 
         // The refcount anode's indirect block, if needed.
         if let Some(ib) = indirect_block {
             let mut block = [0u8; BLOCK_SIZE];
             for i in layout::NDIRECT as u32..rc_blocks {
-                let ptr = rc_data_first + i;
+                let ptr = rc_block(i);
                 let slot = (i - layout::NDIRECT as u32) as usize * 4;
                 block[slot..slot + 4].copy_from_slice(&ptr.to_le_bytes());
             }
@@ -172,9 +178,9 @@ impl Episode {
         let mut rc_anode = Anode::free();
         rc_anode.kind = AnodeKind::Meta;
         rc_anode.uniq = 1;
-        rc_anode.length = rc_bytes as u64;
+        rc_anode.length = 2 * u64::from(total);
         for i in 0..layout::NDIRECT.min(rc_blocks as usize) {
-            rc_anode.direct[i] = rc_data_first + i as u32;
+            rc_anode.direct[i] = rc_block(i as u32);
         }
         if let Some(ib) = indirect_block {
             rc_anode.indirect = ib;
@@ -246,6 +252,7 @@ impl Episode {
             }),
             anode_locks: Mutex::new(HashMap::new()),
             vol_lock: Mutex::new(()),
+            volumes: Mutex::new(HashMap::new()),
             host_log,
             host_replay,
             me: me.clone(),

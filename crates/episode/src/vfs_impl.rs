@@ -8,6 +8,7 @@
 
 use crate::dir::RawDirEntry;
 use crate::layout::{check_name, Anode, AnodeKind};
+use crate::volume::VolumeCounters;
 use crate::Episode;
 use dfs_journal::{Admitted, TxnId};
 use dfs_types::{Acl, DfsError, DfsResult, FileStatus, Fid, Rights, VnodeId, VolumeId};
@@ -22,6 +23,7 @@ pub struct EpisodeVolume {
     ep: Arc<Episode>,
     vol: VolumeId,
     header: u32,
+    counters: Arc<VolumeCounters>,
     read_only: bool,
     root_vnode: u32,
 }
@@ -110,7 +112,7 @@ impl EpisodeVolume {
     /// writes its anode.
     fn write_dir(&self, txn: TxnId, slot: u32, d: &mut Anode) -> DfsResult<()> {
         d.mtime = self.ep.clock.now().as_micros();
-        d.data_version = self.ep.bump_volume_version(txn, self.header)?;
+        d.data_version = self.ep.bump_volume_version(&self.counters)?;
         self.ep.write_anode(txn, slot, d)
     }
 
@@ -151,7 +153,7 @@ impl EpisodeVolume {
         }
         let (v, a) = self.ep.txn(|txn| {
             let (slot, mut a) = self.ep.alloc_anode(txn, kind, self.vol.0, mode, cred.user, 0)?;
-            a.uniq = self.ep.next_uniq(txn, self.header)?;
+            a.uniq = self.ep.next_uniq(&self.counters)?;
             if kind == AnodeKind::Directory {
                 a.nlink = 2;
                 d.nlink += 1;
@@ -409,7 +411,7 @@ impl Vfs for EpisodeVolume {
         self.ep.txn(|txn| {
             self.ep.anode_write(txn, &mut a, offset, data, false)?;
             a.mtime = self.ep.clock.now().as_micros();
-            a.data_version = self.ep.bump_volume_version(txn, self.header)?;
+            a.data_version = self.ep.bump_volume_version(&self.counters)?;
             self.ep.write_anode(txn, slot, &a)
         })?;
         Ok(self.ep.status_from_anode(file, &a))
@@ -440,7 +442,7 @@ impl Vfs for EpisodeVolume {
                     self.ep.anode_write(txn, &mut a, e.offset, &e.data, false)?;
                 }
                 a.mtime = self.ep.clock.now().as_micros();
-                a.data_version = self.ep.bump_volume_version(txn, self.header)?;
+                a.data_version = self.ep.bump_volume_version(&self.counters)?;
                 self.ep.write_anode(txn, slot, &a)
             })?;
         }
@@ -481,7 +483,7 @@ impl Vfs for EpisodeVolume {
         let a = self.ep.txn(|txn| {
             let mut a = self.ep.read_anode(slot)?;
             if attrs.length.is_some() {
-                a.data_version = self.ep.bump_volume_version(txn, self.header)?;
+                a.data_version = self.ep.bump_volume_version(&self.counters)?;
             }
             if let Some(m) = attrs.mode {
                 a.mode = m;
@@ -587,6 +589,7 @@ impl PhysicalFs for Episode {
             ep,
             vol,
             header,
+            counters: self.volume_counters(header)?,
             read_only: vh.read_only(),
             root_vnode: vh.root_vnode,
         }))
@@ -894,60 +897,83 @@ mod tests {
     /// How many transactions each mutating VFS+ op runs. Every one of
     /// them begins and ends in `Episode::txn`; a refactor of the op
     /// bodies must not move these counts, and no op may leave a
-    /// transaction open.
+    /// transaction open. A mark extension (`keep_below_marks`) is not the
+    /// op's: the table is the same with the marks far ahead and with
+    /// every op's first draw passing one.
     #[test]
     fn each_mutating_op_runs_a_fixed_number_of_transactions() {
+        for at_marks in [false, true] {
+            let (table, extensions) = transactions_per_op(at_marks);
+            let want = [
+                ("create", 1),
+                ("mkdir", 1),
+                ("symlink", 1),
+                ("link", 1),
+                ("write", 1),
+                ("write_vec", 1),
+                ("setattr(mode)", 1),
+                ("set_acl", 1),
+                ("setattr(truncate)", 2),
+                ("rename", 1),
+                ("remove(a link)", 1),
+                ("rmdir", 4),
+                ("rename(replacing a file)", 4),
+                ("remove(last link, data + ACL)", 6),
+                ("remove(last link, empty)", 4),
+            ];
+            assert_eq!(table, want, "at_marks {at_marks}");
+            // At the marks, every op but `setattr(mode)` and `set_acl`
+            // draws, and its first draw logs new marks.
+            assert_eq!(extensions, if at_marks { 13 } else { 0 });
+        }
+    }
+
+    /// Runs each mutating op once on a fresh volume; returns each op's
+    /// transactions less its mark extensions, and the extensions. With
+    /// `at_marks`, the live counters jump to their marks before each op.
+    fn transactions_per_op(at_marks: bool) -> (Vec<(&'static str, u64)>, u64) {
         let (ep, v) = mounted();
-        let c = cred();
+        let header = ep.voltable_find(VolumeId(1)).unwrap().unwrap().1;
+        let counters = ep.volume_counters(header).unwrap();
+        let cred = cred();
         let root = v.root().unwrap();
-        let mut table: Vec<(&str, u64)> = Vec::new();
+        let (mut table, mut extensions) = (Vec::new(), 0);
         let mut txns = |what, op: &mut dyn FnMut()| {
-            let before = ep.journal().stats();
+            if at_marks {
+                counters.resume_at_marks();
+            }
+            let (before, marks) = (ep.journal().stats(), counters.marks());
             op();
             let d = ep.journal().stats().since(&before);
             assert_eq!(d.commit_records, d.txns_begun, "{what}");
             assert_eq!(ep.journal().active_txns(), 0, "{what} left a transaction open");
-            table.push((what, d.txns_begun));
+            let extended = u64::from(counters.marks() != marks);
+            extensions += extended;
+            table.push((what, d.txns_begun - extended));
         };
-        let f = v.create(&c, root, "f", 0o644).unwrap().fid;
+        let c = &cred;
+        let f = v.create(c, root, "f", 0o644).unwrap().fid;
         let acl = Acl::unix_default(0);
         let page = vec![dfs_vfs::WriteExtent { offset: 4096, data: vec![2u8; 4096] }];
-        txns("create", &mut || drop(v.create(&c, root, "e", 0o644).unwrap()));
-        txns("mkdir", &mut || drop(v.mkdir(&c, root, "d", 0o755).unwrap()));
-        txns("symlink", &mut || drop(v.symlink(&c, root, "s", "f").unwrap()));
-        txns("link", &mut || drop(v.link(&c, root, "f2", f).unwrap()));
-        txns("write", &mut || drop(v.write(&c, f, 0, &[1u8; 5000]).unwrap()));
-        txns("write_vec", &mut || drop(v.write_vec(&c, f, &page).unwrap()));
+        txns("create", &mut || drop(v.create(c, root, "e", 0o644).unwrap()));
+        txns("mkdir", &mut || drop(v.mkdir(c, root, "d", 0o755).unwrap()));
+        txns("symlink", &mut || drop(v.symlink(c, root, "s", "f").unwrap()));
+        txns("link", &mut || drop(v.link(c, root, "f2", f).unwrap()));
+        txns("write", &mut || drop(v.write(c, f, 0, &[1u8; 5000]).unwrap()));
+        txns("write_vec", &mut || drop(v.write_vec(c, f, &page).unwrap()));
         let mode = SetAttrs { mode: Some(0o600), ..SetAttrs::default() };
-        txns("setattr(mode)", &mut || drop(v.setattr(&c, f, &mode).unwrap()));
-        txns("set_acl", &mut || v.set_acl(&c, f, &acl).unwrap());
-        txns("setattr(truncate)", &mut || drop(v.setattr(&c, f, &SetAttrs::truncate(10)).unwrap()));
-        txns("rename", &mut || v.rename(&c, root, "s", root, "s2").unwrap());
-        txns("remove(a link)", &mut || drop(v.remove(&c, root, "f2").unwrap()));
-        txns("rmdir", &mut || v.rmdir(&c, root, "d").unwrap());
-        v.create(&c, root, "g", 0o644).unwrap();
-        txns("rename(replacing a file)", &mut || v.rename(&c, root, "g", root, "e").unwrap());
-        txns("remove(last link, data + ACL)", &mut || drop(v.remove(&c, root, "f").unwrap()));
-        txns("remove(last link, empty)", &mut || drop(v.remove(&c, root, "e").unwrap()));
-        let want = [
-            ("create", 1),
-            ("mkdir", 1),
-            ("symlink", 1),
-            ("link", 1),
-            ("write", 1),
-            ("write_vec", 1),
-            ("setattr(mode)", 1),
-            ("set_acl", 1),
-            ("setattr(truncate)", 2),
-            ("rename", 1),
-            ("remove(a link)", 1),
-            ("rmdir", 4),
-            ("rename(replacing a file)", 4),
-            ("remove(last link, data + ACL)", 6),
-            ("remove(last link, empty)", 4),
-        ];
-        assert_eq!(table, want);
+        txns("setattr(mode)", &mut || drop(v.setattr(c, f, &mode).unwrap()));
+        txns("set_acl", &mut || v.set_acl(c, f, &acl).unwrap());
+        txns("setattr(truncate)", &mut || drop(v.setattr(c, f, &SetAttrs::truncate(10)).unwrap()));
+        txns("rename", &mut || v.rename(c, root, "s", root, "s2").unwrap());
+        txns("remove(a link)", &mut || drop(v.remove(c, root, "f2").unwrap()));
+        txns("rmdir", &mut || v.rmdir(c, root, "d").unwrap());
+        v.create(c, root, "g", 0o644).unwrap();
+        txns("rename(replacing a file)", &mut || v.rename(c, root, "g", root, "e").unwrap());
+        txns("remove(last link, data + ACL)", &mut || drop(v.remove(c, root, "f").unwrap()));
+        txns("remove(last link, empty)", &mut || drop(v.remove(c, root, "e").unwrap()));
         assert!(ep.salvage().unwrap().is_clean());
+        (table, extensions)
     }
 
     #[test]

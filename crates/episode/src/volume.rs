@@ -8,31 +8,49 @@
 //! servers and for lazy replication), and **restored**.
 //!
 //! On disk, the volume table is anode 1; each volume has a header anode
-//! whose container holds the volume's identity and its vnode map — the
-//! per-volume translation from vnode index (the fid component that
-//! survives volume moves) to anode slot.
+//! whose container holds the volume's identity in its first block and,
+//! from its second block on, its vnode map — the per-volume translation
+//! from vnode index (the fid component that survives volume moves) to
+//! anode slot.
+//!
+//! A volume's version and uniquifier counters live in memory
+//! ([`VolumeCounters`]); the header holds only their logged high-water
+//! marks (DESIGN.md §7 "Volume counters off the transaction").
 
 use crate::layout::{Anode, AnodeKind};
 use crate::Episode;
+use dfs_disk::BLOCK_SIZE;
 use dfs_journal::TxnId;
 use dfs_types::{DfsError, DfsResult, FileStatus, Fid, VnodeId, VolumeId};
 use dfs_vfs::{DirEntry, DumpFile, VolumeDump, VolumeInfo};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Byte size of a volume-table entry: volume id + header anode + flags.
 const VT_ENTRY: usize = 16;
 
 /// Volume header layout within the header anode's container: id at 0
 /// (u64), flags at 8 (u32), root vnode at 12 (u32), parent volume at 16
-/// (u64), base data-version at 24 (u64), next uniquifier at 32 (u32),
+/// (u64), base data-version at 24 (u64), uniquifier mark at 32 (u32),
 /// then the name.
 const VH_NAME: u64 = 36;
-/// Per-volume version counter: every mutation gets the next value and
+/// Version mark: every mutation gets the next per-volume version and
 /// stamps it into the changed file's `data_version`, so "changed since
 /// version V" is a meaningful per-volume question (used by incremental
-/// dumps, §3.8).
+/// dumps, §3.8). The header holds the logged high-water mark, not the
+/// live value.
 const VH_VERSION: u64 = 68;
-/// First byte of the vnode map; each entry is a u32 anode index.
-const VH_MAP: u64 = 76;
+/// Bytes of the fixed header, at the start of the container's first
+/// block.
+const VH_FIXED: usize = 76;
+/// First byte of the vnode map (each entry a u32 anode index): the
+/// container's second block, so that no per-op transaction writes the
+/// first, which holds the marks.
+const VH_MAP: u64 = BLOCK_SIZE as u64;
+
+/// How far ahead of the live counters a mark extension logs the marks.
+const MARK_STRIDE: u32 = 1024;
 
 /// Read-only flag bit in the header flags word.
 const VF_READONLY: u32 = 1;
@@ -50,9 +68,9 @@ pub struct VolumeHeader {
     pub parent: u64,
     /// Data-version base recorded at restore time (replica bookkeeping).
     pub base_dv: u64,
-    /// Next fid uniquifier to hand out.
+    /// Uniquifier mark: at least every fid uniquifier handed out.
     pub next_uniq: u32,
-    /// Per-volume mutation version counter.
+    /// Version mark: at least every mutation version handed out.
     pub version: u64,
     /// Volume name.
     pub name: String,
@@ -76,6 +94,93 @@ impl VolumeHeader {
     /// Returns true if the volume is a read-only clone or replica.
     pub fn read_only(&self) -> bool {
         self.flags & VF_READONLY != 0
+    }
+
+    /// The fixed header's on-disk bytes.
+    fn encode(&self) -> [u8; VH_FIXED] {
+        let mut fixed = [0u8; VH_FIXED];
+        fixed[0..8].copy_from_slice(&self.id.to_le_bytes());
+        fixed[8..12].copy_from_slice(&self.flags.to_le_bytes());
+        fixed[12..16].copy_from_slice(&self.root_vnode.to_le_bytes());
+        fixed[16..24].copy_from_slice(&self.parent.to_le_bytes());
+        fixed[24..32].copy_from_slice(&self.base_dv.to_le_bytes());
+        fixed[32..36].copy_from_slice(&self.next_uniq.to_le_bytes());
+        let name = self.name.as_bytes();
+        let n = name.len().min(31);
+        fixed[VH_NAME as usize] = n as u8;
+        fixed[VH_NAME as usize + 1..VH_NAME as usize + 1 + n].copy_from_slice(&name[..n]);
+        fixed[VH_VERSION as usize..VH_VERSION as usize + 8]
+            .copy_from_slice(&self.version.to_le_bytes());
+        fixed
+    }
+}
+
+/// A volume's version and uniquifier counters, off the transaction.
+///
+/// Every mutation draws the next value from an atomic; the header holds
+/// only the marks, and a draw past one logs new marks [`MARK_STRIDE`]
+/// ahead in a transaction of its own ([`Episode::keep_below_marks`]).
+/// After a crash the counters resume at the logged marks, above every
+/// value handed out. One per volume, in [`Episode`]'s map keyed by
+/// header anode.
+pub(crate) struct VolumeCounters {
+    header: u32,
+    /// The last version handed out. `Relaxed`: a draw publishes nothing
+    /// but the value, and `fetch_add` hands each value out once.
+    version: AtomicU64,
+    /// The last uniquifier handed out.
+    uniq: AtomicU32,
+    /// The published marks: logged, their commit record in the log.
+    /// Stored with `Release` after that append; a draw that reads one
+    /// with `Acquire` and stays below it appends its own commit record
+    /// after the mark's.
+    version_mark: AtomicU64,
+    uniq_mark: AtomicU32,
+    /// Serializes mark extensions and header rewrites.
+    marks: Mutex<()>,
+}
+
+impl VolumeCounters {
+    /// Counters resuming at the marks of header `vh`.
+    fn new(header: u32, vh: &VolumeHeader) -> VolumeCounters {
+        VolumeCounters {
+            header,
+            version: AtomicU64::new(vh.version),
+            uniq: AtomicU32::new(vh.next_uniq),
+            version_mark: AtomicU64::new(vh.version),
+            uniq_mark: AtomicU32::new(vh.next_uniq),
+            marks: Mutex::new(()),
+        }
+    }
+
+    /// The live (version, uniquifier): the last values handed out.
+    pub(crate) fn live(&self) -> (u64, u32) {
+        (self.version.load(Ordering::Relaxed), self.uniq.load(Ordering::Relaxed))
+    }
+
+    /// The published (version, uniquifier) marks.
+    pub(crate) fn marks(&self) -> (u64, u32) {
+        (self.version_mark.load(Ordering::Acquire), self.uniq_mark.load(Ordering::Acquire))
+    }
+
+    /// True if a value was drawn past a published mark.
+    fn past_mark(&self) -> bool {
+        let ((version, uniq), (vmark, umark)) = (self.live(), self.marks());
+        version > vmark || uniq > umark
+    }
+
+    /// Publishes the marks of the header `vh` just logged.
+    fn publish(&self, vh: &VolumeHeader) {
+        self.version_mark.store(vh.version, Ordering::Release);
+        self.uniq_mark.store(vh.next_uniq, Ordering::Release);
+    }
+
+    /// Raises the live values to the published marks, where a fresh
+    /// load starts them: the next draw of either passes its mark.
+    pub(crate) fn resume_at_marks(&self) {
+        let (version, uniq) = self.marks();
+        self.version.fetch_max(version, Ordering::Relaxed);
+        self.uniq.fetch_max(uniq, Ordering::Relaxed);
     }
 }
 
@@ -123,8 +228,9 @@ impl Episode {
     /// Allocates a header anode holding `vh` and enters the volume in the
     /// volume table, returning the header anode.
     fn new_volume(&self, txn: TxnId, vh: &VolumeHeader) -> DfsResult<u32> {
-        let (header, _) = self.alloc_anode(txn, AnodeKind::Meta, vh.id, 0, 0, 0)?;
-        self.write_volume_header_fixed(txn, header, vh)?;
+        let (header, mut a) = self.alloc_anode(txn, AnodeKind::Meta, vh.id, 0, 0, 0)?;
+        self.anode_write(txn, &mut a, 0, &vh.encode(), true)?;
+        self.write_anode(txn, header, &a)?;
         self.voltable_insert(txn, VolumeId(vh.id), header)?;
         Ok(header)
     }
@@ -153,8 +259,8 @@ impl Episode {
     /// Reads and decodes a volume header.
     pub(crate) fn read_volume_header(&self, header_anode: u32) -> DfsResult<VolumeHeader> {
         let a = self.read_anode(header_anode)?;
-        let fixed = self.anode_read(&a, 0, VH_MAP as usize)?;
-        if fixed.len() < VH_MAP as usize {
+        let fixed = self.anode_read(&a, 0, VH_FIXED)?;
+        if fixed.len() < VH_FIXED {
             return Err(DfsError::Internal("short volume header"));
         }
         let name_len = fixed[VH_NAME as usize] as usize;
@@ -176,32 +282,22 @@ impl Episode {
         })
     }
 
-    // Read-modify-write callers on a *live* volume must hold the header
-    // anode's write lock; a racing writer restoring a stale descriptor
-    // copy can otherwise revert the vnode map's length (fids then
-    // resolve to slot 0 — spurious StaleFid).
-    fn write_volume_header_fixed(
+    /// Rewrites an existing volume's fixed header in place: one update
+    /// to the container's first block, none to its anode. No per-op
+    /// transaction writes that block, so a transaction doing only this
+    /// is a class of its own, and its commit record is in the log when
+    /// its commit returns.
+    fn rewrite_volume_header(
         &self,
         txn: TxnId,
         header_anode: u32,
         vh: &VolumeHeader,
     ) -> DfsResult<()> {
-        let mut fixed = vec![0u8; VH_MAP as usize];
-        fixed[0..8].copy_from_slice(&vh.id.to_le_bytes());
-        fixed[8..12].copy_from_slice(&vh.flags.to_le_bytes());
-        fixed[12..16].copy_from_slice(&vh.root_vnode.to_le_bytes());
-        fixed[16..24].copy_from_slice(&vh.parent.to_le_bytes());
-        fixed[24..32].copy_from_slice(&vh.base_dv.to_le_bytes());
-        fixed[32..36].copy_from_slice(&vh.next_uniq.to_le_bytes());
-        let name = vh.name.as_bytes();
-        let n = name.len().min(31);
-        fixed[VH_NAME as usize] = n as u8;
-        fixed[VH_NAME as usize + 1..VH_NAME as usize + 1 + n].copy_from_slice(&name[..n]);
-        fixed[VH_VERSION as usize..VH_VERSION as usize + 8]
-            .copy_from_slice(&vh.version.to_le_bytes());
-        let mut a = self.read_anode(header_anode)?;
-        self.anode_write(txn, &mut a, 0, &fixed, true)?;
-        self.write_anode(txn, header_anode, &a)
+        let a = self.read_anode(header_anode)?;
+        match self.map_block(&a, 0)? {
+            0 => Err(DfsError::Internal("volume header hole")),
+            b => self.jn.update(txn, &self.jn.get(b)?, 0, &vh.encode()),
+        }
     }
 
     /// Returns the anode slot mapped to vnode `v` (0 = free).
@@ -270,38 +366,76 @@ impl Episode {
             .collect())
     }
 
-    /// Read-modify-writes a volume header under its anode's write lock.
-    fn update_volume_header<T>(
-        &self,
-        txn: TxnId,
-        header_anode: u32,
-        change: impl FnOnce(&mut VolumeHeader) -> T,
-    ) -> DfsResult<T> {
-        let lock = self.anode_lock(header_anode);
-        let _g = lock.write();
-        let mut vh = self.read_volume_header(header_anode)?;
-        let out = change(&mut vh);
-        self.write_volume_header_fixed(txn, header_anode, &vh)?;
-        Ok(out)
+    // ------------------------------------------------------------------
+    // Volume counters
+    // ------------------------------------------------------------------
+
+    /// The counters of the volume whose header is `header_anode`, loaded
+    /// from its marks on first use.
+    pub(crate) fn volume_counters(&self, header_anode: u32) -> DfsResult<Arc<VolumeCounters>> {
+        let mut volumes = self.volumes.lock();
+        if let Some(c) = volumes.get(&header_anode) {
+            return Ok(c.clone());
+        }
+        let c =
+            Arc::new(VolumeCounters::new(header_anode, &self.read_volume_header(header_anode)?));
+        volumes.insert(header_anode, c.clone());
+        Ok(c)
     }
 
     /// Allocates the next fid uniquifier for the volume.
-    pub(crate) fn next_uniq(&self, txn: TxnId, header_anode: u32) -> DfsResult<u32> {
-        self.update_volume_header(txn, header_anode, |vh| {
-            vh.next_uniq += 1;
-            vh.next_uniq
-        })
+    pub(crate) fn next_uniq(&self, c: &VolumeCounters) -> DfsResult<u32> {
+        let uniq = c.uniq.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        self.keep_below_marks(c)?;
+        Ok(uniq)
     }
 
     /// Bumps and returns the per-volume mutation version.
     ///
     /// Mutating operations stamp the result into the changed file's
     /// `data_version`, making versions comparable volume-wide.
-    pub(crate) fn bump_volume_version(&self, txn: TxnId, header_anode: u32) -> DfsResult<u64> {
-        self.update_volume_header(txn, header_anode, |vh| {
-            vh.version += 1;
-            vh.version
+    pub(crate) fn bump_volume_version(&self, c: &VolumeCounters) -> DfsResult<u64> {
+        let version = c.version.fetch_add(1, Ordering::Relaxed) + 1;
+        self.keep_below_marks(c)?;
+        Ok(version)
+    }
+
+    /// After a draw: if it went past a published mark, logs both marks
+    /// [`MARK_STRIDE`] ahead of the live values in a transaction of its
+    /// own, and publishes them once its commit record is in the log. So
+    /// a mutation's commit record never precedes the mark covering its
+    /// values: whatever survives a crash, the counters resume above it.
+    fn keep_below_marks(&self, c: &VolumeCounters) -> DfsResult<()> {
+        if !c.past_mark() {
+            return Ok(());
+        }
+        self.log_marks(c, |vh| {
+            // Another draw may have logged them while this one waited.
+            let (version, uniq) = c.live();
+            c.past_mark().then(|| VolumeHeader {
+                version: version + u64::from(MARK_STRIDE),
+                next_uniq: uniq.wrapping_add(MARK_STRIDE),
+                ..vh
+            })
         })
+    }
+
+    /// The one read-modify-write of a volume's fixed header: under the
+    /// volume's `marks` lock, reads the header, lets `change` make the
+    /// new one (`None`: nothing to write), rewrites it in a transaction
+    /// of its own and publishes its marks after that commit.
+    fn log_marks(
+        &self,
+        c: &VolumeCounters,
+        change: impl FnOnce(VolumeHeader) -> Option<VolumeHeader>,
+    ) -> DfsResult<()> {
+        let _g = c.marks.lock();
+        let Some(vh) = change(self.read_volume_header(c.header)?) else {
+            return Ok(());
+        };
+        self.txn(|txn| self.rewrite_volume_header(txn, c.header, &vh))?;
+        c.publish(&vh);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -339,6 +473,7 @@ impl Episode {
             self.destroy_anode(slot)?;
         }
         self.destroy_anode(header)?;
+        self.volumes.lock().remove(&header);
         self.txn(|txn| self.voltable_clear(txn, offset))?;
         self.jn.sync()
     }
@@ -360,11 +495,16 @@ impl Episode {
         if self.voltable_find(clone_id)?.is_some() {
             return Err(DfsError::Exists);
         }
+        // A read-only clone draws nothing: its marks are the source's
+        // live values, which its dumps report.
+        let (version, next_uniq) = self.volume_counters(src_header)?.live();
         let vh = VolumeHeader {
             id: clone_id.0,
             flags: VF_READONLY,
             parent: src.0,
             base_dv: 0,
+            version,
+            next_uniq,
             name: name.to_string(),
             ..self.read_volume_header(src_header)?
         };
@@ -426,7 +566,9 @@ impl Episode {
         let vh = self.read_volume_header(header)?;
         let mut files = Vec::new();
         let mut live = Vec::new();
-        let max_dv = vh.version;
+        // The live version, not the mark: a file changed after this dump
+        // gets a version above it, so `since = max_dv` finds it.
+        let max_dv = self.volume_counters(header)?.live().0;
         for (v, slot) in self.vnode_list(header)? {
             let a = self.read_anode(slot)?;
             let fid = Fid::new(id, VnodeId(v), a.uniq);
@@ -546,16 +688,20 @@ impl Episode {
             })?;
         }
 
-        // Record the restore point and keep next_uniq ahead of everything.
+        // Record the restore point and keep the marks ahead of
+        // everything, then resume the counters there.
         let max_uniq = dump.live.iter().map(|f| f.uniq).max().unwrap_or(0);
-        self.txn(|txn| {
-            self.update_volume_header(txn, header, |vh| {
-                vh.base_dv = dump.max_data_version;
-                vh.version = vh.version.max(dump.max_data_version);
-                vh.flags = flags;
-                vh.next_uniq = vh.next_uniq.max(max_uniq + 1);
+        let c = self.volume_counters(header)?;
+        self.log_marks(&c, |vh| {
+            Some(VolumeHeader {
+                base_dv: dump.max_data_version,
+                version: vh.version.max(dump.max_data_version),
+                flags,
+                next_uniq: vh.next_uniq.max(max_uniq + 1),
+                ..vh
             })
         })?;
+        c.resume_at_marks();
         self.jn.sync()
     }
 

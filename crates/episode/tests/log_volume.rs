@@ -31,8 +31,8 @@ fn a_create_and_remove_cycle_logs_only_what_changes() {
         let before = ep.journal().stats();
         cycle(i);
         let d = ep.journal().stats().since(&before);
-        assert!(d.log_bytes <= 1000, "cycle {i} logged {} bytes", d.log_bytes);
-        assert!(d.update_records <= 14, "cycle {i} logged {} updates", d.update_records);
+        assert!(d.log_bytes <= 700, "cycle {i} logged {} bytes", d.log_bytes);
+        assert!(d.update_records <= 11, "cycle {i} logged {} updates", d.update_records);
         bytes += d.log_bytes;
         records += d.update_records;
     }

@@ -58,9 +58,9 @@ impl Frame {
 pub(crate) struct FrameCell {
     /// The disk block number this frame caches.
     pub block: u32,
-    /// CLOCK reference bit: set by a cache hit, cleared as the hand
-    /// passes. Only touched under the cache lock — an atomic so a hit
-    /// need not take the frame latch.
+    /// CLOCK reference bit: set by a cache hit under the cache's read
+    /// lock, cleared as the hand passes under its write lock. An atomic,
+    /// so concurrent hits may set it without the frame latch.
     pub referenced: AtomicBool,
     /// The latched frame state.
     pub state: OrderedMutex<Frame, { rank::JOURNAL_FRAME }>,

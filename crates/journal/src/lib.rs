@@ -5,8 +5,9 @@
 //!
 //! * a **buffer cache** whose frames can only be modified through logging
 //!   primitives ([`Journal::update`]), never directly. Replacement is
-//!   CLOCK: a hit sets the frame's reference bit (no frame latch), a miss
-//!   advances the hand to the first frame neither referenced nor pinned
+//!   CLOCK: a hit sets the frame's reference bit under the cache's read
+//!   lock (no frame latch), a miss takes the write lock and advances the
+//!   hand to the first frame neither referenced nor pinned
 //!   by a [`BufHandle`], writes it back under the WAL rule if dirty, and
 //!   reuses its slot;
 //! * a **write-ahead log**: byte-level old/new value records grouped into
@@ -45,7 +46,7 @@ use dfs_disk::{Block, SimDisk, BLOCK_SIZE};
 use dfs_types::{DfsError, DfsResult};
 use frame::{Frame, FrameCell};
 use logfmt::{commit_len, decode_block, encode_block, update_len, LOG_PAYLOAD};
-use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -251,7 +252,7 @@ pub struct Journal {
     disk: SimDisk,
     region: LogRegion,
     log: OrderedMutex<LogState, { rank::JOURNAL_LOG }>,
-    cache: OrderedMutex<CacheState, { rank::JOURNAL_CACHE }>,
+    cache: OrderedRwLock<CacheState, { rank::JOURNAL_CACHE }>,
     txns: OrderedMutex<TxnTable, { rank::JOURNAL_TXNS }>,
     /// Signalled when the last admitted operation finishes.
     drained: OrderedCondvar,
@@ -422,7 +423,7 @@ impl Journal {
                 pending: Vec::new(),
                 syncing: false,
             }),
-            cache: OrderedMutex::new(CacheState {
+            cache: OrderedRwLock::new(CacheState {
                 frames: HashMap::new(),
                 slots: Vec::new(),
                 hand: 0,
@@ -438,7 +439,7 @@ impl Journal {
     /// Sets the buffer-cache capacity in frames (default 1024). A shrink
     /// takes effect on the next miss.
     pub fn set_cache_capacity(&self, frames: usize) {
-        self.cache.lock().capacity = frames.max(8);
+        self.cache.write().capacity = frames.max(8);
     }
 
     /// Returns the underlying disk handle.
@@ -485,16 +486,18 @@ impl Journal {
 
     /// Returns a pinned handle to `block`, reading it if not cached.
     ///
-    /// A hit sets the frame's reference bit and takes no frame latch. A
-    /// miss reads the block into the CLOCK victim's slot, or into a new
-    /// slot while the cache is below capacity or every frame is pinned.
+    /// A hit takes the cache lock for reading, sets the frame's reference
+    /// bit and takes no frame latch. A miss takes it for writing, looks
+    /// again (a racing miss may have read the block meanwhile), and reads
+    /// the block into the CLOCK victim's slot, or into a new slot while
+    /// the cache is below capacity or every frame is pinned.
     pub fn get(&self, block: u32) -> DfsResult<BufHandle> {
-        let mut cache = self.cache.lock();
-        if let Some(&slot) = cache.frames.get(&block) {
-            let cell = cache.slots[slot].clone();
-            cell.referenced.store(true, Ordering::Relaxed);
-            self.stats.cache_hits.add(1);
-            return Ok(BufHandle { cell });
+        if let Some(hit) = self.hit(&self.cache.read(), block) {
+            return Ok(hit);
+        }
+        let mut cache = self.cache.write();
+        if let Some(hit) = self.hit(&cache, block) {
+            return Ok(hit);
         }
         self.stats.cache_misses.add(1);
         let victim = self.make_room(&mut cache)?;
@@ -525,6 +528,14 @@ impl Journal {
             }
         }
         Ok(BufHandle { cell })
+    }
+
+    /// A handle to `block` if it is cached, its reference bit set.
+    fn hit(&self, cache: &CacheState, block: u32) -> Option<BufHandle> {
+        let cell = cache.slots[*cache.frames.get(&block)?].clone();
+        cell.referenced.store(true, Ordering::Relaxed);
+        self.stats.cache_hits.add(1);
+        Some(BufHandle { cell })
     }
 
     /// Makes room for one more frame: returns the victim's slot, written
@@ -683,11 +694,29 @@ impl Journal {
         // Reserve log space before taking any locks: reservation may
         // checkpoint, which needs the cache, frame, and txn locks itself.
         self.reserve(update_len(new.len()) as u64)?;
+        let mut st = buf.cell.state.lock();
+
+        // Log only the bytes that change. Not against a frame holding
+        // unlogged user data, though: the disk lacks those bytes, so if
+        // the block is reused as metadata before it goes home, redo must
+        // restore every byte of the update, equal to the frame or not.
+        let span = if st.unlogged {
+            Some((0, new.len()))
+        } else {
+            let cur = &st.data[offset..offset + new.len()];
+            let differs = |(a, b): (&u8, &u8)| a != b;
+            cur.iter().zip(new).position(differs).map(|lo| {
+                let tail = cur.iter().zip(new).rev().position(differs).expect("byte `lo` differs");
+                (lo, new.len() - tail)
+            })
+        };
+
+        // `txns` is held for the class merge, the append and the undo
+        // entry only: a checkpoint computing the tail under it sees the
+        // record or the transaction's `first_lsn`, never neither.
         let mut txns = self.txns.lock();
         let mut root =
             txns.find(txn).ok_or(DfsError::Internal("update on inactive transaction"))?;
-
-        let mut st = buf.cell.state.lock();
         // Merge equivalence classes when two active transactions touch
         // the same buffer (§2.2 serializability). The dependency is on
         // what `txn` read, so an update that changes nothing merges too.
@@ -698,21 +727,8 @@ impl Journal {
             }
         }
         st.writer_class = Some(root);
-
-        // Log only the bytes that change. Not against a frame holding
-        // unlogged user data, though: the disk lacks those bytes, so if
-        // the block is reused as metadata before it goes home, redo must
-        // restore every byte of the update, equal to the frame or not.
-        let (lo, hi) = if st.unlogged {
-            (0, new.len())
-        } else {
-            let cur = &st.data[offset..offset + new.len()];
-            let differs = |(a, b): (&u8, &u8)| a != b;
-            let Some(lo) = cur.iter().zip(new).position(differs) else {
-                return Ok(());
-            };
-            let tail = cur.iter().zip(new).rev().position(differs).expect("byte `lo` differs");
-            (lo, new.len() - tail)
+        let Some((lo, hi)) = span else {
+            return Ok(());
         };
         let (offset, new) = (offset + lo, &new[lo..hi]);
         let old = st.data[offset..offset + new.len()].to_vec();
@@ -720,18 +736,17 @@ impl Journal {
         let lsn = self.append(len, |out| {
             logfmt::encode_update(out, txn, buf.cell.block, offset as u16, &old, new)
         });
-        let end = Lsn(lsn.0 + len as u64);
+        let t = txns.active.get_mut(&txn).expect("checked active");
+        t.first_lsn.get_or_insert(lsn);
+        t.undo.push((buf.cell.block, offset as u16, old));
+        drop(txns);
 
         st.data[offset..offset + new.len()].copy_from_slice(new);
         st.dirty = true;
         st.version += 1;
         st.first_lsn.get_or_insert(lsn);
-        st.last_lsn = end;
+        st.last_lsn = Lsn(lsn.0 + len as u64);
         drop(st);
-
-        let t = txns.active.get_mut(&txn).expect("checked active");
-        t.first_lsn.get_or_insert(lsn);
-        t.undo.push((buf.cell.block, offset as u16, old));
         self.stats.update_records.add(1);
         Ok(())
     }
@@ -945,7 +960,7 @@ impl Journal {
     /// log tail advances past everything now reflected on disk.
     pub fn checkpoint(&self) -> DfsResult<()> {
         self.sync()?;
-        let cells = self.cache.lock().slots.clone();
+        let cells = self.cache.read().slots.clone();
         for cell in &cells {
             self.writeback(cell)?;
         }
@@ -1574,7 +1589,7 @@ mod tests {
         }
         // Nothing called `sync`: every log force was an eviction's.
         assert!(jn.stats().syncs > 0, "evictions must force the log (WAL rule)");
-        let cached: HashSet<u32> = jn.cache.lock().frames.keys().copied().collect();
+        let cached: HashSet<u32> = jn.cache.read().frames.keys().copied().collect();
         let evicted: Vec<u32> = (0..64u32).filter(|i| !cached.contains(&(3500 + i))).collect();
         assert_eq!(evicted.len(), 56);
         disk.crash(None);
@@ -1588,7 +1603,7 @@ mod tests {
 
     /// Cached blocks, checking the map and the slots agree.
     fn population(jn: &Journal) -> usize {
-        let cache = jn.cache.lock();
+        let cache = jn.cache.read();
         assert_eq!(cache.frames.len(), cache.slots.len());
         for (&block, &slot) in &cache.frames {
             assert_eq!(cache.slots[slot].block, block);
@@ -1626,7 +1641,7 @@ mod tests {
         jn.get(3700).unwrap();
         jn.get(3708).unwrap();
         {
-            let cache = jn.cache.lock();
+            let cache = jn.cache.read();
             let slot = cache.frames[&3700];
             assert!(!cache.slots[slot].referenced.load(Ordering::Relaxed), "bit cleared");
             assert!(!cache.frames.contains_key(&3701), "the untouched one is the victim");
@@ -1635,7 +1650,7 @@ mod tests {
         for i in 9..16u32 {
             jn.get(3700 + i).unwrap();
         }
-        assert!(!jn.cache.lock().frames.contains_key(&3700));
+        assert!(!jn.cache.read().frames.contains_key(&3700));
     }
 
     #[test]
@@ -1663,7 +1678,7 @@ mod tests {
         jn.set_cache_capacity(10);
         jn.get(3950).unwrap();
         assert_eq!(population(&jn), 10);
-        assert!(jn.cache.lock().frames.contains_key(&3950));
+        assert!(jn.cache.read().frames.contains_key(&3950));
     }
 
     #[test]

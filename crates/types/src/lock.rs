@@ -34,9 +34,9 @@
 //! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
 //! | `HOST_RECORDS`         | 132   | the host model's per-client records (§3.2) |
 //! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
-//! | `JOURNAL_TXNS`         | 150   | journal transaction table (§2.2) |
-//! | `JOURNAL_CACHE`        | 160   | journal buffer-cache map |
-//! | `JOURNAL_FRAME`        | 170   | individual buffer-frame latches |
+//! | `JOURNAL_CACHE`        | 150   | journal buffer-cache map (hits read, misses write) |
+//! | `JOURNAL_FRAME`        | 160   | individual buffer-frame latches |
+//! | `JOURNAL_TXNS`         | 170   | journal transaction table (§2.2) |
 //! | `JOURNAL_LOG`          | 180   | the log tail |
 //! | `DISK`                 | 200   | simulated device state (doc only; the disk crate's locks are leaf-level and unranked) |
 //!
@@ -119,12 +119,15 @@ pub mod rank {
     pub const HOST_RECORDS: u16 = 132;
     /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
-    /// Journal transaction table (§2.2).
-    pub const JOURNAL_TXNS: u16 = 150;
-    /// Journal buffer-cache map.
-    pub const JOURNAL_CACHE: u16 = 160;
-    /// Individual buffer-frame latches.
-    pub const JOURNAL_FRAME: u16 = 170;
+    /// Journal buffer-cache map: a hit takes it for reading, a miss for
+    /// writing.
+    pub const JOURNAL_CACHE: u16 = 150;
+    /// Individual buffer-frame latches. An update holds its frame's
+    /// latch while it merges classes and appends its record.
+    pub const JOURNAL_FRAME: u16 = 160;
+    /// Journal transaction table (§2.2): taken under a frame latch for
+    /// the class merge, and held across the record's append.
+    pub const JOURNAL_TXNS: u16 = 170;
     /// The log tail.
     pub const JOURNAL_LOG: u16 = 180;
     /// Simulated device state (documentation only — the disk crate's
