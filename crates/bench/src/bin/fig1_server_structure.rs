@@ -1,14 +1,14 @@
 //! F1 — Figure 1: server-side structure, rendered from a live cell.
 //!
-//! `--json` emits the live component counters machine-readably (the
-//! ASCII rendering is inherently human output).
+//! The figure is the report's title; the report itself is the live
+//! component counters (`--json` prints those alone).
 
 use dfs_bench::emit::Obj;
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
+    let args = dfs_bench::Args::parse(&[]);
     let cell = Cell::builder().servers(1).build().expect("cell");
     cell.create_volume(0, VolumeId(1), "root.cell").expect("volume");
     // Touch the server from both sides so every component has state.
@@ -21,25 +21,18 @@ fn main() {
     local.read(&Credentials::system(), f.fid, 0, 2).unwrap();
 
     let tm = cell.server(0).token_manager().stats();
-    let hm = cell.server(0).host_model().clone();
-    let ops = cell.server(0).stats().ops;
-
-    if json {
-        let out = Obj::new()
-            .field("bench", "fig1_server_structure")
-            .field("token_grants", tm.grants)
-            .field("token_revocations", tm.revocations)
-            .field("token_releases", tm.releases)
-            .field_arr("host_model_clients", hm.clients().iter().map(|c| c.0))
-            .field("server_ops", ops)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("{}", cell.render_server_structure());
-    println!("live token manager: {} grants, {} revocations, {} releases",
-        tm.grants, tm.revocations, tm.releases);
-    println!("host model knows clients: {:?}", hm.clients());
-    println!("server ops served: {ops}");
+    let report = Obj::new()
+        .field("bench", "fig1_server_structure")
+        .field("token_grants", tm.grants)
+        .field("token_revocations", tm.revocations)
+        .field("token_releases", tm.releases)
+        .field_arr("host_model_clients", cell.server(0).host_model().clients().iter().map(|c| c.0))
+        .field("server_ops", cell.server(0).stats().ops);
+    args.print(
+        &cell.render_server_structure(),
+        "Expected shape (Figure 1): each component drawn above is live — the\n\
+         counters come from the cell's token manager, host model and protocol\n\
+         exporter after one client created, wrote and read a file.",
+        report,
+    );
 }

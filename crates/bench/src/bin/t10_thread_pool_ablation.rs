@@ -12,8 +12,7 @@
 //! up as it would with threads: the store-back waits for the one slot
 //! its own revocation is being served under, until the call timeout.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{header, row};
+use dfs_bench::emit::Obj;
 use dfs_types::VolumeId;
 use decorum_dfs::Cell;
 use std::time::Duration;
@@ -50,33 +49,21 @@ fn run(revocation_workers: usize) -> (u64, u64, bool) {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let sweep: Vec<(usize, (u64, u64, bool))> =
-        [2usize, 1, 0].iter().map(|&rw| (rw, run(rw))).collect();
-
-    if json {
-        let rows = arr(sweep.iter().map(|&(rw, (ok, failed, clean))| {
-            Obj::new()
-                .field("revocation_workers", rw)
-                .field("handoffs_ok", ok)
-                .field("failed", failed)
-                .field("no_timeouts", clean)
-        }));
-        let out = Obj::new()
-            .field("bench", "t10_thread_pool_ablation")
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T10: reserved revocation slots (§6.4 ablation; 1 normal slot)\n");
-    header(&["rev slots", "handoffs ok", "failed", "no timeouts"]);
-    for &(rw, (ok, failed, clean)) in &sweep {
-        row(&[&rw, &ok, &failed, &clean]);
-    }
-    println!("\nExpected shape (paper §6.4): with reserved slots every handoff");
-    println!("completes; with 0 reserved slots the store-back waits behind the");
-    println!("grant it is part of and the workload stalls into timeouts — the");
-    println!("deadlock the paper designs around.");
+    let args = dfs_bench::Args::parse(&[]);
+    let sweep = [2usize, 1, 0].map(|rw| {
+        let (ok, failed, clean) = run(rw);
+        Obj::new()
+            .field("revocation_workers", rw)
+            .field("handoffs_ok", ok)
+            .field("failed", failed)
+            .field("no_timeouts", clean)
+    });
+    args.print(
+        "T10: reserved revocation slots (§6.4 ablation; 1 normal slot)",
+        "Expected shape (paper §6.4): with reserved slots every handoff\n\
+         completes; with 0 reserved slots the store-back waits behind the\n\
+         grant it is part of and the workload stalls into timeouts — the\n\
+         deadlock the paper designs around.",
+        Obj::new().field("bench", "t10_thread_pool_ablation").field_arr("sweep", sweep),
+    );
 }

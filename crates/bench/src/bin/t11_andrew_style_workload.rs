@@ -25,7 +25,7 @@
 
 use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, OpClass, Phase, Scenario, Topology};
-use dfs_bench::{f2, header, row, Args};
+use dfs_bench::Args;
 
 /// Files in the source tree (per sharing group — there is one group).
 const FILES: u32 = 12;
@@ -70,34 +70,18 @@ fn andrew(seed: u64) -> Scenario {
 
 fn main() {
     let args = Args::parse(&["--seed"]);
-    let (json, seed) = (args.json, args.get("--seed", 11u64));
-
-    let r = andrew(seed).run();
-
-    if json {
-        let out = Obj::new()
-            .field("bench", "t11_andrew_style_workload")
-            .field_raw("run", &r.to_json())
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T11 (extension): Andrew-style developer workload as a scenario");
-    println!("    phases: copy / scan / readall / make; {FILES} source files\n");
-    header(&["total ops", "RPCs", "KiB on wire", "RPCs/op", "clean"]);
-    row(&[
-        &r.total_ops,
-        &r.net_calls,
-        &(r.net_bytes / 1024),
-        &f2(r.net_calls as f64 / r.total_ops.max(1) as f64),
-        &r.clean(),
-    ]);
-    println!("\nPer-class ops (read / write / metadata_churn / streaming_scan):");
-    println!("  {:?}", r.class_ops);
-    println!("\nExpected shape: for a mostly-private working set the token cache");
-    println!("drives RPCs per operation toward zero after the copy phase — reads");
-    println!("and getattrs are served locally, and write-backs happen on demand,");
-    println!("not store-on-close of whole files. Compare `t3_consistency_spectrum`");
-    println!("for the NFS/AFS baseline costs on an equivalent mix.");
+    let r = andrew(args.get("--seed", 11u64)).run();
+    args.print(
+        &format!(
+            "T11 (extension): Andrew-style developer workload as a scenario\n    \
+             phases: copy / scan / readall / make; {FILES} source files; class_ops\n    \
+             counts read / write / metadata_churn / streaming_scan"
+        ),
+        "Expected shape: for a mostly-private working set the token cache\n\
+         drives RPCs per operation toward zero after the copy phase — reads\n\
+         and getattrs are served locally, and write-backs happen on demand,\n\
+         not store-on-close of whole files. Compare `t3_consistency_spectrum`\n\
+         for the NFS/AFS baseline costs on an equivalent mix.",
+        Obj::new().field("bench", "t11_andrew_style_workload").field("run", r.report()),
+    );
 }

@@ -6,8 +6,7 @@
 //! way); the disk-backed client additionally pays local disk traffic,
 //! which this harness surfaces.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{header, row};
+use dfs_bench::emit::Obj;
 use dfs_client::DiskCache;
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_types::VolumeId;
@@ -42,7 +41,7 @@ fn workload(cell: &Cell, cm: &Arc<dfs_client::CacheManager>) -> (u64, u64) {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
+    let args = dfs_bench::Args::parse(&[]);
 
     // Diskless (in-memory cache).
     let diskless = {
@@ -63,40 +62,28 @@ fn main() {
         let s = local_disk.stats();
         ("disk-cached", rpcs, bytes, s.reads + s.writes)
     };
-    let variants = [diskless, disk_cached];
-
-    if json {
-        let rows = arr(variants.iter().map(|&(name, rpcs, bytes, ios)| {
-            Obj::new()
-                .field("client", name)
-                .field("rpcs", rpcs)
-                .field("net_bytes", bytes)
-                .field("local_disk_ios", ios)
-        }));
-        let out = Obj::new()
-            .field("bench", "t12_diskless_clients")
-            .field("files", FILES)
-            .field("file_bytes", FILE_BYTES)
-            .field("read_passes", READ_PASSES)
-            .field("identical_network", diskless.1 == disk_cached.1)
-            .field_raw("variants", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T12 (extension): diskless vs disk-cached clients (§4.2)");
-    println!(
-        "    {FILES} files x {} KiB written + fsynced, then read x{READ_PASSES}\n",
-        FILE_BYTES / 1024
+    let identical = diskless.1 == disk_cached.1;
+    let variants = [diskless, disk_cached].map(|(name, rpcs, bytes, ios)| {
+        Obj::new()
+            .field("client", name)
+            .field("rpcs", rpcs)
+            .field("net_bytes", bytes)
+            .field("local_disk_ios", ios)
+    });
+    let report = Obj::new()
+        .field("bench", "t12_diskless_clients")
+        .field("files", FILES)
+        .field("file_bytes", FILE_BYTES)
+        .field("read_passes", READ_PASSES)
+        .field("identical_network", identical)
+        .field_arr("variants", variants);
+    args.print(
+        "T12 (extension): diskless vs disk-cached clients (§4.2): every file\n    \
+         written + fsynced, then read read_passes times",
+        "Expected shape: identical network behaviour for both variants\n\
+         (tokens, not the cache medium, carry the consistency); the disk\n\
+         client trades local disk traffic for surviving reboots with a\n\
+         warm cache — the §4.2 design point.",
+        report,
     );
-    header(&["client", "RPCs", "net bytes", "local disk IOs"]);
-    for &(name, rpcs, bytes, ios) in &variants {
-        row(&[&name, &rpcs, &bytes, &ios]);
-    }
-
-    println!("\nExpected shape: identical network behaviour for both variants");
-    println!("(tokens, not the cache medium, carry the consistency); the disk");
-    println!("client trades local disk traffic for surviving reboots with a");
-    println!("warm cache — the §4.2 design point.");
 }

@@ -17,27 +17,15 @@
 //! file count of the sweep; `--burst N` the dirty pages at crash time.
 
 use dfs_bench::emit::Obj;
-use dfs_bench::{f2, header, row, Args};
+use dfs_bench::Args;
 use decorum_dfs::client::WritebackConfig;
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
 
-struct Point {
-    files: u32,
-    fs_kib: u64,
-    scanned_blocks: u64,
-    records: u64,
-    replay_ms: f64,
-    tokens_reestablished: u64,
-    replayed_pages: u64,
-    grace_waits: u64,
-    verified: bool,
-}
-
 /// Grows a fresh cell to `files` × 16 KiB of fsync'd data, leaves a
 /// `burst`-page dirty write in the client cache, crashes and restarts
 /// the server, and drives the client back through recovery.
-fn run(files: u32, burst: u64) -> Point {
+fn run(files: u32, burst: u64) -> Obj {
     let cell = Cell::builder()
         .servers(1)
         .disk_blocks(256 * 1024)
@@ -86,72 +74,34 @@ fn run(files: u32, burst: u64) -> Point {
     let verified = (0..burst)
         .all(|p| b.read(hot.fid, p * 4096, 4096).map(|d| d == vec![0xA5u8; 4096]).unwrap_or(false));
 
-    Point {
-        files,
-        fs_kib: u64::from(files) * 16 + 8 * 4 + burst * 4,
-        scanned_blocks: report.scanned_blocks,
-        records: report.records,
-        replay_ms: report.disk_busy_us as f64 / 1000.0,
-        tokens_reestablished: after.tokens_reestablished - before.tokens_reestablished,
-        replayed_pages: after.recovery_replayed_pages - before.recovery_replayed_pages,
-        grace_waits: after.grace_waits - before.grace_waits,
-        verified,
-    }
+    Obj::new()
+        .field("files", files)
+        .field("fs_kib", u64::from(files) * 16 + 8 * 4 + burst * 4)
+        .field("scanned_blocks", report.scanned_blocks)
+        .field("log_records", report.records)
+        .field("replay_ms", report.disk_busy_us as f64 / 1000.0)
+        .field("tokens_reestablished", after.tokens_reestablished - before.tokens_reestablished)
+        .field("replayed_pages", after.recovery_replayed_pages - before.recovery_replayed_pages)
+        .field("grace_waits", after.grace_waits - before.grace_waits)
+        .field("verified", verified)
 }
 
 fn main() {
     let args = Args::parse(&["--files", "--burst"]);
-    let (json, files, burst) = (args.json, args.get("--files", 64u32), args.get("--burst", 8u64));
-    let sweep: Vec<Point> = [1u32, 2, 4, 8].iter().map(|&m| run(files * m, burst)).collect();
-
-    if json {
-        let rows = sweep.iter().map(|p| {
-            Obj::new()
-                .field("files", p.files)
-                .field("fs_kib", p.fs_kib)
-                .field("scanned_blocks", p.scanned_blocks)
-                .field("log_records", p.records)
-                .field("replay_ms", p.replay_ms)
-                .field("tokens_reestablished", p.tokens_reestablished)
-                .field("replayed_pages", p.replayed_pages)
-                .field("grace_waits", p.grace_waits)
-                .field("verified", p.verified)
-        });
-        let out = Obj::new()
+    let (files, burst) = (args.get("--files", 64u32), args.get("--burst", 8u64));
+    let sweep = [1u32, 2, 4, 8].map(|m| run(files * m, burst));
+    args.print(
+        &format!("T13: crash-restart pipeline — FS size swept, {burst}-page dirty burst fixed"),
+        &format!(
+            "Expected shape (paper §2.2): scanned_blocks and replay_ms stay roughly\n\
+             flat as the file system grows 8x — recovery is proportional to the\n\
+             active log. The client replays exactly the burst ({burst} pages) after\n\
+             reestablishing its tokens inside the grace window; 'verified' confirms\n\
+             no update was lost across the crash."
+        ),
+        Obj::new()
             .field("bench", "t13_crash_restart")
             .field("burst_pages", burst)
-            .field_arr("sweep", rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T13: crash-restart pipeline — FS size swept, {burst}-page dirty burst fixed\n");
-    header(&[
-        "files",
-        "fs KiB",
-        "scan blocks",
-        "log records",
-        "replay ms",
-        "tokens re-est",
-        "replayed pages",
-        "verified",
-    ]);
-    for p in &sweep {
-        row(&[
-            &p.files,
-            &p.fs_kib,
-            &p.scanned_blocks,
-            &p.records,
-            &f2(p.replay_ms),
-            &p.tokens_reestablished,
-            &p.replayed_pages,
-            &p.verified,
-        ]);
-    }
-    println!("\nExpected shape (paper §2.2): scan blocks and replay ms stay roughly");
-    println!("flat as the file system grows 8x — recovery is proportional to the");
-    println!("active log. The client replays exactly the burst ({burst} pages) after");
-    println!("reestablishing its tokens inside the grace window; 'verified' confirms");
-    println!("no update was lost across the crash.");
+            .field_arr("sweep", sweep),
+    );
 }

@@ -22,24 +22,13 @@
 use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
 use decorum_dfs::types::VolumeId;
 use decorum_dfs::Cell;
-use dfs_bench::{f2, header, row, Args};
-
-struct Point {
-    outage_s: u64,
-    replica: bool,
-    reads_ok: u32,
-    reads_unavailable: u32,
-    giveups: u64,
-    stale_reads: u64,
-    max_stale_ms: f64,
-    reconciled: bool,
-    lost_updates: u32,
-}
+use dfs_bench::emit::Obj;
+use dfs_bench::Args;
 
 /// One outage episode: build a cell, write `files` files, optionally
 /// replicate the volume, partition the primary for `outage_s` simulated
 /// seconds of staleness, probe every file, heal, reconcile, verify.
-fn run(files: u32, outage_s: u64, replica: bool) -> Point {
+fn run(files: u32, outage_s: u64, replica: bool) -> Obj {
     let cell = Cell::builder().servers(2).build().expect("cell");
     cell.create_volume(0, VolumeId(1), "v").expect("volume");
     let writer = cell.new_client();
@@ -100,82 +89,33 @@ fn run(files: u32, outage_s: u64, replica: bool) -> Point {
         }
     }
 
-    Point {
-        outage_s,
-        replica,
-        reads_ok,
-        reads_unavailable,
-        giveups: during.unavailable_giveups,
-        stale_reads: during.stale_reads,
-        max_stale_ms: during.max_stale_us as f64 / 1000.0,
-        reconciled,
-        lost_updates: lost,
-    }
+    Obj::new()
+        .field("outage_s", outage_s)
+        .field("replica", replica)
+        .field("reads_ok", reads_ok)
+        .field("reads_unavailable", reads_unavailable)
+        .field("giveups", during.unavailable_giveups)
+        .field("stale_reads", during.stale_reads)
+        .field("max_stale_ms", during.max_stale_us as f64 / 1000.0)
+        .field("reconciled", reconciled)
+        .field("lost_updates", lost)
 }
 
 fn main() {
     let args = Args::parse(&["--files"]);
-    let (json, files) = (args.json, args.get("--files", 16u32));
-    let mut sweep = Vec::new();
-    for &outage_s in &[1u64, 2, 4, 8] {
-        sweep.push(run(files, outage_s, false));
-        sweep.push(run(files, outage_s, true));
-    }
-
-    if json {
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"outage_s\": {}, \"replica\": {}, \"reads_ok\": {}, \
-                     \"reads_unavailable\": {}, \"giveups\": {}, \"stale_reads\": {}, \
-                     \"max_stale_ms\": {:.2}, \"reconciled\": {}, \"lost_updates\": {}}}",
-                    p.outage_s,
-                    p.replica,
-                    p.reads_ok,
-                    p.reads_unavailable,
-                    p.giveups,
-                    p.stale_reads,
-                    p.max_stale_ms,
-                    p.reconciled,
-                    p.lost_updates
-                )
-            })
-            .collect();
-        println!(
-            "{{\"bench\": \"t14_availability\", \"files\": {files}, \"sweep\": [{}]}}",
-            rows.join(", ")
-        );
-        return;
-    }
-
-    println!("T14: read availability during a primary partition — {files} probe files\n");
-    header(&[
-        "outage s",
-        "replica",
-        "reads ok",
-        "unavail",
-        "give-ups",
-        "stale reads",
-        "max stale ms",
-        "reconciled",
-        "lost",
-    ]);
-    for p in &sweep {
-        row(&[
-            &p.outage_s,
-            &p.replica,
-            &p.reads_ok,
-            &p.reads_unavailable,
-            &p.giveups,
-            &p.stale_reads,
-            &f2(p.max_stale_ms),
-            &p.reconciled,
-            &p.lost_updates,
-        ]);
-    }
-    println!("\nExpected shape (§3.8): without a replica every read during the");
-    println!("outage is honestly Unavailable; with one, availability goes to 100%");
-    println!("at a bounded, stamped staleness that tracks the outage age. Both");
-    println!("modes reconcile after the heal with zero lost updates.");
+    let files = args.get("--files", 16u32);
+    let sweep = [1u64, 2, 4, 8]
+        .into_iter()
+        .flat_map(|outage_s| [false, true].map(|replica| run(files, outage_s, replica)));
+    args.print(
+        &format!("T14: read availability during a primary partition — {files} probe files"),
+        "Expected shape (§3.8): without a replica every read during the\n\
+         outage is honestly Unavailable; with one, availability goes to 100%\n\
+         at a bounded, stamped staleness that tracks the outage age. Both\n\
+         modes reconcile after the heal with zero lost updates.",
+        Obj::new()
+            .field("bench", "t14_availability")
+            .field("files", files)
+            .field_arr("sweep", sweep),
+    );
 }

@@ -19,9 +19,9 @@
 //! `jsoncheck` in the verify.sh smoke stage); `--ops N` sets ops per
 //! client; `--servers N` restricts the sweep to one fleet size.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, Scenario, Topology};
-use dfs_bench::{f2, header, row, Args};
+use dfs_bench::emit::Obj;
+use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
+use dfs_bench::Args;
 
 const VOLUMES: u64 = 8;
 const CLIENTS: u32 = 8;
@@ -54,94 +54,38 @@ fn scenario(servers: u32, ops_per_client: u64) -> Scenario {
     sc
 }
 
-struct Point {
-    servers: u32,
-    total_ops: u64,
-    busy_ms: f64,
-    ops_per_sec: f64,
-    move_completed: bool,
-    redirects: u64,
-    lost_updates: u64,
-    all_ops_ok: bool,
-}
-
-fn run(servers: u32, ops_per_client: u64) -> Point {
-    let r = scenario(servers, ops_per_client).run();
-    Point {
-        servers,
-        total_ops: r.total_ops,
-        busy_ms: r.disk_busy_us as f64 / 1000.0,
-        ops_per_sec: r.ops_per_disk_sec(),
-        // In a 1-server fleet there is nowhere to move — not a failure.
-        move_completed: servers == 1 || (r.server_moves >= 1 && r.events.iter().all(|e| e.ok)),
-        redirects: r.server_redirects + r.client_stats.wrong_server_redirects,
-        lost_updates: r.lost_updates,
-        all_ops_ok: r.failed_ops == 0 && r.clean(),
-    }
-}
-
 fn main() {
     let args = Args::parse(&["--ops", "--servers"]);
-    let (json, ops, only) = (args.json, args.get("--ops", 36u64), args.opt::<u32>("--servers"));
-    let sizes: Vec<u32> = match only {
-        Some(n) => vec![n],
-        None => vec![1, 2, 4, 8],
-    };
-    let sweep: Vec<Point> = sizes.iter().map(|&n| run(n, ops)).collect();
-    let base = sweep[0].ops_per_sec;
-
-    if json {
-        let rows = arr(sweep.iter().map(|p| {
-            Obj::new()
-                .field("servers", p.servers)
-                .field("total_ops", p.total_ops)
-                .field("max_disk_busy_ms", p.busy_ms)
-                .field("agg_ops_per_sec", p.ops_per_sec)
-                .field("speedup", p.ops_per_sec / base)
-                .field("move_completed", p.move_completed)
-                .field("redirects", p.redirects)
-                .field("lost_updates", p.lost_updates)
-                .field("all_ops_ok", p.all_ops_ok)
-        }));
-        let out = Obj::new()
+    let ops = args.get("--ops", 36u64);
+    let sizes = args.opt::<u32>("--servers").map_or(vec![1, 2, 4, 8], |n| vec![n]);
+    let runs: Vec<RunReport> = sizes.iter().map(|&n| scenario(n, ops).run()).collect();
+    let base = runs[0].ops_per_disk_sec();
+    let sweep = runs.iter().map(|r| {
+        // In a 1-server fleet there is nowhere to move — not a failure.
+        let moved = r.servers == 1 || (r.server_moves >= 1 && r.events.iter().all(|e| e.ok));
+        Obj::new()
+            .field("servers", r.servers)
+            .field("total_ops", r.total_ops)
+            .field("max_disk_busy_ms", r.disk_busy_us as f64 / 1000.0)
+            .field("agg_ops_per_sec", r.ops_per_disk_sec())
+            .field("speedup", r.ops_per_disk_sec() / base)
+            .field("move_completed", moved)
+            .field("redirects", r.server_redirects + r.client_stats.wrong_server_redirects)
+            .field("lost_updates", r.lost_updates)
+            .field("all_ops_ok", r.failed_ops == 0 && r.clean())
+    });
+    args.print(
+        &format!("T15: fleet scaling — {VOLUMES} volumes, {CLIENTS} clients, mid-run move"),
+        "Expected shape (paper §2.1): aggregate throughput grows with the\n\
+         server count — volumes are the unit of sharding, and the busiest\n\
+         disk's time shrinks as they spread out. The mid-run migration\n\
+         completes under live traffic with zero failed operations and zero\n\
+         lost updates; its cost is a handful of WrongServer redirects.",
+        Obj::new()
             .field("bench", "t15_fleet")
             .field("volumes", VOLUMES)
             .field("clients", CLIENTS)
             .field("ops_per_client", ops)
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T15: fleet scaling — {VOLUMES} volumes, {CLIENTS} clients, mid-run move\n");
-    header(&[
-        "servers",
-        "total ops",
-        "busy ms",
-        "agg ops/s",
-        "speedup",
-        "move ok",
-        "redirects",
-        "lost",
-        "all ok",
-    ]);
-    for p in &sweep {
-        row(&[
-            &p.servers,
-            &p.total_ops,
-            &f2(p.busy_ms),
-            &f2(p.ops_per_sec),
-            &format!("{:.2}x", p.ops_per_sec / base),
-            &p.move_completed,
-            &p.redirects,
-            &p.lost_updates,
-            &p.all_ops_ok,
-        ]);
-    }
-    println!("\nExpected shape (paper §2.1): aggregate throughput grows with the");
-    println!("server count — volumes are the unit of sharding, and the busiest");
-    println!("disk's time shrinks as they spread out. The mid-run migration");
-    println!("completes under live traffic with zero failed operations and zero");
-    println!("lost updates; its cost is a handful of WrongServer redirects.");
+            .field_arr("sweep", sweep),
+    );
 }

@@ -21,43 +21,23 @@
 //! client), `--seed N`.
 
 use dfs_bench::emit::Obj;
-use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
-use dfs_bench::{header, row, Args};
+use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, Scenario, Topology};
+use dfs_bench::Args;
 
 const VOLUMES: u64 = 8;
 
-struct Config {
-    json: bool,
-    clients: u32,
-    servers: u32,
-    ops: u64,
-    seed: u64,
-}
-
-fn parse_args() -> Config {
-    let args = Args::parse(&["--clients", "--servers", "--ops", "--seed"]);
-    let a = Config {
-        json: args.json,
-        clients: args.get("--clients", 256),
-        servers: args.get("--servers", 4),
-        ops: args.get("--ops", 24),
-        seed: args.get("--seed", 17),
-    };
-    assert!(a.servers >= 2, "t17 needs >= 2 servers (the timeline crashes one and moves a volume)");
-    a
-}
-
-fn scenario(a: &Config) -> Scenario {
-    let total = u64::from(a.clients) * a.ops;
+/// The headline run: `clients` × `ops` ops over `servers` servers.
+fn scenario(clients: u32, servers: u32, ops: u64, seed: u64) -> Scenario {
+    let total = u64::from(clients) * ops;
     Scenario::new(
         "t17_scenario",
-        a.seed,
-        Topology::new(a.servers, a.clients, VOLUMES).latency_us(20).no_flusher(),
+        seed,
+        Topology::new(servers, clients, VOLUMES).latency_us(20).no_flusher(),
         vec![
             // Warm-up third: establish the write sets and read caches.
             Phase::new(
                 "warm",
-                a.ops / 3,
+                ops / 3,
                 vec![
                     ClassSpec::new(OpClass::Write, 1, 2).sharing(4).fsync_every(8),
                     ClassSpec::new(OpClass::Read, 1, 2).sharing(2),
@@ -67,7 +47,7 @@ fn scenario(a: &Config) -> Scenario {
             // crashes a server, restarts it, and moves a volume.
             Phase::new(
                 "storm",
-                a.ops - a.ops / 3,
+                ops - ops / 3,
                 vec![
                     ClassSpec::new(OpClass::Write, 2, 2).sharing(4).fsync_every(8),
                     ClassSpec::new(OpClass::Read, 4, 2).sharing(2),
@@ -86,52 +66,29 @@ fn scenario(a: &Config) -> Scenario {
     .sample_every((total / 16).max(1))
 }
 
-fn report(a: &Config, r: &RunReport, replay_identical: bool) -> String {
-    let ok = r.coherent() && replay_identical && r.events.iter().all(|e| e.ok);
-    Obj::new()
-        .field("bench", "t17_scenario")
-        .field("replay_identical", replay_identical)
-        .field("ok", ok)
-        .field("ops_per_client", a.ops)
-        .field_raw("run", &r.to_json())
-        .render()
-}
-
 fn main() {
-    let a = parse_args();
-    let first = scenario(&a).run();
-    let second = scenario(&a).run();
-    let replay_identical = first.deterministic_json() == second.deterministic_json();
-
-    if a.json {
-        println!("{}", report(&a, &first, replay_identical));
-        return;
-    }
-
-    println!(
-        "T17: scenario engine — {} clients x {} servers, {} volumes, crash+restart+move\n",
-        a.clients, a.servers, VOLUMES
+    let args = Args::parse(&["--clients", "--servers", "--ops", "--seed"]);
+    let (clients, servers) = (args.get("--clients", 256u32), args.get("--servers", 4u32));
+    let (ops, seed) = (args.get("--ops", 24u64), args.get("--seed", 17u64));
+    assert!(servers >= 2, "t17 needs >= 2 servers (the timeline crashes one and moves a volume)");
+    let first = scenario(clients, servers, ops, seed).run();
+    let second = scenario(clients, servers, ops, seed).run();
+    let replay_identical = first.deterministic() == second.deterministic();
+    let ok = first.coherent() && replay_identical && first.events.iter().all(|e| e.ok);
+    args.print(
+        &format!(
+            "T17: scenario engine — {clients} clients x {servers} servers, {VOLUMES} volumes, \
+             crash+restart+move"
+        ),
+        "Expected shape: the op stream replays byte-identically under the\n\
+         fixed seed (both runs), no acknowledged write is lost and no\n\
+         two caches disagree — while ops during the crash window may fail\n\
+         honestly, and the migration costs only WrongServer redirects.",
+        Obj::new()
+            .field("bench", "t17_scenario")
+            .field("replay_identical", replay_identical)
+            .field("ok", ok)
+            .field("ops_per_client", ops)
+            .field("run", first.report()),
     );
-    header(&["total ops", "failed", "lost", "disagree", "torn", "faults", "moves", "RPCs"]);
-    row(&[
-        &first.total_ops,
-        &first.failed_ops,
-        &first.lost_updates,
-        &first.agreement_failures,
-        &first.torn_reads,
-        &first.faults_injected,
-        &first.server_moves,
-        &first.net_calls,
-    ]);
-    println!("\nTimeline:");
-    for e in &first.events {
-        println!("  {:>16} armed at op {:>6}, fired at {:>6}, ok={}", e.event, e.at_op, e.fired_at, e.ok);
-    }
-    println!("\nDeterministic block: {}", first.deterministic_json());
-    println!("Replay identical:    {replay_identical}");
-    println!("Invariants:          {}", first.invariants_json());
-    println!("\nExpected shape: the op stream replays byte-identically under the");
-    println!("fixed seed (both runs above), no acknowledged write is lost and no");
-    println!("two caches disagree — while ops during the crash window may fail");
-    println!("honestly, and the migration costs only WrongServer redirects.");
 }

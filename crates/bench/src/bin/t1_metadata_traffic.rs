@@ -4,7 +4,8 @@
 //! are sequential and batched while FFS metadata writes are synchronous
 //! and scattered.
 
-use dfs_bench::{header, ratio, row, Args};
+use dfs_bench::emit::Obj;
+use dfs_bench::Args;
 use dfs_disk::{DiskConfig, DiskStats, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_ffs::Ffs;
@@ -51,48 +52,37 @@ fn ffs_run(files: u32) -> DiskStats {
     disk.stats().since(&before)
 }
 
+fn disk(s: &DiskStats) -> Obj {
+    Obj::new()
+        .field("durable_writes", s.stable_writes)
+        .field("syncs", s.syncs)
+        .field("disk_ms", s.busy_ms())
+        .field("sequential_ops", s.sequential_ops)
+        .field("random_ops", s.random_ops)
+}
+
+fn ratio(a: u64, b: u64) -> f64 {
+    a as f64 / b.max(1) as f64
+}
+
 fn main() {
     let args = Args::parse(&["--files"]);
-    let json = args.json;
     let sweep = args.opt("--files").map_or(vec![100u32, 1000, 4000], |n| vec![n]);
-    if json {
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|&files| {
-                let e = episode_run(files);
-                let f = ffs_run(files);
-                format!(
-                    "{{\"files\": {files}, \
-                     \"episode\": {{\"durable_writes\": {}, \"syncs\": {}, \"disk_ms\": {:.2}}}, \
-                     \"ffs\": {{\"durable_writes\": {}, \"syncs\": {}, \"disk_ms\": {:.2}}}}}",
-                    e.stable_writes,
-                    e.syncs,
-                    e.busy_ms(),
-                    f.stable_writes,
-                    f.syncs,
-                    f.busy_ms()
-                )
-            })
-            .collect();
-        println!("{{\"bench\": \"t1_metadata_traffic\", \"runs\": [{}]}}", rows.join(", "));
-        return;
-    }
-    println!("T1: disk traffic for metadata-heavy operations (create+write+truncate+delete)");
-    println!("    Episode batches metadata into sequential log appends; FFS writes");
-    println!("    metadata synchronously in place (N = files cycled).\n");
-    header(&["N", "fs", "durable writes", "sync ops", "seq ops", "random ops", "disk ms"]);
-    for &files in &sweep {
-        let e = episode_run(files);
-        let f = ffs_run(files);
-        row(&[&files, &"episode", &e.stable_writes, &e.syncs, &e.sequential_ops, &e.random_ops, &dfs_bench::f2(e.busy_ms())]);
-        row(&[&files, &"ffs", &f.stable_writes, &f.syncs, &f.sequential_ops, &f.random_ops, &dfs_bench::f2(f.busy_ms())]);
-        println!(
-            "{:>16} advantage: {} fewer durable writes, {} less disk time\n",
-            "",
-            ratio(f.stable_writes as f64, e.stable_writes as f64),
-            ratio(f.busy_us as f64, e.busy_us as f64),
-        );
-    }
-    println!("Expected shape (paper): Episode < FFS on writes and time, and the gap");
-    println!("is dominated by FFS's synchronous random metadata writes.");
+    let runs = sweep.into_iter().map(|files| {
+        let (e, f) = (episode_run(files), ffs_run(files));
+        Obj::new()
+            .field("files", files)
+            .field("episode", disk(&e))
+            .field("ffs", disk(&f))
+            .field("ffs_over_episode_writes", ratio(f.stable_writes, e.stable_writes))
+            .field("ffs_over_episode_disk", ratio(f.busy_us, e.busy_us))
+    });
+    args.print(
+        "T1: disk traffic for metadata-heavy operations (create+write+truncate+delete)\n    \
+         Episode batches metadata into sequential log appends; FFS writes\n    \
+         metadata synchronously in place (files = files cycled).",
+        "Expected shape (paper): Episode < FFS on writes and time, and the gap\n\
+         is dominated by FFS's synchronous random metadata writes.",
+        Obj::new().field("bench", "t1_metadata_traffic").field_arr("runs", runs),
+    );
 }

@@ -6,8 +6,7 @@
 //! is held constant; Episode restart cost should stay flat while FFS
 //! fsck cost grows with the disk.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{f2, header, row};
+use dfs_bench::emit::Obj;
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_ffs::Ffs;
@@ -71,51 +70,22 @@ fn ffs_case(blocks: u32) -> Restart {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let sweep: Vec<(u32, Restart, Restart)> =
-        [16 * 1024u32, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024]
-            .iter()
-            .map(|&blocks| (blocks, episode_case(blocks), ffs_case(blocks)))
-            .collect();
-
-    if json {
-        let rows = arr(sweep.iter().map(|&(blocks, (eb, eus), (fb, fus))| {
-            Obj::new()
-                .field("disk_mib", blocks / 256)
-                .field("episode_blocks", eb)
-                .field("episode_busy_us", eus)
-                .field("fsck_blocks", fb)
-                .field("fsck_busy_us", fus)
-                .field("fsck_over_episode", fus as f64 / eus.max(1) as f64)
-        }));
-        let out = Obj::new()
-            .field("bench", "t2_recovery_scaling")
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T2: restart cost vs file-system size (fixed in-flight work at crash)");
-    println!("    Episode replays the active log; FFS runs a full fsck.\n");
-    header(&[
-        "disk MiB",
-        "episode blocks",
-        "episode ms",
-        "fsck blocks",
-        "fsck ms",
-        "fsck/episode",
-    ]);
-    for &(blocks, (eb, eus), (fb, fus)) in &sweep {
-        row(&[
-            &(blocks / 256),
-            &eb,
-            &f2(eus as f64 / 1000.0),
-            &fb,
-            &f2(fus as f64 / 1000.0),
-            &dfs_bench::ratio(fus as f64, eus as f64),
-        ]);
-    }
-    println!("\nExpected shape (paper): the episode column stays roughly flat while");
-    println!("fsck cost grows linearly with the file system, so the ratio widens.");
+    let args = dfs_bench::Args::parse(&[]);
+    let sweep = [16 * 1024u32, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024].map(|blocks| {
+        let ((eb, eus), (fb, fus)) = (episode_case(blocks), ffs_case(blocks));
+        Obj::new()
+            .field("disk_mib", blocks / 256)
+            .field("episode_blocks", eb)
+            .field("episode_busy_us", eus)
+            .field("fsck_blocks", fb)
+            .field("fsck_busy_us", fus)
+            .field("fsck_over_episode", fus as f64 / eus.max(1) as f64)
+    });
+    args.print(
+        "T2: restart cost vs file-system size (fixed in-flight work at crash)\n    \
+         Episode replays the active log; FFS runs a full fsck.",
+        "Expected shape (paper): the episode column stays roughly flat while\n\
+         fsck cost grows linearly with the file system, so the ratio widens.",
+        Obj::new().field("bench", "t2_recovery_scaling").field_arr("sweep", sweep),
+    );
 }

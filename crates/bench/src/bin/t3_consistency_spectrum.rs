@@ -6,8 +6,7 @@
 //! are always fresh with traffic only at real handoffs.
 
 use dfs_baselines::{AfsClient, AfsServer, NfsClient, NfsServer};
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{header, row};
+use dfs_bench::emit::Obj;
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_rpc::Network;
@@ -144,39 +143,28 @@ fn run_dfs() -> Outcome {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let systems: Vec<(&str, Outcome)> = vec![
-        ("nfs (3s ttl)", run_nfs()),
-        ("afs (callbacks)", run_afs()),
-        ("dfs (tokens)", run_dfs()),
-    ];
-
-    if json {
-        let rows = arr(systems.iter().map(|(name, o)| {
-            Obj::new()
-                .field("system", *name)
-                .field("rpcs", o.rpcs)
-                .field("bytes", o.bytes)
-                .field("stale_reads", o.stale_reads)
-                .field("reads", o.reads)
-                .field("idle_rpcs", o.idle_rpcs)
-        }));
-        let out = Obj::new()
+    let args = dfs_bench::Args::parse(&[]);
+    let outcomes =
+        [("nfs (3s ttl)", run_nfs()), ("afs (callbacks)", run_afs()), ("dfs (tokens)", run_dfs())];
+    let systems = outcomes.map(|(name, o)| {
+        Obj::new()
+            .field("system", name)
+            .field("rpcs", o.rpcs)
+            .field("bytes", o.bytes)
+            .field("stale_reads", o.stale_reads)
+            .field("reads", o.reads)
+            .field("idle_rpcs", o.idle_rpcs)
+    });
+    args.print(
+        "T3: consistency vs network load (1 writer @1/s, 1 reader @10/s, 60 s)\n    \
+         stale read = reader saw a value older than the writer's last write;\n    \
+         idle_rpcs = RPCs in a further 60 s with the writer silent",
+        "Expected shape (paper): NFS has stale reads AND steady polling traffic;\n\
+         AFS has stale reads between write and close; DFS has zero stale reads\n\
+         with traffic proportional to actual sharing.",
+        Obj::new()
             .field("bench", "t3_consistency_spectrum")
             .field("rounds_s", ROUNDS)
-            .field_raw("systems", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T3: consistency vs network load (1 writer @1/s, 1 reader @10/s, 60 s)");
-    println!("    stale read = reader saw a value older than the writer's last write\n");
-    header(&["system", "RPCs", "bytes", "stale reads", "of reads", "idle RPCs/60s"]);
-    for (name, o) in &systems {
-        row(&[name, &o.rpcs, &o.bytes, &o.stale_reads, &o.reads, &o.idle_rpcs]);
-    }
-    println!("\nExpected shape (paper): NFS has stale reads AND steady polling traffic;");
-    println!("AFS has stale reads between write and close; DFS has zero stale reads");
-    println!("with traffic proportional to actual sharing.");
+            .field_arr("systems", systems),
+    );
 }

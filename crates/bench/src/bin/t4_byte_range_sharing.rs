@@ -7,8 +7,7 @@
 //! vs DFS byte-range tokens, sweeping the file size.
 
 use dfs_baselines::{AfsClient, AfsServer};
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{header, ratio, row};
+use dfs_bench::emit::Obj;
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_rpc::Network;
@@ -60,36 +59,26 @@ fn run_dfs(file_bytes: u64) -> u64 {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let sweep: Vec<(u64, u64, u64)> = [64u64, 256, 1024, 4096]
-        .iter()
-        .map(|&kib| (kib, run_afs(kib * 1024), run_dfs(kib * 1024)))
-        .collect();
-
-    if json {
-        let rows = arr(sweep.iter().map(|&(kib, afs, dfs)| {
-            Obj::new()
-                .field("file_kib", kib)
-                .field("afs_bytes", afs)
-                .field("dfs_bytes", dfs)
-                .field("afs_over_dfs", afs as f64 / dfs.max(1) as f64)
-        }));
-        let out = Obj::new()
+    let args = dfs_bench::Args::parse(&[]);
+    let sweep = [64u64, 256, 1024, 4096].map(|kib| {
+        let (afs, dfs) = (run_afs(kib * 1024), run_dfs(kib * 1024));
+        Obj::new()
+            .field("file_kib", kib)
+            .field("afs_bytes", afs)
+            .field("dfs_bytes", dfs)
+            .field("afs_over_dfs", afs as f64 / dfs.max(1) as f64)
+    });
+    args.print(
+        &format!(
+            "T4: disjoint writers of one large file — bytes on the wire for\n    \
+             {HANDOFFS} alternating 64-byte writes per client"
+        ),
+        "Expected shape (paper): AFS traffic grows with the FILE size (whole-file\n\
+         ping-pong); DFS traffic is flat (token messages only), so the ratio\n\
+         widens linearly with file size.",
+        Obj::new()
             .field("bench", "t4_byte_range_sharing")
             .field("handoffs", HANDOFFS)
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T4: disjoint writers of one large file — bytes on the wire for");
-    println!("    {HANDOFFS} alternating 64-byte writes per client\n");
-    header(&["file KiB", "afs bytes", "dfs bytes", "afs/dfs"]);
-    for &(kib, afs, dfs) in &sweep {
-        row(&[&kib, &afs, &dfs, &ratio(afs as f64, dfs as f64)]);
-    }
-    println!("\nExpected shape (paper): AFS traffic grows with the FILE size (whole-file");
-    println!("ping-pong); DFS traffic is flat (token messages only), so the ratio");
-    println!("widens linearly with file size.");
+            .field_arr("sweep", sweep),
+    );
 }

@@ -1,8 +1,7 @@
 //! T5 — §2.1: volume cloning is copy-on-write (cost ∝ metadata, not
 //! data) and volume moves block applications only briefly.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{f2, header, ratio, row};
+use dfs_bench::emit::Obj;
 use dfs_types::{DfsError, VolumeId};
 use decorum_dfs::Cell;
 
@@ -79,48 +78,29 @@ fn move_blocked_time() -> (u64, u64) {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let clones: Vec<(u32, usize, (u64, u64, u64))> = [(10u32, 64usize), (100, 64), (500, 16)]
-        .iter()
-        .map(|&(files, kib)| (files, kib, clone_case(files, kib)))
-        .collect();
+    let args = dfs_bench::Args::parse(&[]);
+    let clones = [(10u32, 64usize), (100, 64), (500, 16)].map(|(files, kib)| {
+        let (dump_bytes, wall, n) = clone_case(files, kib);
+        Obj::new()
+            .field("files", files)
+            .field("kib_per_file", kib)
+            .field("full_copy_bytes", dump_bytes)
+            .field("clone_wall_us", wall)
+            .field("copy_bytes_per_file", dump_bytes as f64 / n as f64)
+    });
     let (blocked_us, reader_ops) = move_blocked_time();
-
-    if json {
-        let rows = arr(clones.iter().map(|&(files, kib, (dump_bytes, wall, n))| {
-            Obj::new()
-                .field("files", files)
-                .field("kib_per_file", kib)
-                .field("full_copy_bytes", dump_bytes)
-                .field("clone_wall_us", wall)
-                .field("copy_bytes_per_file", dump_bytes as f64 / n as f64)
-        }));
-        let out = Obj::new()
-            .field("bench", "t5_volume_ops")
-            .field_raw("clones", &rows)
-            .field_raw(
-                "live_move",
-                &Obj::new()
-                    .field("reader_ops", reader_ops)
-                    .field("blocked_over_2ms_us", blocked_us)
-                    .render(),
-            )
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T5a: clone cost vs full copy (COW sharing, §2.1)\n");
-    header(&["files", "full-copy bytes", "clone wall us", "bytes/file"]);
-    for &(files, _kib, (dump_bytes, wall, n)) in &clones {
-        row(&[&files, &dump_bytes, &wall, &f2(dump_bytes as f64 / n as f64)]);
-    }
-    println!("\nExpected shape: a full copy ships all data; the clone's cost grows only");
-    println!("with file COUNT (metadata), not with data volume.\n");
-
-    println!("T5b: application blocking during a live volume move");
-    println!("  competing reader: {reader_ops} reads; time spent blocked >2ms: {blocked_us} us");
-    println!("  (the paper: applications \"are blocked for a short time\"; reads retry");
-    println!("   transparently and resume against the new server — {} total)",
-        ratio(blocked_us as f64, 1000.0));
+    let report = Obj::new().field("bench", "t5_volume_ops").field_arr("clones", clones).field(
+        "live_move",
+        Obj::new().field("reader_ops", reader_ops).field("blocked_over_2ms_us", blocked_us),
+    );
+    args.print(
+        "T5: clone cost vs full copy (COW sharing, §2.1), and application\n    \
+         blocking during a live volume move (a competing reader's time spent\n    \
+         in reads that took over 2 ms)",
+        "Expected shape: a full copy ships all data; the clone's cost grows only\n\
+         with file COUNT (metadata), not with data volume. During the move\n\
+         applications \"are blocked for a short time\" (the paper): reads retry\n\
+         transparently and resume against the new server.",
+        report,
+    );
 }

@@ -2,8 +2,7 @@
 //! than a fixed amount of time"; replica readers always see consistent
 //! snapshots and never see data regress.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{f2, header, row};
+use dfs_bench::emit::Obj;
 use dfs_types::VolumeId;
 use decorum_dfs::Cell;
 
@@ -60,33 +59,21 @@ fn run(bound_secs: u64) -> (f64, u64, bool) {
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let sweep: Vec<(u64, (f64, u64, bool))> =
-        [2u64, 10, 60, 600].iter().map(|&b| (b, run(b))).collect();
-
-    if json {
-        let rows = arr(sweep.iter().map(|&(bound, (stale, refreshes, monotone))| {
-            Obj::new()
-                .field("bound_s", bound)
-                .field("max_staleness_s", stale)
-                .field("refreshes", refreshes)
-                .field("monotone", monotone)
-                .field("within_bound", stale <= bound as f64)
-        }));
-        let out = Obj::new()
-            .field("bench", "t6_lazy_replication")
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T6: lazy replication staleness (writer @1/s; replication tick @1/s)\n");
-    header(&["bound s", "max staleness s", "refreshes", "monotone"]);
-    for &(bound, (stale, refreshes, monotone)) in &sweep {
-        row(&[&bound, &f2(stale), &refreshes, &monotone]);
-    }
-    println!("\nExpected shape (paper): observed staleness stays at or under the");
-    println!("configured bound; replicas never regress; tighter bounds cost more");
-    println!("refreshes (and §3.8 warns bounds under ~10 minutes are expensive).");
+    let args = dfs_bench::Args::parse(&[]);
+    let sweep = [2u64, 10, 60, 600].map(|bound| {
+        let (stale, refreshes, monotone) = run(bound);
+        Obj::new()
+            .field("bound_s", bound)
+            .field("max_staleness_s", stale)
+            .field("refreshes", refreshes)
+            .field("monotone", monotone)
+            .field("within_bound", stale <= bound as f64)
+    });
+    args.print(
+        "T6: lazy replication staleness (writer @1/s; replication tick @1/s)",
+        "Expected shape (paper): observed staleness stays at or under the\n\
+         configured bound; replicas never regress; tighter bounds cost more\n\
+         refreshes (and §3.8 warns bounds under ~10 minutes are expensive).",
+        Obj::new().field("bench", "t6_lazy_replication").field_arr("sweep", sweep),
+    );
 }

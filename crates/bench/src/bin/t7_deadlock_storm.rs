@@ -6,8 +6,7 @@
 //! reads, writes, lookups, locks, and opens. A wall-clock watchdog
 //! detects stalls; the final cross-client view must agree byte-for-byte.
 
-use dfs_bench::emit::{arr, Obj};
-use dfs_bench::{f2, header, row};
+use dfs_bench::emit::Obj;
 use dfs_types::{ByteRange, VolumeId};
 use decorum_dfs::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,37 +99,25 @@ fn storm(clients: usize, files: usize, ops_per_client: u64) -> (u64, f64, bool) 
 }
 
 fn main() {
-    let json = dfs_bench::Args::parse(&[]).json;
-    let sweep: Vec<(usize, usize, (u64, f64, bool))> =
-        [(2usize, 1usize), (4, 2), (8, 4), (8, 1)]
-            .iter()
-            .map(|&(clients, files)| (clients, files, storm(clients, files, 150)))
-            .collect();
-
-    if json {
-        let rows = arr(sweep.iter().map(|&(clients, files, (ops, wall, ok))| {
-            Obj::new()
-                .field("clients", clients)
-                .field("files", files)
-                .field("total_ops", ops)
-                .field("wall_s", wall)
-                .field("no_deadlock_and_agree", ok)
-        }));
-        let out = Obj::new()
+    let args = dfs_bench::Args::parse(&[]);
+    let sweep = [(2usize, 1usize), (4, 2), (8, 4), (8, 1)].map(|(clients, files)| {
+        let (ops, wall, ok) = storm(clients, files, 150);
+        Obj::new()
+            .field("clients", clients)
+            .field("files", files)
+            .field("total_ops", ops)
+            .field("wall_s", wall)
+            .field("no_deadlock_and_agree", ok)
+            .field("ops_per_s", ops as f64 / wall)
+    });
+    args.print(
+        "T7: deadlock-avoidance storm (mixed read/write/getattr/lock ops)",
+        "Expected shape (paper §6): every configuration completes — no\n\
+         dependency cycles between client vnode locks, server vnodes, and\n\
+         revocations — and all clients agree on the final contents.",
+        Obj::new()
             .field("bench", "t7_deadlock_storm")
             .field("ops_per_client", 150u64)
-            .field_raw("sweep", &rows)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T7: deadlock-avoidance storm (mixed read/write/getattr/lock ops)\n");
-    header(&["clients", "files", "total ops", "wall s", "ops/s", "no-deadlock+agree"]);
-    for &(clients, files, (ops, wall, ok)) in &sweep {
-        row(&[&clients, &files, &ops, &f2(wall), &f2(ops as f64 / wall), &ok]);
-    }
-    println!("\nExpected shape (paper §6): every configuration completes — no");
-    println!("dependency cycles between client vnode locks, server vnodes, and");
-    println!("revocations — and all clients agree on the final contents.");
+            .field_arr("sweep", sweep),
+    );
 }

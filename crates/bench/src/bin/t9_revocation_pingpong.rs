@@ -11,24 +11,15 @@
 //! this binary keeps only the two-client handoff microbench (which
 //! needs per-handoff RPC accounting no aggregate driver provides).
 
-use dfs_bench::emit::{arr, Obj};
+use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, OpClass, Phase, RunReport, Scenario, Topology, Witness};
-use dfs_bench::{f2, header, row, Args};
+use dfs_bench::Args;
 use dfs_types::VolumeId;
 use decorum_dfs::Cell;
 
-struct Pingpong {
-    handoffs: u64,
-    rpcs: u64,
-    bytes: u64,
-    sim_net_ms: f64,
-    stale: u64,
-    /// The first stale reads: reader, fid, the tag written, the tag seen.
-    witnesses: Vec<Witness>,
-    by_label: Vec<(String, u64)>,
-}
-
-fn pingpong() -> Pingpong {
+/// The two-client handoff: the report's top-level fields, up to the
+/// sweep.
+fn pingpong() -> Obj {
     let cell = Cell::builder().servers(1).build().unwrap();
     cell.create_volume(0, VolumeId(1), "v").unwrap();
     let a = cell.new_client();
@@ -40,6 +31,7 @@ fn pingpong() -> Pingpong {
     const HANDOFFS: u64 = 100;
     let before = cell.net().stats();
     let mut violations = 0u64;
+    // The first stale reads: reader, fid, the tag written, the tag seen.
     let mut witnesses = Vec::new();
     for i in 1..=HANDOFFS {
         let (writer, reader) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
@@ -51,17 +43,20 @@ fn pingpong() -> Pingpong {
         }
     }
     let d = cell.net().stats().since(&before);
-    let mut labels: Vec<_> = d.by_label.iter().map(|(l, c)| (l.to_string(), *c)).collect();
+    let mut labels: Vec<_> = d.by_label.iter().collect();
     labels.sort();
-    Pingpong {
-        handoffs: HANDOFFS,
-        rpcs: d.calls,
-        bytes: d.bytes,
-        sim_net_ms: d.latency_us as f64 / 1000.0,
-        stale: violations,
-        witnesses,
-        by_label: labels,
-    }
+    let sim_net_ms = d.latency_us as f64 / 1000.0;
+    Obj::new()
+        .field("bench", "t9_revocation_pingpong")
+        .field("handoffs", HANDOFFS)
+        .field("rpcs", d.calls)
+        .field("rpcs_per_handoff", d.calls as f64 / HANDOFFS as f64)
+        .field("sim_net_ms", sim_net_ms)
+        .field("net_us_per_handoff", sim_net_ms * 1000.0 / HANDOFFS as f64)
+        .field("stale_reads", violations)
+        .field("witnesses", Witness::list(&witnesses))
+        .field("bytes", d.bytes)
+        .field("rpcs_by_label", labels.into_iter().fold(Obj::new(), |o, (l, &c)| o.field(l, c)))
 }
 
 /// N clients on one shared file: read-dominated with a write roughly
@@ -89,83 +84,27 @@ fn hotpath(clients: u32, ops_per_client: u64) -> RunReport {
 fn main() {
     let args = Args::parse(&["--ops", "--clients"]);
     let (ops, clients) = (args.get("--ops", 400u64), args.list("--clients", vec![2u32, 8]));
-    let p = pingpong();
-    let sweep: Vec<RunReport> = clients.iter().map(|&n| hotpath(n, ops)).collect();
-
-    if args.json {
-        let points = arr(sweep.iter().map(|r| {
-            Obj::new()
-                .field("clients", r.clients)
-                .field("total_ops", r.total_ops)
-                .field("rpcs", r.net_calls)
-                .field("sim_net_ms", r.net_latency_us as f64 / 1000.0)
-                .field(
-                    "ops_per_sim_net_s",
-                    r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64,
-                )
-                .field("local_reads", r.client_stats.local_reads)
-                .field("revocations", r.client_stats.revocations)
-                .field("ok", r.clean())
-                .field_raw("witnesses", &Witness::json(&r.witnesses))
-        }));
-        let out = Obj::new()
-            .field("bench", "t9_revocation_pingpong")
-            .field("handoffs", p.handoffs)
-            .field("rpcs", p.rpcs)
-            .field("rpcs_per_handoff", p.rpcs as f64 / p.handoffs as f64)
-            .field("sim_net_ms", p.sim_net_ms)
-            .field("net_us_per_handoff", p.sim_net_ms * 1000.0 / p.handoffs as f64)
-            .field("stale_reads", p.stale)
-            .field_raw("witnesses", &Witness::json(&p.witnesses))
-            .field_raw("sweep", &points)
-            .render();
-        println!("{out}");
-        return;
-    }
-
-    println!("T9: token revocation ping-pong (two clients alternating writes)\n");
-    header(&["handoffs", "RPCs", "RPCs/handoff", "net us/handoff", "bytes", "stale reads"]);
-    row(&[
-        &p.handoffs,
-        &p.rpcs,
-        &f2(p.rpcs as f64 / p.handoffs as f64),
-        &f2(p.sim_net_ms * 1000.0 / p.handoffs as f64),
-        &p.bytes,
-        &p.stale,
-    ]);
-    println!("\nPer-RPC-type breakdown:");
-    for (label, count) in &p.by_label {
-        println!("  {label:>14}: {count}");
-    }
-
-    println!("\nToken hot-path sweep (shared file, read-dominated, write every ~64th op):\n");
-    header(&[
-        "clients",
-        "total ops",
-        "RPCs",
-        "net ms",
-        "ops/net-s",
-        "local reads",
-        "revocations",
-        "ok",
-    ]);
-    for w in sweep.iter().flat_map(|r| &r.witnesses).chain(&p.witnesses) {
-        println!("INCOHERENT {w:?}");
-    }
-    for r in &sweep {
-        row(&[
-            &r.clients,
-            &r.total_ops,
-            &r.net_calls,
-            &f2(r.net_latency_us as f64 / 1000.0),
-            &f2(r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64),
-            &r.client_stats.local_reads,
-            &r.client_stats.revocations,
-            &r.clean(),
-        ]);
-    }
-    println!("\nExpected shape (paper §5.5, §6.1): a constant small number of RPCs");
-    println!("per handoff and zero stale reads; in the sweep, throughput should");
-    println!("scale with clients while reads between revocation storms are served");
-    println!("from the client's cache under its tokens, with no RPC.");
+    let report = pingpong();
+    let sweep = clients.iter().map(|&n| {
+        let r = hotpath(n, ops);
+        Obj::new()
+            .field("clients", r.clients)
+            .field("total_ops", r.total_ops)
+            .field("rpcs", r.net_calls)
+            .field("sim_net_ms", r.net_latency_us as f64 / 1000.0)
+            .field("ops_per_sim_net_s", r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64)
+            .field("local_reads", r.client_stats.local_reads)
+            .field("revocations", r.client_stats.revocations)
+            .field("ok", r.clean())
+            .field("witnesses", Witness::list(&r.witnesses))
+    });
+    args.print(
+        "T9: token revocation ping-pong (two clients alternating writes), then\n    \
+         the token hot-path sweep (shared file, read-dominated, write every ~64th op)",
+        "Expected shape (paper §5.5, §6.1): a constant small number of RPCs\n\
+         per handoff and zero stale reads; in the sweep, throughput should\n\
+         scale with clients while reads between revocation storms are served\n\
+         from the client's cache under its tokens, with no RPC.",
+        report.field_arr("sweep", sweep),
+    );
 }

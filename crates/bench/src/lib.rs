@@ -8,15 +8,14 @@ pub mod emit;
 pub mod scenario;
 
 use std::collections::HashMap;
-use std::fmt::Display;
 use std::str::FromStr;
 
 /// A harness binary's command line: `--json` plus the valued flags the
 /// binary names. An unknown flag, a flag without its value and a value
 /// that does not parse each panic with a message naming the flag.
 pub struct Args {
-    /// `--json` was given: print one JSON object instead of the table.
-    pub json: bool,
+    /// `--json` was given: [`Args::print`] prints the report's JSON.
+    json: bool,
     values: HashMap<String, String>,
 }
 
@@ -61,33 +60,21 @@ impl Args {
             None => default,
         }
     }
+
+    /// Prints the binary's one report: its JSON under `--json`;
+    /// otherwise `title`, the report's text rendering and `note`, the
+    /// shape the paper expects.
+    pub fn print(&self, title: &str, note: &str, report: emit::Obj) {
+        if self.json {
+            println!("{}", report.json());
+        } else {
+            println!("{}\n\n{}\n{note}", title.trim_end(), report.text());
+        }
+    }
 }
 
 fn parse_value<T: FromStr>(flag: &str, v: &str) -> T {
     v.parse().unwrap_or_else(|_| panic!("{flag}: cannot parse {v:?}"))
-}
-
-/// Prints a table header row.
-pub fn header(cols: &[&str]) {
-    let row: Vec<String> = cols.iter().map(|c| format!("{c:>16}")).collect();
-    println!("{}", row.join(" "));
-    println!("{}", "-".repeat(17 * cols.len()));
-}
-
-/// Prints one table row.
-pub fn row(cells: &[&dyn Display]) {
-    let row: Vec<String> = cells.iter().map(|c| format!("{c:>16}")).collect();
-    println!("{}", row.join(" "));
-}
-
-/// Formats a float with two decimals for table cells.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Formats a ratio as `N.Nx`.
-pub fn ratio(a: f64, b: f64) -> String {
-    format!("{:.1}x", a / b.max(1e-9))
 }
 
 /// Minimal JSON validation for the bench smoke stage (`verify.sh`).
@@ -309,12 +296,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(f2(1.2345), "1.23");
-        assert_eq!(ratio(10.0, 2.0), "5.0x");
-    }
-
-    #[test]
     fn json_accepts_well_formed_values() {
         for ok in [
             "{}",
@@ -339,9 +320,10 @@ mod tests {
         Witness::note(&mut list, 2, "lost_update", fid, 0xabc, Some(&0xdefu64.to_le_bytes()));
         Witness::note(&mut list, 3, "agreement", fid, 0xabc, None);
         let report = |witnesses: &str| format!(r#"{{"ok": false, "sweep": [{{"witnesses": {witnesses}}}]}}"#);
-        assert_eq!(json::validate(&report(&Witness::json(&list))), Ok(()));
-        assert!(Witness::json(&list).contains(r#""observed_tag": "0x0000000000000def""#));
-        assert!(Witness::json(&list).contains(r#""observed_tag": null"#));
+        let listed = Witness::list(&list).json();
+        assert_eq!(json::validate(&report(&listed)), Ok(()));
+        assert!(listed.contains(r#""observed_tag": "0x0000000000000def""#));
+        assert!(listed.contains(r#""observed_tag": null"#));
         assert_eq!(json::validate(&report("[]")), Ok(()));
         for bad in [
             "3",
@@ -351,7 +333,7 @@ mod tests {
         ] {
             assert!(json::validate(&report(bad)).is_err(), "accepted witnesses {bad}");
         }
-        let w = Witness::json(&list[..1]);
+        let w = Witness::list(&list[..1]).json();
         let seventeen = format!("[{}]", vec![&w[1..w.len() - 1]; 17].join(", "));
         assert!(json::validate(&report(&seventeen)).is_err(), "accepted 17 witnesses");
         // The cap: a report never carries more than 16.

@@ -47,7 +47,7 @@
 //! agreement). Read-class and scan-class sets are prefilled with
 //! seed-derived payloads and verified on every read.
 
-use crate::emit::Obj;
+use crate::emit::{arr, Obj, Value};
 use dfs_client::{CacheManager, ClientStats, WritebackConfig, PAGE_SIZE};
 use dfs_core::Cell;
 use dfs_fleet::Fleet;
@@ -352,9 +352,9 @@ impl Witness {
         }
     }
 
-    /// Renders a witness list as the JSON array every report carries.
-    pub fn json(witnesses: &[Witness]) -> String {
-        crate::emit::arr(witnesses.iter().map(|w| {
+    /// A witness list as the array every report carries.
+    pub fn list(witnesses: &[Witness]) -> Value {
+        arr(witnesses.iter().map(|w| {
             Obj::new()
                 .field("client", w.client)
                 .field("op", w.op)
@@ -480,20 +480,19 @@ impl RunReport {
     /// are a pure function of the scenario spec belong here — in
     /// particular `state_digest` does NOT (under a crash window, which
     /// writes get acknowledged depends on thread scheduling).
-    pub fn deterministic_json(&self) -> String {
+    pub fn deterministic(&self) -> Obj {
         Obj::new()
             .field("seed", self.seed)
             .field("total_ops", self.total_ops)
-            .field_arr("class_ops", self.class_ops.iter())
+            .field_arr("class_ops", self.class_ops)
             .field("op_digest", format!("{:016x}", self.op_digest))
-            .render()
     }
 
     /// The invariant block. `state_digest` lives here (not in the
     /// deterministic block): it covers exactly the acknowledged
     /// regions, so it is replayable for fault-free timelines but
     /// scheduling-dependent when a crash window fails writes.
-    pub fn invariants_json(&self) -> String {
+    pub fn invariants(&self) -> Obj {
         Obj::new()
             .field("state_digest", format!("{:016x}", self.state_digest))
             .field("failed_ops", self.failed_ops)
@@ -505,12 +504,11 @@ impl RunReport {
             .field("leaked_grants", self.leaked_grants)
             .field("coherent", self.coherent())
             .field("clean", self.clean())
-            .render()
     }
 
-    /// The full uniform report (deterministic + invariants + measured
-    /// + events + samples), as one JSON object.
-    pub fn to_json(&self) -> String {
+    /// The full uniform report: deterministic + invariants + witnesses
+    /// + measured + events + samples.
+    pub fn report(&self) -> Obj {
         let s = &self.client_stats;
         let measured = Obj::new()
             .field("net_calls", self.net_calls)
@@ -536,14 +534,14 @@ impl RunReport {
             .field("disk_busy_ms", self.disk_busy_us as f64 / 1000.0)
             .field("ops_per_disk_sec", self.ops_per_disk_sec())
             .field("sim_ms", self.sim_us as f64 / 1000.0);
-        let events = crate::emit::arr(self.events.iter().map(|e| {
+        let events = self.events.iter().map(|e| {
             Obj::new()
                 .field("event", e.event)
                 .field("at_op", e.at_op)
                 .field("fired_at", e.fired_at)
                 .field("ok", e.ok)
-        }));
-        let samples = crate::emit::arr(self.samples.iter().map(|p| {
+        });
+        let samples = self.samples.iter().map(|p| {
             Obj::new()
                 .field("at_op", p.at_op)
                 .field("sim_us", p.sim_us)
@@ -552,19 +550,23 @@ impl RunReport {
                 .field("remote_reads", p.remote_reads)
                 .field("stale_reads", p.stale_reads)
                 .field("revocations", p.revocations)
-        }));
+        });
         Obj::new()
             .field("scenario", self.name)
             .field("servers", self.servers)
             .field("clients", self.clients)
             .field("volumes", self.volumes)
-            .field_raw("deterministic", &self.deterministic_json())
-            .field_raw("invariants", &self.invariants_json())
-            .field_raw("witnesses", &Witness::json(&self.witnesses))
-            .field_raw("measured", &measured.render())
-            .field_raw("events", &events)
-            .field_raw("samples", &samples)
-            .render()
+            .field("deterministic", self.deterministic())
+            .field("invariants", self.invariants())
+            .field("witnesses", Witness::list(&self.witnesses))
+            .field("measured", measured)
+            .field_arr("events", events)
+            .field_arr("samples", samples)
+    }
+
+    /// [`RunReport::report`] as one line of JSON.
+    pub fn to_json(&self) -> String {
+        self.report().json()
     }
 }
 
@@ -1354,7 +1356,7 @@ mod tests {
         );
         let r = sc.run();
         assert_eq!(r.total_ops, 16);
-        assert!(r.clean(), "invariants: {}", r.invariants_json());
+        assert!(r.clean(), "invariants: {}", r.invariants().json());
         assert_eq!(r.leaked_grants, 0, "the churn class removes what it creates");
         crate::json::validate(&r.to_json()).expect("report JSON must parse");
     }

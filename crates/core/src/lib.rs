@@ -143,7 +143,7 @@ impl CellBuilder {
                 vldb_addrs.clone(),
                 pool,
             )?;
-            servers.push(Mutex::new(ServerSlot { disk, server }));
+            servers.push(Mutex::new(ServerSlot { disk, episode: ep, server }));
         }
         Ok(Cell {
             clock,
@@ -157,11 +157,12 @@ impl CellBuilder {
     }
 }
 
-/// One file-server slot: the current instance plus the simulated disk
-/// it runs on, kept so the cell can crash and restart the server on
-/// the *same* storage.
+/// One file-server slot: the current instance, the Episode aggregate it
+/// exports and the simulated disk under both, kept so the cell can
+/// crash and restart the server on the *same* storage.
 struct ServerSlot {
     disk: SimDisk,
+    episode: Arc<Episode>,
     server: Arc<FileServer>,
 }
 
@@ -209,6 +210,12 @@ impl Cell {
         self.servers[index].lock().server.clone()
     }
 
+    /// The Episode aggregate slot `index`'s server exports (its journal
+    /// counters, say). Like [`Cell::server`], a restart replaces it.
+    pub fn episode(&self, index: usize) -> Arc<Episode> {
+        self.servers[index].lock().episode.clone()
+    }
+
     /// Statistics of the simulated disk under slot `index`'s server.
     /// Disks are the per-server bottleneck resource, so experiments
     /// report a fleet's critical path as the max across slots.
@@ -251,6 +258,7 @@ impl Cell {
             self.pool,
             grace_us,
         )?;
+        slot.episode = ep;
         Ok(report)
     }
 
@@ -443,6 +451,28 @@ mod tests {
         let f = c.create(root, "d", 0o644).unwrap();
         c.write(f.fid, 0, &vec![3u8; 10_000]).unwrap();
         assert_eq!(c.read(f.fid, 5000, 100).unwrap(), vec![3u8; 100]);
+    }
+
+    #[test]
+    fn a_slot_hands_out_the_episode_its_server_exports() {
+        let cell = Cell::builder().build().unwrap();
+        cell.create_volume(0, VolumeId(1), "v").unwrap();
+        let c = cell.new_client();
+        let root = c.root(VolumeId(1)).unwrap();
+        let f = c.create(root, "e", 0o644).unwrap();
+        let before = cell.episode(0).journal().stats();
+        c.write(f.fid, 0, b"logged").unwrap();
+        c.fsync(f.fid).unwrap();
+        assert!(cell.episode(0).journal().stats().since(&before).txns_begun > 0);
+
+        let old = cell.episode(0);
+        cell.crash_server(0);
+        cell.restart_server(0, 0).unwrap();
+        assert!(!Arc::ptr_eq(&old, &cell.episode(0)), "a restart replaces the Episode");
+        let before = cell.episode(0).journal().stats();
+        c.write(f.fid, 0, b"again").unwrap();
+        c.fsync(f.fid).unwrap();
+        assert!(cell.episode(0).journal().stats().since(&before).txns_begun > 0);
     }
 
     #[test]

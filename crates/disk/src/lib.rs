@@ -88,12 +88,6 @@ impl DiskConfig {
     pub fn with_blocks(blocks: u32) -> Self {
         DiskConfig { blocks, ..DiskConfig::default() }
     }
-
-    /// Returns a config sized to hold at least `bytes` bytes.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        let blocks = bytes.div_ceil(BLOCK_SIZE as u64);
-        Self::with_blocks(u32::try_from(blocks).expect("disk too large"))
-    }
 }
 
 struct DiskInner {
@@ -173,11 +167,6 @@ impl SimDisk {
     /// Returns the number of addressable blocks.
     pub fn blocks(&self) -> u32 {
         self.cfg.blocks
-    }
-
-    /// Returns the disk's cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cfg.cost
     }
 
     fn check(&self, block: u32) -> DfsResult<()> {
@@ -316,11 +305,6 @@ impl SimDisk {
     /// Brings a crashed disk back on line; stable contents survive.
     pub fn power_on(&self) {
         self.inner.lock().crashed = false;
-    }
-
-    /// Returns true if the disk is currently crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.inner.lock().crashed
     }
 
     /// Marks the block range `[start, end)` as bad media.

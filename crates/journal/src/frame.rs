@@ -109,11 +109,6 @@ impl BufHandle {
         self.with_data(|d| u64::from_le_bytes(d[offset..offset + 8].try_into().unwrap()))
     }
 
-    /// Reads a single byte at `offset`.
-    pub fn u8_at(&self, offset: usize) -> u8 {
-        self.with_data(|d| d[offset])
-    }
-
     /// Reads a little-endian `u16` at `offset`.
     pub fn u16_at(&self, offset: usize) -> u16 {
         self.with_data(|d| u16::from_le_bytes(d[offset..offset + 2].try_into().unwrap()))

@@ -1453,11 +1453,6 @@ fn analyze_body(
     f
 }
 
-/// True if `name` is on the call stoplist (exposed for tests).
-pub fn stoplisted(name: &str) -> bool {
-    CALL_STOPLIST.contains(&name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

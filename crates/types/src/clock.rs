@@ -18,11 +18,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Returns the timestamp as (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns the timestamp as (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

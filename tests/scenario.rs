@@ -48,8 +48,8 @@ fn same_seed_replays_identical_ops_and_state() {
     assert_eq!(a.class_ops, b.class_ops, "per-class op counts must replay");
     assert_eq!(a.state_digest, b.state_digest, "final contents must replay");
     assert_eq!(
-        a.deterministic_json(),
-        b.deterministic_json(),
+        a.deterministic().json(),
+        b.deterministic().json(),
         "the deterministic JSON block must be byte-identical"
     );
     assert_eq!(a.total_ops, 8 * (12 + 20));
@@ -119,7 +119,7 @@ fn fault_timeline_arms_at_declared_op_offsets() {
     assert_eq!(r.faults_injected, 2, "the armed rule injected its full budget");
     // A dropped StoreData surfaces as a timeout the client retries; the
     // run still ends clean.
-    assert!(r.clean(), "invariants: {}", r.invariants_json());
+    assert!(r.clean(), "invariants: {}", r.invariants().json());
 }
 
 #[test]
