@@ -12,7 +12,7 @@
 use dfs_rpc::{Addr, CallClass, CallContext, Network, PoolConfig, Request, Response, RpcService};
 use dfs_token::{Token, TokenId, TokenTypes};
 use dfs_types::{ByteRange, ClientId, DfsError, DfsResult, FileStatus, Fid, ServerId, VolumeId};
-use dfs_vfs::{Credentials, VfsPlus};
+use dfs_vfs::{Credentials, VfsPlus, WriteExtent};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -80,15 +80,17 @@ impl AfsServer {
                 Addr::Client(c),
                 None,
                 CallClass::Revocation,
-                Request::RevokeToken {
-                    token: Token {
-                        id: TokenId(0),
-                        fid,
-                        types: TokenTypes::STATUS_READ,
-                        range: ByteRange::WHOLE,
-                    },
-                    types: TokenTypes::STATUS_READ,
-                    stamp: Default::default(),
+                Request::RevokeVec {
+                    items: vec![(
+                        Token {
+                            id: TokenId(0),
+                            fid,
+                            types: TokenTypes::STATUS_READ,
+                            range: ByteRange::WHOLE,
+                        },
+                        TokenTypes::STATUS_READ,
+                        Default::default(),
+                    )],
                 },
             );
         }
@@ -131,8 +133,8 @@ impl RpcService for AfsServer {
                 }
                 // Store (at close) replaces file contents and breaks the
                 // other holders' callbacks.
-                Request::StoreData { fid, offset, data } => {
-                    let status = self.fs.write(&cred, fid, offset, &data)?;
+                Request::StoreDataVec { fid, extents } => {
+                    let status = crate::write_extents(&*self.fs, &cred, fid, &extents)?;
                     self.stats.stores.add(1);
                     self.break_callbacks(fid, caller);
                     Ok(Response::Status {
@@ -300,7 +302,8 @@ impl AfsClient {
         if let Some(data) = payload {
             self.stats.stores.add(1);
             self.stats.bytes_stored.add(data.len() as u64);
-            self.call(Request::StoreData { fid, offset: 0, data })?;
+            let extents = vec![WriteExtent { offset: 0, data }];
+            self.call(Request::StoreDataVec { fid, extents })?;
         }
         Ok(())
     }
@@ -325,13 +328,17 @@ impl AfsClient {
 impl RpcService for AfsClient {
     fn dispatch(&self, _ctx: CallContext, req: Request) -> Response {
         match req {
-            Request::RevokeToken { token, .. } => {
-                // A callback break: invalidate the whole cached file.
-                self.stats.callback_breaks.add(1);
-                if let Some(f) = self.files.lock().get_mut(&token.fid) {
-                    f.valid = false;
+            Request::RevokeVec { items } => {
+                // Each item is a callback break: invalidate the whole
+                // cached file.
+                let mut files = self.files.lock();
+                for (token, ..) in &items {
+                    self.stats.callback_breaks.add(1);
+                    if let Some(f) = files.get_mut(&token.fid) {
+                        f.valid = false;
+                    }
                 }
-                Response::RevokeAck { returned: true }
+                Response::RevokeVecAck { returned: vec![true; items.len()] }
             }
             _ => Response::Err(DfsError::InvalidArgument),
         }

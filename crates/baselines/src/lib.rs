@@ -22,3 +22,21 @@ pub mod nfs;
 
 pub use afs::{AfsClient, AfsServer};
 pub use nfs::{NfsClient, NfsServer};
+
+use dfs_types::{DfsError, DfsResult, Fid, FileStatus};
+use dfs_vfs::{Credentials, VfsPlus, WriteExtent};
+
+/// A baseline server's store arm: applies a `StoreDataVec`'s extents
+/// one plain `write` each, in order, and returns the last status.
+fn write_extents(
+    fs: &dyn VfsPlus,
+    cred: &Credentials,
+    fid: Fid,
+    extents: &[WriteExtent],
+) -> DfsResult<FileStatus> {
+    let mut status = Err(DfsError::InvalidArgument);
+    for e in extents {
+        status = Ok(fs.write(cred, fid, e.offset, &e.data)?);
+    }
+    status
+}

@@ -10,7 +10,7 @@ use dfs_rpc::{Addr, CallClass, CallContext, Network, PoolConfig, Request, Respon
 use dfs_types::{
     ClientId, DfsError, DfsResult, FileStatus, Fid, ServerId, Timestamp, VolumeId,
 };
-use dfs_vfs::{Credentials, VfsPlus};
+use dfs_vfs::{Credentials, VfsPlus, WriteExtent};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,10 +62,10 @@ impl RpcService for NfsServer {
                         stale_us: 0,
                     })
                 }
-                Request::StoreData { fid, offset, data } => {
+                Request::StoreDataVec { fid, extents } => {
                     // NFSv2 semantics: the write is synchronous and
                     // durable before the reply.
-                    let status = self.fs.write(&cred, fid, offset, &data)?;
+                    let status = crate::write_extents(&*self.fs, &cred, fid, &extents)?;
                     self.fs.fsync(&cred, fid)?;
                     Ok(Response::Status {
                         status,
@@ -270,7 +270,8 @@ impl NfsClient {
     /// Writes through to the server (synchronous NFSv2 write).
     pub fn write(&self, fid: Fid, offset: u64, data: &[u8]) -> DfsResult<FileStatus> {
         self.stats.writes.add(1);
-        match self.call(Request::StoreData { fid, offset, data: data.to_vec() })? {
+        let extents = vec![WriteExtent { offset, data: data.to_vec() }];
+        match self.call(Request::StoreDataVec { fid, extents })? {
             Response::Status { status, .. } => {
                 // Update caches with what we know.
                 let now = self.net.clock().now();

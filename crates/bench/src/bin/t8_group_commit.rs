@@ -6,7 +6,7 @@
 //! The second section measures the client write-behind pipeline: a
 //! sequential-write workload stored back as extent-sized runs batched
 //! into `StoreDataVec` RPCs, each applied in a single transaction
-//! ending in one group commit. (The one-`StoreData`-per-page shape it
+//! ending in one group commit. (The one-RPC-per-page shape it
 //! replaced is archived in `BENCH_writeback.json`; see EXPERIMENTS.md
 //! T8b.)
 //!
@@ -74,9 +74,8 @@ fn writeback_run(pages: u64) -> Obj {
     let count = |l: &str| nd.by_label.get(l).copied().unwrap_or(0);
     let bytes = |l: &str| nd.bytes_by_label.get(l).copied().unwrap_or(0);
     Obj::new()
-        .field("store_data_rpcs", count("StoreData"))
         .field("store_data_vec_rpcs", count("StoreDataVec"))
-        .field("store_bytes", bytes("StoreData") + bytes("StoreDataVec"))
+        .field("store_bytes", bytes("StoreDataVec"))
         .field("journal_syncs", jd.syncs)
         .field("journal_txns", jd.txns_begun)
 }
@@ -180,7 +179,7 @@ fn main() {
          \n\
          The pipeline coalesces extent-sized runs into one StoreDataVec applied\n\
          as a single server transaction — one RPC and one group commit per 128\n\
-         pages (BENCH_writeback.json archives the one-StoreData-per-page shape\n\
+         pages (BENCH_writeback.json archives the one-RPC-per-page shape\n\
          it replaced).\n\
          \n\
          Concurrent writers (§5): distinct fids hash to different token/host\n\

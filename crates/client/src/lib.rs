@@ -165,7 +165,7 @@ dfs_types::counters! {
         pub busy_retries: u64,
         /// Token-contention backoff rounds slept in `read`/`write`.
         pub backoff_rounds: u64,
-        /// Store-back RPCs sent (StoreData + StoreDataVec, normal class).
+        /// Store-back RPCs sent (`StoreDataVec`).
         pub storeback_rpcs: u64,
         /// Extents carried by those RPCs.
         pub storeback_extents: u64,
@@ -1693,9 +1693,8 @@ impl CacheManager {
         self.vnode(fid).lock_lo().tokens.clone()
     }
 
-    /// Handles one incoming revocation — shared by the single-token
-    /// `RevokeToken` arm and the batched `RevokeVec` fan-out. Returns
-    /// whether the token was returned.
+    /// Handles one item of an incoming `RevokeVec`. Returns whether the
+    /// token was returned.
     fn handle_revocation(&self, token: Token, types: TokenTypes, stamp: SerializationStamp) -> bool {
         self.stats.revocations.add(1);
         let Some(vn) = self.vnodes.lock().get(&token.fid).cloned() else {
@@ -1730,10 +1729,6 @@ impl Drop for CacheManager {
 impl RpcService for CacheManager {
     fn dispatch(&self, _ctx: CallContext, req: Request) -> Response {
         match req {
-            Request::RevokeToken { token, types, stamp } => {
-                let returned = self.handle_revocation(token, types, stamp);
-                Response::RevokeAck { returned }
-            }
             Request::RevokeVec { items } => {
                 // Fan a batched revocation out to the per-fid handler;
                 // the single ack answers every item, in order. Each

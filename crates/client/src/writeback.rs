@@ -1,8 +1,8 @@
 //! The write-behind pipeline (§4.2, §5.3; DESIGN.md §9): the dirty set
 //! and its counter, extent coalescing, the background store daemon,
 //! and **the store gate** — the only code in the client that builds a
-//! `StoreData`, a `StoreDataVec` or a `StoreStatus`, and the one
-//! function that sends them.
+//! `StoreDataVec` or a `StoreStatus`, and the one function that sends
+//! them.
 //!
 //! Every store of a vnode, whoever asks for it — a revocation handler,
 //! `fsync`, `close`, `setattr`, backpressure, a flusher pass, recovery
@@ -21,8 +21,7 @@ use std::thread::JoinHandle;
 /// Pages coalesced into one store-back extent (64 KB of 4 KB pages).
 pub const STORE_EXTENT_PAGES: usize = 16;
 
-/// Extents shipped per store-back RPC; a single extent goes out as a
-/// flat `StoreData`, more as one `StoreDataVec`.
+/// Extents shipped per store-back RPC (one `StoreDataVec`).
 const STORE_EXTENTS_PER_RPC: usize = 8;
 
 /// Second tries one store gets outside the retry ladder's budget:
@@ -167,13 +166,12 @@ impl CacheManager {
     /// Coalesces dirty pages (optionally restricted to `range`) into up
     /// to [`STORE_EXTENTS_PER_RPC`] contiguous extents of at most
     /// [`STORE_EXTENT_PAGES`] pages each, snapshotting page contents
-    /// under the caller's `lo` guard, and returns the request carrying
-    /// them — a single extent goes out as a flat `StoreData` (16 bytes
-    /// cheaper), more as one `StoreDataVec` — with the (page, write_seq)
-    /// tags needed to clean only un-re-dirtied pages afterwards. The
-    /// last extent is clamped at EOF (partial final page); pages wholly
-    /// beyond EOF or whose cached contents are gone are dropped from the
-    /// dirty set on the spot.
+    /// under the caller's `lo` guard, and returns the `StoreDataVec`
+    /// carrying them with the (page, write_seq) tags needed to clean
+    /// only un-re-dirtied pages afterwards. The last extent is clamped
+    /// at EOF (partial final page); pages wholly beyond EOF or whose
+    /// cached contents are gone are dropped from the dirty set on the
+    /// spot.
     fn collect_extents(
         &self,
         fid: Fid,
@@ -212,16 +210,11 @@ impl CacheManager {
             }
             pages.push((p, seq));
         }
+        if extents.is_empty() {
+            return None;
+        }
         let n = extents.len() as u64;
-        let req = match n {
-            0 => return None,
-            1 => {
-                let e = extents.pop().expect("one extent");
-                Request::StoreData { fid, offset: e.offset, data: e.data }
-            }
-            _ => Request::StoreDataVec { fid, extents },
-        };
-        Some((req, pages, n))
+        Some((Request::StoreDataVec { fid, extents }, pages, n))
     }
 
     /// Snapshots `what` under the caller's `lo` guard into the one wire
@@ -510,7 +503,7 @@ mod tests {
         let (stores, seen) = (AtomicU32::new(0), Arc::new(parking_lot::Mutex::new(Vec::new())));
         let (peer, log) = (cm.clone(), seen.clone());
         let hook = move |req: &Request| match req {
-            Request::StoreData { .. } if stores.fetch_add(1, Ordering::SeqCst) == 0 => {
+            Request::StoreDataVec { .. } if stores.fetch_add(1, Ordering::SeqCst) == 0 => {
                 Some(Response::Err(DfsError::GraceWait))
             }
             Request::GetEpoch => {

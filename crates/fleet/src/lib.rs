@@ -24,12 +24,9 @@
 
 use dfs_core::Cell;
 use dfs_server::ServerStats;
-use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, DfsResult, ServerId, VolumeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 /// Per-server load observed by [`Fleet::load`]: total file ops and the
 /// per-volume breakdown, as deltas since the previous observation.
@@ -60,24 +57,10 @@ struct PlanState {
     moves: u64,
 }
 
-/// Wake/stop/pause flags for the background rebalancer, guarded at
-/// rank `FLEET_DAEMON` (same shape as the client's flusher control).
-#[derive(Default)]
-struct DaemonCtl {
-    stop: bool,
-    kicked: bool,
-    paused: bool,
-}
-
 /// A volume-sharded cluster of file servers over one cell.
 pub struct Fleet {
     cell: Cell,
     plan: OrderedMutex<PlanState, { rank::FLEET_REGISTRY }>,
-    daemon_ctl: OrderedMutex<DaemonCtl, { rank::FLEET_DAEMON }>,
-    daemon_cv: OrderedCondvar,
-    daemon_join: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Rebalance passes the daemon has run (including no-op passes).
-    daemon_passes: AtomicU64,
 }
 
 impl Fleet {
@@ -87,94 +70,12 @@ impl Fleet {
         Fleet {
             cell,
             plan: OrderedMutex::new(PlanState::default()),
-            daemon_ctl: OrderedMutex::new(DaemonCtl::default()),
-            daemon_cv: OrderedCondvar::new(),
-            daemon_join: parking_lot::Mutex::new(None),
-            daemon_passes: AtomicU64::new(0),
         }
     }
 
     /// Builds a fleet of `servers` file servers with cell defaults.
     pub fn start(servers: u32) -> DfsResult<Fleet> {
         Ok(Fleet::new(Cell::builder().servers(servers).build()?))
-    }
-
-    // ------------------------------------------------------------------
-    // The rebalance daemon
-    // ------------------------------------------------------------------
-
-    /// Spawns the background rebalancer: a daemon thread that runs one
-    /// [`Fleet::rebalance`] pass every `interval` (or sooner when
-    /// kicked). Idempotent — a second call while a daemon is running is
-    /// a no-op. The daemon holds only a weak reference, so dropping the
-    /// fleet stops it; [`Fleet::stop_rebalancer`] (also run on drop)
-    /// stops it deterministically and joins the thread.
-    pub fn spawn_rebalancer(self: &Arc<Fleet>, interval: Duration) {
-        let mut join = self.daemon_join.lock();
-        if join.is_some() {
-            return;
-        }
-        self.daemon_ctl.lock().stop = false;
-        let weak = Arc::downgrade(self);
-        let handle = std::thread::Builder::new()
-            .name("dfs-rebalancer".into())
-            .spawn(move || Fleet::rebalancer_main(weak, interval))
-            .expect("spawn rebalancer");
-        *join = Some(handle);
-    }
-
-    fn rebalancer_main(weak: Weak<Fleet>, interval: Duration) {
-        loop {
-            let Some(fleet) = weak.upgrade() else { return };
-            {
-                let mut ctl = fleet.daemon_ctl.lock();
-                if !ctl.kicked && !ctl.stop {
-                    fleet.daemon_cv.wait_for(&mut ctl, interval);
-                }
-                if ctl.stop {
-                    return;
-                }
-                ctl.kicked = false;
-                if ctl.paused {
-                    continue;
-                }
-            }
-            // No daemon lock held across planning: rebalance takes the
-            // FLEET_REGISTRY plan lock and server-side stats locks.
-            let _ = fleet.rebalance();
-            fleet.daemon_passes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Wakes the rebalancer ahead of its timer.
-    pub fn kick_rebalancer(&self) {
-        self.daemon_ctl.lock().kicked = true;
-        self.daemon_cv.notify_all();
-    }
-
-    /// Quiesces (or resumes) the rebalancer — e.g. around a manually
-    /// driven migration that must not race a daemon-driven move.
-    pub fn pause_rebalancer(&self, paused: bool) {
-        self.daemon_ctl.lock().paused = paused;
-        if !paused {
-            self.daemon_cv.notify_all();
-        }
-    }
-
-    /// Stops the rebalancer and joins its thread. Safe to call with no
-    /// daemon running.
-    pub fn stop_rebalancer(&self) {
-        let handle = self.daemon_join.lock().take();
-        if let Some(h) = handle {
-            self.daemon_ctl.lock().stop = true;
-            self.daemon_cv.notify_all();
-            let _ = h.join();
-        }
-    }
-
-    /// Rebalance passes the daemon has completed (no-ops included).
-    pub fn rebalancer_passes(&self) -> u64 {
-        self.daemon_passes.load(Ordering::Relaxed)
     }
 
     /// The underlying cell (clients, clock, crash injection).
@@ -327,12 +228,6 @@ impl Fleet {
     }
 }
 
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        self.stop_rebalancer();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,47 +284,6 @@ mod tests {
         assert_eq!(c.read(w.fid, 0, 4).unwrap(), b"y");
         let f0 = c.lookup(hot_root, "f0").unwrap();
         assert_eq!(c.read(f0.fid, 0, 4).unwrap(), b"x");
-    }
-
-    #[test]
-    fn rebalancer_daemon_runs_pauses_and_stops() {
-        let fleet = Arc::new(Fleet::start(2).unwrap());
-        fleet.create_volume(VolumeId(1), "hot").unwrap(); // slot 0
-        fleet.create_volume(VolumeId(2), "cold").unwrap(); // slot 1
-        fleet.create_volume(VolumeId(3), "warm").unwrap(); // slot 0
-        let c = fleet.cell().new_client();
-        let hot_root = c.root(VolumeId(1)).unwrap();
-        let warm_root = c.root(VolumeId(3)).unwrap();
-        for i in 0..30 {
-            let f = c.create(hot_root, &format!("f{i}"), 0o644).unwrap();
-            c.write(f.fid, 0, b"x").unwrap();
-            c.fsync(f.fid).unwrap();
-        }
-        let w = c.create(warm_root, "w", 0o644).unwrap();
-        c.write(w.fid, 0, b"y").unwrap();
-        c.fsync(w.fid).unwrap();
-        // Long timer, kicked explicitly: the pass is deterministic.
-        fleet.spawn_rebalancer(Duration::from_secs(3600));
-        fleet.kick_rebalancer();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while fleet.rebalancer_passes() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(fleet.rebalancer_passes() >= 1, "daemon never ran a pass");
-        assert_eq!(fleet.moves(), 1, "daemon moved the hot volume");
-        assert_eq!(fleet.server_of(VolumeId(1)).unwrap(), 1);
-        // Paused: a kick wakes the daemon but plans nothing.
-        fleet.pause_rebalancer(true);
-        let before = fleet.moves();
-        fleet.kick_rebalancer();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(fleet.moves(), before, "paused daemon must not move volumes");
-        fleet.pause_rebalancer(false);
-        fleet.stop_rebalancer();
-        // Idempotent stop; spawn-after-stop restarts cleanly.
-        fleet.stop_rebalancer();
-        fleet.spawn_rebalancer(Duration::from_secs(3600));
-        fleet.stop_rebalancer();
     }
 
     #[test]

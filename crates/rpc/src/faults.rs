@@ -251,7 +251,7 @@ mod tests {
     fn wildcard_rule_matches_everything() {
         let mut st = FaultState::new(FaultSchedule::seeded(1).rule(FaultRule::on(FaultAction::Drop)));
         assert_eq!(st.decide(c(1), s(1), CallClass::Normal, "Ping"), Some(FaultAction::Drop));
-        assert_eq!(st.decide(s(2), c(3), CallClass::Revocation, "RevokeToken"), Some(FaultAction::Drop));
+        assert_eq!(st.decide(s(2), c(3), CallClass::Revocation, "RevokeVec"), Some(FaultAction::Drop));
         assert_eq!(st.injected, 2);
     }
 
@@ -296,11 +296,11 @@ mod tests {
     #[test]
     fn label_filter_matches_one_rpc_kind() {
         let mut st = FaultState::new(
-            FaultSchedule::seeded(1).rule(FaultRule::on(FaultAction::DropReply).label("StoreData")),
+            FaultSchedule::seeded(1).rule(FaultRule::on(FaultAction::DropReply).label("StoreDataVec")),
         );
         assert_eq!(st.decide(c(1), s(1), CallClass::Normal, "Ping"), None);
         assert_eq!(
-            st.decide(c(1), s(1), CallClass::Normal, "StoreData"),
+            st.decide(c(1), s(1), CallClass::Normal, "StoreDataVec"),
             Some(FaultAction::DropReply)
         );
     }

@@ -85,13 +85,11 @@ pub enum Request {
     FetchStatus { fid: Fid, want: Option<TokenRequest> },
     /// Fetch data (and status), optionally with tokens.
     FetchData { fid: Fid, offset: u64, len: u32, want: Option<TokenRequest> },
-    /// Store data back (used both by normal writes and by the special
-    /// store issued from token-revocation code, §6.3).
-    StoreData { fid: Fid, offset: u64, data: Vec<u8> },
-    /// Store several discontiguous extents back in one RPC. The server
-    /// applies the whole batch in a single journal transaction ending in
-    /// one group commit, so a 64 KB store-back costs one log force
-    /// instead of sixteen.
+    /// Store data back — one or several discontiguous extents in one
+    /// RPC (used both by normal writes and by the special store issued
+    /// from token-revocation code, §6.3). The server applies the whole
+    /// batch in a single journal transaction ending in one group commit,
+    /// so a 64 KB store-back costs one log force instead of sixteen.
     StoreDataVec { fid: Fid, extents: Vec<WriteExtent> },
     /// Store status changes back.
     StoreStatus { fid: Fid, attrs: SetAttrs },
@@ -189,13 +187,11 @@ pub enum Request {
     GetEpoch,
 
     // ---- Server → client callbacks (§5.3) ----
-    /// Revoke the given type bits of a token; the client must store
-    /// dirty data/status covered by those bits first.
-    RevokeToken { token: Token, types: TokenTypes, stamp: SerializationStamp },
-    /// Revoke several tokens in one callback: every same-host
+    /// Revoke one or several tokens in one callback: every same-host
     /// revocation produced by one conflict check, batched the way
     /// `StoreDataVec` batches store-backs. Each item carries the token,
-    /// the type bits to give up, and the revocation's serialization
+    /// the type bits to give up (the client must first store dirty
+    /// data/status covered by them), and the revocation's serialization
     /// stamp; the peer answers each item exactly once, in order.
     RevokeVec { items: Vec<(Token, TokenTypes, SerializationStamp)> },
     /// Liveness probe.
@@ -261,8 +257,6 @@ pub enum Response {
     VolumeIs(VolumeInfo),
     /// Volume list.
     Volumes(Vec<VolumeInfo>),
-    /// Client's answer to a revocation: true = returned, false = kept.
-    RevokeAck { returned: bool },
     /// Per-token answers to a `RevokeVec`, in request order: true =
     /// returned, false = kept. A vector shorter than the request leaves
     /// the tail unacknowledged — the server counts those tokens as
@@ -296,7 +290,6 @@ impl Request {
             Request::GetRoot { .. } => "GetRoot",
             Request::FetchStatus { .. } => "FetchStatus",
             Request::FetchData { .. } => "FetchData",
-            Request::StoreData { .. } => "StoreData",
             Request::StoreDataVec { .. } => "StoreDataVec",
             Request::StoreStatus { .. } => "StoreStatus",
             Request::Fsync { .. } => "Fsync",
@@ -330,7 +323,6 @@ impl Request {
             Request::ReplTick => "ReplTick",
             Request::ReestablishTokens { .. } => "ReestablishTokens",
             Request::GetEpoch => "GetEpoch",
-            Request::RevokeToken { .. } => "RevokeToken",
             Request::RevokeVec { .. } => "RevokeVec",
             Request::Ping => "Ping",
         }
@@ -340,7 +332,6 @@ impl Request {
     pub fn wire_size(&self) -> u64 {
         const HDR: u64 = 64; // RPC header, fid, auth verifier.
         HDR + match self {
-            Request::StoreData { data, .. } => data.len() as u64,
             // Each extent carries an (offset, length) descriptor pair
             // ahead of its payload.
             Request::StoreDataVec { extents, .. } => {
@@ -414,10 +405,9 @@ mod tests {
     #[test]
     fn wire_size_counts_payload() {
         let small = Request::Ping;
-        let big = Request::StoreData {
+        let big = Request::StoreDataVec {
             fid: Fid::default(),
-            offset: 0,
-            data: vec![0; 10_000],
+            extents: vec![WriteExtent { offset: 0, data: vec![0; 10_000] }],
         };
         assert!(big.wire_size() > small.wire_size() + 9_000);
     }
@@ -440,14 +430,11 @@ mod tests {
         // Header (64) + 52 per item (token 40 + types 4 + stamp 8).
         assert_eq!(req.wire_size(), 64 + 3 * 52);
         assert_eq!(req.label(), "RevokeVec");
-        // A batch of N costs far less than N single revocations: each
-        // RevokeToken pays the full 64-byte header again.
-        let single = Request::RevokeToken {
-            token: item(1).0,
-            types: TokenTypes::DATA_WRITE,
-            stamp: SerializationStamp(1),
-        };
-        assert!(req.wire_size() < 3 * single.wire_size() + 3 * 52);
+        // A batch of N costs less than N one-item batches, each of
+        // which pays the 64-byte header again.
+        let single = Request::RevokeVec { items: vec![item(1)] };
+        assert_eq!(single.wire_size(), 64 + 52);
+        assert!(req.wire_size() < 3 * single.wire_size());
         // Acks answer one byte per token over the response header.
         let ack = Response::RevokeVecAck { returned: vec![true, false, true] };
         assert_eq!(ack.wire_size(), 48 + 3);
@@ -463,14 +450,12 @@ mod tests {
         // Header (64) + 2 descriptors (16 each) + payloads.
         assert_eq!(req.wire_size(), 64 + 16 + 4096 + 16 + 100);
         assert_eq!(req.label(), "StoreDataVec");
-        // A one-extent vec costs 16 bytes more than the flat StoreData —
-        // the client prefers StoreData for single extents.
-        let flat = Request::StoreData { fid: Fid::default(), offset: 0, data: vec![0; 4096] };
-        assert_eq!(flat.wire_size() + 16, Request::StoreDataVec {
+        // A one-extent store pays its descriptor too.
+        let one = Request::StoreDataVec {
             fid: Fid::default(),
             extents: vec![WriteExtent { offset: 0, data: vec![0; 4096] }],
-        }
-        .wire_size());
+        };
+        assert_eq!(one.wire_size(), 64 + 16 + 4096);
     }
 
     #[test]

@@ -217,30 +217,13 @@ impl TokenHost for RemoteHost {
         types: TokenTypes,
         stamp: SerializationStamp,
     ) -> RevokeResult {
-        // Server→peer revocation RPC; dispatched on the peer's
-        // revocation pool so a busy peer can always serve it (§6.4).
-        let resp = self.net.call(
-            self.server_addr,
-            self.peer,
-            None,
-            CallClass::Revocation,
-            Request::RevokeToken { token: token.clone(), types, stamp },
-        );
-        self.settle(match resp {
-            Ok(Response::RevokeAck { returned }) => Some(returned),
-            _ => None,
-        })
+        let item = RevokeItem { token: token.clone(), types, stamp };
+        self.revoke_batch(&[item]).pop().expect("one answer per item")
     }
 
     fn revoke_batch(&self, items: &[RevokeItem]) -> Vec<RevokeResult> {
-        // A single token needs no vec framing (wire compatibility with
-        // peers that predate `RevokeVec`).
-        if items.len() <= 1 {
-            return items
-                .iter()
-                .map(|i| self.revoke(&i.token, i.types, i.stamp))
-                .collect();
-        }
+        // Server→peer revocation RPC; dispatched in the revocation class
+        // so a busy peer can always serve it (§6.4).
         let resp = self.net.call(
             self.server_addr,
             self.peer,
@@ -341,10 +324,6 @@ mod tests {
                     self.seen.lock().push(items.len());
                     Response::RevokeVecAck { returned: self.acks.clone() }
                 }
-                Request::RevokeToken { .. } => {
-                    self.seen.lock().push(1);
-                    Response::RevokeAck { returned: true }
-                }
                 _ => Response::Err(dfs_types::DfsError::InvalidArgument),
             }
         }
@@ -402,13 +381,14 @@ mod tests {
     }
 
     #[test]
-    fn single_item_batch_uses_plain_revoke_token() {
-        let (host, peer, model) = remote_host_with_peer(vec![]);
-        let results = host.revoke_batch(&batch_items(1));
-        assert_eq!(results, vec![RevokeResult::Returned]);
-        assert_eq!(*peer.seen.lock(), vec![1], "no vec framing for one token");
+    fn single_item_batch_goes_out_as_one_revoke_vec() {
+        let (host, peer, model) = remote_host_with_peer(vec![false]);
+        let item = &batch_items(1)[0];
+        assert_eq!(host.revoke(&item.token, item.types, item.stamp), RevokeResult::Retained);
+        assert_eq!(*peer.seen.lock(), vec![1], "one RevokeVec carrying one item");
         let rec = model.record(ClientId(1)).unwrap();
         assert_eq!(rec.revocations_sent, 1);
         assert_eq!(rec.revocations_acked, 1);
+        assert!(model.revocations_quiesced(ClientId(1)), "a kept token is still an answer");
     }
 }

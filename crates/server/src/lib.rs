@@ -674,10 +674,6 @@ impl FileServer {
 
             // A store-back batch goes through `Vfs::write_vec`: one
             // journal transaction, one group commit, durable on return.
-            Q::StoreData { fid, offset, data } => {
-                let extents = [WriteExtent { offset, data }];
-                self.store(host, fid, Some(&extents), || fs.write_vec(cred, fid, &extents))
-            }
             Q::StoreDataVec { fid, extents } => {
                 if extents.is_empty()
                     || extents.len() > MAX_STORE_EXTENTS
@@ -996,9 +992,6 @@ impl FileServer {
                 Ok(P::Reestablished { epoch: self.epoch, tokens: granted })
             }
 
-            Q::RevokeToken { token, types, stamp } => {
-                Ok(P::RevokeAck { returned: self.replica_revoked(&[(token, types, stamp)])[0] })
-            }
             Q::RevokeVec { items } => {
                 Ok(P::RevokeVecAck { returned: self.replica_revoked(&items) })
             }
@@ -1026,7 +1019,6 @@ impl FileServer {
             Request::GetRoot { volume } => return Some(*volume),
             Request::FetchStatus { fid, .. }
             | Request::FetchData { fid, .. }
-            | Request::StoreData { fid, .. }
             | Request::StoreDataVec { fid, .. }
             | Request::StoreStatus { fid, .. }
             | Request::Fsync { fid }
@@ -1212,6 +1204,11 @@ mod tests {
             .unwrap()
     }
 
+    /// A one-extent store-back of `data` at offset 0.
+    fn store(fid: Fid, data: &[u8]) -> Request {
+        Request::StoreDataVec { fid, extents: vec![WriteExtent { offset: 0, data: data.to_vec() }] }
+    }
+
     /// Takes the write tokens over all of `fid` for `client` at server
     /// `to`: a store is admitted on a token already held, never granted
     /// one (DESIGN §9).
@@ -1238,10 +1235,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         take_write_token(&net, 7, 1, created.fid);
-        match call(
-            &net,
-            Request::StoreData { fid: created.fid, offset: 0, data: b"remote!".to_vec() },
-        ) {
+        match call(&net, store(created.fid, b"remote!")) {
             Response::Status { status, .. } => assert_eq!(status.length, 7),
             other => panic!("{other:?}"),
         }
@@ -1311,25 +1305,21 @@ mod tests {
             Response::Status { status, .. } => status,
             other => panic!("{other:?}"),
         };
-        // Empty batch.
-        assert_eq!(
-            call(&net, Request::StoreDataVec { fid: f.fid, extents: vec![] }),
-            Response::Err(DfsError::InvalidArgument)
-        );
-        // Too many extents.
-        let many = (0..=MAX_STORE_EXTENTS as u64)
+        let bytes = |len| WriteExtent { offset: 0, data: vec![0u8; len] };
+        let too_many = (0..=MAX_STORE_EXTENTS as u64)
             .map(|i| WriteExtent { offset: i * 8192, data: vec![0u8; 1] })
             .collect();
-        assert_eq!(
-            call(&net, Request::StoreDataVec { fid: f.fid, extents: many }),
-            Response::Err(DfsError::InvalidArgument)
-        );
-        // Too many payload bytes.
-        let fat = vec![WriteExtent { offset: 0, data: vec![0u8; MAX_STORE_BYTES + 1] }];
-        assert_eq!(
-            call(&net, Request::StoreDataVec { fid: f.fid, extents: fat }),
-            Response::Err(DfsError::InvalidArgument)
-        );
+        let half = MAX_STORE_BYTES / 2 + 1;
+        let malformed = [
+            ("empty", vec![]),
+            ("too many extents", too_many),
+            ("one extent over the byte bound", vec![bytes(MAX_STORE_BYTES + 1)]),
+            ("two extents over the byte bound", vec![bytes(half), bytes(half)]),
+        ];
+        for (what, extents) in malformed {
+            let req = Request::StoreDataVec { fid: f.fid, extents };
+            assert_eq!(call(&net, req), Response::Err(DfsError::InvalidArgument), "{what}");
+        }
     }
 
     #[test]
@@ -1342,7 +1332,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         let page = |offset| WriteExtent { offset, data: vec![9u8; 4096] };
-        let data = Request::StoreData { fid, offset: 0, data: vec![9u8; 4096] };
+        let one = Request::StoreDataVec { fid, extents: vec![page(0)] };
         let vec = Request::StoreDataVec { fid, extents: vec![page(0), page(8192)] };
         let status = |length| Request::StoreStatus {
             fid,
@@ -1364,7 +1354,7 @@ mod tests {
         // No token: every kind of store is refused, in either class,
         // nothing is written, nothing is granted, no one is revoked.
         for class in [CallClass::Normal, CallClass::Revocation] {
-            for req in [data.clone(), vec.clone(), status(None), status(Some(0))] {
+            for req in [one.clone(), vec.clone(), status(None), status(Some(0))] {
                 assert_eq!(send(&net, 1, class, req), refused, "{class:?}");
             }
         }
@@ -1384,7 +1374,7 @@ mod tests {
         };
         call(&net, Request::GetToken { fid, want: first_page });
         let held = grants();
-        assert!(matches!(call(&net, data), Response::Status { status, .. } if status.length == 4096));
+        assert!(matches!(call(&net, one), Response::Status { status, .. } if status.length == 4096));
         assert_eq!(call(&net, vec), refused);
         assert_eq!(call(&net, status(None)), refused);
         // STATUS_WRITE admits the status store, whatever it changes.
@@ -1465,7 +1455,7 @@ mod tests {
         };
         // Remote client writes via RPC.
         take_write_token(&net, 7, 1, f.fid);
-        call(&net, Request::StoreData { fid: f.fid, offset: 0, data: b"remote".to_vec() });
+        call(&net, store(f.fid, b"remote"));
         // Local user reads through the glue layer.
         let local = srv.local_volume(VolumeId(1)).unwrap();
         let cred = Credentials::system();
@@ -1575,7 +1565,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         take_write_token(&net, 1, 1, f.fid);
-        send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"movable".to_vec() });
+        send(ServerId(1), store(f.fid, b"movable"));
 
         // Move it.
         assert_eq!(
@@ -1649,7 +1639,7 @@ mod tests {
             other => panic!("{other:?}"),
         };
         take_write_token(&net, 1, 1, f.fid);
-        send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"v1".to_vec() });
+        send(ServerId(1), store(f.fid, b"v1"));
 
         // Replicate onto s2 with a 10-minute staleness bound.
         let ten_min = 600 * 1_000_000;
@@ -1667,7 +1657,7 @@ mod tests {
         }
         // Master changes; replica stays at v1 until the bound expires.
         take_write_token(&net, 1, 1, f.fid);
-        send(ServerId(1), Request::StoreData { fid: f.fid, offset: 0, data: b"v2".to_vec() });
+        send(ServerId(1), store(f.fid, b"v2"));
         send(ServerId(2), Request::ReplTick);
         match send(ServerId(2), Request::FetchData { fid: f.fid, offset: 0, len: 8, want: None }) {
             Response::Data { bytes, .. } => {

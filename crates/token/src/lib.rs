@@ -114,9 +114,9 @@ pub trait TokenHost: Send + Sync {
 
     /// Revokes several tokens in one callback, answering each exactly
     /// once, in order. One conflict check produces at most one batch
-    /// per host; a remote host ships the batch as a single `RevokeVec`
-    /// RPC instead of one round trip per token. The default simply
-    /// loops [`revoke`](Self::revoke).
+    /// per host; a remote host ships every batch, one token or many, as
+    /// a single `RevokeVec` RPC. The default simply loops
+    /// [`revoke`](Self::revoke).
     fn revoke_batch(&self, items: &[RevokeItem]) -> Vec<RevokeResult> {
         items
             .iter()
@@ -170,6 +170,21 @@ struct TokenShard {
 }
 
 impl TokenShard {
+    /// The one add-to-list routine: files `host`'s `token` on its fid's
+    /// `(volume, vnode)` list.
+    fn insert(&mut self, host: HostId, token: Token) {
+        let fid = token.fid;
+        let by_vnode = self.grants.entry(fid.volume).or_default();
+        by_vnode.entry(fid.vnode.0).or_default().push(Grant { host, token });
+    }
+
+    /// Issues `fid`'s next serialization stamp (§6.2).
+    fn next_stamp(&mut self, fid: Fid) -> SerializationStamp {
+        let s = self.stamps.entry(fid).or_default();
+        *s = s.next();
+        *s
+    }
+
     /// The one remove-from-list routine: keeps the grants on `fid`'s
     /// `(volume, vnode)` list that `keep` accepts (it may edit them) and
     /// returns how many went. A list left empty leaves its map.
@@ -306,10 +321,7 @@ impl TokenManager {
     /// is stamped, and stamps are strictly increasing in serialization
     /// order.
     pub fn stamp(&self, fid: Fid) -> SerializationStamp {
-        let mut shard = self.shards.lock(self.shard_of(fid));
-        let s = shard.stamps.entry(fid).or_default();
-        *s = s.next();
-        *s
+        self.shards.lock(self.shard_of(fid)).next_stamp(fid)
     }
 
     /// Returns the current (last-issued) stamp for `fid`.
@@ -351,16 +363,8 @@ impl TokenManager {
                     // Grant immediately while still holding the shard.
                     let token = Token { id: self.fresh_id(), fid, types, range };
                     let shard = &mut *guards[fid_pos];
-                    shard
-                        .grants
-                        .entry(fid.volume)
-                        .or_default()
-                        .entry(fid.vnode.0)
-                        .or_default()
-                        .push(Grant { host, token: token.clone() });
-                    let s = shard.stamps.entry(fid).or_default();
-                    *s = s.next();
-                    let stamp = *s;
+                    shard.insert(host, token.clone());
+                    let stamp = shard.next_stamp(fid);
                     drop(guards);
                     self.stats.grants.add(1);
                     if quiet {
@@ -470,16 +474,8 @@ impl TokenManager {
         }
         let token = Token { id: self.fresh_id(), fid, types, range };
         let shard = &mut *guards[fid_pos];
-        shard
-            .grants
-            .entry(fid.volume)
-            .or_default()
-            .entry(fid.vnode.0)
-            .or_default()
-            .push(Grant { host, token: token.clone() });
-        let s = shard.stamps.entry(fid).or_default();
-        *s = s.next();
-        let stamp = *s;
+        shard.insert(host, token.clone());
+        let stamp = shard.next_stamp(fid);
         drop(guards);
         self.stats.grants.add(1);
         self.stats.reestablished.add(1);
@@ -597,15 +593,7 @@ impl TokenManager {
     /// future grants can never collide with a shipped token.
     pub fn install_grant(&self, host: HostId, token: Token) {
         self.next_id.fetch_max(token.id.0 + 1, Ordering::SeqCst);
-        let mut shard = self.shards.lock(self.shard_of(token.fid));
-        shard
-            .grants
-            .entry(token.fid.volume)
-            .or_default()
-            .entry(token.fid.vnode.0)
-            .or_default()
-            .push(Grant { host, token });
-        drop(shard);
+        self.shards.lock(self.shard_of(token.fid)).insert(host, token);
         self.stats.grants.add(1);
         self.stats.imported.add(1);
     }

@@ -24,7 +24,6 @@
 //! | `CLIENT_RESOURCE`      |  40   | ticket, volume-location and root caches (§4.1) |
 //! | `CLIENT_DATA_CACHE`    |  50   | client page stores (§4.2) |
 //! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags) |
-//! | `FLEET_DAEMON`         |  85   | fleet rebalance-daemon control block (stop/kick/pause flags) |
 //! | `FLEET_REGISTRY`       |  90   | fleet-wide server registry and volume placement plan |
 //! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
@@ -83,10 +82,6 @@ pub mod rank {
     /// locks so writers may kick the flusher while holding `lo`; the
     /// flusher itself drops this lock before touching any vnode.
     pub const CLIENT_FLUSHER: u16 = 60;
-    /// Fleet rebalance-daemon control block (stop/kick/pause flags).
-    /// Ranked below `FLEET_REGISTRY`: the daemon drops this lock before
-    /// planning, but a planner may signal the daemon mid-plan.
-    pub const FLEET_DAEMON: u16 = 85;
     /// Fleet-wide server registry and volume placement plan. Ranked
     /// below every server-side lock: the fleet layer inspects servers
     /// (which take VOLUME_REGISTRY and above) while planning a move.
@@ -144,7 +139,6 @@ pub mod rank {
             CLIENT_RESOURCE => "CLIENT_RESOURCE",
             CLIENT_DATA_CACHE => "CLIENT_DATA_CACHE",
             CLIENT_FLUSHER => "CLIENT_FLUSHER",
-            FLEET_DAEMON => "FLEET_DAEMON",
             FLEET_REGISTRY => "FLEET_REGISTRY",
             VOLUME_REGISTRY => "VOLUME_REGISTRY",
             SERVER_ROUTES => "SERVER_ROUTES",

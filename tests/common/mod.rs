@@ -56,7 +56,7 @@ pub fn durable_file(client: &CacheManager, name: &str, data: &[u8]) -> Fid {
 /// that ran slower than this would still pass, having raced nothing.
 const IN_FLIGHT_US: u64 = 150_000;
 
-/// Delays `a`'s next `StoreData` in flight and, once the fault plane has
+/// Delays `a`'s next `StoreDataVec` in flight and, once the fault plane has
 /// it, returns: the caller now runs beside a store that has taken its
 /// snapshot, holds its vnode's store slot, and has not reached the
 /// server. `send` is what sends it, on a helper thread.
@@ -67,7 +67,7 @@ pub fn in_flight<T: Send + 'static>(
 ) -> JoinHandle<T> {
     let delay = FaultRule::on(FaultAction::Delay(IN_FLIGHT_US))
         .from(Addr::Client(a.id()))
-        .label("StoreData")
+        .label("StoreDataVec")
         .limit(1);
     cell.net().set_fault_schedule(FaultSchedule::seeded(1).rule(delay));
     let a = a.clone();

@@ -34,14 +34,13 @@ fn writeback_flush_survives_drop_delay_and_lost_replies() {
     // The matrix, in rule order (first match wins): the first two
     // store-backs vanish outright, the next loses only its reply, and
     // half of the rest crawl through a 200 µs delay.
-    let storm = |label: &'static str| {
+    let label = "StoreDataVec";
+    cell.net().set_fault_schedule(
         FaultSchedule::seeded(11)
             .rule(FaultRule::on(FaultAction::Drop).label(label).limit(2))
             .rule(FaultRule::on(FaultAction::DropReply).label(label).limit(1))
-            .rule(FaultRule::on(FaultAction::Delay(200)).label(label).prob(50))
-    };
-    // Single-extent store-backs go out as `StoreData`.
-    cell.net().set_fault_schedule(storm("StoreData"));
+            .rule(FaultRule::on(FaultAction::Delay(200)).label(label).prob(50)),
+    );
 
     a.store_back_all().unwrap();
     for &fid in &files {
@@ -78,11 +77,10 @@ fn revocation_is_exactly_once_under_duplicate_delivery() {
     a.write(f.fid, 0, b"only in A's cache").unwrap();
     assert!(a.dirty_pages(f.fid) > 0, "the update must still be write-behind");
 
-    // Duplicate every revocation aimed at A, whichever shape it takes.
+    // Duplicate every revocation aimed at A.
     let to_a = Addr::Client(a.id());
     cell.net().set_fault_schedule(
         FaultSchedule::seeded(23)
-            .rule(FaultRule::on(FaultAction::Duplicate).label("RevokeToken").to(to_a))
             .rule(FaultRule::on(FaultAction::Duplicate).label("RevokeVec").to(to_a)),
     );
 
@@ -128,7 +126,7 @@ fn failed_revocation_store_back_is_counted() {
     let from_a = Addr::Client(a.id());
     cell.net().set_fault_schedule(
         FaultSchedule::seeded(7)
-            .rule(FaultRule::on(FaultAction::Drop).from(from_a).label("StoreData").limit(1)),
+            .rule(FaultRule::on(FaultAction::Drop).from(from_a).label("StoreDataVec").limit(1)),
     );
     // B's read revokes A's write token; A's store-back never arrives.
     assert_eq!(b.read(fid, 0, 32).unwrap(), b"stored and acked", "the last *stored* bytes");
@@ -285,7 +283,7 @@ fn same_seed_replays_the_same_fault_sequence() {
         }
         cell.net().set_fault_schedule(
             FaultSchedule::seeded(seed)
-                .rule(FaultRule::on(FaultAction::Drop).label("StoreData").prob(50)),
+                .rule(FaultRule::on(FaultAction::Drop).label("StoreDataVec").prob(50)),
         );
         a.store_back_all().unwrap();
         cell.net().clear_faults();

@@ -4,6 +4,7 @@
 
 use decorum_dfs::rpc::{Addr, CallClass, Request, Response};
 use decorum_dfs::types::{ClientId, DfsError, VolumeId};
+use decorum_dfs::vfs::WriteExtent;
 use decorum_dfs::Fleet;
 
 mod common;
@@ -340,7 +341,10 @@ fn staged_move_copy_is_invisible_and_discards_on_abort() {
             Addr::Server(target),
             None,
             CallClass::Normal,
-            Request::StoreData { fid: f.fid, offset: 0, data: b"fork!".to_vec() },
+            Request::StoreDataVec {
+                fid: f.fid,
+                extents: vec![WriteExtent { offset: 0, data: b"fork!".to_vec() }],
+            },
         )
         .unwrap();
     assert!(

@@ -85,11 +85,11 @@ fn mixed_workload_passes_all_invariants() {
 
 #[test]
 fn fault_timeline_arms_at_declared_op_offsets() {
-    // Every op is a write with an immediate fsync, so `StoreData`
+    // Every op is a write with an immediate fsync, so `StoreDataVec`
     // traffic flows for the whole run and the armed rule is guaranteed
     // to see calls as soon as it fires.
     let drop_stores = FaultSchedule::seeded(3)
-        .rule(FaultRule::on(FaultAction::Drop).label("StoreData").limit(2));
+        .rule(FaultRule::on(FaultAction::Drop).label("StoreDataVec").limit(2));
     let sc = Scenario::new(
         "test_faults",
         11,
@@ -117,7 +117,7 @@ fn fault_timeline_arms_at_declared_op_offsets() {
         assert!(e.fired_at <= e.at_op + 4, "fires at the declared offset: {e:?}");
     }
     assert_eq!(r.faults_injected, 2, "the armed rule injected its full budget");
-    // A dropped StoreData surfaces as a timeout the client retries; the
+    // A dropped StoreDataVec surfaces as a timeout the client retries; the
     // run still ends clean.
     assert!(r.clean(), "invariants: {}", r.invariants().json());
 }

@@ -6,7 +6,7 @@ use dfs_core::Cell;
 use dfs_rpc::{Addr, CallClass, Request, Response};
 use dfs_token::TokenTypes;
 use dfs_types::{DfsError, Fid, VolumeId};
-use dfs_vfs::SetAttrs;
+use dfs_vfs::{SetAttrs, WriteExtent};
 
 mod common;
 use std::sync::Arc;
@@ -47,7 +47,6 @@ fn sequential_write_coalesces_into_few_rpcs() {
     let d = cell.net().stats().since(&before);
     // 64 pages = 4 extents of STORE_EXTENT_PAGES, all in one vec RPC.
     assert_eq!(d.by_label.get("StoreDataVec").copied().unwrap_or(0), 1);
-    assert_eq!(d.by_label.get("StoreData").copied().unwrap_or(0), 0);
     let st = c.stats();
     assert_eq!(st.storeback_rpcs, 1);
     assert_eq!(st.storeback_extents, (64 / STORE_EXTENT_PAGES) as u64);
@@ -309,7 +308,8 @@ fn store_arriving_after_the_token_went_is_refused() {
     let (from, to) = (Addr::Client(a.id()), Addr::Server(cell.server(0).id()));
     let net = cell.net().clone();
     let late = common::in_flight(&cell, &a, move |_| {
-        let stale = Request::StoreData { fid, offset: 0, data: tag(1) };
+        let extents = vec![WriteExtent { offset: 0, data: tag(1) }];
+        let stale = Request::StoreDataVec { fid, extents };
         net.call(from, to, None, CallClass::Normal, stale).unwrap()
     });
     // Meanwhile the token goes: B's write revokes it (A's handler stores

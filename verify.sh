@@ -24,7 +24,11 @@
 #      (volume sharding, WrongServer routing, live mid-run migration)
 #   9. hotpath gate: the token stress suite (which loops over shard
 #      counts 1 and 4 itself) plus T9 with a small --clients sweep and
-#      T8 with a --clients concurrency section, both JSON-validated
+#      T8 with a --clients concurrency section, both JSON-validated;
+#      T9's handoff half is deterministic, and the stage fails unless it
+#      reports §5.5's cost exactly — `"rpcs_per_handoff": 5.03` (503
+#      RPCs over 100 handoffs: about one GetToken, two RevokeVec, one
+#      StoreDataVec and one FetchData each) and `"stale_reads": 0`
 #  10. availability gate: the fault-matrix tests (drop/delay/duplicate/
 #      partition over flush, revocation, migration) plus T14 at tiny
 #      parameters (§3.8 replica promotion: bounded-stale reads during a
@@ -119,6 +123,10 @@ smoke t15_fleet --servers 2 --ops 12
 echo "==> hotpath gate (token stress at 1 and 4 shards + t9/t8 client sweeps)"
 cargo test -q -p dfs-token --test stress
 smoke t9_revocation_pingpong --clients 8 --ops 200
+case "$out" in
+  *'"rpcs_per_handoff": 5.03,'*'"stale_reads": 0,'*) ;;
+  *) echo "t9 smoke: a handoff no longer costs 5.03 RPCs with 0 stale reads"; exit 1 ;;
+esac
 smoke t8_group_commit --ops 64 --pages 16 --clients 4
 
 echo "==> availability gate (fault-matrix tests + t14 smoke)"
