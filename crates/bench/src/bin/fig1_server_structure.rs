@@ -26,7 +26,7 @@ fn main() {
         .field("token_grants", tm.grants)
         .field("token_revocations", tm.revocations)
         .field("token_releases", tm.releases)
-        .field_arr("host_model_clients", cell.server(0).host_model().clients().iter().map(|c| c.0))
+        .field_arr("host_model_clients", cell.server(0).clients().iter().map(|c| c.0))
         .field("server_ops", cell.server(0).stats().ops);
     args.print(
         &cell.render_server_structure(),

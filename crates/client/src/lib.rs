@@ -1085,17 +1085,16 @@ impl CacheManager {
             lo.queued.clear(); // Revocations of dead tokens are moot.
             lo.stamp = SerializationStamp::default();
         }
-        // One batched reestablish call re-registers the whole set.
-        let granted = if claims.is_empty() {
-            Vec::new()
-        } else {
-            let req = Request::ReestablishTokens { epoch, tokens: claims };
-            match self.server_call(server, CallClass::Normal, req) {
-                Ok(Response::Reestablished { tokens, .. }) => tokens,
-                // Grace already over, or the server bounced again: fall
-                // back to the normal grant path on demand.
-                _ => Vec::new(),
-            }
+        // One batched reestablish call re-registers the whole set. It is
+        // sent even with nothing to claim: it is also how this client
+        // checks in, and a server that journaled it as a holder keeps
+        // its grace window open until it does.
+        let req = Request::ReestablishTokens { epoch, tokens: claims };
+        let granted = match self.server_call(server, CallClass::Normal, req) {
+            Ok(Response::Reestablished { tokens, .. }) => tokens,
+            // Grace already over, or the server bounced again: fall
+            // back to the normal grant path on demand.
+            _ => Vec::new(),
         };
         self.stats.tokens_reestablished.add(granted.len() as u64);
         for t in granted {

@@ -3,8 +3,8 @@
 //! A [`FileServer`] assembles, per the paper's Figure 1:
 //!
 //! * the **token manager** (§3.1) from [`dfs_token`];
-//! * the **host model** (§3.2) — per-client state and revocation
-//!   delivery tracking;
+//! * the **host model** (§3.2) — one table of the hosts that have
+//!   called, with their leases and the post-restart grace window;
 //! * the **vnode glue layer** (§3.3) — local access that synchronizes
 //!   with remote guarantees, usable over *any* [`dfs_vfs::PhysicalFs`]
 //!   (Episode or the FFS baseline: the interoperability goal of §1);
@@ -25,7 +25,7 @@ mod volumes;
 
 use glue::{gone, rename_wants, whole, Granted, Want};
 pub use glue::{Glue, LocalHost};
-pub use hosts::{HostModel, HostRecord, RemoteHost, DEFAULT_LEASE_US};
+pub use hosts::{Host, HostModel, RemoteHost, DEFAULT_LEASE_US};
 pub use locks::LockTable;
 pub use vldb::{VldbHandle, VldbReplica};
 
@@ -41,7 +41,7 @@ use dfs_types::{
 };
 use dfs_vfs::{Credentials, PhysicalFs, VfsPlus, VolumeDump, WriteExtent};
 use dfs_types::lock::{rank, OrderedMutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use volumes::{Admit, Volumes};
 
@@ -87,21 +87,6 @@ dfs_types::counters! {
     }
 }
 
-/// Post-restart recovery state: while the grace window is open, only
-/// hosts known to the previous instance may do file work, and only
-/// after checking in via `ReestablishTokens` (Lustre-style recovery).
-#[derive(Default)]
-struct RecoveryState {
-    /// Simulated-time deadline of the grace window; `None` = no grace
-    /// window (normal operation).
-    grace_until: Option<Timestamp>,
-    /// Clients the previous instance knew about — the hosts allowed
-    /// (and expected) to reestablish.
-    expected: HashSet<ClientId>,
-    /// Hosts that have checked in under the current epoch.
-    checked_in: HashSet<ClientId>,
-}
-
 /// A DEcorum file server node.
 pub struct FileServer {
     id: ServerId,
@@ -110,7 +95,10 @@ pub struct FileServer {
     physical: Arc<dyn PhysicalFs>,
     tm: Arc<TokenManager>,
     local_host: Arc<LocalHost>,
-    hosts: Arc<HostModel>,
+    /// The host model (§3.2): every host registered with `tm`, and the
+    /// post-restart grace window. While the window is open, a client
+    /// may do file work only after checking in via `ReestablishTokens`.
+    hosts: OrderedMutex<HostModel, { rank::SERVER_HOSTS }>,
     locks: Arc<LockTable>,
     vldb: VldbHandle,
     /// Restart epoch: 1 for a freshly started server, +1 per restart.
@@ -121,8 +109,6 @@ pub struct FileServer {
     /// volume it does not show as hosted is redirected or forwarded,
     /// never mounted.
     volumes: Volumes,
-    known_hosts: OrderedMutex<HashSet<HostId>, { rank::SERVER_HOSTS }>,
-    recovery: OrderedMutex<RecoveryState, { rank::SERVER_HOSTS }>,
     /// Durable host/lease journal (the Episode aggregate's host-log
     /// ring). When present, the server records which clients hold
     /// tokens and when they were last heard from, so a restart can
@@ -167,7 +153,7 @@ impl FileServer {
             vldb_replicas,
             pool,
             1,
-            RecoveryState::default(),
+            HostModel::default(),
         )
     }
 
@@ -196,27 +182,14 @@ impl FileServer {
         pool: PoolConfig,
         grace_us: u64,
     ) -> DfsResult<Arc<FileServer>> {
-        let now = net.clock().now();
         // Wait only for hosts that actually held tokens at their last
         // journaling and are still lease-live: a caller with nothing to
         // reestablish (or one long dead) must not pin the grace window.
-        let expected: HashSet<ClientId> = replay
-            .hosts
-            .iter()
-            .filter(|(_, (seen, holding))| {
-                *holding && now.0.saturating_sub(*seen) <= DEFAULT_LEASE_US
-            })
-            .map(|(c, _)| ClientId(*c))
-            .collect();
-        let recovery = RecoveryState {
-            grace_until: Some(Timestamp(now.0 + grace_us)),
-            expected,
-            checked_in: HashSet::new(),
-        };
+        let hosts = HostModel::restarted(replay, net.clock().now(), grace_us);
         // A replay that never saw a `ServerEpoch` (pre-host-log
         // aggregate) still restarts above the floor epoch of 1.
         let prev_epoch = replay.epoch.max(1);
-        let srv = Self::start_instance(
+        Self::start_instance(
             net,
             id,
             physical,
@@ -224,14 +197,8 @@ impl FileServer {
             vldb_replicas,
             pool,
             prev_epoch + 1,
-            recovery,
-        )?;
-        // Seed the host model with journaled last-seen times so lease
-        // expiry applies to hosts that never come back.
-        for (c, (last_seen, _)) in &replay.hosts {
-            srv.hosts.seed(ClientId(*c), Timestamp(*last_seen));
-        }
-        Ok(srv)
+            hosts,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -243,24 +210,28 @@ impl FileServer {
         vldb_replicas: Vec<Addr>,
         pool: PoolConfig,
         epoch: u64,
-        recovery: RecoveryState,
+        hosts: HostModel,
     ) -> DfsResult<Arc<FileServer>> {
         let addr = Addr::Server(id);
         let vldb = VldbHandle::new(net.clone(), addr, vldb_replicas);
+        // The table starts with a restarted instance's journaled clients:
+        // register them as `enter` would have.
+        let tm = Arc::new(TokenManager::new());
+        for &host in hosts.hosts.keys() {
+            tm.register_host(RemoteHost::new(net.clone(), addr, host));
+        }
         let srv = Arc::new(FileServer {
             id,
             addr,
             net: net.clone(),
             physical,
-            tm: Arc::new(TokenManager::new()),
+            tm,
             local_host: LocalHost::new(HostId::Local(id.0)),
-            hosts: Arc::new(HostModel::new()),
+            hosts: OrderedMutex::new(hosts),
             locks: Arc::new(LockTable::new()),
             vldb,
             epoch,
             volumes: Volumes::new(),
-            known_hosts: OrderedMutex::new(HashSet::new()),
-            recovery: OrderedMutex::new(recovery),
             host_log: host_log.clone(),
             stats: ServerCounters::default(),
         });
@@ -297,29 +268,7 @@ impl FileServer {
 
     /// True while the post-restart grace window is open.
     pub fn in_grace(&self) -> bool {
-        let now = self.net.clock().now();
-        let mut rec = self.recovery.lock();
-        self.grace_open(&mut rec, now)
-    }
-
-    /// Checks (and lazily closes) the grace window. Grace ends at the
-    /// deadline or as soon as every expected host that is still inside
-    /// its lease has checked in — dead clients don't pin the window.
-    fn grace_open(
-        &self,
-        rec: &mut RecoveryState,
-        now: Timestamp,
-    ) -> bool {
-        let Some(until) = rec.grace_until else { return false };
-        let all_in = rec
-            .expected
-            .iter()
-            .all(|c| rec.checked_in.contains(c) || !self.hosts.lease_live(*c, now));
-        if now >= until || all_in {
-            rec.grace_until = None;
-            return false;
-        }
-        true
+        self.hosts.lock().in_grace(self.net.clock().now())
     }
 
     /// The token manager (diagnostics and tests).
@@ -327,9 +276,9 @@ impl FileServer {
         &self.tm
     }
 
-    /// The host model (diagnostics).
-    pub fn host_model(&self) -> &Arc<HostModel> {
-        &self.hosts
+    /// The cache managers in the host table, in id order (diagnostics).
+    pub fn clients(&self) -> Vec<ClientId> {
+        self.hosts.lock().clients()
     }
 
     /// Operation statistics.
@@ -348,33 +297,16 @@ impl FileServer {
         Ok(Arc::new(Glue::new(fs, self.tm.clone(), self.local_host.clone(), self.locks.clone())))
     }
 
-    /// Maps the RPC caller to a token-manager host, registering the
-    /// remote proxy on first contact (§5.1 host registration).
-    fn host_for(&self, caller: Addr) -> DfsResult<HostId> {
-        let host = match caller {
-            Addr::Client(c) => HostId::Client(c),
-            Addr::Server(s) => HostId::Replicator(s.0),
-            _ => return Err(DfsError::InvalidArgument),
-        };
-        let mut known = self.known_hosts.lock();
-        if known.insert(host) {
-            match caller {
-                Addr::Client(c) => self.tm.register_host(RemoteHost::client(
-                    self.net.clone(),
-                    self.addr,
-                    c,
-                    self.hosts.clone(),
-                )),
-                Addr::Server(s) => self.tm.register_host(RemoteHost::replicator(
-                    self.net.clone(),
-                    self.addr,
-                    s,
-                    self.hosts.clone(),
-                )),
-                _ => unreachable!(),
-            }
-        }
-        Ok(host)
+    /// Notes that `host` was heard from at `now`, entering it in the
+    /// host table on first contact. Entering registers the host's proxy
+    /// with the token manager under the table lock, so no call can grant
+    /// to a host the token manager does not know (§5.1).
+    fn enter(&self, table: &mut HostModel, host: HostId, now: Timestamp) {
+        let entry = table.hosts.entry(host).or_insert_with(|| {
+            self.tm.register_host(RemoteHost::new(self.net.clone(), self.addr, host));
+            Host::default()
+        });
+        entry.last_seen = now;
     }
 
     /// Builds credentials from the authenticated principal.
@@ -399,7 +331,7 @@ impl FileServer {
     /// depend on the journal being fresh).
     fn journal_lease_refresh(&self, client: ClientId, now: Timestamp) {
         let Some(hl) = &self.host_log else { return };
-        let quarter = self.hosts.lease_us() / 4;
+        let quarter = DEFAULT_LEASE_US / 4;
         let stale = hl
             .lease_of(client.0)
             .is_none_or(|(seen, _)| now.0.saturating_sub(seen) >= quarter);
@@ -646,13 +578,18 @@ impl FileServer {
     // The server procedures (§3.5)
     // ------------------------------------------------------------------
 
-    /// The file procedures, run on the request's (admitted, mounted)
-    /// volume `fs`.
-    fn file_op(&self, ctx: &CallContext, fs: &dyn VfsPlus, req: Request) -> DfsResult<Response> {
+    /// The file procedures, run for the caller `host` on the request's
+    /// (admitted, mounted) volume `fs`.
+    fn file_op(
+        &self,
+        ctx: &CallContext,
+        host: HostId,
+        fs: &dyn VfsPlus,
+        req: Request,
+    ) -> DfsResult<Response> {
         use Request as Q;
         use Response as P;
         let cred = &self.cred_for(ctx);
-        let host = self.host_for(ctx.caller)?;
         match req {
             Q::GetRoot { .. } => Ok(P::FidIs(fs.root()?)),
 
@@ -907,12 +844,12 @@ impl FileServer {
                     if token.fid.volume != volume {
                         return Err(DfsError::InvalidArgument);
                     }
-                    let host = self.host_for(Addr::Client(client))?;
-                    // Count the shipped client as seen, so a later
-                    // restart of *this* server expects it to recover —
-                    // durably: the move's handover is exactly the kind
-                    // of state a crashed target must not forget.
-                    self.hosts.seed(client, now);
+                    let host = HostId::Client(client);
+                    self.enter(&mut self.hosts.lock(), host, now);
+                    // Journal the shipped client as a holder, so a later
+                    // restart of *this* server expects it to recover:
+                    // the move's handover is exactly the kind of state a
+                    // crashed target must not forget.
                     self.journal_holding(host);
                     self.tm.install_grant(host, token);
                 }
@@ -958,11 +895,12 @@ impl FileServer {
                     // re-probe before claiming anything.
                     return Err(DfsError::InvalidArgument);
                 }
-                let host = self.host_for(ctx.caller)?;
+                // `dispatch` entered the caller.
+                let host = HostId::Client(client);
                 let now = self.net.clock().now();
                 let (in_grace, expected) = {
-                    let mut rec = self.recovery.lock();
-                    (self.grace_open(&mut rec, now), rec.expected.contains(&client))
+                    let mut table = self.hosts.lock();
+                    (table.in_grace(now), table.expected(host))
                 };
                 let mut granted = Vec::new();
                 if in_grace && expected {
@@ -984,10 +922,8 @@ impl FileServer {
                     self.journal_holding(host);
                 }
                 if expected {
-                    let mut rec = self.recovery.lock();
-                    rec.checked_in.insert(client);
                     // Last expected host in: close the window early.
-                    self.grace_open(&mut rec, now);
+                    self.hosts.lock().check_in(host, now);
                 }
                 Ok(P::Reestablished { epoch: self.epoch, tokens: granted })
             }
@@ -1106,29 +1042,35 @@ impl FileServer {
 
 impl RpcService for FileServer {
     fn dispatch(&self, ctx: CallContext, req: Request) -> Response {
+        let now = self.net.clock().now();
+        let volume = Self::volume_of_req(&req);
+        let host = match ctx.caller {
+            Addr::Client(c) => Some(HostId::Client(c)),
+            Addr::Server(s) => Some(HostId::Replicator(s.0)),
+            _ => None,
+        };
+        // One look at the host table per call: note the caller, and run
+        // the post-restart recovery gate. While the grace window is open,
+        // file work is admitted only from clients that have reestablished
+        // their tokens. Revocation-class store-backs pass, as do peers
+        // (replicators), which are not part of recovery.
+        let gated = host.is_some_and(|host| {
+            let mut table = self.hosts.lock();
+            self.enter(&mut table, host, now);
+            let file_work = volume.is_some() && ctx.class != CallClass::Revocation;
+            file_work && matches!(host, HostId::Client(_)) && table.gates(host, now)
+        });
         if let Addr::Client(c) = ctx.caller {
-            let now = self.net.clock().now();
-            self.hosts.saw_call(c, ctx.principal, now);
             self.journal_lease_refresh(c, now);
         }
-        let Some(volume) = Self::volume_of_req(&req) else {
+        let Some(volume) = volume else {
             // Admin traffic is addressed to this server deliberately:
             // no routing, no recovery gate, no blackout.
             self.stats.ops.add(1);
             return self.admin_op(&ctx, req).unwrap_or_else(Response::Err);
         };
-        // Post-restart recovery gate: while the grace window is open,
-        // file work is admitted only from hosts that have reestablished
-        // their tokens. Revocation-class store-backs pass, as do peers
-        // (replicators), which are not part of recovery.
-        let gated = match ctx.caller {
-            Addr::Client(c) if ctx.class != CallClass::Revocation => {
-                let now = self.net.clock().now();
-                let mut rec = self.recovery.lock();
-                self.grace_open(&mut rec, now) && !rec.checked_in.contains(&c)
-            }
-            _ => false,
-        };
+        // File work comes from a cache manager or a replicator.
+        let Some(host) = host else { return Response::Err(DfsError::InvalidArgument) };
         // Routing, recovery and blackout verdicts in one look at the
         // volume table. Not-hosted comes first whatever the call class
         // — the owner, not this server, holds the volume's recovery
@@ -1149,8 +1091,8 @@ impl RpcService for FileServer {
         self.stats.ops.add(1);
         let mount = || self.volumes.mount(volume, || self.physical.mount(volume));
         let resp = match &admitted.fs {
-            Some(fs) => self.file_op(&ctx, &**fs, req),
-            None => mount().and_then(|fs| self.file_op(&ctx, &*fs, req)),
+            Some(fs) => self.file_op(&ctx, host, &**fs, req),
+            None => mount().and_then(|fs| self.file_op(&ctx, host, &*fs, req)),
         };
         self.stamp_staleness(admitted.replica_refreshed, resp.unwrap_or_else(Response::Err))
     }
@@ -1964,11 +1906,11 @@ mod tests {
 
         // Open a grace window on server 1 that client 7 is not part of.
         let now = net.clock().now();
-        s1.hosts.seed(ClientId(50), now);
         {
-            let mut rec = s1.recovery.lock();
-            rec.grace_until = Some(Timestamp(now.0 + (1 << 40)));
-            rec.expected.insert(ClientId(50));
+            let mut table = s1.hosts.lock();
+            let expected = Host { last_seen: now, expected: true, checked_in: false };
+            table.hosts.insert(HostId::Client(ClientId(50)), expected);
+            table.grace_until = Some(Timestamp(now.0 + (1 << 40)));
         }
         check(true);
     }

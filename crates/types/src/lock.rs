@@ -27,11 +27,10 @@
 //! | `FLEET_REGISTRY`       |  90   | fleet-wide server registry and volume placement plan |
 //! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
-//! | `SERVER_HOSTS`         | 110   | server's known-client set |
+//! | `SERVER_HOSTS`         | 110   | the file server's host table (§3.2): every host registered with its token manager, leases and the post-restart grace window |
 //! | `TOKEN_MANAGER`        | 120   | the token manager's host registry (§5; the grant table itself is sharded at `TOKEN_SHARD`) |
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
 //! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
-//! | `HOST_RECORDS`         | 132   | the host model's per-client records (§3.2) |
 //! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
 //! | `JOURNAL_CACHE`        | 150   | journal buffer-cache map (hits read, misses write) |
 //! | `JOURNAL_FRAME`        | 160   | individual buffer-frame latches |
@@ -94,7 +93,10 @@ pub mod rank {
     /// its `VOLUME_REGISTRY` location map. (The route notes for
     /// moved-away volumes the name recalls live in the volume table.)
     pub const SERVER_ROUTES: u16 = 105;
-    /// Server's known-client set.
+    /// The file server's host table (§3.2): every host registered with
+    /// its token manager, their last-seen times and the post-restart
+    /// grace window. Ranked below the token manager: entering a host
+    /// registers its proxy under this lock.
     pub const SERVER_HOSTS: u16 = 110;
     /// The token manager's host registry (§5). Since the grant tables
     /// were sharded (`TOKEN_SHARD`), this rank guards only the
@@ -110,8 +112,6 @@ pub mod rank {
     pub const TOKEN_SHARD: u16 = 122;
     /// Local-host activity tracking in the glue layer (§3.2).
     pub const HOST_TABLE: u16 = 130;
-    /// The host model's per-client records (§3.2).
-    pub const HOST_RECORDS: u16 = 132;
     /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
     /// Journal buffer-cache map: a hit takes it for reading, a miss for
@@ -146,7 +146,6 @@ pub mod rank {
             TOKEN_MANAGER => "TOKEN_MANAGER",
             TOKEN_SHARD => "TOKEN_SHARD",
             HOST_TABLE => "HOST_TABLE",
-            HOST_RECORDS => "HOST_RECORDS",
             LOCK_TABLE => "LOCK_TABLE",
             JOURNAL_TXNS => "JOURNAL_TXNS",
             JOURNAL_CACHE => "JOURNAL_CACHE",

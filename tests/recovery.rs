@@ -115,8 +115,8 @@ fn a_refused_store_after_restart_keeps_the_lock_token() {
 #[test]
 fn new_client_held_off_until_grace_expires() {
     let cell = common::one_server_cell();
-    // A touches the server so it lands in the host model (and therefore
-    // in the restart's expected set) — then never reconnects.
+    // A takes a token, so the host log journals it as a holder (and the
+    // restart expects it back) — then it never reconnects.
     let a = cell.new_client();
     common::durable_file(&a, "f", b"pre-crash");
 
@@ -140,6 +140,28 @@ fn new_client_held_off_until_grace_expires() {
     let root = b.root(VolumeId(1)).unwrap();
     let got = b.lookup(root, "f").unwrap();
     assert_eq!(b.read(got.fid, 0, 16).unwrap(), b"pre-crash");
+}
+
+/// A client the host log still shows as a holder may hold nothing by the
+/// time the server restarts. It must check in all the same — with an
+/// empty claim set — or the grace window waits for it until the deadline
+/// and every call it makes meanwhile is refused with `GraceWait`.
+#[test]
+fn a_client_with_nothing_to_claim_still_checks_in() {
+    let cell = common::one_server_cell();
+    let a = cell.new_client();
+    let root = a.root(VolumeId(1)).unwrap();
+    common::durable_file(&a, "gone", b"journaled as a holder");
+    a.remove(root, "gone").unwrap();
+
+    cell.crash_server(0);
+    cell.restart_server(0, 60_000_000).unwrap();
+    assert!(cell.server(0).in_grace(), "the restart expects A back");
+
+    a.create(root, "after", 0o644).unwrap();
+    assert_eq!(a.stats().recoveries, 1);
+    assert_eq!(a.stats().tokens_reestablished, 0, "A had nothing to claim");
+    assert!(!cell.server(0).in_grace(), "A's empty check-in closed the window");
 }
 
 /// Satellite: §3.8 replica promotion. The volume has a read-only

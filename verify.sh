@@ -19,7 +19,11 @@
 #      on a panic (non-zero exit) or malformed JSON (jsoncheck)
 #   7. recovery gate: the crash-restart pipeline tests plus T13 at tiny
 #      parameters (server epoch bump, grace window, token
-#      reestablishment, dirty-burst replay)
+#      reestablishment, dirty-burst replay); T13's output is
+#      deterministic, and the stage fails unless each of its 4 rows
+#      prints `"grace_waits": 1, "verified": true` — the client was held
+#      off exactly once before checking in, and every burst page read
+#      back as written
 #   8. fleet gate: the fleet-layer tests plus T15 at tiny parameters
 #      (volume sharding, WrongServer routing, live mid-run migration)
 #   9. hotpath gate: the token stress suite (which loops over shard
@@ -115,6 +119,11 @@ smoke t1_metadata_traffic --files 50
 echo "==> recovery gate (crash-restart tests + t13 smoke)"
 cargo test -q --test recovery
 smoke t13_crash_restart --files 8 --burst 4
+row='"grace_waits": 1, "verified": true'
+case "$out" in
+  *"$row"*"$row"*"$row"*"$row"*) ;;
+  *) echo "t13 smoke: a row no longer shows one grace wait and a verified burst"; exit 1 ;;
+esac
 
 echo "==> fleet gate (fleet tests + t15 smoke)"
 cargo test -q --test fleet
