@@ -62,7 +62,7 @@ fn main() {
     let base = runs[0].ops_per_disk_sec();
     let sweep = runs.iter().map(|r| {
         // In a 1-server fleet there is nowhere to move — not a failure.
-        let moved = r.servers == 1 || (r.server_moves >= 1 && r.events.iter().all(|e| e.ok));
+        let moved = r.servers == 1 || (r.server.moves >= 1 && r.events.iter().all(|e| e.ok));
         Obj::new()
             .field("servers", r.servers)
             .field("total_ops", r.total_ops)
@@ -70,7 +70,7 @@ fn main() {
             .field("agg_ops_per_sec", r.ops_per_disk_sec())
             .field("speedup", r.ops_per_disk_sec() / base)
             .field("move_completed", moved)
-            .field("redirects", r.server_redirects + r.client_stats.wrong_server_redirects)
+            .field("redirects", r.server.wrong_server_redirects + r.client_stats.wrong_server_redirects)
             .field("lost_updates", r.lost_updates)
             .field("all_ops_ok", r.failed_ops == 0 && r.clean())
     });

@@ -71,7 +71,7 @@ fn move_blocked_time() -> (u64, u64) {
         })
     };
     std::thread::sleep(std::time::Duration::from_millis(20));
-    cell.move_volume(0, 1, VolumeId(1)).unwrap();
+    cell.move_volume(VolumeId(1), 1).unwrap();
     std::thread::sleep(std::time::Duration::from_millis(20));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     handle.join().unwrap()

@@ -90,9 +90,9 @@ fn main() {
         Obj::new()
             .field("clients", r.clients)
             .field("total_ops", r.total_ops)
-            .field("rpcs", r.net_calls)
-            .field("sim_net_ms", r.net_latency_us as f64 / 1000.0)
-            .field("ops_per_sim_net_s", r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64)
+            .field("rpcs", r.net.calls)
+            .field("sim_net_ms", r.net.latency_us as f64 / 1000.0)
+            .field("ops_per_sim_net_s", r.total_ops as f64 * 1e6 / r.net.latency_us.max(1) as f64)
             .field("local_reads", r.client_stats.local_reads)
             .field("revocations", r.client_stats.revocations)
             .field("ok", r.clean())

@@ -2,7 +2,7 @@
 //!
 //! A [`Scenario`] is data — topology, weighted workload mix, and an
 //! event timeline — and [`Scenario::run`] is the single shared driver
-//! that executes it: it builds the fleet, seeds per-client RNG streams,
+//! that executes it: it builds the cell, seeds per-client RNG streams,
 //! runs the phases behind barriers, fires timeline events at op-count
 //! offsets, samples time-series metrics, checks invariants (zero lost
 //! updates, cross-client agreement, no torn page reads), and returns a
@@ -50,8 +50,8 @@
 use crate::emit::{arr, Obj, Value};
 use dfs_client::{CacheManager, ClientStats, WritebackConfig, PAGE_SIZE};
 use dfs_core::Cell;
-use dfs_fleet::Fleet;
-use dfs_rpc::FaultSchedule;
+use dfs_rpc::{FaultSchedule, NetStats};
+use dfs_server::ServerStats;
 use dfs_types::{DfsError, Fid, VolumeId};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -130,16 +130,16 @@ impl ClassSpec {
     }
 }
 
-/// Cluster shape for a scenario. `servers == 1` is the single-cell
-/// case; everything still runs through [`Fleet`] so migration events
-/// work uniformly.
+/// Cluster shape for a scenario: one [`Cell`] of `servers` file
+/// servers, so migration events work the same at every size (with one
+/// server there is nowhere to move to).
 #[derive(Clone, Copy, Debug)]
 pub struct Topology {
     /// File servers.
     pub servers: u32,
     /// Client cache managers (one worker thread each).
     pub clients: u32,
-    /// Volumes, placed round-robin across servers.
+    /// Volumes; volume `v` is placed on slot `(v - 1) % servers`.
     pub volumes: u64,
     /// Simulated per-call network latency (µs).
     pub latency_us: u64,
@@ -423,27 +423,13 @@ pub struct RunReport {
     pub samples: Vec<Sample>,
     /// Merged client counters.
     pub client_stats: ClientStats,
-    /// Fleet-wide server counters.
-    pub server_ops: u64,
-    /// Server-side WrongServer redirects.
-    pub server_redirects: u64,
-    /// Cross-server forwards.
-    pub server_forwards: u64,
-    /// Volume moves completed server-side.
-    pub server_moves: u64,
-    /// Network calls for the whole run.
-    pub net_calls: u64,
-    /// Network bytes for the whole run.
-    pub net_bytes: u64,
-    /// Simulated network time charged (latency × calls, µs) — the
-    /// deterministic cost currency for network-bound workloads.
-    pub net_latency_us: u64,
-    /// Calls that found no free slot at the callee within the call
-    /// timeout, or were lost to an injected fault.
-    pub net_timeouts: u64,
+    /// Server counters summed over every slot.
+    pub server: ServerStats,
+    /// Network counters for the whole run.
+    pub net: NetStats,
     /// Faults injected by the fault plane.
     pub faults_injected: u64,
-    /// Busiest disk's simulated time (µs) — the fleet critical path.
+    /// Busiest disk's simulated time (µs) — the cell's critical path.
     pub disk_busy_us: u64,
     /// Simulated clock at the end of the run (µs).
     pub sim_us: u64,
@@ -509,13 +495,13 @@ impl RunReport {
     /// The full uniform report: deterministic + invariants + witnesses
     /// + measured + events + samples.
     pub fn report(&self) -> Obj {
-        let s = &self.client_stats;
+        let (s, server, net) = (&self.client_stats, &self.server, &self.net);
         let measured = Obj::new()
-            .field("net_calls", self.net_calls)
-            .field("net_bytes", self.net_bytes)
-            .field("sim_net_ms", self.net_latency_us as f64 / 1000.0)
-            .field("net_timeouts", self.net_timeouts)
-            .field("rpcs_per_op", self.net_calls as f64 / self.total_ops.max(1) as f64)
+            .field("net_calls", net.calls)
+            .field("net_bytes", net.bytes)
+            .field("sim_net_ms", net.latency_us as f64 / 1000.0)
+            .field("net_timeouts", net.timeouts)
+            .field("rpcs_per_op", net.calls as f64 / self.total_ops.max(1) as f64)
             .field("local_reads", s.local_reads)
             .field("remote_reads", s.remote_reads)
             .field("stale_reads", s.stale_reads)
@@ -526,10 +512,10 @@ impl RunReport {
             .field("grace_waits", s.grace_waits)
             .field("recoveries", s.recoveries)
             .field("client_redirects", s.wrong_server_redirects)
-            .field("server_ops", self.server_ops)
-            .field("server_redirects", self.server_redirects)
-            .field("server_forwards", self.server_forwards)
-            .field("server_moves", self.server_moves)
+            .field("server_ops", server.ops)
+            .field("server_redirects", server.wrong_server_redirects)
+            .field("server_forwards", server.forwards)
+            .field("server_moves", server.moves)
             .field("faults_injected", self.faults_injected)
             .field("disk_busy_ms", self.disk_busy_us as f64 / 1000.0)
             .field("ops_per_disk_sec", self.ops_per_disk_sec())
@@ -690,7 +676,7 @@ struct Control {
 }
 
 struct RunCtx {
-    fleet: Fleet,
+    cell: Cell,
     seed: u64,
     clients: Vec<Arc<CacheManager>>,
     sets: Vec<FileSet>,
@@ -733,7 +719,7 @@ impl RunCtx {
     }
 
     fn fire(&self, event: &Event) -> bool {
-        let cell = self.fleet.cell();
+        let cell = &self.cell;
         match event {
             Event::CrashServer(slot) => {
                 if *slot < cell.server_count() {
@@ -747,7 +733,7 @@ impl RunCtx {
                 *slot < cell.server_count() && cell.restart_server(*slot, *grace_us).is_ok()
             }
             Event::MoveVolume { volume, dst_slot } => {
-                self.fleet.move_volume(VolumeId(*volume), *dst_slot).is_ok()
+                cell.move_volume(VolumeId(*volume), *dst_slot).is_ok()
             }
             Event::ArmFaults(schedule) => {
                 cell.net().add_fault_rules(schedule.clone());
@@ -765,10 +751,10 @@ impl RunCtx {
         for c in &self.clients {
             merged.merge(&c.stats());
         }
-        let net = self.fleet.cell().net().stats();
+        let net = self.cell.net().stats();
         Sample {
             at_op,
-            sim_us: self.fleet.cell().clock().now().0,
+            sim_us: self.cell.clock().now().0,
             net_calls: net.calls,
             local_reads: merged.local_reads,
             remote_reads: merged.remote_reads,
@@ -810,15 +796,15 @@ impl<'a> Driver<'a> {
             .disk_blocks(topo.disk_blocks)
             .build()
             .expect("scenario cell");
-        let fleet = Fleet::new(cell);
         for v in 1..=topo.volumes {
-            fleet.create_volume(VolumeId(v), &format!("vol{v}")).expect("scenario volume");
+            let slot = (v - 1) as usize % cell.server_count();
+            cell.create_volume(slot, VolumeId(v), &format!("vol{v}")).expect("scenario volume");
         }
 
         // -- File sets (first phase mentioning a class fixes its shape) -
         // set_key[(class, group)] → index into sets; specs resolved per
         // phase re-use them.
-        let setup = fleet.cell().new_client_writeback(WritebackConfig {
+        let setup = cell.new_client_writeback(WritebackConfig {
             flusher: false,
             ..WritebackConfig::default()
         });
@@ -879,9 +865,9 @@ impl<'a> Driver<'a> {
         let clients: Vec<Arc<CacheManager>> = (0..topo.clients)
             .map(|_| {
                 if topo.flusher {
-                    fleet.cell().new_client()
+                    cell.new_client()
                 } else {
-                    fleet.cell().new_client_writeback(WritebackConfig {
+                    cell.new_client_writeback(WritebackConfig {
                         flusher: false,
                         ..WritebackConfig::default()
                     })
@@ -936,7 +922,7 @@ impl<'a> Driver<'a> {
             ev.min(sm)
         };
         let ctx = Arc::new(RunCtx {
-            fleet,
+            cell,
             seed: sc.seed,
             clients,
             sets,
@@ -1028,14 +1014,15 @@ impl<'a> Driver<'a> {
         // tests/recovery.rs pins it). Verification reads through a
         // fresh client, so step simulated time past every open window
         // first; each deadline is finite, so this terminates.
-        for s in 0..ctx.fleet.server_count() {
-            while ctx.fleet.cell().server(s).in_grace() {
-                ctx.fleet.cell().clock().advance_millis(10);
+        let cell = &ctx.cell;
+        for s in 0..cell.server_count() {
+            while cell.server(s).in_grace() {
+                cell.clock().advance_millis(10);
             }
         }
 
         // -- Invariants -------------------------------------------------
-        let fresh = ctx.fleet.cell().new_client_writeback(WritebackConfig {
+        let fresh = cell.new_client_writeback(WritebackConfig {
             flusher: false,
             ..WritebackConfig::default()
         });
@@ -1107,8 +1094,8 @@ impl<'a> Driver<'a> {
         // Token lifetime follows the file: whatever path strands a
         // grant on a destroyed file shows up here as a number.
         let mut leaked_grants = 0u64;
-        for s in 0..ctx.fleet.server_count() {
-            for (_, token) in ctx.fleet.cell().server(s).token_manager().live_grants() {
+        for s in 0..cell.server_count() {
+            for (_, token) in cell.server(s).token_manager().live_grants() {
                 let gone = || fresh.getattr(token.fid) == Err(DfsError::StaleFid);
                 if !token.is_volume_token() && gone() {
                     leaked_grants += 1;
@@ -1121,8 +1108,12 @@ impl<'a> Driver<'a> {
         for c in &ctx.clients {
             client_stats.merge(&c.stats());
         }
-        let server = ctx.fleet.aggregate_server_stats();
-        let net = ctx.fleet.cell().net().stats();
+        let mut server = ServerStats::default();
+        let mut disk_busy_us = 0;
+        for s in 0..cell.server_count() {
+            server.merge(&cell.server(s).stats());
+            disk_busy_us = disk_busy_us.max(cell.server_disk_stats(s).busy_us);
+        }
         let mut op_digest = Fnv::new();
         let mut class_ops = [0u64; 4];
         let mut failed_ops = 0;
@@ -1163,17 +1154,11 @@ impl<'a> Driver<'a> {
             events,
             samples,
             client_stats,
-            server_ops: server.ops,
-            server_redirects: server.wrong_server_redirects,
-            server_forwards: server.forwards,
-            server_moves: server.moves,
-            net_calls: net.calls,
-            net_bytes: net.bytes,
-            net_latency_us: net.latency_us,
-            net_timeouts: net.timeouts,
-            faults_injected: ctx.fleet.cell().net().faults_injected(),
-            disk_busy_us: ctx.fleet.disk_critical_path_us(),
-            sim_us: ctx.fleet.cell().clock().now().0,
+            server,
+            net: cell.net().stats(),
+            faults_injected: cell.net().faults_injected(),
+            disk_busy_us,
+            sim_us: cell.clock().now().0,
         }
     }
 

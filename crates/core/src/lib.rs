@@ -7,6 +7,13 @@
 //! network and simulated disks so a laptop can run experiments that the
 //! authors ran on a machine room.
 //!
+//! Volumes are the unit of placement (§2.1) and the replicated VLDB is
+//! the one map of where each lives (§3.4): [`Cell::server_of`] reads it,
+//! [`Cell::move_volume`] live-migrates a volume to another slot, and
+//! [`Cell::load`] / [`Cell::rebalance`] difference the per-volume op
+//! counters every server keeps to move the hottest volume off the
+//! busiest server. No cell lock is held across an RPC.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,9 +33,11 @@ use dfs_client::{CacheManager, DataCache, DiskCache, MemCache, WritebackConfig};
 use dfs_disk::{DiskConfig, DiskStats, SimDisk};
 use dfs_episode::{Episode, FormatParams, RecoveryReport};
 use dfs_rpc::{Addr, CallClass, KdcService, Network, PoolConfig, Request, Response, Ticket};
-use dfs_server::{FileServer, VldbHandle, VldbReplica};
-use dfs_types::{AggregateId, ClientId, DfsResult, ServerId, SimClock, VolumeId};
+use dfs_server::{FileServer, ServerStats, VldbHandle, VldbReplica};
+use dfs_types::lock::{rank, OrderedMutex};
+use dfs_types::{AggregateId, ClientId, DfsError, DfsResult, ServerId, SimClock, VolumeId};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Builder for a [`Cell`].
@@ -153,6 +162,7 @@ impl CellBuilder {
             pool,
             next_client: Mutex::new(1),
             admin_ticket: Mutex::new(None),
+            seen_volume_ops: OrderedMutex::new(HashMap::new()),
         })
     }
 }
@@ -166,6 +176,22 @@ struct ServerSlot {
     server: Arc<FileServer>,
 }
 
+/// Per-server load observed by [`Cell::load`]: total file ops and the
+/// per-volume breakdown, as deltas since the previous observation.
+#[derive(Clone, Debug)]
+pub struct ServerLoad {
+    /// Which server (its id, not slot index).
+    pub server: ServerId,
+    /// Volume-attributed file RPCs served since the last observation
+    /// (the sum of `volume_ops`). Admin traffic — volume dumps,
+    /// restores, token installs from a move in progress — is excluded,
+    /// so a migration's own bookkeeping never reads as client load and
+    /// ping-pongs the volume back.
+    pub ops: u64,
+    /// The per-volume breakdown of those ops.
+    pub volume_ops: HashMap<VolumeId, u64>,
+}
+
 /// A running DEcorum cell.
 pub struct Cell {
     clock: SimClock,
@@ -175,6 +201,10 @@ pub struct Cell {
     pool: PoolConfig,
     next_client: Mutex<u32>,
     admin_ticket: Mutex<Option<Ticket>>,
+    /// Cumulative per-volume op counts at the last [`Cell::load`], so
+    /// observations are deltas (recent load, not lifetime totals).
+    /// Never held across an RPC.
+    seen_volume_ops: OrderedMutex<HashMap<(ServerId, VolumeId), u64>, { rank::CELL_LOAD }>,
 }
 
 impl Drop for Cell {
@@ -218,7 +248,7 @@ impl Cell {
 
     /// Statistics of the simulated disk under slot `index`'s server.
     /// Disks are the per-server bottleneck resource, so experiments
-    /// report a fleet's critical path as the max across slots.
+    /// report a cell's critical path as the max across slots.
     pub fn server_disk_stats(&self, index: usize) -> DiskStats {
         self.servers[index].lock().disk.stats()
     }
@@ -359,11 +389,107 @@ impl Cell {
         Ok(())
     }
 
-    /// Moves a volume from `from` to `to` (server indices).
-    pub fn move_volume(&self, from: usize, to: usize, volume: VolumeId) -> DfsResult<()> {
+    /// Maps a server id to its slot index.
+    fn slot_of(&self, id: ServerId) -> DfsResult<usize> {
+        for i in 0..self.server_count() {
+            if self.server(i).id() == id {
+                return Ok(i);
+            }
+        }
+        Err(DfsError::NoSuchVolume)
+    }
+
+    /// The slot index currently hosting `volume`, per the VLDB.
+    pub fn server_of(&self, volume: VolumeId) -> DfsResult<usize> {
+        let id = self.vldb().lookup(volume)?;
+        self.slot_of(id)
+    }
+
+    /// Live-migrates `volume` to the server in slot `to` (§2.1): the
+    /// bulk of the data ships while clients keep working; they are
+    /// blocked only for the delta, and keep their tokens across the
+    /// switch. The source is wherever the VLDB says the volume lives; a
+    /// no-op if that is already `to`. `InvalidArgument` if `to` is past
+    /// the last slot.
+    pub fn move_volume(&self, volume: VolumeId, to: usize) -> DfsResult<()> {
+        if to >= self.server_count() {
+            return Err(DfsError::InvalidArgument);
+        }
+        let from = self.server_of(volume)?;
+        if from == to {
+            return Ok(());
+        }
         let target = self.server(to).id();
         self.admin_call(from, Request::VolMove { volume, target })?;
         Ok(())
+    }
+
+    /// Observes each server's load since the previous observation:
+    /// total file ops and the per-volume breakdown, as deltas. This is
+    /// the §2.1 "addressing problems of load balancing" signal — the
+    /// counters already exist on every server; the cell just reads
+    /// and differences them.
+    pub fn load(&self) -> Vec<ServerLoad> {
+        // Snapshot all server stats first, with no cell lock held.
+        let snaps: Vec<(ServerId, ServerStats)> = (0..self.server_count())
+            .map(|i| {
+                let srv = self.server(i);
+                (srv.id(), srv.stats())
+            })
+            .collect();
+        let mut seen = self.seen_volume_ops.lock();
+        snaps
+            .into_iter()
+            .map(|(id, stats)| {
+                let mut volume_ops = HashMap::new();
+                for (vol, count) in stats.volume_ops {
+                    let prev_v = seen.insert((id, vol), count).unwrap_or(0);
+                    let delta = count.saturating_sub(prev_v);
+                    if delta > 0 {
+                        volume_ops.insert(vol, delta);
+                    }
+                }
+                let ops = volume_ops.values().sum();
+                ServerLoad { server: id, ops, volume_ops }
+            })
+            .collect()
+    }
+
+    /// One rebalance pass: picks the hottest volume on the busiest
+    /// server and moves it to the least-busy server. Returns what moved
+    /// (volume, from-slot, to-slot), or `None` when the cell is too
+    /// small, idle, or already balanced enough for a move to be noise
+    /// (the busiest server's load must exceed the least-busy's by more
+    /// than the candidate volume's own load would correct).
+    pub fn rebalance(&self) -> DfsResult<Option<(VolumeId, usize, usize)>> {
+        if self.server_count() < 2 {
+            return Ok(None);
+        }
+        let loads = self.load();
+        let busiest = loads.iter().max_by_key(|l| l.ops).expect("servers >= 2");
+        let coldest = loads.iter().min_by_key(|l| l.ops).expect("servers >= 2");
+        if busiest.server == coldest.server {
+            return Ok(None);
+        }
+        // The hottest volume actually *hosted* by the busiest server —
+        // its counters also count redirects for volumes it moved away.
+        let mut candidates: Vec<(&VolumeId, &u64)> = busiest.volume_ops.iter().collect();
+        candidates.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        for (&vol, &heat) in candidates {
+            let Ok(src) = self.server_of(vol) else { continue };
+            if self.server(src).id() != busiest.server {
+                continue;
+            }
+            // Moving `vol` shifts `heat` ops: only worth it while the
+            // imbalance is larger than the shift.
+            if busiest.ops.saturating_sub(coldest.ops) <= heat {
+                return Ok(None);
+            }
+            let dst = self.slot_of(coldest.server)?;
+            self.move_volume(vol, dst)?;
+            return Ok(Some((vol, src, dst)));
+        }
+        Ok(None)
     }
 
     /// Starts lazy replication of `volume` from server `from` onto
@@ -437,9 +563,44 @@ mod tests {
         let f = c.create(root, "f", 0o644).unwrap();
         c.write(f.fid, 0, b"payload").unwrap();
         c.fsync(f.fid).unwrap();
-        cell.move_volume(0, 1, VolumeId(5)).unwrap();
+        cell.move_volume(VolumeId(5), 1).unwrap();
         assert_eq!(c.read(f.fid, 0, 16).unwrap(), b"payload");
         assert_eq!(cell.vldb().lookup(VolumeId(5)).unwrap(), cell.server(1).id());
+    }
+
+    #[test]
+    fn move_updates_placement() {
+        let cell = Cell::builder().servers(2).build().unwrap();
+        cell.create_volume(0, VolumeId(1), "a").unwrap();
+        let moves = |cell: &Cell| (0..2).map(|i| cell.server(i).stats().moves).sum::<u64>();
+        assert_eq!(cell.server_of(VolumeId(1)).unwrap(), 0);
+        cell.move_volume(VolumeId(1), 1).unwrap();
+        assert_eq!(cell.server_of(VolumeId(1)).unwrap(), 1);
+        assert_eq!(moves(&cell), 1);
+        // Moving to where it already is: a no-op, not an error.
+        cell.move_volume(VolumeId(1), 1).unwrap();
+        assert_eq!(moves(&cell), 1);
+        // A slot past the last one is refused before anything moves.
+        assert_eq!(cell.move_volume(VolumeId(1), 2), Err(DfsError::InvalidArgument));
+        assert_eq!(cell.server_of(VolumeId(1)).unwrap(), 1);
+        assert_eq!(moves(&cell), 1);
+    }
+
+    #[test]
+    fn load_reports_deltas_not_totals() {
+        let cell = Cell::builder().build().unwrap();
+        cell.create_volume(0, VolumeId(1), "v").unwrap();
+        let c = cell.new_client();
+        let root = c.root(VolumeId(1)).unwrap();
+        let f = c.create(root, "f", 0o644).unwrap();
+        c.write(f.fid, 0, b"z").unwrap();
+        c.fsync(f.fid).unwrap();
+        let first = cell.load();
+        assert!(first[0].ops > 0);
+        // No traffic since: the next observation reports ~nothing.
+        let second = cell.load();
+        assert_eq!(second[0].ops, 0);
+        assert!(second[0].volume_ops.is_empty());
     }
 
     #[test]

@@ -128,9 +128,9 @@ fn std_sync_fixture_flags_std_locks() {
 
 #[test]
 fn fleet_rank_fixture_flags_planning_under_server_guards() {
-    // The fleet planner's lock ranks *below* server-side locks (planning
-    // inspects servers), and must never be pinned across a move RPC —
-    // the two fleet-layer rules the real crate is built around.
+    // A placement planner's lock ranks *below* server-side locks
+    // (planning inspects servers), and must never be pinned across a
+    // move RPC — the two rules `Cell`'s load baseline (`CELL_LOAD`) keeps.
     assert_eq!(
         lint("fleet_rank"),
         vec![

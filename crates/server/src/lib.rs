@@ -79,8 +79,8 @@ dfs_types::counters! {
         /// Calls for volumes not hosted here forwarded to the owner.
         pub forwards: u64,
         maps {
-            /// File RPCs served, by volume — the fleet load monitor's signal
-            /// for picking the hottest volume when rebalancing. Filled from the
+            /// File RPCs served, by volume — `Cell::load`'s signal for
+            /// picking the hottest volume when rebalancing. Filled from the
             /// volume table by [`FileServer::stats`].
             pub volume_ops: HashMap<VolumeId, u64>,
         }

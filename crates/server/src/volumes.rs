@@ -52,8 +52,8 @@ struct Vol {
     /// File RPCs currently executing — drained by a blackout so the
     /// delta dump sees no in-flight mutation.
     inflight: u64,
-    /// File RPCs served, ever (kept through `Moved`: the fleet load
-    /// monitor differences it).
+    /// File RPCs served, ever (kept through `Moved`: `Cell::load`
+    /// differences it).
     ops: u64,
     replica: Option<Replica>,
 }

@@ -24,7 +24,7 @@
 //! | `CLIENT_RESOURCE`      |  40   | ticket, volume-location and root caches (§4.1) |
 //! | `CLIENT_DATA_CACHE`    |  50   | client page stores (§4.2) |
 //! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags) |
-//! | `FLEET_REGISTRY`       |  90   | fleet-wide server registry and volume placement plan |
+//! | `CELL_LOAD`            |  90   | the cell's load baseline: per-volume op counts at the last `Cell::load` |
 //! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
 //! | `SERVER_HOSTS`         | 110   | the file server's host table (§3.2): every host registered with its token manager, leases and the post-restart grace window |
@@ -81,10 +81,10 @@ pub mod rank {
     /// locks so writers may kick the flusher while holding `lo`; the
     /// flusher itself drops this lock before touching any vnode.
     pub const CLIENT_FLUSHER: u16 = 60;
-    /// Fleet-wide server registry and volume placement plan. Ranked
-    /// below every server-side lock: the fleet layer inspects servers
-    /// (which take VOLUME_REGISTRY and above) while planning a move.
-    pub const FLEET_REGISTRY: u16 = 90;
+    /// The cell's load baseline (per-volume op counts at the last
+    /// `Cell::load`). Ranked below every server-side lock: a load
+    /// observation reads servers (which take VOLUME_REGISTRY and above).
+    pub const CELL_LOAD: u16 = 90;
     /// *The* file-server volume table — one lock over every volume's
     /// state, mount, in-flight count, op count, route note and
     /// replication job — and the VLDB replica's map (§3.4).
@@ -139,7 +139,7 @@ pub mod rank {
             CLIENT_RESOURCE => "CLIENT_RESOURCE",
             CLIENT_DATA_CACHE => "CLIENT_DATA_CACHE",
             CLIENT_FLUSHER => "CLIENT_FLUSHER",
-            FLEET_REGISTRY => "FLEET_REGISTRY",
+            CELL_LOAD => "CELL_LOAD",
             VOLUME_REGISTRY => "VOLUME_REGISTRY",
             SERVER_ROUTES => "SERVER_ROUTES",
             SERVER_HOSTS => "SERVER_HOSTS",

@@ -44,7 +44,7 @@ fn main() {
     assert_eq!(frozen, b"contents of draft 0");
 
     // ---- Move: rebalance vol10 onto server 2 (§3.6). -----------------
-    cell.move_volume(0, 1, VolumeId(10)).expect("move");
+    cell.move_volume(VolumeId(10), 1).expect("move");
     println!(
         "moved vol10 to {:?}; VLDB now says {:?}",
         cell.server(1).id(),

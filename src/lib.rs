@@ -25,9 +25,8 @@
 //! * [`client`] — the cache manager: resource/cache/directory/vnode
 //!   layers, two-lock deadlock avoidance, serialization stamps (§4, §6);
 //! * [`baselines`] — NFS-style and AFS-style comparators (§5.4);
-//! * [`core`] — [`Cell`]: everything assembled;
-//! * [`fleet`] — [`Fleet`]: volume-sharded multi-server cluster with
-//!   cross-server request routing and live volume migration (§2.1).
+//! * [`core`] — [`Cell`]: everything assembled — volume placement,
+//!   live migration and load rebalancing across its servers (§2.1).
 //!
 //! # Quick start
 //!
@@ -56,7 +55,6 @@ pub use dfs_core as core;
 pub use dfs_disk as disk;
 pub use dfs_episode as episode;
 pub use dfs_ffs as ffs;
-pub use dfs_fleet as fleet;
 pub use dfs_journal as journal;
 pub use dfs_rpc as rpc;
 pub use dfs_server as server;
@@ -67,6 +65,5 @@ pub use dfs_vfs as vfs;
 pub use dfs_client::{CacheManager, OpenMode};
 pub use dfs_core::{Cell, CellBuilder};
 pub use dfs_episode::Episode;
-pub use dfs_fleet::Fleet;
 pub use dfs_server::FileServer;
 pub use dfs_token::TokenManager;

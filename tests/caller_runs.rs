@@ -67,6 +67,6 @@ fn eight_clients_run_on_their_drivers_and_flushers_alone() {
     assert!(report.clean(), "invariants: {}", report.to_json());
     assert!(report.witnesses.is_empty(), "witnesses: {}", report.to_json());
     assert_eq!(report.leaked_grants, 0);
-    assert_eq!(report.net_timeouts, 0, "a call waited out the timeout for a slot");
+    assert_eq!(report.net.timeouts, 0, "a call waited out the timeout for a slot");
     assert!(report.client_stats.revocations > 0, "the mix must hand tokens off");
 }

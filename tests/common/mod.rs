@@ -1,4 +1,4 @@
-//! Shared setup for the integration suites: the cell/fleet/client
+//! Shared setup for the integration suites: the cell/client
 //! boilerplate every `tests/*.rs` file used to hand-roll. Each suite
 //! pulls this in with `mod common;` and uses the subset it needs.
 
@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use decorum_dfs::client::{CacheManager, WritebackConfig};
 use decorum_dfs::rpc::{Addr, FaultAction, FaultRule, FaultSchedule};
 use decorum_dfs::types::{Fid, VolumeId};
-use decorum_dfs::{Cell, Fleet};
+use decorum_dfs::Cell;
 
 /// The volume every helper provisions: id 1, name "v", on slot 0.
 pub const VOL: VolumeId = VolumeId(1);
@@ -25,13 +25,6 @@ pub fn cell(n: u32) -> Cell {
 /// A single-server cell with [`VOL`] — the most common fixture.
 pub fn one_server_cell() -> Cell {
     cell(1)
-}
-
-/// An `n`-server fleet with [`VOL`] created (lands on slot 0).
-pub fn fleet(n: u32) -> Fleet {
-    let fleet = Fleet::start(n).unwrap();
-    fleet.create_volume(VOL, "v").unwrap();
-    fleet
 }
 
 /// A client with the background flusher disabled, so every store-back

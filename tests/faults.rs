@@ -212,7 +212,7 @@ fn live_migration_survives_client_partition() {
             .rule(FaultRule::on(FaultAction::Drop).from(me).prob(40).limit(6)),
     );
 
-    cell.move_volume(0, 1, VolumeId(7)).unwrap();
+    cell.move_volume(VolumeId(7), 1).unwrap();
 
     // Work through the storm against the volume's new home.
     for i in 0..6u32 {

@@ -1,11 +1,11 @@
-//! Fleet-layer tests: volume-sharded multi-server cells, cross-server
-//! request routing (`WrongServer` hints + forwarding), and live volume
-//! migration (ISSUE 6; §2.1/§3.4 of the paper).
+//! Multi-server cell tests: volume-sharded cells, cross-server request
+//! routing (`WrongServer` hints + forwarding), live volume migration
+//! and load rebalancing (§2.1/§3.4 of the paper).
 
 use decorum_dfs::rpc::{Addr, CallClass, Request, Response};
 use decorum_dfs::types::{ClientId, DfsError, VolumeId};
 use decorum_dfs::vfs::WriteExtent;
-use decorum_dfs::Fleet;
+use decorum_dfs::Cell;
 
 mod common;
 
@@ -14,15 +14,15 @@ mod common;
 /// `WrongServer`, and the client chases the hint transparently.
 #[test]
 fn read_write_through_a_redirect() {
-    let fleet = common::fleet(2); // the volume lands on slot 0
-    let c = fleet.cell().new_client();
+    let cell = common::cell(2); // the volume lands on slot 0
+    let c = cell.new_client();
     let root = c.root(VolumeId(1)).unwrap();
     let f = c.create(root, "f", 0o644).unwrap();
     c.write(f.fid, 0, b"before the move").unwrap();
     c.fsync(f.fid).unwrap();
 
-    fleet.move_volume(VolumeId(1), 1).unwrap();
-    assert_eq!(fleet.server_of(VolumeId(1)).unwrap(), 1);
+    cell.move_volume(VolumeId(1), 1).unwrap();
+    assert_eq!(cell.server_of(VolumeId(1)).unwrap(), 1);
 
     // The client's location cache still points at slot 0; both a write
     // and a read go through anyway.
@@ -31,11 +31,11 @@ fn read_write_through_a_redirect() {
     assert_eq!(c.read(f.fid, 0, 32).unwrap(), b"after the move!");
     assert!(c.stats().wrong_server_redirects >= 1, "client chased a hint");
     assert!(
-        fleet.cell().server(0).stats().wrong_server_redirects >= 1,
+        cell.server(0).stats().wrong_server_redirects >= 1,
         "old owner answered WrongServer"
     );
     // A fresh client resolves straight through the VLDB: no redirect.
-    let b = fleet.cell().new_client();
+    let b = cell.new_client();
     assert_eq!(b.read(f.fid, 0, 32).unwrap(), b"after the move!");
     assert_eq!(b.stats().wrong_server_redirects, 0);
 }
@@ -45,14 +45,14 @@ fn read_write_through_a_redirect() {
 /// no second redirect, no VLDB storm, no error surfaced to the caller.
 #[test]
 fn stale_cache_resolves_in_one_retry() {
-    let fleet = common::fleet(3); // the volume lands on slot 0
-    let c = fleet.cell().new_client();
+    let cell = common::cell(3); // the volume lands on slot 0
+    let c = cell.new_client();
     let root = c.root(VolumeId(1)).unwrap();
     let f = c.create(root, "f", 0o644).unwrap();
     c.write(f.fid, 0, b"x").unwrap();
     c.fsync(f.fid).unwrap();
 
-    fleet.move_volume(VolumeId(1), 2).unwrap();
+    cell.move_volume(VolumeId(1), 2).unwrap();
 
     let before = c.stats().wrong_server_redirects;
     // An operation the client cannot serve from cache (the move's write
@@ -74,10 +74,10 @@ fn stale_cache_resolves_in_one_retry() {
 /// ids intact, and no recovery pipeline runs.
 #[test]
 fn tokens_survive_live_move_with_zero_lost_updates() {
-    let fleet = common::fleet(2); // the volume lands on slot 0
+    let cell = common::cell(2); // the volume lands on slot 0
     // No background flusher: the second write is deterministically still
     // dirty in the client when the move begins.
-    let a = common::no_flush_client(fleet.cell());
+    let a = common::no_flush_client(&cell);
     let root = a.root(VolumeId(1)).unwrap();
     let f = a.create(root, "f", 0o644).unwrap();
     a.write(f.fid, 0, b"acked and durable").unwrap();
@@ -85,16 +85,16 @@ fn tokens_survive_live_move_with_zero_lost_updates() {
     a.write(f.fid, 0, b"dirty when moved!").unwrap();
     assert!(a.dirty_pages(f.fid) > 0, "update must still be write-behind");
 
-    fleet.move_volume(VolumeId(1), 1).unwrap();
+    cell.move_volume(VolumeId(1), 1).unwrap();
 
     // The target imported A's surviving tokens rather than making A
     // start over.
-    let imported = fleet.cell().server(1).token_manager().stats().imported;
+    let imported = cell.server(1).token_manager().stats().imported;
     assert!(imported > 0, "surviving tokens shipped to the target (got {imported})");
 
     // Zero lost updates: the dirty page was stored back during the
     // move's write quiesce and travelled with the volume.
-    let b = fleet.cell().new_client();
+    let b = cell.new_client();
     assert_eq!(b.read(f.fid, 0, 32).unwrap(), b"dirty when moved!");
     assert_eq!(a.read(f.fid, 0, 32).unwrap(), b"dirty when moved!");
 
@@ -114,20 +114,20 @@ fn tokens_survive_live_move_with_zero_lost_updates() {
 #[test]
 fn live_move_waits_out_a_flusher_store_in_flight() {
     const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
-    let fleet = common::fleet(2);
-    let a = common::no_flush_client(fleet.cell());
+    let cell = common::cell(2);
+    let a = common::no_flush_client(&cell);
     let root = a.root(VolumeId(1)).unwrap();
     let f = a.create(root, "f", 0o644).unwrap();
     a.write(f.fid, 0, &[1u8; PAGE]).unwrap();
-    let pass = common::delayed_flush_pass(fleet.cell(), &a);
+    let pass = common::delayed_flush_pass(&cell, &a);
     a.write(f.fid, 0, &[2u8; PAGE]).unwrap();
     a.write(f.fid, PAGE as u64, &[3u8; PAGE]).unwrap();
 
-    fleet.move_volume(VolumeId(1), 1).unwrap();
+    cell.move_volume(VolumeId(1), 1).unwrap();
     pass.join().unwrap();
 
     assert_eq!(a.total_dirty_pages(), 0);
-    let b = fleet.cell().new_client();
+    let b = cell.new_client();
     assert_eq!(b.read(f.fid, 0, PAGE).unwrap(), vec![2u8; PAGE]);
     assert_eq!(b.read(f.fid, PAGE as u64, PAGE).unwrap(), vec![3u8; PAGE]);
     let st = a.stats();
@@ -140,10 +140,9 @@ fn live_move_waits_out_a_flusher_store_in_flight() {
 /// ISSUE-5 recovery pipeline and completes its operation.
 #[test]
 fn forward_to_crashed_owner_surfaces_crashed_then_recovers() {
-    let fleet = Fleet::start(2).unwrap();
-    fleet.create_volume(VolumeId(7), "mine").unwrap(); // slot 0
-    fleet.create_volume(VolumeId(8), "other").unwrap(); // slot 1
-    let cell = fleet.cell();
+    let cell = Cell::builder().servers(2).build().unwrap();
+    cell.create_volume(0, VolumeId(7), "mine").unwrap();
+    cell.create_volume(1, VolumeId(8), "other").unwrap();
     let a = cell.new_client();
     let root = a.root(VolumeId(7)).unwrap();
     let f = a.create(root, "f", 0o644).unwrap();
@@ -180,16 +179,16 @@ fn forward_to_crashed_owner_surfaces_crashed_then_recovers() {
     assert_eq!(a.read(f.fid, 0, 16).unwrap(), b"pre-crash");
 }
 
-/// The fleet's load monitor end-to-end: skewed traffic, one `rebalance`
+/// The cell's load monitor end-to-end: skewed traffic, one `rebalance`
 /// call, and the hot volume lands on the cold server while every client
 /// operation keeps succeeding.
 #[test]
 fn rebalance_migrates_hot_volume_under_live_traffic() {
-    let fleet = Fleet::start(2).unwrap();
-    fleet.create_volume(VolumeId(1), "hot").unwrap(); // slot 0
-    fleet.create_volume(VolumeId(2), "cold").unwrap(); // slot 1
-    fleet.create_volume(VolumeId(3), "warm").unwrap(); // slot 0
-    let c = fleet.cell().new_client();
+    let cell = Cell::builder().servers(2).build().unwrap();
+    cell.create_volume(0, VolumeId(1), "hot").unwrap();
+    cell.create_volume(1, VolumeId(2), "cold").unwrap();
+    cell.create_volume(0, VolumeId(3), "warm").unwrap();
+    let c = cell.new_client();
     let hot = c.root(VolumeId(1)).unwrap();
     for i in 0..20 {
         let f = c.create(hot, &format!("f{i}"), 0o644).unwrap();
@@ -203,7 +202,7 @@ fn rebalance_migrates_hot_volume_under_live_traffic() {
     let w = c.create(warm, "w", 0o644).unwrap();
     c.write(w.fid, 0, b"warm").unwrap();
     c.fsync(w.fid).unwrap();
-    let moved = fleet.rebalance().unwrap();
+    let moved = cell.rebalance().unwrap();
     assert_eq!(moved, Some((VolumeId(1), 0, 1)));
     // All data intact after the migration, reads served by the target.
     for i in 0..20 {
@@ -211,7 +210,7 @@ fn rebalance_migrates_hot_volume_under_live_traffic() {
         assert_eq!(c.read(f.fid, 0, 32).unwrap(), format!("payload {i}").as_bytes());
     }
     // Balanced now: a second pass finds nothing worth moving.
-    assert_eq!(fleet.rebalance().unwrap(), None);
+    assert_eq!(cell.rebalance().unwrap(), None);
 }
 
 /// A forwarded one-shot carries the *caller's* authenticated principal
@@ -223,7 +222,6 @@ fn rebalance_migrates_hot_volume_under_live_traffic() {
 fn forwarded_one_shots_carry_the_callers_principal() {
     use decorum_dfs::types::{Acl, AclEntry, Principal, Rights};
     use decorum_dfs::vfs::SetAttrs;
-    use decorum_dfs::Cell;
 
     let cell = Cell::builder().servers(2).require_auth(true).build().unwrap();
     cell.add_user(0, 42);
@@ -282,8 +280,7 @@ fn forwarded_one_shots_carry_the_callers_principal() {
 /// it so no stale fork of the volume survives.
 #[test]
 fn staged_move_copy_is_invisible_and_discards_on_abort() {
-    let fleet = common::fleet(2); // the volume lands on slot 0
-    let cell = fleet.cell();
+    let cell = common::cell(2); // the volume lands on slot 0
     let c = cell.new_client();
     let root = c.root(VolumeId(1)).unwrap();
     let f = c.create(root, "f", 0o644).unwrap();
@@ -368,6 +365,6 @@ fn staged_move_copy_is_invisible_and_discards_on_abort() {
 
     // The owner was never disturbed, and a real move still works.
     assert_eq!(c.read(f.fid, 0, 16).unwrap(), b"phase-1 state");
-    fleet.move_volume(VolumeId(1), 1).unwrap();
+    cell.move_volume(VolumeId(1), 1).unwrap();
     assert_eq!(c.read(f.fid, 0, 16).unwrap(), b"phase-1 state");
 }

@@ -150,5 +150,24 @@ fn crash_restart_and_move_fire_in_timeline_order() {
     assert!(r.coherent(), "coherence invariants: {}", r.to_json());
     assert_eq!(r.lost_updates, 0);
     assert_eq!(r.agreement_failures, 0);
-    assert!(r.server_moves >= 1, "the volume actually moved");
+    assert!(r.server.moves >= 1, "the volume actually moved");
+}
+
+#[test]
+fn a_move_to_a_missing_slot_reports_not_ok() {
+    let sc = Scenario::new(
+        "test_bad_move",
+        6,
+        Topology::new(2, 2, 2).latency_us(20).no_flusher(),
+        vec![Phase::new("load", 20, vec![ClassSpec::new(OpClass::Write, 1, 2).fsync_every(4)])],
+    )
+    .at(20, Event::MoveVolume { volume: 1, dst_slot: 5 });
+    let r = sc.run();
+
+    // The event is refused, not a panic: the run finishes, clean.
+    assert_eq!(r.events.len(), 1);
+    assert_eq!(r.events[0].event, "move_volume");
+    assert!(!r.events[0].ok, "a move to slot 5 of 2 cannot succeed");
+    assert_eq!(r.server.moves, 0);
+    assert!(r.clean(), "invariants: {}", r.invariants().json());
 }

@@ -24,8 +24,12 @@
 #      prints `"grace_waits": 1, "verified": true` — the client was held
 #      off exactly once before checking in, and every burst page read
 #      back as written
-#   8. fleet gate: the fleet-layer tests plus T15 at tiny parameters
-#      (volume sharding, WrongServer routing, live mid-run migration)
+#   8. fleet gate: the multi-server cell tests (tests/fleet.rs) plus
+#      T15 at tiny parameters (volume sharding, WrongServer routing,
+#      live mid-run migration); the stage fails unless T15's row prints
+#      `"move_completed": true,` and `"lost_updates": 0, "all_ops_ok":
+#      true` — the move happened and no op or update was lost (its
+#      redirect count depends on timing and is not gated)
 #   9. hotpath gate: the token stress suite (which loops over shard
 #      counts 1 and 4 itself) plus T9 with a small --clients sweep and
 #      T8 with a --clients concurrency section, both JSON-validated;
@@ -125,9 +129,13 @@ case "$out" in
   *) echo "t13 smoke: a row no longer shows one grace wait and a verified burst"; exit 1 ;;
 esac
 
-echo "==> fleet gate (fleet tests + t15 smoke)"
+echo "==> fleet gate (multi-server cell tests + t15 smoke)"
 cargo test -q --test fleet
 smoke t15_fleet --servers 2 --ops 12
+case "$out" in
+  *'"move_completed": true,'*'"lost_updates": 0, "all_ops_ok": true'*) ;;
+  *) echo "t15 smoke: the mid-run move failed, or an op or update was lost: $out"; exit 1 ;;
+esac
 
 echo "==> hotpath gate (token stress at 1 and 4 shards + t9/t8 client sweeps)"
 cargo test -q -p dfs-token --test stress
