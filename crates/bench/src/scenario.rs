@@ -514,7 +514,6 @@ impl RunReport {
             .field("client_redirects", s.wrong_server_redirects)
             .field("server_ops", server.ops)
             .field("server_redirects", server.wrong_server_redirects)
-            .field("server_forwards", server.forwards)
             .field("server_moves", server.moves)
             .field("faults_injected", self.faults_injected)
             .field("disk_busy_ms", self.disk_busy_us as f64 / 1000.0)

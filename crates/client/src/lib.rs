@@ -44,7 +44,7 @@ use dfs_types::{
 };
 use dfs_vfs::{DirEntry, SetAttrs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Weak};
 use writeback::Store;
 use std::time::Duration;
@@ -57,11 +57,6 @@ const FETCH_PAGES: u64 = 16;
 /// `Unavailable`; at the 2 ms backoff cap a give-up costs at most
 /// 100 ms.
 const RPC_RETRY_BUDGET: u32 = 50;
-
-/// Most volumes tracked by the location cache. A cell has few volumes a
-/// client actually touches; bounding the cache keeps a scanner of many
-/// volumes from growing client state without limit.
-const LOCATION_CACHE_CAP: usize = 256;
 
 /// What a writer asks for in one combined grant, so nearby reads and
 /// writes stay local; typed partial revocation means a later status
@@ -196,8 +191,6 @@ dfs_types::counters! {
         pub recovery_replayed_pages: u64,
         /// `WrongServer` redirects followed after a volume moved (§2.1).
         pub wrong_server_redirects: u64,
-        /// Location-cache entries evicted to stay within the size bound.
-        pub location_evictions: u64,
         /// RPCs abandoned with `Unavailable` after the retry budget was
         /// exhausted.
         pub unavailable_giveups: u64,
@@ -213,16 +206,6 @@ dfs_types::counters! {
             pub max_stale_us: u64,
         }
     }
-}
-
-/// Bounded volume→(server, generation) location cache (§4.1). Installs
-/// are generation-monotone: a stale `WrongServer` hint arriving after a
-/// fresh VLDB lookup can never roll an entry back to the old owner.
-#[derive(Default)]
-struct LocationCache {
-    map: HashMap<VolumeId, (ServerId, u64)>,
-    /// Insertion order, for cheap eviction at the cap.
-    order: VecDeque<VolumeId>,
 }
 
 #[derive(Clone, Debug)]
@@ -506,7 +489,12 @@ pub struct CacheManager {
     /// Last epoch observed from each file server (resource layer).
     known_epochs: OrderedMutex<HashMap<ServerId, u64>, { rank::CLIENT_RESOURCE }>,
     vnodes: OrderedMutex<HashMap<Fid, Arc<CVnode>>, { rank::CLIENT_VNODE_TABLE }>,
-    locations: OrderedMutex<LocationCache, { rank::CLIENT_RESOURCE }>,
+    /// Volume → (server, VLDB generation) location cache (§4.1). Entries
+    /// come only from VLDB answers and `WrongServer` hints, so it holds
+    /// at most one per volume that exists. Installs are
+    /// generation-monotone: a stale hint arriving after a fresh VLDB
+    /// lookup can never roll an entry back to the old owner.
+    locations: OrderedMutex<HashMap<VolumeId, (ServerId, u64)>, { rank::CLIENT_RESOURCE }>,
     roots: OrderedMutex<HashMap<VolumeId, Fid>, { rank::CLIENT_RESOURCE }>,
     stats: ClientCounters,
 }
@@ -545,7 +533,7 @@ impl CacheManager {
             recovery_gate: OrderedMutex::new(()),
             known_epochs: OrderedMutex::new(HashMap::new()),
             vnodes: OrderedMutex::new(HashMap::new()),
-            locations: OrderedMutex::new(LocationCache::default()),
+            locations: OrderedMutex::new(HashMap::new()),
             roots: OrderedMutex::new(HashMap::new()),
             stats: ClientCounters::default(),
         });
@@ -584,7 +572,7 @@ impl CacheManager {
     // ------------------------------------------------------------------
 
     fn server_for(&self, volume: VolumeId) -> DfsResult<ServerId> {
-        if let Some((s, _)) = self.locations.lock().map.get(&volume).copied() {
+        if let Some((s, _)) = self.locations.lock().get(&volume).copied() {
             return Ok(s);
         }
         let (s, g) = self.vldb.lookup_gen(volume)?;
@@ -595,42 +583,17 @@ impl CacheManager {
     /// Installs a location entry if it is strictly newer than what is
     /// cached (by VLDB generation). Returns whether it was installed.
     fn loc_install(&self, volume: VolumeId, server: ServerId, generation: u64) -> bool {
-        let (installed, evicted) = {
-            let mut loc = self.locations.lock();
-            match loc.map.get(&volume).copied() {
-                Some((_, g)) if generation <= g => (false, 0),
-                Some(_) => {
-                    loc.map.insert(volume, (server, generation));
-                    (true, 0)
-                }
-                None => {
-                    let mut evicted = 0u64;
-                    while loc.map.len() >= LOCATION_CACHE_CAP {
-                        let Some(old) = loc.order.pop_front() else { break };
-                        if loc.map.remove(&old).is_some() {
-                            evicted += 1;
-                        }
-                    }
-                    loc.map.insert(volume, (server, generation));
-                    loc.order.push_back(volume);
-                    (true, evicted)
-                }
-            }
-        };
-        if evicted > 0 {
-            self.stats.location_evictions.add(evicted);
+        let mut loc = self.locations.lock();
+        if loc.get(&volume).is_some_and(|&(_, g)| generation <= g) {
+            return false;
         }
-        installed
+        loc.insert(volume, (server, generation));
+        true
     }
 
     /// Drops a cached location (the next use re-resolves via the VLDB).
-    /// The eviction queue entry goes too: leaving it would let repeated
-    /// invalidate/reinstall cycles grow `order` without bound and make
-    /// eviction pop a reinstalled entry via its stale duplicate.
     fn loc_invalidate(&self, volume: VolumeId) {
-        let mut loc = self.locations.lock();
-        loc.map.remove(&volume);
-        loc.order.retain(|v| *v != volume);
+        self.locations.lock().remove(&volume);
     }
 
     /// Follows a `WrongServer` redirect: install the hint when newer;
@@ -1750,6 +1713,7 @@ pub(crate) mod tests {
     use super::*;
     use dfs_token::TokenId;
     use dfs_types::{VnodeId, VolumeId};
+    use std::collections::VecDeque;
 
     fn tok(id: u64, types: TokenTypes, range: ByteRange) -> Token {
         Token {
@@ -1808,34 +1772,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn location_cache_order_survives_invalidate_reinstall_cycles() {
+    fn a_hint_no_newer_than_the_cache_invalidates_the_entry() {
         use crate::cache::MemCache;
         use dfs_types::{ClientId, ServerId, SimClock};
 
         let net = Network::new(SimClock::new(), 0);
         let cm = CacheManager::start(net, ClientId(1), Vec::new(), Arc::new(MemCache::new()));
-        // A crash-failover or stale-hint loop invalidates and reinstalls
-        // the same volume over and over; the eviction queue must not
-        // accumulate a duplicate per cycle.
-        for _ in 0..10 * LOCATION_CACHE_CAP {
-            cm.loc_install(VolumeId(7), ServerId(1), 1);
-            cm.loc_invalidate(VolumeId(7));
-        }
-        cm.loc_install(VolumeId(7), ServerId(1), 1);
-        {
-            let loc = cm.locations.lock();
-            assert_eq!(loc.map.len(), 1);
-            assert_eq!(loc.order.len(), 1, "one queue entry per cached volume");
-        }
-        // Fill to the cap: the churned volume must not be evicted by a
-        // stale duplicate while fresher entries survive.
-        for v in 100..100 + LOCATION_CACHE_CAP as u64 - 1 {
-            cm.loc_install(VolumeId(v), ServerId(1), 1);
-        }
-        let loc = cm.locations.lock();
-        assert!(loc.map.len() <= LOCATION_CACHE_CAP);
-        assert!(loc.map.contains_key(&VolumeId(7)), "no stale dup got it evicted early");
-        drop(loc);
+        let cached = |cm: &CacheManager| cm.locations.lock().get(&VolumeId(7)).copied();
+        assert!(cm.loc_install(VolumeId(7), ServerId(2), 5));
+        // Same or older generation: not installed, the entry stands.
+        assert!(!cm.loc_install(VolumeId(7), ServerId(1), 5));
+        assert!(!cm.loc_install(VolumeId(7), ServerId(1), 4));
+        assert_eq!(cached(&cm), Some((ServerId(2), 5)));
+        // A newer one replaces it.
+        assert!(cm.loc_install(VolumeId(7), ServerId(3), 6));
+        assert_eq!(cached(&cm), Some((ServerId(3), 6)));
+        // A stale redirect leaves nothing to trust: the next use asks the VLDB.
+        cm.follow_redirect(VolumeId(7), ServerId(1), 6);
+        assert_eq!(cached(&cm), None);
+        assert_eq!(cm.stats().wrong_server_redirects, 1);
         let _ = cm.shutdown();
     }
 

@@ -331,41 +331,7 @@ impl Network {
         req: Request,
     ) -> DfsResult<Response> {
         // Authentication check (§3.7: "All RPC's are authenticated").
-        let principal = match ticket {
-            Some(t) => self.auth.verify(&t),
-            None => None,
-        };
-        self.call_with_principal(from, to, principal, class, req)
-    }
-
-    /// Re-issues a call on behalf of an already-authenticated principal:
-    /// the trusted inter-server channel a server uses to forward a
-    /// client's one-shot request to the volume's owner, so the owner's
-    /// access checks run against the original caller, not the proxy.
-    /// Only servers may speak it — a client cannot fabricate a
-    /// principal this way.
-    pub fn call_forwarded(
-        &self,
-        from: Addr,
-        to: Addr,
-        principal: Option<u32>,
-        class: CallClass,
-        req: Request,
-    ) -> DfsResult<Response> {
-        if !matches!(from, Addr::Server(_)) {
-            return Err(DfsError::InvalidArgument);
-        }
-        self.call_with_principal(from, to, principal, class, req)
-    }
-
-    fn call_with_principal(
-        &self,
-        from: Addr,
-        to: Addr,
-        principal: Option<u32>,
-        class: CallClass,
-        req: Request,
-    ) -> DfsResult<Response> {
+        let principal = ticket.and_then(|t| self.auth.verify(&t));
         let is_down = |n: &Arc<Node>| n.crashed.load(Ordering::Relaxed);
         let node = {
             let inner = self.inner.lock();

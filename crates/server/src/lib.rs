@@ -76,8 +76,6 @@ dfs_types::counters! {
         pub replica_refreshes: u64,
         /// Calls for volumes not hosted here answered with `WrongServer`.
         pub wrong_server_redirects: u64,
-        /// Calls for volumes not hosted here forwarded to the owner.
-        pub forwards: u64,
         maps {
             /// File RPCs served, by volume — `Cell::load`'s signal for
             /// picking the hottest volume when rebalancing. Filled from the
@@ -106,8 +104,7 @@ pub struct FileServer {
     /// crash-restart from ordinary traffic.
     epoch: u64,
     /// The volume registry (§3.4). Authoritative: a request for a
-    /// volume it does not show as hosted is redirected or forwarded,
-    /// never mounted.
+    /// volume it does not show as hosted is redirected, never mounted.
     volumes: Volumes,
     /// Durable host/lease journal (the Episode aggregate's host-log
     /// ring). When present, the server records which clients hold
@@ -949,7 +946,7 @@ impl FileServer {
     /// The volume a file RPC is about, if any. Admin traffic (volume
     /// motion, replication, VLDB, recovery probes) returns `None`: it
     /// is addressed to a specific server deliberately and must never be
-    /// redirected or forwarded.
+    /// redirected.
     fn volume_of_req(req: &Request) -> Option<VolumeId> {
         let fid = match req {
             Request::GetRoot { volume } => return Some(*volume),
@@ -979,64 +976,20 @@ impl FileServer {
         Some(fid.volume)
     }
 
-    /// File RPCs cheap enough to answer by proxy: token-free one-shot
-    /// reads. Everything else involves granting, returning, or storing
-    /// under tokens, which must happen directly between the client and
-    /// the owning server — those bounce with `WrongServer` instead.
-    fn forwards_ok(req: &Request) -> bool {
-        matches!(
-            req,
-            Request::GetRoot { .. }
-                | Request::Readlink { .. }
-                | Request::GetAcl { .. }
-                | Request::Fsync { .. }
-        )
-    }
-
-    /// Answers a call for a volume this server does not host: forward
-    /// one-shot reads to the owner, redirect everything else with a
+    /// Answers a call for a volume this server does not host: a
     /// `WrongServer` hint (`route`, the note left if we moved it away
-    /// ourselves, else a fresh VLDB lookup).
-    fn not_hosted(
-        &self,
-        ctx: &CallContext,
-        volume: VolumeId,
-        route: Option<(ServerId, u64)>,
-        req: Request,
-    ) -> Response {
+    /// ourselves, else a fresh VLDB lookup), or `NoSuchVolume` when no
+    /// other server has it.
+    fn not_hosted(&self, volume: VolumeId, route: Option<(ServerId, u64)>) -> Response {
         let hint = route.or_else(|| match self.vldb.lookup_gen(volume) {
             Ok((server, generation)) if server != self.id => Some((server, generation)),
             _ => None,
         });
-        let Some((server, generation)) = hint else {
+        let Some((hint, generation)) = hint else {
             return Response::Err(DfsError::NoSuchVolume);
         };
-        if Self::forwards_ok(&req) {
-            self.stats.forwards.add(1);
-            // Forward over the trusted inter-server channel with the
-            // caller's authenticated principal attached, so the owner's
-            // ACL checks run against the real caller — a plain re-send
-            // would arrive unauthenticated and either fail outright
-            // (require_auth cells) or run as the system principal.
-            return match self.net.call_forwarded(
-                self.addr,
-                Addr::Server(server),
-                ctx.principal,
-                ctx.class,
-                req,
-            ) {
-                Ok(resp) => resp,
-                // The owner is down. Surface that as a response: the
-                // client's failover machinery owns retrying the owner,
-                // not this bystander.
-                Err(DfsError::Unreachable) | Err(DfsError::Crashed) => {
-                    Response::Err(DfsError::Crashed)
-                }
-                Err(e) => Response::Err(e),
-            };
-        }
         self.stats.wrong_server_redirects.add(1);
-        Response::WrongServer { hint: server, generation }
+        Response::WrongServer { hint, generation }
     }
 }
 
@@ -1077,7 +1030,7 @@ impl RpcService for FileServer {
         // story, and a store-back aimed at a moved-away volume must
         // chase it too.
         let admitted = match self.volumes.admit(volume, ctx.class, gated) {
-            Admit::NotHosted(route) => return self.not_hosted(&ctx, volume, route, req),
+            Admit::NotHosted(route) => return self.not_hosted(volume, route),
             Admit::Grace => {
                 self.stats.grace_rejections.add(1);
                 return Response::Err(DfsError::GraceWait);
@@ -1528,13 +1481,12 @@ mod tests {
             send(ServerId(1), Request::FetchStatus { fid: f.fid, want: None }),
             Response::WrongServer { hint: ServerId(2), .. }
         ));
-        assert!(s1.stats().wrong_server_redirects >= 1);
-        // Token-free one-shot calls are forwarded transparently.
-        match send(ServerId(1), Request::GetRoot { volume: VolumeId(7) }) {
-            Response::FidIs(r) => assert_eq!(r, root),
-            other => panic!("{other:?}"),
-        }
-        assert!(s1.stats().forwards >= 1);
+        // So do token-free one-shots: every misdirected call gets the hint.
+        assert!(matches!(
+            send(ServerId(1), Request::GetRoot { volume: VolumeId(7) }),
+            Response::WrongServer { hint: ServerId(2), .. }
+        ));
+        assert!(s1.stats().wrong_server_redirects >= 2);
         let _ = s2;
     }
 
@@ -1785,7 +1737,6 @@ mod tests {
         Served,
         /// Served by a §3.8 replica (`stale_us` stamped).
         ServedStale,
-        Forwarded,
         Wrong(u32),
         NoVolume,
         Busy,
@@ -1794,32 +1745,30 @@ mod tests {
 
     /// Sends `req` to server `to` and returns the verdict plus the
     /// server's stats delta as `[ops, busy_rejections, grace_rejections,
-    /// wrong_server_redirects, forwards, volume_ops[volume]]`.
+    /// wrong_server_redirects, volume_ops[volume]]`.
     fn probe(
         net: &Network,
         srv: &FileServer,
         class: CallClass,
         volume: VolumeId,
         req: Request,
-    ) -> (Verdict, [u64; 6]) {
+    ) -> (Verdict, [u64; 5]) {
         let snap = |s: ServerStats| {
             let vol_ops = s.volume_ops.get(&volume).copied().unwrap_or(0);
             let rejections = [s.busy_rejections, s.grace_rejections];
-            [s.ops, rejections[0], rejections[1], s.wrong_server_redirects, s.forwards, vol_ops]
+            [s.ops, rejections[0], rejections[1], s.wrong_server_redirects, vol_ops]
         };
         let before = snap(srv.stats());
         let resp = send(net, srv.id().0, class, req);
         let after = snap(srv.stats());
-        let delta: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+        let delta: [u64; 5] = std::array::from_fn(|i| after[i] - before[i]);
         let verdict = match resp {
             Response::WrongServer { hint, .. } => Verdict::Wrong(hint.0),
             Response::Err(DfsError::NoSuchVolume) => Verdict::NoVolume,
             Response::Err(DfsError::VolumeBusy) => Verdict::Busy,
             Response::Err(DfsError::GraceWait) => Verdict::Grace,
             Response::Status { stale_us, .. } if stale_us > 0 => Verdict::ServedStale,
-            Response::Status { .. } | Response::FidIs(_) | Response::Volumes(_) => {
-                if delta[4] == 1 { Verdict::Forwarded } else { Verdict::Served }
-            }
+            Response::Status { .. } | Response::FidIs(_) | Response::Volumes(_) => Verdict::Served,
             other => panic!("unexpected answer {other:?}"),
         };
         (verdict, delta)
@@ -1858,26 +1807,25 @@ mod tests {
             want: None,
         };
         let one_shot = |volume: u64| Request::GetRoot { volume: VolumeId(volume) };
-        const SERVED: [u64; 6] = [1, 0, 0, 0, 0, 1];
-        const BOUNCED: [u64; 6] = [0, 1, 0, 0, 0, 0];
-        const REDIRECTED: [u64; 6] = [0, 0, 0, 1, 0, 0];
-        const FORWARDED: [u64; 6] = [0, 0, 0, 0, 1, 0];
+        const SERVED: [u64; 5] = [1, 0, 0, 0, 1];
+        const BOUNCED: [u64; 5] = [0, 1, 0, 0, 0];
+        const REDIRECTED: [u64; 5] = [0, 0, 0, 1, 0];
         // (server, volume, class, file call → verdict and stats delta,
-        //  forwardable one-shot → verdict and stats delta)
-        type Row = (u32, u64, CallClass, Verdict, [u64; 6], Verdict, [u64; 6]);
+        //  token-free one-shot → verdict and stats delta)
+        type Row = (u32, u64, CallClass, Verdict, [u64; 5], Verdict, [u64; 5]);
         let rows: &[Row] = &[
             (1, 1, Normal, Served, SERVED, Served, SERVED),
             (1, 1, Revocation, Served, SERVED, Served, SERVED),
             (1, 3, Normal, Busy, BOUNCED, Busy, BOUNCED),
             (1, 3, Revocation, Served, SERVED, Served, SERVED),
-            (1, 7, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 7, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 8, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 8, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 9, Normal, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 9, Revocation, Wrong(2), REDIRECTED, Forwarded, FORWARDED),
-            (1, 99, Normal, NoVolume, [0; 6], NoVolume, [0; 6]),
-            (1, 99, Revocation, NoVolume, [0; 6], NoVolume, [0; 6]),
+            (1, 7, Normal, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 7, Revocation, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 8, Normal, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 8, Revocation, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 9, Normal, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 9, Revocation, Wrong(2), REDIRECTED, Wrong(2), REDIRECTED),
+            (1, 99, Normal, NoVolume, [0; 5], NoVolume, [0; 5]),
+            (1, 99, Revocation, NoVolume, [0; 5], NoVolume, [0; 5]),
             (2, 4, Normal, ServedStale, SERVED, Served, SERVED),
             (2, 4, Revocation, ServedStale, SERVED, Served, SERVED),
         ];
@@ -1893,13 +1841,13 @@ mod tests {
                     (one_shot(*volume), on_one_shot, one_shot_delta),
                 ] {
                     let expect =
-                        if gated { (Grace, [0, 0, 1, 0, 0, 0]) } else { (verdict.clone(), *delta) };
+                        if gated { (Grace, [0, 0, 1, 0, 0]) } else { (verdict.clone(), *delta) };
                     let got = probe(&net, srv, *class, VolumeId(*volume), req);
                     assert_eq!(got, expect, "volume {volume} {class:?} (grace: {grace})");
                 }
                 // Admin traffic is never routed or gated.
                 let got = probe(&net, srv, *class, VolumeId(*volume), Request::VolList);
-                assert_eq!(got, (Served, [1, 0, 0, 0, 0, 0]), "volume {volume} {class:?} admin");
+                assert_eq!(got, (Served, [1, 0, 0, 0, 0]), "volume {volume} {class:?} admin");
             }
         };
         check(false);

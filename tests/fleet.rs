@@ -1,6 +1,6 @@
 //! Multi-server cell tests: volume-sharded cells, cross-server request
-//! routing (`WrongServer` hints + forwarding), live volume migration
-//! and load rebalancing (§2.1/§3.4 of the paper).
+//! routing (every misdirected call gets a `WrongServer` hint), live
+//! volume migration and load rebalancing (§2.1/§3.4 of the paper).
 
 use decorum_dfs::rpc::{Addr, CallClass, Request, Response};
 use decorum_dfs::types::{ClientId, DfsError, VolumeId};
@@ -43,14 +43,16 @@ fn read_write_through_a_redirect() {
 /// (b) A stale location cache costs exactly one extra hop: the first
 /// operation after a move follows one `WrongServer` hint and succeeds —
 /// no second redirect, no VLDB storm, no error surfaced to the caller.
+/// A token-free one-shot pays the same hop once, not on every call.
 #[test]
 fn stale_cache_resolves_in_one_retry() {
     let cell = common::cell(3); // the volume lands on slot 0
-    let c = cell.new_client();
+    let c = common::no_flush_client(&cell);
     let root = c.root(VolumeId(1)).unwrap();
     let f = c.create(root, "f", 0o644).unwrap();
     c.write(f.fid, 0, b"x").unwrap();
     c.fsync(f.fid).unwrap();
+    let ln = c.symlink(root, "ln", "there").unwrap();
 
     cell.move_volume(VolumeId(1), 2).unwrap();
 
@@ -65,6 +67,17 @@ fn stale_cache_resolves_in_one_retry() {
     // And the hint stuck: the next operation goes straight through.
     c.create(root, "h", 0o644).unwrap();
     assert_eq!(c.stats().wrong_server_redirects, after);
+
+    // Move again and lead with a one-shot: the stale server's
+    // `WrongServer` plus the owner's answer, then the owner alone.
+    cell.move_volume(VolumeId(1), 1).unwrap();
+    let rpcs = || {
+        let before = cell.net().stats();
+        assert_eq!(c.readlink(ln.fid).unwrap(), "there");
+        cell.net().stats().since(&before).calls
+    };
+    assert_eq!(rpcs(), 2, "the first one-shot after the move chases one hint");
+    assert_eq!(rpcs(), 1, "the hint taught the client the new owner");
 }
 
 /// (c) Tokens survive a live move with zero lost updates: a client with
@@ -135,11 +148,12 @@ fn live_move_waits_out_a_flusher_store_in_flight() {
     assert_eq!(st.recoveries, 0, "a live move is not a crash");
 }
 
-/// (d) Forwarding to a crashed owner surfaces `Crashed` (not a hang, not
-/// a bogus redirect), and once the owner restarts the client runs the
-/// ISSUE-5 recovery pipeline and completes its operation.
+/// (d) A call misdirected at a healthy server while the owner is down
+/// gets the owner's address (not a hang, not a proxied error), and once
+/// the owner restarts the client runs the recovery pipeline (§3.2) and
+/// completes its operation.
 #[test]
-fn forward_to_crashed_owner_surfaces_crashed_then_recovers() {
+fn misdirected_call_during_owner_crash_redirects_then_recovers() {
     let cell = Cell::builder().servers(2).build().unwrap();
     cell.create_volume(0, VolumeId(7), "mine").unwrap();
     cell.create_volume(1, VolumeId(8), "other").unwrap();
@@ -149,11 +163,12 @@ fn forward_to_crashed_owner_surfaces_crashed_then_recovers() {
     a.write(f.fid, 0, b"pre-crash").unwrap();
     a.fsync(f.fid).unwrap();
 
+    let owner = cell.server(0).id();
     cell.crash_server(0);
 
-    // A token-free one-shot misdirected at the healthy server is
-    // *forwarded* to the owner; the owner is down, so the proxy reports
-    // `Crashed` instead of a redirect the caller would chase in vain.
+    // Even a token-free one-shot is answered with the VLDB's word on the
+    // owner; chasing the owner while it is down is the client's ladder's
+    // job, not this bystander's.
     let healthy = cell.server(1).id();
     let resp = cell
         .net()
@@ -165,8 +180,8 @@ fn forward_to_crashed_owner_surfaces_crashed_then_recovers() {
             Request::GetRoot { volume: VolumeId(7) },
         )
         .unwrap();
-    assert_eq!(resp, Response::Err(DfsError::Crashed));
-    assert!(cell.server(1).stats().forwards >= 1, "the proxy did try the owner");
+    assert!(matches!(resp, Response::WrongServer { hint, .. } if hint == owner), "{resp:?}");
+    assert_eq!(cell.server(1).stats().wrong_server_redirects, 1);
 
     // The owner comes back with a grace window; A's next operation runs
     // the recovery pipeline (epoch probe, token reestablishment) and
@@ -213,13 +228,13 @@ fn rebalance_migrates_hot_volume_under_live_traffic() {
     assert_eq!(cell.rebalance().unwrap(), None);
 }
 
-/// A forwarded one-shot carries the *caller's* authenticated principal
-/// to the owner, so access checks run against the real user: alice's
-/// misdirected `Readlink` succeeds in a `require_auth` cell (a plain
-/// unauthenticated re-send would die with `AuthenticationFailed`), and
-/// bob cannot launder an ACL check by aiming his call at a non-owner.
+/// A principal comes only from the caller's own ticket: a one-shot
+/// aimed at a non-owner is redirected for every caller alike, with no
+/// payload, so nobody can launder an ACL check by aiming a call at the
+/// wrong server. Through their own clients, alice (on the ACL) reads
+/// the link and bob gets `PermissionDenied` from the owner.
 #[test]
-fn forwarded_one_shots_carry_the_callers_principal() {
+fn misdirected_one_shots_redirect_and_the_owner_checks_the_caller() {
     use decorum_dfs::types::{Acl, AclEntry, Principal, Rights};
     use decorum_dfs::vfs::SetAttrs;
 
@@ -244,34 +259,28 @@ fn forwarded_one_shots_carry_the_callers_principal() {
     acl.push(AclEntry::allow(Principal::User(100), Rights::ALL));
     alice.set_acl(ln.fid, &acl).unwrap();
 
-    // Aim the one-shot at the server that does NOT host volume 1; it
-    // forwards to the owner rather than redirecting.
-    let wrong = cell.server(1).id();
+    // Aim the one-shot at the server that does NOT host volume 1.
+    let (owner, wrong) = (cell.server(0).id(), cell.server(1).id());
     let net = cell.net();
-    let t_alice = net.auth().login(100, 1111).unwrap();
-    let resp = net
-        .call(
-            Addr::Client(ClientId(900)),
-            Addr::Server(wrong),
-            Some(t_alice),
-            CallClass::Normal,
-            Request::Readlink { fid: ln.fid },
-        )
-        .unwrap();
-    assert_eq!(resp, Response::Target("the-target".into()));
+    for (client, user, password) in [(900, 100, 1111), (901, 200, 2222)] {
+        let ticket = net.auth().login(user, password).unwrap();
+        let resp = net
+            .call(
+                Addr::Client(ClientId(client)),
+                Addr::Server(wrong),
+                Some(ticket),
+                CallClass::Normal,
+                Request::Readlink { fid: ln.fid },
+            )
+            .unwrap();
+        assert!(matches!(resp, Response::WrongServer { hint, .. } if hint == owner), "{resp:?}");
+    }
+    assert_eq!(cell.server(1).stats().wrong_server_redirects, 2);
 
-    let t_bob = net.auth().login(200, 2222).unwrap();
-    let resp = net
-        .call(
-            Addr::Client(ClientId(901)),
-            Addr::Server(wrong),
-            Some(t_bob),
-            CallClass::Normal,
-            Request::Readlink { fid: ln.fid },
-        )
-        .unwrap();
-    assert_eq!(resp, Response::Err(DfsError::PermissionDenied), "bob must not bypass the ACL");
-    assert!(cell.server(1).stats().forwards >= 2, "both calls went through the proxy");
+    assert_eq!(alice.readlink(ln.fid).unwrap(), "the-target");
+    let bob = cell.new_client();
+    bob.login(200, 2222).unwrap();
+    assert_eq!(bob.readlink(ln.fid), Err(DfsError::PermissionDenied), "bob must not bypass the ACL");
 }
 
 /// A move target must never serve — let alone accept writes into — the

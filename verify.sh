@@ -6,6 +6,9 @@
 #   2. release build of the standalone benchmark/ package, which links
 #      the crates' public API and is not a workspace member: an API
 #      break fails here, in seconds, not after ten stages
+#      Both builds run with --locked: a dependency edit that would
+#      rewrite Cargo.lock or benchmark/Cargo.lock fails the build
+#      instead of silently changing the lock file
 #   3. the test suite (unit + integration + property tests, every crate)
 #   4. dfs-lint: workspace-wide concurrency static analysis (lock
 #      order, lockset coverage, lock-gap TOCTOU, stale allows) over
@@ -89,11 +92,11 @@
 set -eu
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
 echo "==> benchmark/ build (the crates' public API, as the benchmark links it)"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
