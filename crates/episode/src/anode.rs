@@ -21,6 +21,17 @@ use dfs_types::{DfsError, DfsResult};
 /// Maximum blocks freed per transaction during chunked truncation.
 pub const TRUNCATE_CHUNK: usize = 64;
 
+/// An anode that has just lost a link ([`Episode::txn_unlinking`]).
+pub(crate) struct Unlinked {
+    /// Its slot.
+    pub(crate) slot: u32,
+    /// Its contents with the link dropped, read under its lock.
+    pub(crate) anode: Anode,
+    /// The (volume header anode, vnode index) naming it, cleared if it
+    /// is freed.
+    pub(crate) vnode: Option<(u32, u32)>,
+}
+
 /// Where a block pointer lives: in the anode or in an indirect block.
 enum Slot {
     /// `direct[i]` of the anode itself.
@@ -94,12 +105,10 @@ impl Episode {
         Err(DfsError::NoSpace)
     }
 
-    /// Marks anode `idx` free, preserving its uniquifier.
-    pub(crate) fn free_anode_slot(&self, txn: TxnId, idx: u32) -> DfsResult<()> {
-        let old = self.read_anode(idx)?;
-        let mut a = Anode::free();
-        a.uniq = old.uniq;
-        self.write_anode(txn, idx, &a)
+    /// Marks anode `idx`, whose contents are `old`, free, preserving its
+    /// uniquifier.
+    pub(crate) fn free_anode_slot(&self, txn: TxnId, idx: u32, old: &Anode) -> DfsResult<()> {
+        self.write_anode(txn, idx, &Anode { uniq: old.uniq, ..Anode::free() })
     }
 
     // ------------------------------------------------------------------
@@ -408,83 +417,148 @@ impl Episode {
         Ok(())
     }
 
-    /// One transaction of [`Episode::anode_truncate`]: frees up to
-    /// [`TRUNCATE_CHUNK`] blocks from the end; returns true once the
-    /// container is `new_len` long.
+    /// One transaction of [`Episode::anode_truncate`].
     fn truncate_step(&self, txn: TxnId, idx: u32, new_len: u64) -> DfsResult<bool> {
         let mut a = self.read_anode(idx)?;
+        let done = self.shrink(txn, &mut a, new_len)?;
+        self.write_anode(txn, idx, &a)?;
+        Ok(done)
+    }
+
+    /// Frees up to [`TRUNCATE_CHUNK`] blocks from the end of `a`, toward
+    /// `new_len`, and sets its length to match; returns true once it is
+    /// `new_len` long. The caller writes `a` back.
+    fn shrink(&self, txn: TxnId, a: &mut Anode, new_len: u64) -> DfsResult<bool> {
         if new_len >= a.length {
             a.length = new_len;
             a.mtime = self.clock.now().as_micros();
             a.data_version += 1;
-            self.write_anode(txn, idx, &a)?;
             return Ok(true);
         }
         let keep = new_len.div_ceil(BLOCK_SIZE as u64);
         let old_blocks = a.length.div_ceil(BLOCK_SIZE as u64);
         let first = old_blocks.saturating_sub(TRUNCATE_CHUNK as u64).max(keep);
         for fblk in (first..old_blocks).rev() {
-            let phys = self.map_block(&a, fblk)?;
+            let phys = self.map_block(a, fblk)?;
             if phys != 0 {
                 self.decref_block(txn, phys)?;
-                let slot = self.prepare_slot(txn, &mut a, fblk)?;
-                self.write_slot(txn, &mut a, &slot, 0)?;
+                let slot = self.prepare_slot(txn, a, fblk)?;
+                self.write_slot(txn, a, &slot, 0)?;
             }
         }
-        let done = first == keep;
-        if done {
-            // POSIX: bytes between the new end and the old end must
-            // read as zero if the file is later extended. Zero the
-            // kept final block's tail (user data: unlogged).
-            let tail = new_len % BLOCK_SIZE as u64;
-            if tail != 0 && new_len < a.length {
-                let fblk = new_len / BLOCK_SIZE as u64;
-                if self.map_block(&a, fblk)? != 0 {
-                    let phys = self.block_for_write(txn, &mut a, fblk, false)?;
-                    let buf = self.jn.get(phys)?;
-                    self.jn.write_data(
-                        &buf,
-                        tail as usize,
-                        &vec![0u8; BLOCK_SIZE - tail as usize],
-                    )?;
-                }
-            }
-            // Free indirect skeletons whose whole range is gone.
-            if keep <= (NDIRECT + PTRS_PER_BLOCK) as u64 && a.dindirect != 0 {
-                let dbuf = self.jn.get(a.dindirect)?;
-                for i in 0..PTRS_PER_BLOCK {
-                    let l1 = dbuf.u32_at(4 * i);
-                    if l1 != 0 {
-                        self.decref_block(txn, l1)?;
-                    }
-                }
-                self.decref_block(txn, a.dindirect)?;
-                a.dindirect = 0;
-            }
-            if keep <= NDIRECT as u64 && a.indirect != 0 {
-                self.decref_block(txn, a.indirect)?;
-                a.indirect = 0;
-            }
-            a.length = new_len;
-            a.mtime = self.clock.now().as_micros();
-            a.data_version += 1;
-        } else {
+        if first != keep {
             a.length = first * BLOCK_SIZE as u64;
+            return Ok(false);
         }
-        self.write_anode(txn, idx, &a)?;
-        Ok(done)
+        // POSIX: bytes between the new end and the old end must read as
+        // zero if the file is later extended. Zero the kept final
+        // block's tail (user data: unlogged).
+        let tail = new_len % BLOCK_SIZE as u64;
+        if tail != 0 {
+            let fblk = new_len / BLOCK_SIZE as u64;
+            if self.map_block(a, fblk)? != 0 {
+                let phys = self.block_for_write(txn, a, fblk, false)?;
+                let buf = self.jn.get(phys)?;
+                self.jn.write_data(&buf, tail as usize, &vec![0u8; BLOCK_SIZE - tail as usize])?;
+            }
+        }
+        // Free indirect skeletons whose whole range is gone.
+        if keep <= (NDIRECT + PTRS_PER_BLOCK) as u64 && a.dindirect != 0 {
+            let dbuf = self.jn.get(a.dindirect)?;
+            for i in 0..PTRS_PER_BLOCK {
+                let l1 = dbuf.u32_at(4 * i);
+                if l1 != 0 {
+                    self.decref_block(txn, l1)?;
+                }
+            }
+            self.decref_block(txn, a.dindirect)?;
+            a.dindirect = 0;
+        }
+        if keep <= NDIRECT as u64 && a.indirect != 0 {
+            self.decref_block(txn, a.indirect)?;
+            a.indirect = 0;
+        }
+        a.length = new_len;
+        a.mtime = self.clock.now().as_micros();
+        a.data_version += 1;
+        Ok(true)
     }
 
-    /// Frees all storage of anode `idx` (data, indirect blocks, its ACL
-    /// container) and releases the slot.
-    pub(crate) fn destroy_anode(&self, idx: u32) -> DfsResult<()> {
-        let a = self.read_anode(idx)?;
-        if a.acl_anode != 0 {
-            self.anode_truncate(a.acl_anode, 0)?;
-            self.txn(|txn| self.free_anode_slot(txn, a.acl_anode))?;
+    /// Runs `body` as one short transaction (§2.2). Given an `unlinked`
+    /// anode that still has links, that transaction also writes it back;
+    /// with none left, it takes the first step of freeing it
+    /// ([`Episode::reclaim_step`]), and short transactions of their own
+    /// take the rest: so dropping a file's last link is one transaction,
+    /// and only a file of more than [`TRUNCATE_CHUNK`] blocks takes more.
+    /// A crash between two steps leaves the file nameless, partly
+    /// truncated and still in its vnode map.
+    ///
+    /// The caller holds the unlinked anode's lock, or is the only user of
+    /// its volume, and has read `unlinked.anode` under it.
+    pub(crate) fn txn_unlinking(
+        &self,
+        unlinked: Option<Unlinked>,
+        body: impl FnOnce(TxnId) -> DfsResult<()>,
+    ) -> DfsResult<()> {
+        let Some(Unlinked { slot, anode, vnode }) = unlinked else {
+            return self.txn(body);
+        };
+        if anode.nlink > 0 {
+            return self.txn(|txn| {
+                body(txn)?;
+                self.write_anode(txn, slot, &anode)
+            });
         }
-        self.anode_truncate(idx, 0)?;
-        self.txn(|txn| self.free_anode_slot(txn, idx))
+        let mut done = self.txn(|txn| {
+            body(txn)?;
+            self.reclaim_step(txn, slot, anode, vnode)
+        })?;
+        while !done {
+            done = self.txn(|txn| self.reclaim_step(txn, slot, self.read_anode(slot)?, vnode))?;
+        }
+        Ok(())
+    }
+
+    /// Frees anode `slot` and all it holds, whatever its link count, in
+    /// transactions of its own ([`Episode::txn_unlinking`]).
+    pub(crate) fn reclaim(&self, slot: u32, vnode: Option<(u32, u32)>) -> DfsResult<()> {
+        let anode = Anode { nlink: 0, ..self.read_anode(slot)? };
+        self.txn_unlinking(Some(Unlinked { slot, anode, vnode }), |_| Ok(()))
+    }
+
+    /// One transaction's share of freeing anode `slot`, whose contents
+    /// are `a`: up to [`TRUNCATE_CHUNK`] blocks of its ACL container,
+    /// then as many of its own. Each container's slot is freed in the
+    /// step that empties it, and with the anode's own slot goes `vnode`'s
+    /// map entry. Returns true once the anode is free.
+    fn reclaim_step(
+        &self,
+        txn: TxnId,
+        slot: u32,
+        mut a: Anode,
+        vnode: Option<(u32, u32)>,
+    ) -> DfsResult<bool> {
+        if a.acl_anode != 0 {
+            let mut acl = self.read_anode(a.acl_anode)?;
+            if !self.shrink(txn, &mut acl, 0)? {
+                self.write_anode(txn, a.acl_anode, &acl)?;
+                // In the first step `a` is the caller's copy, not yet written.
+                self.write_anode(txn, slot, &a)?;
+                return Ok(false);
+            }
+            self.free_anode_slot(txn, a.acl_anode, &acl)?;
+            a.acl_anode = 0;
+        }
+        if !self.shrink(txn, &mut a, 0)? {
+            self.write_anode(txn, slot, &a)?;
+            return Ok(false);
+        }
+        self.free_anode_slot(txn, slot, &a)?;
+        match vnode {
+            Some((header, v)) => self.vnode_set(txn, header, v, 0),
+            None => Ok(()),
+        }
+        .map(|()| true)
     }
 
     /// Visits every block `a` references, each before the blocks it
@@ -538,7 +612,7 @@ mod tests {
         ep.jn.commit(txn).unwrap();
 
         let txn = ep.jn.begin();
-        ep.free_anode_slot(txn, idx).unwrap();
+        ep.free_anode_slot(txn, idx, &a).unwrap();
         ep.jn.commit(txn).unwrap();
         assert_eq!(ep.read_anode(idx).unwrap().kind, AnodeKind::Free);
 
@@ -702,7 +776,7 @@ mod tests {
         ep.write_anode(txn, idx, &a).unwrap();
         ep.jn.commit(txn).unwrap();
         let b0 = ep.map_block(&ep.read_anode(idx).unwrap(), 0).unwrap();
-        ep.destroy_anode(idx).unwrap();
+        ep.reclaim(idx, None).unwrap();
         assert_eq!(ep.read_anode(idx).unwrap().kind, AnodeKind::Free);
         assert_eq!(ep.block_refcount(b0).unwrap(), 0, "data blocks freed");
     }

@@ -37,7 +37,7 @@ use dfs_types::{AggregateId, DfsError, DfsResult, SimClock};
 use layout::{ANODES_PER_BLOCK, REFCOUNT_ANODE, VOLTABLE_ANODE};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Parameters for formatting a fresh aggregate.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +84,8 @@ pub struct Episode {
     pub(crate) sb: SuperBlock,
     pub(crate) clock: SimClock,
     pub(crate) alloc: Mutex<AllocState>,
-    /// Per-anode locks, created on demand.
-    pub(crate) anode_locks: Mutex<HashMap<u32, Arc<RwLock<()>>>>,
+    /// One lock per anode slot ([`AnodeLocks`]).
+    anode_locks: AnodeLocks,
     /// Serializes volume-table operations (create/delete/clone/mount).
     pub(crate) vol_lock: Mutex<()>,
     /// Each volume's version and uniquifier counters, by header anode:
@@ -250,7 +250,7 @@ impl Episode {
                 anode_rotor: layout::FIRST_FREE_ANODE,
                 block_rotor: sb.data_start(),
             }),
-            anode_locks: Mutex::new(HashMap::new()),
+            anode_locks: AnodeLocks::new(sb.anode_count()),
             vol_lock: Mutex::new(()),
             volumes: Mutex::new(HashMap::new()),
             host_log,
@@ -319,10 +319,12 @@ impl Episode {
 
     /// Runs `body` as one short transaction (§2.2): begin, run, commit.
     ///
-    /// This is the one place an Episode transaction begins and ends. On
-    /// `Err` the transaction is left unresolved: its updates stay
-    /// applied and its equivalence class stays open. ROADMAP item 1
-    /// (abort on every error path) changes this one function.
+    /// This is the one place an Episode transaction begins and ends; an
+    /// operation that frees a file runs it through
+    /// [`Episode::txn_unlinking`]. On `Err` the transaction is left
+    /// unresolved: its updates stay applied and its equivalence class
+    /// stays open. ROADMAP item 1 (abort on every error path) changes
+    /// this one function.
     pub(crate) fn txn<T>(&self, body: impl FnOnce(TxnId) -> DfsResult<T>) -> DfsResult<T> {
         let txn = self.jn.begin();
         let out = body(txn)?;
@@ -330,10 +332,47 @@ impl Episode {
         Ok(out)
     }
 
-    /// Returns the per-anode lock for `idx`, creating it on demand.
-    pub(crate) fn anode_lock(&self, idx: u32) -> Arc<RwLock<()>> {
-        let mut locks = self.anode_locks.lock();
-        locks.entry(idx).or_insert_with(|| Arc::new(RwLock::new(()))).clone()
+    /// Returns the lock of anode slot `idx`.
+    ///
+    /// The order (DESIGN.md §8): directories first, among themselves by
+    /// slot; then at most one non-directory; a volume header's lock
+    /// (the vnode map) last. A caller holds no other Episode lock across
+    /// a wait for one it took out of that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is past the anode table; every slot a caller
+    /// locks came through [`Episode::read_anode`] or
+    /// [`Episode::vnode_get`], which refuse one.
+    pub(crate) fn anode_lock(&self, idx: u32) -> &RwLock<()> {
+        self.anode_locks.get(idx)
+    }
+}
+
+/// The anode locks: one `RwLock` per slot, in chunks of [`Self::CHUNK`]
+/// filled on first use. Nothing is built at format or open time, no two
+/// slots share a lock, and finding one takes no lock of its own.
+struct AnodeLocks {
+    chunks: Box<[OnceLock<LockChunk>]>,
+}
+
+/// The locks of [`AnodeLocks::CHUNK`] consecutive slots.
+type LockChunk = Box<[RwLock<()>]>;
+
+impl AnodeLocks {
+    /// Slots per chunk.
+    const CHUNK: usize = 512;
+
+    fn new(slots: u32) -> AnodeLocks {
+        let chunks = (slots as usize).div_ceil(Self::CHUNK);
+        AnodeLocks { chunks: (0..chunks).map(|_| OnceLock::new()).collect() }
+    }
+
+    fn get(&self, idx: u32) -> &RwLock<()> {
+        let (chunk, at) = (idx as usize / Self::CHUNK, idx as usize % Self::CHUNK);
+        let locks = self.chunks[chunk]
+            .get_or_init(|| (0..Self::CHUNK).map(|_| RwLock::new(())).collect());
+        &locks[at]
     }
 }
 

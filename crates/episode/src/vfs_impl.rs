@@ -6,6 +6,7 @@
 //! reader/writer locks (Episode "is designed with finely grained locking",
 //! §2), short transactions, and ACL-based permission checks (§2.3).
 
+use crate::anode::Unlinked;
 use crate::dir::RawDirEntry;
 use crate::layout::{check_name, Anode, AnodeKind};
 use crate::volume::VolumeCounters;
@@ -16,6 +17,7 @@ use dfs_vfs::{
     Credentials, DirEntry, PhysicalFs, SalvageReport, SetAttrs, Vfs, VfsPlus, VolumeDump,
     VolumeInfo,
 };
+use parking_lot::RwLockWriteGuard;
 use std::sync::Arc;
 
 /// A mounted Episode volume: the "VFS is a mounted volume" of §2.1.
@@ -38,11 +40,20 @@ impl EpisodeVolume {
         if slot == 0 {
             return Err(DfsError::StaleFid);
         }
+        Ok((slot, self.anode_of(slot, fid)?))
+    }
+
+    /// Reads anode `slot` and checks that it holds the file `fid` names.
+    /// An op re-reads its file this way once it holds the file's lock:
+    /// it resolved the fid before, and while it waited a remove may have
+    /// freed the slot (a freed slot keeps its uniquifier) or a create
+    /// reused it.
+    fn anode_of(&self, slot: u32, fid: Fid) -> DfsResult<Anode> {
         let a = self.ep.read_anode(slot)?;
-        if a.uniq != fid.uniq {
+        if a.kind == AnodeKind::Free || a.uniq != fid.uniq {
             return Err(DfsError::StaleFid);
         }
-        Ok((slot, a))
+        Ok(a)
     }
 
     /// Computes the caller's rights on an anode: the ACL if present,
@@ -97,10 +108,16 @@ impl EpisodeVolume {
         }
     }
 
-    /// Reads directory anode `slot`, whose lock the caller holds, and
-    /// checks that `cred` holds `needed` on it.
-    fn read_dir(&self, cred: &Credentials, slot: u32, needed: Rights) -> DfsResult<Anode> {
-        let d = self.ep.read_anode(slot)?;
+    /// Reads directory `dir`'s anode `slot`, whose lock the caller
+    /// holds, and checks that `cred` holds `needed` on it.
+    fn read_dir(
+        &self,
+        cred: &Credentials,
+        dir: Fid,
+        slot: u32,
+        needed: Rights,
+    ) -> DfsResult<Anode> {
+        let d = self.anode_of(slot, dir)?;
         if d.kind != AnodeKind::Directory {
             return Err(DfsError::NotDirectory);
         }
@@ -116,14 +133,33 @@ impl EpisodeVolume {
         self.ep.write_anode(txn, slot, d)
     }
 
-    /// Runs `body` holding the write locks of anodes `a` and `b`, taken
-    /// in slot order (once if they are one anode) so that two operations
-    /// on the same pair cannot deadlock.
+    /// Runs `body` holding the write locks of directory anodes `a` and
+    /// `b`, taken in slot order (once if they are one anode) so that two
+    /// operations on the same pair cannot deadlock.
     fn both_locked<T>(&self, a: u32, b: u32, body: impl FnOnce() -> DfsResult<T>) -> DfsResult<T> {
         let (first, second) = (self.ep.anode_lock(a.min(b)), self.ep.anode_lock(a.max(b)));
         let _g1 = first.write();
         let _g2 = (a != b).then(|| second.write());
         body()
+    }
+
+    /// Takes directory `dslot`'s write lock, then file `fslot`'s. The
+    /// file was resolved before either lock, so its slot may since have
+    /// been freed and reused, even as a directory: waiting for it with
+    /// the directory held could close a cycle with a `rename` holding
+    /// both directories in slot order. So the file's lock is taken only
+    /// if it is free at once; else both are dropped, the file's holder
+    /// waited out and the pair tried again.
+    fn dir_then_file(&self, dslot: u32, fslot: u32) -> [RwLockWriteGuard<'_, ()>; 2] {
+        let (dir, file) = (self.ep.anode_lock(dslot), self.ep.anode_lock(fslot));
+        loop {
+            let d = dir.write();
+            if let Some(f) = file.try_write() {
+                return [d, f];
+            }
+            drop(d);
+            drop(file.write());
+        }
     }
 
     fn status_of_entry(&self, e: &RawDirEntry) -> DfsResult<FileStatus> {
@@ -145,9 +181,8 @@ impl EpisodeVolume {
         let _op = self.begin_write()?;
         check_name(name)?;
         let (dslot, _) = self.resolve(dir)?;
-        let lock = self.ep.anode_lock(dslot);
-        let _g = lock.write();
-        let mut d = self.read_dir(cred, dslot, Rights::INSERT)?;
+        let _g = self.ep.anode_lock(dslot).write();
+        let mut d = self.read_dir(cred, dir, dslot, Rights::INSERT)?;
         if self.ep.dir_lookup(&d, name)?.is_some() {
             return Err(DfsError::Exists);
         }
@@ -187,9 +222,8 @@ impl Vfs for EpisodeVolume {
 
     fn lookup(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let (dslot, _) = self.resolve(dir)?;
-        let lock = self.ep.anode_lock(dslot);
-        let _g = lock.read();
-        let d = self.read_dir(cred, dslot, Rights::EXECUTE)?;
+        let _g = self.ep.anode_lock(dslot).read();
+        let d = self.read_dir(cred, dir, dslot, Rights::EXECUTE)?;
         let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
         self.status_of_entry(&e)
     }
@@ -216,79 +250,79 @@ impl Vfs for EpisodeVolume {
         let _op = self.begin_write()?;
         check_name(name)?;
         let (dslot, _) = self.resolve(dir)?;
-        let (tslot, _) = self.resolve(target)?;
+        let (tslot, t) = self.resolve(target)?;
         if dslot == tslot {
             return Err(DfsError::InvalidArgument);
         }
-        self.both_locked(dslot, tslot, || {
-            let mut d = self.read_dir(cred, dslot, Rights::INSERT)?;
-            let mut t = self.ep.read_anode(tslot)?;
-            if t.kind == AnodeKind::Directory {
-                return Err(DfsError::IsDirectory);
-            }
-            if self.ep.dir_lookup(&d, name)?.is_some() {
-                return Err(DfsError::Exists);
-            }
-            self.ep.txn(|txn| {
-                t.nlink += 1;
-                t.ctime = self.ep.clock.now().as_micros();
-                self.ep.write_anode(txn, tslot, &t)?;
-                let (vnode, uniq, kind) = (target.vnode.0, target.uniq, t.kind.to_byte());
-                let entry = RawDirEntry { name: name.into(), vnode, uniq, kind };
-                self.ep.dir_insert(txn, &mut d, &entry)?;
-                self.write_dir(txn, dslot, &mut d)
-            })?;
-            Ok(self.ep.status_from_anode(target, &t))
-        })
+        if t.kind == AnodeKind::Directory {
+            return Err(DfsError::IsDirectory);
+        }
+        let _g = self.dir_then_file(dslot, tslot);
+        let mut d = self.read_dir(cred, dir, dslot, Rights::INSERT)?;
+        let mut t = self.anode_of(tslot, target)?;
+        if self.ep.dir_lookup(&d, name)?.is_some() {
+            return Err(DfsError::Exists);
+        }
+        self.ep.txn(|txn| {
+            t.nlink += 1;
+            t.ctime = self.ep.clock.now().as_micros();
+            self.ep.write_anode(txn, tslot, &t)?;
+            let (vnode, uniq, kind) = (target.vnode.0, target.uniq, t.kind.to_byte());
+            let entry = RawDirEntry { name: name.into(), vnode, uniq, kind };
+            self.ep.dir_insert(txn, &mut d, &entry)?;
+            self.write_dir(txn, dslot, &mut d)
+        })?;
+        Ok(self.ep.status_from_anode(target, &t))
     }
 
     fn remove(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         let (dslot, _) = self.resolve(dir)?;
-        let lock = self.ep.anode_lock(dslot);
-        let _g = lock.write();
-        let mut d = self.read_dir(cred, dslot, Rights::DELETE)?;
+        let _gd = self.ep.anode_lock(dslot).write();
+        let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
         let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
         if e.kind == AnodeKind::Directory.to_byte() {
             return Err(DfsError::IsDirectory);
         }
         let tslot = self.ep.vnode_get(self.header, e.vnode)?;
+        // The entry keeps the file live, so its slot holds a file.
+        let _gt = self.ep.anode_lock(tslot).write();
         let mut t = self.ep.read_anode(tslot)?;
-        self.ep.txn(|txn| {
+        t.nlink = t.nlink.saturating_sub(1);
+        t.ctime = self.ep.clock.now().as_micros();
+        let status = self.ep.status_from_anode(Fid::new(self.vol, VnodeId(e.vnode), e.uniq), &t);
+        let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
+        self.ep.txn_unlinking(Some(unlinked), |txn| {
             self.ep.dir_remove(txn, &mut d, name)?;
-            self.write_dir(txn, dslot, &mut d)?;
-            t.nlink = t.nlink.saturating_sub(1);
-            t.ctime = self.ep.clock.now().as_micros();
-            self.ep.write_anode(txn, tslot, &t)
+            self.write_dir(txn, dslot, &mut d)
         })?;
-        let fid = Fid::new(self.vol, VnodeId(e.vnode), e.uniq);
-        let status = self.ep.status_from_anode(fid, &t);
-        if t.nlink == 0 {
-            self.ep.reclaim_vnode(self.header, e.vnode, tslot)?;
-        }
         Ok(status)
     }
 
     fn rmdir(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<()> {
         let _op = self.begin_write()?;
         let (dslot, _) = self.resolve(dir)?;
-        let lock = self.ep.anode_lock(dslot);
-        let _g = lock.write();
-        let mut d = self.read_dir(cred, dslot, Rights::DELETE)?;
+        let _g = self.ep.anode_lock(dslot).write();
+        let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
         let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
         if e.kind != AnodeKind::Directory.to_byte() {
             return Err(DfsError::NotDirectory);
         }
         let tslot = self.ep.vnode_get(self.header, e.vnode)?;
-        if !self.ep.dir_is_empty(&self.ep.read_anode(tslot)?)? {
+        // Read without the child's lock, which the lock order does not
+        // let this op wait for (DESIGN.md §8).
+        let t = self.ep.read_anode(tslot)?;
+        if !self.ep.dir_is_empty(&t)? {
             return Err(DfsError::NotEmpty);
         }
-        self.ep.txn(|txn| {
+        // Its entry and its own `.` go: no link is left.
+        let t = Anode { nlink: 0, ..t };
+        let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
+        self.ep.txn_unlinking(Some(unlinked), |txn| {
             self.ep.dir_remove(txn, &mut d, name)?;
             d.nlink = d.nlink.saturating_sub(1);
             self.write_dir(txn, dslot, &mut d)
-        })?;
-        self.ep.reclaim_vnode(self.header, e.vnode, tslot)
+        })
     }
 
     /// POSIX `rename()`: one path whether the source and target
@@ -311,18 +345,24 @@ impl Vfs for EpisodeVolume {
         self.both_locked(sslot, dslot, || {
             // The directories touched, source first; `dirs[t]` is the
             // target directory, which may be the source itself.
-            let target = self.read_dir(cred, dslot, Rights::INSERT)?;
-            let mut dirs = vec![(sslot, self.read_dir(cred, sslot, Rights::DELETE)?)];
+            let target = self.read_dir(cred, dst_dir, dslot, Rights::INSERT)?;
+            let mut dirs = vec![(sslot, self.read_dir(cred, src_dir, sslot, Rights::DELETE)?)];
             if dslot != sslot {
                 dirs.push((dslot, target));
             }
             let t = dirs.len() - 1;
             let e = self.ep.dir_lookup(&dirs[0].1, src_name)?.ok_or(DfsError::NotFound)?;
             let is_dir = e.kind == AnodeKind::Directory.to_byte();
+            // A replaced file's lock follows its directories'; a replaced
+            // directory is read without its own, as in `rmdir`.
+            let mut _replaced_guard = None;
             let replaced = match self.ep.dir_lookup(&dirs[t].1, dst_name)? {
                 Some(old) if old.vnode == e.vnode => return Ok(()),
                 Some(old) => {
                     let oslot = self.ep.vnode_get(self.header, old.vnode)?;
+                    if old.kind != AnodeKind::Directory.to_byte() {
+                        _replaced_guard = Some(self.ep.anode_lock(oslot).write());
+                    }
                     let o = self.ep.read_anode(oslot)?;
                     match (is_dir, o.kind == AnodeKind::Directory) {
                         (false, true) => return Err(DfsError::IsDirectory),
@@ -335,15 +375,17 @@ impl Vfs for EpisodeVolume {
                 }
                 None => None,
             };
-            let reclaim = self.ep.txn(|txn| {
-                let mut reclaim = None;
-                if let Some((ov, oslot, mut o)) = replaced {
-                    // A directory loses its own two links and its parent's.
-                    o.nlink = o.nlink.saturating_sub(if is_dir { 2 } else { 1 });
-                    self.ep.write_anode(txn, oslot, &o)?;
+            let replacing = replaced.is_some();
+            let unlinked = replaced.map(|(ov, oslot, o)| Unlinked {
+                slot: oslot,
+                // A directory loses its own two links and its parent's.
+                anode: Anode { nlink: o.nlink.saturating_sub(if is_dir { 2 } else { 1 }), ..o },
+                vnode: Some((self.header, ov)),
+            });
+            self.ep.txn_unlinking(unlinked, |txn| {
+                if replacing {
                     self.ep.dir_remove(txn, &mut dirs[t].1, dst_name)?;
                     dirs[t].1.nlink = dirs[t].1.nlink.saturating_sub(u16::from(is_dir));
-                    reclaim = (o.nlink == 0).then_some((ov, oslot));
                 }
                 self.ep.dir_remove(txn, &mut dirs[0].1, src_name)?;
                 let moved = RawDirEntry { name: dst_name.into(), ..e };
@@ -355,20 +397,15 @@ impl Vfs for EpisodeVolume {
                 for (slot, d) in &mut dirs {
                     self.write_dir(txn, *slot, d)?;
                 }
-                Ok(reclaim)
-            })?;
-            match reclaim {
-                Some((ov, oslot)) => self.ep.reclaim_vnode(self.header, ov, oslot),
-                None => Ok(()),
-            }
+                Ok(())
+            })
         })
     }
 
     fn readdir(&self, cred: &Credentials, dir: Fid) -> DfsResult<Vec<DirEntry>> {
         let (dslot, _) = self.resolve(dir)?;
-        let lock = self.ep.anode_lock(dslot);
-        let _g = lock.read();
-        let d = self.read_dir(cred, dslot, Rights::READ)?;
+        let _g = self.ep.anode_lock(dslot).read();
+        let d = self.read_dir(cred, dir, dslot, Rights::READ)?;
         Ok(self
             .ep
             .dir_list(&d)?
@@ -382,9 +419,8 @@ impl Vfs for EpisodeVolume {
 
     fn read(&self, cred: &Credentials, file: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
         let (slot, _) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.read();
-        let a = self.ep.read_anode(slot)?;
+        let _g = self.ep.anode_lock(slot).read();
+        let a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
             return Err(DfsError::IsDirectory);
         }
@@ -401,9 +437,8 @@ impl Vfs for EpisodeVolume {
     ) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.write();
-        let mut a = self.ep.read_anode(slot)?;
+        let _g = self.ep.anode_lock(slot).write();
+        let mut a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
             return Err(DfsError::IsDirectory);
         }
@@ -429,9 +464,8 @@ impl Vfs for EpisodeVolume {
     ) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.write();
-        let mut a = self.ep.read_anode(slot)?;
+        let _g = self.ep.anode_lock(slot).write();
+        let mut a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
             return Err(DfsError::IsDirectory);
         }
@@ -466,9 +500,8 @@ impl Vfs for EpisodeVolume {
     fn setattr(&self, cred: &Credentials, file: Fid, attrs: &SetAttrs) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.write();
-        let a = self.ep.read_anode(slot)?;
+        let _g = self.ep.anode_lock(slot).write();
+        let a = self.anode_of(slot, file)?;
         if attrs.mode.is_some() || attrs.owner.is_some() || attrs.group.is_some() {
             self.check(cred, &a, Rights::CONTROL)?;
         }
@@ -505,9 +538,9 @@ impl Vfs for EpisodeVolume {
     }
 
     fn readlink(&self, cred: &Credentials, file: Fid) -> DfsResult<String> {
-        let (slot, a) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.read();
+        let (slot, _) = self.resolve(file)?;
+        let _g = self.ep.anode_lock(slot).read();
+        let a = self.anode_of(slot, file)?;
         if a.kind != AnodeKind::Symlink {
             return Err(DfsError::InvalidArgument);
         }
@@ -539,9 +572,8 @@ impl VfsPlus for EpisodeVolume {
     fn set_acl(&self, cred: &Credentials, file: Fid, acl: &Acl) -> DfsResult<()> {
         let _op = self.begin_write()?;
         let (slot, _) = self.resolve(file)?;
-        let lock = self.ep.anode_lock(slot);
-        let _g = lock.write();
-        let mut a = self.ep.read_anode(slot)?;
+        let _g = self.ep.anode_lock(slot).write();
+        let mut a = self.anode_of(slot, file)?;
         self.check(cred, &a, Rights::CONTROL)?;
         self.ep.txn(|txn| {
             self.ep.write_acl(txn, &mut a, acl)?;
@@ -916,15 +948,16 @@ mod tests {
                 ("setattr(truncate)", 2),
                 ("rename", 1),
                 ("remove(a link)", 1),
-                ("rmdir", 4),
-                ("rename(replacing a file)", 4),
-                ("remove(last link, data + ACL)", 6),
-                ("remove(last link, empty)", 4),
+                ("rmdir", 1),
+                ("rename(replacing a file)", 1),
+                ("remove(last link, data + ACL)", 1),
+                ("remove(last link, empty)", 1),
+                ("remove(last link, 100 blocks)", 2),
             ];
             assert_eq!(table, want, "at_marks {at_marks}");
             // At the marks, every op but `setattr(mode)` and `set_acl`
             // draws, and its first draw logs new marks.
-            assert_eq!(extensions, if at_marks { 13 } else { 0 });
+            assert_eq!(extensions, if at_marks { 14 } else { 0 });
         }
     }
 
@@ -972,6 +1005,11 @@ mod tests {
         txns("rename(replacing a file)", &mut || v.rename(c, root, "g", root, "e").unwrap());
         txns("remove(last link, data + ACL)", &mut || drop(v.remove(c, root, "f").unwrap()));
         txns("remove(last link, empty)", &mut || drop(v.remove(c, root, "e").unwrap()));
+        let big = v.create(c, root, "big", 0o644).unwrap().fid;
+        v.write(c, big, 0, &vec![3u8; 100 * dfs_disk::BLOCK_SIZE]).unwrap();
+        txns("remove(last link, 100 blocks)", &mut || {
+            v.remove(c, root, "big").unwrap();
+        });
         assert!(ep.salvage().unwrap().is_clean());
         (table, extensions)
     }

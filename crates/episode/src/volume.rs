@@ -308,13 +308,16 @@ impl Episode {
             return Ok(0);
         }
         let bytes = self.anode_read(&a, off, 4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
+        let slot = u32::from_le_bytes(bytes.try_into().unwrap());
+        if slot >= self.sb.anode_count() {
+            return Err(DfsError::Internal("vnode maps past the anode table"));
+        }
+        Ok(slot)
     }
 
     /// Sets vnode `v`'s anode slot (0 frees the vnode index).
     pub(crate) fn vnode_set(&self, txn: TxnId, header_anode: u32, v: u32, slot: u32) -> DfsResult<()> {
-        let lock = self.anode_lock(header_anode);
-        let _g = lock.write();
+        let _g = self.anode_lock(header_anode).write();
         self.vnode_set_locked(txn, header_anode, v, slot)
     }
 
@@ -328,8 +331,7 @@ impl Episode {
 
     /// Allocates the lowest free vnode index and maps it to `slot`.
     pub(crate) fn vnode_alloc(&self, txn: TxnId, header_anode: u32, slot: u32) -> DfsResult<u32> {
-        let lock = self.anode_lock(header_anode);
-        let _g = lock.write();
+        let _g = self.anode_lock(header_anode).write();
         let a = self.read_anode(header_anode)?;
         let map_len = (a.length.saturating_sub(VH_MAP)) as usize / 4;
         let map = self.anode_read(&a, VH_MAP, map_len * 4)?;
@@ -338,14 +340,6 @@ impl Episode {
         let v = hole.unwrap_or(map_len.max(1)) as u32;
         self.vnode_set_locked(txn, header_anode, v, slot)?;
         Ok(v)
-    }
-
-    /// Frees vnode `v` and its anode `slot`: the anode's storage in its
-    /// own short transactions, then one more that clears the vnode slot.
-    /// A crash in between leaves an orphan the salvager repairs.
-    pub(crate) fn reclaim_vnode(&self, header_anode: u32, v: u32, slot: u32) -> DfsResult<()> {
-        self.destroy_anode(slot)?;
-        self.txn(|txn| self.vnode_set(txn, header_anode, v, 0))
     }
 
     /// Lists every live (vnode index, anode slot) pair of a volume.
@@ -470,9 +464,9 @@ impl Episode {
         let _guard = self.vol_lock.lock();
         let (offset, header) = self.voltable_find(id)?.ok_or(DfsError::NoSuchVolume)?;
         for (_, slot) in self.vnode_list(header)? {
-            self.destroy_anode(slot)?;
+            self.reclaim(slot, None)?;
         }
-        self.destroy_anode(header)?;
+        self.reclaim(header, None)?;
         self.volumes.lock().remove(&header);
         self.txn(|txn| self.voltable_clear(txn, offset))?;
         self.jn.sync()
@@ -632,7 +626,7 @@ impl Episode {
             dump.live.iter().map(|f| f.vnode.0).collect();
         for (v, slot) in self.vnode_list(header)? {
             if !live.contains(&v) {
-                self.reclaim_vnode(header, v, slot)?;
+                self.reclaim(slot, Some((header, v)))?;
             }
         }
 
@@ -641,7 +635,7 @@ impl Episode {
             let v = f.status.fid.vnode.0;
             let existing = self.vnode_get(header, v)?;
             if existing != 0 {
-                self.destroy_anode(existing)?;
+                self.reclaim(existing, None)?;
             }
             self.txn(|txn| {
                 let kind = AnodeKind::of_file_type(f.status.ftype);

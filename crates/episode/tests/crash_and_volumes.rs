@@ -3,7 +3,8 @@
 //! lazy replication).
 
 use dfs_disk::{DiskConfig, SimDisk};
-use dfs_episode::{Episode, FormatParams};
+use dfs_episode::layout::FIRST_FREE_ANODE;
+use dfs_episode::{Anode, AnodeKind, Episode, FormatParams};
 use dfs_types::{DfsError, SimClock, VolumeId};
 use dfs_vfs::{Credentials, PhysicalFs, SetAttrs};
 use std::sync::Arc;
@@ -119,6 +120,51 @@ fn truncate_interrupted_by_crash_leaves_consistent_state() {
     assert!(st.length <= 300 * 4096);
     let salvage = ep2.salvage().unwrap();
     assert!(salvage.is_clean(), "{:?}", salvage.problems);
+}
+
+/// A remove is one transaction: its name, its vnode and its anode slot
+/// go together. Synced before the crash, all three are gone after it;
+/// not synced, the file is whole.
+#[test]
+fn a_remove_crashes_whole_or_not_at_all() {
+    for synced in [true, false] {
+        let (disk, ep) = fresh(16384);
+        ep.create_volume(VolumeId(1), "v").unwrap();
+        let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
+        let root = v.root().unwrap();
+        let f = v.create(&cred(), root, "doomed", 0o644).unwrap().fid;
+        let data = vec![5u8; 10 * 4096];
+        v.write(&cred(), f, 0, &data).unwrap();
+        v.fsync(&cred(), f).unwrap();
+        let is_f = |a: &Anode| a.kind == AnodeKind::File && a.uniq == f.uniq;
+        let slot = (FIRST_FREE_ANODE..ep.superblock().anode_count())
+            .find(|&i| is_f(&ep.read_anode(i).unwrap()))
+            .unwrap();
+        let files = ep.volume_info(VolumeId(1)).unwrap().files;
+        v.remove(&cred(), root, "doomed").unwrap();
+        if synced {
+            ep.sync_log().unwrap();
+        }
+        disk.crash(None);
+        disk.power_on();
+        let (ep2, _) = Episode::open(disk, SimClock::new()).unwrap();
+        let v2 = PhysicalFs::mount(&*ep2, VolumeId(1)).unwrap();
+        let root2 = v2.root().unwrap();
+        let files2 = ep2.volume_info(VolumeId(1)).unwrap().files;
+        if synced {
+            assert_eq!(v2.lookup(&cred(), root2, "doomed").unwrap_err(), DfsError::NotFound);
+            assert_eq!(v2.getattr(&cred(), f).unwrap_err(), DfsError::StaleFid);
+            assert_eq!(files2, files - 1, "the vnode is gone");
+            assert_eq!(ep2.read_anode(slot).unwrap().kind, AnodeKind::Free);
+        } else {
+            assert_eq!(v2.lookup(&cred(), root2, "doomed").unwrap().fid, f);
+            assert_eq!(v2.read(&cred(), f, 0, data.len()).unwrap(), data);
+            assert_eq!(files2, files);
+            assert!(is_f(&ep2.read_anode(slot).unwrap()));
+        }
+        let salvage = ep2.salvage().unwrap();
+        assert!(salvage.is_clean(), "synced {synced}: {:?}", salvage.problems);
+    }
 }
 
 #[test]

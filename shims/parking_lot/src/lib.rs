@@ -14,7 +14,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 
 /// A mutual-exclusion primitive (poison-ignoring wrapper over `std::sync::Mutex`).
 pub struct Mutex<T: ?Sized> {
@@ -147,6 +147,15 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard { inner: self.inner.write().unwrap_or_else(PoisonError::into_inner) }
     }
 
+    /// Takes the write lock if it is free now; `None` if it is held.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        match self.inner.try_write() {
+            Ok(inner) => Some(RwLockWriteGuard { inner }),
+            Err(TryLockError::Poisoned(e)) => Some(RwLockWriteGuard { inner: e.into_inner() }),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
@@ -205,6 +214,17 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
+    }
+
+    #[test]
+    fn try_write_fails_while_the_lock_is_held() {
+        let l = RwLock::new(());
+        let r = l.read();
+        assert!(l.try_write().is_none());
+        drop(r);
+        let w = l.try_write();
+        assert!(w.is_some());
+        assert!(l.try_write().is_none());
     }
 
     #[test]
