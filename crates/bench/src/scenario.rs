@@ -1277,7 +1277,7 @@ mod tests {
         let p = payload(0xdead_beef_1234_5678);
         assert_eq!(p.len(), PAGE_SIZE);
         assert!(matches!(classify_page(&p), PageKind::Tagged(t) if t == 0xdead_beef_1234_5678));
-        let mut torn = p.clone();
+        let mut torn = p;
         torn[PAGE_SIZE / 2] ^= 0xff;
         assert!(matches!(classify_page(&torn), PageKind::Torn));
         assert!(matches!(classify_page(&vec![0u8; PAGE_SIZE]), PageKind::Zeros));

@@ -1861,7 +1861,7 @@ pub(crate) mod tests {
         {
             let mut lo = vn.lock_lo();
             lo.in_flight -= 1;
-            cm.absorb(&mut lo, None, vec![t.clone()]);
+            cm.absorb(&mut lo, None, vec![t]);
             assert!(lo.queued.is_empty());
             assert!(lo.tokens.is_empty(), "token must not survive its queued revocation");
         }

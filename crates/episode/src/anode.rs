@@ -531,7 +531,7 @@ impl Episode {
     /// then as many of its own. Each container's slot is freed in the
     /// step that empties it, and with the anode's own slot goes `vnode`'s
     /// map entry. Returns true once the anode is free.
-    fn reclaim_step(
+    pub(crate) fn reclaim_step(
         &self,
         txn: TxnId,
         slot: u32,

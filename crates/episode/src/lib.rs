@@ -33,9 +33,10 @@ pub use vfs_impl::EpisodeVolume;
 
 use dfs_disk::{SimDisk, BLOCK_SIZE};
 use dfs_journal::{HostLog, HostLogRegion, HostLogReplay, Journal, LogRegion, TxnId};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{AggregateId, DfsError, DfsResult, SimClock};
 use layout::{ANODES_PER_BLOCK, REFCOUNT_ANODE, VOLTABLE_ANODE};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -83,15 +84,16 @@ pub struct Episode {
     pub(crate) jn: Arc<Journal>,
     pub(crate) sb: SuperBlock,
     pub(crate) clock: SimClock,
-    pub(crate) alloc: Mutex<AllocState>,
+    pub(crate) alloc: OrderedMutex<AllocState, { rank::EPISODE_ALLOC }>,
     /// One lock per anode slot ([`AnodeLocks`]).
     anode_locks: AnodeLocks,
     /// Serializes volume-table operations (create/delete/clone/mount).
-    pub(crate) vol_lock: Mutex<()>,
+    pub(crate) vol_lock: OrderedMutex<(), { rank::EPISODE_VOLUME_OPS }>,
     /// Each volume's version and uniquifier counters, by header anode:
     /// loaded on first use (a mount, dump, clone or restore), dropped on
     /// delete.
-    pub(crate) volumes: Mutex<HashMap<u32, Arc<volume::VolumeCounters>>>,
+    pub(crate) volumes:
+        OrderedMutex<HashMap<u32, Arc<volume::VolumeCounters>>, { rank::EPISODE_COUNTERS }>,
     /// The host journal ring, when the aggregate reserves one.
     host_log: Option<Arc<HostLog>>,
     /// What host-log replay recovered at open time.
@@ -246,13 +248,13 @@ impl Episode {
             disk,
             jn,
             clock,
-            alloc: Mutex::new(AllocState {
+            alloc: OrderedMutex::new(AllocState {
                 anode_rotor: layout::FIRST_FREE_ANODE,
                 block_rotor: sb.data_start(),
             }),
             anode_locks: AnodeLocks::new(sb.anode_count()),
-            vol_lock: Mutex::new(()),
-            volumes: Mutex::new(HashMap::new()),
+            vol_lock: OrderedMutex::new(()),
+            volumes: OrderedMutex::new(HashMap::new()),
             host_log,
             host_replay,
             me: me.clone(),
@@ -334,10 +336,11 @@ impl Episode {
 
     /// Returns the lock of anode slot `idx`.
     ///
-    /// The order (DESIGN.md §8): directories first, among themselves by
-    /// slot; then at most one non-directory; a volume header's lock
-    /// (the vnode map) last. A caller holds no other Episode lock across
-    /// a wait for one it took out of that order.
+    /// The rule (DESIGN.md §8): an op waits for its directories' locks
+    /// in slot order, and for any other anode's only with nothing held;
+    /// holding locks, it takes another only if it is free at once
+    /// (`EpisodeVolume::locked`). A volume header's lock (the vnode map)
+    /// comes last, inside the transaction.
     ///
     /// # Panics
     ///

@@ -16,7 +16,8 @@
 //! * every vnode-map slot names a live anode of the right volume;
 //! * every directory entry resolves to a live vnode with matching
 //!   uniquifier, and no directory holds one name twice;
-//! * link counts match directory contents;
+//! * link counts match directory contents, and every mapped file is
+//!   named by at least one entry;
 //! * no file/directory anode is orphaned (unreachable from any volume).
 
 use crate::layout::{Anode, AnodeKind, FIRST_FREE_ANODE};
@@ -70,6 +71,7 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
     referenced.insert(crate::layout::VOLTABLE_ANODE, "volume table");
     referenced.insert(crate::layout::REFCOUNT_ANODE, "refcount table");
     let mut nlink_expected: HashMap<u32, u32> = HashMap::new();
+    let mut mapped_files = Vec::new();
 
     for (vol, header) in ep.voltable_list()? {
         let Some(h) = live_anodes.get(&header) else {
@@ -93,6 +95,9 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
                 ));
             }
             referenced.insert(*slot, "vnode map");
+            if a.kind != AnodeKind::Directory {
+                mapped_files.push(*slot);
+            }
             if a.acl_anode != 0 {
                 referenced.insert(a.acl_anode, "acl");
                 match live_anodes.get(&a.acl_anode) {
@@ -149,13 +154,16 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
         }
     }
 
-    // Non-directory link counts.
-    for (slot, want) in &nlink_expected {
-        let a = &live_anodes[slot];
-        if a.kind == AnodeKind::Directory || *want == 0 {
-            continue;
-        }
-        if a.nlink as u32 != *want {
+    // Non-directory link counts, for every mapped file. A file no entry
+    // names is lost: a crash between two steps of its reclaim leaves
+    // one, with nlink 0.
+    for slot in mapped_files {
+        let (a, want) = (&live_anodes[&slot], nlink_expected.get(&slot).copied().unwrap_or(0));
+        if want == 0 {
+            report
+                .problems
+                .push(format!("anode {slot}: mapped, nlink {}, but no entry names it", a.nlink));
+        } else if a.nlink as u32 != want {
             report
                 .problems
                 .push(format!("anode {slot}: nlink {} != {} directory entries", a.nlink, want));
@@ -251,6 +259,38 @@ mod tests {
         let r = salvage(&ep).unwrap();
         assert_eq!(r.problems.len(), 1, "{:?}", r.problems);
         assert!(r.problems[0].contains("has 'x' twice"), "{:?}", r.problems);
+    }
+
+    /// A remove of a file over `TRUNCATE_CHUNK` blocks frees it in
+    /// several transactions; a crash after the first leaves the file in
+    /// its vnode map with nlink 0, some blocks still held, and no entry.
+    #[test]
+    fn detects_a_mapped_file_no_entry_names() {
+        let ep = fresh(8192);
+        ep.create_volume(VolumeId(1), "v").unwrap();
+        let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
+        let cred = Credentials::system();
+        let root = v.root().unwrap();
+        let f = v.create(&cred, root, "big", 0o644).unwrap().fid;
+        v.write(&cred, f, 0, &vec![5u8; 100 * dfs_disk::BLOCK_SIZE]).unwrap();
+        let (_, header) = ep.voltable_find(VolumeId(1)).unwrap().unwrap();
+        let dslot = ep.vnode_get(header, root.vnode.0).unwrap();
+        let fslot = ep.vnode_get(header, f.vnode.0).unwrap();
+        // The remove's first transaction: the entry goes, and the first
+        // reclaim step frees 64 of the 100 blocks.
+        let done = ep
+            .txn(|txn| {
+                let mut d = ep.read_anode(dslot)?;
+                ep.dir_remove(txn, &mut d, "big")?;
+                ep.write_anode(txn, dslot, &d)?;
+                let a = Anode { nlink: 0, ..ep.read_anode(fslot)? };
+                ep.reclaim_step(txn, fslot, a, Some((header, f.vnode.0)))
+            })
+            .unwrap();
+        assert!(!done, "a 100-block file takes more than one step");
+        let r = salvage(&ep).unwrap();
+        assert_eq!(r.problems.len(), 1, "{:?}", r.problems);
+        assert!(r.problems[0].contains("no entry names it"), "{:?}", r.problems);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use dfs_vfs::{
     Credentials, DirEntry, PhysicalFs, SalvageReport, SetAttrs, Vfs, VfsPlus, VolumeDump,
     VolumeInfo,
 };
-use parking_lot::RwLockWriteGuard;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A mounted Episode volume: the "VFS is a mounted volume" of §2.1.
@@ -31,23 +31,23 @@ pub struct EpisodeVolume {
 }
 
 impl EpisodeVolume {
-    /// Resolves a fid to its anode slot and contents, checking staleness.
-    fn resolve(&self, fid: Fid) -> DfsResult<(u32, Anode)> {
+    /// Resolves a fid to its anode slot through the vnode map. An op
+    /// reads the slot once, through [`Self::anode_of`]: under the slot's
+    /// lock if it takes one.
+    fn resolve(&self, fid: Fid) -> DfsResult<u32> {
         if fid.volume != self.vol {
             return Err(DfsError::NoSuchVolume);
         }
-        let slot = self.ep.vnode_get(self.header, fid.vnode.0)?;
-        if slot == 0 {
-            return Err(DfsError::StaleFid);
+        match self.ep.vnode_get(self.header, fid.vnode.0)? {
+            0 => Err(DfsError::StaleFid),
+            slot => Ok(slot),
         }
-        Ok((slot, self.anode_of(slot, fid)?))
     }
 
     /// Reads anode `slot` and checks that it holds the file `fid` names.
-    /// An op re-reads its file this way once it holds the file's lock:
-    /// it resolved the fid before, and while it waited a remove may have
-    /// freed the slot (a freed slot keeps its uniquifier) or a create
-    /// reused it.
+    /// The fid was resolved before any lock, and an op that then waited
+    /// for the slot's lock may find it freed by a remove (a freed slot
+    /// keeps its uniquifier) or reused by a create.
     fn anode_of(&self, slot: u32, fid: Fid) -> DfsResult<Anode> {
         let a = self.ep.read_anode(slot)?;
         if a.kind == AnodeKind::Free || a.uniq != fid.uniq {
@@ -133,39 +133,37 @@ impl EpisodeVolume {
         self.ep.write_anode(txn, slot, d)
     }
 
-    /// Runs `body` holding the write locks of directory anodes `a` and
-    /// `b`, taken in slot order (once if they are one anode) so that two
-    /// operations on the same pair cannot deadlock.
-    fn both_locked<T>(&self, a: u32, b: u32, body: impl FnOnce() -> DfsResult<T>) -> DfsResult<T> {
-        let (first, second) = (self.ep.anode_lock(a.min(b)), self.ep.anode_lock(a.max(b)));
-        let _g1 = first.write();
-        let _g2 = (a != b).then(|| second.write());
-        body()
-    }
-
-    /// Takes directory `dslot`'s write lock, then file `fslot`'s. The
-    /// file was resolved before either lock, so its slot may since have
-    /// been freed and reused, even as a directory: waiting for it with
-    /// the directory held could close a cycle with a `rename` holding
-    /// both directories in slot order. So the file's lock is taken only
-    /// if it is free at once; else both are dropped, the file's holder
-    /// waited out and the pair tried again.
-    fn dir_then_file(&self, dslot: u32, fslot: u32) -> [RwLockWriteGuard<'_, ()>; 2] {
-        let (dir, file) = (self.ep.anode_lock(dslot), self.ep.anode_lock(fslot));
+    /// Runs `body` holding the write locks of directories `dirs`, taken
+    /// in slot order, once each. `body` takes any other anode's lock
+    /// through the `take` it is passed, which never waits: if that lock
+    /// is busy, `take` fails and `body` returns its error, every lock is
+    /// let go, the holder waited out with nothing held, and `body` run
+    /// again from the start. So `body` takes those locks before it
+    /// changes anything (DESIGN.md §8 "Episode's anode locks").
+    fn locked<T>(
+        &self,
+        dirs: &[u32],
+        mut body: impl FnMut(&mut dyn FnMut(u32) -> DfsResult<()>) -> DfsResult<T>,
+    ) -> DfsResult<T> {
+        let dirs: BTreeSet<u32> = dirs.iter().copied().collect();
         loop {
-            let d = dir.write();
-            if let Some(f) = file.try_write() {
-                return [d, f];
-            }
-            drop(d);
-            drop(file.write());
+            let mut held: Vec<_> =
+                dirs.iter().map(|&s| (s, self.ep.anode_lock(s).write())).collect();
+            let mut busy = None;
+            let out = body(&mut |slot| {
+                if held.iter().all(|&(s, _)| s != slot) {
+                    let Some(guard) = self.ep.anode_lock(slot).try_write() else {
+                        busy = Some(slot);
+                        return Err(DfsError::Internal("anode lock busy: the op runs again"));
+                    };
+                    held.push((slot, guard));
+                }
+                Ok(())
+            });
+            let Some(slot) = busy else { return out };
+            drop(held);
+            drop(self.ep.anode_lock(slot).write());
         }
-    }
-
-    fn status_of_entry(&self, e: &RawDirEntry) -> DfsResult<FileStatus> {
-        let fid = Fid::new(self.vol, VnodeId(e.vnode), e.uniq);
-        let (_, a) = self.resolve(fid)?;
-        Ok(self.ep.status_from_anode(fid, &a))
     }
 
     /// Creates a file/directory/symlink entry; shared by create paths.
@@ -180,7 +178,7 @@ impl EpisodeVolume {
     ) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         check_name(name)?;
-        let (dslot, _) = self.resolve(dir)?;
+        let dslot = self.resolve(dir)?;
         let _g = self.ep.anode_lock(dslot).write();
         let mut d = self.read_dir(cred, dir, dslot, Rights::INSERT)?;
         if self.ep.dir_lookup(&d, name)?.is_some() {
@@ -221,11 +219,11 @@ impl Vfs for EpisodeVolume {
     }
 
     fn lookup(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
-        let (dslot, _) = self.resolve(dir)?;
+        let dslot = self.resolve(dir)?;
         let _g = self.ep.anode_lock(dslot).read();
         let d = self.read_dir(cred, dir, dslot, Rights::EXECUTE)?;
         let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
-        self.status_of_entry(&e)
+        self.getattr(cred, Fid::new(self.vol, VnodeId(e.vnode), e.uniq))
     }
 
     fn create(&self, cred: &Credentials, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
@@ -249,79 +247,82 @@ impl Vfs for EpisodeVolume {
     fn link(&self, cred: &Credentials, dir: Fid, name: &str, target: Fid) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
         check_name(name)?;
-        let (dslot, _) = self.resolve(dir)?;
-        let (tslot, t) = self.resolve(target)?;
+        let (dslot, tslot) = (self.resolve(dir)?, self.resolve(target)?);
         if dslot == tslot {
             return Err(DfsError::InvalidArgument);
         }
-        if t.kind == AnodeKind::Directory {
-            return Err(DfsError::IsDirectory);
-        }
-        let _g = self.dir_then_file(dslot, tslot);
-        let mut d = self.read_dir(cred, dir, dslot, Rights::INSERT)?;
-        let mut t = self.anode_of(tslot, target)?;
-        if self.ep.dir_lookup(&d, name)?.is_some() {
-            return Err(DfsError::Exists);
-        }
-        self.ep.txn(|txn| {
-            t.nlink += 1;
-            t.ctime = self.ep.clock.now().as_micros();
-            self.ep.write_anode(txn, tslot, &t)?;
-            let (vnode, uniq, kind) = (target.vnode.0, target.uniq, t.kind.to_byte());
-            let entry = RawDirEntry { name: name.into(), vnode, uniq, kind };
-            self.ep.dir_insert(txn, &mut d, &entry)?;
-            self.write_dir(txn, dslot, &mut d)
-        })?;
-        Ok(self.ep.status_from_anode(target, &t))
+        self.locked(&[dslot], |take| {
+            take(tslot)?;
+            let mut t = self.anode_of(tslot, target)?;
+            if t.kind == AnodeKind::Directory {
+                return Err(DfsError::IsDirectory);
+            }
+            let mut d = self.read_dir(cred, dir, dslot, Rights::INSERT)?;
+            if self.ep.dir_lookup(&d, name)?.is_some() {
+                return Err(DfsError::Exists);
+            }
+            self.ep.txn(|txn| {
+                t.nlink += 1;
+                t.ctime = self.ep.clock.now().as_micros();
+                self.ep.write_anode(txn, tslot, &t)?;
+                let (vnode, uniq, kind) = (target.vnode.0, target.uniq, t.kind.to_byte());
+                let entry = RawDirEntry { name: name.into(), vnode, uniq, kind };
+                self.ep.dir_insert(txn, &mut d, &entry)?;
+                self.write_dir(txn, dslot, &mut d)
+            })?;
+            Ok(self.ep.status_from_anode(target, &t))
+        })
     }
 
     fn remove(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
-        let (dslot, _) = self.resolve(dir)?;
-        let _gd = self.ep.anode_lock(dslot).write();
-        let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
-        let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
-        if e.kind == AnodeKind::Directory.to_byte() {
-            return Err(DfsError::IsDirectory);
-        }
-        let tslot = self.ep.vnode_get(self.header, e.vnode)?;
-        // The entry keeps the file live, so its slot holds a file.
-        let _gt = self.ep.anode_lock(tslot).write();
-        let mut t = self.ep.read_anode(tslot)?;
-        t.nlink = t.nlink.saturating_sub(1);
-        t.ctime = self.ep.clock.now().as_micros();
-        let status = self.ep.status_from_anode(Fid::new(self.vol, VnodeId(e.vnode), e.uniq), &t);
-        let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
-        self.ep.txn_unlinking(Some(unlinked), |txn| {
-            self.ep.dir_remove(txn, &mut d, name)?;
-            self.write_dir(txn, dslot, &mut d)
-        })?;
-        Ok(status)
+        let dslot = self.resolve(dir)?;
+        self.locked(&[dslot], |take| {
+            let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
+            let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
+            if e.kind == AnodeKind::Directory.to_byte() {
+                return Err(DfsError::IsDirectory);
+            }
+            let tslot = self.ep.vnode_get(self.header, e.vnode)?;
+            take(tslot)?;
+            let mut t = self.ep.read_anode(tslot)?;
+            t.nlink = t.nlink.saturating_sub(1);
+            t.ctime = self.ep.clock.now().as_micros();
+            let fid = Fid::new(self.vol, VnodeId(e.vnode), e.uniq);
+            let status = self.ep.status_from_anode(fid, &t);
+            let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
+            self.ep.txn_unlinking(Some(unlinked), |txn| {
+                self.ep.dir_remove(txn, &mut d, name)?;
+                self.write_dir(txn, dslot, &mut d)
+            })?;
+            Ok(status)
+        })
     }
 
     fn rmdir(&self, cred: &Credentials, dir: Fid, name: &str) -> DfsResult<()> {
         let _op = self.begin_write()?;
-        let (dslot, _) = self.resolve(dir)?;
-        let _g = self.ep.anode_lock(dslot).write();
-        let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
-        let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
-        if e.kind != AnodeKind::Directory.to_byte() {
-            return Err(DfsError::NotDirectory);
-        }
-        let tslot = self.ep.vnode_get(self.header, e.vnode)?;
-        // Read without the child's lock, which the lock order does not
-        // let this op wait for (DESIGN.md §8).
-        let t = self.ep.read_anode(tslot)?;
-        if !self.ep.dir_is_empty(&t)? {
-            return Err(DfsError::NotEmpty);
-        }
-        // Its entry and its own `.` go: no link is left.
-        let t = Anode { nlink: 0, ..t };
-        let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
-        self.ep.txn_unlinking(Some(unlinked), |txn| {
-            self.ep.dir_remove(txn, &mut d, name)?;
-            d.nlink = d.nlink.saturating_sub(1);
-            self.write_dir(txn, dslot, &mut d)
+        let dslot = self.resolve(dir)?;
+        self.locked(&[dslot], |take| {
+            let mut d = self.read_dir(cred, dir, dslot, Rights::DELETE)?;
+            let e = self.ep.dir_lookup(&d, name)?.ok_or(DfsError::NotFound)?;
+            if e.kind != AnodeKind::Directory.to_byte() {
+                return Err(DfsError::NotDirectory);
+            }
+            let tslot = self.ep.vnode_get(self.header, e.vnode)?;
+            // Held, the child stays empty until it is freed.
+            take(tslot)?;
+            let t = self.ep.read_anode(tslot)?;
+            if !self.ep.dir_is_empty(&t)? {
+                return Err(DfsError::NotEmpty);
+            }
+            // Its entry and its own `.` go: no link is left.
+            let t = Anode { nlink: 0, ..t };
+            let unlinked = Unlinked { slot: tslot, anode: t, vnode: Some((self.header, e.vnode)) };
+            self.ep.txn_unlinking(Some(unlinked), |txn| {
+                self.ep.dir_remove(txn, &mut d, name)?;
+                d.nlink = d.nlink.saturating_sub(1);
+                self.write_dir(txn, dslot, &mut d)
+            })
         })
     }
 
@@ -340,9 +341,8 @@ impl Vfs for EpisodeVolume {
         let _op = self.begin_write()?;
         check_name(src_name)?;
         check_name(dst_name)?;
-        let (sslot, _) = self.resolve(src_dir)?;
-        let (dslot, _) = self.resolve(dst_dir)?;
-        self.both_locked(sslot, dslot, || {
+        let (sslot, dslot) = (self.resolve(src_dir)?, self.resolve(dst_dir)?);
+        self.locked(&[sslot, dslot], |take| {
             // The directories touched, source first; `dirs[t]` is the
             // target directory, which may be the source itself.
             let target = self.read_dir(cred, dst_dir, dslot, Rights::INSERT)?;
@@ -353,16 +353,11 @@ impl Vfs for EpisodeVolume {
             let t = dirs.len() - 1;
             let e = self.ep.dir_lookup(&dirs[0].1, src_name)?.ok_or(DfsError::NotFound)?;
             let is_dir = e.kind == AnodeKind::Directory.to_byte();
-            // A replaced file's lock follows its directories'; a replaced
-            // directory is read without its own, as in `rmdir`.
-            let mut _replaced_guard = None;
             let replaced = match self.ep.dir_lookup(&dirs[t].1, dst_name)? {
                 Some(old) if old.vnode == e.vnode => return Ok(()),
                 Some(old) => {
                     let oslot = self.ep.vnode_get(self.header, old.vnode)?;
-                    if old.kind != AnodeKind::Directory.to_byte() {
-                        _replaced_guard = Some(self.ep.anode_lock(oslot).write());
-                    }
+                    take(oslot)?;
                     let o = self.ep.read_anode(oslot)?;
                     match (is_dir, o.kind == AnodeKind::Directory) {
                         (false, true) => return Err(DfsError::IsDirectory),
@@ -403,7 +398,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn readdir(&self, cred: &Credentials, dir: Fid) -> DfsResult<Vec<DirEntry>> {
-        let (dslot, _) = self.resolve(dir)?;
+        let dslot = self.resolve(dir)?;
         let _g = self.ep.anode_lock(dslot).read();
         let d = self.read_dir(cred, dir, dslot, Rights::READ)?;
         Ok(self
@@ -418,7 +413,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn read(&self, cred: &Credentials, file: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).read();
         let a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
@@ -436,7 +431,7 @@ impl Vfs for EpisodeVolume {
         data: &[u8],
     ) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).write();
         let mut a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
@@ -463,7 +458,7 @@ impl Vfs for EpisodeVolume {
         extents: &[dfs_vfs::WriteExtent],
     ) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).write();
         let mut a = self.anode_of(slot, file)?;
         if a.kind == AnodeKind::Directory {
@@ -493,13 +488,13 @@ impl Vfs for EpisodeVolume {
     }
 
     fn getattr(&self, _cred: &Credentials, file: Fid) -> DfsResult<FileStatus> {
-        let (_, a) = self.resolve(file)?;
+        let a = self.anode_of(self.resolve(file)?, file)?;
         Ok(self.ep.status_from_anode(file, &a))
     }
 
     fn setattr(&self, cred: &Credentials, file: Fid, attrs: &SetAttrs) -> DfsResult<FileStatus> {
         let _op = self.begin_write()?;
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).write();
         let a = self.anode_of(slot, file)?;
         if attrs.mode.is_some() || attrs.owner.is_some() || attrs.group.is_some() {
@@ -538,7 +533,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn readlink(&self, cred: &Credentials, file: Fid) -> DfsResult<String> {
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).read();
         let a = self.anode_of(slot, file)?;
         if a.kind != AnodeKind::Symlink {
@@ -550,7 +545,7 @@ impl Vfs for EpisodeVolume {
     }
 
     fn fsync(&self, _cred: &Credentials, file: Fid) -> DfsResult<()> {
-        self.resolve(file)?;
+        self.anode_of(self.resolve(file)?, file)?;
         // Group-commit the log and force buffers home (§2.2 fsync).
         self.ep.jn.flush_all()
     }
@@ -562,7 +557,7 @@ impl Vfs for EpisodeVolume {
 
 impl VfsPlus for EpisodeVolume {
     fn get_acl(&self, _cred: &Credentials, file: Fid) -> DfsResult<Acl> {
-        let (_, a) = self.resolve(file)?;
+        let a = self.anode_of(self.resolve(file)?, file)?;
         if a.acl_anode == 0 {
             return Ok(Acl::new());
         }
@@ -571,7 +566,7 @@ impl VfsPlus for EpisodeVolume {
 
     fn set_acl(&self, cred: &Credentials, file: Fid, acl: &Acl) -> DfsResult<()> {
         let _op = self.begin_write()?;
-        let (slot, _) = self.resolve(file)?;
+        let slot = self.resolve(file)?;
         let _g = self.ep.anode_lock(slot).write();
         let mut a = self.anode_of(slot, file)?;
         self.check(cred, &a, Rights::CONTROL)?;
@@ -801,6 +796,47 @@ mod tests {
         assert_eq!(v.lookup(&cred(), root, "dir").unwrap_err(), DfsError::NotFound);
     }
 
+    /// `rmdir` checks that the child is empty under the child's lock. A
+    /// create holds that lock from its check to its insert; here the test
+    /// plays it, inserting an entry (a second link to a file) under the
+    /// lock while `rmdir` runs. Whether `rmdir` has started by then or
+    /// not, it must see the entry: it cannot read the child before the
+    /// lock is let go. The bounded wait only gives an `rmdir` that does
+    /// not take the lock the time to finish first.
+    #[test]
+    fn rmdir_checks_emptiness_under_the_childs_lock() {
+        let (ep, v) = mounted();
+        let root = v.root().unwrap();
+        let d = v.mkdir(&cred(), root, "d", 0o755).unwrap().fid;
+        let f = v.create(&cred(), root, "f", 0o644).unwrap().fid;
+        let header = ep.voltable_find(VolumeId(1)).unwrap().unwrap().1;
+        let dslot = ep.vnode_get(header, d.vnode.0).unwrap();
+        let fslot = ep.vnode_get(header, f.vnode.0).unwrap();
+        let held = ep.anode_lock(dslot).write();
+        std::thread::scope(|s| {
+            let rmdir = s.spawn(|| v.rmdir(&cred(), root, "d"));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+            while !rmdir.is_finished() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            ep.txn(|txn| {
+                let (mut dir, mut file) = (ep.read_anode(dslot)?, ep.read_anode(fslot)?);
+                let kind = AnodeKind::File.to_byte();
+                let entry = RawDirEntry { name: "g".into(), vnode: f.vnode.0, uniq: f.uniq, kind };
+                ep.dir_insert(txn, &mut dir, &entry)?;
+                ep.write_anode(txn, dslot, &dir)?;
+                file.nlink += 1;
+                ep.write_anode(txn, fslot, &file)
+            })
+            .unwrap();
+            drop(held);
+            assert_eq!(rmdir.join().unwrap(), Err(DfsError::NotEmpty));
+        });
+        assert_eq!(v.lookup(&cred(), d, "g").unwrap().fid, f);
+        let report = ep.salvage().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+    }
+
     #[test]
     fn rename_within_and_across_directories() {
         let (_ep, v) = mounted();
@@ -988,23 +1024,23 @@ mod tests {
         let f = v.create(c, root, "f", 0o644).unwrap().fid;
         let acl = Acl::unix_default(0);
         let page = vec![dfs_vfs::WriteExtent { offset: 4096, data: vec![2u8; 4096] }];
-        txns("create", &mut || drop(v.create(c, root, "e", 0o644).unwrap()));
-        txns("mkdir", &mut || drop(v.mkdir(c, root, "d", 0o755).unwrap()));
-        txns("symlink", &mut || drop(v.symlink(c, root, "s", "f").unwrap()));
-        txns("link", &mut || drop(v.link(c, root, "f2", f).unwrap()));
-        txns("write", &mut || drop(v.write(c, f, 0, &[1u8; 5000]).unwrap()));
-        txns("write_vec", &mut || drop(v.write_vec(c, f, &page).unwrap()));
+        txns("create", &mut || _ = v.create(c, root, "e", 0o644).unwrap());
+        txns("mkdir", &mut || _ = v.mkdir(c, root, "d", 0o755).unwrap());
+        txns("symlink", &mut || _ = v.symlink(c, root, "s", "f").unwrap());
+        txns("link", &mut || _ = v.link(c, root, "f2", f).unwrap());
+        txns("write", &mut || _ = v.write(c, f, 0, &[1u8; 5000]).unwrap());
+        txns("write_vec", &mut || _ = v.write_vec(c, f, &page).unwrap());
         let mode = SetAttrs { mode: Some(0o600), ..SetAttrs::default() };
-        txns("setattr(mode)", &mut || drop(v.setattr(c, f, &mode).unwrap()));
+        txns("setattr(mode)", &mut || _ = v.setattr(c, f, &mode).unwrap());
         txns("set_acl", &mut || v.set_acl(c, f, &acl).unwrap());
-        txns("setattr(truncate)", &mut || drop(v.setattr(c, f, &SetAttrs::truncate(10)).unwrap()));
+        txns("setattr(truncate)", &mut || _ = v.setattr(c, f, &SetAttrs::truncate(10)).unwrap());
         txns("rename", &mut || v.rename(c, root, "s", root, "s2").unwrap());
-        txns("remove(a link)", &mut || drop(v.remove(c, root, "f2").unwrap()));
+        txns("remove(a link)", &mut || _ = v.remove(c, root, "f2").unwrap());
         txns("rmdir", &mut || v.rmdir(c, root, "d").unwrap());
         v.create(c, root, "g", 0o644).unwrap();
         txns("rename(replacing a file)", &mut || v.rename(c, root, "g", root, "e").unwrap());
-        txns("remove(last link, data + ACL)", &mut || drop(v.remove(c, root, "f").unwrap()));
-        txns("remove(last link, empty)", &mut || drop(v.remove(c, root, "e").unwrap()));
+        txns("remove(last link, data + ACL)", &mut || _ = v.remove(c, root, "f").unwrap());
+        txns("remove(last link, empty)", &mut || _ = v.remove(c, root, "e").unwrap());
         let big = v.create(c, root, "big", 0o644).unwrap().fid;
         v.write(c, big, 0, &vec![3u8; 100 * dfs_disk::BLOCK_SIZE]).unwrap();
         txns("remove(last link, 100 blocks)", &mut || {

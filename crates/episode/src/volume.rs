@@ -21,9 +21,9 @@ use crate::layout::{Anode, AnodeKind};
 use crate::Episode;
 use dfs_disk::BLOCK_SIZE;
 use dfs_journal::TxnId;
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, DfsResult, FileStatus, Fid, VnodeId, VolumeId};
 use dfs_vfs::{DirEntry, DumpFile, VolumeDump, VolumeInfo};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -137,7 +137,7 @@ pub(crate) struct VolumeCounters {
     version_mark: AtomicU64,
     uniq_mark: AtomicU32,
     /// Serializes mark extensions and header rewrites.
-    marks: Mutex<()>,
+    marks: OrderedMutex<(), { rank::EPISODE_MARKS }>,
 }
 
 impl VolumeCounters {
@@ -149,7 +149,7 @@ impl VolumeCounters {
             uniq: AtomicU32::new(vh.next_uniq),
             version_mark: AtomicU64::new(vh.version),
             uniq_mark: AtomicU32::new(vh.next_uniq),
-            marks: Mutex::new(()),
+            marks: OrderedMutex::new(()),
         }
     }
 

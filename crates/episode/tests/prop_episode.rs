@@ -5,7 +5,7 @@ use dfs_episode::{Episode, FormatParams};
 use dfs_types::{DfsError, Fid, SimClock, VolumeId};
 use dfs_vfs::{Credentials, PhysicalFs, SetAttrs, VfsPlus};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 fn fresh() -> (Arc<Episode>, Arc<dyn VfsPlus>) {
@@ -143,11 +143,14 @@ proptest! {
                     let r = v.link(&cred, dirs[dd], &dst.1, fid);
                     if is_dir {
                         prop_assert_eq!(r.unwrap_err(), DfsError::IsDirectory);
-                    } else if model.contains_key(&dst) {
-                        prop_assert_eq!(r.unwrap_err(), DfsError::Exists);
                     } else {
-                        prop_assert_eq!(r.unwrap().fid, fid);
-                        model.insert(dst, (fid, false));
+                        match model.entry(dst) {
+                            Entry::Occupied(_) => prop_assert_eq!(r.unwrap_err(), DfsError::Exists),
+                            Entry::Vacant(name) => {
+                                prop_assert_eq!(r.unwrap().fid, fid);
+                                name.insert((fid, false));
+                            }
+                        }
                     }
                 }
                 _ => {

@@ -189,10 +189,14 @@ fn script_fid(vnode: u32) -> Fid {
     Fid::new(VolumeId(1), VnodeId(vnode), if vnode == 0 { 0 } else { 1 })
 }
 
+/// Every observable of a script run: per-op grant outcomes, per-host
+/// revocation counts, and the final (host, types, range) token set per
+/// fid.
+type Observed = (Vec<bool>, Vec<usize>, Vec<Vec<(HostId, u32, ByteRange)>>);
+
 /// Runs `ops` against a manager with `shards` shards and returns every
-/// observable: per-op grant outcomes, per-host revocation counts, and
-/// the final (host, types, range) token set per fid.
-fn run_script(shards: usize, ops: &[Op]) -> (Vec<bool>, Vec<usize>, Vec<Vec<(HostId, u32, ByteRange)>>) {
+/// observable.
+fn run_script(shards: usize, ops: &[Op]) -> Observed {
     let tm = TokenManager::with_shards(shards);
     let hosts: Vec<Arc<ScriptHost>> = (0..3).map(ScriptHost::new).collect();
     for h in &hosts {

@@ -32,6 +32,10 @@
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
 //! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
 //! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
+//! | `EPISODE_VOLUME_OPS`   | 142   | Episode's volume-table operations (create, delete, clone, dump, restore) |
+//! | `EPISODE_COUNTERS`     | 144   | Episode's map of per-volume counters |
+//! | `EPISODE_MARKS`        | 146   | one volume's counter-mark extensions and header rewrites |
+//! | `EPISODE_ALLOC`        | 148   | Episode's anode and block allocator |
 //! | `JOURNAL_CACHE`        | 150   | journal buffer-cache map (hits read, misses write) |
 //! | `JOURNAL_FRAME`        | 160   | individual buffer-frame latches |
 //! | `JOURNAL_TXNS`         | 170   | journal transaction table (§2.2) |
@@ -48,8 +52,11 @@
 //! * A guard must never be live across a `dfs-rpc` send: the reply may
 //!   be blocked behind a revocation aimed back at the caller.
 //!
-//! Locks in crates outside the coherence path (rpc, episode, disk,
-//! ffs, baselines) stay unranked and do not participate in the check.
+//! Locks in crates outside the coherence path (rpc, disk, ffs,
+//! baselines) stay unranked and do not participate in the check, as do
+//! Episode's per-anode locks: those follow a rule of their own, which a
+//! rank cannot state (directories in slot order, any other anode only
+//! if free at once; DESIGN.md §8 "Episode's anode locks").
 //! Statistics take no lock at all: they are relaxed atomic counters
 //! ([`crate::counters`]).
 
@@ -114,6 +121,18 @@ pub mod rank {
     pub const HOST_TABLE: u16 = 130;
     /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
+    /// Episode's volume-table operations (create, delete, clone, dump,
+    /// restore): the outermost Episode lock, held across the others.
+    pub const EPISODE_VOLUME_OPS: u16 = 142;
+    /// Episode's map of per-volume counters, by header anode: held while
+    /// a volume's counters load from its header.
+    pub const EPISODE_COUNTERS: u16 = 144;
+    /// One volume's counter-mark extensions and header rewrites: held
+    /// across the transaction that logs new marks.
+    pub const EPISODE_MARKS: u16 = 146;
+    /// Episode's anode and block allocator, held across a scan-and-claim
+    /// and so across the journal updates that claim.
+    pub const EPISODE_ALLOC: u16 = 148;
     /// Journal buffer-cache map: a hit takes it for reading, a miss for
     /// writing.
     pub const JOURNAL_CACHE: u16 = 150;
@@ -147,6 +166,10 @@ pub mod rank {
             TOKEN_SHARD => "TOKEN_SHARD",
             HOST_TABLE => "HOST_TABLE",
             LOCK_TABLE => "LOCK_TABLE",
+            EPISODE_VOLUME_OPS => "EPISODE_VOLUME_OPS",
+            EPISODE_COUNTERS => "EPISODE_COUNTERS",
+            EPISODE_MARKS => "EPISODE_MARKS",
+            EPISODE_ALLOC => "EPISODE_ALLOC",
             JOURNAL_TXNS => "JOURNAL_TXNS",
             JOURNAL_CACHE => "JOURNAL_CACHE",
             JOURNAL_FRAME => "JOURNAL_FRAME",

@@ -80,14 +80,6 @@ fn server_crash_and_restart_preserves_committed_state() {
 
     // Crash the server: network node down, disk loses its cache.
     let addr = decorum_dfs::rpc::Addr::Server(cell.server(0).id());
-    let disk = cell.server(0).clone();
-    let ep_disk = {
-        // Reach the disk through a fresh mount of the same Episode.
-        // (The cell owns the Episode; we crash via its disk handle.)
-        let _ = &disk;
-        cell.server(0)
-    };
-    let _ = ep_disk;
     cell.net().set_crashed(addr, true);
 
     // Client calls now fail fast as unreachable.

@@ -15,9 +15,10 @@
 #      crates/, shims/, and the root crate; the --json rendering is
 #      validated through jsoncheck (see crates/lint and DESIGN.md
 #      "Concurrency discipline")
-#   5. cargo clippy --workspace with every warning an error (the
-#      pinned deny-list — await_holding_lock, mut_mutex_lock,
-#      redundant_clone — plus clippy's defaults: zero warnings)
+#   5. cargo clippy --workspace --all-targets with every warning an
+#      error (the pinned deny-list — await_holding_lock, mut_mutex_lock,
+#      redundant_clone — plus clippy's defaults: zero warnings), tests,
+#      benches and examples included, so test code keeps the lint set
 #   6. bench smoke: T8 and T1 at tiny parameters in --json mode; fails
 #      on a panic (non-zero exit) or malformed JSON (jsoncheck)
 #   7. recovery gate: the crash-restart pipeline tests plus T13 at tiny
@@ -108,8 +109,8 @@ cargo run -q --release -p dfs-lint -- crates shims .
 lint_out=$(cargo run -q --release -p dfs-lint -- --json crates shims .)
 printf '%s' "$lint_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 
-echo "==> cargo clippy --workspace (zero warnings)"
-cargo clippy --workspace --quiet -- -D warnings
+echo "==> cargo clippy --workspace --all-targets (zero warnings)"
+cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 # Runs one dfs-bench binary in --json mode with the given flags and
 # validates what it printed (left in $out). Capture then pipe, so a
