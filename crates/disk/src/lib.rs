@@ -279,6 +279,31 @@ impl SimDisk {
         Ok(())
     }
 
+    /// Flushes only the listed blocks, as one sync: the data blocks of
+    /// one store, written home together, pay one flush between them.
+    /// Blocks go down in ascending order, as in [`SimDisk::flush`], so a
+    /// run of consecutive ones is charged sequentially; a block with no
+    /// write pending is skipped, and none pending costs no sync.
+    pub fn flush_blocks(&self, blocks: &[u32]) -> DfsResult<()> {
+        let mut inner = self.inner.lock();
+        if inner.crashed {
+            return Err(DfsError::Crashed);
+        }
+        let mut pending: Vec<(u32, Block)> =
+            blocks.iter().filter_map(|b| inner.volatile.remove_entry(b)).collect();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        pending.sort_unstable_by_key(|&(block, _)| block);
+        inner.stats.syncs += 1;
+        for (block, data) in pending {
+            inner.stats.stable_writes += 1;
+            inner.charge(block, &self.cfg.cost);
+            inner.stable.insert(block, data);
+        }
+        Ok(())
+    }
+
     /// Simulates a power failure: every unflushed write is lost.
     ///
     /// If `tear` names a currently-unflushed block, only the first half of
@@ -444,6 +469,26 @@ mod tests {
         d.power_on();
         assert_eq!(d.read(10).unwrap()[0], 1);
         assert_eq!(d.read(100).unwrap()[0], 0);
+    }
+
+    #[test]
+    fn flush_blocks_persists_only_those_blocks_in_one_sync() {
+        let d = disk();
+        for b in [12, 10, 11, 100] {
+            d.write(b, &filled(b as u8)).unwrap();
+        }
+        d.flush_blocks(&[12, 10, 11, 50]).unwrap();
+        let s = d.stats();
+        assert_eq!((s.syncs, s.stable_writes), (1, 3));
+        // Ascending: one seek, then two sequential blocks.
+        let cost = CostModel::default();
+        assert_eq!(s.busy_us, cost.random_us() + 2 * cost.sequential_us());
+        d.flush_blocks(&[10, 50]).unwrap();
+        assert_eq!(d.stats().syncs, 1, "nothing pending: no sync");
+        d.crash(None);
+        d.power_on();
+        assert_eq!(d.read(11).unwrap()[0], 11);
+        assert_eq!(d.read(100).unwrap()[0], 0, "not listed, not flushed");
     }
 
     #[test]

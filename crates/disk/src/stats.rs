@@ -13,7 +13,8 @@ dfs_types::counters! {
         pub writes: u64,
         /// Blocks made durable on stable storage.
         pub stable_writes: u64,
-        /// Flush/sync operations (each `flush`, `flush_range`, `write_sync`).
+        /// Flush/sync operations (each `flush`, `flush_range`, `flush_blocks`,
+        /// `write_sync`).
         pub syncs: u64,
         /// Accesses that followed the previous access sequentially.
         pub sequential_ops: u64,

@@ -369,11 +369,15 @@ impl Episode {
             let within = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - within).min(data.len() - done);
             let phys = self.block_for_write(txn, a, fblk, logged)?;
-            let buf = self.jn.get(phys)?;
+            let chunk = &data[done..done + n];
             if logged {
-                self.jn.update(txn, &buf, within, &data[done..done + n])?;
+                self.jn.update(txn, &self.jn.get(phys)?, within, chunk)?;
+            } else if let Ok(page) = chunk.try_into() {
+                // A whole block of user data: nothing of the old one
+                // survives, so nothing is read.
+                self.jn.write_block(phys, page)?;
             } else {
-                self.jn.write_data(&buf, within, &data[done..done + n])?;
+                self.jn.write_data(&self.jn.get(phys)?, within, chunk)?;
             }
             pos += n as u64;
             done += n;
@@ -382,27 +386,33 @@ impl Episode {
         Ok(())
     }
 
-    /// Forces the data blocks backing `[offset, offset + len)` of `a`
-    /// home to stable storage. User data is unlogged (metadata-only
+    /// Forces the data blocks backing the byte ranges `(offset, len)` of
+    /// `a` home to stable storage. User data is unlogged (metadata-only
     /// journaling), so an ack whose durability contract covers file
     /// *contents* — the store-back path, where the client discards its
     /// dirty pages on the strength of the reply — must write the touched
     /// buffers through; forcing the log alone only hardens the metadata.
-    pub(crate) fn anode_force_home(&self, a: &Anode, offset: u64, len: u64) -> DfsResult<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let mut fblk = offset / BLOCK_SIZE as u64;
-        let last = (offset + len).div_ceil(BLOCK_SIZE as u64);
-        while fblk < last {
-            let phys = self.map_block(a, fblk)?;
-            if phys != 0 {
-                let buf = self.jn.get(phys)?;
-                self.jn.writeback_handle(&buf)?;
+    /// Every range's blocks go home together, with one disk flush for all
+    /// of them ([`Journal::write_home`]): a 16-page store costs that flush
+    /// and the log's, two syncs in all.
+    ///
+    /// [`Journal::write_home`]: dfs_journal::Journal::write_home
+    pub(crate) fn anode_force_home(
+        &self,
+        a: &Anode,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+    ) -> DfsResult<()> {
+        let mut bufs = Vec::new();
+        for (offset, len) in ranges.into_iter().filter(|&(_, len)| len > 0) {
+            let last = (offset + len).div_ceil(BLOCK_SIZE as u64);
+            for fblk in offset / BLOCK_SIZE as u64..last {
+                let phys = self.map_block(a, fblk)?;
+                if phys != 0 {
+                    bufs.push(self.jn.get(phys)?);
+                }
             }
-            fblk += 1;
         }
-        Ok(())
+        self.jn.write_home(&bufs)
     }
 
     /// Truncates (or extends) container `idx` to `new_len` using a

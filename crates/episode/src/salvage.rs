@@ -18,7 +18,8 @@
 //!   uniquifier, and no directory holds one name twice;
 //! * link counts match directory contents, and every mapped file is
 //!   named by at least one entry;
-//! * no file/directory anode is orphaned (unreachable from any volume).
+//! * no file/directory anode is orphaned (unreachable from any volume),
+//!   and every mapped directory is reachable from its volume's root.
 
 use crate::layout::{Anode, AnodeKind, FIRST_FREE_ANODE};
 use crate::Episode;
@@ -110,6 +111,7 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
         }
         // Directory structure: entries resolve, uniqs match, links count.
         let by_vnode: HashMap<u32, u32> = vnodes.iter().copied().collect();
+        let mut subdirs_of: HashMap<u32, Vec<u32>> = HashMap::new();
         for (v, slot) in &vnodes {
             let a = match live_anodes.get(slot) {
                 Some(a) => a,
@@ -134,6 +136,7 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
                         }
                         if t.kind == AnodeKind::Directory {
                             subdirs += 1;
+                            subdirs_of.entry(*v).or_default().push(e.vnode);
                         } else {
                             *nlink_expected.entry(by_vnode[&e.vnode]).or_insert(0) += 1;
                         }
@@ -150,6 +153,24 @@ pub fn salvage(ep: &Episode) -> DfsResult<SalvageReport> {
                 report
                     .problems
                     .push(format!("{vol:?}: dir vnode {v} nlink {} != expected {want}", a.nlink));
+            }
+        }
+        // Every directory hangs from the volume root: one moved into its
+        // own subtree heads a loop no walk from the root reaches.
+        let root = ep.read_volume_header(header)?.root_vnode;
+        let (mut reached, mut todo) = (HashSet::from([root]), vec![root]);
+        while let Some(v) = todo.pop() {
+            for &c in subdirs_of.get(&v).into_iter().flatten() {
+                if reached.insert(c) {
+                    todo.push(c);
+                }
+            }
+        }
+        for (v, slot) in &vnodes {
+            let is_dir = live_anodes.get(slot).is_some_and(|a| a.kind == AnodeKind::Directory);
+            if is_dir && !reached.contains(v) {
+                let problem = format!("{vol:?}: dir vnode {v} is unreachable from the root");
+                report.problems.push(problem);
             }
         }
     }
@@ -291,6 +312,40 @@ mod tests {
         let r = salvage(&ep).unwrap();
         assert_eq!(r.problems.len(), 1, "{:?}", r.problems);
         assert!(r.problems[0].contains("no entry names it"), "{:?}", r.problems);
+    }
+
+    /// The state a rename of `a` into its own child `b` left: `a`'s
+    /// entry moved from the root into `b`, every link count kept, so only
+    /// a walk from the root tells.
+    #[test]
+    fn detects_directories_the_root_does_not_reach() {
+        let ep = fresh(8192);
+        ep.create_volume(VolumeId(1), "v").unwrap();
+        let v = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
+        let cred = Credentials::system();
+        let root = v.root().unwrap();
+        let a = v.mkdir(&cred, root, "a", 0o755).unwrap().fid;
+        let b = v.mkdir(&cred, a, "b", 0o755).unwrap().fid;
+        let (_, header) = ep.voltable_find(VolumeId(1)).unwrap().unwrap();
+        let slot = |fid: dfs_types::Fid| ep.vnode_get(header, fid.vnode.0).unwrap();
+        let (rslot, bslot) = (slot(root), slot(b));
+        ep.txn(|txn| {
+            let mut r = ep.read_anode(rslot)?;
+            let e = ep.dir_lookup(&r, "a")?.expect("a is in the root");
+            ep.dir_remove(txn, &mut r, "a")?;
+            r.nlink -= 1;
+            ep.write_anode(txn, rslot, &r)?;
+            let mut bd = ep.read_anode(bslot)?;
+            ep.dir_insert(txn, &mut bd, &e)?;
+            bd.nlink += 1;
+            ep.write_anode(txn, bslot, &bd)
+        })
+        .unwrap();
+        let r = salvage(&ep).unwrap();
+        let unreached: Vec<&String> =
+            r.problems.iter().filter(|p| p.contains("unreachable from the root")).collect();
+        assert_eq!(unreached.len(), 2, "{:?}", r.problems);
+        assert_eq!(r.problems.len(), 2, "{:?}", r.problems);
     }
 
     #[test]

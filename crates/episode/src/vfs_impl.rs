@@ -166,6 +166,31 @@ impl EpisodeVolume {
         }
     }
 
+    /// True if directory `dir` is directory `slot` or holds it somewhere
+    /// below: a walk down from `dir`, as directory anodes keep no parent
+    /// pointer. Each directory's entries are read under its lock, taken
+    /// through `take` ([`Self::locked`]).
+    fn holds(
+        &self,
+        dir: u32,
+        slot: u32,
+        take: &mut dyn FnMut(u32) -> DfsResult<()>,
+    ) -> DfsResult<bool> {
+        let mut todo = vec![dir];
+        while let Some(d) = todo.pop() {
+            if d == slot {
+                return Ok(true);
+            }
+            take(d)?;
+            for e in self.ep.dir_list(&self.ep.read_anode(d)?)? {
+                if e.kind == AnodeKind::Directory.to_byte() {
+                    todo.push(self.ep.vnode_get(self.header, e.vnode)?);
+                }
+            }
+        }
+        Ok(false)
+    }
+
     /// Creates a file/directory/symlink entry; shared by create paths.
     fn make_node(
         &self,
@@ -342,6 +367,10 @@ impl Vfs for EpisodeVolume {
         check_name(src_name)?;
         check_name(dst_name)?;
         let (sslot, dslot) = (self.resolve(src_dir)?, self.resolve(dst_dir)?);
+        // A move between two directories may move a directory: one at a
+        // time per volume, so the tree the ancestry check walks holds
+        // still (the moves within one directory change no ancestry).
+        let _moving = (sslot != dslot).then(|| self.counters.renames.lock());
         self.locked(&[sslot, dslot], |take| {
             // The directories touched, source first; `dirs[t]` is the
             // target directory, which may be the source itself.
@@ -353,6 +382,12 @@ impl Vfs for EpisodeVolume {
             let t = dirs.len() - 1;
             let e = self.ep.dir_lookup(&dirs[0].1, src_name)?.ok_or(DfsError::NotFound)?;
             let is_dir = e.kind == AnodeKind::Directory.to_byte();
+            if is_dir && sslot != dslot {
+                let moved = self.ep.vnode_get(self.header, e.vnode)?;
+                if self.holds(moved, dslot, take)? {
+                    return Err(DfsError::InvalidArgument);
+                }
+            }
             let replaced = match self.ep.dir_lookup(&dirs[t].1, dst_name)? {
                 Some(old) if old.vnode == e.vnode => return Ok(()),
                 Some(old) => {
@@ -449,8 +484,8 @@ impl Vfs for EpisodeVolume {
 
     /// The batched store-back path: all extents land in *one* journal
     /// transaction with a single version bump and anode write, then the
-    /// log is group-committed once. A 16-page store-back thus costs one
-    /// log force where the per-extent path would pay sixteen.
+    /// log is group-committed once and the pages go home with one disk
+    /// flush. A 16-page store-back thus costs two disk syncs.
     fn write_vec(
         &self,
         cred: &Credentials,
@@ -481,9 +516,7 @@ impl Vfs for EpisodeVolume {
         // returning — otherwise a crash that loses the disk cache loses
         // an acknowledged store.
         self.ep.jn.sync()?;
-        for e in extents {
-            self.ep.anode_force_home(&a, e.offset, e.data.len() as u64)?;
-        }
+        self.ep.anode_force_home(&a, extents.iter().map(|e| (e.offset, e.data.len() as u64)))?;
         Ok(self.ep.status_from_anode(file, &a))
     }
 
@@ -643,6 +676,7 @@ impl PhysicalFs for Episode {
 mod tests {
     use super::*;
     use crate::tests::fresh;
+    use dfs_disk::BLOCK_SIZE;
 
     pub(crate) fn mounted() -> (Arc<Episode>, Arc<dyn VfsPlus>) {
         let ep = fresh(16384);
@@ -701,6 +735,110 @@ mod tests {
         let st2 = v.write_vec(&cred(), f.fid, &[]).unwrap();
         assert_eq!(st2.data_version, st.data_version);
         assert_eq!(ep.journal().stats().since(&after).txns_begun, 0);
+    }
+
+    fn page(byte: u8) -> Vec<u8> {
+        vec![byte; BLOCK_SIZE]
+    }
+
+    fn extent(offset: usize, data: Vec<u8>) -> dfs_vfs::WriteExtent {
+        dfs_vfs::WriteExtent { offset: offset as u64, data }
+    }
+
+    /// Opens the aggregate on `disk` again, as after a crash, and mounts
+    /// volume 1.
+    fn reopen(disk: &dfs_disk::SimDisk) -> (Arc<Episode>, Arc<dyn VfsPlus>) {
+        let (ep, _) = Episode::open(disk.clone(), dfs_types::SimClock::new()).unwrap();
+        let vol = PhysicalFs::mount(&*ep, VolumeId(1)).unwrap();
+        (ep, vol)
+    }
+
+    #[test]
+    fn a_16_page_write_vec_costs_two_disk_syncs() {
+        let (ep, v) = mounted();
+        let f = v.create(&cred(), v.root().unwrap(), "pages", 0o644).unwrap().fid;
+        // Four extents of four pages, with holes between them.
+        let extents: Vec<_> =
+            (0..16).map(|i| extent((i + i / 4) * BLOCK_SIZE, page(i as u8))).collect();
+        let before = ep.disk().stats();
+        v.write_vec(&cred(), f, &extents).unwrap();
+        let d = ep.disk().stats().since(&before);
+        // The log's group commit and one flush for all sixteen blocks.
+        assert_eq!(d.syncs, 2);
+        for e in &extents {
+            assert_eq!(v.read(&cred(), f, e.offset, BLOCK_SIZE).unwrap(), e.data);
+        }
+    }
+
+    #[test]
+    fn a_full_page_store_reads_nothing_and_a_partial_one_reads_its_page() {
+        let (ep, v) = mounted();
+        let disk = ep.disk().clone();
+        let f = v.create(&cred(), v.root().unwrap(), "pages", 0o644).unwrap().fid;
+        let reads = disk.stats().reads;
+        let pages: Vec<_> = (0..3).map(|i| extent(i * BLOCK_SIZE, page(i as u8 + 1))).collect();
+        v.write_vec(&cred(), f, &pages).unwrap();
+        assert_eq!(disk.stats().reads, reads, "fresh blocks, overwritten whole: no read");
+        // Acknowledged, the pages survive a crash that loses the disk cache.
+        drop((ep, v));
+        disk.crash(None);
+        disk.power_on();
+        let (ep, v) = reopen(&disk);
+        // A partial store warms the metadata it needs, and reads its page.
+        v.write_vec(&cred(), f, &[extent(10, page(4)[..100].to_vec())]).unwrap();
+        let reads = disk.stats().reads;
+        v.write_vec(&cred(), f, &[extent(BLOCK_SIZE + 10, page(5)[..100].to_vec())]).unwrap();
+        assert_eq!(disk.stats().reads, reads + 1, "a partial page is read, then changed");
+        // A whole page over an uncached block reads nothing.
+        let reads = disk.stats().reads;
+        v.write_vec(&cred(), f, &[extent(2 * BLOCK_SIZE, page(6))]).unwrap();
+        assert_eq!(disk.stats().reads, reads);
+        drop((ep, v));
+        disk.crash(None);
+        disk.power_on();
+        let (_ep, v) = reopen(&disk);
+        let back = v.read(&cred(), f, 0, 3 * BLOCK_SIZE).unwrap();
+        for (i, (old, new)) in [(1, 4), (2, 5)].into_iter().enumerate() {
+            let at = i * BLOCK_SIZE;
+            assert_eq!(back[at..at + 10], [old; 10], "page {i} keeps its head");
+            assert_eq!(back[at + 10..at + 110], [new; 100], "page {i}");
+            assert_eq!(back[at + 110..at + BLOCK_SIZE], [old; BLOCK_SIZE - 110], "page {i}");
+        }
+        assert_eq!(back[2 * BLOCK_SIZE..], page(6)[..]);
+    }
+
+    #[test]
+    fn a_full_page_store_over_a_block_shared_with_a_clone_copies_it() {
+        let (ep, v) = mounted();
+        let f = v.create(&cred(), v.root().unwrap(), "shared", 0o644).unwrap().fid;
+        v.write_vec(&cred(), f, &[extent(0, page(5))]).unwrap();
+        Episode::clone_volume(&ep, VolumeId(1), VolumeId(2), "snap").unwrap();
+        v.write_vec(&cred(), f, &[extent(0, page(6))]).unwrap();
+        let snap = PhysicalFs::mount(&*ep, VolumeId(2)).unwrap();
+        let sf = Fid { volume: VolumeId(2), ..f };
+        assert_eq!(snap.read(&cred(), sf, 0, BLOCK_SIZE).unwrap(), page(5));
+        assert_eq!(v.read(&cred(), f, 0, BLOCK_SIZE).unwrap(), page(6));
+        let report = ep.salvage().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+    }
+
+    #[test]
+    fn a_full_page_store_onto_bad_media_fails() {
+        let (ep, v) = mounted();
+        let disk = ep.disk().clone();
+        let f = v.create(&cred(), v.root().unwrap(), "bad", 0o644).unwrap().fid;
+        v.write_vec(&cred(), f, &[extent(0, page(1))]).unwrap();
+        let (_, header) = ep.voltable_find(VolumeId(1)).unwrap().unwrap();
+        let slot = ep.vnode_get(header, f.vnode.0).unwrap();
+        let block = ep.map_block(&ep.read_anode(slot).unwrap(), 0).unwrap();
+        ep.sync_all().unwrap();
+        drop((ep, v));
+        disk.inject_media_failure(block, block + 1);
+        // Cold: the store reads nothing, so only its write-back meets the
+        // bad block, and the reply must say so.
+        let (_ep, v) = reopen(&disk);
+        let err = v.write_vec(&cred(), f, &[extent(0, page(2))]).unwrap_err();
+        assert_eq!(err, DfsError::MediaFailure);
     }
 
     #[test]
@@ -940,6 +1078,33 @@ mod tests {
             DfsError::PermissionDenied
         );
         assert!(v.lookup(&cred(), root, "x").is_ok());
+    }
+
+    #[test]
+    fn rename_refuses_to_move_a_directory_into_its_own_subtree() {
+        let (ep, v) = mounted();
+        let root = v.root().unwrap();
+        let a = v.mkdir(&cred(), root, "a", 0o755).unwrap().fid;
+        let b = v.mkdir(&cred(), a, "b", 0o755).unwrap().fid;
+        let c = v.mkdir(&cred(), b, "c", 0o755).unwrap().fid;
+        for (into, name) in [(b, "a2"), (c, "a3"), (a, "a4")] {
+            let err = v.rename(&cred(), root, "a", into, name).unwrap_err();
+            assert_eq!(err, DfsError::InvalidArgument, "into {name}'s parent");
+            assert_eq!(v.lookup(&cred(), into, name).unwrap_err(), DfsError::NotFound);
+        }
+        assert_eq!(v.rename(&cred(), a, "b", c, "b2").unwrap_err(), DfsError::InvalidArgument);
+        // The tree is as it was.
+        assert_eq!(v.lookup(&cred(), root, "a").unwrap().fid, a);
+        assert_eq!(v.lookup(&cred(), a, "b").unwrap().fid, b);
+        assert_eq!(v.lookup(&cred(), b, "c").unwrap().fid, c);
+        let report = ep.salvage().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+        // Up the tree, or into a sibling's, is a move like any other.
+        v.rename(&cred(), b, "c", root, "c").unwrap();
+        v.rename(&cred(), root, "a", c, "a").unwrap();
+        assert_eq!(v.lookup(&cred(), c, "a").unwrap().fid, a);
+        let report = ep.salvage().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl VolumeHeader {
 /// ahead in a transaction of its own ([`Episode::keep_below_marks`]).
 /// After a crash the counters resume at the logged marks, above every
 /// value handed out. One per volume, in [`Episode`]'s map keyed by
-/// header anode.
+/// header anode; so it also carries the volume's rename lock.
 pub(crate) struct VolumeCounters {
     header: u32,
     /// The last version handed out. `Relaxed`: a draw publishes nothing
@@ -138,6 +138,10 @@ pub(crate) struct VolumeCounters {
     uniq_mark: AtomicU32,
     /// Serializes mark extensions and header rewrites.
     marks: OrderedMutex<(), { rank::EPISODE_MARKS }>,
+    /// Serializes the volume's renames between two different
+    /// directories, so none changes the tree another's ancestry check
+    /// walks.
+    pub(crate) renames: OrderedMutex<(), { rank::EPISODE_RENAME }>,
 }
 
 impl VolumeCounters {
@@ -150,6 +154,7 @@ impl VolumeCounters {
             version_mark: AtomicU64::new(vh.version),
             uniq_mark: AtomicU32::new(vh.next_uniq),
             marks: OrderedMutex::new(()),
+            renames: OrderedMutex::new(()),
         }
     }
 

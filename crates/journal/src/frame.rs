@@ -33,6 +33,32 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
+    /// A clean frame holding `data`, as read from the disk.
+    pub fn read(data: Block) -> Frame {
+        Frame {
+            data,
+            dirty: false,
+            first_lsn: None,
+            last_lsn: Lsn(0),
+            writer_class: None,
+            version: 0,
+            unlogged: false,
+        }
+    }
+
+    /// Makes this the frame of a block overwritten whole with unlogged
+    /// `data` ([`Journal::write_block`](crate::Journal::write_block)):
+    /// dirty, with no logged change and no writer class.
+    pub fn overwrite(&mut self, data: &[u8; BLOCK_SIZE]) {
+        self.data.copy_from_slice(data);
+        self.dirty = true;
+        self.unlogged = true;
+        self.first_lsn = None;
+        self.last_lsn = Lsn(0);
+        self.writer_class = None;
+        self.version += 1;
+    }
+
     /// Settles a write-back: the contents as of `version` — logged
     /// changes `first_lsn` up to `last_lsn` — are home.
     pub fn written_home(&mut self, version: u64, first_lsn: Option<Lsn>, last_lsn: Lsn) {
@@ -41,9 +67,10 @@ impl Frame {
             self.first_lsn = None;
             self.unlogged = false;
         } else if first_lsn.is_some() {
-            // An update landed while the latch was released for the
-            // I/O. The frame stays dirty — what was written is stale,
-            // and cleaning it would lose the newer change on eviction —
+            // An update landed between the snapshot and the settle (a
+            // write-back holds the latch from its disk write to here, so
+            // none does there). The frame stays dirty — what was written
+            // is stale, and cleaning it would lose the newer change —
             // but its logged changes up to the snapshot's last record
             // are home all the same, and every later one was logged
             // after that: it is the oldest record the frame still
@@ -64,6 +91,13 @@ pub(crate) struct FrameCell {
     pub referenced: AtomicBool,
     /// The latched frame state.
     pub state: OrderedMutex<Frame, { rank::JOURNAL_FRAME }>,
+}
+
+impl FrameCell {
+    /// A cell for `block` holding `frame`, its reference bit clear.
+    pub fn new(block: u32, frame: Frame) -> FrameCell {
+        FrameCell { block, referenced: AtomicBool::new(false), state: OrderedMutex::new(frame) }
+    }
 }
 
 /// A pinned handle to a cached disk block.

@@ -46,9 +46,9 @@ use dfs_disk::{Block, SimDisk, BLOCK_SIZE};
 use dfs_types::{DfsError, DfsResult};
 use frame::{Frame, FrameCell};
 use logfmt::{commit_len, decode_block, encode_block, update_len, LOG_PAYLOAD};
-use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedRwLock};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Largest number of bytes a single update record may change.
@@ -128,6 +128,8 @@ struct LogState {
     pending: Vec<u8>,
     /// A group commit is writing a batch with the lock released.
     syncing: bool,
+    /// A checkpoint is running, with the lock released.
+    checkpointing: bool,
 }
 
 /// The buffer cache, replaced by CLOCK (second chance).
@@ -160,6 +162,35 @@ impl CacheState {
             }
         }
         None
+    }
+
+    /// Puts the frame `cell` in the victim's `slot`, or in a new slot.
+    fn install(&mut self, slot: Option<usize>, cell: Arc<FrameCell>) {
+        let block = cell.block;
+        match slot {
+            Some(slot) => {
+                let old = std::mem::replace(&mut self.slots[slot], cell);
+                self.frames.remove(&old.block);
+                self.frames.insert(block, slot);
+            }
+            None => {
+                self.frames.insert(block, self.slots.len());
+                self.slots.push(cell);
+            }
+        }
+    }
+
+    /// Hands the victim's `slot` over to `block`, frame and buffer and
+    /// all, and returns the frame for the caller to fill. The victim is
+    /// clean and unpinned, and the caller holds the cache's write lock,
+    /// so the slot holds the frame's only reference.
+    fn reuse(&mut self, slot: usize, block: u32) -> &mut Frame {
+        let cell = Arc::get_mut(&mut self.slots[slot]).expect("a victim is unpinned");
+        self.frames.remove(&cell.block);
+        self.frames.insert(block, slot);
+        cell.block = block;
+        *cell.referenced.get_mut() = false;
+        cell.state.get_mut()
     }
 
     /// Drops the frame in `slot`, moving the last slot into its place.
@@ -258,6 +289,8 @@ pub struct Journal {
     drained: OrderedCondvar,
     /// Signalled when a group commit in flight finishes.
     synced: OrderedCondvar,
+    /// Signalled when a checkpoint in flight finishes.
+    checkpointed: OrderedCondvar,
     stats: JournalCounters,
 }
 
@@ -422,6 +455,7 @@ impl Journal {
                 tail: head,
                 pending: Vec::new(),
                 syncing: false,
+                checkpointing: false,
             }),
             cache: OrderedRwLock::new(CacheState {
                 frames: HashMap::new(),
@@ -432,6 +466,7 @@ impl Journal {
             txns: OrderedMutex::new(TxnTable { next_id: 1, active: HashMap::new(), ops: 0 }),
             drained: OrderedCondvar::new(),
             synced: OrderedCondvar::new(),
+            checkpointed: OrderedCondvar::new(),
             stats: JournalCounters::default(),
         })
     }
@@ -501,33 +536,39 @@ impl Journal {
         }
         self.stats.cache_misses.add(1);
         let victim = self.make_room(&mut cache)?;
-        let data = self.disk.read(block)?;
-        let cell = Arc::new(FrameCell {
-            block,
-            referenced: AtomicBool::new(false),
-            state: OrderedMutex::new(Frame {
-                data,
-                dirty: false,
-                first_lsn: None,
-                last_lsn: Lsn(0),
-                writer_class: None,
-                version: 0,
-                unlogged: false,
-            }),
-        });
-        match victim {
-            Some(slot) => {
-                let old = std::mem::replace(&mut cache.slots[slot], cell.clone());
-                cache.frames.remove(&old.block);
-                cache.frames.insert(block, slot);
-            }
+        let cell = Arc::new(FrameCell::new(block, Frame::read(self.disk.read(block)?)));
+        cache.install(victim, cell.clone());
+        Ok(BufHandle { cell })
+    }
+
+    /// Overwrites all of `block` with `data`, unlogged: a whole page of
+    /// user data (§2.2), as [`Journal::write_data`] writes a part of one.
+    ///
+    /// A miss reads nothing, for every byte the disk holds is about to be
+    /// replaced: the block is installed as a dirty frame in the CLOCK
+    /// victim's slot, in the victim's own frame and buffer (written home
+    /// first if dirty), or in a new slot while the cache is below
+    /// capacity. A hit is [`Journal::write_data`] of the whole block.
+    pub fn write_block(&self, block: u32, data: &[u8; BLOCK_SIZE]) -> DfsResult<()> {
+        let hit = self.hit(&self.cache.read(), block);
+        if let Some(hit) = hit {
+            return self.write_data(&hit, 0, data);
+        }
+        let mut cache = self.cache.write();
+        let hit = self.hit(&cache, block);
+        if let Some(hit) = hit {
+            drop(cache);
+            return self.write_data(&hit, 0, data);
+        }
+        self.stats.cache_misses.add(1);
+        match self.make_room(&mut cache)? {
+            Some(slot) => cache.reuse(slot, block).overwrite(data),
             None => {
-                let slot = cache.slots.len();
-                cache.frames.insert(block, slot);
-                cache.slots.push(cell.clone());
+                let frame = Frame { dirty: true, unlogged: true, ..Frame::read(Box::new(*data)) };
+                cache.install(None, Arc::new(FrameCell::new(block, frame)));
             }
         }
-        Ok(BufHandle { cell })
+        Ok(())
     }
 
     /// A handle to `block` if it is cached, its reference bit set.
@@ -554,21 +595,39 @@ impl Journal {
         Ok(None)
     }
 
-    /// Writes one dirty frame home, honouring the WAL rule.
-    fn writeback(&self, cell: &Arc<FrameCell>) -> DfsResult<()> {
-        let (dirty, first_lsn, last_lsn, data, version) = {
-            let st = cell.state.lock();
-            (st.dirty, st.first_lsn, st.last_lsn, st.data.clone(), st.version)
-        };
-        if !dirty {
-            return Ok(());
+    /// Writes one dirty frame home and flushes it: an eviction's
+    /// write-back. See [`Journal::write_frame`].
+    fn writeback(&self, cell: &FrameCell) -> DfsResult<()> {
+        self.write_frame(cell)?;
+        self.disk.flush_blocks(&[cell.block])
+    }
+
+    /// Writes one dirty frame to its home block, honouring the WAL rule,
+    /// and leaves it clean; the caller flushes the block. The log is
+    /// forced up to the frame's last record with the latch released;
+    /// then, under the latch again, a record that landed meanwhile sends
+    /// it round once more, and otherwise the frame's own buffer goes to
+    /// [`SimDisk::write`] under the latch — no copy is taken, and no
+    /// update can land between the write and the frame turning clean
+    /// (ranks `JOURNAL_FRAME`, then the disk's).
+    fn write_frame(&self, cell: &FrameCell) -> DfsResult<()> {
+        let mut forced = Lsn(0);
+        loop {
+            let mut st = cell.state.lock();
+            if !st.dirty {
+                return Ok(());
+            }
+            if st.last_lsn <= forced {
+                self.disk.write(cell.block, &st.data)?;
+                let (version, first_lsn, last_lsn) = (st.version, st.first_lsn, st.last_lsn);
+                st.written_home(version, first_lsn, last_lsn);
+                self.stats.writebacks.add(1);
+                return Ok(());
+            }
+            forced = st.last_lsn;
+            drop(st);
+            self.force(Some(forced))?;
         }
-        self.ensure_durable(last_lsn)?;
-        self.disk.write(cell.block, &data)?;
-        self.disk.flush_range(cell.block, cell.block + 1)?;
-        cell.state.lock().written_home(version, first_lsn, last_lsn);
-        self.stats.writebacks.add(1);
-        Ok(())
     }
 
     /// Modifies a buffer *without* logging — for user data only.
@@ -576,7 +635,7 @@ impl Journal {
     /// The paper's rule (§2.2) is that changes to user data are not
     /// logged; only metadata goes through [`Journal::update`]. Data
     /// written this way is durable only after the frame is written back
-    /// (eviction, [`Journal::writeback_handle`], or a checkpoint).
+    /// (eviction, [`Journal::write_home`], or a checkpoint).
     pub fn write_data(&self, buf: &BufHandle, offset: usize, data: &[u8]) -> DfsResult<()> {
         if offset + data.len() > BLOCK_SIZE {
             return Err(DfsError::InvalidArgument);
@@ -589,14 +648,17 @@ impl Journal {
         Ok(())
     }
 
-    /// Forces one buffer home (used by `fsync` paths).
-    pub fn writeback_handle(&self, buf: &BufHandle) -> DfsResult<()> {
-        self.writeback(&buf.cell)
-    }
-
-    /// Makes the log durable at least up to `lsn`.
-    fn ensure_durable(&self, lsn: Lsn) -> DfsResult<()> {
-        self.force(Some(lsn))
+    /// Forces the frames `bufs` home to stable storage: the store path's
+    /// durability point for unlogged user data. Each dirty frame is
+    /// written home under the WAL rule, then every block in
+    /// `bufs` is flushed by one [`SimDisk::flush_blocks`] — a clean one
+    /// too, whose write-back by another thread may not be flushed yet.
+    pub fn write_home(&self, bufs: &[BufHandle]) -> DfsResult<()> {
+        for buf in bufs {
+            self.write_frame(&buf.cell)?;
+        }
+        let blocks: Vec<u32> = bufs.iter().map(BufHandle::block).collect();
+        self.disk.flush_blocks(&blocks)
     }
 
     // ------------------------------------------------------------------
@@ -851,18 +913,23 @@ impl Journal {
     /// Ensures at least `need` bytes of log space are available.
     ///
     /// Must be called with *no* journal locks held: it may checkpoint,
-    /// which takes the cache, frame, and transaction locks.
+    /// which takes the cache, frame, and transaction locks. Out of space,
+    /// a caller that finds a checkpoint in flight waits for it and looks
+    /// again, as a forcer waits for the group commit in flight; only one
+    /// that still finds the log full runs a checkpoint of its own.
     fn reserve(&self, need: u64) -> DfsResult<()> {
-        {
-            let log = self.log.lock();
-            if (log.head.0 - log.tail.0) + need <= self.region.capacity_bytes() {
-                return Ok(());
-            }
+        let capacity = self.region.capacity_bytes();
+        let fits = |log: &LogState| (log.head.0 - log.tail.0) + need <= capacity;
+        let mut log = self.log.lock();
+        while !fits(&log) && log.checkpointing {
+            self.checkpointed.wait(&mut log);
+        }
+        if fits(&log) {
+            return Ok(());
         }
         // Out of space: checkpoint to advance the tail, then re-check.
-        self.checkpoint()?;
-        let log = self.log.lock();
-        if (log.head.0 - log.tail.0) + need > self.region.capacity_bytes() {
+        self.lead_checkpoint(log)?;
+        if !fits(&self.log.lock()) {
             return Err(DfsError::LogFull);
         }
         Ok(())
@@ -957,12 +1024,38 @@ impl Journal {
     }
 
     /// Checkpoints the journal: all dirty frames are written home and the
-    /// log tail advances past everything now reflected on disk.
+    /// log tail advances past everything now reflected on disk. One runs
+    /// at a time: a caller that finds one in flight waits for it, then
+    /// runs its own, which covers what changed since that one began.
     pub fn checkpoint(&self) -> DfsResult<()> {
+        let mut log = self.log.lock();
+        while log.checkpointing {
+            self.checkpointed.wait(&mut log);
+        }
+        self.lead_checkpoint(log)
+    }
+
+    /// Runs a checkpoint as the one in flight; `log` is the log lock,
+    /// under which no checkpoint was found running.
+    fn lead_checkpoint(
+        &self,
+        mut log: OrderedMutexGuard<'_, LogState, { rank::JOURNAL_LOG }>,
+    ) -> DfsResult<()> {
+        log.checkpointing = true;
+        drop(log);
+        let done = self.run_checkpoint();
+        self.log.lock().checkpointing = false;
+        self.checkpointed.notify_all();
+        done
+    }
+
+    /// The checkpoint itself: a group commit, every dirty frame written
+    /// home with one flush for them all, and the tail moved up.
+    fn run_checkpoint(&self) -> DfsResult<()> {
         self.sync()?;
         let cells = self.cache.read().slots.clone();
         for cell in &cells {
-            self.writeback(cell)?;
+            self.write_frame(cell)?;
         }
         self.disk.flush()?;
         // New tail: oldest LSN still needed by an active transaction,
@@ -976,9 +1069,9 @@ impl Journal {
                 }
             }
         }
-        // Frames re-dirtied while the sweep had their lock released still
-        // hold logged changes not yet on disk; the tail must not pass
-        // their oldest LSN or recovery could no longer redo them.
+        // Frames re-dirtied since the sweep passed them hold logged
+        // changes not yet on disk; the tail must not pass their oldest
+        // LSN or recovery could no longer redo them.
         for cell in &cells {
             let st = cell.state.lock();
             if st.dirty {
@@ -1287,7 +1380,7 @@ mod tests {
         let buf = jn.get(906).unwrap();
         // The block's home copy: an old user-data page.
         jn.write_data(&buf, 0, &[0x55; BLOCK_SIZE]).unwrap();
-        jn.writeback_handle(&buf).unwrap();
+        jn.write_home(std::slice::from_ref(&buf)).unwrap();
         // A newer page, freed before its write-back: zeros but for a
         // stretch in the middle, in the frame only.
         let mut page = [0u8; BLOCK_SIZE];
@@ -1398,7 +1491,7 @@ mod tests {
         std::thread::scope(|s| {
             let (jn, buf) = (&jn, &buf);
             s.spawn(move || {
-                jn.writeback_handle(buf).unwrap();
+                jn.write_home(std::slice::from_ref(buf)).unwrap();
                 tx.send(()).unwrap();
             });
             for _ in 0..1000 {
@@ -1679,6 +1772,89 @@ mod tests {
         jn.get(3950).unwrap();
         assert_eq!(population(&jn), 10);
         assert!(jn.cache.read().frames.contains_key(&3950));
+    }
+
+    #[test]
+    fn write_block_installs_a_miss_in_the_victims_frame_without_a_read() {
+        let (disk, jn) = setup();
+        jn.set_cache_capacity(8);
+        // The first frame holds a committed change; the hand rests on it.
+        let first = jn.get(3960).unwrap();
+        let t = jn.begin();
+        jn.update(t, &first, 0, &[0xAB; 8]).unwrap();
+        jn.commit(t).unwrap();
+        drop(first);
+        for i in 1..8u32 {
+            jn.get(3960 + i).unwrap();
+        }
+        let victim = Arc::as_ptr(&jn.cache.read().slots[0]);
+        let (before, reads) = (jn.stats(), disk.stats().reads);
+        jn.write_block(3990, &[7; BLOCK_SIZE]).unwrap();
+        let d = jn.stats().since(&before);
+        assert_eq!(disk.stats().reads, reads, "a whole block is not read");
+        assert_eq!((d.cache_misses, d.writebacks), (1, 1), "the victim went home first");
+        assert_eq!(disk.read(3960).unwrap()[..8], [0xAB; 8]);
+        {
+            let cache = jn.cache.read();
+            assert_eq!(cache.frames[&3990], 0);
+            assert!(!cache.frames.contains_key(&3960));
+            assert!(std::ptr::eq(Arc::as_ptr(&cache.slots[0]), victim), "the frame is reused");
+        }
+        assert_eq!(population(&jn), 8);
+        let buf = jn.get(3990).unwrap();
+        {
+            let st = buf.cell.state.lock();
+            assert!(st.dirty && st.unlogged && st.writer_class.is_none());
+            assert_eq!((st.first_lsn, st.last_lsn), (None, Lsn(0)));
+        }
+        // A hit overwrites the cached frame.
+        jn.write_block(3990, &[8; BLOCK_SIZE]).unwrap();
+        assert_eq!(jn.stats().since(&before).cache_misses, 1);
+        jn.write_home(std::slice::from_ref(&buf)).unwrap();
+        disk.crash(None);
+        disk.power_on();
+        assert_eq!(disk.read(3990).unwrap()[..], [8; BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn a_full_log_waits_for_the_checkpoint_in_flight_instead_of_running_its_own() {
+        let disk = SimDisk::new(DiskConfig::with_blocks(4096));
+        let jn = Journal::format(disk, LogRegion { first_block: 1, blocks: 8 }).unwrap();
+        let capacity = jn.region().capacity_bytes();
+        let buf = jn.get(1000).unwrap();
+        let write = |byte: u8| {
+            let t = jn.begin();
+            jn.update(t, &buf, 0, &[byte; 100]).unwrap();
+            jn.commit(t).unwrap();
+        };
+        let mut byte = 0u8;
+        while capacity - jn.log_used_bytes() >= (update_len(100) + commit_len(1)) as u64 {
+            byte = byte.wrapping_add(1).max(1);
+            write(byte);
+        }
+        assert_eq!(jn.stats().checkpoints, 0);
+        // Play a checkpoint's leader up to its sweep: the flag set, the
+        // lock released.
+        jn.log.lock().checkpointing = true;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                write(byte.wrapping_add(1).max(1));
+                tx.send(()).unwrap();
+            });
+            for _ in 0..1000 {
+                std::thread::yield_now();
+            }
+            assert!(rx.try_recv().is_err(), "wrote into a full log");
+            assert_eq!(jn.stats().checkpoints, 0, "ran a checkpoint beside the one in flight");
+            // The leader's sweep lands and frees the log.
+            jn.run_checkpoint().unwrap();
+            jn.log.lock().checkpointing = false;
+            jn.checkpointed.notify_all();
+            rx.recv().unwrap();
+        });
+        // The waiter found room after it and ran none of its own.
+        assert_eq!(jn.stats().checkpoints, 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
 //! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
 //! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
+//! | `EPISODE_RENAME`       | 141   | one volume's renames between two different directories |
 //! | `EPISODE_VOLUME_OPS`   | 142   | Episode's volume-table operations (create, delete, clone, dump, restore) |
 //! | `EPISODE_COUNTERS`     | 144   | Episode's map of per-volume counters |
 //! | `EPISODE_MARKS`        | 146   | one volume's counter-mark extensions and header rewrites |
@@ -121,6 +122,12 @@ pub mod rank {
     pub const HOST_TABLE: u16 = 130;
     /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
+    /// One volume's renames between two different directories, one at
+    /// a time (Linux's `s_vfs_rename_mutex`), so the check that a
+    /// directory is not moved into its own subtree walks a tree no other
+    /// move changes. Taken before any anode lock; never nests with the
+    /// volume-table lock.
+    pub const EPISODE_RENAME: u16 = 141;
     /// Episode's volume-table operations (create, delete, clone, dump,
     /// restore): the outermost Episode lock, held across the others.
     pub const EPISODE_VOLUME_OPS: u16 = 142;
@@ -166,6 +173,7 @@ pub mod rank {
             TOKEN_SHARD => "TOKEN_SHARD",
             HOST_TABLE => "HOST_TABLE",
             LOCK_TABLE => "LOCK_TABLE",
+            EPISODE_RENAME => "EPISODE_RENAME",
             EPISODE_VOLUME_OPS => "EPISODE_VOLUME_OPS",
             EPISODE_COUNTERS => "EPISODE_COUNTERS",
             EPISODE_MARKS => "EPISODE_MARKS",

@@ -81,15 +81,18 @@
 #      counters' mark extensions stay rare (DESIGN.md §7 "Volume
 #      counters off the transaction"; 0.5005 with one per ~2 048 ops)
 #  16. buffer-cache gate: the benchmark's `write_fsync` workload, 4 s at
-#      seed 1 under --strict, must report 0 failed ops and
-#      `disk.reads_per_op` at most 0.97 — every buffer-cache miss is one
-#      disk read, so CLOCK replacement must not miss more than it does
-#      (DESIGN.md §7 "Buffer-cache replacement"). Calibrated with this
-#      stage's own command on a 2-vCPU host: 0.947 and 0.948 before the
-#      volume counters left the transaction, 0.947 and 0.949 after; 1.40
-#      with the cache cut to 32 frames. It gates misses, not the hit
-#      share: a change that drops redundant lookups (always hits) lowers
-#      the share with the misses unchanged (0.883 → 0.838 then)
+#      seed 1 under --strict, must report 0 failed ops,
+#      `disk.reads_per_op` at most 0.05 — a whole page stored is not read
+#      first (DESIGN.md §7 "A store is one copy and one flush"; 0.947 and
+#      0.949 while every page was, 0.005 since) — and
+#      `journal.cache_hit_share` at least 0.83: the share still counts
+#      every buffer-cache miss, so CLOCK replacement must not miss more
+#      than it does (DESIGN.md §7 "Buffer-cache replacement"). Calibrated
+#      with this stage's own command on a 2-vCPU host: 0.8369 and 0.8370
+#      (0.8362–0.8363 at the parent); 0.7907, with 0.27 reads per op,
+#      with the cache cut to 32 frames. A change that drops redundant lookups
+#      (always hits) lowers the share with the misses unchanged
+#      (0.883 → 0.838 then): recalibrate the floor with it
 #
 # Run from the repo root:  ./verify.sh
 set -eu
@@ -235,9 +238,11 @@ out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml
 }
 printf '%s\n' "$out" | awk '
   $2 == "failed_op_share" { f = 1; if ($3 != "0.0000") bad = 1; print }
-  $2 == "disk.reads_per_op" { r = 1; if ($3 > 0.97) bad = 1; print }
-  END { exit !(f && r && !bad) }' || {
-  echo "buffer-cache gate: failed ops, or disk.reads_per_op above 0.97"
+  $2 == "disk.reads_per_op" { r = 1; if ($3 > 0.05) bad = 1; print }
+  $2 == "journal.cache_hit_share" { h = 1; if ($3 < 0.83) bad = 1; print }
+  END { exit !(f && r && h && !bad) }' || {
+  echo "buffer-cache gate: failed ops, disk.reads_per_op above 0.05," \
+    "or journal.cache_hit_share below 0.83"
   exit 1
 }
 
