@@ -11,9 +11,9 @@
 
 use dfs_rpc::{Addr, CallClass, CallContext, Network, PoolConfig, Request, Response, RpcService};
 use dfs_token::{Token, TokenId, TokenTypes};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{ByteRange, ClientId, DfsError, DfsResult, FileStatus, Fid, ServerId, VolumeId};
 use dfs_vfs::{Credentials, VfsPlus, WriteExtent};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ pub struct AfsServer {
     addr: Addr,
     fs: Arc<dyn VfsPlus>,
     /// fid → clients holding a callback promise.
-    callbacks: Mutex<HashMap<Fid, HashSet<ClientId>>>,
+    callbacks: OrderedMutex<HashMap<Fid, HashSet<ClientId>>, { rank::BASELINE_SERVER }>,
     stats: AfsServerCounters,
 }
 
@@ -46,7 +46,7 @@ impl AfsServer {
             net: net.clone(),
             addr: Addr::Server(id),
             fs,
-            callbacks: Mutex::new(HashMap::new()),
+            callbacks: OrderedMutex::new(HashMap::new()),
             stats: AfsServerCounters::default(),
         });
         net.register(Addr::Server(id), srv.clone(), PoolConfig::default());
@@ -202,7 +202,7 @@ pub struct AfsClient {
     net: Network,
     addr: Addr,
     server: Addr,
-    files: Mutex<HashMap<Fid, AfsFile>>,
+    files: OrderedMutex<HashMap<Fid, AfsFile>, { rank::BASELINE_CLIENT }>,
     stats: AfsClientCounters,
 }
 
@@ -213,7 +213,7 @@ impl AfsClient {
             net: net.clone(),
             addr: Addr::Client(id),
             server: Addr::Server(server),
-            files: Mutex::new(HashMap::new()),
+            files: OrderedMutex::new(HashMap::new()),
             stats: AfsClientCounters::default(),
         });
         net.register(Addr::Client(id), cm.clone(), PoolConfig::default());

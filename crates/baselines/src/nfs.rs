@@ -7,11 +7,11 @@
 //! 3 seconds whether or not any shared data have been modified."
 
 use dfs_rpc::{Addr, CallClass, CallContext, Network, PoolConfig, Request, Response, RpcService};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{
     ClientId, DfsError, DfsResult, FileStatus, Fid, ServerId, Timestamp, VolumeId,
 };
 use dfs_vfs::{Credentials, VfsPlus, WriteExtent};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -140,8 +140,8 @@ pub struct NfsClient {
     addr: Addr,
     server: Addr,
     file_ttl_us: u64,
-    attrs: Mutex<HashMap<Fid, CachedAttrs>>,
-    pages: Mutex<HashMap<(Fid, u64), CachedPage>>,
+    attrs: OrderedMutex<HashMap<Fid, CachedAttrs>, { rank::BASELINE_CLIENT }>,
+    pages: OrderedMutex<HashMap<(Fid, u64), CachedPage>, { rank::BASELINE_CLIENT }>,
     stats: NfsCounters,
 }
 
@@ -165,8 +165,8 @@ impl NfsClient {
             addr: Addr::Client(id),
             server: Addr::Server(server),
             file_ttl_us,
-            attrs: Mutex::new(HashMap::new()),
-            pages: Mutex::new(HashMap::new()),
+            attrs: OrderedMutex::new(HashMap::new()),
+            pages: OrderedMutex::new(HashMap::new()),
             stats: NfsCounters::default(),
         })
     }

@@ -52,8 +52,8 @@ use dfs_client::{CacheManager, ClientStats, WritebackConfig, PAGE_SIZE};
 use dfs_core::Cell;
 use dfs_rpc::{FaultSchedule, NetStats};
 use dfs_server::ServerStats;
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, Fid, VolumeId};
-use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -683,7 +683,7 @@ struct RunCtx {
     sample_every: u64,
     ops: AtomicU64,
     trigger: AtomicU64,
-    ctl: Mutex<Control>,
+    ctl: OrderedMutex<Control, { rank::SCENARIO_CONTROL }>,
 }
 
 impl RunCtx {
@@ -929,7 +929,7 @@ impl<'a> Driver<'a> {
             sample_every: sc.sample_every,
             ops: AtomicU64::new(0),
             trigger: AtomicU64::new(first_trigger),
-            ctl: Mutex::new(Control {
+            ctl: OrderedMutex::new(Control {
                 next_event: 0,
                 next_sample: if sc.sample_every > 0 { sc.sample_every } else { u64::MAX },
                 fired: Vec::new(),

@@ -2183,9 +2183,18 @@ pub(crate) mod tests {
             assert_eq!(bytes, page(tag), "{who}: torn page");
             assert!((floor..=ceiling).contains(&tag), "{who}: read {tag}, want {floor}..={ceiling}");
         };
+        // Set when the writer ends, by panic too: a failed write must
+        // fail the test, not leave the readers spinning for ever.
+        struct Done<'a>(&'a AtomicBool);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
         let go = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
             s.spawn(|| {
+                let _done = Done(&done);
                 go.wait();
                 for tag in 1..=WRITES {
                     started.store(tag, Ordering::SeqCst);
@@ -2193,7 +2202,6 @@ pub(crate) mod tests {
                     acked.store(tag, Ordering::SeqCst);
                     a.fsync(fid).unwrap();
                 }
-                done.store(true, Ordering::SeqCst);
             });
             // The second application thread on the same cache manager.
             s.spawn(|| {

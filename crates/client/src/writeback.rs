@@ -54,12 +54,15 @@ impl Default for WritebackConfig {
     }
 }
 
-/// Wake/stop flags for the background flusher, guarded at rank
-/// `CLIENT_FLUSHER` so writers may kick it while holding a vnode `lo`.
+/// Wake/stop flags for the background flusher and its thread, guarded
+/// at rank `CLIENT_FLUSHER` so writers may kick it while holding a vnode
+/// `lo`.
 #[derive(Default)]
 pub(super) struct FlusherCtl {
     stop: bool,
     kicked: bool,
+    /// The flusher thread, until `stop_flusher` takes it to join.
+    daemon: Option<JoinHandle<()>>,
 }
 
 /// The client-wide half of the pipeline: the dirty-page counter and the
@@ -73,7 +76,6 @@ pub(super) struct Writeback {
     pub(super) dirty_total: AtomicU64,
     pub(super) ctl: OrderedMutex<FlusherCtl, { rank::CLIENT_FLUSHER }>,
     pub(super) cv: OrderedCondvar,
-    pub(super) daemon: parking_lot::Mutex<Option<JoinHandle<()>>>,
 }
 
 /// What one pass through the store gate ships.
@@ -399,7 +401,7 @@ impl CacheManager {
             .name(format!("dfs-flusher-{}", cm.id.0))
             .spawn(move || Self::flusher_main(weak))
             .expect("spawn flusher");
-        *cm.wb.daemon.lock() = Some(handle);
+        cm.wb.ctl.lock().daemon = Some(handle);
     }
 
     /// The background store daemon: wakes on a timer or a kick and runs
@@ -445,8 +447,12 @@ impl CacheManager {
     /// flusher thread, which may be the one dropping the last handle to
     /// the cache manager. Idempotent.
     pub(crate) fn stop_flusher(&self) {
-        let Some(daemon) = self.wb.daemon.lock().take() else { return };
-        self.wb.ctl.lock().stop = true;
+        let daemon = {
+            let mut ctl = self.wb.ctl.lock();
+            ctl.stop = true;
+            ctl.daemon.take()
+        };
+        let Some(daemon) = daemon else { return };
         self.wb.cv.notify_all();
         if daemon.thread().id() != std::thread::current().id() {
             let _ = daemon.join();

@@ -36,8 +36,8 @@ use dfs_rpc::{Addr, CallClass, KdcService, Network, PoolConfig, Request, Respons
 use dfs_server::{FileServer, ServerStats, VldbHandle, VldbReplica};
 use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{AggregateId, ClientId, DfsError, DfsResult, ServerId, SimClock, VolumeId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Builder for a [`Cell`].
@@ -152,7 +152,7 @@ impl CellBuilder {
                 vldb_addrs.clone(),
                 pool,
             )?;
-            servers.push(Mutex::new(ServerSlot { disk, episode: ep, server }));
+            servers.push(OrderedMutex::new(ServerSlot { disk, episode: ep, server, restarting: 0 }));
         }
         Ok(Cell {
             clock,
@@ -160,8 +160,8 @@ impl CellBuilder {
             vldb_addrs,
             servers,
             pool,
-            next_client: Mutex::new(1),
-            admin_ticket: Mutex::new(None),
+            next_client: AtomicU32::new(1),
+            admin_ticket: OrderedMutex::new(None),
             seen_volume_ops: OrderedMutex::new(HashMap::new()),
         })
     }
@@ -174,6 +174,10 @@ struct ServerSlot {
     disk: SimDisk,
     episode: Arc<Episode>,
     server: Arc<FileServer>,
+    /// Restarts under way: 1 while a restart builds this slot's new
+    /// instance with the slot unlocked, else 0. The install's `-= 1`
+    /// re-reads it under the fresh guard (dfs-lint's lock-gap rule).
+    restarting: u8,
 }
 
 /// Per-server load observed by [`Cell::load`]: total file ops and the
@@ -197,10 +201,13 @@ pub struct Cell {
     clock: SimClock,
     net: Network,
     vldb_addrs: Vec<Addr>,
-    servers: Vec<Mutex<ServerSlot>>,
+    servers: Vec<OrderedMutex<ServerSlot, { rank::CELL_SERVERS }>>,
     pool: PoolConfig,
-    next_client: Mutex<u32>,
-    admin_ticket: Mutex<Option<Ticket>>,
+    /// The id the next client gets.
+    next_client: AtomicU32,
+    /// Sent with every admin call; a later [`Cell::admin_login`] renews
+    /// it (a ticket expires).
+    admin_ticket: OrderedMutex<Option<Ticket>, { rank::CELL_ADMIN }>,
     /// Cumulative per-volume op counts at the last [`Cell::load`], so
     /// observations are deltas (recent load, not lifetime totals).
     /// Never held across an RPC.
@@ -270,24 +277,46 @@ impl Cell {
     /// dying instance's memory is never consulted, so this path models
     /// losing the whole machine, not just the process. Returns the
     /// journal replay report.
+    ///
+    /// The new instance is built with no slot lock held — starting it
+    /// registers it with the VLDB, an RPC — and installed under the lock
+    /// once it runs. Until then [`Cell::server`] returns the stopped
+    /// instance, as it does between a crash and its restart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a restart of the same slot is already under way: two
+    /// restarts of one slot must not overlap (each would replay the
+    /// journal of the same disk).
     pub fn restart_server(&self, index: usize, grace_us: u64) -> DfsResult<RecoveryReport> {
+        let (old, disk) = {
+            let mut slot = self.servers[index].lock();
+            assert!(slot.restarting == 0, "overlapping restarts of server slot {index}");
+            slot.restarting += 1;
+            (slot.server.clone(), slot.disk.clone())
+        };
+        let started = (|| {
+            let id = old.id();
+            old.stop();
+            drop(old);
+            disk.power_on();
+            let (ep, report) = Episode::open(disk, self.clock.clone())?;
+            let server = FileServer::restart(
+                self.net.clone(),
+                id,
+                ep.clone(),
+                ep.host_log().cloned(),
+                ep.host_replay(),
+                self.vldb_addrs.clone(),
+                self.pool,
+                grace_us,
+            )?;
+            Ok((server, ep, report))
+        })();
         let mut slot = self.servers[index].lock();
-        let old = slot.server.clone();
-        let id = old.id();
-        old.stop();
-        drop(old);
-        slot.disk.power_on();
-        let (ep, report) = Episode::open(slot.disk.clone(), self.clock.clone())?;
-        slot.server = FileServer::restart(
-            self.net.clone(),
-            id,
-            ep.clone(),
-            ep.host_log().cloned(),
-            ep.host_replay(),
-            self.vldb_addrs.clone(),
-            self.pool,
-            grace_us,
-        )?;
+        slot.restarting -= 1;
+        let (server, ep, report) = started?;
+        slot.server = server;
         slot.episode = ep;
         Ok(report)
     }
@@ -348,12 +377,7 @@ impl Cell {
         data: Arc<dyn DataCache>,
         wb: WritebackConfig,
     ) -> Arc<CacheManager> {
-        let id = {
-            let mut n = self.next_client.lock();
-            let id = *n;
-            *n += 1;
-            id
-        };
+        let id = self.next_client.fetch_add(1, Ordering::Relaxed);
         CacheManager::start_with_config(
             self.net.clone(),
             ClientId(id),
@@ -552,6 +576,21 @@ mod tests {
         let f = c.create(root, "x", 0o644).unwrap();
         c.write(f.fid, 0, b"via cell").unwrap();
         assert_eq!(c.read(f.fid, 0, 16).unwrap(), b"via cell");
+    }
+
+    #[test]
+    fn an_overlapping_restart_panics_before_it_touches_the_disk() {
+        let cell = Cell::builder().servers(1).build().unwrap();
+        cell.crash_server(0);
+        // A restart of slot 0 is under way, building with the slot unlocked.
+        cell.servers[0].lock().restarting = 1;
+        let second = std::panic::catch_unwind(|| cell.restart_server(0, 0));
+        assert!(second.is_err(), "the overlapping restart went ahead");
+        let disk = cell.servers[0].lock().disk.clone();
+        assert_eq!(disk.read(0).unwrap_err(), DfsError::Crashed, "the disk was powered on");
+        cell.servers[0].lock().restarting = 0;
+        cell.restart_server(0, 0).unwrap();
+        assert!(disk.read(0).is_ok());
     }
 
     #[test]

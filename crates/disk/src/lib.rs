@@ -19,8 +19,8 @@ pub mod stats;
 
 pub use stats::DiskStats;
 
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, DfsResult};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -145,7 +145,7 @@ impl DiskInner {
 #[derive(Clone)]
 pub struct SimDisk {
     cfg: DiskConfig,
-    inner: Arc<Mutex<DiskInner>>,
+    inner: Arc<OrderedMutex<DiskInner, { rank::DISK }>>,
 }
 
 impl SimDisk {
@@ -153,7 +153,7 @@ impl SimDisk {
     pub fn new(cfg: DiskConfig) -> Self {
         SimDisk {
             cfg,
-            inner: Arc::new(Mutex::new(DiskInner {
+            inner: Arc::new(OrderedMutex::new(DiskInner {
                 stable: BTreeMap::new(),
                 volatile: BTreeMap::new(),
                 bad: Vec::new(),

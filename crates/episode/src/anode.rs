@@ -223,11 +223,11 @@ impl Episode {
         }
         let nb = self.alloc_block(txn)?;
         let old = self.jn.get(b)?.read_at(0, BLOCK_SIZE);
-        let nbuf = self.jn.get(nb)?;
         if logged {
-            self.jn.update(txn, &nbuf, 0, &old)?;
+            self.jn.update(txn, &self.jn.get(nb)?, 0, &old)?;
         } else {
-            self.jn.write_data(&nbuf, 0, &old)?;
+            // Every byte of `nb` is replaced: nothing of it is read.
+            self.jn.write_block(nb, old.as_slice().try_into().expect("a whole block"))?;
         }
         self.decref_block(txn, b)?;
         Ok(nb)

@@ -823,6 +823,41 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_store_over_a_block_shared_with_a_clone_reads_only_that_block() {
+        let (ep, v) = mounted();
+        let root = v.root().unwrap();
+        let files: Vec<Fid> = ["warm", "cold"]
+            .map(|name| v.create(&cred(), root, name, 0o644).unwrap().fid)
+            .into();
+        for &f in &files {
+            v.write_vec(&cred(), f, &[extent(0, page(5))]).unwrap();
+        }
+        Episode::clone_volume(&ep, VolumeId(1), VolumeId(2), "snap").unwrap();
+        ep.sync_all().unwrap();
+        let disk = ep.disk().clone();
+        drop((ep, v));
+        let (ep, v) = reopen(&disk);
+        // The first store warms the metadata both files share; the
+        // second meets only its own uncached, shared data block. The
+        // copy it gets is written whole, so only the original is read.
+        v.write_vec(&cred(), files[0], &[extent(10, vec![6; 100])]).unwrap();
+        let reads = disk.stats().reads;
+        v.write_vec(&cred(), files[1], &[extent(10, vec![6; 100])]).unwrap();
+        assert_eq!(disk.stats().reads, reads + 1, "the shared block, and not its fresh copy");
+        let snap = PhysicalFs::mount(&*ep, VolumeId(2)).unwrap();
+        for &f in &files {
+            let sf = Fid { volume: VolumeId(2), ..f };
+            assert_eq!(snap.read(&cred(), sf, 0, BLOCK_SIZE).unwrap(), page(5));
+            let back = v.read(&cred(), f, 0, BLOCK_SIZE).unwrap();
+            assert_eq!(back[..10], [5; 10]);
+            assert_eq!(back[10..110], [6; 100]);
+            assert_eq!(back[110..], [5; BLOCK_SIZE - 110]);
+        }
+        let report = ep.salvage().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+    }
+
+    #[test]
     fn a_full_page_store_onto_bad_media_fails() {
         let (ep, v) = mounted();
         let disk = ep.disk().clone();
@@ -836,9 +871,24 @@ mod tests {
         disk.inject_media_failure(block, block + 1);
         // Cold: the store reads nothing, so only its write-back meets the
         // bad block, and the reply must say so.
-        let (_ep, v) = reopen(&disk);
+        let (ep, v) = reopen(&disk);
         let err = v.write_vec(&cred(), f, &[extent(0, page(2))]).unwrap_err();
         assert_eq!(err, DfsError::MediaFailure);
+        // The unstored page is not left behind as a dirty frame that can
+        // never come home: checkpoints go on, the log tail with them.
+        ep.sync_all().unwrap();
+        ep.journal().checkpoint().unwrap();
+        ep.journal().checkpoint().unwrap();
+        let g = v.create(&cred(), v.root().unwrap(), "good", 0o644).unwrap().fid;
+        v.write_vec(&cred(), g, &[extent(0, page(3))]).unwrap();
+        // Nor is it served from the cache: the block's bad media answers.
+        assert_eq!(v.read(&cred(), f, 0, BLOCK_SIZE).unwrap_err(), DfsError::MediaFailure);
+        drop((ep, v));
+        disk.crash(None);
+        disk.power_on();
+        let (_ep, v) = reopen(&disk);
+        assert_eq!(v.read(&cred(), g, 0, BLOCK_SIZE).unwrap(), page(3));
+        assert_eq!(v.read(&cred(), f, 0, BLOCK_SIZE).unwrap_err(), DfsError::MediaFailure);
     }
 
     #[test]

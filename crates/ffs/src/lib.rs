@@ -17,6 +17,7 @@
 //! exactly the partial-functionality situation §3.3 anticipates.
 
 use dfs_disk::{SimDisk, BLOCK_SIZE};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{
     Acl, DfsError, DfsResult, FileStatus, FileType, Fid, SerializationStamp, SimClock, Timestamp,
     VnodeId, VolumeId,
@@ -25,8 +26,7 @@ use dfs_vfs::{
     Credentials, DirEntry, PhysicalFs, SalvageReport, SetAttrs, Vfs, VfsPlus, VolumeDump,
     VolumeInfo,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 const FFS_MAGIC: u32 = 0xFF50_B5D0;
 const INODE_SIZE: usize = 128;
@@ -159,9 +159,9 @@ pub struct Ffs {
     clock: SimClock,
     geo: Geometry,
     volume: VolumeId,
-    lock: Mutex<()>,
+    lock: OrderedMutex<(), { rank::FFS }>,
     /// Weak self-reference so `mount` can hand out `Arc<dyn VfsPlus>`.
-    me: Mutex<std::sync::Weak<Ffs>>,
+    me: Weak<Ffs>,
 }
 
 impl Ffs {
@@ -179,15 +179,14 @@ impl Ffs {
         for b in 0..geo.bitmap_blocks {
             disk.write(geo.bitmap_start + b, &[0u8; BLOCK_SIZE])?;
         }
-        let fs = Arc::new(Ffs {
+        let fs = Arc::new_cyclic(|me| Ffs {
             disk,
             clock,
             geo,
             volume,
-            lock: Mutex::new(()),
-            me: Mutex::new(std::sync::Weak::new()),
+            lock: OrderedMutex::new(()),
+            me: me.clone(),
         });
-        *fs.me.lock() = Arc::downgrade(&fs);
         for b in 0..fs.geo.data_start {
             fs.bitmap_set(b, true)?;
         }
@@ -214,15 +213,14 @@ impl Ffs {
             return Err(DfsError::Internal("not an FFS partition"));
         }
         let geo = Geometry::for_disk(disk.blocks());
-        let fs = Arc::new(Ffs {
+        let fs = Arc::new_cyclic(|me| Ffs {
             disk,
             clock,
             geo,
             volume,
-            lock: Mutex::new(()),
-            me: Mutex::new(std::sync::Weak::new()),
+            lock: OrderedMutex::new(()),
+            me: me.clone(),
         });
-        *fs.me.lock() = Arc::downgrade(&fs);
         let report = fs.fsck()?;
         Ok((fs, report))
     }
@@ -967,7 +965,7 @@ impl PhysicalFs for Ffs {
         if vol != self.volume {
             return Err(DfsError::NoSuchVolume);
         }
-        let me = self.me.lock().upgrade().ok_or(DfsError::Internal("Ffs dropped"))?;
+        let me = self.me.upgrade().ok_or(DfsError::Internal("Ffs dropped"))?;
         Ok(me)
     }
 

@@ -24,8 +24,8 @@
 
 use crate::logfmt::{decode_block, encode_block, Record, LOG_PAYLOAD};
 use dfs_disk::SimDisk;
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, DfsResult};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Where a host log lives on its disk.
@@ -69,7 +69,7 @@ struct Tail {
 pub struct HostLog {
     disk: SimDisk,
     region: HostLogRegion,
-    tail: Mutex<Tail>,
+    tail: OrderedMutex<Tail, { rank::HOST_LOG }>,
 }
 
 impl HostLog {
@@ -84,7 +84,7 @@ impl HostLog {
         let log = HostLog {
             disk,
             region,
-            tail: Mutex::new(Tail {
+            tail: OrderedMutex::new(Tail {
                 // Resume on the block after the newest survivor; its
                 // in-place tail bytes are already folded into `live`.
                 pos: max_seq.map_or(0, |_| (max_pos + 1) % region.blocks),

@@ -583,23 +583,21 @@ impl Journal {
     /// back under the WAL rule, or `None` to append a slot — below
     /// capacity, or with every frame pinned. Over capacity (after such an
     /// overshoot, or a shrink) it drops victims until the cache is back.
+    /// A victim whose home block has gone bad with only user data on it
+    /// is dropped like a clean one ([`Journal::write_frame`]).
     fn make_room(&self, cache: &mut CacheState) -> DfsResult<Option<usize>> {
         while cache.slots.len() >= cache.capacity {
             let Some(slot) = cache.victim() else { break };
-            self.writeback(&cache.slots[slot])?;
+            let cell = &cache.slots[slot];
+            if self.write_frame(cell)? {
+                self.disk.flush_blocks(&[cell.block])?;
+            }
             if cache.slots.len() == cache.capacity {
                 return Ok(Some(slot));
             }
             cache.remove(slot);
         }
         Ok(None)
-    }
-
-    /// Writes one dirty frame home and flushes it: an eviction's
-    /// write-back. See [`Journal::write_frame`].
-    fn writeback(&self, cell: &FrameCell) -> DfsResult<()> {
-        self.write_frame(cell)?;
-        self.disk.flush_blocks(&[cell.block])
     }
 
     /// Writes one dirty frame to its home block, honouring the WAL rule,
@@ -610,19 +608,35 @@ impl Journal {
     /// [`SimDisk::write`] under the latch — no copy is taken, and no
     /// update can land between the write and the frame turning clean
     /// (ranks `JOURNAL_FRAME`, then the disk's).
-    fn write_frame(&self, cell: &FrameCell) -> DfsResult<()> {
+    ///
+    /// Returns `false` when the home block has gone bad and the frame
+    /// carries no log record (user data only): the frame turns clean with
+    /// its bytes lost, and the caller drops it from the cache, so a read
+    /// of the block meets the bad media, not bytes the disk never took.
+    /// The store that wrote them was answered `MediaFailure` by its own
+    /// write-home; kept dirty, the frame would fail every checkpoint and
+    /// every eviction that picked it. A frame with a log record keeps
+    /// the error: its records must stay redoable.
+    fn write_frame(&self, cell: &FrameCell) -> DfsResult<bool> {
         let mut forced = Lsn(0);
         loop {
             let mut st = cell.state.lock();
             if !st.dirty {
-                return Ok(());
+                return Ok(true);
             }
             if st.last_lsn <= forced {
-                self.disk.write(cell.block, &st.data)?;
+                match self.disk.write(cell.block, &st.data) {
+                    Err(DfsError::MediaFailure) if st.first_lsn.is_none() => {
+                        st.dirty = false;
+                        st.unlogged = false;
+                        return Ok(false);
+                    }
+                    written => written?,
+                }
                 let (version, first_lsn, last_lsn) = (st.version, st.first_lsn, st.last_lsn);
                 st.written_home(version, first_lsn, last_lsn);
                 self.stats.writebacks.add(1);
-                return Ok(());
+                return Ok(true);
             }
             forced = st.last_lsn;
             drop(st);
@@ -655,10 +669,24 @@ impl Journal {
     /// too, whose write-back by another thread may not be flushed yet.
     pub fn write_home(&self, bufs: &[BufHandle]) -> DfsResult<()> {
         for buf in bufs {
-            self.write_frame(&buf.cell)?;
+            if !self.write_frame(&buf.cell)? {
+                self.forget(&buf.cell);
+                return Err(DfsError::MediaFailure);
+            }
         }
         let blocks: Vec<u32> = bufs.iter().map(BufHandle::block).collect();
         self.disk.flush_blocks(&blocks)
+    }
+
+    /// Drops `cell` from the cache if it is still there: a frame whose
+    /// bytes could not come home ([`Journal::write_frame`]).
+    fn forget(&self, cell: &Arc<FrameCell>) {
+        let mut cache = self.cache.write();
+        if let Some(&slot) = cache.frames.get(&cell.block) {
+            if Arc::ptr_eq(&cache.slots[slot], cell) {
+                cache.remove(slot);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1055,7 +1083,9 @@ impl Journal {
         self.sync()?;
         let cells = self.cache.read().slots.clone();
         for cell in &cells {
-            self.write_frame(cell)?;
+            if !self.write_frame(cell)? {
+                self.forget(cell);
+            }
         }
         self.disk.flush()?;
         // New tail: oldest LSN still needed by an active transaction,

@@ -10,7 +10,9 @@
 //!
 //! Scanning every `crates/*/src/**/*.rs` file, the lint extracts lock
 //! *facts* — lock field declarations (with their declared rank, parsed
-//! from `OrderedMutex<T, { rank::NAME }>` types), acquisition sites, and
+//! from `OrderedMutex<T, { rank::NAME }>` types, bare or wrapped in an
+//! `Arc<…>`, a `Vec<…>` or a `Box<[…]>`), acquisition sites
+//! (`field.lock()`, and `field[i].lock()` on a wrapped one), and
 //! the calls made while a guard is live — then builds an inter-procedural
 //! lock-order graph and reports:
 //!
@@ -198,6 +200,11 @@ pub struct FileFacts {
     pub fns: Vec<FnFacts>,
     /// `(line, type name)` of `std::sync::{Mutex,RwLock,Condvar}` uses.
     pub std_sync_sites: Vec<(u32, String)>,
+    /// `(line, type name)` of every raw `parking_lot` lock named in
+    /// non-test code — a path (`parking_lot::Mutex`) or an import
+    /// (`use parking_lot::{Mutex, RwLock}`) — wherever the lock then sits:
+    /// a named or tuple field, an `Option`, a map value, a `static`.
+    pub raw_lock_sites: Vec<(u32, String)>,
     /// line → rules allowed on that line.
     pub allows: HashMap<u32, HashSet<String>>,
 }
@@ -217,13 +224,18 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Scans a workspace-style directory: every immediate subdirectory of
-/// `root` that contains `src/` is treated as a crate (named after the
-/// directory), and its `src/**/*.rs` files are analyzed. If `root`
-/// itself contains `src/`, it is treated as a single crate. Test and
-/// bench trees are deliberately out of scope — the discipline applies
-/// to production code.
+/// Scans a workspace-style directory and analyzes it (see [`facts`]).
 pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
+    Ok(analyze::analyze(&facts(root)?))
+}
+
+/// Scans a workspace-style directory into per-file facts: every
+/// immediate subdirectory of `root` that contains `src/` is treated as a
+/// crate (named after the directory), and its `src/**/*.rs` files are
+/// scanned. If `root` itself contains `src/`, it is treated as a single
+/// crate. Test and bench trees are deliberately out of scope — the
+/// discipline applies to production code.
+pub fn facts(root: &Path) -> std::io::Result<Vec<FileFacts>> {
     let mut files = Vec::new();
     let mut crate_roots: Vec<(String, PathBuf)> = Vec::new();
     if root.join("src").is_dir() {
@@ -262,7 +274,7 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             files.push(scan::scan_file(&crate_name, rel, src, &crate_fields, &crate_data));
         }
     }
-    Ok(analyze::analyze(&files))
+    Ok(files)
 }
 
 fn dir_name(p: &Path) -> String {

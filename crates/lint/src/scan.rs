@@ -40,6 +40,16 @@ const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write", "lock_all"];
 const LOCK_TYPES: &[&str] =
     &["Mutex", "RwLock", "OrderedMutex", "OrderedRwLock", "OrderedShardedMutex"];
 
+/// `parking_lot`'s lock types: naming one outside the wrappers' own
+/// module makes a lock no rank covers.
+const RAW_LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar", "ReentrantMutex", "FairMutex"];
+
+/// Owning containers a lock field's type may wrap its lock in:
+/// `Arc<Mutex<T>>`, `Vec<OrderedMutex<T, R>>`, `Box<[Mutex<T>]>`. A guard
+/// of such a field is still a guard of that field (`self.slots[i].lock()`
+/// included).
+const LOCK_WRAPPERS: &[&str] = &["Arc", "Vec", "Box"];
+
 /// Method/function names never treated as workspace calls. These are
 /// overwhelmingly std collection/iterator/option methods; resolving
 /// them by bare name against workspace functions (`get`, `insert`, …)
@@ -364,11 +374,21 @@ fn field_decl_at(ts: &[Sp], i: usize) -> Option<FieldDecl> {
         return None;
     }
     let mut j = i + 2;
-    // Swallow a leading path (`parking_lot :: Mutex`).
-    while ident(ts, j).is_some() && is_punct(ts, j + 1, ':') && is_punct(ts, j + 2, ':') {
-        j += 3;
-    }
-    let ty = ident(ts, j)?;
+    let ty = loop {
+        // Swallow a leading path (`parking_lot :: Mutex`).
+        while ident(ts, j).is_some() && is_punct(ts, j + 1, ':') && is_punct(ts, j + 2, ':') {
+            j += 3;
+        }
+        let ty = ident(ts, j)?;
+        if !LOCK_WRAPPERS.contains(&ty) || !is_punct(ts, j + 1, '<') {
+            break ty;
+        }
+        // Into the wrapper, and into a slice: `Box < [ Mutex < T > ] >`.
+        j += 2;
+        if matches!(ts.get(j).map(|s| &s.tok), Some(Tok::LBracket)) {
+            j += 1;
+        }
+    };
     if !LOCK_TYPES.contains(&ty) || !is_punct(ts, j + 1, '<') {
         return None;
     }
@@ -551,6 +571,7 @@ pub fn scan_file(
         rank_consts: HashMap::new(),
         fns: Vec::new(),
         std_sync_sites: Vec::new(),
+        raw_lock_sites: Vec::new(),
         allows,
     };
 
@@ -585,6 +606,24 @@ pub fn scan_file(
             if let Some(t) = ident(&ts, i + 6) {
                 if matches!(t, "Mutex" | "RwLock" | "Condvar") {
                     facts.std_sync_sites.push((ts[i].line, t.to_string()));
+                }
+            }
+        }
+        // `parking_lot :: Lock` or `parking_lot :: { …, Lock, … }`: a raw
+        // lock named in non-test code.
+        if ident(&ts, i) == Some("parking_lot")
+            && is_punct(&ts, i + 1, ':')
+            && is_punct(&ts, i + 2, ':')
+        {
+            let mut j = i + 3;
+            let group = matches!(ts.get(j).map(|s| &s.tok), Some(Tok::LBrace));
+            loop {
+                if let Some(t) = ident(&ts, j).filter(|t| RAW_LOCK_TYPES.contains(t)) {
+                    facts.raw_lock_sites.push((ts[j].line, t.to_string()));
+                }
+                j += 1;
+                if !group || matches!(ts.get(j).map(|s| &s.tok), None | Some(Tok::RBrace)) {
+                    break;
                 }
             }
         }
@@ -915,6 +954,33 @@ fn dotted_receiver(body: &[Sp], idx: usize) -> String {
     parts.join(".")
 }
 
+/// Token index and name of the field an acquisition method at `method`
+/// is called on: `field.lock()`, or `field[i].lock()` for a field that
+/// holds its locks in a `Vec` or slice.
+fn lock_receiver(body: &[Sp], method: usize) -> Option<(usize, &str)> {
+    let before = method.checked_sub(2)?;
+    if !matches!(body[before].tok, Tok::RBracket) {
+        return ident(body, before).map(|f| (before, f));
+    }
+    let mut depth = 0usize;
+    let mut k = before;
+    loop {
+        match body[k].tok {
+            Tok::RBracket => depth += 1,
+            Tok::LBracket => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        k = k.checked_sub(1)?;
+    }
+    let field = k.checked_sub(1)?;
+    ident(body, field).map(|f| (field, f))
+}
+
 /// Acquisition index of the innermost live guard named `name`.
 fn guard_acq(scopes: &[Vec<Guard>], name: &str) -> Option<usize> {
     scopes
@@ -1096,11 +1162,9 @@ fn analyze_body(
                     && is_punct(body, i.wrapping_sub(1), '.')
                     && matches!(body.get(i + 1).map(|s| &s.tok), Some(Tok::LParen))
                     && matches!(body.get(i + 2).map(|s| &s.tok), Some(Tok::RParen))
-                    && ident(body, i.wrapping_sub(2))
-                        .map(|f| lock_fields.contains(f))
-                        .unwrap_or(false) =>
+                    && lock_receiver(body, i).is_some_and(|(_, f)| lock_fields.contains(f)) =>
             {
-                let base = ident(body, i - 2).unwrap();
+                let (at, base) = lock_receiver(body, i).unwrap();
                 // `lock_all()` holds every shard of a sharded field at
                 // once; the `#*` suffix marks that for the shard-order
                 // rule while `base` remains the declared field.
@@ -1112,7 +1176,7 @@ fn analyze_body(
                     field: field.clone(),
                     line,
                     held: held_fields(&scopes),
-                    receiver: dotted_receiver(body, i - 2),
+                    receiver: dotted_receiver(body, at),
                     reads: false,
                     writes: false,
                     write_line: 0,
@@ -1161,9 +1225,7 @@ fn analyze_body(
                     && is_punct(body, i.wrapping_sub(1), '.')
                     && matches!(body.get(i + 1).map(|s| &s.tok), Some(Tok::LParen))
                     && !matches!(body.get(i + 2).map(|s| &s.tok), Some(Tok::RParen))
-                    && ident(body, i.wrapping_sub(2))
-                        .map(|f| lock_fields.contains(f))
-                        .unwrap_or(false) =>
+                    && lock_receiver(body, i).is_some_and(|(_, f)| lock_fields.contains(f)) =>
             {
                 // Matching close paren of the argument list.
                 let mut d = 0i32;
@@ -1181,7 +1243,7 @@ fn analyze_body(
                     }
                     close += 1;
                 }
-                let base = ident(body, i - 2).unwrap();
+                let (at, base) = lock_receiver(body, i).unwrap();
                 let field = match (close == i + 3, body.get(i + 2).map(|s| &s.tok)) {
                     (true, Some(Tok::Num(n))) => format!("{base}#{n}"),
                     _ => format!("{base}#?"),
@@ -1192,7 +1254,7 @@ fn analyze_body(
                     field: field.clone(),
                     line,
                     held: held_fields(&scopes),
-                    receiver: dotted_receiver(body, i - 2),
+                    receiver: dotted_receiver(body, at),
                     reads: false,
                     writes: false,
                     write_line: 0,

@@ -2,7 +2,7 @@
 //! a seeded violation (or none), and the assertions pin the *exact*
 //! rendered diagnostics, path and line included.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn lint(fixture: &str) -> Vec<String> {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
@@ -100,6 +100,26 @@ fn guard_across_rpc_fixture_flags_direct_and_transitive_sends() {
             "alpha/src/lib.rs:20: [guard-across-rpc] guard on `state` (line 19) held across \
              `send_helper`, which sends dfs-rpc; the peer's reply can block on a revocation \
              that needs this lock (§5.1/§6.4)",
+        ]
+    );
+}
+
+#[test]
+fn wrapped_locks_fixture_sees_locks_inside_arc_vec_and_box() {
+    assert_eq!(
+        lint("wrapped_locks"),
+        vec![
+            "alpha/src/lib.rs:21: [lock-order] acquiring `load` (rank 10) while holding \
+             `table` (rank 20) inverts the declared hierarchy",
+            "alpha/src/lib.rs:27: [guard-across-rpc] guard on `slots` (line 26) held across \
+             a dfs-rpc send; the peer's reply can block on a revocation that needs this \
+             lock (§5.1/§6.4)",
+            "alpha/src/lib.rs:34: [lock-gap] write under `slots` reacquired at line 34 uses \
+             state read under the guard from line 32, which was released in between \
+             (release/reacquire TOCTOU); revalidate after reacquiring (e.g. a version \
+             counter) or hold the lock across",
+            "alpha/src/lib.rs:40: [double-lock] `leaves` re-acquired while its guard from \
+             line 39 is still live (self-deadlock with a non-reentrant lock)",
         ]
     );
 }
@@ -206,13 +226,73 @@ fn json_rendering_is_stable_and_well_formed() {
     );
 }
 
+/// The real tree's three roots, as `verify.sh` lints them: `crates/`,
+/// `shims/`, and the workspace root crate.
+const WORKSPACE_ROOTS: [&str; 3] = ["..", "../../shims", "../.."];
+
+/// Every lock under `root` that no rank covers: a lock field with no
+/// rank, and any raw `parking_lot` or `std::sync` lock named in non-test
+/// code, wherever it sits (a tuple field, an `Option`, a map value, a
+/// `static`). The wrappers' own module and the shims are exempt (the
+/// parking_lot shim *is* the raw lock), and so are Episode's anode locks,
+/// the one kind of lock outside the table (DESIGN.md §8): boxed slices
+/// of `RwLock`s, imported once in `episode/src/lib.rs`.
+fn unranked_locks(root: &Path) -> Vec<String> {
+    let prefix = format!("{}/", root.display());
+    let mut out = Vec::new();
+    for file in dfs_lint::facts(root).expect("scan must succeed") {
+        let path = file.path.replace(&prefix, "");
+        if path.ends_with("types/src/lock.rs") || file.path.contains("/shims/") {
+            continue;
+        }
+        for field in file.fields.iter().filter(|f| f.rank.is_none()) {
+            out.push(format!("{path}:{}: field `{}` has no rank", field.line, field.name));
+        }
+        let anode_locks = |ty: &str| path.ends_with("episode/src/lib.rs") && ty == "RwLock";
+        let raw = file.raw_lock_sites.iter().map(|(l, t)| (l, "parking_lot", t));
+        let std = file.std_sync_sites.iter().map(|(l, t)| (l, "std::sync", t));
+        for (line, krate, ty) in raw.chain(std).filter(|(_, _, t)| !anode_locks(t)) {
+            out.push(format!("{path}:{line}: raw {krate}::{ty}"));
+        }
+    }
+    out
+}
+
+#[test]
+fn unranked_locks_fixture_flags_raw_locks_wherever_they_sit() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unranked_locks");
+    assert_eq!(
+        unranked_locks(&root),
+        vec![
+            "alpha/src/lib.rs:16: field `a` has no rank",
+            "alpha/src/lib.rs:26: field `GLOBAL` has no rank",
+            "alpha/src/lib.rs:7: raw parking_lot::RwLock",
+            "alpha/src/lib.rs:16: raw parking_lot::Mutex",
+            "alpha/src/lib.rs:19: raw parking_lot::Mutex",
+            "alpha/src/lib.rs:22: raw parking_lot::Mutex",
+            "alpha/src/lib.rs:26: raw parking_lot::Mutex",
+        ]
+    );
+}
+
+#[test]
+fn every_workspace_lock_is_ranked() {
+    // A new raw lock fails here: wrap it in an `Ordered*` type with a
+    // rank from `dfs_types::lock::rank`.
+    let mut unranked = Vec::new();
+    for rel in WORKSPACE_ROOTS {
+        unranked.extend(unranked_locks(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)));
+    }
+    assert_eq!(unranked, Vec::<String>::new(), "locks with no rank");
+}
+
 #[test]
 fn the_workspace_itself_is_clean() {
     // The real tree, all three verify.sh roots: `crates/`, `shims/`,
     // and the workspace root crate. Keeping this green is the point of
     // the tool; a violation here should fail CI with the same message
     // `cargo run -p dfs-lint` would print.
-    for rel in ["..", "../../shims", "../.."] {
+    for rel in WORKSPACE_ROOTS {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel);
         let diags = dfs_lint::run(&root).expect("workspace scan must succeed");
         assert_eq!(

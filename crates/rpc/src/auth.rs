@@ -7,8 +7,8 @@
 //! is a random identifier that services validate against the registry.
 
 use crate::proto::Ticket;
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{DfsError, DfsResult, SimClock, Timestamp};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Default ticket lifetime (simulated): 10 hours, the Kerberos classic.
@@ -28,7 +28,7 @@ struct Session {
 /// front end and every verifying server.
 pub struct AuthRegistry {
     clock: SimClock,
-    inner: Mutex<AuthInner>,
+    inner: OrderedMutex<AuthInner, { rank::NET_AUTH }>,
 }
 
 struct AuthInner {
@@ -42,7 +42,7 @@ impl AuthRegistry {
     pub fn new(clock: SimClock) -> AuthRegistry {
         AuthRegistry {
             clock,
-            inner: Mutex::new(AuthInner {
+            inner: OrderedMutex::new(AuthInner {
                 users: HashMap::new(),
                 sessions: HashMap::new(),
                 next_session: 0x5e55_0000_0000_0001,

@@ -25,8 +25,8 @@ pub use auth::{AuthRegistry, KdcService};
 pub use faults::{FaultAction, FaultRule, FaultSchedule};
 pub use proto::{Request, Response, Ticket, TokenRequest};
 
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
 use dfs_types::{ClientId, DfsError, DfsResult, ServerId, SimClock};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,8 +118,8 @@ dfs_types::counters! {
 /// threads" kept as what the paper needs of them — capacity — with the
 /// callers' own threads doing the work.
 struct Gate {
-    state: Mutex<GateState>,
-    freed: Condvar,
+    state: OrderedMutex<GateState, { rank::NET_GATE }>,
+    freed: OrderedCondvar,
 }
 
 struct GateState {
@@ -131,8 +131,8 @@ struct GateState {
 impl Gate {
     fn new(slots: usize) -> Gate {
         Gate {
-            state: Mutex::new(GateState { free: slots.max(1), waiting: 0 }),
-            freed: Condvar::new(),
+            state: OrderedMutex::new(GateState { free: slots.max(1), waiting: 0 }),
+            freed: OrderedCondvar::new(),
         }
     }
 
@@ -189,7 +189,7 @@ struct NetInner {
 /// experiments control simulated time explicitly).
 #[derive(Clone)]
 pub struct Network {
-    inner: Arc<Mutex<NetInner>>,
+    inner: Arc<OrderedMutex<NetInner, { rank::NET_NODES }>>,
     auth: Arc<AuthRegistry>,
     clock: SimClock,
     latency_us: u64,
@@ -198,7 +198,7 @@ pub struct Network {
     call_timeout_us: Arc<AtomicU64>,
     /// The fault-injection plane; `None` when no schedule is armed
     /// (the common case pays one lock + one `is_none`).
-    faults: Arc<Mutex<Option<faults::FaultState>>>,
+    faults: Arc<OrderedMutex<Option<faults::FaultState>, { rank::NET_FAULTS }>>,
     /// Faults injected since the schedule was armed, readable without
     /// the fault lock.
     faults_injected: Arc<AtomicU64>,
@@ -208,12 +208,15 @@ impl Network {
     /// Creates a network with the given per-call latency (microseconds).
     pub fn new(clock: SimClock, latency_us: u64) -> Network {
         Network {
-            inner: Arc::new(Mutex::new(NetInner { nodes: HashMap::new(), stats: NetStats::default() })),
+            inner: Arc::new(OrderedMutex::new(NetInner {
+                nodes: HashMap::new(),
+                stats: NetStats::default(),
+            })),
             auth: Arc::new(AuthRegistry::new(clock.clone())),
             clock,
             latency_us,
             call_timeout_us: Arc::new(AtomicU64::new(5_000_000)),
-            faults: Arc::new(Mutex::new(None)),
+            faults: Arc::new(OrderedMutex::new(None)),
             faults_injected: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -433,6 +436,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
     struct Echo;
@@ -618,6 +622,58 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(net.stats().calls, 200);
+    }
+
+    /// Records the ranks held each time `dispatch` starts; a normal call
+    /// sends one revocation-class call back into the same node first, as
+    /// a server's revocation does.
+    struct RanksSeen {
+        net: Network,
+        addr: Addr,
+        ticket: Ticket,
+        seen: Mutex<Vec<Vec<u16>>>,
+    }
+    impl RpcService for RanksSeen {
+        fn dispatch(&self, ctx: CallContext, _req: Request) -> Response {
+            self.seen.lock().push(dfs_types::lock::held_ranks());
+            if ctx.class == CallClass::Normal {
+                let class = CallClass::Revocation;
+                return match self.net.call(self.addr, self.addr, Some(self.ticket), class, Request::Ping)
+                {
+                    Ok(r) => r,
+                    Err(e) => Response::Err(e),
+                };
+            }
+            Response::Ok
+        }
+    }
+
+    #[test]
+    fn dispatch_runs_with_no_network_lock_held() {
+        // Every lock of the plane — node table, fault plane, auth
+        // registry, admission gate — is taken on the way in, so each one
+        // is exercised: an armed schedule, a checked ticket, a gate with
+        // one slot per class.
+        let net = Network::new(SimClock::new(), 0);
+        net.set_fault_schedule(
+            FaultSchedule::seeded(1).rule(FaultRule::on(FaultAction::Delay(0)).label("Ping")),
+        );
+        net.auth().add_user(7, 1234);
+        let ticket = net.auth().login(7, 1234).unwrap();
+        let addr = server(1);
+        let svc = Arc::new(RanksSeen { net: net.clone(), addr, ticket, seen: Mutex::new(Vec::new()) });
+        let cfg = PoolConfig { workers: 1, revocation_workers: 1, require_auth: true };
+        net.register(addr, svc.clone(), cfg);
+        let r = net.call(client(1), addr, Some(ticket), CallClass::Normal, Request::Ping).unwrap();
+        assert_eq!(r, Response::Ok);
+        assert!(net.faults_injected() >= 2, "both calls went through the fault plane");
+        let net_ranks = [rank::NET_NODES, rank::NET_FAULTS, rank::NET_AUTH, rank::NET_GATE];
+        let seen = svc.seen.lock().clone();
+        assert_eq!(seen.len(), 2, "the call and the revocation it sent");
+        for held in &seen {
+            assert!(!held.iter().any(|r| net_ranks.contains(r)), "dispatch ran under {held:?}");
+        }
+        assert!(dfs_types::lock::held_ranks().is_empty());
     }
 
     /// Answers with the id of the thread `dispatch` ran on.

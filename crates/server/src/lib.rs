@@ -901,12 +901,15 @@ impl FileServer {
                 };
                 let mut granted = Vec::new();
                 if in_grace && expected {
-                    // Re-grant claims that don't conflict with what other
-                    // hosts already reestablished; conflicting claims are
-                    // silently dropped (the honest pre-crash grant set is
-                    // conflict-free, so drops only punish stale claims).
+                    // Re-grant claims on files still here that don't
+                    // conflict with what other hosts already reestablished;
+                    // the rest are silently dropped (the honest pre-crash
+                    // grant set is conflict-free, so drops only punish
+                    // stale claims).
                     for t in tokens {
-                        if let Some((token, _stamp)) =
+                        if !self.claim_resolves(t.fid) {
+                            self.tm.refuse_claim();
+                        } else if let Some((token, _stamp)) =
                             self.tm.reestablish(host, t.fid, t.types, t.range)
                         {
                             granted.push(token);
@@ -933,6 +936,22 @@ impl FileServer {
             // `dispatch`) is not for a file server.
             _ => Err(DfsError::InvalidArgument),
         }
+    }
+
+    /// Whether a reestablishment claim on `fid` names a file this server
+    /// still has: its volume is served here and, unless the claim is a
+    /// whole-volume token, the volume's file system still resolves it.
+    /// Asked of the mounted volume, as `file_op` is handed it, not of the
+    /// glue, which would take a token.
+    fn claim_resolves(&self, fid: Fid) -> bool {
+        let Ok(fs) = self.volumes.mount(fid.volume, || self.physical.mount(fid.volume)) else {
+            return false;
+        };
+        fid.vnode.0 == 0
+            || !matches!(
+                fs.getattr(&Credentials::system(), fid),
+                Err(DfsError::StaleFid | DfsError::NotFound)
+            )
     }
 
     /// Answers revocations aimed at this server. We hold whole-volume
@@ -1144,6 +1163,45 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn reestablishment_refuses_a_claim_on_a_file_that_is_gone() {
+        let (net, srv) = cell();
+        let root = match call(&net, Request::GetRoot { volume: VolumeId(1) }) {
+            Response::FidIs(f) => f,
+            other => panic!("{other:?}"),
+        };
+        let live = match call(&net, Request::Create { dir: root, name: "kept".into(), mode: 0o644 })
+        {
+            Response::Status { status, .. } => status.fid,
+            other => panic!("{other:?}"),
+        };
+        let never = Fid::new(VolumeId(1), VnodeId(live.vnode.0 + 100), 1);
+        // A restart's grace window, waiting for client 7.
+        let now = net.clock().now();
+        {
+            let mut table = srv.hosts.lock();
+            let host = Host { last_seen: now, expected: true, checked_in: false };
+            table.hosts.insert(HostId::Client(ClientId(7)), host);
+            table.grace_until = Some(Timestamp(now.0 + (1 << 40)));
+        }
+        let claim = |fid| Token {
+            id: dfs_token::TokenId(0),
+            fid,
+            types: TokenTypes::DATA_READ,
+            range: ByteRange::WHOLE,
+        };
+        let refused = srv.tm.stats().refused;
+        let tokens = vec![claim(live), claim(never)];
+        match call(&net, Request::ReestablishTokens { epoch: srv.epoch(), tokens }) {
+            Response::Reestablished { tokens, .. } => {
+                assert_eq!(tokens.iter().map(|t| t.fid).collect::<Vec<_>>(), vec![live]);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(srv.tm.stats().refused, refused + 1, "counted as a conflict is");
+        assert!(srv.tm.live_grants().iter().all(|(_, t)| t.fid != never));
     }
 
     #[test]

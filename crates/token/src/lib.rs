@@ -48,7 +48,7 @@ pub use types::{
     TokenTypes,
 };
 
-use dfs_types::lock::{rank, OrderedMutex, OrderedShardGuard, OrderedShardedMutex};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedShardGuard, OrderedShardedMutex};
 use dfs_types::{
     ByteRange, ClientId, DfsError, DfsResult, Fid, HostId, SerializationStamp, VolumeId,
 };
@@ -140,7 +140,9 @@ dfs_types::counters! {
         pub revocations: u64,
         /// Revocations where the host retained the token.
         pub retained: u64,
-        /// Grants refused because a retained token conflicted.
+        /// Grants refused because a retained token conflicted, and
+        /// reestablishment claims refused: conflicting, or on a file this
+        /// server no longer has.
         pub refused: u64,
         /// Grants returned voluntarily or retired with their file, counted
         /// as removed: a return that finds nothing counts nothing.
@@ -149,6 +151,9 @@ dfs_types::counters! {
         pub reestablished: u64,
         /// Grants installed verbatim by a live volume move (§2.1).
         pub imported: u64,
+        /// Waits of a grant for another host's conflicting claim, one per
+        /// claim waited for ([`TokenManager::grant`]).
+        pub claim_waits: u64,
     }
 }
 
@@ -167,6 +172,11 @@ struct TokenShard {
     grants: HashMap<VolumeId, HashMap<u32, Vec<Grant>>>,
     /// Per-file serialization counters (§6.2).
     stamps: HashMap<Fid, SerializationStamp>,
+    /// Claims of grants under way: what each grant that had to revoke
+    /// wants, filed in its fid's shard until it returns. A grant that
+    /// conflicts with another host's claim waits for it instead of
+    /// taking back what that claim is revoking ([`TokenManager::grant`]).
+    claims: Vec<Grant>,
 }
 
 impl TokenShard {
@@ -232,6 +242,10 @@ pub struct TokenManager {
     /// Token id allocator; atomic so grants on different shards never
     /// serialize on id allocation.
     next_id: AtomicU64,
+    /// How many claims have ended; bumped under this lock, with
+    /// `claim_ended` notified, each time a grant drops its claim.
+    claims_ended: OrderedMutex<u64, { rank::TOKEN_CLAIMS }>,
+    claim_ended: OrderedCondvar,
     stats: TokenCounters,
 }
 
@@ -255,6 +269,8 @@ impl TokenManager {
             shards: OrderedShardedMutex::new(n, TokenShard::default),
             hosts: OrderedMutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
+            claims_ended: OrderedMutex::new(0),
+            claim_ended: OrderedCondvar::new(),
             stats: TokenCounters::default(),
         }
     }
@@ -337,6 +353,17 @@ impl TokenManager {
     /// Grants `types` over `range` of `fid` to `host`, revoking
     /// incompatible tokens held by other hosts first.
     ///
+    /// A grant that has to revoke first files a *claim* on what it
+    /// wants, and a grant for another host that conflicts with the
+    /// claim waits until it is gone. Without it a reader that asks
+    /// again as soon as its token is revoked is granted anew between
+    /// the revocation and the writer's next check, every round, and the
+    /// writer runs out of rounds (`Timeout`). Conflicting claims never
+    /// coexist and a claimant never waits on a claim, so the waits form
+    /// no cycle. Each claim waited for costs the waiter one of its 64
+    /// rounds, and a claim lasts only as long as its own grant's rounds,
+    /// so every grant is still bounded.
+    ///
     /// Returns the new token and the serialization stamp of the grant.
     /// Fails with [`DfsError::LockConflict`]/[`DfsError::OpenConflict`]
     /// if a conflicting host retained a lock/open token (§5.3).
@@ -351,18 +378,47 @@ impl TokenManager {
             return Err(DfsError::InvalidArgument);
         }
         let wanted = Token { id: TokenId(0), fid, types, range };
-        let mut quiet = true;
-        for _round in 0..64 {
+        let (mut quiet, mut rounds) = (true, 0);
+        // This grant's claim once filed, and the other host's claim it
+        // last waited for, by their ids: each claim gets a fresh one.
+        let (mut claim, mut waited_for): (Option<TokenId>, Option<TokenId>) = (None, None);
+        let granted = loop {
             // Conflict-check (and, when clean, grant) under the
             // covering shard locks.
             let conflicts: Vec<(HostId, Token, TokenTypes)> = {
                 let (mut guards, fid_pos) = self.lock_covering(fid, wanted.is_volume_token());
+                let blocking = guards
+                    .iter()
+                    .flat_map(|g| &g.claims)
+                    .find(|c| c.host != host && !types::compatible(&c.token, &wanted))
+                    .map(|c| c.token.id);
+                if let Some(blocker) = blocking {
+                    // Its claim ends under its shard lock, then bumps
+                    // the count: read the count before letting go.
+                    let mut ended = self.claims_ended.lock();
+                    let seen = *ended;
+                    drop(guards);
+                    if waited_for != Some(blocker) {
+                        // A claim not waited for yet costs a round; a
+                        // wake-up for another claim's end does not.
+                        rounds += 1;
+                        if rounds > 64 {
+                            break Err(DfsError::Timeout);
+                        }
+                        self.stats.claim_waits.add(1);
+                        waited_for = Some(blocker);
+                    }
+                    while *ended == seen {
+                        self.claim_ended.wait(&mut ended);
+                    }
+                    continue;
+                }
                 let conflicts =
                     Self::conflicting(guards.iter().map(|g| &**g), host, &wanted);
+                let shard = &mut *guards[fid_pos];
                 if conflicts.is_empty() {
                     // Grant immediately while still holding the shard.
                     let token = Token { id: self.fresh_id(), fid, types, range };
-                    let shard = &mut *guards[fid_pos];
                     shard.insert(host, token.clone());
                     let stamp = shard.next_stamp(fid);
                     drop(guards);
@@ -370,17 +426,36 @@ impl TokenManager {
                     if quiet {
                         self.stats.quiet_grants.add(1);
                     }
-                    return Ok((token, stamp));
+                    break Ok((token, stamp));
+                }
+                if claim.is_none() {
+                    let id = self.fresh_id();
+                    shard.claims.push(Grant { host, token: Token { id, ..wanted.clone() } });
+                    claim = Some(id);
                 }
                 quiet = false;
                 conflicts
             };
+            rounds += 1;
+            if rounds > 64 {
+                break Err(DfsError::Timeout);
+            }
             // Revoke outside every manager lock: the hosts' revoke
             // procedures may call back into the file server (§6.4).
             // Only the conflicting type bits are revoked.
-            self.revoke_conflicts(conflicts)?;
+            if let Err(e) = self.revoke_conflicts(conflicts) {
+                break Err(e);
+            }
+        };
+        if let Some(id) = claim {
+            let mut shard = self.shards.lock(self.shard_of(fid));
+            let mine = shard.claims.iter().position(|c| c.token.id == id);
+            shard.claims.remove(mine.expect("a claim stays until its grant drops it"));
+            drop(shard);
+            *self.claims_ended.lock() += 1;
+            self.claim_ended.notify_all();
         }
-        Err(DfsError::Timeout)
+        granted
     }
 
     /// Revokes `conflicts` with every manager lock released, batching
@@ -443,6 +518,13 @@ impl TokenManager {
             }
         }
         Ok(())
+    }
+
+    /// Refuses a reestablishment claim its caller found dead (on a file
+    /// that no longer resolves): counted in `refused`, as a conflicting
+    /// claim is.
+    pub fn refuse_claim(&self) {
+        self.stats.refused.add(1);
     }
 
     /// Re-grants a token `host` claims to have held before this server
@@ -814,6 +896,65 @@ mod tests {
         assert_eq!(h1.calls.load(Ordering::SeqCst), 1, "h1's write token revoked");
         assert_eq!(tm.tokens_on(fid(1)).len(), 1);
         assert_eq!(tm.stats().revocations, 1);
+    }
+
+    /// A reader that asks for its token again, on a thread of its own,
+    /// the moment it is revoked — as a client whose reads spin on a file
+    /// does — and gives that request a while to land before it answers.
+    struct EagerReader {
+        id: HostId,
+        tm: std::sync::OnceLock<std::sync::Weak<TokenManager>>,
+        calls: AtomicUsize,
+        /// One thread per request; each ends with whether it was granted.
+        asks: Mutex<Vec<std::thread::JoinHandle<bool>>>,
+    }
+
+    impl TokenHost for EagerReader {
+        fn host_id(&self) -> HostId {
+            self.id
+        }
+        fn revoke(&self, _: &Token, _: TokenTypes, _: SerializationStamp) -> RevokeResult {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let tm = self.tm.get().and_then(|w| w.upgrade()).expect("manager alive");
+            let (id, (tx, rx)) = (self.id, std::sync::mpsc::channel());
+            self.asks.lock().push(std::thread::spawn(move || {
+                let _ = tx.send(());
+                tm.grant(id, fid(1), TokenTypes::DATA_READ, ByteRange::WHOLE).is_ok()
+            }));
+            rx.recv().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            RevokeResult::Returned
+        }
+    }
+
+    #[test]
+    fn a_reader_that_asks_again_at_once_waits_for_the_writers_grant() {
+        let tm = Arc::new(TokenManager::new());
+        let writer = RecordingHost::new(1, false);
+        let reader = Arc::new(EagerReader {
+            id: HostId::Client(ClientId(2)),
+            tm: std::sync::OnceLock::new(),
+            calls: AtomicUsize::new(0),
+            asks: Mutex::new(Vec::new()),
+        });
+        reader.tm.set(Arc::downgrade(&tm)).unwrap();
+        tm.register_host(writer.clone());
+        tm.register_host(reader.clone());
+        tm.grant(reader.id, fid(1), TokenTypes::DATA_READ, ByteRange::WHOLE).unwrap();
+        // Without the claim the reader is granted again before every
+        // re-check, and the writer times out after 64 revocations.
+        tm.grant(writer.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
+        assert_eq!(reader.calls.load(Ordering::SeqCst), 1, "one revocation won the file");
+        // The reader's request went through once the writer had its token.
+        let asks = std::mem::take(&mut *reader.asks.lock());
+        assert_eq!(asks.len(), 1);
+        for ask in asks {
+            assert!(ask.join().unwrap(), "the reader's request was refused");
+        }
+        assert_eq!(writer.calls.load(Ordering::SeqCst), 1, "the writer's token revoked in turn");
+        let holders: Vec<HostId> = tm.tokens_on(fid(1)).into_iter().map(|(h, _)| h).collect();
+        assert_eq!(holders, vec![reader.id]);
+        assert_eq!(tm.stats().claim_waits, 1, "the reader waited out the writer's claim once");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Ranked locks: the workspace-wide lock hierarchy and its runtime
 //! enforcement.
 //!
-//! Every long-lived lock in the coherence path carries a static
-//! [`LockRank`]. A thread may only acquire a lock whose rank is
-//! **strictly greater** than every rank it already holds; debug builds
+//! Every long-lived lock in the workspace carries a static [`LockRank`]
+//! (one kind excepted, below). A thread may only acquire a lock whose
+//! rank is **strictly greater** than every rank it already holds; debug builds
 //! keep a thread-local stack of held ranks and panic on the first
 //! violation, turning a potential deadlock into a deterministic test
 //! failure at the exact acquisition site. Release builds compile the
@@ -17,31 +17,43 @@
 //!
 //! | rank constant          | value | guards |
 //! |------------------------|-------|--------|
+//! | `SCENARIO_CONTROL`     |   5   | the bench scenario engine's timeline and sampling control (held across cell admin ops) |
 //! | `CLIENT_VNODE_HI`      |  10   | per-vnode high-level operation lock (§6.1) |
 //! | `CLIENT_RECOVERY`      |  15   | client crash-recovery serialization (one epoch transition at a time) |
 //! | `CLIENT_VNODE_TABLE`   |  20   | cache manager's fid → vnode map |
 //! | `CLIENT_VNODE_LO`      |  30   | per-vnode low-level state lock (§6.1) |
 //! | `CLIENT_RESOURCE`      |  40   | ticket, volume-location and root caches (§4.1) |
 //! | `CLIENT_DATA_CACHE`    |  50   | client page stores (§4.2) |
-//! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags) |
+//! | `BASELINE_CLIENT`      |  55   | the NFS baseline client's attribute and page caches, the AFS baseline client's file cache |
+//! | `CLIENT_FLUSHER`       |  60   | background-store daemon control block (wake/stop flags, the daemon's join handle) |
+//! | `CELL_SERVERS`         |  80   | one of the cell's server slots (instance, Episode, disk) |
+//! | `CELL_ADMIN`           |  85   | the cell's administrative ticket |
 //! | `CELL_LOAD`            |  90   | the cell's load baseline: per-volume op counts at the last `Cell::load` |
 //! | `VOLUME_REGISTRY`      | 100   | the file server's volume table (`dfs-server`'s `volumes.rs`: one entry per volume — state, mount, in-flight and op counts, replication job); the VLDB replica's map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | the VLDB replica's replica-site lists (§3.8; a file server's route notes for moved-away volumes are in its volume table) |
 //! | `SERVER_HOSTS`         | 110   | the file server's host table (§3.2): every host registered with its token manager, leases and the post-restart grace window |
 //! | `TOKEN_MANAGER`        | 120   | the token manager's host registry (§5; the grant table itself is sharded at `TOKEN_SHARD`) |
 //! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
+//! | `TOKEN_CLAIMS`         | 124   | the token manager's count of ended grant claims, which a grant waiting out another host's claim sleeps on (§5) |
 //! | `HOST_TABLE`           | 130   | local-host activity counts in the glue layer (§3.2) |
+//! | `BASELINE_SERVER`      | 135   | the AFS baseline server's callback promises |
 //! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
 //! | `EPISODE_RENAME`       | 141   | one volume's renames between two different directories |
 //! | `EPISODE_VOLUME_OPS`   | 142   | Episode's volume-table operations (create, delete, clone, dump, restore) |
 //! | `EPISODE_COUNTERS`     | 144   | Episode's map of per-volume counters |
 //! | `EPISODE_MARKS`        | 146   | one volume's counter-mark extensions and header rewrites |
 //! | `EPISODE_ALLOC`        | 148   | Episode's anode and block allocator |
+//! | `FFS`                  | 149   | the FFS baseline's one lock over every operation |
 //! | `JOURNAL_CACHE`        | 150   | journal buffer-cache map (hits read, misses write) |
 //! | `JOURNAL_FRAME`        | 160   | individual buffer-frame latches |
 //! | `JOURNAL_TXNS`         | 170   | journal transaction table (§2.2) |
 //! | `JOURNAL_LOG`          | 180   | the log tail |
-//! | `DISK`                 | 200   | simulated device state (doc only; the disk crate's locks are leaf-level and unranked) |
+//! | `HOST_LOG`             | 190   | the host journal's ring tail (§3.5 recovery facts) |
+//! | `DISK`                 | 200   | simulated device state |
+//! | `NET_NODES`            | 210   | the network's node table and its statistics |
+//! | `NET_FAULTS`           | 220   | the network's fault plane |
+//! | `NET_AUTH`             | 230   | the authentication registry's users and sessions (§3.7) |
+//! | `NET_GATE`             | 240   | one node's admission gate for one call class (§6.4) |
 //!
 //! Two rules follow from the paper and are checked by both this module
 //! (dynamically) and `dfs-lint` (statically):
@@ -53,8 +65,12 @@
 //! * A guard must never be live across a `dfs-rpc` send: the reply may
 //!   be blocked behind a revocation aimed back at the caller.
 //!
-//! Locks in crates outside the coherence path (rpc, disk, ffs,
-//! baselines) stay unranked and do not participate in the check, as do
+//! The network's locks rank above everything else: a call takes each
+//! one briefly and lets it go before the callee's `dispatch` runs, so a
+//! service (and a revocation it sends back) starts with none of them
+//! held.
+//!
+//! Every long-lived lock in the workspace is one of these wrappers but
 //! Episode's per-anode locks: those follow a rule of their own, which a
 //! rank cannot state (directories in slot order, any other anode only
 //! if free at once; DESIGN.md §8 "Episode's anode locks").
@@ -66,6 +82,10 @@ use std::ops::{Deref, DerefMut};
 
 /// Rank constants of the global hierarchy (see the module docs).
 pub mod rank {
+    /// The bench scenario engine's timeline and sampling control. The
+    /// lowest rank: a worker fires timeline events (crash, restart, move)
+    /// under it, and those take the cell's and the servers' locks.
+    pub const SCENARIO_CONTROL: u16 = 5;
     /// Per-vnode high-level operation lock (§6.1).
     pub const CLIENT_VNODE_HI: u16 = 10;
     /// Client crash-recovery serialization. Ranked between the per-vnode
@@ -85,10 +105,24 @@ pub mod rank {
     pub const CLIENT_RESOURCE: u16 = 40;
     /// Client page stores (§4.2).
     pub const CLIENT_DATA_CACHE: u16 = 50;
-    /// Background-store daemon control block. Ranked above the vnode
-    /// locks so writers may kick the flusher while holding `lo`; the
-    /// flusher itself drops this lock before touching any vnode.
+    /// The baseline clients' caches: the NFS client's attribute and page
+    /// caches and the AFS client's whole-file cache. Leaves: none is held
+    /// across an RPC or while another is taken.
+    pub const BASELINE_CLIENT: u16 = 55;
+    /// Background-store daemon control block (its wake and stop flags
+    /// and its join handle). Ranked above the vnode locks so writers may
+    /// kick the flusher while holding `lo`; the flusher itself drops this
+    /// lock before touching any vnode.
     pub const CLIENT_FLUSHER: u16 = 60;
+    /// One of the cell's server slots: the running instance, its Episode
+    /// and its disk. Held while a slot crashes (the network and the
+    /// disk rank above), never across an RPC: a restart builds the new
+    /// instance with no slot held and installs it under the lock.
+    pub const CELL_SERVERS: u16 = 80;
+    /// The cell's administrative ticket: read for each admin call, set
+    /// by `Cell::admin_login` (a later login renews an expiring ticket).
+    /// A leaf.
+    pub const CELL_ADMIN: u16 = 85;
     /// The cell's load baseline (per-volume op counts at the last
     /// `Cell::load`). Ranked below every server-side lock: a load
     /// observation reads servers (which take VOLUME_REGISTRY and above).
@@ -118,8 +152,16 @@ pub mod rank {
     /// shard-index order** — cross-shard operations (whole-volume
     /// revocation, volume export) walk the shards 0..N.
     pub const TOKEN_SHARD: u16 = 122;
+    /// The token manager's count of ended grant claims, which a grant
+    /// that must wait for another host's claim sleeps on. Taken under a
+    /// shard (the waiter reads the count before it lets its shards go)
+    /// or alone; never held across a revocation.
+    pub const TOKEN_CLAIMS: u16 = 124;
     /// Local-host activity tracking in the glue layer (§3.2).
     pub const HOST_TABLE: u16 = 130;
+    /// The AFS baseline server's callback promises. A leaf: callbacks are
+    /// broken with it released.
+    pub const BASELINE_SERVER: u16 = 135;
     /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
     /// One volume's renames between two different directories, one at
@@ -140,6 +182,9 @@ pub mod rank {
     /// Episode's anode and block allocator, held across a scan-and-claim
     /// and so across the journal updates that claim.
     pub const EPISODE_ALLOC: u16 = 148;
+    /// The FFS baseline's one lock over every operation: where Episode's
+    /// locks stand, with only the disk under it.
+    pub const FFS: u16 = 149;
     /// Journal buffer-cache map: a hit takes it for reading, a miss for
     /// writing.
     pub const JOURNAL_CACHE: u16 = 150;
@@ -151,38 +196,66 @@ pub mod rank {
     pub const JOURNAL_TXNS: u16 = 170;
     /// The log tail.
     pub const JOURNAL_LOG: u16 = 180;
-    /// Simulated device state (documentation only — the disk crate's
-    /// locks are leaves and stay unranked).
+    /// The host journal's ring tail (§3.5): held across the synchronous
+    /// write of its block, so only the disk ranks above it.
+    pub const HOST_LOG: u16 = 190;
+    /// Simulated device state: a leaf under the journal's and the host
+    /// journal's locks.
     pub const DISK: u16 = 200;
+    /// The network's node table and its statistics. Like every network
+    /// lock, a leaf taken and released inside `Network::call` before the
+    /// callee's `dispatch` runs, so ranked above every lock a caller may
+    /// hold across a send.
+    pub const NET_NODES: u16 = 210;
+    /// The network's fault plane (the armed schedule's rules and RNG).
+    pub const NET_FAULTS: u16 = 220;
+    /// The authentication registry's users and sessions (§3.7).
+    pub const NET_AUTH: u16 = 230;
+    /// One node's admission gate for one call class (§6.4): the free
+    /// slot count, waited on by callers with no slot. A held slot is no
+    /// lock; the gate's lock is let go before `dispatch` runs.
+    pub const NET_GATE: u16 = 240;
 
     /// Human-readable name of a rank, for panic messages.
     pub fn name(r: u16) -> &'static str {
         match r {
+            SCENARIO_CONTROL => "SCENARIO_CONTROL",
             CLIENT_VNODE_TABLE => "CLIENT_VNODE_TABLE",
             CLIENT_VNODE_HI => "CLIENT_VNODE_HI",
             CLIENT_RECOVERY => "CLIENT_RECOVERY",
             CLIENT_VNODE_LO => "CLIENT_VNODE_LO",
             CLIENT_RESOURCE => "CLIENT_RESOURCE",
             CLIENT_DATA_CACHE => "CLIENT_DATA_CACHE",
+            BASELINE_CLIENT => "BASELINE_CLIENT",
             CLIENT_FLUSHER => "CLIENT_FLUSHER",
+            CELL_SERVERS => "CELL_SERVERS",
+            CELL_ADMIN => "CELL_ADMIN",
             CELL_LOAD => "CELL_LOAD",
             VOLUME_REGISTRY => "VOLUME_REGISTRY",
             SERVER_ROUTES => "SERVER_ROUTES",
             SERVER_HOSTS => "SERVER_HOSTS",
             TOKEN_MANAGER => "TOKEN_MANAGER",
             TOKEN_SHARD => "TOKEN_SHARD",
+            TOKEN_CLAIMS => "TOKEN_CLAIMS",
             HOST_TABLE => "HOST_TABLE",
+            BASELINE_SERVER => "BASELINE_SERVER",
             LOCK_TABLE => "LOCK_TABLE",
             EPISODE_RENAME => "EPISODE_RENAME",
             EPISODE_VOLUME_OPS => "EPISODE_VOLUME_OPS",
             EPISODE_COUNTERS => "EPISODE_COUNTERS",
             EPISODE_MARKS => "EPISODE_MARKS",
             EPISODE_ALLOC => "EPISODE_ALLOC",
+            FFS => "FFS",
             JOURNAL_TXNS => "JOURNAL_TXNS",
             JOURNAL_CACHE => "JOURNAL_CACHE",
             JOURNAL_FRAME => "JOURNAL_FRAME",
             JOURNAL_LOG => "JOURNAL_LOG",
+            HOST_LOG => "HOST_LOG",
             DISK => "DISK",
+            NET_NODES => "NET_NODES",
+            NET_FAULTS => "NET_FAULTS",
+            NET_AUTH => "NET_AUTH",
+            NET_GATE => "NET_GATE",
             _ => "UNKNOWN",
         }
     }

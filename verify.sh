@@ -9,11 +9,19 @@
 #      Both builds run with --locked: a dependency edit that would
 #      rewrite Cargo.lock or benchmark/Cargo.lock fails the build
 #      instead of silently changing the lock file
-#   3. the test suite (unit + integration + property tests, every crate)
+#   3. the test suite (unit + integration + property tests, every crate;
+#      debug build, so the lock-rank enforcer checks every acquisition).
+#      dfs-lint's `every_workspace_lock_is_ranked` runs here: a lock
+#      field with no rank, or a raw parking_lot/std::sync lock named
+#      anywhere in non-test code, fails it, outside the wrappers' own
+#      file, shims/ and Episode's anode locks
 #   4. dfs-lint: workspace-wide concurrency static analysis (lock
 #      order, lockset coverage, lock-gap TOCTOU, stale allows) over
-#      crates/, shims/, and the root crate; the --json rendering is
-#      validated through jsoncheck (see crates/lint and DESIGN.md
+#      crates/, shims/, and the root crate — every lock field, those
+#      wrapped in an Arc, a Vec or a Box included (a lock in a tuple
+#      field, an Option, a map or a static is not a lock field to it;
+#      stage 3 refuses such a raw lock); the --json rendering
+#      is validated through jsoncheck (see crates/lint and DESIGN.md
 #      "Concurrency discipline")
 #   5. cargo clippy --workspace --all-targets with every warning an
 #      error (the pinned deny-list — await_holding_lock, mut_mutex_lock,
