@@ -15,12 +15,18 @@
 //! disk time: disks are the per-server bottleneck resource and servers
 //! run in parallel, so the fleet's makespan is the busiest disk's time.
 //!
+//! Each row's `failures` names the first ops that failed, if any —
+//! client, call, fid, error and the op count it failed at — beside the
+//! `all_ops_ok` verdict they make false.
+//!
 //! Flags: `--json` emits machine-readable results (validated by
 //! `jsoncheck` in the verify.sh smoke stage); `--ops N` sets ops per
 //! client; `--servers N` restricts the sweep to one fleet size.
 
 use dfs_bench::emit::Obj;
-use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
+use dfs_bench::scenario::{
+    ClassSpec, Event, FailedOp, OpClass, Phase, RunReport, Scenario, Topology,
+};
 use dfs_bench::Args;
 
 const VOLUMES: u64 = 8;
@@ -73,6 +79,7 @@ fn main() {
             .field("redirects", r.server.wrong_server_redirects + r.client_stats.wrong_server_redirects)
             .field("lost_updates", r.lost_updates)
             .field("all_ops_ok", r.failed_ops == 0 && r.clean())
+            .field("failures", FailedOp::list(&r.failures))
     });
     args.print(
         &format!("T15: fleet scaling — {VOLUMES} volumes, {CLIENTS} clients, mid-run move"),

@@ -365,6 +365,40 @@ impl Witness {
     }
 }
 
+/// One op that returned an error after the client's retries: who ran
+/// it, what it was, on which file, with what error, and where in the
+/// run. Kept apart from the [`Witness`]es — a failed op is an
+/// availability effect and changes no coherence verdict — so a failed
+/// run reads without a debugger.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FailedOp {
+    /// The client that ran the op.
+    pub client: u32,
+    /// The call that failed (`write`, `fsync`, `read`, `create`, …).
+    pub op: &'static str,
+    /// The file it was about (a directory for `create` and `remove`).
+    pub fid: Fid,
+    /// What the call returned.
+    pub error: DfsError,
+    /// Ops the whole run had finished when it failed, comparable with
+    /// an event's `fired_at`.
+    pub at_op: u64,
+}
+
+impl FailedOp {
+    /// A failed-op list as a JSON array.
+    pub fn list(failed: &[FailedOp]) -> Value {
+        arr(failed.iter().map(|f| {
+            Obj::new()
+                .field("client", f.client)
+                .field("op", f.op)
+                .field("fid", format!("{:?}", f.fid))
+                .field("error", format!("{:?}", f.error))
+                .field("at_op", f.at_op)
+        }))
+    }
+}
+
 /// The tag a tagged page carries in its first word.
 fn word0(page: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(page.get(..8)?.try_into().ok()?))
@@ -394,6 +428,8 @@ pub struct RunReport {
     pub state_digest: u64,
     /// Ops whose execution returned an error (after client retries).
     pub failed_ops: u64,
+    /// The first [`MAX_WITNESSES`] of those, in the order they failed.
+    pub failures: Vec<FailedOp>,
     /// Invariant: regions whose fresh-client read-back did not match
     /// the last acknowledged write.
     pub lost_updates: u64,
@@ -493,7 +529,7 @@ impl RunReport {
     }
 
     /// The full uniform report: deterministic + invariants + witnesses
-    /// + measured + events + samples.
+    /// + failed ops + measured + events + samples.
     pub fn report(&self) -> Obj {
         let (s, server, net) = (&self.client_stats, &self.server, &self.net);
         let measured = Obj::new()
@@ -544,6 +580,7 @@ impl RunReport {
             .field("deterministic", self.deterministic())
             .field("invariants", self.invariants())
             .field("witnesses", Witness::list(&self.witnesses))
+            .field("failures", FailedOp::list(&self.failures))
             .field("measured", measured)
             .field_arr("events", events)
             .field_arr("samples", samples)
@@ -769,6 +806,8 @@ struct ClientOutcome {
     digest: u64,
     class_ops: [u64; 4],
     failed_ops: u64,
+    /// This client's first [`MAX_WITNESSES`] failed ops.
+    failures: Vec<FailedOp>,
     torn_reads: u64,
     scan_mismatches: u64,
     /// (set, file, region) → (last tag written, last attempt acked).
@@ -975,7 +1014,7 @@ impl<'a> Driver<'a> {
                                         .expect("weighted draw in range")
                                 };
                                 out.class_ops[spec.class.index()] += 1;
-                                let ok = Self::one_op(
+                                let done = Self::one_op(
                                     &ctx,
                                     &client,
                                     spec,
@@ -984,10 +1023,19 @@ impl<'a> Driver<'a> {
                                     &mut writes_since_fsync,
                                     &mut out,
                                 );
-                                if !ok {
-                                    out.failed_ops += 1;
-                                }
                                 let n = ctx.ops.fetch_add(1, Ordering::SeqCst) + 1;
+                                if let Err((op, fid, error)) = done {
+                                    out.failed_ops += 1;
+                                    if out.failures.len() < MAX_WITNESSES {
+                                        out.failures.push(FailedOp {
+                                            client: i,
+                                            op,
+                                            fid,
+                                            error,
+                                            at_op: n,
+                                        });
+                                    }
+                                }
                                 if n >= ctx.trigger.load(Ordering::SeqCst) {
                                     ctx.service(n);
                                 }
@@ -1127,6 +1175,10 @@ impl<'a> Driver<'a> {
             torn_reads += out.torn_reads;
             scan_mismatches += out.scan_mismatches;
         }
+        let mut failures: Vec<FailedOp> =
+            outcomes.iter().flat_map(|out| out.failures.iter().cloned()).collect();
+        failures.sort_by_key(|f| f.at_op);
+        failures.truncate(MAX_WITNESSES);
         let (events, samples) = {
             let ctl = ctx.ctl.lock();
             (ctl.fired.clone(), ctl.samples.clone())
@@ -1143,6 +1195,7 @@ impl<'a> Driver<'a> {
             op_digest: op_digest.0,
             state_digest: state.0,
             failed_ops,
+            failures,
             lost_updates,
             agreement_failures,
             torn_reads,
@@ -1161,7 +1214,8 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Executes one drawn op. All RNG draws happen before any I/O.
+    /// Executes one drawn op. All RNG draws happen before any I/O. A
+    /// failure names the call, its file and its error.
     #[allow(clippy::too_many_arguments)]
     fn one_op(
         ctx: &RunCtx,
@@ -1171,7 +1225,7 @@ impl<'a> Driver<'a> {
         digest: &mut Fnv,
         writes_since_fsync: &mut u32,
         out: &mut ClientOutcome,
-    ) -> bool {
+    ) -> Result<(), (&'static str, Fid, DfsError)> {
         match spec.class {
             OpClass::Write => {
                 let set = &ctx.sets[spec.set];
@@ -1181,17 +1235,15 @@ impl<'a> Driver<'a> {
                 digest.u64(tag);
                 let fid = set.files[file as usize];
                 let off = u64::from(spec.member) * PAGE_SIZE as u64;
-                let acked = client.write(fid, off, &payload(tag)).is_ok();
-                let mut ok = acked;
-                if acked {
-                    *writes_since_fsync += 1;
-                    if spec.fsync_every > 0 && *writes_since_fsync >= spec.fsync_every {
-                        *writes_since_fsync = 0;
-                        ok = client.fsync(fid).is_ok();
-                    }
+                let written = client.write(fid, off, &payload(tag));
+                out.regions.insert((spec.set, file, spec.member), (tag, written.is_ok()));
+                written.map_err(|e| ("write", fid, e))?;
+                *writes_since_fsync += 1;
+                if spec.fsync_every > 0 && *writes_since_fsync >= spec.fsync_every {
+                    *writes_since_fsync = 0;
+                    client.fsync(fid).map_err(|e| ("fsync", fid, e))?;
                 }
-                out.regions.insert((spec.set, file, spec.member), (tag, acked));
-                ok
+                Ok(())
             }
             OpClass::Read => {
                 // Draw everything first: source set, file, region, kind.
@@ -1207,7 +1259,7 @@ impl<'a> Driver<'a> {
                 digest.u64(u64::from(getattr));
                 let fid = set.files[file as usize];
                 if getattr {
-                    return client.getattr(fid).is_ok();
+                    return client.getattr(fid).map(drop).map_err(|e| ("getattr", fid, e));
                 }
                 match client.read(fid, u64::from(region) * PAGE_SIZE as u64, PAGE_SIZE) {
                     Ok(data) => {
@@ -1226,9 +1278,9 @@ impl<'a> Driver<'a> {
                                 PageKind::Zeros | PageKind::Tagged(_) => {}
                             }
                         }
-                        true
+                        Ok(())
                     }
-                    Err(_) => false,
+                    Err(e) => Err(("read", fid, e)),
                 }
             }
             OpClass::MetadataChurn => {
@@ -1236,19 +1288,16 @@ impl<'a> Driver<'a> {
                 let k = rng.gen::<u64>() % u64::from(spec.names);
                 digest.u64(k);
                 let name = format!("m{}_f{k}", spec.member);
-                (|| {
-                    let f = client.create(dir, &name, 0o644)?;
-                    client.getattr(f.fid)?;
-                    client.remove(dir, &name)
-                })()
-                .is_ok()
+                let f = client.create(dir, &name, 0o644).map_err(|e| ("create", dir, e))?;
+                client.getattr(f.fid).map_err(|e| ("getattr", f.fid, e))?;
+                client.remove(dir, &name).map_err(|e| ("remove", dir, e))
             }
             OpClass::StreamingScan => {
                 let set = &ctx.sets[spec.set];
                 let file = (rng.gen::<u64>() % set.files.len() as u64) as u32;
                 digest.u64(u64::from(file));
                 let fid = set.files[file as usize];
-                let mut ok = true;
+                let mut done = Ok(());
                 for region in 0..set.regions {
                     match client.read(fid, u64::from(region) * PAGE_SIZE as u64, PAGE_SIZE) {
                         Ok(data) => {
@@ -1259,10 +1308,10 @@ impl<'a> Driver<'a> {
                                 out.scan_mismatches += 1;
                             }
                         }
-                        Err(_) => ok = false,
+                        Err(e) => done = done.and(Err(("scan", fid, e))),
                     }
                 }
-                ok
+                done
             }
         }
     }

@@ -181,12 +181,6 @@ dfs_types::counters! {
         pub recoveries: u64,
         /// Tokens re-granted through `ReestablishTokens` during recovery.
         pub tokens_reestablished: u64,
-        /// Files revalidated after a restart whose cached pages were kept
-        /// (`DataVersion` unchanged, AFS-style).
-        pub reval_kept: u64,
-        /// Files revalidated after a restart whose cached pages were
-        /// discarded (`DataVersion` changed or revalidation failed).
-        pub reval_dropped: u64,
         /// Dirty write-behind pages replayed by the recovery pipeline.
         pub recovery_replayed_pages: u64,
         /// `WrongServer` redirects followed after a volume moved (§2.1).
@@ -332,6 +326,12 @@ impl VnState {
 
     fn dir_trusted(&self) -> bool {
         self.has_types(TokenTypes::STATUS_READ | TokenTypes::DATA_READ)
+    }
+
+    /// Forgets the directory layer's cached lookups and listing.
+    fn forget_names(&mut self) {
+        self.names.clear();
+        self.listing = None;
     }
 }
 
@@ -482,7 +482,7 @@ pub struct CacheManager {
     /// epoch change holds at most one vnode's `hi`, and recovery itself
     /// takes only `lo` locks underneath.
     // dfs-lint: allow(guard-across-rpc) — held across the reestablish /
-    // revalidate sends by design: the server serves reestablishment
+    // replay sends by design: the server serves reestablishment
     // without issuing revocations back to us, and revocation handlers
     // here take only vnode `lo` locks, never this gate.
     recovery_gate: OrderedMutex<(), { rank::CLIENT_RECOVERY }>,
@@ -931,33 +931,40 @@ impl CacheManager {
         }
         let data_bits = TokenTypes::DATA_READ | TokenTypes::DATA_WRITE;
         if to_drop.intersects(data_bits) {
-            // Drop cached pages no longer under any data token. A page
-            // still dirty keeps its bytes — they are all there is of an
-            // update yet to be stored — unless its store-back just
-            // failed: then it holds bytes no one else will ever see,
-            // lost with the token, and we must not go on reading them.
-            let dropped: Vec<u64> = lo
-                .valid
-                .range(writeback::pages_of(Some(held_range)))
-                .copied()
-                .filter(|p| {
-                    let r = ByteRange::at(p * PAGE_SIZE as u64, PAGE_SIZE as u64);
-                    if lo.dirty.contains_key(p) { lost } else { !lo.covered(data_bits, &r) }
-                })
-                .collect();
-            for p in dropped {
-                self.note_clean(lo, p);
-                lo.valid.remove(&p);
-                self.data.drop_page(vn.fid, p);
-            }
+            self.drop_uncovered(vn.fid, lo, Some(held_range), lost);
         }
         // Directory-content caches ride on the data and status tokens.
         if to_drop.intersects(data_bits | TokenTypes::STATUS_READ | TokenTypes::STATUS_WRITE) {
-            lo.names.clear();
-            lo.listing = None;
+            lo.forget_names();
         }
         lo.stamp = lo.stamp.max(stamp);
         true
+    }
+
+    /// **The client's one validity rule** (DESIGN.md §10): a clean page
+    /// stays in `valid` only while a `DATA_READ`/`DATA_WRITE` token
+    /// covers it. Drops the uncovered clean pages in `range` (`None`:
+    /// the whole file). A page still dirty keeps its bytes — they are
+    /// all there is of an update yet to be stored — unless `lost`: its
+    /// store-back just failed, so it holds bytes no one else will ever
+    /// see, and we must not go on reading them. Runs wherever tokens go:
+    /// a revocation, recovery, a refused store's retake.
+    fn drop_uncovered(&self, fid: Fid, lo: &mut VnState, range: Option<ByteRange>, lost: bool) {
+        let data_bits = TokenTypes::DATA_READ | TokenTypes::DATA_WRITE;
+        let dropped: Vec<u64> = lo
+            .valid
+            .range(writeback::pages_of(range))
+            .copied()
+            .filter(|p| {
+                let r = ByteRange::at(p * PAGE_SIZE as u64, PAGE_SIZE as u64);
+                if lo.dirty.contains_key(p) { lost } else { !lo.covered(data_bits, &r) }
+            })
+            .collect();
+        for p in dropped {
+            self.note_clean(lo, p);
+            lo.valid.remove(&p);
+            self.data.drop_page(fid, p);
+        }
     }
 
     /// Jittered, capped backoff for retry loops: linear ramp capped at
@@ -1014,13 +1021,17 @@ impl CacheManager {
     ///    RPC (granted without conflict during the server's grace
     ///    window; claims not returned fall back to the normal grant
     ///    path on demand);
-    /// 4. revalidate clean cached files against post-restart
-    ///    attributes, keeping data pages whose `DataVersion` is
-    ///    unchanged (AFS-style);
+    /// 4. apply the one validity rule ([`drop_uncovered`]) to every
+    ///    cached file: a clean page no reestablished data token covers
+    ///    goes, since nothing vouches for it in the new epoch; a page
+    ///    a claim came back over is kept, so a file no one else touched
+    ///    stays warm without a round trip;
     /// 5. replay still-dirty write-behind pages through the store gate
     ///    — an acked store survived in the journal, an unacked (or
     ///    refused: the restarted server knew none of our tokens) one is
     ///    still dirty here, so no update is lost.
+    ///
+    /// [`drop_uncovered`]: CacheManager::drop_uncovered
     fn recover(&self, server: ServerId, epoch: u64) {
         let _gate = self.recovery_gate.lock();
         if self.known_epochs.lock().insert(server, epoch) == Some(epoch) {
@@ -1064,53 +1075,23 @@ impl CacheManager {
             let vn = self.vnode(t.fid);
             vn.lock_lo().tokens.push(t);
         }
-        // Replay files with dirty pages; revalidate the rest. A vnode
-        // whose pages were all acked pre-crash may still carry
-        // `status_dirty` (only a revocation-driven `StoreStatus` clears
-        // it), but its cached status already reflects the server's
-        // reply to the last store — so it revalidates like a clean one.
+        // Keep only what a reestablished token vouches for, then replay
+        // the dirty pages: locally-modified data is newer than anything
+        // the server recovered. Pages whose stores were acked pre-crash
+        // are clean here and durable there; everything else is still
+        // dirty.
         for vn in &mine {
             let mut lo = vn.lock_lo();
+            self.drop_uncovered(vn.fid, &mut lo, None, false);
+            // A directory's names and listing ride on its tokens the
+            // same way (`apply_revocation` forgets them with the bits).
+            if !lo.dir_trusted() {
+                lo.forget_names();
+            }
             let dirty = lo.dirty.len() as u64;
-            if dirty > 0 {
-                // Locally-modified data is newer than anything the
-                // server recovered; push it back out. Pages whose
-                // stores were acked pre-crash are clean here and
-                // durable there; everything else is still dirty.
-                drop(lo);
-                if self.store_vnode(vn, Store::Pages(None)).is_ok() {
-                    self.stats.recovery_replayed_pages.add(dirty);
-                }
-                continue;
-            }
-            let Some(cached_dv) = lo.status.as_ref().map(|s| s.data_version) else { continue };
-            let resp = self.rpc_unlocked(&mut lo, Request::FetchStatus { fid: vn.fid, want: None });
-            // A replica-served (stale-stamped) status cannot revalidate
-            // a cache: only the primary's answer is authoritative.
-            let fresh = resp.and_then(status_reply).ok().filter(|r| r.3 == 0);
-            let keep = fresh.as_ref().is_some_and(|r| r.0.data_version == cached_dv);
-            if !keep {
-                // Not the pages dirtied since the sample above (an
-                // operation may run beside this recovery): those are
-                // newer than anything the server has.
-                let stale: Vec<u64> =
-                    lo.valid.iter().copied().filter(|p| !lo.dirty.contains_key(p)).collect();
-                for p in stale {
-                    lo.valid.remove(&p);
-                    self.data.drop_page(vn.fid, p);
-                }
-            }
-            match fresh {
-                Some((status, tokens, stamp, _)) => {
-                    self.absorb(&mut lo, Some((status, stamp)), tokens);
-                }
-                // Could not revalidate: distrust the cached copy.
-                None => lo.status = None,
-            }
-            if keep {
-                self.stats.reval_kept.add(1);
-            } else {
-                self.stats.reval_dropped.add(1);
+            drop(lo);
+            if dirty > 0 && self.store_vnode(vn, Store::Pages(None)).is_ok() {
+                self.stats.recovery_replayed_pages.add(dirty);
             }
         }
     }

@@ -359,11 +359,15 @@ impl CacheManager {
     /// one. Either the server restarted — the probe finds the new epoch
     /// and runs recovery, which reestablishes our tokens and replays the
     /// dirty pages — or the token was taken while we could not be
-    /// reached. Then the refusal disproves exactly the write guarantees
-    /// we believed we held on this vnode: forget those — lock, open and
-    /// read bits stay, and so do the dirty pages — and take the write
+    /// reached. The server took the whole token, read bits included, and
+    /// a writer may have changed the file since: forget every data and
+    /// status bit we held on this vnode — lock and open bits stay, and
+    /// so do the dirty pages — drop the clean pages nothing covers now
+    /// (the one validity rule, [`drop_uncovered`]), and take the write
     /// token again by the normal path, revoking whoever holds it now
     /// (over the whole file: the simplest claim, on a path this rare).
+    ///
+    /// [`drop_uncovered`]: CacheManager::drop_uncovered
     fn retake(&self, vn: &CVnode) -> DfsResult<()> {
         let seen = self.stats.recoveries.get();
         self.probe_epoch(self.server_for(vn.fid.volume)?);
@@ -371,9 +375,9 @@ impl CacheManager {
             return Ok(());
         }
         let mut lo = vn.lock_lo();
-        let writes = TokenTypes::DATA_WRITE | TokenTypes::STATUS_WRITE;
-        lo.tokens.iter_mut().for_each(|t| t.types = t.types.minus(writes));
+        lo.tokens.iter_mut().for_each(|t| t.types = t.types.minus(WRITE_GRANT));
         lo.tokens.retain(|t| !t.types.is_empty());
+        self.drop_uncovered(vn.fid, &mut lo, None, false);
         self.get_token(&mut lo, WRITE_GRANT, ByteRange::WHOLE)
     }
 

@@ -148,13 +148,13 @@ fn failed_revocation_store_back_is_counted() {
 /// A token taken while its holder could not be reached: the revocation
 /// B's write sets off never arrives at A, so the server hands A's write
 /// token on and A never hears of it. A's next store is refused —
-/// `TokenRevoked`, nothing written, B undisturbed so far. The refusal
-/// disproves A's write guarantees and only those: A forgets them, keeps
-/// its lock token (and the lock set under it), takes the write token
-/// again the normal way — which stores B's page back — and only then
-/// stores its own.
+/// `TokenRevoked`, nothing written, B undisturbed so far. The server
+/// took A's whole token, read bits included: A forgets every data and
+/// status bit it held, keeps its lock token (and the lock set under
+/// it), takes the write token again the normal way — which stores B's
+/// page back — and only then stores its own.
 #[test]
-fn a_store_refused_without_a_restart_forgets_only_the_write_bits() {
+fn a_store_refused_without_a_restart_forgets_its_data_and_status_bits() {
     let cell = common::one_server_cell();
     let a = common::no_flush_client(&cell);
     let b = common::no_flush_client(&cell);
@@ -182,6 +182,38 @@ fn a_store_refused_without_a_restart_forgets_only_the_write_bits() {
     let c = cell.new_client();
     assert_eq!(c.read(fid, 0, 16).unwrap(), b"A, while cut off");
     assert_eq!(c.read(fid, 4096, 8).unwrap(), b"B's page");
+}
+
+/// Hole (i): the token the server took from A while A could not be
+/// reached carried read bits too. A cached two pages and dirtied the
+/// first; B rewrites the second meanwhile. When A's refused store
+/// retakes the write token, the clean page A fetched under the lost
+/// token must go with it: A reads B's bytes, and its own dirty page is
+/// stored, not dropped.
+#[test]
+fn a_refused_store_drops_the_clean_pages_the_lost_token_covered() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "hole-i", &[1u8; 2 * PAGE]);
+    assert!(a.read(fid, 0, 2 * PAGE).unwrap() == vec![1u8; 2 * PAGE], "A caches both pages");
+    a.write(fid, 0, &[2u8; PAGE]).unwrap();
+
+    let to_a = Addr::Client(a.id());
+    cell.net().set_fault_schedule(
+        FaultSchedule::seeded(3).rule(FaultRule::on(FaultAction::Drop).to(to_a).limit(1)),
+    );
+    b.write(fid, PAGE as u64, &[3u8; PAGE]).unwrap();
+    assert_eq!(cell.net().faults_injected(), 1, "the revocation was lost");
+    cell.net().clear_faults();
+
+    a.fsync(fid).unwrap();
+    assert_eq!(a.stats().recoveries, 0, "no restart: the refusal was a lost token");
+    assert!(a.read(fid, PAGE as u64, PAGE).unwrap() == vec![3u8; PAGE], "B's page 1");
+    assert!(a.read(fid, 0, PAGE).unwrap() == vec![2u8; PAGE], "A's own page 0");
+    let both = cell.new_client().read(fid, 0, 2 * PAGE).unwrap();
+    assert!(both == [[2u8; PAGE], [3u8; PAGE]].concat(), "both writes reached the server");
 }
 
 /// Live migration vs. a flaky client-side partition: while a volume

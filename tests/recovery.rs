@@ -109,6 +109,92 @@ fn a_refused_store_after_restart_keeps_the_lock_token() {
     assert_eq!(b.read(fid, 0, 32).unwrap(), b"written under lock");
 }
 
+/// Hole (h), a dirty file: A caches two pages and dirties the second
+/// when the server dies. Grace closes before A is heard from, so A's
+/// claims are refused and B rewrites the first page under a token of
+/// its own; the server knows none of A's dead-epoch tokens and revokes
+/// nothing. A's fsync then finds the restart, replays its dirty page
+/// and takes a whole-file write token. That token must not vouch for
+/// the clean page A fetched before the crash: A reads B's bytes.
+#[test]
+fn a_replayed_file_drops_the_clean_pages_no_token_covers() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let fid = common::durable_file(&a, "h-dirty", &[1u8; 2 * PAGE]);
+    assert!(a.read(fid, 0, 2 * PAGE).unwrap() == vec![1u8; 2 * PAGE], "A caches both pages");
+    a.write(fid, PAGE as u64, &[2u8; PAGE]).unwrap();
+    assert_eq!(a.dirty_pages(fid), 1);
+
+    cell.crash_server(0);
+    cell.restart_server(0, 1_000).unwrap();
+    cell.clock().advance_secs(1);
+    b.write(fid, 0, &[3u8; PAGE]).unwrap();
+    b.fsync(fid).unwrap();
+
+    a.fsync(fid).unwrap();
+    let st = a.stats();
+    assert_eq!((st.recoveries, st.tokens_reestablished), (1, 0), "grace was over: no claim back");
+    assert_eq!(st.recovery_replayed_pages, 1);
+    assert!(a.read(fid, 0, PAGE).unwrap() == vec![3u8; PAGE], "B's page 0, not A's stale copy");
+    assert!(a.read(fid, PAGE as u64, PAGE).unwrap() == vec![2u8; PAGE], "A's replayed page 1");
+    assert!(b.read(fid, PAGE as u64, PAGE).unwrap() == vec![2u8; PAGE], "B sees the replay");
+}
+
+/// Hole (h), a clean file: A's recovery runs first, with grace already
+/// over, so no token comes back. The pages A cached before the crash
+/// must not outlive that: B rewrites one, and the whole-file write
+/// token A takes afterwards vouches only for what A fetches under it.
+#[test]
+fn a_clean_file_keeps_no_page_through_a_recovery_that_won_no_token() {
+    const PAGE: usize = decorum_dfs::client::PAGE_SIZE;
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let root = a.root(VolumeId(1)).unwrap();
+    let fid = common::durable_file(&a, "h-clean", &[1u8; 2 * PAGE]);
+    assert!(a.read(fid, 0, 2 * PAGE).unwrap() == vec![1u8; 2 * PAGE], "A caches both pages");
+    assert_eq!(a.dirty_pages(fid), 0);
+
+    cell.crash_server(0);
+    cell.restart_server(0, 1_000).unwrap();
+    cell.clock().advance_secs(1);
+    a.create(root, "poke", 0o644).unwrap();
+    assert_eq!((a.stats().recoveries, a.stats().tokens_reestablished), (1, 0));
+
+    b.write(fid, 0, &[3u8; PAGE]).unwrap();
+    b.fsync(fid).unwrap();
+    a.acquire_data_token(fid, ByteRange::WHOLE, true).unwrap();
+    let both = a.read(fid, 0, 2 * PAGE).unwrap();
+    assert!(both == [[3u8; PAGE], [1u8; PAGE]].concat(), "B's page 0, the server's page 1");
+}
+
+/// The same rule for the directory layer: names A looked up before the
+/// crash ride on A's directory token, which does not come back after
+/// grace. B then removes one; the directory token A takes for a later
+/// lookup must not vouch for the name A cached before the crash.
+#[test]
+fn a_directory_keeps_no_name_through_a_recovery_that_won_no_token() {
+    let cell = common::one_server_cell();
+    let a = common::no_flush_client(&cell);
+    let b = common::no_flush_client(&cell);
+    let root = a.root(VolumeId(1)).unwrap();
+    common::durable_file(&a, "doomed", b"x");
+    a.lookup(root, "doomed").unwrap();
+
+    cell.crash_server(0);
+    cell.restart_server(0, 1_000).unwrap();
+    cell.clock().advance_secs(1);
+    let other = common::durable_file(&b, "other", b"y");
+    a.getattr(other).unwrap();
+    assert_eq!((a.stats().recoveries, a.stats().tokens_reestablished), (1, 0));
+
+    b.remove(root, "doomed").unwrap();
+    a.lookup(root, "other").unwrap();
+    assert_eq!(a.lookup(root, "doomed").map(|st| st.fid), Err(DfsError::NotFound));
+}
+
 /// A client that never reconnects must not pin the cell: the grace
 /// window closes at its deadline and new clients are admitted, while a
 /// *new* host arriving during grace is held off (`GraceWait`).
@@ -286,20 +372,21 @@ fn recovery_scan_tracks_active_log_not_fs_size() {
     assert_eq!(c.read(f.fid, 0, 8).unwrap(), vec![0u8; 8]);
 }
 
-/// Tokens reestablished during grace keep their meaning: a second
-/// client's conflicting claim is silently dropped, and the survivor's
-/// data-version check keeps its cache.
+/// Tokens reestablished during grace keep their meaning: the pages a
+/// reestablished data token covers stay valid (the one validity rule,
+/// nothing revalidated file by file), so a re-read after the restart
+/// is served from the cache with no refetch.
 #[test]
-fn reestablishment_preserves_cached_data_when_version_matches() {
+fn reestablished_data_tokens_keep_the_cached_pages() {
     // No background flusher: after the fsync below nothing is dirty and
     // nothing is in flight, so the crash deterministically finds a clean
-    // cache and recovery takes the revalidation path (a flusher mid-pass
-    // could re-dirty pages when the crash cuts its store-back short).
+    // cache (a flusher mid-pass could re-dirty pages when the crash cuts
+    // its store-back short).
     let cell = common::one_server_cell();
     let a = common::no_flush_client(&cell);
     let root = a.root(VolumeId(1)).unwrap();
     let fid = common::durable_file(&a, "stable", &vec![7u8; 8192]);
-    // Warm A's cache: valid pages + cached DataVersion to revalidate.
+    // Warm A's cache: valid pages under A's data token.
     assert_eq!(a.read(fid, 0, 8192).unwrap(), vec![7u8; 8192]);
     assert_eq!(a.dirty_pages(fid), 0, "fsync left nothing dirty");
 
@@ -307,15 +394,15 @@ fn reestablishment_preserves_cached_data_when_version_matches() {
     cell.restart_server(0, 10_000_000).unwrap();
 
     let before = cell.net().stats();
-    // Trigger recovery with a namespace op, then re-read the file: the
-    // DataVersion still matches, so the pages must come from cache, not
-    // a refetch.
+    // Trigger recovery with a namespace op, then re-read the file: A's
+    // data token came back in the grace window, so the pages must come
+    // from cache, not a refetch.
     a.create(root, "poke", 0o644).unwrap();
     assert_eq!(a.read(fid, 0, 8192).unwrap(), vec![7u8; 8192]);
     let st = a.stats();
-    assert!(st.reval_kept > 0, "matching DataVersion keeps the cache");
+    assert!(st.tokens_reestablished > 0, "A's data token was reestablished");
     let fetched = cell.net().stats().since(&before).by_label.get("FetchData").copied();
-    assert_eq!(fetched.unwrap_or(0), 0, "no data refetch after revalidation");
+    assert_eq!(fetched.unwrap_or(0), 0, "no data refetch after reestablishment");
 }
 
 /// POSIX contract behind the new `Fsync` RPC: fsync on a freshly

@@ -7,7 +7,7 @@
 //! events — fault arming included — fire at their declared op-count
 //! offsets.
 
-use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, Scenario, Topology};
+use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, Scenario, Topology, MAX_WITNESSES};
 use dfs_rpc::{FaultAction, FaultRule, FaultSchedule};
 
 /// A small mixed workload: 8 clients over 2 volumes, shared write set
@@ -73,14 +73,15 @@ fn mixed_workload_passes_all_invariants() {
     assert_eq!(r.ambiguous_regions, 0);
     assert_eq!(r.leaked_grants, 0, "no grant may outlive its file");
     assert!(r.clean());
-    // A coherent run has no one to name.
+    // A coherent run has no one to name, and no op failed to name.
     assert_eq!(r.witnesses, [], "witnesses on a coherent run");
+    assert_eq!(r.failures, [], "failed ops on a clean run");
     // The workload actually exercised every class.
     assert!(r.class_ops.iter().all(|&n| n > 0), "all classes drawn: {:?}", r.class_ops);
-    // And the report renders valid JSON, carrying the (empty) list.
+    // And the report renders valid JSON, carrying the (empty) lists.
     let json = r.to_json();
     dfs_bench::json::validate(&json).expect("report JSON");
-    assert!(json.contains(r#""witnesses": [],"#), "{json}");
+    assert!(json.contains(r#""witnesses": [], "failures": [],"#), "{json}");
 }
 
 #[test]
@@ -151,6 +152,10 @@ fn crash_restart_and_move_fire_in_timeline_order() {
     assert_eq!(r.lost_updates, 0);
     assert_eq!(r.agreement_failures, 0);
     assert!(r.server.moves >= 1, "the volume actually moved");
+    // Every failed op is named, up to the bound, in the order it failed.
+    let named = r.failed_ops.min(MAX_WITNESSES as u64);
+    assert_eq!(r.failures.len() as u64, named, "{:?}", r.failures);
+    assert!(r.failures.windows(2).all(|w| w[0].at_op <= w[1].at_op), "{:?}", r.failures);
 }
 
 #[test]

@@ -35,7 +35,10 @@
 #      deterministic, and the stage fails unless each of its 4 rows
 #      prints `"grace_waits": 1, "verified": true` — the client was held
 #      off exactly once before checking in, and every burst page read
-#      back as written
+#      back as written — and unless all 4 rows print the same
+#      `recovery_rpcs`: the RPCs from the crash to the first op's return
+#      do not grow with the files cached (recovery revalidates nothing
+#      file by file; DESIGN.md §10 "The client pipeline")
 #   8. fleet gate: the multi-server cell tests (tests/fleet.rs) plus
 #      T15 at tiny parameters (volume sharding, WrongServer routing,
 #      live mid-run migration); the stage fails unless T15's row prints
@@ -145,6 +148,13 @@ case "$out" in
   *"$row"*"$row"*"$row"*"$row"*) ;;
   *) echo "t13 smoke: a row no longer shows one grace wait and a verified burst"; exit 1 ;;
 esac
+rpcs=$(printf '%s' "$out" | grep -o '"recovery_rpcs": [0-9]*' || true)
+rows=$(printf '%s\n' "$rpcs" | wc -l)
+values=$(printf '%s\n' "$rpcs" | sort -u | wc -l)
+[ "$rows" -eq 4 ] && [ "$values" -eq 1 ] || {
+  echo "t13 smoke: recovery_rpcs is not one value over the 4 rows:" $rpcs
+  exit 1
+}
 
 echo "==> fleet gate (multi-server cell tests + t15 smoke)"
 cargo test -q --test fleet
