@@ -315,11 +315,12 @@ impl VnState {
         }
         let mut out = Vec::with_capacity((end - offset) as usize);
         for p in first..=last {
-            let page = data.read_page(fid, p)?;
             let ps = p * PAGE_SIZE as u64;
             let s = offset.max(ps) - ps;
             let e = (end - ps).min(PAGE_SIZE as u64);
-            out.extend_from_slice(&page[s as usize..e as usize]);
+            if !data.read_into(fid, p, s as usize, e as usize, &mut out) {
+                return None;
+            }
         }
         Some(out)
     }
@@ -2118,6 +2119,32 @@ pub(crate) mod tests {
                     assert_eq!((hot.local_reads, hot.lockfree_reads), (1, 0), "hot {op}");
                     assert_eq!(net.stats().calls, sent, "hot {op} sent an RPC");
                 }
+            }
+        }
+    }
+
+    /// A cached read copies each page's bytes once, straight out of the
+    /// cache (`DataCache::read_into`): a part of one page, a span across
+    /// two, and a range clipped at the end of the file, each served
+    /// locally with no RPC, from either built-in cache.
+    #[test]
+    fn cached_reads_of_partial_two_page_and_eof_clipped_ranges() {
+        let disk = SimDisk::new(DiskConfig::with_blocks(64));
+        let caches: [Arc<dyn DataCache>; 2] =
+            [Arc::new(MemCache::new()), Arc::new(crate::cache::DiskCache::new(disk))];
+        for cache in caches {
+            let (net, _, fid) = cell_with_file();
+            let cm = client(&net, 2, cache);
+            let data: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
+            cm.write(fid, 0, &data).unwrap();
+            assert_eq!(cm.read(fid, 0, 2 * PAGE_SIZE).unwrap(), data);
+            let p = PAGE_SIZE;
+            let ranges = [(10, 20, &data[10..30]), (p - 5, 10, &data[p - 5..p + 5])];
+            for (offset, len, want) in ranges.into_iter().chain([(p + 50, 200, &data[p + 50..])]) {
+                let (before, sent) = (cm.stats(), net.stats().calls);
+                assert_eq!(cm.read(fid, offset as u64, len).unwrap(), want, "at {offset}");
+                assert_eq!(cm.stats().since(&before).local_reads, 1, "at {offset}");
+                assert_eq!(net.stats().calls, sent, "at {offset}");
             }
         }
     }

@@ -85,8 +85,8 @@ impl Episode {
     ) -> DfsResult<()> {
         let bytes = encode_acl(acl);
         if a.acl_anode == 0 {
-            let (acl_idx, _) = self.alloc_anode(txn, AnodeKind::Meta, a.volume, 0, a.owner, 0)?;
-            a.acl_anode = acl_idx;
+            let (slot, _) = self.alloc_anode(txn, None, AnodeKind::Meta, a.volume, 0, a.owner)?;
+            a.acl_anode = slot;
         }
         let mut holder = self.read_anode(a.acl_anode)?;
         // Overwrite in place; shrink the container if the ACL shrank.
@@ -134,7 +134,7 @@ mod tests {
         let ep = fresh(8192);
         let txn = ep.journal().begin();
         let (idx, mut a) =
-            ep.alloc_anode(txn, AnodeKind::File, 1, 0o644, 42, 0).unwrap();
+            ep.alloc_anode(txn, None, AnodeKind::File, 1, 0o644, 42).unwrap();
         let acl = sample_acl();
         ep.write_acl(txn, &mut a, &acl).unwrap();
         ep.write_anode(txn, idx, &a).unwrap();
@@ -149,7 +149,7 @@ mod tests {
     fn rewrite_replaces_acl() {
         let ep = fresh(8192);
         let txn = ep.journal().begin();
-        let (idx, mut a) = ep.alloc_anode(txn, AnodeKind::File, 1, 0o644, 1, 0).unwrap();
+        let (idx, mut a) = ep.alloc_anode(txn, None, AnodeKind::File, 1, 0o644, 1).unwrap();
         ep.write_acl(txn, &mut a, &sample_acl()).unwrap();
         let first_holder = a.acl_anode;
         let small = Acl::unix_default(1);
@@ -170,7 +170,7 @@ mod tests {
             acl.push(AclEntry::allow(Principal::User(u), Rights::READ));
         }
         let txn = ep.journal().begin();
-        let (idx, mut a) = ep.alloc_anode(txn, AnodeKind::File, 1, 0o644, 1, 0).unwrap();
+        let (idx, mut a) = ep.alloc_anode(txn, None, AnodeKind::File, 1, 0o644, 1).unwrap();
         ep.write_acl(txn, &mut a, &acl).unwrap();
         ep.write_anode(txn, idx, &a).unwrap();
         ep.journal().commit(txn).unwrap();

@@ -193,7 +193,7 @@ mod tests {
 
     fn mkdir(ep: &crate::Episode) -> u32 {
         let txn = ep.journal().begin();
-        let (idx, a) = ep.alloc_anode(txn, AnodeKind::Directory, 1, 0o755, 0, 0).unwrap();
+        let (idx, a) = ep.alloc_anode(txn, None, AnodeKind::Directory, 1, 0o755, 0).unwrap();
         ep.write_anode(txn, idx, &a).unwrap();
         ep.journal().commit(txn).unwrap();
         idx

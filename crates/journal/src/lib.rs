@@ -793,12 +793,7 @@ impl Journal {
         let span = if st.unlogged {
             Some((0, new.len()))
         } else {
-            let cur = &st.data[offset..offset + new.len()];
-            let differs = |(a, b): (&u8, &u8)| a != b;
-            cur.iter().zip(new).position(differs).map(|lo| {
-                let tail = cur.iter().zip(new).rev().position(differs).expect("byte `lo` differs");
-                (lo, new.len() - tail)
-            })
+            changed_span(&st.data[offset..offset + new.len()], new)
         };
 
         // `txns` is held for the class merge, the append and the undo
@@ -1140,6 +1135,25 @@ impl Journal {
     }
 }
 
+/// The span `lo..hi` of `new` from its first to its last byte that
+/// differs from `cur` (as long), or `None` if none does. Whole chunks
+/// compare first, as slices: most of a rewritten block is unchanged.
+fn changed_span(cur: &[u8], new: &[u8]) -> Option<(usize, usize)> {
+    const CHUNK: usize = 64;
+    let differs = |(a, b): (&u8, &u8)| a != b;
+    let mut lo = 0;
+    while lo + CHUNK <= cur.len() && cur[lo..lo + CHUNK] == new[lo..lo + CHUNK] {
+        lo += CHUNK;
+    }
+    let lo = lo + cur[lo..].iter().zip(&new[lo..]).position(differs)?;
+    let mut hi = cur.len();
+    while hi >= lo + CHUNK && cur[hi - CHUNK..hi] == new[hi - CHUNK..hi] {
+        hi -= CHUNK;
+    }
+    let tail = cur[lo..hi].iter().zip(&new[lo..hi]).rev().position(differs);
+    Some((lo, hi - tail.expect("byte `lo` differs")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1150,6 +1164,28 @@ mod tests {
         let region = LogRegion { first_block: 1, blocks: 128 };
         let jn = Journal::format(disk.clone(), region).unwrap();
         (disk, jn)
+    }
+
+    /// `changed_span` finds the span a byte-by-byte scan finds, at
+    /// every length around its chunk size, with the changes anywhere.
+    #[test]
+    fn changed_span_matches_a_byte_by_byte_scan() {
+        let naive = |cur: &[u8], new: &[u8]| {
+            let diff: Vec<usize> = (0..cur.len()).filter(|&i| cur[i] != new[i]).collect();
+            Some((*diff.first()?, diff.last()? + 1))
+        };
+        for len in [0, 1, 63, 64, 65, 127, 128, 200, 2048] {
+            let cur: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            assert_eq!(changed_span(&cur, &cur), None, "len {len}");
+            for lo in (0..len).step_by(13) {
+                for hi in (lo..len).step_by(29).chain([len - 1]) {
+                    let mut new = cur.clone();
+                    new[lo] ^= 1;
+                    new[hi] ^= 2;
+                    assert_eq!(changed_span(&cur, &new), naive(&cur, &new), "{len}: {lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]

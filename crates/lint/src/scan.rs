@@ -891,6 +891,28 @@ fn classify_after(body: &[Sp], mut j: usize) -> Proj {
     }
 }
 
+/// True when the tokens from `j` are a method call, `.name(`.
+fn method_call(body: &[Sp], j: usize) -> bool {
+    is_punct(body, j, '.')
+        && ident(body, j + 1).is_some()
+        && matches!(body.get(j + 2).map(|s| &s.tok), Some(Tok::LParen))
+}
+
+/// True when token `i` is in the condition of an `if`, `while` or
+/// `match`: one of those keywords comes before it, after the last `;`,
+/// `{` or `}`.
+fn in_condition(body: &[Sp], i: usize) -> bool {
+    body[..i]
+        .iter()
+        .rev()
+        .find_map(|s| match &s.tok {
+            Tok::Ident(k) if matches!(k.as_str(), "if" | "while" | "match") => Some(true),
+            Tok::Punct(';') | Tok::LBrace | Tok::RBrace => Some(false),
+            _ => None,
+        })
+        .unwrap_or(false)
+}
+
 /// True when the `=` at `eq` is the tail of a compound operator
 /// (`+=`, `|=`, …): the store re-reads the current value, so it can
 /// never write back a stale pre-gap snapshot.
@@ -1369,7 +1391,15 @@ fn analyze_body(
                         compared.insert(acq);
                         f.acquisitions[acq].reads = true;
                     }
-                    Proj::Read => f.acquisitions[acq].reads = true,
+                    Proj::Read => {
+                        // A method of the fresh guard in a condition
+                        // (`if !lo.dir_trusted() { lo.listing = None }`)
+                        // checks its state as a comparison does.
+                        if method_call(body, i + 1) && in_condition(body, i) {
+                            compared.insert(acq);
+                        }
+                        f.acquisitions[acq].reads = true;
+                    }
                 }
                 i += 1;
                 stmt_start = false;

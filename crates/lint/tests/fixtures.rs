@@ -181,8 +181,9 @@ fn lockset_fixture_flags_the_volume_header_rmw_race() {
 fn lockgap_fixture_flags_the_dirty_bit_clear_across_release() {
     // Minimized PR 6 race #2: writeback drops the frame lock for I/O and
     // clears `dirty` on reacquire without revalidating. The fixed
-    // variant (version-counter check) and the merge variant (RHS
-    // re-reads the fresh guard) stay clean.
+    // variant (version-counter check), the merge variant (RHS re-reads
+    // the fresh guard) and the forget variant (a condition calls a
+    // method of the fresh guard) stay clean.
     assert_eq!(
         lint("lockgap"),
         vec![

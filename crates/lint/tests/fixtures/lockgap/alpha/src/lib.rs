@@ -44,4 +44,18 @@ impl Frame {
         let mut st = self.state.lock();
         st.tail = st.tail.max(tail);
     }
+
+    /// Clean too: the write is under a condition that calls a method of
+    /// the fresh guard.
+    pub fn forget_untrusted(&self, disk: &Disk) {
+        let snap = {
+            let st = self.state.lock();
+            st.data
+        };
+        disk.push(snap);
+        let mut st = self.state.lock();
+        if !st.trusted() {
+            st.listing = None;
+        }
+    }
 }
